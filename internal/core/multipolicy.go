@@ -16,9 +16,9 @@ import (
 	"capsim/internal/workload"
 )
 
-// obsPolicyCells counts (policy column × interval) simulation cells computed
-// by the one-pass interval engines — the unit of work the family cache and
-// the lockstep race amortize.
+// obsPolicyCells counts (policy column × interval) cells: those an interval
+// family simulates, plus those every Race call returns, replayed or
+// simulated (policy.race_sim_cells counts the simulated ones).
 var obsPolicyCells = obs.NewCounter("policy.cells")
 
 // intervalKey identifies one interval family: the per-size, per-interval raw
@@ -56,9 +56,21 @@ type intervalFamily struct {
 // the family itself serializes extension under its own mutex.
 var families memo.Memo[intervalKey, *intervalFamily]
 
-// ResetPolicyFamilies drops all memoized interval families (tests and
-// long-lived processes; one-shot CLI runs never need it).
-func ResetPolicyFamilies() { families.Reset() }
+// ResetPolicyFamilies drops all memoized interval and race families (tests
+// and long-lived processes; one-shot CLI runs never need it).
+func ResetPolicyFamilies() {
+	families.Reset()
+	raceFamilies.Reset()
+}
+
+// SetPolicyFamilyCap bounds the interval-family and race-family memos to at
+// most n entries each, with deterministic LRU eviction (memo.SetCap); n <= 0
+// restores the unbounded default. Each family holds a live MultiCore, so a
+// long-lived process racing fresh seeds must cap them.
+func SetPolicyFamilyCap(n int) {
+	families.SetCap(n)
+	raceFamilies.SetCap(n)
+}
 
 // familyFor returns the (possibly already advanced) interval family for the
 // given application and size list.
@@ -134,8 +146,9 @@ func (f *intervalFamily) rows(ctx context.Context, intervals int64) (cycles, iss
 // with the policy's clock arithmetic applied in replay order, bit-identical
 // to a private QueueMachine. Stateful policies that actually reconfigure
 // run as lockstep columns of one MultiCore over the shared stream, each
-// with its own coupled clock, monitor and transition-cost accounting —
-// mirroring MultiCombined's row/cell structure with policies as columns.
+// with its own monitor and resizes — mirroring MultiCombined's row/cell
+// structure with policies as columns — memoized per roster as a race family
+// whose columns every penalty replays through its own clock.
 type MultiPolicy struct {
 	b       workload.Benchmark
 	seed    uint64
@@ -146,8 +159,12 @@ type MultiPolicy struct {
 	cycs    []float64
 }
 
-// PolicySpec is one contender in a Race. Policies are stateful; give each
-// spec its own instance.
+// PolicySpec is one contender in a Race. Policies are stateful, and Race
+// takes ownership of the instances: when the roster misses the race-family
+// memo they become the new family's columns and advance with it; on a hit
+// (an equal roster raced before, see rosterKey) the family's own instances
+// serve the race and the caller's are not advanced. Give each spec its own
+// fresh instance, and do not reuse it after the call.
 type PolicySpec struct {
 	Policy Policy
 }
@@ -307,169 +324,135 @@ func (mp *MultiPolicy) RunFixed(ctx context.Context, cfg int, intervals int64) (
 }
 
 // Race runs N stateful policies as lockstep columns of ONE MultiCore over
-// the shared instruction stream: per interval, each column consults its
-// policy, performs its own reconfiguration (drain at the old clock + switch
-// penalty, QueueMachine.SetConfig's exact order), then a single RunEach
-// round advances every column together. Per-column results are bit-identical
-// to private QueueMachine runs: member cores consume the stream exactly as
-// they would privately, and resizes between rounds reproduce private-machine
-// behaviour (see ooo.MultiCore.Cores).
+// the shared instruction stream. The columns' core outcomes come from the
+// roster's memoized race family (racefamily.go), simulated once for every
+// penalty and every prefix; each call replays its prefix through a fresh
+// per-column clock.System at this engine's penalty. Per-column results are
+// bit-identical to private QueueMachine runs: member cores consume the
+// stream exactly as they would privately, resizes between rounds reproduce
+// private-machine behaviour (see ooo.MultiCore.Cores), and the replay
+// charges each switch in QueueMachine.SetConfig's exact order.
 func (mp *MultiPolicy) Race(ctx context.Context, specs []PolicySpec, intervals int64) ([]RunResult, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no policies to race")
 	}
-	cfgs := make([]ooo.Config, len(specs))
-	for j := range specs {
-		cfgs[j] = ooo.PaperConfig(mp.sizes[0])
-	}
-	mc, err := ooo.NewMultiCore(cfgs)
+	fam, err := mp.raceFamilyFor(specs)
 	if err != nil {
 		return nil, err
 	}
-	cores := mc.Cores()
-	stream := trace.InstrSourceFor(mp.b, mp.seed)
-
+	steps, err := fam.steps(ctx, intervals)
+	if err != nil {
+		return nil, err
+	}
 	// Flight recording: the oracle reference comes from the memoized interval
 	// family (materialized here if no other consumer has yet — the same pass
-	// Traces replays). Per-interval drain/penalty attribution is captured into
-	// slices the RunEach loop reads; all simulated arithmetic below is
-	// unchanged whether or not rec is set.
+	// Traces replays).
 	rec := flight.Active(ctx)
 	var (
-		recEvs     [][]flight.Event
-		recRegret  []float64
-		oCfg       []int
-		oNS        []float64
-		ivDrainCyc []int64
-		ivDrainNS  []float64
-		ivPenNS    []float64
-		ivSwitched []bool
+		oCfg []int
+		oNS  []float64
 	)
 	if rec {
-		fam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
+		ifam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
 		if err != nil {
 			return nil, err
 		}
-		famCycles, _, err := fam.rows(ctx, intervals)
+		famCycles, _, err := ifam.rows(ctx, intervals)
 		if err != nil {
 			return nil, err
 		}
 		oCfg, oNS = mp.flightOracle(famCycles, intervals)
-		recEvs = make([][]flight.Event, len(specs))
-		for j := range recEvs {
-			recEvs[j] = make([]flight.Event, 0, intervals)
-		}
-		recRegret = make([]float64, len(specs))
-		ivDrainCyc = make([]int64, len(specs))
-		ivDrainNS = make([]float64, len(specs))
-		ivPenNS = make([]float64, len(specs))
-		ivSwitched = make([]bool, len(specs))
 	}
-
-	clks := make([]*clock.System, len(specs))
-	mons := make([]*Monitor, len(specs))
-	cur := make([]int, len(specs))
-	timeNS := make([]float64, len(specs))
-	instrs := make([]int64, len(specs))
-	for j := range specs {
-		clks[j], err = clock.NewSystem(mp.sources, 0, mp.penalty)
+	out := make([]RunResult, len(specs))
+	for j, spec := range specs {
+		res, evs, regretNS, err := mp.replayRace(steps[j], rec, oCfg, oNS)
 		if err != nil {
 			return nil, err
 		}
-		mons[j] = NewMonitor(64)
-		mons[j].Current = 0
-	}
-	for iv := int64(0); iv < intervals; iv++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		res.Policy = spec.Policy.Name()
+		out[j] = res
 		if rec {
-			for j := range specs {
-				ivDrainCyc[j], ivDrainNS[j], ivPenNS[j], ivSwitched[j] = 0, 0, 0, false
-			}
-		}
-		for j, spec := range specs {
-			want := spec.Policy.Next(mons[j])
-			if want == cur[j] {
-				continue
-			}
-			if want < 0 || want >= len(mp.sizes) {
-				return nil, fmt.Errorf("core: policy %q selected config %d outside [0,%d)", spec.Policy.Name(), want, len(mp.sizes))
-			}
-			before := cores[j].Stats().DrainStalls
-			if err := cores[j].Resize(mp.sizes[want]); err != nil {
-				return nil, err
-			}
-			drain := cores[j].Stats().DrainStalls - before
-			dd := clks[j].Advance(drain)
-			timeNS[j] += dd
-			pen, err := clks[j].Select(want)
-			if err != nil {
-				return nil, err
-			}
-			timeNS[j] += pen
-			cur[j] = want
-			if rec {
-				ivDrainCyc[j], ivDrainNS[j], ivPenNS[j], ivSwitched[j] = drain, dd, pen, true
-			}
-		}
-		for j, st := range mc.RunEach(stream, mp.n) {
-			dt := clks[j].Advance(st.Cycles)
-			instrs[j] += st.Issued
-			timeNS[j] += dt
-			mons[j].Record(Sample{
-				Interval: iv,
-				Config:   cur[j],
-				TPI:      dt / float64(st.Issued),
-				IPC:      st.IPC(),
-			})
-			if rec {
-				tot := ivDrainNS[j] + ivPenNS[j] + dt
-				// Live race columns diverge from the family columns after a
-				// resize, so an interval can occasionally beat every family
-				// column; regret vs the family oracle is floored at zero to
-				// keep the ledger's monotonicity invariant meaningful.
-				regret := tot - oNS[iv]
-				if regret < 0 {
-					regret = 0
-				}
-				recRegret[j] += regret
-				recEvs[j] = append(recEvs[j], flight.Event{
-					Interval:    iv,
-					Config:      cur[j],
-					Size:        mp.sizes[cur[j]],
-					Cycles:      st.Cycles,
-					Issued:      st.Issued,
-					PeriodNS:    mp.cycs[cur[j]],
-					DrainCycles: ivDrainCyc[j],
-					DrainNS:     ivDrainNS[j],
-					PenaltyNS:   ivPenNS[j],
-					AdvNS:       dt,
-					CumTimeNS:   timeNS[j],
-					TPI:         dt / float64(st.Issued),
-					OracleCfg:   oCfg[iv],
-					OracleNS:    oNS[iv],
-					RegretNS:    regret,
-					CumRegretNS: recRegret[j],
-					Switched:    ivSwitched[j],
-				})
-			}
-		}
-		obsPolicyCells.Add1(int64(len(specs)))
-	}
-	mc.PublishObs()
-	out := make([]RunResult, len(specs))
-	for j, spec := range specs {
-		out[j] = RunResult{Policy: spec.Policy.Name(), Instrs: instrs[j], TimeNS: timeNS[j], Switches: clks[j].Switches()}
-		if instrs[j] != 0 {
-			out[j].TPI = timeNS[j] / float64(instrs[j])
-		}
-		if rec {
-			meta := mp.flightMeta(out[j].Policy, flight.KindRace)
-			flight.Publish(ctx, meta, recEvs[j], flightEnd(intervals, instrs[j], out[j].Switches, timeNS[j], recRegret[j]))
+			meta := mp.flightMeta(res.Policy, flight.KindRace)
+			flight.Publish(ctx, meta, evs, flightEnd(intervals, res.Instrs, res.Switches, res.TimeNS, regretNS))
 		}
 	}
+	obsPolicyCells.Add1(int64(len(specs)) * intervals)
 	return out, nil
+}
+
+// replayRace replays one race column's log through a fresh clock.System at
+// this engine's penalty. A switch is charged in QueueMachine.SetConfig's
+// order — drain at the old clock, then the switch penalty at the old period
+// — before the interval advances at the new clock. When rec it also builds
+// the column's flight events from the same values, returning them with the
+// column's cumulative regret.
+func (mp *MultiPolicy) replayRace(steps []raceStep, rec bool, oCfg []int, oNS []float64) (RunResult, []flight.Event, float64, error) {
+	clk, err := clock.NewSystem(mp.sources, 0, mp.penalty)
+	if err != nil {
+		return RunResult{}, nil, 0, err
+	}
+	var (
+		evs      []flight.Event
+		timeNS   float64
+		regretNS float64
+		instrs   int64
+		cur      int
+	)
+	if rec {
+		evs = make([]flight.Event, 0, len(steps))
+	}
+	for iv, s := range steps {
+		var drainNS, penNS float64
+		switched := s.cfg != cur
+		if switched {
+			drainNS = clk.Advance(s.drain)
+			timeNS += drainNS
+			if penNS, err = clk.Select(s.cfg); err != nil {
+				return RunResult{}, nil, 0, err
+			}
+			timeNS += penNS
+			cur = s.cfg
+		}
+		dt := clk.Advance(s.cycles)
+		instrs += s.issued
+		timeNS += dt
+		if rec {
+			tot := drainNS + penNS + dt
+			// Race columns diverge from the family columns after a resize,
+			// so an interval can occasionally beat every family column;
+			// regret vs the family oracle is floored at zero to keep the
+			// ledger's monotonicity invariant meaningful.
+			regret := tot - oNS[iv]
+			if regret < 0 {
+				regret = 0
+			}
+			regretNS += regret
+			evs = append(evs, flight.Event{
+				Interval:    int64(iv),
+				Config:      cur,
+				Size:        mp.sizes[cur],
+				Cycles:      s.cycles,
+				Issued:      s.issued,
+				PeriodNS:    mp.cycs[cur],
+				DrainCycles: s.drain,
+				DrainNS:     drainNS,
+				PenaltyNS:   penNS,
+				AdvNS:       dt,
+				CumTimeNS:   timeNS,
+				TPI:         dt / float64(s.issued),
+				OracleCfg:   oCfg[iv],
+				OracleNS:    oNS[iv],
+				RegretNS:    regret,
+				CumRegretNS: regretNS,
+				Switched:    switched,
+			})
+		}
+	}
+	res := RunResult{Instrs: instrs, TimeNS: timeNS, Switches: clk.Switches()}
+	if instrs != 0 {
+		res.TPI = timeNS / float64(instrs)
+	}
+	return res, evs, regretNS, nil
 }
 
 // RunPolicyStudy is the interval drivers' entry point: one policy-driven run

@@ -164,8 +164,9 @@ func Title(id string) (string, error) {
 	return e.title, nil
 }
 
-// ResetCaches discards the memoized cache- and queue-study profiling passes
-// and the shared materialized trace stores. Long-lived processes that sweep
+// ResetCaches discards the memoized cache- and queue-study profiling passes,
+// the shared materialized trace stores, the classification streams and the
+// interval and race families layered on them. Long-lived processes that sweep
 // many configurations can call it to bound memory; the determinism tests call
 // it between serial and parallel passes so the comparison re-runs the full
 // compute instead of hitting the memo.
@@ -214,14 +215,16 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// SetStudyCacheCap bounds the memoized cache- and queue-study passes to at
-// most n entries each, with deterministic LRU eviction (memo.SetCap). The
+// SetStudyCacheCap bounds the memoized cache- and queue-study passes, and
+// the interval and race families behind the policy studies, to at most n
+// entries each, with deterministic LRU eviction (memo.SetCap). The
 // long-lived API server sets this at startup so a stream of requests with
 // distinct seeds or budgets cannot grow the process without bound; the
 // one-shot CLI never calls it and keeps the unbounded default.
 func SetStudyCacheCap(n int) {
 	cacheStudies.SetCap(n)
 	queueStudies.SetCap(n)
+	core.SetPolicyFamilyCap(n)
 }
 
 // studyDo wraps a study memo's Do with the cancellation contract: a

@@ -115,13 +115,32 @@ func zooPass(ctx context.Context, cfg Config, app string, pen int, intervals int
 func zoo(ctx context.Context, cfg Config) (Result, error) {
 	apps := zooApps()
 	intervals := zooIntervals(cfg)
-	grid, err := sweep.GridCtx(ctx, len(apps), len(zooPenalties), func(a, p int) ([]flight.RunSummary, error) {
+	// A cell's race is simulated once per application and replayed at the
+	// other penalties (core.MultiPolicy.Race), so a parallel pool claims the
+	// cells penalty-major, apps the fast index: concurrent workers then race
+	// different applications instead of one waiting on the other's race. A
+	// serial pool keeps the app-major order its flight ledger records.
+	na, np := len(apps), len(zooPenalties)
+	at := func(i int) (a, p int) { return i / np, i % np }
+	if sweep.Workers(ctx) > 1 {
+		at = func(i int) (a, p int) { return i % na, i / na }
+	}
+	cells, err := sweep.RunCtx(ctx, na*np, func(i int) ([]flight.RunSummary, error) {
+		a, p := at(i)
 		return zooRow(cfg, apps[a], zooPenalties[p], intervals, func() ([]flight.RunSummary, error) {
 			return zooPass(ctx, cfg, apps[a], zooPenalties[p], intervals)
 		})
 	})
 	if err != nil {
 		return Result{}, err
+	}
+	grid := make([][][]flight.RunSummary, na)
+	for a := range grid {
+		grid[a] = make([][]flight.RunSummary, np)
+	}
+	for i := range cells {
+		a, p := at(i)
+		grid[a][p] = cells[i]
 	}
 	seen := map[string]bool{}
 	var runs []flight.RunSummary

@@ -112,9 +112,9 @@ func CtxWorkers(ctx context.Context) int {
 	return 0
 }
 
-// ctxWorkers resolves the effective worker count for ctx: the WithWorkers
+// Workers resolves the effective worker count for ctx: the WithWorkers
 // override when present and positive, the process default otherwise.
-func ctxWorkers(ctx context.Context) int {
+func Workers(ctx context.Context) int {
 	if n := CtxWorkers(ctx); n > 0 {
 		return n
 	}
@@ -130,7 +130,7 @@ func Run[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 // RunCtx is Run under a context: the worker count comes from WithWorkers (or
 // the process default), and the pool stops claiming jobs once ctx is done.
 func RunCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
-	return RunNCtx(ctx, ctxWorkers(ctx), n, fn)
+	return RunNCtx(ctx, Workers(ctx), n, fn)
 }
 
 // RunN executes jobs 0..n-1 on at most `workers` concurrent goroutines. See

@@ -306,10 +306,10 @@ func TestWithWorkers(t *testing.T) {
 	if p := peak.Load(); p > 2 {
 		t.Errorf("observed %d concurrent jobs, override cap 2", p)
 	}
-	if ctxWorkers(context.Background()) != 8 {
+	if Workers(context.Background()) != 8 {
 		t.Errorf("plain context did not fall back to the process default")
 	}
-	if ctxWorkers(WithWorkers(context.Background(), -3)) != 8 {
+	if Workers(WithWorkers(context.Background(), -3)) != 8 {
 		t.Errorf("negative override did not fall back to the process default")
 	}
 }

@@ -2,33 +2,32 @@ package experiments
 
 import (
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"capsim/internal/ooo"
 	"capsim/internal/sweep"
-	"capsim/internal/trace"
 )
 
-// TestParallelDeterminism locks the tentpole contract of the sweep engine, of
-// the shared-trace one-pass path AND of the issue-queue engines: every
-// experiment renders byte-identically whether the sweeps run serially
-// (workers=1) or fanned out (workers=8), whether the profiling passes replay
-// the shared materialized trace stores (onepass, the default) or regenerate
-// every stream per cell (the legacy oracle, capsim -onepass=false), and
-// whether the out-of-order cores run the event-driven wakeup/select engine
-// (default) or the per-cycle window scan (capsim -queue-engine=scan). Each
-// pass starts from a cold study memo and cold trace stores — otherwise the
-// second pass would trivially replay the first pass's numbers instead of
-// re-running the compute under the other schedule. Run with -race to also
-// certify the worker pool's and the chunked stores' memory discipline across
-// the full driver set.
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current renders")
+
+// TestParallelDeterminism locks the sweep engine's contract and pins every
+// experiment's render: the registry renders byte-identically whether the
+// sweeps run serially (workers=1) or fanned out (workers=8), and the serial
+// render of each experiment equals testdata/golden/<id>.txt. Each pass starts
+// from a cold study memo and cold trace stores — otherwise the second pass
+// would trivially replay the first pass's numbers instead of re-running the
+// compute under the other schedule. Run with -race to also certify the worker
+// pool's and the chunked stores' memory discipline across the full driver
+// set; run with -update to rewrite the goldens after a deliberate change.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders every experiment five times")
+		t.Skip("renders every experiment twice")
 	}
 	cfg := fastConfig()
-	// Trim budgets further: this test runs the complete registry five times,
-	// and must fit the per-package budget under -race on one core.
+	// Trim budgets further: this test runs the complete registry twice, and
+	// must fit the per-package budget under -race on one core.
 	// IntervalInstrs drives the Section 6 studies (fixed interval counts x
 	// interval length), which dominate the registry's wall time.
 	cfg.CacheWarmRefs = 5_000
@@ -37,45 +36,45 @@ func TestParallelDeterminism(t *testing.T) {
 	cfg.IntervalInstrs = 400
 
 	old := sweep.DefaultWorkers()
-	oldEng := ooo.DefaultEngine()
 	defer sweep.SetDefaultWorkers(old)
-	defer trace.SetEnabled(true)
-	defer ooo.SetDefaultEngine(oldEng)
 
-	render := func(workers int, onepass bool, eng ooo.Engine) map[string]string {
+	render := func(workers int) map[string]string {
 		sweep.SetDefaultWorkers(workers)
-		trace.SetEnabled(onepass)
-		ooo.SetDefaultEngine(eng)
 		ResetCaches()
 		out := map[string]string{}
 		for _, id := range IDs() {
 			res, err := Run(id, cfg)
 			if err != nil {
-				t.Fatalf("workers=%d onepass=%v engine=%v %s: %v", workers, onepass, eng, id, err)
+				t.Fatalf("workers=%d %s: %v", workers, id, err)
 			}
 			out[id] = res.Render()
 		}
 		return out
 	}
-	passes := []struct {
-		name    string
-		workers int
-		onepass bool
-		engine  ooo.Engine
-	}{
-		{"serial/onepass/event", 1, true, ooo.EngineEvent},
-		{"parallel/onepass/event", 8, true, ooo.EngineEvent},
-		{"parallel/legacy/event", 8, false, ooo.EngineEvent},
-		{"parallel/onepass/scan", 8, true, ooo.EngineScan},
-		{"serial/legacy/scan", 1, false, ooo.EngineScan},
-	}
-	ref := render(passes[0].workers, passes[0].onepass, passes[0].engine)
-	for _, p := range passes[1:] {
-		got := render(p.workers, p.onepass, p.engine)
-		for _, id := range IDs() {
-			if ref[id] != got[id] {
-				t.Errorf("%s: render differs between %s and %s", id, passes[0].name, p.name)
+	serial := render(1)
+	for _, id := range IDs() {
+		path := filepath.Join("testdata", "golden", id+".txt")
+		if *update {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
 			}
+			if err := os.WriteFile(path, []byte(serial[id]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v (run with -update to create it)", id, err)
+		}
+		if serial[id] != string(want) {
+			t.Errorf("%s: render differs from %s", id, path)
+		}
+	}
+	parallel := render(8)
+	for _, id := range IDs() {
+		if serial[id] != parallel[id] {
+			t.Errorf("%s: render differs between workers=1 and workers=8", id)
 		}
 	}
 }

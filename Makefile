@@ -1,30 +1,10 @@
 # capsim build/test/bench entry points. `make ci` is the gate every change
-# must pass; `make bench` regenerates BENCH_sweep.json (serial vs parallel
-# full-evaluation runs, each in a fresh process so the study memos are cold);
-# `make bench-onepass` regenerates BENCH_onepass.json (legacy per-cell
-# streams vs the shared-trace one-pass profiling path); `make bench-queue`
-# regenerates BENCH_queue.json (scan vs event issue engine x onepass on the
-# queue study); `make bench-obs` regenerates BENCH_obs.json (obs-disabled vs
-# obs-enabled overhead on the fig7/fig10 profiling passes, plus the fig12
-# flight-recorder ledger-on/off x obs-on/off matrix); `make
-# bench-joint` regenerates BENCH_joint.json (independent per-cell machines
-# vs the joint cache x queue kernel on the Figure 5 ablation, plus the
-# compressed trace-tier ratio); `make bench-shard` regenerates
-# BENCH_shard.json (the shard tier's scaling curve at 1/2/4/8 workers plus
-# the persistent study cache's warm-vs-cold win); `make bench-policy`
-# regenerates BENCH_policy.json (direct per-policy simulation vs the
-# one-pass interval-family replay on the Section 6 suite, with the
-# classification tier's compression ratio); `make bench-zoo` regenerates
-# BENCH_zoo.json (the policy-zoo league race, serial vs 8-way parallel);
-# `make bench-compare` prints the old-vs-new profiling micro-benchmark
-# deltas. Every bench-*
-# record target refuses to overwrite a record whose recorded command no
-# longer matches the built flags (scripts/bench_guard.sh); pass FORCE=1 to
-# regenerate intentionally.
+# must pass; `make bench` runs the benchmark harness (bench/, see
+# bench/README.md) over every workload.
 
 GO ?= go
 
-.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-compare bench-compare-smoke bench-onepass bench-queue bench-queue-smoke bench-obs bench-obs-smoke bench-joint bench-joint-smoke bench-shard bench-shard-smoke bench-policy bench-policy-smoke bench-zoo bench-zoo-smoke serve-smoke clean
+.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke clean
 
 all: build
 
@@ -73,7 +53,7 @@ staticcheck:
 		echo "WARNING: staticcheck unavailable and install failed (offline?); static analysis SKIPPED"; \
 	fi
 
-ci: fmt vet staticcheck build ci-race race bench-compare-smoke bench-queue-smoke bench-obs-smoke bench-joint-smoke bench-shard-smoke bench-policy-smoke bench-zoo-smoke serve-smoke
+ci: fmt vet staticcheck build ci-race race bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke
 
 # serve-smoke boots the experiment API server (-serve-api) on an ephemeral
 # port and proves the service contract end to end: POST /v1/run renders
@@ -83,137 +63,12 @@ ci: fmt vet staticcheck build ci-race race bench-compare-smoke bench-queue-smoke
 serve-smoke:
 	@GO="$(GO)" sh scripts/serve_smoke.sh
 
-# bench writes BENCH_sweep.json: a two-element array holding the full
-# -experiment all evaluation measured at -parallel 1 and at -parallel 8,
-# with per-experiment wall time and allocation deltas. Compare
-# total_wall_ns between the elements for the sweep speedup (on a
-# single-core box the two legs tie — the pool adds no overhead — while the
-# parallel leg still exercises the full worker machinery).
+# bench runs every workload of the benchmark harness (end-to-end metrics;
+# add --trace 1 by hand for the per-layer table).
 bench:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_sweep.json \
-		"capsim -experiment all -parallel 1 -bench-json /tmp/capsim_bench_serial.json" \
-		"capsim -experiment all -parallel 8 -bench-json /tmp/capsim_bench_parallel.json"
-	$(GO) run ./cmd/capsim -experiment all -parallel 1 -bench-json /tmp/capsim_bench_serial.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment all -parallel 8 -bench-json /tmp/capsim_bench_parallel.json >/dev/null
-	{ printf '[\n'; cat /tmp/capsim_bench_serial.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_parallel.json; printf ']\n'; } > BENCH_sweep.json
-	@echo "wrote BENCH_sweep.json"
+	sh bench/run.sh --workload all
 
-# bench-compare runs the paired profiling benchmarks (one-pass shared-trace
-# vs legacy per-cell streams, for the cache and queue studies) and prints a
-# benchstat-style delta per pair. No external tooling: the reduction is one
-# awk pass over the standard -bench output.
-bench-compare:
-	@$(GO) test -run '^$$' -bench 'Profile(Onepass|Legacy)' -benchtime 5x -count 1 . \
-		| tee /tmp/capsim_bench_compare.txt
-	@awk '/^Benchmark/ { \
-		name=$$1; sub(/-[0-9]+$$/, "", name); ns[name]=$$3; order[n++]=name } \
-	END { \
-		printf "\n%-22s %14s %14s %8s\n", "study", "legacy ns/op", "onepass ns/op", "speedup"; \
-		for (i=0; i<n; i++) { \
-			name=order[i]; \
-			if (name ~ /Onepass$$/) { \
-				base=name; sub(/Onepass$$/, "", base); \
-				leg=ns[base "Legacy"]; one=ns[base "Onepass"]; \
-				if (leg && one) printf "%-22s %14.0f %14.0f %7.2fx\n", base, leg, one, leg/one; \
-			} } }' /tmp/capsim_bench_compare.txt
-
-# bench-compare-smoke is the ci-gated variant: single iteration per
-# benchmark, just proving both paths run and the harness parses.
-bench-compare-smoke:
-	@$(GO) test -run '^$$' -bench 'Profile(Onepass|Legacy)' -benchtime 1x -count 1 . >/dev/null
-	@echo "bench-compare smoke ok"
-
-# bench-onepass writes BENCH_onepass.json: the full cache-study profiling
-# pass (fig7 regenerates it from cold memos in each fresh process) measured
-# with -onepass=false (legacy, one machine + private stream per boundary
-# cell) and -onepass=true (shared materialized trace, one MultiHierarchy
-# pass per application), both serial so the comparison is pure compute.
-# Compare total_wall_ns between the two elements for the one-pass speedup.
-bench-onepass:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_onepass.json \
-		"capsim -experiment fig7 -parallel 1 -onepass=false -bench-json /tmp/capsim_bench_legacy.json" \
-		"capsim -experiment fig7 -parallel 1 -onepass=true -bench-json /tmp/capsim_bench_onepass.json"
-	$(GO) run ./cmd/capsim -experiment fig7 -parallel 1 -onepass=false -bench-json /tmp/capsim_bench_legacy.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig7 -parallel 1 -onepass=true -bench-json /tmp/capsim_bench_onepass.json >/dev/null
-	{ printf '[\n'; cat /tmp/capsim_bench_legacy.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_onepass.json; printf ']\n'; } > BENCH_onepass.json
-	@echo "wrote BENCH_onepass.json"
-
-# bench-queue writes BENCH_queue.json: the queue-study profiling pass (fig10
-# regenerates it from cold memos in each fresh process) measured across the
-# issue-engine x onepass grid at a fixed seed, all serial so the comparison
-# is pure compute. The four elements are distinguished by their queue_engine
-# and onepass fields; compare total_wall_ns of the scan/onepass element (the
-# previous default) against event/onepass (the new default) for the headline
-# event-engine speedup.
-bench-queue:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_queue.json \
-		"capsim -experiment fig10 -parallel 1 -onepass=false -queue-engine scan -bench-json /tmp/capsim_bench_q_scan_legacy.json" \
-		"capsim -experiment fig10 -parallel 1 -onepass=true -queue-engine scan -bench-json /tmp/capsim_bench_q_scan_onepass.json" \
-		"capsim -experiment fig10 -parallel 1 -onepass=false -queue-engine event -bench-json /tmp/capsim_bench_q_event_legacy.json" \
-		"capsim -experiment fig10 -parallel 1 -onepass=true -queue-engine event -bench-json /tmp/capsim_bench_q_event_onepass.json"
-	$(GO) run ./cmd/capsim -experiment fig10 -parallel 1 -onepass=false -queue-engine scan -bench-json /tmp/capsim_bench_q_scan_legacy.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig10 -parallel 1 -onepass=true -queue-engine scan -bench-json /tmp/capsim_bench_q_scan_onepass.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig10 -parallel 1 -onepass=false -queue-engine event -bench-json /tmp/capsim_bench_q_event_legacy.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig10 -parallel 1 -onepass=true -queue-engine event -bench-json /tmp/capsim_bench_q_event_onepass.json >/dev/null
-	{ printf '[\n'; cat /tmp/capsim_bench_q_scan_legacy.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_q_scan_onepass.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_q_event_legacy.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_q_event_onepass.json; printf ']\n'; } > BENCH_queue.json
-	@echo "wrote BENCH_queue.json"
-
-# bench-queue-smoke is the ci-gated variant: a tiny-budget fig10 run under
-# each issue engine, asserting byte-identical renders (the timing footer is
-# stripped; it is the only line allowed to differ).
-bench-queue-smoke:
-	@$(GO) run ./cmd/capsim -experiment fig10 -parallel 2 -queue-instrs 3000 -queue-engine event \
-		| grep -v '^(fig10 in ' > /tmp/capsim_q_event.txt
-	@$(GO) run ./cmd/capsim -experiment fig10 -parallel 2 -queue-instrs 3000 -queue-engine scan \
-		| grep -v '^(fig10 in ' > /tmp/capsim_q_scan.txt
-	@cmp /tmp/capsim_q_event.txt /tmp/capsim_q_scan.txt || \
-		{ echo "queue engines rendered differently"; exit 1; }
-	@echo "bench-queue smoke ok (renders byte-identical across engines)"
-
-# bench-obs writes BENCH_obs.json: the fig7 (cache) and fig10 (queue)
-# profiling passes measured with telemetry disabled (the default) and
-# enabled (-obs plus a trace sink), plus the fig12 interval-trace pass
-# across the flight-recorder matrix (ledger-on/off x obs-on/off), each in a
-# fresh process from cold memos, all serial. The elements are distinguished
-# by their obs_enabled field and recorded command; compare total_wall_ns
-# within each figure pair for the overhead — the disabled-mode pair must be
-# within noise (<2%) of the seed, which is the subsystem's "zero-overhead
-# when off" contract, and the fig12 ledger-on legs must stay within 2% of
-# ledger-off.
-bench-obs:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_obs.json \
-		"capsim -experiment fig7 -parallel 1 -bench-json /tmp/capsim_bench_obs_f7_off.json" \
-		"capsim -experiment fig7 -parallel 1 -obs -trace-out /tmp/capsim_obs_f7.trace.json -bench-json /tmp/capsim_bench_obs_f7_on.json" \
-		"capsim -experiment fig10 -parallel 1 -bench-json /tmp/capsim_bench_obs_f10_off.json" \
-		"capsim -experiment fig10 -parallel 1 -obs -trace-out /tmp/capsim_obs_f10.trace.json -bench-json /tmp/capsim_bench_obs_f10_on.json" \
-		"capsim -experiment fig12 -parallel 1 -bench-json /tmp/capsim_bench_obs_f12_off.json" \
-		"capsim -experiment fig12 -parallel 1 -ledger-out /tmp/capsim_obs_f12.ledger.gz -bench-json /tmp/capsim_bench_obs_f12_ledger.json" \
-		"capsim -experiment fig12 -parallel 1 -obs -bench-json /tmp/capsim_bench_obs_f12_obs.json" \
-		"capsim -experiment fig12 -parallel 1 -obs -ledger-out /tmp/capsim_obs_f12_both.ledger.gz -bench-json /tmp/capsim_bench_obs_f12_both.json"
-	$(GO) run ./cmd/capsim -experiment fig7 -parallel 1 -bench-json /tmp/capsim_bench_obs_f7_off.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig7 -parallel 1 -obs -trace-out /tmp/capsim_obs_f7.trace.json -bench-json /tmp/capsim_bench_obs_f7_on.json >/dev/null 2>/dev/null
-	$(GO) run ./cmd/capsim -experiment fig10 -parallel 1 -bench-json /tmp/capsim_bench_obs_f10_off.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig10 -parallel 1 -obs -trace-out /tmp/capsim_obs_f10.trace.json -bench-json /tmp/capsim_bench_obs_f10_on.json >/dev/null 2>/dev/null
-	$(GO) run ./cmd/capsim -experiment fig12 -parallel 1 -bench-json /tmp/capsim_bench_obs_f12_off.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig12 -parallel 1 -ledger-out /tmp/capsim_obs_f12.ledger.gz -bench-json /tmp/capsim_bench_obs_f12_ledger.json >/dev/null 2>/dev/null
-	$(GO) run ./cmd/capsim -experiment fig12 -parallel 1 -obs -bench-json /tmp/capsim_bench_obs_f12_obs.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig12 -parallel 1 -obs -ledger-out /tmp/capsim_obs_f12_both.ledger.gz -bench-json /tmp/capsim_bench_obs_f12_both.json >/dev/null 2>/dev/null
-	{ printf '[\n'; cat /tmp/capsim_bench_obs_f7_off.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f7_on.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f10_off.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f10_on.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f12_off.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f12_ledger.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f12_obs.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f12_both.json; printf ']\n'; } > BENCH_obs.json
-	@echo "wrote BENCH_obs.json"
-
-# bench-obs-smoke is the ci-gated variant: a tiny-budget fig10 run with
+# bench-obs-smoke (ci-gated) renders a tiny-budget fig10 run with
 # telemetry off and with every sink on (-obs -obs-assert, trace + manifest),
 # asserting byte-identical stdout renders (the timing footer is stripped; it
 # is the only line allowed to differ) and that the trace and manifest files
@@ -242,55 +97,7 @@ bench-obs-smoke:
 		{ echo "recorded ledger failed to parse back through -report"; exit 1; }
 	@echo "bench-obs smoke ok (renders byte-identical with obs/assert/trace/manifest/ledger on; ledger round-trips)"
 
-# bench-joint writes BENCH_joint.json: the Figure 5 joint cache x queue
-# ablation (ablation-combined) measured with -onepass=false (one private
-# CombinedMachine per grid cell, fanned across the pool at -parallel 1)
-# and -onepass=true (one MultiCombined joint-kernel pass per application
-# over the shared compressed trace), both serial so the comparison is
-# pure compute. Compare total_wall_ns between the elements for the
-# joint-kernel speedup; the onepass element's trace_ratio field records
-# compressed chunk bytes over their raw struct equivalent (the trace-tier
-# shrink), and trace_bytes the resident store ceiling.
-bench-joint:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_joint.json \
-		"capsim -experiment ablation-combined -parallel 1 -onepass=false -bench-json /tmp/capsim_bench_joint_legacy.json" \
-		"capsim -experiment ablation-combined -parallel 1 -onepass=true -bench-json /tmp/capsim_bench_joint_onepass.json"
-	$(GO) run ./cmd/capsim -experiment ablation-combined -parallel 1 -onepass=false -bench-json /tmp/capsim_bench_joint_legacy.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment ablation-combined -parallel 1 -onepass=true -bench-json /tmp/capsim_bench_joint_onepass.json >/dev/null
-	{ printf '[\n'; cat /tmp/capsim_bench_joint_legacy.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_joint_onepass.json; printf ']\n'; } > BENCH_joint.json
-	@echo "wrote BENCH_joint.json"
-
-# bench-joint-smoke is the ci-gated variant: a tiny-budget ablation-combined
-# run through the joint kernel (-onepass) and through independent per-cell
-# machines, asserting byte-identical renders (the timing footer is stripped;
-# it is the only line allowed to differ).
-bench-joint-smoke:
-	@$(GO) run ./cmd/capsim -experiment ablation-combined -parallel 2 -queue-instrs 20000 -onepass=true \
-		| grep -v '^(ablation-combined in ' > /tmp/capsim_joint_one.txt
-	@$(GO) run ./cmd/capsim -experiment ablation-combined -parallel 2 -queue-instrs 20000 -onepass=false \
-		| grep -v '^(ablation-combined in ' > /tmp/capsim_joint_leg.txt
-	@cmp /tmp/capsim_joint_one.txt /tmp/capsim_joint_leg.txt || \
-		{ echo "joint kernel rendered differently from independent machines"; exit 1; }
-	@echo "bench-joint smoke ok (joint kernel byte-identical to independent machines)"
-
-# bench-shard writes BENCH_shard.json (scripts/bench_shard.sh): the full
-# registry measured unsharded from cold, under -shard-coordinator 1/2/4/8
-# (each element's shard_wall_ns is the worker phase, total_wall_ns the
-# merge), and unsharded against the warm persistent study cache the last
-# shard leg left behind. The script fails if the warm leg does not beat
-# the cold one — the persistent cache's reason to exist.
-bench-shard:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_shard.json \
-		"capsim -experiment all -parallel 1 -bench-json /tmp/capsim_bench_shard/cold.json" \
-		"capsim -experiment all -parallel 1 -shard-coordinator 1 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/shard1.json" \
-		"capsim -experiment all -parallel 1 -shard-coordinator 2 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/shard2.json" \
-		"capsim -experiment all -parallel 1 -shard-coordinator 4 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/shard4.json" \
-		"capsim -experiment all -parallel 1 -shard-coordinator 8 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/shard8.json" \
-		"capsim -experiment all -parallel 1 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/warm.json"
-	@GO="$(GO)" sh scripts/bench_shard.sh
-
-# bench-shard-smoke is the ci-gated variant (scripts/shard_smoke.sh): a
+# bench-shard-smoke (ci-gated, scripts/shard_smoke.sh): a
 # tiny-budget fig10 proves static shards and coordinator mode both merge
 # byte-identical to an unsharded baseline, and that the merge served its
 # study rows from the shards' persistent cache (memo.persist_hits > 0,
@@ -298,49 +105,7 @@ bench-shard:
 bench-shard-smoke:
 	@GO="$(GO)" sh scripts/shard_smoke.sh
 
-# bench-policy writes BENCH_policy.json (scripts/bench_policy.sh): the
-# Section 6 interval suite (fig12, fig13, the policy ablations with the
-# per-interval oracle) measured with direct per-policy simulation
-# (-onepass=false) and with the one-pass interval-family replay + lockstep
-# policy race (-onepass=true), both serial, each suite in one process so
-# cross-driver family reuse is part of the measurement. The script fails
-# below a 1.5x replay speedup; the replay element's trace_ratio records
-# the compressed stream tier's footprint against its flat equivalent.
-bench-policy:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_policy.json \
-		"capsim -experiment fig12,fig13,ablation-interval,ablation-switch -parallel 1 -onepass=false -bench-json /tmp/capsim_bench_policy/direct.json" \
-		"capsim -experiment fig12,fig13,ablation-interval,ablation-switch -parallel 1 -onepass=true -bench-json /tmp/capsim_bench_policy/replay.json"
-	@GO="$(GO)" sh scripts/bench_policy.sh
-
-# bench-policy-smoke is the ci-gated variant: fig12 and fig13 rendered
-# through the interval-family replay (-onepass) and through direct
-# per-configuration simulation, asserting byte-identical renders (the
-# timing footers are stripped; they are the only lines allowed to differ).
-bench-policy-smoke:
-	@$(GO) run ./cmd/capsim -experiment fig12,fig13 -parallel 2 -onepass=true \
-		| grep -v '^(fig1[23] in ' > /tmp/capsim_policy_one.txt
-	@$(GO) run ./cmd/capsim -experiment fig12,fig13 -parallel 2 -onepass=false \
-		| grep -v '^(fig1[23] in ' > /tmp/capsim_policy_leg.txt
-	@cmp /tmp/capsim_policy_one.txt /tmp/capsim_policy_leg.txt || \
-		{ echo "policy replay rendered differently from direct simulation"; exit 1; }
-	@echo "bench-policy smoke ok (replay byte-identical to direct simulation)"
-
-# bench-zoo writes BENCH_zoo.json: the full policy-zoo league race (every
-# contender + fixed baselines + oracle across the app x penalty grid, each
-# cell one study row) measured at -parallel 1 and at -parallel 8, each in a
-# fresh process so the study memos are cold. Compare total_wall_ns between
-# the elements for the cell fan-out speedup.
-bench-zoo:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_zoo.json \
-		"capsim -experiment zoo -parallel 1 -bench-json /tmp/capsim_bench_zoo_serial.json" \
-		"capsim -experiment zoo -parallel 8 -bench-json /tmp/capsim_bench_zoo_parallel.json"
-	$(GO) run ./cmd/capsim -experiment zoo -parallel 1 -bench-json /tmp/capsim_bench_zoo_serial.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment zoo -parallel 8 -bench-json /tmp/capsim_bench_zoo_parallel.json >/dev/null
-	{ printf '[\n'; cat /tmp/capsim_bench_zoo_serial.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_zoo_parallel.json; printf ']\n'; } > BENCH_zoo.json
-	@echo "wrote BENCH_zoo.json"
-
-# bench-zoo-smoke is the ci-gated variant: a tiny-budget zoo run proving
+# bench-zoo-smoke (ci-gated): a tiny-budget zoo run proving
 # the league render is byte-identical at 1 vs 4 workers and under a 2-way
 # shard coordinator merging through a fresh persistent study cache, and
 # that `capsim -report` over the ledger the run emits reproduces the league
@@ -376,27 +141,10 @@ bench-zoo-smoke:
 	@echo "bench-zoo smoke ok (renders byte-identical at 1 vs 4 workers and sharded vs unsharded; -report reproduces the league)"
 
 clean:
-	rm -f /tmp/capsim_bench_serial.json /tmp/capsim_bench_parallel.json \
-	  /tmp/capsim_bench_obs_f7_off.json /tmp/capsim_bench_obs_f7_on.json \
-	  /tmp/capsim_bench_obs_f10_off.json /tmp/capsim_bench_obs_f10_on.json \
-	  /tmp/capsim_obs_f7.trace.json /tmp/capsim_obs_f10.trace.json \
-	  /tmp/capsim_obs_off.txt /tmp/capsim_obs_on.txt \
+	rm -f /tmp/capsim_obs_off.txt /tmp/capsim_obs_on.txt \
 	  /tmp/capsim_obs_smoke.trace.json /tmp/capsim_obs_smoke.json \
-	  /tmp/capsim_bench_obs_f12_off.json /tmp/capsim_bench_obs_f12_ledger.json \
-	  /tmp/capsim_bench_obs_f12_obs.json /tmp/capsim_bench_obs_f12_both.json \
-	  /tmp/capsim_obs_f12.ledger.gz /tmp/capsim_obs_f12_both.ledger.gz \
 	  /tmp/capsim_ledger_off.txt /tmp/capsim_ledger_on.txt /tmp/capsim_obs_smoke.ledger.gz \
-	  /tmp/capsim_bench_legacy.json /tmp/capsim_bench_onepass.json \
-	  /tmp/capsim_bench_compare.txt \
-	  /tmp/capsim_bench_q_scan_legacy.json /tmp/capsim_bench_q_scan_onepass.json \
-	  /tmp/capsim_bench_q_event_legacy.json /tmp/capsim_bench_q_event_onepass.json \
-	  /tmp/capsim_q_event.txt /tmp/capsim_q_scan.txt \
-	  /tmp/capsim_bench_joint_legacy.json /tmp/capsim_bench_joint_onepass.json \
-	  /tmp/capsim_joint_one.txt /tmp/capsim_joint_leg.txt \
-	  /tmp/capsim_policy_one.txt /tmp/capsim_policy_leg.txt \
-	  /tmp/capsim_bench_zoo_serial.json /tmp/capsim_bench_zoo_parallel.json \
 	  /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_p4.txt /tmp/capsim_zoo_shard.txt \
 	  /tmp/capsim_zoo_direct_full.txt /tmp/capsim_zoo_report_full.txt \
 	  /tmp/capsim_zoo_direct.txt /tmp/capsim_zoo_report.txt
-	rm -rf /tmp/capsim_serve_smoke /tmp/capsim_shard_smoke /tmp/capsim_bench_shard \
-	  /tmp/capsim_bench_policy /tmp/capsim_zoo_smoke
+	rm -rf /tmp/capsim_serve_smoke /tmp/capsim_shard_smoke /tmp/capsim_zoo_smoke

@@ -6,7 +6,6 @@ import (
 	"capsim/internal/cache"
 	"capsim/internal/core"
 	"capsim/internal/experiments"
-	"capsim/internal/ooo"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
@@ -130,19 +129,16 @@ func BenchmarkQueueIssue(b *testing.B) {
 	}
 }
 
-// --- One-pass vs legacy profiling (make bench-compare) --------------------
+// --- Cold-path profiling passes -----------------------------------------
 //
-// Each pair measures the identical profiling computation on the two source
-// paths: Onepass replays (and for the cache study, evaluates) the shared
-// materialized trace in one pass; Legacy regenerates every stream per
-// configuration cell, exactly as the pre-one-pass code did. trace.Reset()
-// inside the loop keeps every iteration cold, so Onepass pays its
-// materialization cost honestly.
+// trace.Reset() inside the loop keeps every iteration cold, so each pass
+// pays its trace materialization cost honestly.
 
-func benchCacheProfile(b *testing.B, onepass bool) {
+// BenchmarkCacheProfile profiles all 8 paper boundaries for one application
+// in one MultiHierarchy pass.
+func BenchmarkCacheProfile(b *testing.B) {
 	bm := workload.MustByName("gcc")
-	defer func() { trace.SetEnabled(true); trace.Reset() }()
-	trace.SetEnabled(onepass)
+	defer trace.Reset()
 	p := cache.PaperParams()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -158,20 +154,11 @@ func benchCacheProfile(b *testing.B, onepass bool) {
 	}
 }
 
-// BenchmarkCacheProfileOnepass profiles all 8 paper boundaries for one
-// application via the one-pass MultiHierarchy engine.
-func BenchmarkCacheProfileOnepass(b *testing.B) { benchCacheProfile(b, true) }
-
-// BenchmarkCacheProfileLegacy is the same profile through 8 independent
-// machines, each regenerating the reference stream.
-func BenchmarkCacheProfileLegacy(b *testing.B) { benchCacheProfile(b, false) }
-
-func benchQueueProfile(b *testing.B, onepass bool, eng ooo.Engine) {
+// BenchmarkQueueProfile profiles all 8 queue sizes for one application in
+// one event-driven MultiCore pass over the shared instruction stream.
+func BenchmarkQueueProfile(b *testing.B) {
 	bm := workload.MustByName("gcc")
-	prev := ooo.DefaultEngine()
-	defer func() { trace.SetEnabled(true); trace.Reset(); ooo.SetDefaultEngine(prev) }()
-	trace.SetEnabled(onepass)
-	ooo.SetDefaultEngine(eng)
+	defer trace.Reset()
 	sizes := core.PaperQueueSizes()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -186,21 +173,3 @@ func benchQueueProfile(b *testing.B, onepass bool, eng ooo.Engine) {
 		}
 	}
 }
-
-// BenchmarkQueueProfileOnepass profiles all 8 queue sizes in one
-// event-driven MultiCore pass over the shared materialized instruction
-// stream — the default configuration.
-func BenchmarkQueueProfileOnepass(b *testing.B) { benchQueueProfile(b, true, ooo.EngineEvent) }
-
-// BenchmarkQueueProfileLegacy regenerates the instruction stream per size
-// (event engine, independent machines).
-func BenchmarkQueueProfileLegacy(b *testing.B) { benchQueueProfile(b, false, ooo.EngineEvent) }
-
-// BenchmarkQueueProfileScanOnepass is the one-pass profile on the per-cycle
-// window-scan engine: isolates the MultiCore stream sharing from the
-// event-driven issue algorithm.
-func BenchmarkQueueProfileScanOnepass(b *testing.B) { benchQueueProfile(b, true, ooo.EngineScan) }
-
-// BenchmarkQueueProfileScanLegacy is the PR 2 baseline: scan engine,
-// per-configuration machines and streams.
-func BenchmarkQueueProfileScanLegacy(b *testing.B) { benchQueueProfile(b, false, ooo.EngineScan) }

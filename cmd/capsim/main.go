@@ -6,10 +6,8 @@
 //	capsim -list
 //	capsim -experiment fig9
 //	capsim -experiment all -cache-refs 2000000 -queue-instrs 1000000
-//	capsim -experiment all -parallel 8 -bench-json BENCH_sweep.json
+//	capsim -experiment all -parallel 8
 //	capsim -experiment fig7 -parallel 1 -cpuprofile fig7.pprof
-//	capsim -experiment fig7 -onepass=false   # legacy per-boundary oracle
-//	capsim -experiment fig10 -queue-engine scan   # per-cycle window-scan engine
 //	capsim -experiment all -trace-out run.trace.json   # Chrome trace timeline
 //	capsim -experiment all -metrics-out run.json       # run manifest + counters
 //	capsim -experiment all -serve :8417                # live expvar endpoint
@@ -21,13 +19,8 @@
 // Output is byte-identical at every -parallel setting: simulation jobs derive
 // their random streams from (seed, benchmark, purpose) and results are
 // collected by grid index, so the worker count changes only the wall time.
-// It is also byte-identical at either -onepass setting: the one-pass path
-// (default) profiles every cache boundary in a single replay of a shared
-// materialized trace, while -onepass=false re-generates every stream per
-// configuration cell; only wall time and memory differ. Likewise
-// -queue-engine selects between the event-driven issue-queue engine (default)
-// and the per-cycle window scan it replaces; the two are bit-identical in
-// every statistic and differ only in asymptotic cost. The telemetry flags
+// -trace-budget and -study-cache likewise change only wall time and memory.
+// The telemetry flags
 // (-obs, -trace-out, -metrics-out, -serve, -obs-assert) never change stdout
 // either: observability receives statistics, it does not feed them back (all
 // telemetry notices go to stderr; `make ci`'s bench-obs-smoke enforces the
@@ -36,7 +29,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,83 +39,14 @@ import (
 	"syscall"
 	"time"
 
-	"capsim/internal/classify"
 	"capsim/internal/experiments"
 	"capsim/internal/flight"
 	"capsim/internal/obs"
-	"capsim/internal/ooo"
 	"capsim/internal/server"
 	"capsim/internal/sweep"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 )
-
-// benchCommand is the invocation recorded in -bench-json reports. argv[0]
-// is normalized to the bare binary name so records are comparable across
-// `go run` builds, whose temporary binary path changes with every compile
-// — `make bench` diffs this field against the flags it is about to run to
-// refuse silently overwriting a record with different semantics.
-func benchCommand() string {
-	return strings.Join(append([]string{"capsim"}, os.Args[1:]...), " ")
-}
-
-// benchRecord is one experiment's measured cost for -bench-json.
-type benchRecord struct {
-	ID     string `json:"id"`
-	Title  string `json:"title"`
-	WallNS int64  `json:"wall_ns"`
-	// Allocs and AllocBytes are process-wide deltas over the experiment
-	// (runtime.ReadMemStats), so they attribute every allocation made by the
-	// experiment's goroutines, including the sweep workers.
-	Allocs     uint64 `json:"allocs"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-}
-
-// benchReport is the top-level -bench-json document. The -metrics-out
-// manifest (obs.Manifest) is a superset of this schema: shared field names
-// keep their meaning, so consumers of either file can parse both.
-type benchReport struct {
-	Generated   string `json:"generated"`
-	Command     string `json:"command"`
-	Parallel    int    `json:"parallel"`
-	Onepass     bool   `json:"onepass"`
-	QueueEngine string `json:"queue_engine"`
-	ObsEnabled  bool   `json:"obs_enabled"`
-	// Host metadata: identifies the machine and toolchain a record was
-	// measured on. scripts/bench_guard.sh compares only the command field,
-	// so these never make a record stale — they contextualize wall times
-	// (a record from a different host is comparable in shape, not speed).
-	GOMAXPROCS  int           `json:"gomaxprocs"`
-	NumCPU      int           `json:"num_cpu"`
-	GoVersion   string        `json:"go_version"`
-	GOOS        string        `json:"goos"`
-	GOARCH      string        `json:"goarch"`
-	Seed        uint64        `json:"seed"`
-	CacheRefs   int64         `json:"cache_refs"`
-	QueueInstrs int64         `json:"queue_instrs"`
-	Experiments []benchRecord `json:"experiments"`
-	TotalWallNS int64         `json:"total_wall_ns"`
-	// Trace-tier footprint at the end of the run: live (compressed) bytes
-	// across the materialized stores, what the same contents would occupy
-	// in the flat pre-compression layout, and their ratio (0 when no store
-	// was materialized, e.g. -onepass=false).
-	TraceBudget   int64   `json:"trace_budget"`
-	TraceBytes    int64   `json:"trace_bytes"`
-	TraceRawBytes int64   `json:"trace_raw_bytes"`
-	TraceRatio    float64 `json:"trace_ratio"`
-	// Classification-tier footprint, same convention: encoded RLE+varint
-	// bytes across materialized class streams against the flat
-	// one-byte-per-class equivalent.
-	ClassifyBytes    int64   `json:"classify_bytes"`
-	ClassifyRawBytes int64   `json:"classify_raw_bytes"`
-	ClassifyRatio    float64 `json:"classify_ratio"`
-	// Shard coordinator runs: worker count and the wall time the worker
-	// phase took before the merge. The per-experiment records above then
-	// measure only the merge (every row a warm-cache hit), so end-to-end
-	// wall is shard_wall_ns + total_wall_ns.
-	Shards      int   `json:"shards,omitempty"`
-	ShardWallNS int64 `json:"shard_wall_ns,omitempty"`
-}
 
 // main is a thin shell around run: all error paths return through run's
 // single exit point so every deferred cleanup — pprof.StopCPUProfile, the
@@ -164,9 +87,7 @@ func run() (err error) {
 		penalty     = flag.Int("switch-penalty", -1, "clock-switch penalty in cycles (-1 = default)")
 		feature     = flag.Float64("feature", 0.18, "feature size in microns (0.25, 0.18, 0.12)")
 		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = serial; output is identical at any setting)")
-		onepass     = flag.Bool("onepass", true, "profile over the shared materialized trace in one pass (false = legacy per-configuration streams; output is identical either way)")
 		traceBudget = flag.Int64("trace-budget", 0, "materialized-trace byte ceiling; cold stores evict and regenerate on demand (0 = unbounded; output is identical at any setting)")
-		queueEngine = flag.String("queue-engine", "event", "issue-queue engine: 'event' (event-driven wakeup/select) or 'scan' (per-cycle window scan); output is identical either way")
 		studyCache  = flag.String("study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
 		studyBudget = flag.Int64("study-cache-budget", 0, "study-cache byte ceiling: publications past it evict least-recently-used entries, deterministically (0 = unbounded; output is identical at any setting)")
 		shardSpec   = flag.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
@@ -174,7 +95,6 @@ func run() (err error) {
 		shardBucket = flag.Int("shard-buckets", 0, "shard-coordinator: bucket-space size (default 4N, so fast workers absorb slow workers' tail)")
 		shardClaim  = flag.String("shard-claim", "", "run as dynamic shard worker claiming buckets from this coordinator URL until exhausted (requires -study-cache)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		benchJSON   = flag.String("bench-json", "", "write per-experiment wall time and allocation deltas as JSON to this file")
 		ledgerOut   = flag.String("ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
 		reportIn    = flag.String("report", "", "offline ledger analysis: read comma-separated ledger/manifest files, print regret, switch-rate and dwell tables, and exit (no simulation)")
 		obsOn       = flag.Bool("obs", false, "enable telemetry counters (implied by -metrics-out and -serve)")
@@ -221,13 +141,7 @@ func run() (err error) {
 	}
 
 	sweep.SetDefaultWorkers(*parallel)
-	trace.SetEnabled(*onepass)
 	trace.SetBudget(*traceBudget)
-	eng, err := ooo.ParseEngine(*queueEngine)
-	if err != nil {
-		return usageErr("%v", err)
-	}
-	ooo.SetDefaultEngine(eng)
 	experiments.SetStudyCacheBudget(*studyBudget)
 	if *studyCache != "" {
 		if err := experiments.SetStudyCacheDir(*studyCache); err != nil {
@@ -304,9 +218,6 @@ func run() (err error) {
 				err = fmt.Errorf("-ledger-out: %w", cerr)
 			}
 		}()
-		if !*onepass {
-			fmt.Fprintln(os.Stderr, "capsim: -ledger-out: the legacy (-onepass=false) policy path records no ledger events")
-		}
 		if *studyCache != "" {
 			fmt.Fprintln(os.Stderr, "capsim: -ledger-out: warm -study-cache rows skip simulation and record nothing; record from a cold cache for a complete ledger")
 		}
@@ -346,11 +257,10 @@ func run() (err error) {
 		})
 	}
 
-	// -experiment accepts a comma-separated list ("fig12,fig13,oracleTPI"):
-	// the ids run in the given order in ONE process, so passes they share —
+	// -experiment accepts a comma-separated list ("fig12,fig13"): the ids
+	// run in the given order in ONE process, so passes they share —
 	// materialized traces, classification streams, interval families — are
-	// computed once and reused across them, exactly what `make bench-policy`
-	// measures.
+	// computed once and reused across them.
 	ids := strings.Split(*experiment, ",")
 	if *experiment == "all" {
 		ids = experiments.IDs()
@@ -367,7 +277,6 @@ func run() (err error) {
 	if *shardSpec != "" {
 		return shardWorkerMode(*shardSpec, ids, cfg)
 	}
-	var shardWall time.Duration
 	if *shardCoord > 0 {
 		workerParallel := *parallel / *shardCoord
 		if workerParallel < 1 {
@@ -382,55 +291,28 @@ func run() (err error) {
 			"-interval", fmt.Sprint(*interval),
 			"-switch-penalty", fmt.Sprint(*penalty),
 			"-feature", fmt.Sprint(*feature),
-			fmt.Sprintf("-onepass=%v", *onepass),
-			"-queue-engine", *queueEngine,
 			"-trace-budget", fmt.Sprint(*traceBudget),
 			"-study-cache", *studyCache,
 			"-study-cache-budget", fmt.Sprint(*studyBudget),
 		}
-		shardStart := time.Now()
 		if err := shardCoordinate(*shardCoord, *shardBucket, workerParallel, commonArgs); err != nil {
 			return err
 		}
-		shardWall = time.Since(shardStart)
 	}
 
-	report := benchReport{
-		Generated:   time.Now().UTC().Format(time.RFC3339),
-		Command:     benchCommand(),
-		Parallel:    sweep.DefaultWorkers(),
-		Onepass:     *onepass,
-		QueueEngine: eng.String(),
-		ObsEnabled:  obsEnabled,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Seed:        cfg.Seed,
-		CacheRefs:   cfg.CacheRefs,
-		QueueInstrs: cfg.QueueInstrs,
-		Shards:      *shardCoord,
-		ShardWallNS: shardWall.Nanoseconds(),
-	}
 	manifest := obs.NewManifest()
 	manifest.Flags = flagMap()
-	manifest.Parallel = report.Parallel
-	manifest.Onepass = *onepass
-	manifest.QueueEngine = eng.String()
+	manifest.Parallel = sweep.DefaultWorkers()
 	manifest.ObsEnabled = obsEnabled
 	manifest.Seed = cfg.Seed
 	manifest.CacheRefs = cfg.CacheRefs
 	manifest.QueueInstrs = cfg.QueueInstrs
 
-	measure := *benchJSON != "" || *metricsOut != ""
 	var before, after runtime.MemStats
 	for _, id := range ids {
 		var snapBefore obs.Snapshot
-		if measure {
-			runtime.ReadMemStats(&before)
-		}
 		if *metricsOut != "" {
+			runtime.ReadMemStats(&before)
 			snapBefore = obs.TakeSnapshot()
 		}
 		start := time.Now()
@@ -441,51 +323,19 @@ func run() (err error) {
 		wall := time.Since(start)
 		fmt.Print(res.Render())
 		fmt.Printf("(%s in %.1fs)\n\n", id, wall.Seconds())
-		if measure {
+		if *metricsOut != "" {
 			runtime.ReadMemStats(&after)
 			title, _ := experiments.Title(id)
-			rec := benchRecord{
-				ID:         id,
-				Title:      title,
-				WallNS:     wall.Nanoseconds(),
+			manifest.Experiments = append(manifest.Experiments, obs.ExperimentRecord{
+				ID: id, Title: title, WallNS: wall.Nanoseconds(),
 				Allocs:     after.Mallocs - before.Mallocs,
 				AllocBytes: after.TotalAlloc - before.TotalAlloc,
-			}
-			report.Experiments = append(report.Experiments, rec)
-			report.TotalWallNS += wall.Nanoseconds()
-			if *metricsOut != "" {
-				manifest.Experiments = append(manifest.Experiments, obs.ExperimentRecord{
-					ID: rec.ID, Title: rec.Title, WallNS: rec.WallNS,
-					Allocs: rec.Allocs, AllocBytes: rec.AllocBytes,
-					Counters: obs.TakeSnapshot().DiffCounters(snapBefore),
-				})
-				manifest.TotalWallNS += rec.WallNS
-			}
+				Counters:   obs.TakeSnapshot().DiffCounters(snapBefore),
+			})
+			manifest.TotalWallNS += wall.Nanoseconds()
 		}
 	}
 
-	if *benchJSON != "" {
-		report.TraceBudget = trace.Budget()
-		report.TraceBytes = trace.TotalBytes()
-		report.TraceRawBytes = trace.TotalRawBytes()
-		if report.TraceRawBytes > 0 {
-			report.TraceRatio = float64(report.TraceBytes) / float64(report.TraceRawBytes)
-		}
-		report.ClassifyBytes = classify.TotalBytes()
-		report.ClassifyRawBytes = classify.TotalRawBytes()
-		if report.ClassifyRawBytes > 0 {
-			report.ClassifyRatio = float64(report.ClassifyBytes) / float64(report.ClassifyRawBytes)
-		}
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*benchJSON, buf, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d experiments, parallel=%d)\n", *benchJSON, len(report.Experiments), report.Parallel)
-	}
 	if *metricsOut != "" {
 		manifest.Final = obs.TakeSnapshot()
 		if err := manifest.WriteFile(*metricsOut); err != nil {

@@ -81,7 +81,7 @@ func BenchmarkMultiHierarchyAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkIndependentBoundaries measures the legacy oracle's cost per
+// BenchmarkIndependentBoundaries measures the test oracle's cost per
 // reference: 8 independent hierarchies each replaying the same stream.
 func BenchmarkIndependentBoundaries(b *testing.B) {
 	p := PaperParams()

@@ -49,17 +49,13 @@ import (
 
 // Telemetry: stream generations and replays, plus the tier's resident
 // footprint (encoded bytes across all memoized streams) against the flat
-// one-byte-per-class equivalent. Counters are obs-gated; the byte totals are
-// also tracked unconditionally (TotalBytes/TotalRawBytes) for bench reports.
+// one-byte-per-class equivalent. All of them are obs-gated.
 var (
 	obsGens    = obs.NewCounter("classify.gens")    // streams generated (hierarchy passes)
 	obsReplays = obs.NewCounter("classify.replays") // cursors opened over a stream
 	obsGenNS   = obs.NewHistogram("classify.gen_ns")
 	obsBytes   = obs.NewGauge("classify.bytes")     // encoded bytes resident
 	obsRawGag  = obs.NewGauge("classify.raw_bytes") // flat equivalent
-
-	totalBytes    atomic.Int64
-	totalRawBytes atomic.Int64
 )
 
 // Stream is one materialized classification family: for boundaries
@@ -189,17 +185,9 @@ var streams memo.Memo[string, *Stream]
 // any, is untouched). The determinism tests call it between passes.
 func Reset() {
 	streams.Reset()
-	totalBytes.Store(0)
-	totalRawBytes.Store(0)
 	obsBytes.Set(0)
 	obsRawGag.Set(0)
 }
-
-// TotalBytes returns the encoded bytes resident across memoized streams.
-func TotalBytes() int64 { return totalBytes.Load() }
-
-// TotalRawBytes returns their flat one-byte-per-class equivalent.
-func TotalRawBytes() int64 { return totalRawBytes.Load() }
 
 // Key returns the canonical stream key — exactly the content-determining
 // inputs, same discipline as the study-row keys.
@@ -220,8 +208,6 @@ func StreamFor(b workload.Benchmark, seed uint64, p cache.Params, maxB int, nref
 		if err != nil {
 			return nil, err
 		}
-		totalBytes.Add(s.Bytes())
-		totalRawBytes.Add(s.RawBytes())
 		obsBytes.Add(s.Bytes())
 		obsRawGag.Add(s.RawBytes())
 		return s, nil

@@ -187,9 +187,6 @@ func TestStreamForAgainstStats(t *testing.T) {
 	if s.Bytes() <= 0 || s.RawBytes() != nrefs*maxB {
 		t.Fatalf("byte accounting: enc=%d raw=%d", s.Bytes(), s.RawBytes())
 	}
-	if TotalBytes() != s.Bytes() || TotalRawBytes() != s.RawBytes() {
-		t.Fatalf("tier totals (%d,%d) != stream (%d,%d)", TotalBytes(), TotalRawBytes(), s.Bytes(), s.RawBytes())
-	}
 	if s.Bytes()*4 > s.RawBytes() {
 		t.Fatalf("compression ratio %.2f worse than 0.25x raw", float64(s.Bytes())/float64(s.RawBytes()))
 	}

@@ -7,7 +7,6 @@ import (
 	"capsim/internal/cache"
 	"capsim/internal/clock"
 	"capsim/internal/obs"
-	"capsim/internal/sweep"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
 )
@@ -82,7 +81,7 @@ func NewCacheMachine(b workload.Benchmark, seed uint64, p cache.Params, maxBound
 		timings: timings,
 		hier:    h,
 		clk:     clk,
-		refs:    trace.RefSourceFor(b, seed),
+		refs:    trace.RefsFor(b, seed).Cursor(),
 		rpi:     b.Mem.RefsPerInstr,
 		cur:     initial,
 	}, nil
@@ -226,69 +225,24 @@ func RunCache(c *CacheMachine, p Policy, intervals, n int64, keepSamples bool) C
 	return res
 }
 
-// ProfileCacheBoundary runs ONE boundary position on a fresh hierarchy +
-// trace for the given reference budget (after a warm-up that is discarded)
-// and returns its (TPI, TPImiss). Each call builds its own machine and
-// derives its own rng streams from (seed, benchmark name), so calls for
-// distinct (benchmark, boundary) cells are independent and may execute
-// concurrently — this is the unit job of the parallel sweep engine.
-func ProfileCacheBoundary(b workload.Benchmark, seed uint64, p cache.Params, maxBoundary, k int, warm, refs int64) (tpi, tpiMiss float64, err error) {
-	m, err := NewCacheMachine(b, seed, p, maxBoundary, k, -1)
-	if err != nil {
-		return 0, 0, err
-	}
-	if warm > 0 {
-		m.RunInterval(warm)
-		m.instrs, m.timeNS, m.missNS = 0, 0, 0
-	}
-	m.RunInterval(refs)
-	m.hier.PublishObs()
-	return m.TotalTPI(), m.TotalTPIMiss(), nil
-}
-
 // ProfileCacheTPI profiles every boundary for one application — the
 // process-level profiling pass. Results are dense slices of length
 // maxBoundary+1 indexed by boundary k (slot 0 is +Inf so SelectBestIndex can
 // never choose it).
 //
-// When the shared-trace path is enabled (the default), the whole boundary
-// family is evaluated in ONE pass over the materialized reference stream via
-// cache.MultiHierarchy — each reference is generated and decoded exactly
-// once instead of once per boundary. When disabled (capsim -onepass=false),
-// the legacy oracle sweeps one independent machine per boundary across the
-// sweep pool. Both paths are bit-identical (TestProfileCacheTPIOnepass).
+// The whole boundary family is evaluated in ONE replay of the shared
+// pre-decoded reference stream: every boundary position advances in lockstep
+// through cache.MultiHierarchy, so each reference is generated and decoded
+// exactly once instead of once per boundary. The same closed-form timing
+// model as CacheMachine.RunInterval then converts per-boundary miss counts
+// into (TPI, TPImiss); the float expressions replicate RunInterval term for
+// term, in the same order, so results are bit-identical to one independent
+// CacheMachine per boundary (TestProfileCacheTPIOnepass).
 func ProfileCacheTPI(b workload.Benchmark, seed uint64, p cache.Params, maxBoundary int, warm, refs int64) (tpi, tpiMiss []float64, err error) {
 	// The async span makes each per-application profile cell its own
 	// timeline row, whatever worker goroutine it runs on.
 	as := obs.StartAsync("profile", "cache:"+b.Name)
-	defer as.End(obs.Arg{K: "boundaries", V: maxBoundary}, obs.Arg{K: "onepass", V: trace.Enabled()})
-	if trace.Enabled() {
-		return profileCacheTPIOnepass(b, seed, p, maxBoundary, warm, refs)
-	}
-	type cell struct{ tpi, miss float64 }
-	cells, err := sweep.Run(maxBoundary, func(i int) (cell, error) {
-		t, m, err := ProfileCacheBoundary(b, seed, p, maxBoundary, i+1, warm, refs)
-		return cell{t, m}, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	tpi = make([]float64, maxBoundary+1)
-	tpiMiss = make([]float64, maxBoundary+1)
-	tpi[0], tpiMiss[0] = math.Inf(1), math.Inf(1)
-	for i, c := range cells {
-		tpi[i+1], tpiMiss[i+1] = c.tpi, c.miss
-	}
-	return tpi, tpiMiss, nil
-}
-
-// profileCacheTPIOnepass is the one-pass profiling engine: a single replay of
-// the shared pre-decoded reference stream drives every boundary position in
-// lockstep through cache.MultiHierarchy, then the same closed-form timing
-// model as CacheMachine.RunInterval converts per-boundary miss counts into
-// (TPI, TPImiss). The float expressions replicate RunInterval term for term,
-// in the same order, so results are bit-identical to the per-boundary oracle.
-func profileCacheTPIOnepass(b workload.Benchmark, seed uint64, p cache.Params, maxBoundary int, warm, refs int64) (tpi, tpiMiss []float64, err error) {
+	defer as.End(obs.Arg{K: "boundaries", V: maxBoundary})
 	if b.Mem == nil {
 		return nil, nil, fmt.Errorf("core: %s has no memory profile", b.Name)
 	}

@@ -111,8 +111,8 @@ func NewCombinedMachine(b workload.Benchmark, seed uint64, sizes []int, p cache.
 	if m.clk, err = clock.NewSystem(sources, initID, penaltyCycles); err != nil {
 		return nil, err
 	}
-	m.istream = trace.InstrSourceFor(b, seed)
-	m.refs = trace.RefSourceFor(b, seed)
+	m.istream = trace.OpsFor(b, seed).Cursor()
+	m.refs = trace.RefsFor(b, seed).Cursor()
 	m.cur = initID
 	return m, nil
 }

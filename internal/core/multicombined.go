@@ -9,7 +9,6 @@ import (
 	"capsim/internal/obs"
 	"capsim/internal/ooo"
 	"capsim/internal/palacharla"
-	"capsim/internal/sweep"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
@@ -100,7 +99,7 @@ func NewMultiCombined(b workload.Benchmark, seed uint64, sizes []int, p cache.Pa
 		instrs:  make([]int64, len(points)),
 		timeNS:  make([]float64, len(points)),
 	}
-	m.istream = trace.InstrSourceFor(b, seed)
+	m.istream = trace.OpsFor(b, seed).Cursor()
 
 	maxWindow := 0
 	cfgs := make([]ooo.Config, len(points))
@@ -204,38 +203,27 @@ func (m *MultiCombined) PublishObs() {
 // a fresh machine state and the result is its TotalTPI, index-parallel to
 // points — the profiling grid behind the Figure 5 experiment.
 //
-// With the shared-trace path enabled (the default), the whole grid is
-// evaluated by ONE MultiCombined pass: the instruction stream is decoded
-// once for all queue columns, each reference is decoded and classified once
-// for all cache rows, and cells with the same boundary share hierarchy
-// state. Otherwise every point profiles on a private CombinedMachine, swept
-// in parallel across the pool. Both paths are bit-identical
-// (TestProfileCombinedOnepass).
+// The whole grid is evaluated by ONE MultiCombined pass: the instruction
+// stream is decoded once for all queue columns, each reference is decoded
+// and classified once for all cache rows, and cells with the same boundary
+// share hierarchy state. Per-point results are bit-identical to independent
+// CombinedMachines (TestProfileCombinedOnepass). Each point holds one
+// configuration for the whole run, so no clock switch happens and
+// penaltyCycles never enters the result; it is kept for signature
+// compatibility with existing callers.
 func ProfileCombined(ctx context.Context, b workload.Benchmark, seed uint64, sizes []int, p cache.Params, maxBoundary int, points []CombinedConfig, intervals, n int64, penaltyCycles int, f tech.FeatureSize) ([]float64, error) {
 	as := obs.StartAsync("profile", "combined:"+b.Name)
-	defer as.End(obs.Arg{K: "points", V: len(points)}, obs.Arg{K: "onepass", V: trace.Enabled()})
-	if trace.Enabled() {
-		m, err := NewMultiCombined(b, seed, sizes, p, maxBoundary, points, intervals, n, f)
-		if err != nil {
+	defer as.End(obs.Arg{K: "points", V: len(points)})
+	m, err := NewMultiCombined(b, seed, sizes, p, maxBoundary, points, intervals, n, f)
+	if err != nil {
+		return nil, err
+	}
+	for i := int64(0); i < intervals; i++ {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for i := int64(0); i < intervals; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			m.RunInterval(n)
-		}
-		m.PublishObs()
-		return m.TPIs(), nil
+		m.RunInterval(n)
 	}
-	return sweep.RunCtx(ctx, len(points), func(j int) (float64, error) {
-		m, err := NewCombinedMachine(b, seed, sizes, p, maxBoundary, points[j], penaltyCycles, f)
-		if err != nil {
-			return 0, err
-		}
-		for i := int64(0); i < intervals; i++ {
-			m.RunInterval(n)
-		}
-		return m.TotalTPI(), nil
-	})
+	m.PublishObs()
+	return m.TPIs(), nil
 }

@@ -93,7 +93,7 @@ func familyFor(b workload.Benchmark, seed uint64, sizes []int, n int64) (*interv
 		}
 		return &intervalFamily{
 			mc:     mc,
-			stream: trace.InstrSourceFor(b, seed),
+			stream: trace.OpsFor(b, seed).Cursor(),
 			n:      n,
 			cycles: make([][]int64, len(sizes)),
 			issued: make([][]int64, len(sizes)),
@@ -457,32 +457,23 @@ func (mp *MultiPolicy) replayRace(steps []raceStep, rec bool, oCfg []int, oNS []
 
 // RunPolicyStudy is the interval drivers' entry point: one policy-driven run
 // of `intervals` intervals of `n` instructions at initial configuration 0.
-// With the shared-trace path enabled (the default) fixed policies replay the
-// memoized interval family and stateful policies run through the lockstep
-// Race engine; otherwise a private QueueMachine simulates directly. All
-// paths are bit-identical (TestRunPolicyStudyOnepass,
-// TestMultiPolicyTransitionCosts).
+// Fixed policies replay the memoized interval family and stateful policies
+// run through the lockstep Race engine; both are bit-identical to a private
+// QueueMachine driven by RunQueue (TestMultiPolicyTransitionCosts).
 func RunPolicyStudy(ctx context.Context, b workload.Benchmark, seed uint64, sizes []int, p Policy, intervals, n int64, penaltyCycles int, f tech.FeatureSize) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err
 	}
-	if trace.Enabled() {
-		mp, err := NewMultiPolicy(b, seed, sizes, n, penaltyCycles, f)
-		if err != nil {
-			return RunResult{}, err
-		}
-		if fp, ok := p.(FixedPolicy); ok {
-			return mp.RunFixed(ctx, fp.Config, intervals)
-		}
-		res, err := mp.Race(ctx, []PolicySpec{{Policy: p}}, intervals)
-		if err != nil {
-			return RunResult{}, err
-		}
-		return res[0], nil
-	}
-	m, err := NewQueueMachine(b, seed, sizes, 0, penaltyCycles, f)
+	mp, err := NewMultiPolicy(b, seed, sizes, n, penaltyCycles, f)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return RunQueue(m, p, intervals, n, false), nil
+	if fp, ok := p.(FixedPolicy); ok {
+		return mp.RunFixed(ctx, fp.Config, intervals)
+	}
+	res, err := mp.Race(ctx, []PolicySpec{{Policy: p}}, intervals)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return res[0], nil
 }

@@ -25,7 +25,7 @@ var policyCases = []struct {
 // (RunPolicyStudy: family replay for fixed policies, the lockstep Race
 // engine for stateful ones) must charge the exact same reconfiguration
 // costs — drain stalls at the old clock, switch penalty at the old period —
-// as a direct private QueueMachine simulation. Equality is exact float64
+// as a direct private QueueMachine simulation driven by RunQueue. Equality is exact float64
 // equality on every aggregate, including TimeNS (where a mischarged penalty
 // would surface even when TPI rounds identically).
 func TestMultiPolicyTransitionCosts(t *testing.T) {
@@ -46,7 +46,7 @@ func TestMultiPolicyTransitionCosts(t *testing.T) {
 				}
 			}
 			// Policies are stateful: build fresh instances for each path.
-			onePols, legPols := policies(), policies()
+			onePols, orcPols := policies(), policies()
 			for pi := range onePols {
 				name := fmt.Sprintf("%s/pen=%d/%s", tc.app, pen, onePols[pi].Name())
 				trace.Reset()
@@ -55,16 +55,11 @@ func TestMultiPolicyTransitionCosts(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s onepass: %v", name, err)
 				}
-				var leg RunResult
-				withLegacy(func() {
-					leg, err = RunPolicyStudy(ctx, b, 1998, tc.sizes, legPols[pi], intervals, n, pen, tech.Micron018)
-				})
-				if err != nil {
-					t.Fatalf("%s legacy: %v", name, err)
-				}
-				if one.Policy != leg.Policy || one.Instrs != leg.Instrs || one.TimeNS != leg.TimeNS ||
-					one.TPI != leg.TPI || one.Switches != leg.Switches {
-					t.Errorf("%s: replay diverged from direct simulation\n onepass: %+v\n legacy:  %+v", name, one, leg)
+				m := privateQueueMachine(t, b, 1998, tc.sizes, 0, pen, tech.Micron018)
+				orc := RunQueue(m, orcPols[pi], intervals, n, false)
+				if one.Policy != orc.Policy || one.Instrs != orc.Instrs || one.TimeNS != orc.TimeNS ||
+					one.TPI != orc.TPI || one.Switches != orc.Switches {
+					t.Errorf("%s: replay diverged from direct simulation\n onepass: %+v\n oracle:  %+v", name, one, orc)
 				}
 			}
 		}
@@ -109,14 +104,7 @@ func TestMultiPolicyRaceLockstep(t *testing.T) {
 			&ProfileThenCommitPolicy{Configs: []int{0, 1}},
 		}
 		for j, p := range direct {
-			var leg RunResult
-			withLegacy(func() {
-				m, err := NewQueueMachine(b, 1998, tc.sizes, 0, 50, tech.Micron018)
-				if err != nil {
-					t.Fatal(err)
-				}
-				leg = RunQueue(m, p, intervals, n, false)
-			})
+			leg := RunQueue(privateQueueMachine(t, b, 1998, tc.sizes, 0, 50, tech.Micron018), p, intervals, n, false)
 			r := raced[j]
 			if r.Policy != leg.Policy || r.Instrs != leg.Instrs || r.TimeNS != leg.TimeNS ||
 				r.TPI != leg.TPI || r.Switches != leg.Switches {
@@ -137,17 +125,17 @@ func TestIntervalFamilyExtension(t *testing.T) {
 	n := int64(2000)
 	trace.Reset()
 	ResetPolicyFamilies()
-	short, err := ProfileQueueTraces(ctx, b, 1998, sizes, 10, n, -1, tech.Micron018)
+	short, err := ProfileQueueTraces(ctx, b, 1998, sizes, 10, n, tech.Micron018)
 	if err != nil {
 		t.Fatalf("short: %v", err)
 	}
-	long, err := ProfileQueueTraces(ctx, b, 1998, sizes, 25, n, -1, tech.Micron018)
+	long, err := ProfileQueueTraces(ctx, b, 1998, sizes, 25, n, tech.Micron018)
 	if err != nil {
 		t.Fatalf("long: %v", err)
 	}
 	trace.Reset()
 	ResetPolicyFamilies()
-	cold, err := ProfileQueueTraces(ctx, b, 1998, sizes, 25, n, -1, tech.Micron018)
+	cold, err := ProfileQueueTraces(ctx, b, 1998, sizes, 25, n, tech.Micron018)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"capsim/internal/obs"
 	"capsim/internal/ooo"
 	"capsim/internal/palacharla"
-	"capsim/internal/sweep"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
@@ -73,7 +72,7 @@ func NewQueueMachine(b workload.Benchmark, seed uint64, sizes []int, initial int
 		configs: configs,
 		core:    c,
 		clk:     clk,
-		stream:  trace.InstrSourceFor(b, seed),
+		stream:  trace.OpsFor(b, seed).Cursor(),
 		cur:     initial,
 	}, nil
 }
@@ -199,94 +198,22 @@ func RunQueue(q *QueueMachine, p Policy, intervals, n int64, keepSamples bool) R
 	return res
 }
 
-// ProfileQueueConfig runs ONE queue configuration on a fresh machine +
-// stream for the given instruction budget and returns its TPI. Like
-// ProfileCacheBoundary, it is the independent unit job of the parallel
-// sweep: all state (core, clock, workload rng) is private to the call.
-func ProfileQueueConfig(b workload.Benchmark, seed uint64, sizes []int, i int, instrs int64, f tech.FeatureSize) (float64, error) {
-	m, err := NewQueueMachine(b, seed, sizes, i, -1, f)
-	if err != nil {
-		return 0, err
-	}
-	m.RunInterval(instrs)
-	m.core.PublishObs()
-	return m.TotalTPI(), nil
-}
-
 // ProfileQueueTPI runs each configuration for the given instruction budget
 // and returns TPI as a dense slice indexed by configuration ID — the
 // profiling pass the paper's process-level scheme assumes a CAP compiler or
 // runtime performs.
 //
-// With the shared-trace path enabled (the default), all configurations are
-// evaluated by ONE ooo.MultiCore pass over the shared instruction stream:
-// the event-driven issue engine makes each core's cost proportional to
-// instructions issued, and the MultiCore buffer means the stream is decoded
-// once for all window sizes. Otherwise each configuration profiles on a
-// fresh private machine, swept in parallel across the sweep pool. Both paths
-// return bit-identical values (TestProfileQueueTPIOnepass).
+// All configurations are evaluated by ONE ooo.MultiCore pass over the shared
+// instruction stream: the event-driven issue engine makes each core's cost
+// proportional to instructions issued, and the MultiCore buffer means the
+// stream is decoded once for all window sizes. The TPI arithmetic mirrors
+// QueueMachine.RunInterval + TotalTPI operation for operation —
+// float64(cycles) * period, then divide by float64(issued) — so the result
+// is bit-identical to one private machine per configuration
+// (TestProfileQueueTPIOnepass), not merely close.
 func ProfileQueueTPI(b workload.Benchmark, seed uint64, sizes []int, instrs int64, f tech.FeatureSize) ([]float64, error) {
 	as := obs.StartAsync("profile", "queue:"+b.Name)
-	defer as.End(obs.Arg{K: "configs", V: len(sizes)}, obs.Arg{K: "onepass", V: trace.Enabled()})
-	if trace.Enabled() {
-		return profileQueueTPIOnepass(b, seed, sizes, instrs, f)
-	}
-	return sweep.Run(len(sizes), func(i int) (float64, error) {
-		return ProfileQueueConfig(b, seed, sizes, i, instrs, f)
-	})
-}
-
-// ProfileQueueTraces runs each queue size interval-by-interval over the
-// application's stream and returns per-size, per-interval TPI — the raw
-// material of the Figure 12/13 snapshots and the per-interval oracle.
-//
-// With the shared-trace path enabled (the default), all sizes advance
-// together through ONE ooo.MultiCore over the shared instruction buffer, one
-// RunEach round per interval; the stream is generated and decoded once for
-// the whole family instead of once per size. Otherwise each size replays on
-// a private fixed-configuration QueueMachine, fanned out across the sweep
-// pool. Both paths are bit-identical (TestProfileQueueTracesOnepass).
-func ProfileQueueTraces(ctx context.Context, b workload.Benchmark, seed uint64, sizes []int, intervals, n int64, penaltyCycles int, f tech.FeatureSize) ([][]float64, error) {
-	as := obs.StartAsync("profile", "queue-trace:"+b.Name)
-	defer as.End(obs.Arg{K: "configs", V: len(sizes)}, obs.Arg{K: "intervals", V: intervals}, obs.Arg{K: "onepass", V: trace.Enabled()})
-	if trace.Enabled() {
-		return profileQueueTracesOnepass(ctx, b, seed, sizes, intervals, n, f)
-	}
-	return sweep.RunCtx(ctx, len(sizes), func(i int) ([]float64, error) {
-		m, err := NewQueueMachine(b, seed, []int{sizes[i]}, 0, penaltyCycles, f)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, intervals)
-		for iv := int64(0); iv < intervals; iv++ {
-			out[iv] = m.RunInterval(n).TPI
-		}
-		m.PublishObs()
-		return out, nil
-	})
-}
-
-// profileQueueTracesOnepass is the family-replay engine behind
-// ProfileQueueTraces: the per-size raw interval outcomes come from the
-// memoized interval family (one MultiCore pass shared with the fixed-policy
-// replays and every other trace consumer of the same size list), and the
-// per-interval TPI expression replicates QueueMachine.RunInterval's float
-// operation order (cycles × period, divided by issued) so each trace is
-// bit-identical to a private fixed-configuration machine.
-func profileQueueTracesOnepass(ctx context.Context, b workload.Benchmark, seed uint64, sizes []int, intervals, n int64, f tech.FeatureSize) ([][]float64, error) {
-	mp, err := NewMultiPolicy(b, seed, sizes, n, -1, f)
-	if err != nil {
-		return nil, err
-	}
-	return mp.Traces(ctx, intervals)
-}
-
-// profileQueueTPIOnepass is the MultiCore engine behind ProfileQueueTPI. The
-// TPI arithmetic deliberately mirrors QueueMachine.RunInterval + TotalTPI
-// operation for operation — float64(cycles) * period, then divide by
-// float64(issued) — so the one-pass result is bit-identical to the per-config
-// machines, not merely close.
-func profileQueueTPIOnepass(b workload.Benchmark, seed uint64, sizes []int, instrs int64, f tech.FeatureSize) ([]float64, error) {
+	defer as.End(obs.Arg{K: "configs", V: len(sizes)})
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("core: no queue sizes")
 	}
@@ -302,7 +229,7 @@ func profileQueueTPIOnepass(b workload.Benchmark, seed uint64, sizes []int, inst
 	if err != nil {
 		return nil, err
 	}
-	stats := mc.RunEach(trace.InstrSourceFor(b, seed), instrs)
+	stats := mc.RunEach(trace.OpsFor(b, seed).Cursor(), instrs)
 	mc.PublishObs()
 	out := make([]float64, len(sizes))
 	for i, st := range stats {
@@ -310,4 +237,25 @@ func profileQueueTPIOnepass(b workload.Benchmark, seed uint64, sizes []int, inst
 		out[i] = float64(st.Cycles) * cyc / float64(st.Issued)
 	}
 	return out, nil
+}
+
+// ProfileQueueTraces runs each queue size interval-by-interval over the
+// application's stream and returns per-size, per-interval TPI — the raw
+// material of the Figure 12/13 snapshots and the per-interval oracle.
+//
+// The per-size raw interval outcomes come from the memoized interval family
+// (one MultiCore pass over the shared instruction buffer, shared with the
+// fixed-policy replays and every other trace consumer of the same size
+// list), and the per-interval TPI expression replicates
+// QueueMachine.RunInterval's float operation order (cycles × period, divided
+// by issued), so each trace is bit-identical to a private
+// fixed-configuration machine (TestProfileQueueTracesOnepass).
+func ProfileQueueTraces(ctx context.Context, b workload.Benchmark, seed uint64, sizes []int, intervals, n int64, f tech.FeatureSize) ([][]float64, error) {
+	as := obs.StartAsync("profile", "queue-trace:"+b.Name)
+	defer as.End(obs.Arg{K: "configs", V: len(sizes)}, obs.Arg{K: "intervals", V: intervals})
+	mp, err := NewMultiPolicy(b, seed, sizes, n, -1, f)
+	if err != nil {
+		return nil, err
+	}
+	return mp.Traces(ctx, intervals)
 }

@@ -163,7 +163,7 @@ func (mp *MultiPolicy) raceFamilyFor(specs []PolicySpec) (*raceFamily, error) {
 func (mp *MultiPolicy) newRaceFamily(specs []PolicySpec) (*raceFamily, error) {
 	cfgs := make([]ooo.Config, len(specs))
 	f := &raceFamily{
-		stream:   trace.InstrSourceFor(mp.b, mp.seed),
+		stream:   trace.OpsFor(mp.b, mp.seed).Cursor(),
 		policies: make([]Policy, len(specs)),
 		mons:     make([]*Monitor, len(specs)),
 		cur:      make([]int, len(specs)),

@@ -50,8 +50,7 @@ func runIntervalPolicy(ctx context.Context, cfg Config, app string, sizes []int,
 // oracleTPI computes the per-interval oracle: the TPI of always running the
 // better of the two configurations each interval, ignoring switch costs — a
 // lower bound no realizable predictor can beat. Both traces come from one
-// shared-stream family pass (or a parallel legacy fan-out; see
-// core.ProfileQueueTraces).
+// shared-stream family pass (see core.ProfileQueueTraces).
 func oracleTPI(ctx context.Context, cfg Config, app string, sizes []int, intervals int64) (float64, error) {
 	traces, err := intervalTraces(ctx, cfg, app, sizes, intervals)
 	if err != nil {

@@ -45,9 +45,8 @@ func cacheStudyKey(cfg Config) string {
 // 21 for the paper's setup — fan out across the sweep pool as study rows
 // (cacheProfileRow: shard-partitionable, persistently reusable); within each
 // application core.ProfileCacheTPI evaluates the whole boundary family in one
-// pass over the shared materialized trace (or, with -onepass=false, sweeps
-// the 8 boundaries as nested jobs). Results land at their slice index, so the
-// output is byte-identical at any worker count and on either path.
+// pass over the shared materialized trace. Results land at their slice index,
+// so the output is byte-identical at any worker count.
 func runCacheStudy(ctx context.Context, cfg Config) (*cacheStudy, error) {
 	return studyDo(ctx, &cacheStudies, cacheStudyKey(cfg), func() (*cacheStudy, error) {
 		s := &cacheStudy{

@@ -50,11 +50,8 @@ func ablationCombined(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	// One ProfileCombined call per application covers its whole (boundary x
-	// queue-size) grid: under -onepass that is a single joint-kernel pass
-	// per app (stream decoded once, hierarchy rows shared across queue
-	// columns); under the legacy oracle it fans the independent per-point
-	// machines across the sweep pool, exactly as the old flat grid did.
-	// Joint-space point j maps to (bs[j/len(qs)], qs[j%len(qs)]), preserving
+	// queue-size) grid in a single joint-kernel pass (stream decoded once,
+	// hierarchy rows shared across queue columns). Joint-space point j maps to (bs[j/len(qs)], qs[j%len(qs)]), preserving
 	// the original scan order, so the joint-best tie-break (first
 	// strictly-smaller wins) is unchanged.
 	points := make([]core.CombinedConfig, 0, len(bs)*len(qs))

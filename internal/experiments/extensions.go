@@ -35,7 +35,7 @@ func ablationTLB(ctx context.Context, cfg Config) (Result, error) {
 	apps := []string{"gcc", "vortex", "stereo", "applu", "appcg"}
 	// Every (application, mode, group count) cell replays the application's
 	// reference stream from the master seed through a private cursor over the
-	// shared materialized store (trace.RefSourceFor) and shares no mutable
+	// shared materialized store (trace.RefsFor) and shares no mutable
 	// state with its neighbours: fan the whole application x (2 modes x
 	// Groups) grid across the sweep pool and reduce each row to its per-mode
 	// best serially (the reduction scans groups in ascending order, so the
@@ -49,7 +49,7 @@ func ablationTLB(ctx context.Context, cfg Config) (Result, error) {
 		key := fmt.Sprintf("tlb|seed=%d|warm=%d|refs=%d|p=%+v|backup=%v|groups=%d|app=%s",
 			cfg.Seed, cfg.CacheWarmRefs, cfg.CacheRefs, p, backup, g, b.Name)
 		return scalarRow(key, func() (float64, error) {
-			tr := trace.RefSourceFor(b, cfg.Seed)
+			tr := trace.RefsFor(b, cfg.Seed).Cursor()
 			var tb *tlb.TLB
 			var err error
 			if backup {

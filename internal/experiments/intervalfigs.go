@@ -17,9 +17,8 @@ func init() {
 // intervalTraces runs the fixed queue configurations interval-by-interval
 // over the application's stream and returns per-configuration, per-interval
 // TPI for intervals [0, n) — one shared-stream pass for the whole family
-// under -onepass, independent machines fanned across the sweep pool
-// otherwise (see core.ProfileQueueTraces). The whole family pass is one
-// study row (traceRow): shard-partitionable and persistently reusable.
+// (see core.ProfileQueueTraces). The whole family pass is one study row
+// (traceRow): shard-partitionable and persistently reusable.
 func intervalTraces(ctx context.Context, cfg Config, app string, entries []int, n int64) ([][]float64, error) {
 	b, err := workload.ByName(app)
 	if err != nil {
@@ -27,7 +26,7 @@ func intervalTraces(ctx context.Context, cfg Config, app string, entries []int, 
 	}
 	return traceRow(b, cfg.Seed, entries, n, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature,
 		func() ([][]float64, error) {
-			return core.ProfileQueueTraces(ctx, b, cfg.Seed, entries, n, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
+			return core.ProfileQueueTraces(ctx, b, cfg.Seed, entries, n, cfg.IntervalInstrs, cfg.Feature)
 		})
 }
 

@@ -37,10 +37,9 @@ func queueStudyKey(cfg Config) string {
 // runQueueStudy profiles every application at every queue size. Applications
 // — 22 for the paper's setup — fan out across the sweep pool; within each,
 // core.ProfileQueueTPI evaluates all 8 window sizes in one ooo.MultiCore
-// pass over the application's shared instruction stream (or, with the shared
-// trace disabled, sweeps them as nested per-configuration jobs). Results are
+// pass over the application's shared instruction stream. Results are
 // collected by index, never by completion order, so output is byte-identical
-// at any worker count, either -onepass setting, and either -queue-engine.
+// at any worker count.
 func runQueueStudy(ctx context.Context, cfg Config) (*queueStudy, error) {
 	return studyDo(ctx, &queueStudies, queueStudyKey(cfg), func() (*queueStudy, error) {
 		s := &queueStudy{

@@ -11,7 +11,7 @@ import (
 
 // ManifestSchema versions the -metrics-out document. Bump on breaking shape
 // changes.
-const ManifestSchema = "capsim/run-manifest/v1"
+const ManifestSchema = "capsim/run-manifest/v2"
 
 // BuildInfo is the toolchain and VCS provenance of the running binary,
 // captured from runtime/debug.ReadBuildInfo. Fields are empty when the
@@ -64,11 +64,9 @@ type ExperimentRecord struct {
 	Counters   map[string]int64 `json:"counters,omitempty"`
 }
 
-// Manifest is the -metrics-out run document. It is a superset of the
-// pre-obs -bench-json schema (generated/command/parallel/…/experiments/
-// total_wall_ns keep their names and meaning), so existing consumers of
-// -bench-json parse either file; the additions are the schema tag, build
-// provenance, the full flag map, and the final metric snapshot.
+// Manifest is the -metrics-out run document: the run's provenance (command,
+// build, full flag map, host), its budgets, each experiment's measured cost,
+// and the final metric snapshot.
 type Manifest struct {
 	Schema      string            `json:"schema"`
 	Generated   string            `json:"generated"`
@@ -76,8 +74,6 @@ type Manifest struct {
 	Build       BuildInfo         `json:"build"`
 	Flags       map[string]string `json:"flags,omitempty"`
 	Parallel    int               `json:"parallel"`
-	Onepass     bool              `json:"onepass"`
-	QueueEngine string            `json:"queue_engine"`
 	ObsEnabled  bool              `json:"obs_enabled"`
 	GOMAXPROCS  int               `json:"gomaxprocs"`
 	NumCPU      int               `json:"num_cpu"`

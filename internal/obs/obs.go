@@ -14,19 +14,18 @@
 //     coarse boundaries (end of a profile pass, an interval run, a sweep
 //     job), never per-reference or per-cycle.
 //  2. Disabled-mode cost must be noise. The whole package sits behind one
-//     process-wide switch (SetEnabled — same pointer-swap/atomic pattern as
-//     trace.SetEnabled): a disabled Counter.Add is one atomic bool load and
-//     a predicted branch, and the publication call sites run at most once
-//     per profile pass or interval, so `capsim` without any -obs flags pays
-//     nothing measurable (BENCH_obs.json records the A/B).
+//     process-wide atomic switch (SetEnabled): a disabled Counter.Add is one
+//     atomic bool load and a predicted branch, and the publication call
+//     sites run at most once per profile pass or interval, so `capsim`
+//     without any -obs flags pays nothing measurable (the bench harness
+//     reports the on/off difference as obs_overhead_frac).
 //  3. Hot concurrent writers must not false-share. Counters are striped
 //     across cache-line-padded lanes; writers with a natural identity (the
 //     sweep pool passes its worker index) land on distinct lines, everyone
 //     else uses lane 0.
 //
 // cmd/capsim exposes the subsystem as -metrics-out (run manifest),
-// -trace-out (Chrome trace), -serve (live endpoint) and -obs (counters only,
-// e.g. to feed -bench-json counter deltas).
+// -trace-out (Chrome trace), -serve (live endpoint) and -obs (counters only).
 package obs
 
 import (
@@ -36,8 +35,7 @@ import (
 	"sync/atomic"
 )
 
-// enabled is the process-wide counter/gauge/histogram switch. Stored
-// directly (not inverted like trace.disabled) because the default here is
+// enabled is the process-wide counter/gauge/histogram switch. The default is
 // OFF: plain runs pay nothing.
 var enabled atomic.Bool
 

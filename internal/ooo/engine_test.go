@@ -6,39 +6,23 @@ import (
 	"capsim/internal/workload"
 )
 
-// The tests in this file enforce the package's central claim: EngineEvent and
-// EngineScan are bit-identical in every statistic for any instruction stream
-// and any schedule of Run, RunWithLoads, Drain and Resize calls.
+// The tests in this file enforce the package's central claim: the event
+// engine and the window-scan reference engine are bit-identical in every
+// statistic for any instruction stream and any schedule of Run,
+// RunWithLoads, Drain and Resize calls.
 
-func TestParseEngine(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Engine
-	}{{"event", EngineEvent}, {"scan", EngineScan}} {
-		got, err := ParseEngine(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseEngine(%q) = %v, %v", c.in, got, err)
-		}
-		if got.String() != c.in {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), c.in)
-		}
-	}
-	if _, err := ParseEngine("calendar"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine")
-	}
-}
+// The two issue engines, as newCore's scan argument.
+const (
+	eventEngine = false
+	scanEngine  = true
+)
 
-func TestDefaultEngineSwitch(t *testing.T) {
-	prev := DefaultEngine()
-	defer SetDefaultEngine(prev)
-	SetDefaultEngine(EngineScan)
-	if c := MustNew(PaperConfig(16)); c.Engine() != EngineScan {
-		t.Errorf("New under scan default built %v", c.Engine())
+// engineName labels an engine in failure messages.
+func engineName(scan bool) string {
+	if scan {
+		return "scan"
 	}
-	SetDefaultEngine(EngineEvent)
-	if c := MustNew(PaperConfig(16)); c.Engine() != EngineEvent {
-		t.Errorf("New under event default built %v", c.Engine())
-	}
+	return "event"
 }
 
 // lcg is a deterministic latency generator for RunWithLoads differential
@@ -63,11 +47,11 @@ type enginePair struct {
 
 func newEnginePair(t *testing.T, cfg Config) *enginePair {
 	t.Helper()
-	sc, err := NewWithEngine(cfg, EngineScan)
+	sc, err := newCore(cfg, scanEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evc, err := NewWithEngine(cfg, EngineEvent)
+	evc, err := newCore(cfg, eventEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +83,7 @@ func TestEngineDifferentialRun(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				p.step("run", func(c *Core) {
 					s := ss
-					if c.Engine() == EngineEvent {
+					if !c.scan {
 						s = es
 					}
 					c.Run(s, 4000)
@@ -123,7 +107,7 @@ func TestEngineDifferentialSchedule(t *testing.T) {
 	sl := &lcg{x: 99}
 	el := &lcg{x: 99}
 	pick := func(c *Core, a, b interface{}) interface{} {
-		if c.Engine() == EngineEvent {
+		if !c.scan {
 			return b
 		}
 		return a
@@ -195,8 +179,8 @@ func FuzzOooEngines(f *testing.F) {
 		if len(script) > 64 {
 			script = script[:64]
 		}
-		sc, _ := NewWithEngine(Config{WindowSize: 32, IssueWidth: 4}, EngineScan)
-		ev, _ := NewWithEngine(Config{WindowSize: 32, IssueWidth: 4}, EngineEvent)
+		sc, _ := newCore(Config{WindowSize: 32, IssueWidth: 4}, scanEngine)
+		ev, _ := newCore(Config{WindowSize: 32, IssueWidth: 4}, eventEngine)
 		ssrc := &fuzzSource{l: lcg{x: seed}}
 		esrc := &fuzzSource{l: lcg{x: seed}}
 		sl := &lcg{x: seed ^ 0xabcdef}
@@ -292,37 +276,37 @@ func TestRunWithLoadsCarryOver(t *testing.T) {
 func TestMultiCoreDifferential(t *testing.T) {
 	// MultiCore per-core stats must be bit-identical to independent cores
 	// running private copies of the same stream — across multiple RunEach
-	// calls (continuation) and under both engines.
+	// calls (continuation), against both an event core and a scan core.
 	bench, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sizes := []int{16, 32, 48, 64, 80, 96, 112, 128}
-	prev := DefaultEngine()
-	defer SetDefaultEngine(prev)
-	for _, eng := range []Engine{EngineEvent, EngineScan} {
-		SetDefaultEngine(eng)
-		cfgs := make([]Config, len(sizes))
-		for i, w := range sizes {
-			cfgs[i] = PaperConfig(w)
-		}
-		mc, err := NewMultiCore(cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := workload.NewInstrStream(bench, 33)
-		for round := 0; round < 3; round++ {
-			got := mc.RunEach(src, 5000)
-			for i, cfg := range cfgs {
-				ref := MustNew(cfg)
+	cfgs := make([]Config, len(sizes))
+	for i, w := range sizes {
+		cfgs[i] = PaperConfig(w)
+	}
+	mc, err := NewMultiCore(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := workload.NewInstrStream(bench, 33)
+	for round := 0; round < 3; round++ {
+		got := mc.RunEach(src, 5000)
+		for i, cfg := range cfgs {
+			for _, scan := range []bool{eventEngine, scanEngine} {
+				ref, err := newCore(cfg, scan)
+				if err != nil {
+					t.Fatal(err)
+				}
 				refSrc := workload.NewInstrStream(bench, 33)
 				var want Stats
 				for r := 0; r <= round; r++ {
 					want = ref.Run(refSrc, 5000)
 				}
 				if got[i] != want {
-					t.Fatalf("engine %v round %d W=%d: multicore %+v != independent %+v",
-						eng, round, cfg.WindowSize, got[i], want)
+					t.Fatalf("round %d W=%d: multicore %+v != independent %s core %+v",
+						round, cfg.WindowSize, got[i], engineName(scan), want)
 				}
 			}
 		}
@@ -347,8 +331,8 @@ type slowLoadSource struct{}
 func (slowLoadSource) Next() workload.Instr { return workload.Instr{Latency: 1} }
 
 func TestRingGrowPreservesState(t *testing.T) {
-	runEngine := func(e Engine) (*Core, Stats) {
-		c, err := NewWithEngine(PaperConfig(128), e)
+	runEngine := func(scan bool) (*Core, Stats) {
+		c, err := newCore(PaperConfig(128), scan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,8 +347,8 @@ func TestRingGrowPreservesState(t *testing.T) {
 		st := c.RunWithLoads(slowLoadSource{}, 60_000, 1.0, memLat)
 		return c, st
 	}
-	sc, sst := runEngine(EngineScan)
-	ev, est := runEngine(EngineEvent)
+	sc, sst := runEngine(scanEngine)
+	ev, est := runEngine(eventEngine)
 	if sst != est {
 		t.Fatalf("scan %+v != event %+v after ring growth", sst, est)
 	}
@@ -382,39 +366,40 @@ func TestRunEachWithLoadsDifferential(t *testing.T) {
 	// RunEachWithLoads must be bit-identical to independent RunWithLoads
 	// runs with the same per-core latency sources — same stats AND same
 	// memLat call sequence (the joint kernel's cache rows depend on the
-	// latter) — across interval splits and both engines.
+	// latter) — across interval splits, against both an event core and a
+	// scan core.
 	bench, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sizes := []int{16, 64, 128}
 	const rpi = 0.3
-	prev := DefaultEngine()
-	defer SetDefaultEngine(prev)
-	for _, eng := range []Engine{EngineEvent, EngineScan} {
-		SetDefaultEngine(eng)
-		cfgs := make([]Config, len(sizes))
-		for i, w := range sizes {
-			cfgs[i] = PaperConfig(w)
-		}
-		mc, err := NewMultiCore(cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lats := make([]*lcg, len(sizes))
-		calls := make([]int64, len(sizes))
-		memLat := make([]func(bool) int64, len(sizes))
-		for i := range sizes {
-			l := &lcg{x: uint64(1000 + i)}
-			lats[i] = l
-			i := i
-			memLat[i] = func(w bool) int64 { calls[i]++; return l.memLat(w) }
-		}
-		src := workload.NewInstrStream(bench, 77)
-		for round := 0; round < 3; round++ {
-			got := mc.RunEachWithLoads(src, 4000, rpi, memLat)
-			for i, cfg := range cfgs {
-				ref := MustNew(cfg)
+	cfgs := make([]Config, len(sizes))
+	for i, w := range sizes {
+		cfgs[i] = PaperConfig(w)
+	}
+	mc, err := NewMultiCore(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lats := make([]*lcg, len(sizes))
+	calls := make([]int64, len(sizes))
+	memLat := make([]func(bool) int64, len(sizes))
+	for i := range sizes {
+		l := &lcg{x: uint64(1000 + i)}
+		lats[i] = l
+		i := i
+		memLat[i] = func(w bool) int64 { calls[i]++; return l.memLat(w) }
+	}
+	src := workload.NewInstrStream(bench, 77)
+	for round := 0; round < 3; round++ {
+		got := mc.RunEachWithLoads(src, 4000, rpi, memLat)
+		for i, cfg := range cfgs {
+			for _, scan := range []bool{eventEngine, scanEngine} {
+				ref, err := newCore(cfg, scan)
+				if err != nil {
+					t.Fatal(err)
+				}
 				refSrc := workload.NewInstrStream(bench, 77)
 				refLat := &lcg{x: uint64(1000 + i)}
 				var refCalls int64
@@ -423,12 +408,12 @@ func TestRunEachWithLoadsDifferential(t *testing.T) {
 					want = ref.RunWithLoads(refSrc, 4000, rpi, func(w bool) int64 { refCalls++; return refLat.memLat(w) })
 				}
 				if got[i] != want {
-					t.Fatalf("engine %v round %d W=%d: multicore %+v != independent %+v",
-						eng, round, cfg.WindowSize, got[i], want)
+					t.Fatalf("round %d W=%d: multicore %+v != independent %s core %+v",
+						round, cfg.WindowSize, got[i], engineName(scan), want)
 				}
 				if calls[i] != refCalls || lats[i].x != refLat.x {
-					t.Fatalf("engine %v round %d W=%d: load sequence diverged (%d vs %d calls)",
-						eng, round, cfg.WindowSize, calls[i], refCalls)
+					t.Fatalf("round %d W=%d: load sequence diverged from the %s core (%d vs %d calls)",
+						round, cfg.WindowSize, engineName(scan), calls[i], refCalls)
 				}
 			}
 		}

@@ -2,7 +2,7 @@ package ooo
 
 import "capsim/internal/workload"
 
-// This file is the event-driven wakeup/select engine (EngineEvent): the
+// This file is the event-driven wakeup/select engine (the one New builds): the
 // algorithmically fast replacement for the per-cycle window scan, bit-exact
 // by construction.
 //

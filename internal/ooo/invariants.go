@@ -43,7 +43,7 @@ func (c *Core) CheckInvariants() error {
 	if c.tal.ringGrows < c.pubTal.ringGrows {
 		return fmt.Errorf("ooo: ring growth count moved backwards (%d < %d)", c.tal.ringGrows, c.pubTal.ringGrows)
 	}
-	if c.engine == EngineEvent {
+	if !c.scan {
 		ev := &c.ev
 		if len(ev.free)+ev.occ != len(ev.slots) {
 			return fmt.Errorf("ooo: slot leak: free %d + occupied %d != slab %d", len(ev.free), ev.occ, len(ev.slots))

@@ -10,9 +10,9 @@ import (
 
 // runSome drives a small core a few hundred instructions so the invariant
 // checks see a realistic mid-flight state.
-func runSome(t *testing.T, e Engine) *Core {
+func runSome(t *testing.T, scan bool) *Core {
 	t.Helper()
-	c, err := NewWithEngine(PaperConfig(32), e)
+	c, err := newCore(PaperConfig(32), scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +25,10 @@ func runSome(t *testing.T, e Engine) *Core {
 }
 
 func TestCheckInvariantsCleanBothEngines(t *testing.T) {
-	for _, e := range []Engine{EngineScan, EngineEvent} {
-		c := runSome(t, e)
+	for _, scan := range []bool{scanEngine, eventEngine} {
+		c := runSome(t, scan)
 		if err := c.CheckInvariants(); err != nil {
-			t.Errorf("engine %v: clean core failed invariants: %v", e, err)
+			t.Errorf("%s engine: clean core failed invariants: %v", engineName(scan), err)
 		}
 	}
 }
@@ -46,52 +46,52 @@ func mustTrip(t *testing.T, c *Core, want string) {
 }
 
 func TestCheckInvariantsTripsIssuedExceedsDispatched(t *testing.T) {
-	c := runSome(t, EngineEvent)
+	c := runSome(t, eventEngine)
 	c.stats.Issued = c.stats.Instrs + 1
 	mustTrip(t, c, "exceeds dispatched")
 }
 
 func TestCheckInvariantsTripsNegativeStat(t *testing.T) {
-	c := runSome(t, EngineScan)
+	c := runSome(t, scanEngine)
 	c.stats.Cycles = -1
 	mustTrip(t, c, "negative statistic")
 }
 
 func TestCheckInvariantsTripsDrainStalls(t *testing.T) {
-	c := runSome(t, EngineScan)
+	c := runSome(t, scanEngine)
 	c.stats.DrainStalls = c.stats.Cycles + 1
 	mustTrip(t, c, "drain stalls")
 }
 
 func TestCheckInvariantsTripsOccupancy(t *testing.T) {
-	c := runSome(t, EngineEvent)
+	c := runSome(t, eventEngine)
 	c.ev.occ = c.cfg.WindowSize + 1
 	mustTrip(t, c, "occupancy")
 }
 
 func TestCheckInvariantsTripsRingShape(t *testing.T) {
-	c := runSome(t, EngineScan)
+	c := runSome(t, scanEngine)
 	c.done = c.done[:len(c.done)-1] // no longer a power of two
 	mustTrip(t, c, "power of two")
 
-	c = runSome(t, EngineScan)
+	c = runSome(t, scanEngine)
 	c.mask = 7 // inconsistent with the ring length
 	mustTrip(t, c, "mask")
 
-	c = runSome(t, EngineScan)
+	c = runSome(t, scanEngine)
 	c.done = make([]int64, 2)
 	c.mask = 1 // power of two but far below ringSize(window)
 	mustTrip(t, c, "below requirement")
 }
 
 func TestCheckInvariantsTripsRingGrowthMonotonicity(t *testing.T) {
-	c := runSome(t, EngineEvent)
+	c := runSome(t, eventEngine)
 	c.pubTal.ringGrows = c.tal.ringGrows + 1
 	mustTrip(t, c, "backwards")
 }
 
 func TestCheckInvariantsTripsSlotLeak(t *testing.T) {
-	c := runSome(t, EngineEvent)
+	c := runSome(t, eventEngine)
 	c.ev.free = c.ev.free[:0]
 	if len(c.ev.free)+c.ev.occ == len(c.ev.slots) {
 		t.Skip("window exactly full; cannot fabricate a leak this way")
@@ -100,7 +100,7 @@ func TestCheckInvariantsTripsSlotLeak(t *testing.T) {
 }
 
 func TestCheckInvariantsTripsReadyOverflow(t *testing.T) {
-	c := runSome(t, EngineEvent)
+	c := runSome(t, eventEngine)
 	for i := 0; i <= c.cfg.WindowSize; i++ {
 		c.ev.eligible = append(c.ev.eligible, int64(i))
 	}
@@ -111,7 +111,7 @@ func TestCheckInvariantsTripsReadyOverflow(t *testing.T) {
 // switch on, a corrupted core panics via obs.Fail and bumps the failure
 // counter; with it off, assertCheck is a no-op.
 func TestAssertCheckFailsThroughObs(t *testing.T) {
-	c := runSome(t, EngineEvent)
+	c := runSome(t, eventEngine)
 	c.stats.Issued = c.stats.Instrs + 1
 
 	prev := obs.AssertEnabled()
@@ -143,7 +143,7 @@ func TestPublishObsDeltas(t *testing.T) {
 	defer obs.SetEnabled(prev)
 
 	base := obsIssued.Value()
-	c := runSome(t, EngineEvent)
+	c := runSome(t, eventEngine)
 	c.PublishObs()
 	c.PublishObs() // second publish: zero delta
 	if got, want := obsIssued.Value()-base, c.stats.Issued; got != want {

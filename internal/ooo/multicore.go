@@ -8,7 +8,7 @@ import (
 
 // MultiCore evaluates several queue configurations in one pass over a single
 // instruction stream — the queue analog of cache.MultiHierarchy. Each member
-// core is an ordinary *Core (either engine); what MultiCore adds is stream
+// core is an ordinary *Core; what MultiCore adds is stream
 // sharing: one underlying InstrSource is materialized once into a bounded
 // lookahead buffer that every core reads through its own position cursor, so
 // an N-configuration profile touches the workload generator (or the shared
@@ -38,8 +38,7 @@ type MultiCore struct {
 // the per-round bookkeeping, small enough to stay cache-resident.
 const refillBatch = 1 << 12
 
-// NewMultiCore creates one core per configuration, all using the
-// process-default issue engine (see SetDefaultEngine).
+// NewMultiCore creates one core per configuration.
 func NewMultiCore(cfgs []Config) (*MultiCore, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("ooo: MultiCore needs at least one configuration")

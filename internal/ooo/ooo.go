@@ -16,16 +16,19 @@
 // draining the entries being disabled (paper Section 5.1); Drain models
 // that.
 //
-// Two issue engines implement those semantics (see engine.go):
+// Two issue engines implement those semantics:
 //
-//   - EngineScan is the direct model: every cycle re-scans the whole window
-//     oldest-first, waking and selecting in one pass. Cost O(cycles · W).
-//   - EngineEvent (the default) is the event-driven equivalent: per-producer
-//     consumer lists fire wakeups the moment a producer's completion cycle
+//   - The event engine (the one New builds) fires wakeups through
+//     per-producer consumer lists the moment a producer's completion cycle
 //     becomes known, feeding a ready structure ordered so select pops
 //     oldest-first. Cost O(instructions · log W) — proportional to work
 //     issued, not cycles × window. See event.go for the invariants that make
 //     it bit-identical to the scan.
+//   - The scan engine is the direct model: every cycle re-scans the whole
+//     window oldest-first, waking and selecting in one pass. Cost
+//     O(cycles · W). It is the executable specification the event engine is
+//     verified against, reachable only from this package's tests through
+//     newCore.
 package ooo
 
 import (
@@ -106,10 +109,10 @@ type entry struct {
 
 // Core is the simulator state.
 type Core struct {
-	cfg    Config
-	engine Engine
-	cycle  int64
-	seq    int64 // next dynamic instruction number to dispatch
+	cfg   Config
+	scan  bool // runs the reference window-scan engine (tests only)
+	cycle int64
+	seq   int64 // next dynamic instruction number to dispatch
 
 	// window is kept in dispatch order (oldest first); the scan engine's
 	// select logic walks it in order, matching an oldest-first priority
@@ -179,14 +182,14 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// New creates a core using the process-default issue engine (see
-// SetDefaultEngine; EngineEvent unless overridden).
-func New(cfg Config) (*Core, error) { return NewWithEngine(cfg, DefaultEngine()) }
+// New creates a core running the event-driven issue engine.
+func New(cfg Config) (*Core, error) { return newCore(cfg, false) }
 
-// NewWithEngine creates a core with an explicit issue engine. Both engines
-// are bit-identical in every statistic; they differ only in asymptotic cost
-// (the differential and fuzz tests in this package enforce the equivalence).
-func NewWithEngine(cfg Config, e Engine) (*Core, error) {
+// newCore creates a core on the event engine, or on the window-scan
+// reference engine when scan is set. Both engines are bit-identical in every
+// statistic; they differ only in asymptotic cost (the differential and fuzz
+// tests in this package enforce the equivalence).
+func newCore(cfg Config, scan bool) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -195,15 +198,15 @@ func NewWithEngine(cfg Config, e Engine) (*Core, error) {
 	}
 	r := ringSize(cfg.WindowSize)
 	c := &Core{
-		cfg:    cfg,
-		engine: e,
-		done:   make([]int64, r),
-		mask:   int64(r - 1),
+		cfg:  cfg,
+		scan: scan,
+		done: make([]int64, r),
+		mask: int64(r - 1),
 	}
-	if e == EngineEvent {
-		c.ev.init(cfg.WindowSize, r)
-	} else {
+	if scan {
 		c.window = make([]entry, 0, cfg.WindowSize)
+	} else {
+		c.ev.init(cfg.WindowSize, r)
 	}
 	return c, nil
 }
@@ -220,9 +223,6 @@ func MustNew(cfg Config) *Core {
 // Config returns the core's configuration.
 func (c *Core) Config() Config { return c.cfg }
 
-// Engine returns the issue engine the core runs on.
-func (c *Core) Engine() Engine { return c.engine }
-
 // Stats returns accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
 
@@ -232,7 +232,7 @@ func (c *Core) ResetStats() { c.stats, c.pubStats = Stats{}, Stats{} }
 
 // Occupancy returns the current number of window entries in use.
 func (c *Core) Occupancy() int {
-	if c.engine == EngineEvent {
+	if !c.scan {
 		return c.ev.occ
 	}
 	return len(c.window)
@@ -302,7 +302,7 @@ func (c *Core) Step(stream workload.InstrSource) {
 			c.stats.WindowFullCy++
 		}
 	}
-	if c.engine == EngineEvent {
+	if !c.scan {
 		if dispatch == 0 {
 			// Full window: nothing reads the stream this cycle, so when
 			// nothing is due either, the machine is mid-stall and the
@@ -469,7 +469,7 @@ func (c *Core) Drain(max int) {
 		c.cycle++
 		c.stats.Cycles++
 		c.stats.DrainStalls++
-		if c.engine == EngineEvent {
+		if !c.scan {
 			// Draining never dispatches, so stall gaps fast-forward the
 			// same way Step's full-window path does.
 			d := c.idleSkip()
@@ -500,7 +500,7 @@ func (c *Core) Resize(newSize int) error {
 	if need := ringSize(newSize); need > len(c.done) {
 		c.growRing(need)
 	}
-	if c.engine == EngineEvent {
+	if !c.scan {
 		c.ev.grow(newSize)
 	} else if newSize > cap(c.window) {
 		w := make([]entry, len(c.window), newSize)
@@ -529,7 +529,7 @@ func (c *Core) growRing(need int) {
 	for s := lo; s < c.seq; s++ {
 		c.done[s&c.mask] = old[s&oldMask]
 	}
-	if c.engine == EngineEvent {
+	if !c.scan {
 		oldSlot := c.ev.slotOf
 		c.ev.slotOf = make([]int32, need)
 		for s := lo; s < c.seq; s++ {

@@ -6,14 +6,12 @@ import (
 
 	"capsim/internal/experiments"
 	"capsim/internal/obs"
-	"capsim/internal/ooo"
 	"capsim/internal/tech"
-	"capsim/internal/trace"
 )
 
 // ResponseSchema versions the POST /v1/run response document. Bump on
 // breaking shape changes (same convention as obs.ManifestSchema).
-const ResponseSchema = "capsim/run-response/v1"
+const ResponseSchema = "capsim/run-response/v2"
 
 // RunRequest is the POST /v1/run body. Every budget field is optional
 // (pointer); an absent field inherits the server's base configuration, so a
@@ -38,14 +36,6 @@ type RunRequest struct {
 	// (context-scoped via sweep.WithWorkers; it never touches the process
 	// default). 0/absent inherits the server's setting. Render-neutral.
 	Parallel int `json:"parallel,omitempty"`
-
-	// Onepass and QueueEngine, when present, must match the process-wide
-	// settings the server was started with (trace materialization and the
-	// issue-queue engine are process globals; both are render-neutral, so
-	// there is nothing to gain from flipping them per request). A mismatch
-	// is rejected with 422 rather than silently ignored.
-	Onepass     *bool  `json:"onepass,omitempty"`
-	QueueEngine string `json:"queue_engine,omitempty"`
 
 	// TimeoutMS bounds this run's wall time; expiry cancels the sweep and
 	// returns 504. 0/absent inherits the server's run timeout, if any.
@@ -83,7 +73,7 @@ func unprocessable(format string, args ...any) *httpError {
 // resolve merges the request over the server's base configuration and
 // validates the result. It returns the effective experiments.Config; request
 // shape errors surface as 400 and semantic conflicts (unknown experiment,
-// unrunnable budgets, process-global mismatches) as 422.
+// unrunnable budgets) as 422.
 func (r *RunRequest) resolve(base experiments.Config) (experiments.Config, error) {
 	if r.Experiment == "" {
 		return base, badRequest("missing required field %q", "experiment")
@@ -122,27 +112,6 @@ func (r *RunRequest) resolve(base experiments.Config) (experiments.Config, error
 		return cfg, badRequest("timeout_ms must be >= 0, got %d", r.TimeoutMS)
 	}
 
-	// Process-global knobs: accepted only when they agree with the running
-	// process. Both are render-neutral (byte-identical output either way),
-	// so a mismatch means the client wants a performance shape this server
-	// instance cannot provide — tell it, don't pretend.
-	if r.Onepass != nil && *r.Onepass != trace.Enabled() {
-		return cfg, unprocessable(
-			"onepass=%v conflicts with this server's process-wide setting (onepass=%v); output is byte-identical either way — restart the server with -onepass=%v if you need that execution strategy",
-			*r.Onepass, trace.Enabled(), *r.Onepass)
-	}
-	if r.QueueEngine != "" {
-		eng, err := ooo.ParseEngine(r.QueueEngine)
-		if err != nil {
-			return cfg, badRequest("%v", err)
-		}
-		if eng != ooo.DefaultEngine() {
-			return cfg, unprocessable(
-				"queue_engine=%q conflicts with this server's process-wide engine (%q); output is byte-identical either way — restart the server with -queue-engine %s if you need that engine",
-				r.QueueEngine, ooo.DefaultEngine(), r.QueueEngine)
-		}
-	}
-
 	if err := cfg.Validate(); err != nil {
 		return cfg, unprocessable("%v", err)
 	}
@@ -151,9 +120,9 @@ func (r *RunRequest) resolve(base experiments.Config) (experiments.Config, error
 
 // cacheKey canonicalizes the render-determining inputs of a run. Everything
 // that changes the rendered bytes is in the key; everything render-neutral
-// (parallel, timeout, onepass, queue engine — byte-identity is the repo's
-// central contract) is deliberately out, so requests differing only in
-// execution strategy share one cached response.
+// (parallel, timeout — byte-identity is the repo's central contract) is
+// deliberately out, so requests differing only in execution strategy share
+// one cached response.
 func cacheKey(id string, cfg experiments.Config) string {
 	return id + "|" + cfg.CanonicalKey()
 }
@@ -195,8 +164,6 @@ type RunResponse struct {
 	Generated  string         `json:"generated"`
 	Build      obs.BuildInfo  `json:"build"`
 	Parallel   int            `json:"parallel"`
-	Onepass    bool           `json:"onepass"`
-	QueueEng   string         `json:"queue_engine"`
 	Config     ResolvedConfig `json:"config"`
 }
 

@@ -37,9 +37,7 @@ import (
 	"capsim/internal/experiments"
 	"capsim/internal/memo"
 	"capsim/internal/obs"
-	"capsim/internal/ooo"
 	"capsim/internal/sweep"
-	"capsim/internal/trace"
 )
 
 // Telemetry (internal/obs): request-level counters and the in-flight gauge.
@@ -395,8 +393,6 @@ func (s *Server) compute(ctx context.Context, id string, cfg experiments.Config)
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		Build:      s.build,
 		Parallel:   s.effectiveWorkers(ctx),
-		Onepass:    trace.Enabled(),
-		QueueEng:   ooo.DefaultEngine().String(),
 		Config:     resolvedConfig(cfg),
 	}, nil
 }

@@ -125,9 +125,7 @@ func TestRunValidation(t *testing.T) {
 		{"unknown field", `{"experiment":"fig1a","bogus":1}`, http.StatusBadRequest},
 		{"negative parallel", `{"experiment":"fig1a","parallel":-1}`, http.StatusBadRequest},
 		{"tiny budget", `{"experiment":"fig10","cache_refs":10}`, http.StatusUnprocessableEntity},
-		{"bad engine", `{"experiment":"fig1a","queue_engine":"vliw"}`, http.StatusBadRequest},
-		{"onepass mismatch", `{"experiment":"fig1a","onepass":false}`, http.StatusUnprocessableEntity},
-		{"engine mismatch", `{"experiment":"fig1a","queue_engine":"scan"}`, http.StatusUnprocessableEntity},
+		{"removed switch field", `{"experiment":"fig1a","onepass":true,"queue_engine":"event"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

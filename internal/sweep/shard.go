@@ -40,10 +40,9 @@ type Shard struct {
 	Of     int // total bucket count, >= 1
 }
 
-// activeShard is the process-wide shard assignment, nil when unsharded. Like
-// trace.SetEnabled and the ooo engine switch it is an atomic process-global:
-// experiment drivers consult it at row granularity without plumbing a
-// parameter through every signature.
+// activeShard is the process-wide shard assignment, nil when unsharded. It is
+// an atomic process-global so experiment drivers consult it at row
+// granularity without plumbing a parameter through every signature.
 var activeShard atomic.Pointer[Shard]
 
 // SetShard makes s the process-wide shard assignment. Pass the zero Shard's

@@ -3,18 +3,18 @@ package trace
 import (
 	"sync"
 	"testing"
+
+	"capsim/internal/workload"
 )
 
 // TestEnabledResetRace exercises the lifecycle contract under the race
 // detector: goroutines replay ref/op/decoded cursors while another thread
-// flips SetEnabled, calls Reset, and toggles the byte budget. The contract
-// (see the package doc) says a cursor taken before a Reset keeps replaying
-// its orphaned store consistently, and SetEnabled only steers future *For
-// calls — so every replayed value must still be bit-identical to a private
-// generator, no matter how the lifecycle calls interleave.
+// calls Reset and toggles the byte budget. The contract (see the package
+// doc) says a cursor taken before a Reset keeps replaying its orphaned store
+// consistently — so every replayed value must still be bit-identical to a
+// private generator, no matter how the lifecycle calls interleave.
 func TestEnabledResetRace(t *testing.T) {
-	defer func() { SetBudget(0); SetEnabled(true); Reset() }()
-	SetEnabled(true)
+	defer func() { SetBudget(0); Reset() }()
 	Reset()
 
 	b := bench(t, "gcc")
@@ -31,13 +31,19 @@ func TestEnabledResetRace(t *testing.T) {
 		go func(seed uint64) {
 			defer wg.Done()
 			<-start
-			refs := RefSourceFor(b, seed)
+			refs, refGen := RefsFor(b, seed).Cursor(), workload.NewAddressTrace(b, seed)
 			for i := 0; i < perCursor; i++ {
-				refs.Next()
+				if refs.Next() != refGen.Next() {
+					t.Errorf("ref %d diverged from its generator", i)
+					return
+				}
 			}
-			ops := InstrSourceFor(b, seed)
+			ops, opGen := OpsFor(b, seed).Cursor(), workload.NewInstrStream(b, seed)
 			for i := 0; i < perCursor; i++ {
-				ops.Next()
+				if ops.Next() != opGen.Next() {
+					t.Errorf("op %d diverged from its generator", i)
+					return
+				}
 			}
 			s := RefsFor(b, seed)
 			dec := DecodedFor(s, g).Cursor()
@@ -54,13 +60,12 @@ func TestEnabledResetRace(t *testing.T) {
 		}(uint64(100 + w))
 	}
 
-	// Lifecycle churn: enable/disable, Reset, budget squeeze.
+	// Lifecycle churn: Reset and budget squeeze.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		<-start
 		for i := 0; i < 200; i++ {
-			SetEnabled(i%2 == 0)
 			if i%10 == 0 {
 				Reset()
 			}
@@ -69,7 +74,6 @@ func TestEnabledResetRace(t *testing.T) {
 			} else {
 				SetBudget(0)
 			}
-			_ = Enabled()
 			_ = TotalBytes()
 			_ = TotalRawBytes()
 		}

@@ -28,20 +28,11 @@
 // store and can be capped with SetBudget (see budget.go): over budget, cold
 // stores are evicted and transparently regenerate on their next touch.
 //
-// The Enabled switch (cmd/capsim -onepass) selects between shared replay
-// cursors and private per-machine generators, giving an A/B escape hatch:
-// both paths produce byte-identical simulation results, differing only in
-// wall time and memory.
-//
 // # Lifecycle contract
 //
-// SetEnabled and Reset are coarse process-wide switches and are safe at any
+// Reset and SetBudget are coarse process-wide operations and are safe at any
 // time, including while cursors are mid-replay on other goroutines:
 //
-//   - SetEnabled(v) only affects FUTURE RefSourceFor/InstrSourceFor calls
-//     (which source flavor they hand out). Cursors already handed out keep
-//     replaying their stores and remain bit-identical; they never consult
-//     the switch again.
 //   - Reset discards the memo tables and the eviction registry, so future
 //     *For calls build fresh stores. Cursors mid-replay keep direct store
 //     pointers and are unaffected: the orphaned store still extends itself
@@ -52,8 +43,8 @@
 //     cursors mid-replay regenerate the identical chunks on their next
 //     chunk-boundary load.
 //
-// TestEnabledResetRace exercises all three against concurrent replay under
-// the race detector.
+// TestEnabledResetRace exercises both against concurrent replay under the
+// race detector.
 package trace
 
 import (
@@ -106,20 +97,6 @@ const (
 	rawOpChunkBytes  = ChunkLen * int64(unsafe.Sizeof(workload.Instr{})) // packed Instr array
 	rawDecChunkBytes = ChunkLen*4 + ChunkLen*8                           // sets + tags
 )
-
-// enabled gates the shared-store path; see SetEnabled. Stored inverted so
-// the zero value means "enabled" (the default).
-var disabled atomic.Bool
-
-// SetEnabled turns the shared materialized-trace path on or off
-// process-wide. Disabled, RefSourceFor/InstrSourceFor hand out private
-// generators exactly as the pre-one-pass code did; results are byte-identical
-// either way (cmd/capsim exposes this as -onepass for A/B runs). The switch
-// affects only future *For calls; see the lifecycle contract above.
-func SetEnabled(v bool) { disabled.Store(!v) }
-
-// Enabled reports whether the shared materialized-trace path is active.
-func Enabled() bool { return !disabled.Load() }
 
 // --- store keys -----------------------------------------------------------
 
@@ -527,24 +504,4 @@ func (c *OpCursor) CopyNext(dst []workload.Instr) int {
 	c.off = off
 	c.idx += n
 	return n
-}
-
-// --- source selection -----------------------------------------------------
-
-// RefSourceFor returns the reference stream for (b, seed): a shared-store
-// replay cursor when the one-pass path is enabled, or a private generator
-// when it is not. Both yield the identical sequence.
-func RefSourceFor(b workload.Benchmark, seed uint64) workload.RefSource {
-	if Enabled() {
-		return RefsFor(b, seed).Cursor()
-	}
-	return workload.NewAddressTrace(b, seed)
-}
-
-// InstrSourceFor is RefSourceFor for the instruction stream.
-func InstrSourceFor(b workload.Benchmark, seed uint64) workload.InstrSource {
-	if Enabled() {
-		return OpsFor(b, seed).Cursor()
-	}
-	return workload.NewInstrStream(b, seed)
 }

@@ -172,36 +172,3 @@ func TestConcurrentCursors(t *testing.T) {
 		t.Errorf("store length %d < %d", s.Len(), n)
 	}
 }
-
-// TestSourceSelection checks the -onepass escape hatch: enabled hands out
-// shared-store cursors, disabled hands out private generators, and both
-// produce the identical stream.
-func TestSourceSelection(t *testing.T) {
-	defer func() { SetEnabled(true); Reset() }()
-	b := bench(t, "gcc")
-
-	SetEnabled(true)
-	if _, ok := RefSourceFor(b, 5).(*RefCursor); !ok {
-		t.Error("enabled path did not return a store cursor")
-	}
-	if _, ok := InstrSourceFor(b, 5).(*OpCursor); !ok {
-		t.Error("enabled path did not return an op cursor")
-	}
-	shared := RefSourceFor(b, 5)
-
-	SetEnabled(false)
-	if !Enabled() {
-		// Enabled() must report the switch.
-	} else {
-		t.Error("Enabled() still true after SetEnabled(false)")
-	}
-	if _, ok := RefSourceFor(b, 5).(*workload.AddressTrace); !ok {
-		t.Error("disabled path did not return a private generator")
-	}
-	private := RefSourceFor(b, 5)
-	for i := 0; i < 5000; i++ {
-		if a, b := shared.Next(), private.Next(); a != b {
-			t.Fatalf("ref %d: shared %+v != private %+v", i, a, b)
-		}
-	}
-}

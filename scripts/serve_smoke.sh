@@ -62,7 +62,7 @@ $GO build -o "$BIN" ./cmd/capsim
 
 # --- reference render via the CLI -----------------------------------------
 # The CLI prints Render() followed by a timing footer and a blank line; the
-# footer is the only line stripped (same idiom as bench-queue-smoke).
+# footer is the only line stripped (same idiom as bench-obs-smoke).
 "$BIN" -experiment fig10 -parallel 2 -queue-instrs 3000 \
     | grep -v '^(fig10 in ' > "$TMP/cli.txt"
 

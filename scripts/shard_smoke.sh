@@ -15,7 +15,7 @@
 #      also renders byte-identical to the baseline.
 #
 # The CLI's timing footer is the only line stripped from comparisons (same
-# idiom as bench-queue-smoke). Requires: go, jq. Writes only under /tmp.
+# idiom as bench-obs-smoke). Requires: go, jq. Writes only under /tmp.
 set -eu
 
 GO=${GO:-go}

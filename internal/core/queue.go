@@ -204,7 +204,7 @@ func RunQueue(q *QueueMachine, p Policy, intervals, n int64, keepSamples bool) R
 // runtime performs.
 //
 // All configurations are evaluated by ONE ooo.MultiCore pass over the shared
-// instruction stream: the event-driven issue engine makes each core's cost
+// instruction stream: the program-order issue engine makes each core's cost
 // proportional to instructions issued, and the MultiCore buffer means the
 // stream is decoded once for all window sizes. The TPI arithmetic mirrors
 // QueueMachine.RunInterval + TotalTPI operation for operation —

@@ -6,23 +6,20 @@ import (
 	"capsim/internal/workload"
 )
 
-// The tests in this file enforce the package's central claim: the event
-// engine and the window-scan reference engine are bit-identical in every
-// statistic for any instruction stream and any schedule of Run,
-// RunWithLoads, Drain and Resize calls.
+// The tests in this file enforce the package's central claim: the
+// production engine and the window-scan reference model (scan_test.go) are
+// bit-identical in every statistic for any instruction stream and any
+// schedule of Run, RunWithLoads, Drain and Resize calls.
 
-// The two issue engines, as newCore's scan argument.
-const (
-	eventEngine = false
-	scanEngine  = true
-)
-
-// engineName labels an engine in failure messages.
-func engineName(scan bool) string {
-	if scan {
-		return "scan"
-	}
-	return "event"
+// engine is the surface the differential tests drive; *Core and *scanCore
+// both implement it.
+type engine interface {
+	Run(stream workload.InstrSource, n int64) Stats
+	RunWithLoads(stream workload.InstrSource, n int64, rpi float64, memLat func(write bool) int64) Stats
+	Drain(max int)
+	Resize(newSize int) error
+	Stats() Stats
+	Occupancy() int
 }
 
 // lcg is a deterministic latency generator for RunWithLoads differential
@@ -38,35 +35,34 @@ func (l *lcg) next() uint64 {
 
 func (l *lcg) memLat(bool) int64 { return int64(l.next() % 60) }
 
-// enginePair drives a scan core and an event core through the same schedule,
-// checking Stats and Occupancy equality after every operation.
+// enginePair drives a scan model and a production core through the same
+// schedule, checking Stats and Occupancy equality after every operation.
+// Each engine gets its own copy of every input: index 0 is the scan model,
+// index 1 the production core.
 type enginePair struct {
-	t        *testing.T
-	scan, ev *Core
+	t    *testing.T
+	engs [2]engine
 }
 
 func newEnginePair(t *testing.T, cfg Config) *enginePair {
 	t.Helper()
-	sc, err := newCore(cfg, scanEngine)
+	sc, err := newScanCore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evc, err := newCore(cfg, eventEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &enginePair{t: t, scan: sc, ev: evc}
+	return &enginePair{t: t, engs: [2]engine{sc, MustNew(cfg)}}
 }
 
-func (p *enginePair) step(name string, f func(c *Core)) {
+func (p *enginePair) step(name string, f func(e engine, i int)) {
 	p.t.Helper()
-	f(p.scan)
-	f(p.ev)
-	if a, b := p.scan.Stats(), p.ev.Stats(); a != b {
-		p.t.Fatalf("%s: scan stats %+v != event stats %+v", name, a, b)
+	for i, e := range p.engs {
+		f(e, i)
 	}
-	if a, b := p.scan.Occupancy(), p.ev.Occupancy(); a != b {
-		p.t.Fatalf("%s: scan occupancy %d != event occupancy %d", name, a, b)
+	if a, b := p.engs[0].Stats(), p.engs[1].Stats(); a != b {
+		p.t.Fatalf("%s: scan stats %+v != engine stats %+v", name, a, b)
+	}
+	if a, b := p.engs[0].Occupancy(), p.engs[1].Occupancy(); a != b {
+		p.t.Fatalf("%s: scan occupancy %d != engine occupancy %d", name, a, b)
 	}
 }
 
@@ -77,17 +73,12 @@ func TestEngineDifferentialRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 4, 16, 61, 128} {
-			p := newEnginePair(t, Config{WindowSize: w, IssueWidth: 8})
-			ss := workload.NewInstrStream(bench, 11)
-			es := workload.NewInstrStream(bench, 11)
-			for i := 0; i < 5; i++ {
-				p.step("run", func(c *Core) {
-					s := ss
-					if !c.scan {
-						s = es
-					}
-					c.Run(s, 4000)
-				})
+			for _, width := range []int{1, 3, 8} {
+				p := newEnginePair(t, Config{WindowSize: w, IssueWidth: width})
+				ss := [2]*workload.InstrStream{workload.NewInstrStream(bench, 11), workload.NewInstrStream(bench, 11)}
+				for i := 0; i < 5; i++ {
+					p.step("run", func(e engine, k int) { e.Run(ss[k], 4000) })
+				}
 			}
 		}
 	}
@@ -102,62 +93,55 @@ func TestEngineDifferentialSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newEnginePair(t, PaperConfig(64))
-	ss := workload.NewInstrStream(bench, 7)
-	es := workload.NewInstrStream(bench, 7)
-	sl := &lcg{x: 99}
-	el := &lcg{x: 99}
-	pick := func(c *Core, a, b interface{}) interface{} {
-		if !c.scan {
-			return b
-		}
-		return a
-	}
+	ss := [2]*workload.InstrStream{workload.NewInstrStream(bench, 7), workload.NewInstrStream(bench, 7)}
+	ls := [2]*lcg{{x: 99}, {x: 99}}
 	run := func(n int64) {
-		p.step("run", func(c *Core) {
-			c.Run(pick(c, ss, es).(*workload.InstrStream), n)
-		})
+		p.step("run", func(e engine, k int) { e.Run(ss[k], n) })
 	}
 	loads := func(n int64, rpi float64) {
-		p.step("loads", func(c *Core) {
-			c.RunWithLoads(pick(c, ss, es).(*workload.InstrStream), n, rpi, pick(c, sl, el).(*lcg).memLat)
+		p.step("loads", func(e engine, k int) { e.RunWithLoads(ss[k], n, rpi, ls[k].memLat) })
+	}
+	resize := func(name string, w int) {
+		p.step(name, func(e engine, _ int) {
+			if err := e.Resize(w); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 	run(3000)
-	p.step("drain", func(c *Core) { c.Drain(10) })
+	p.step("drain", func(e engine, _ int) { e.Drain(10) })
 	run(500)
-	p.step("shrink", func(c *Core) {
-		if err := c.Resize(16); err != nil {
-			t.Fatal(err)
-		}
-	})
+	resize("shrink", 16)
 	run(2000)
 	loads(2500, 0.31)
-	p.step("grow", func(c *Core) {
-		if err := c.Resize(128); err != nil {
-			t.Fatal(err)
-		}
-	})
+	resize("grow", 128)
 	loads(2500, 0.87)
-	p.step("drain0", func(c *Core) { c.Drain(0) })
+	p.step("drain0", func(e engine, _ int) { e.Drain(0) })
 	run(4000)
-	p.step("shrink2", func(c *Core) {
-		if err := c.Resize(48); err != nil {
-			t.Fatal(err)
-		}
-	})
+	resize("shrink2", 48)
 	run(3000)
-	if sl.x != el.x {
-		t.Fatalf("memLat generators diverged: %d calls vs %d-state mismatch", sl.x, el.x)
+	if ls[0].x != ls[1].x {
+		t.Fatalf("memLat generators diverged: %d vs %d", ls[0].x, ls[1].x)
 	}
 }
 
 // fuzzSource synthesizes adversarial instruction streams directly, without a
 // workload profile: dependence distances occasionally exceed maxDist (so the
-// retirement horizon is exercised) and latencies include zero.
-type fuzzSource struct{ l lcg }
+// retirement horizon is exercised) and latencies include zero. While chain is
+// positive it emits zero-latency instructions that each depend on the
+// previous one — the same-cycle wakeup case, at its densest.
+type fuzzSource struct {
+	l     lcg
+	chain int64
+}
 
 func (f *fuzzSource) Next() workload.Instr {
 	var in workload.Instr
+	if f.chain > 0 {
+		f.chain--
+		in.Src[0] = 1
+		return in
+	}
 	r := f.l.next()
 	switch r % 8 {
 	case 0: // no sources
@@ -171,51 +155,60 @@ func (f *fuzzSource) Next() workload.Instr {
 	return in
 }
 
+// FuzzOooEngines drives the scan model and the production core through a
+// fuzzed schedule on a fuzzed machine: issue width 1–8 (from width) and
+// initial window 1–140 (from window). Each script byte pair is an operation
+// and its argument: Run, Drain, Resize, RunWithLoads, or a Run over a
+// zero-latency dependence chain.
 func FuzzOooEngines(f *testing.F) {
-	f.Add(uint64(1), []byte{0, 10, 1, 4, 2, 30, 3, 9})
-	f.Add(uint64(42), []byte{2, 0, 0, 200, 1, 0, 2, 255, 3, 50, 0, 3})
-	f.Add(uint64(1998), []byte{0, 255, 2, 1, 0, 255, 1, 255, 2, 140})
-	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
+	f.Add(uint64(1), uint8(3), uint8(31), []byte{0, 10, 1, 4, 2, 30, 3, 9})
+	f.Add(uint64(42), uint8(3), uint8(31), []byte{2, 0, 0, 200, 1, 0, 2, 255, 3, 50, 0, 3})
+	f.Add(uint64(1998), uint8(3), uint8(31), []byte{0, 255, 2, 1, 0, 255, 1, 255, 2, 140})
+	f.Add(uint64(7), uint8(0), uint8(15), []byte{0, 40, 3, 90, 2, 3, 0, 60, 1, 0, 4, 30, 3, 20})
+	f.Add(uint64(5), uint8(7), uint8(127), []byte{4, 100, 0, 5, 4, 255, 1, 2, 2, 8, 4, 60, 3, 40})
+	f.Fuzz(func(t *testing.T, seed uint64, width, window uint8, script []byte) {
 		if len(script) > 64 {
 			script = script[:64]
 		}
-		sc, _ := newCore(Config{WindowSize: 32, IssueWidth: 4}, scanEngine)
-		ev, _ := newCore(Config{WindowSize: 32, IssueWidth: 4}, eventEngine)
-		ssrc := &fuzzSource{l: lcg{x: seed}}
-		esrc := &fuzzSource{l: lcg{x: seed}}
-		sl := &lcg{x: seed ^ 0xabcdef}
-		el := &lcg{x: seed ^ 0xabcdef}
+		cfg := Config{WindowSize: 1 + int(window)%140, IssueWidth: 1 + int(width)%8}
+		sc, err := newScanCore(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := MustNew(cfg)
+		engs := [2]engine{sc, c}
+		srcs := [2]*fuzzSource{{l: lcg{x: seed}}, {l: lcg{x: seed}}}
+		lats := [2]*lcg{{x: seed ^ 0xabcdef}, {x: seed ^ 0xabcdef}}
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i], int64(script[i+1])
-			switch op % 4 {
-			case 0:
-				sc.Run(ssrc, 1+arg*13)
-				ev.Run(esrc, 1+arg*13)
-			case 1:
-				max := int(arg) % (sc.Config().WindowSize + 1)
-				sc.Drain(max)
-				ev.Drain(max)
-			case 2:
-				w := 1 + int(arg)%140
-				if err := sc.Resize(w); err != nil {
-					t.Fatal(err)
+			for k, e := range engs {
+				switch op % 5 {
+				case 0:
+					e.Run(srcs[k], 1+arg*13)
+				case 1:
+					e.Drain(int(arg) % (sc.Config().WindowSize + 1))
+				case 2:
+					if err := e.Resize(1 + int(arg)%140); err != nil {
+						t.Fatal(err)
+					}
+				case 3:
+					e.RunWithLoads(srcs[k], 1+arg*7, float64(arg%100)/100, lats[k].memLat)
+				default:
+					srcs[k].chain = 1 + arg*9
+					e.Run(srcs[k], 1+arg*5)
 				}
-				if err := ev.Resize(w); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				rpi := float64(arg%100) / 100
-				sc.RunWithLoads(ssrc, 1+arg*7, rpi, sl.memLat)
-				ev.RunWithLoads(esrc, 1+arg*7, rpi, el.memLat)
 			}
-			if a, b := sc.Stats(), ev.Stats(); a != b {
-				t.Fatalf("op %d (%d,%d): scan %+v != event %+v", i/2, op, arg, a, b)
+			if a, b := sc.Stats(), c.Stats(); a != b {
+				t.Fatalf("op %d (%d,%d): scan %+v != engine %+v", i/2, op, arg, a, b)
 			}
-			if a, b := sc.Occupancy(), ev.Occupancy(); a != b {
-				t.Fatalf("op %d: occupancy scan %d != event %d", i/2, a, b)
+			if a, b := sc.Occupancy(), c.Occupancy(); a != b {
+				t.Fatalf("op %d: occupancy scan %d != engine %d", i/2, a, b)
 			}
-			if sl.x != el.x {
+			if lats[0].x != lats[1].x {
 				t.Fatalf("op %d: memLat call sequences diverged", i/2)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
 			}
 		}
 	})
@@ -276,7 +269,7 @@ func TestRunWithLoadsCarryOver(t *testing.T) {
 func TestMultiCoreDifferential(t *testing.T) {
 	// MultiCore per-core stats must be bit-identical to independent cores
 	// running private copies of the same stream — across multiple RunEach
-	// calls (continuation), against both an event core and a scan core.
+	// calls (continuation), against both a private core and the scan model.
 	bench, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
@@ -294,19 +287,15 @@ func TestMultiCoreDifferential(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		got := mc.RunEach(src, 5000)
 		for i, cfg := range cfgs {
-			for _, scan := range []bool{eventEngine, scanEngine} {
-				ref, err := newCore(cfg, scan)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for name, ref := range refEngines(t, cfg) {
 				refSrc := workload.NewInstrStream(bench, 33)
 				var want Stats
 				for r := 0; r <= round; r++ {
 					want = ref.Run(refSrc, 5000)
 				}
 				if got[i] != want {
-					t.Fatalf("round %d W=%d: multicore %+v != independent %s core %+v",
-						round, cfg.WindowSize, got[i], engineName(scan), want)
+					t.Fatalf("round %d W=%d: multicore %+v != independent %s %+v",
+						round, cfg.WindowSize, got[i], name, want)
 				}
 			}
 		}
@@ -331,11 +320,7 @@ type slowLoadSource struct{}
 func (slowLoadSource) Next() workload.Instr { return workload.Instr{Latency: 1} }
 
 func TestRingGrowPreservesState(t *testing.T) {
-	runEngine := func(scan bool) (*Core, Stats) {
-		c, err := newCore(PaperConfig(128), scan)
-		if err != nil {
-			t.Fatal(err)
-		}
+	runEngine := func(e engine) Stats {
 		var calls int64
 		memLat := func(bool) int64 {
 			calls++
@@ -344,30 +329,44 @@ func TestRingGrowPreservesState(t *testing.T) {
 			}
 			return 0
 		}
-		st := c.RunWithLoads(slowLoadSource{}, 60_000, 1.0, memLat)
-		return c, st
+		return e.RunWithLoads(slowLoadSource{}, 60_000, 1.0, memLat)
 	}
-	sc, sst := runEngine(scanEngine)
-	ev, est := runEngine(eventEngine)
-	if sst != est {
-		t.Fatalf("scan %+v != event %+v after ring growth", sst, est)
+	sc, err := newScanCore(PaperConfig(128))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sc.Stats() != ev.Stats() {
-		t.Fatalf("cumulative stats diverge: %+v vs %+v", sc.Stats(), ev.Stats())
+	c := MustNew(PaperConfig(128))
+	if sst, st := runEngine(sc), runEngine(c); sst != st {
+		t.Fatalf("scan %+v != engine %+v after ring growth", sst, st)
+	}
+	if sc.Stats() != c.Stats() {
+		t.Fatalf("cumulative stats diverge: %+v vs %+v", sc.Stats(), c.Stats())
 	}
 	base := ringSize(128)
-	if len(sc.done) <= base || len(ev.done) <= base {
-		t.Fatalf("ring did not grow (scan %d, event %d, base %d): recycleGuard untested",
-			len(sc.done), len(ev.done), base)
+	if len(sc.done) <= base || len(c.done) <= base {
+		t.Fatalf("ring did not grow (scan %d, engine %d, base %d): recycleGuard untested",
+			len(sc.done), len(c.done), base)
 	}
+}
+
+// refEngines returns a fresh private production core and scan model for cfg,
+// keyed by name: the independent references the MultiCore differentials
+// compare each member core against.
+func refEngines(t *testing.T, cfg Config) map[string]engine {
+	t.Helper()
+	sc, err := newScanCore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]engine{"core": MustNew(cfg), "scan model": sc}
 }
 
 func TestRunEachWithLoadsDifferential(t *testing.T) {
 	// RunEachWithLoads must be bit-identical to independent RunWithLoads
 	// runs with the same per-core latency sources — same stats AND same
 	// memLat call sequence (the joint kernel's cache rows depend on the
-	// latter) — across interval splits, against both an event core and a
-	// scan core.
+	// latter) — across interval splits, against both a private core and the
+	// scan model.
 	bench, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
@@ -395,11 +394,7 @@ func TestRunEachWithLoadsDifferential(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		got := mc.RunEachWithLoads(src, 4000, rpi, memLat)
 		for i, cfg := range cfgs {
-			for _, scan := range []bool{eventEngine, scanEngine} {
-				ref, err := newCore(cfg, scan)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for name, ref := range refEngines(t, cfg) {
 				refSrc := workload.NewInstrStream(bench, 77)
 				refLat := &lcg{x: uint64(1000 + i)}
 				var refCalls int64
@@ -408,12 +403,12 @@ func TestRunEachWithLoadsDifferential(t *testing.T) {
 					want = ref.RunWithLoads(refSrc, 4000, rpi, func(w bool) int64 { refCalls++; return refLat.memLat(w) })
 				}
 				if got[i] != want {
-					t.Fatalf("round %d W=%d: multicore %+v != independent %s core %+v",
-						round, cfg.WindowSize, got[i], engineName(scan), want)
+					t.Fatalf("round %d W=%d: multicore %+v != independent %s %+v",
+						round, cfg.WindowSize, got[i], name, want)
 				}
 				if calls[i] != refCalls || lats[i].x != refLat.x {
-					t.Fatalf("round %d W=%d: load sequence diverged from the %s core (%d vs %d calls)",
-						round, cfg.WindowSize, engineName(scan), calls[i], refCalls)
+					t.Fatalf("round %d W=%d: load sequence diverged from the %s (%d vs %d calls)",
+						round, cfg.WindowSize, name, calls[i], refCalls)
 				}
 			}
 		}

@@ -7,15 +7,15 @@ import (
 )
 
 // CheckInvariants verifies the core's structural invariants and returns the
-// first violation found, or nil. It is pure read-only and engine-aware.
+// first violation found, or nil. It is pure read-only.
 //
 // The checks cover the simulator's accounting identities (issued never
 // exceeds dispatched, no negative statistics), the window (occupancy within
 // [0, WindowSize]), the completion ring (power-of-two length, never below
 // the configured window's requirement, growth strictly monotone — growRing
-// only ever enlarges), and, for the event engine, slot conservation
-// (free + occupied == slab) and the ready-structure population bound
-// (eligible + calendar + far heap entries never exceed occupancy).
+// only ever enlarges), and the issue-count ring: its population equals
+// occupancy (every dispatched, unissued instruction holds exactly one count
+// at a cycle not yet reached) and no cycle's count exceeds IssueWidth.
 func (c *Core) CheckInvariants() error {
 	s := c.stats
 	if s.Issued > s.Instrs {
@@ -43,25 +43,22 @@ func (c *Core) CheckInvariants() error {
 	if c.tal.ringGrows < c.pubTal.ringGrows {
 		return fmt.Errorf("ooo: ring growth count moved backwards (%d < %d)", c.tal.ringGrows, c.pubTal.ringGrows)
 	}
-	if !c.scan {
-		ev := &c.ev
-		if len(ev.free)+ev.occ != len(ev.slots) {
-			return fmt.Errorf("ooo: slot leak: free %d + occupied %d != slab %d", len(ev.free), ev.occ, len(ev.slots))
+	pop := int64(0)
+	for t, k := range c.slots {
+		if k < 0 || k > int32(c.cfg.IssueWidth) {
+			return fmt.Errorf("ooo: issue count %d at ring slot %d outside [0,%d]", k, t, c.cfg.IssueWidth)
 		}
-		ready := len(ev.eligible) + len(ev.far)
-		for b := range ev.near {
-			ready += len(ev.near[b])
-		}
-		if ready > ev.occ {
-			return fmt.Errorf("ooo: %d ready-structure entries exceed occupancy %d", ready, ev.occ)
-		}
+		pop += int64(k)
+	}
+	if pop != int64(c.occ) {
+		return fmt.Errorf("ooo: issue-count population %d != occupancy %d", pop, c.occ)
 	}
 	return nil
 }
 
 // assertCheck runs CheckInvariants when -obs-assert is active, funnelling any
 // violation through obs.Fail (which counts it and panics). Called at coarse
-// boundaries — after a Run and around Resize — so the O(window) scan never
+// boundaries — after a Run and around Resize — so the O(ring) scan never
 // sits on a per-cycle path.
 func (c *Core) assertCheck() {
 	if !obs.AssertEnabled() {

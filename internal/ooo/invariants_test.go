@@ -10,27 +10,43 @@ import (
 
 // runSome drives a small core a few hundred instructions so the invariant
 // checks see a realistic mid-flight state.
-func runSome(t *testing.T, scan bool) *Core {
+func runSome(t *testing.T) *Core {
 	t.Helper()
-	c, err := newCore(PaperConfig(32), scan)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := MustNew(PaperConfig(32))
 	c.Run(workload.NewInstrStream(b, 1), 500)
 	return c
 }
 
-func TestCheckInvariantsCleanBothEngines(t *testing.T) {
-	for _, scan := range []bool{scanEngine, eventEngine} {
-		c := runSome(t, scan)
+func TestCheckInvariantsClean(t *testing.T) {
+	b, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := MustNew(PaperConfig(32))
+	s := workload.NewInstrStream(b, 1)
+	check := func(when string) {
+		t.Helper()
 		if err := c.CheckInvariants(); err != nil {
-			t.Errorf("%s engine: clean core failed invariants: %v", engineName(scan), err)
+			t.Fatalf("after %s: clean core failed invariants: %v", when, err)
 		}
 	}
+	c.Run(s, 500)
+	check("run")
+	c.Drain(3)
+	check("drain")
+	if err := c.Resize(128); err != nil {
+		t.Fatal(err)
+	}
+	c.RunWithLoads(s, 2000, 0.4, (&lcg{x: 3}).memLat)
+	check("loads")
+	if err := c.Resize(16); err != nil {
+		t.Fatal(err)
+	}
+	check("shrink")
 }
 
 // mustTrip asserts that CheckInvariants reports an error containing want.
@@ -46,72 +62,67 @@ func mustTrip(t *testing.T, c *Core, want string) {
 }
 
 func TestCheckInvariantsTripsIssuedExceedsDispatched(t *testing.T) {
-	c := runSome(t, eventEngine)
+	c := runSome(t)
 	c.stats.Issued = c.stats.Instrs + 1
 	mustTrip(t, c, "exceeds dispatched")
 }
 
 func TestCheckInvariantsTripsNegativeStat(t *testing.T) {
-	c := runSome(t, scanEngine)
+	c := runSome(t)
 	c.stats.Cycles = -1
 	mustTrip(t, c, "negative statistic")
 }
 
 func TestCheckInvariantsTripsDrainStalls(t *testing.T) {
-	c := runSome(t, scanEngine)
+	c := runSome(t)
 	c.stats.DrainStalls = c.stats.Cycles + 1
 	mustTrip(t, c, "drain stalls")
 }
 
 func TestCheckInvariantsTripsOccupancy(t *testing.T) {
-	c := runSome(t, eventEngine)
-	c.ev.occ = c.cfg.WindowSize + 1
+	c := runSome(t)
+	c.occ = c.cfg.WindowSize + 1
 	mustTrip(t, c, "occupancy")
 }
 
 func TestCheckInvariantsTripsRingShape(t *testing.T) {
-	c := runSome(t, scanEngine)
+	c := runSome(t)
 	c.done = c.done[:len(c.done)-1] // no longer a power of two
 	mustTrip(t, c, "power of two")
 
-	c = runSome(t, scanEngine)
+	c = runSome(t)
 	c.mask = 7 // inconsistent with the ring length
 	mustTrip(t, c, "mask")
 
-	c = runSome(t, scanEngine)
+	c = runSome(t)
 	c.done = make([]int64, 2)
 	c.mask = 1 // power of two but far below ringSize(window)
 	mustTrip(t, c, "below requirement")
 }
 
 func TestCheckInvariantsTripsRingGrowthMonotonicity(t *testing.T) {
-	c := runSome(t, eventEngine)
+	c := runSome(t)
 	c.pubTal.ringGrows = c.tal.ringGrows + 1
 	mustTrip(t, c, "backwards")
 }
 
-func TestCheckInvariantsTripsSlotLeak(t *testing.T) {
-	c := runSome(t, eventEngine)
-	c.ev.free = c.ev.free[:0]
-	if len(c.ev.free)+c.ev.occ == len(c.ev.slots) {
-		t.Skip("window exactly full; cannot fabricate a leak this way")
-	}
-	mustTrip(t, c, "slot leak")
+func TestCheckInvariantsTripsSlotPopulation(t *testing.T) {
+	c := runSome(t)
+	c.slots[(c.cycle+1)&c.slotMask]++ // an issue count no instruction holds
+	mustTrip(t, c, "population")
 }
 
-func TestCheckInvariantsTripsReadyOverflow(t *testing.T) {
-	c := runSome(t, eventEngine)
-	for i := 0; i <= c.cfg.WindowSize; i++ {
-		c.ev.eligible = append(c.ev.eligible, int64(i))
-	}
-	mustTrip(t, c, "exceed occupancy")
+func TestCheckInvariantsTripsSlotOverWidth(t *testing.T) {
+	c := runSome(t)
+	c.slots[(c.cycle+1)&c.slotMask] = int32(c.cfg.IssueWidth + 1)
+	mustTrip(t, c, "outside [0,8]")
 }
 
 // TestAssertCheckFailsThroughObs verifies the -obs-assert funnel: with the
 // switch on, a corrupted core panics via obs.Fail and bumps the failure
 // counter; with it off, assertCheck is a no-op.
 func TestAssertCheckFailsThroughObs(t *testing.T) {
-	c := runSome(t, eventEngine)
+	c := runSome(t)
 	c.stats.Issued = c.stats.Instrs + 1
 
 	prev := obs.AssertEnabled()
@@ -142,14 +153,14 @@ func TestPublishObsDeltas(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 
-	base := obsIssued.Value()
-	c := runSome(t, eventEngine)
+	issued0, cycles0 := obsIssued.Value(), obsCycles.Value()
+	c := runSome(t)
 	c.PublishObs()
 	c.PublishObs() // second publish: zero delta
-	if got, want := obsIssued.Value()-base, c.stats.Issued; got != want {
+	if got, want := obsIssued.Value()-issued0, c.stats.Issued; got != want {
 		t.Fatalf("published issued delta %d, want %d", got, want)
 	}
-	if obsWakeups.Value() == 0 {
-		t.Fatal("event engine published no wakeups")
+	if got, want := obsCycles.Value()-cycles0, c.stats.Cycles; got != want {
+		t.Fatalf("published cycles delta %d, want %d", got, want)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // instruction stream — the queue analog of cache.MultiHierarchy. Each member
 // core is an ordinary *Core; what MultiCore adds is stream
 // sharing: one underlying InstrSource is materialized once into a bounded
-// lookahead buffer that every core reads through its own position cursor, so
-// an N-configuration profile touches the workload generator (or the shared
-// trace store) exactly once instead of N times.
+// lookahead buffer that every core dispatches from directly, through its own
+// position, so an N-configuration profile touches the workload generator (or
+// the shared trace store) exactly once instead of N times.
 //
 // Equivalence: every core observes the instruction sequence starting at
 // stream position 0 and consumes it one instruction per dispatch, exactly as
@@ -21,17 +21,13 @@ import (
 // of refillBatch instructions, keeping them position-locked to within one
 // batch; because each RunEach call issues the same n on every core, final
 // positions differ only by window-occupancy differences, and the buffer
-// prefix below the slowest cursor is recycled each round. Peak buffer memory
-// is O(refillBatch + max window), independent of n.
+// prefix below the slowest position is recycled each round. Peak buffer
+// memory is O(refillBatch + max window), independent of n.
 type MultiCore struct {
 	cores []*Core
 	pos   []int64 // pos[i]: absolute stream index of core i's next instruction
 	base  int64   // absolute stream index of buf[0]
 	buf   []workload.Instr
-	// curs[i] is core i's buffer cursor, boxed into the InstrSource
-	// interface once at construction: mcCursor is a two-word struct, so
-	// converting it at every Step call would allocate on the hot path.
-	curs []workload.InstrSource
 }
 
 // refillBatch is the shared-buffer growth quantum: large enough to amortize
@@ -47,7 +43,6 @@ func NewMultiCore(cfgs []Config) (*MultiCore, error) {
 		cores: make([]*Core, len(cfgs)),
 		pos:   make([]int64, len(cfgs)),
 		buf:   make([]workload.Instr, 0, refillBatch*2),
-		curs:  make([]workload.InstrSource, len(cfgs)),
 	}
 	for i, cfg := range cfgs {
 		c, err := New(cfg)
@@ -55,7 +50,6 @@ func NewMultiCore(cfgs []Config) (*MultiCore, error) {
 			return nil, err
 		}
 		mc.cores[i] = c
-		mc.curs[i] = mcCursor{mc: mc, core: i}
 	}
 	return mc, nil
 }
@@ -63,27 +57,10 @@ func NewMultiCore(cfgs []Config) (*MultiCore, error) {
 // Cores returns the member cores (index-parallel to the construction
 // configs). Callers may inspect Stats or ResetStats between passes, and may
 // Resize a member core between RunEach rounds — each core consumes the shared
-// buffer through its own cursor, so a resize perturbs only that column
+// buffer from its own position, so a resize perturbs only that column
 // (core.MultiPolicy's lockstep policy race is built on this, pinned by
 // TestMultiPolicyRaceLockstep).
 func (mc *MultiCore) Cores() []*Core { return mc.cores }
-
-// mcCursor adapts one core's view of the shared buffer to workload.InstrSource.
-type mcCursor struct {
-	mc   *MultiCore
-	core int
-}
-
-// Next returns the core's next instruction from the shared buffer. RunEach
-// guarantees at least IssueWidth instructions of lookahead before each Step,
-// so the index is always in range.
-func (cu mcCursor) Next() workload.Instr {
-	mc := cu.mc
-	p := mc.pos[cu.core]
-	in := mc.buf[p-mc.base]
-	mc.pos[cu.core] = p + 1
-	return in
-}
 
 // RunEach advances every core until it has issued n more instructions,
 // pulling the shared stream as needed, and returns the per-core statistics
@@ -132,20 +109,24 @@ func (mc *MultiCore) runEach(src workload.InstrSource, n int64) []Stats {
 			if c.stats.Issued >= target[i] {
 				continue
 			}
-			cur := mc.curs[i]
-			// A Step dispatches at most IssueWidth instructions; run
-			// until the target is met or the lookahead cannot cover a
-			// full dispatch group. A core whose window is full consumes
-			// nothing, so it may keep stepping (issuing, or
-			// fast-forwarding a stall) regardless of lookahead — without
-			// this, one long-stalled core wedges the round-robin into
-			// refilling for everyone else until its stall resolves.
+			// A cycle dispatches at most IssueWidth instructions, straight
+			// from the shared buffer; run until the target is met or the
+			// lookahead cannot cover a full dispatch group. A core whose
+			// window is full consumes nothing, so it may keep stepping
+			// (issuing, or fast-forwarding a stall) regardless of
+			// lookahead — without this, one long-stalled core wedges the
+			// round-robin into refilling for everyone else until its
+			// stall resolves.
 			limit := mc.base + int64(len(mc.buf)) - int64(c.cfg.IssueWidth)
 			for c.stats.Issued < target[i] {
-				if mc.pos[i] > limit && c.Occupancy() < c.cfg.WindowSize {
+				if mc.pos[i] > limit && c.occ < c.cfg.WindowSize {
 					break
 				}
-				c.Step(cur)
+				p := mc.pos[i] - mc.base
+				n := int64(c.beginCycle())
+				c.dispatch(mc.buf[p : p+n])
+				mc.pos[i] += n
+				c.issue()
 			}
 			// Only a core that is still short after draining its lookahead
 			// forces a refill; marking done=false up front would append a
@@ -175,7 +156,7 @@ type bulkInstrSource interface {
 }
 
 // refill recycles the consumed buffer prefix (everything below the slowest
-// cursor) and appends the next batch from the shared stream — via the
+// position) and appends the next batch from the shared stream — via the
 // source's bulk reader when it has one, one Next at a time otherwise.
 func (mc *MultiCore) refill(src workload.InstrSource) {
 	min := mc.pos[0]

@@ -13,13 +13,9 @@ var (
 	obsCycles     = obs.NewCounter("ooo.cycles")         // cycles simulated
 	obsDrainCy    = obs.NewCounter("ooo.drain_stalls")   // drain stall cycles
 	obsFullCy     = obs.NewCounter("ooo.window_full_cy") // dispatch-blocked cycles
-	obsWakeups    = obs.NewCounter("ooo.wakeups")        // consumer notifications (event engine)
-	obsFiledDir   = obs.NewCounter("ooo.filed_direct")   // entries filed straight into select
-	obsFiledNear  = obs.NewCounter("ooo.filed_near")     // entries filed into the rotating calendar
-	obsFiledFar   = obs.NewCounter("ooo.filed_far")      // entries filed into the far heap
 	obsRingGrows  = obs.NewCounter("ooo.ring_grows")     // completion-ring growths
 	obsResizes    = obs.NewCounter("ooo.resizes")        // window Resize calls
-	obsIdleSkip   = obs.NewCounter("ooo.idle_skipped")   // stall cycles fast-forwarded (event engine)
+	obsIdleSkip   = obs.NewCounter("ooo.idle_skipped")   // stall cycles fast-forwarded
 	obsWindowG    = obs.NewGauge("ooo.window_current")   // window size at the last publish
 	obsOccupancyG = obs.NewGauge("ooo.occupancy")        // occupancy at the last publish
 )
@@ -28,10 +24,6 @@ var (
 // the local Stats struct does not carry. They are updated unconditionally on
 // their (already branchy) paths and published as deltas.
 type tallies struct {
-	wakeups     int64 // producer->consumer notifications fired
-	filedDirect int64
-	filedNear   int64
-	filedFar    int64
 	ringGrows   int64 // monotone: growRing only ever enlarges the ring
 	resizes     int64
 	idleSkipped int64 // stall cycles fast-forwarded by idleSkip
@@ -40,10 +32,6 @@ type tallies struct {
 // sub returns t - o field-wise.
 func (t tallies) sub(o tallies) tallies {
 	return tallies{
-		wakeups:     t.wakeups - o.wakeups,
-		filedDirect: t.filedDirect - o.filedDirect,
-		filedNear:   t.filedNear - o.filedNear,
-		filedFar:    t.filedFar - o.filedFar,
 		ringGrows:   t.ringGrows - o.ringGrows,
 		resizes:     t.resizes - o.resizes,
 		idleSkipped: t.idleSkipped - o.idleSkipped,
@@ -66,10 +54,6 @@ func (c *Core) PublishObs() {
 	obsCycles.Add1(ds.Cycles)
 	obsDrainCy.Add1(ds.DrainStalls)
 	obsFullCy.Add1(ds.WindowFullCy)
-	obsWakeups.Add1(dt.wakeups)
-	obsFiledDir.Add1(dt.filedDirect)
-	obsFiledNear.Add1(dt.filedNear)
-	obsFiledFar.Add1(dt.filedFar)
 	obsRingGrows.Add1(dt.ringGrows)
 	obsResizes.Add1(dt.resizes)
 	obsIdleSkip.Add1(dt.idleSkipped)

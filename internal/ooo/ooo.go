@@ -16,19 +16,18 @@
 // draining the entries being disabled (paper Section 5.1); Drain models
 // that.
 //
-// Two issue engines implement those semantics:
-//
-//   - The event engine (the one New builds) fires wakeups through
-//     per-producer consumer lists the moment a producer's completion cycle
-//     becomes known, feeding a ready structure ordered so select pops
-//     oldest-first. Cost O(instructions · log W) — proportional to work
-//     issued, not cycles × window. See event.go for the invariants that make
-//     it bit-identical to the scan.
-//   - The scan engine is the direct model: every cycle re-scans the whole
-//     window oldest-first, waking and selecting in one pass. Cost
-//     O(cycles · W). It is the executable specification the event engine is
-//     verified against, reachable only from this package's tests through
-//     newCore.
+// The issue engine computes each instruction's issue cycle once, at
+// dispatch, in program order. Select is strictly oldest-first and an issued
+// entry leaves the window, so an instruction's issue cycle depends only on
+// older instructions: it is the first cycle t >= max(dispatch, ready) in
+// which fewer than IssueWidth older instructions issue, where ready is the
+// latest completion cycle among its producers. Every older instruction's
+// issue cycle is already known when an instruction dispatches, so select
+// needs nothing but a ring of per-cycle issue counts — no wakeup lists, no
+// ready queue, no per-cycle walk of the window. See dispatch for the
+// exactness argument. The direct model — every cycle re-scans the window
+// oldest-first, waking and selecting in one pass — is the executable
+// specification the engine is verified against; it lives in scan_test.go.
 package ooo
 
 import (
@@ -72,13 +71,12 @@ func (c Config) Validate() error {
 // classification as "retired" cannot change issue timing.
 const maxDist = 1 << 11
 
-// ringSlack is the extra completion-ring headroom beyond WindowSize+maxDist:
-// a producer's ring slot must survive until no live consumer can inspect it,
-// i.e. for up to maxDist+WindowSize dispatches plus the instructions that can
-// dispatch past a still-waiting consumer. The slack covers every realistic
-// schedule; pathological ones (enormous RunWithLoads latencies) are caught by
-// the recycle guard in dispatch, which grows the ring rather than reuse a
-// slot whose instruction has not yet completed.
+// ringSlack is the extra completion-ring headroom beyond WindowSize+maxDist.
+// Producers are read at dispatch, fewer than maxDist instructions back, so
+// the ring always covers them; the slack also keeps every in-flight
+// instruction's slot live. Pathological schedules (enormous RunWithLoads
+// latencies) are caught by the recycle guard in dispatch, which grows the
+// ring rather than overwrite a completion cycle still in the future.
 const ringSlack = 1 << 11
 
 // ringSize returns the completion-ring capacity for a window: the smallest
@@ -95,40 +93,33 @@ func ringSize(window int) int {
 	return r
 }
 
-// pending marks a dispatched-but-not-yet-issued producer in the ring.
-const pending = int64(1) << 62
-
-// entry is one occupied window slot (scan engine).
-type entry struct {
-	seq   int64 // dynamic instruction number (issue priority: oldest first)
-	src0  int64 // producer seq, or -1
-	src1  int64 // producer seq, or -1
-	ready int64 // resolved readiness cycle, or -1 while a source is pending
-	lat   int64
-}
+// initSlots is the issue-count ring's starting length. It grows (see
+// growSlots) when an issue cycle lands a ring length past the current cycle,
+// which a full window of long-latency dependence chains can reach.
+const initSlots = 1 << 8
 
 // Core is the simulator state.
 type Core struct {
 	cfg   Config
-	scan  bool // runs the reference window-scan engine (tests only)
 	cycle int64
 	seq   int64 // next dynamic instruction number to dispatch
+	occ   int   // dispatched instructions not yet issued
 
-	// window is kept in dispatch order (oldest first); the scan engine's
-	// select logic walks it in order, matching an oldest-first priority
-	// encoder tree. Unused by the event engine.
-	window []entry
-
-	// done[seq & mask] is the cycle the instruction's result is available,
-	// or `pending` while it sits unissued in the window. The ring is a
-	// power of two sized by ringSize for the configured window (it grows,
+	// done[seq & mask] is the cycle the instruction's result is available:
+	// its issue cycle plus its latency, known from dispatch on. The ring is
+	// a power of two sized by ringSize for the configured window (it grows,
 	// never shrinks, across Resize).
 	done []int64
 	mask int64
 
-	// ev is the event engine's state (event.go); zero-valued when the scan
-	// engine is active.
-	ev eventState
+	// slots[t & slotMask] counts the dispatched instructions whose issue
+	// cycle is t, for t in [cycle, cycle+len(slots)); the count for cycle t
+	// is consumed (zeroed) when t's issue phase runs. A power of two.
+	slots    []int32
+	slotMask int64
+
+	// group is Step's dispatch-group buffer (IssueWidth instructions).
+	group []workload.Instr
 
 	// Load attachment (RunWithLoads): every 1/loadRPI-th dispatched
 	// instruction becomes a memory operation whose extra latency is
@@ -182,14 +173,8 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// New creates a core running the event-driven issue engine.
-func New(cfg Config) (*Core, error) { return newCore(cfg, false) }
-
-// newCore creates a core on the event engine, or on the window-scan
-// reference engine when scan is set. Both engines are bit-identical in every
-// statistic; they differ only in asymptotic cost (the differential and fuzz
-// tests in this package enforce the equivalence).
-func newCore(cfg Config, scan bool) (*Core, error) {
+// New creates a core.
+func New(cfg Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -197,18 +182,14 @@ func newCore(cfg Config, scan bool) (*Core, error) {
 		return nil, fmt.Errorf("ooo: window size %d exceeds supported maximum %d", cfg.WindowSize, maxDist-1)
 	}
 	r := ringSize(cfg.WindowSize)
-	c := &Core{
-		cfg:  cfg,
-		scan: scan,
-		done: make([]int64, r),
-		mask: int64(r - 1),
-	}
-	if scan {
-		c.window = make([]entry, 0, cfg.WindowSize)
-	} else {
-		c.ev.init(cfg.WindowSize, r)
-	}
-	return c, nil
+	return &Core{
+		cfg:      cfg,
+		done:     make([]int64, r),
+		mask:     int64(r - 1),
+		slots:    make([]int32, initSlots),
+		slotMask: initSlots - 1,
+		group:    make([]workload.Instr, cfg.IssueWidth),
+	}, nil
 }
 
 // MustNew is New but panics on error.
@@ -231,12 +212,7 @@ func (c *Core) Stats() Stats { return c.stats }
 func (c *Core) ResetStats() { c.stats, c.pubStats = Stats{}, Stats{} }
 
 // Occupancy returns the current number of window entries in use.
-func (c *Core) Occupancy() int {
-	if !c.scan {
-		return c.ev.occ
-	}
-	return len(c.window)
-}
+func (c *Core) Occupancy() int { return c.occ }
 
 // Run simulates until n more instructions have been issued, pulling from the
 // stream as needed, and returns the statistics delta for this run. Issued
@@ -287,173 +263,146 @@ func (c *Core) attachLoads(rpi float64, memLat func(write bool) int64) {
 func (c *Core) detachLoads() { c.loadRPI, c.memLat = 0, nil }
 
 // Step advances the machine by one cycle: dispatch up to IssueWidth new
-// instructions into free window slots, then wake up and select up to
-// IssueWidth ready instructions to issue.
+// instructions into free window entries, then issue the instructions whose
+// issue cycle this is.
 func (c *Core) Step(stream workload.InstrSource) {
-	c.cycle++
-	c.stats.Cycles++
-
-	// Dispatch. The front end is perfect, so it always has instructions.
-	free := c.cfg.WindowSize - c.Occupancy()
-	dispatch := c.cfg.IssueWidth
-	if dispatch > free {
-		dispatch = free
-		if free == 0 {
-			c.stats.WindowFullCy++
-		}
+	g := c.group[:c.beginCycle()]
+	for i := range g {
+		g[i] = stream.Next()
 	}
-	if !c.scan {
-		if dispatch == 0 {
-			// Full window: nothing reads the stream this cycle, so when
-			// nothing is due either, the machine is mid-stall and the
-			// event structures name the next cycle anything happens.
-			// Fast-forward straight to it; every skipped cycle would have
-			// been another dispatch-blocked no-op (bit-identical stats).
-			d := c.idleSkip()
-			c.stats.Cycles += d
-			c.stats.WindowFullCy += d
-		}
-		c.dispatchEvent(stream, dispatch)
-		c.issueCycleEvent()
-	} else {
-		c.dispatchScan(stream, dispatch)
-		c.issueCycle()
-	}
+	c.dispatch(g)
+	c.issue()
 }
 
-// instrLat returns the instruction's completion latency, applying the
-// deterministic load attachment when enabled. Called once per dispatched
-// instruction in dispatch order by both engines, so the memLat call sequence
-// — and any external state it advances (the combined machine's cache
-// hierarchy) — is engine-independent.
-func (c *Core) instrLat(in workload.Instr) int64 {
-	lat := int64(in.Latency)
-	if c.loadRPI > 0 {
-		c.loadAcc += c.loadRPI
-		if c.loadAcc >= 1 {
-			c.loadAcc--
-			// Memory operation: the hierarchy's stall cycles extend
-			// the consumer-visible latency.
-			lat += c.memLat(false)
+// beginCycle advances the clock one cycle and returns how many instructions
+// this cycle dispatches: IssueWidth, capped by the free window entries. The
+// front end is perfect, so it always has instructions.
+//
+// A full window reads nothing from the stream, so when no instruction issues
+// this cycle either, the machine is mid-stall: beginCycle fast-forwards to
+// the next cycle with a non-zero issue count. Every skipped cycle would have
+// been another dispatch-blocked no-op, counted here as one.
+func (c *Core) beginCycle() int {
+	c.cycle++
+	c.stats.Cycles++
+	n := c.cfg.IssueWidth
+	if free := c.cfg.WindowSize - c.occ; free < n {
+		n = free
+		if free == 0 {
+			d := c.idleSkip()
+			c.stats.Cycles += d
+			c.stats.WindowFullCy += 1 + d
 		}
 	}
-	return lat
+	return n
+}
+
+// idleSkip advances the clock to the next cycle with a non-zero issue count
+// and returns how many cycles it skipped (0 when this cycle issues). Callers
+// invoke it only on cycles that dispatch nothing (full window, or draining)
+// and so with a non-empty window, whose instructions all hold issue counts
+// in [cycle, cycle+len(slots)): the search ends inside the ring.
+func (c *Core) idleSkip() int64 {
+	d := int64(0)
+	for c.slots[(c.cycle+d)&c.slotMask] == 0 {
+		d++
+	}
+	c.cycle += d
+	c.tal.idleSkipped += d
+	return d
+}
+
+// issue retires this cycle's issue count from the ring into the statistics.
+func (c *Core) issue() {
+	s := &c.slots[c.cycle&c.slotMask]
+	c.stats.Issued += int64(*s)
+	c.occ -= int(*s)
+	*s = 0
+}
+
+// dispatch enters a group of instructions into the window at the current
+// cycle, fixing each one's issue cycle on the spot.
+//
+// Why a dispatch-time issue cycle is exact. The scan model issues, each
+// cycle, the ready window entries oldest-first up to IssueWidth, and an
+// issued entry leaves the window. Instruction i therefore issues at the
+// first cycle t >= max(dispatch_i, ready_i) in which fewer than IssueWidth
+// older instructions issue: only older instructions precede it in select,
+// and every older instruction dispatched before it. Its readiness ready_i
+// is the latest completion cycle over its producers — all older, so their
+// issue cycles (and completion cycles, done) are already fixed. Nothing
+// younger, and nothing dispatched later, can change either quantity, so
+// issue cycle i is final at dispatch. A zero-latency producer issuing at t
+// completes at t; its consumer then competes for a later slot of the same
+// cycle t, which reproduces the scan's same-pass wakeup.
+//
+// The window size enters only through how many instructions dispatch each
+// cycle (Step), which is why Drain and Resize need no per-entry work.
+func (c *Core) dispatch(g []workload.Instr) {
+	width := int32(c.cfg.IssueWidth)
+	for _, in := range g {
+		c.recycleGuard()
+		seq := c.seq
+		lat := int64(in.Latency)
+		if c.loadRPI > 0 {
+			lat += c.loadLat()
+		}
+		t := c.cycle
+		for _, dist := range in.Src {
+			// Beyond the tracked horizon (or negative), or before program
+			// start: the producer is retired, its result available.
+			// Distance 0 (no source) reads this instruction's own slot,
+			// which the recycle guard keeps at or before cycle.
+			if uint32(dist) < maxDist && int64(dist) <= seq {
+				t = max(t, c.done[(seq-int64(dist))&c.mask])
+			}
+		}
+		for {
+			if t-c.cycle >= int64(len(c.slots)) {
+				c.growSlots(t - c.cycle + 1)
+			}
+			if s := &c.slots[t&c.slotMask]; *s < width {
+				*s++
+				break
+			}
+			t++
+		}
+		c.done[seq&c.mask] = t + lat
+		c.seq = seq + 1
+	}
+	c.occ += len(g)
+	c.stats.Instrs += int64(len(g))
+}
+
+// loadLat applies the deterministic load attachment to one dispatched
+// instruction, returning its extra latency. Called once per dispatched
+// instruction in dispatch order while loads are attached, so the memLat
+// call sequence — and any external state it advances (the combined
+// machine's cache hierarchy) — is that of the scan model.
+func (c *Core) loadLat() int64 {
+	c.loadAcc += c.loadRPI
+	if c.loadAcc < 1 {
+		return 0
+	}
+	c.loadAcc--
+	// Memory operation: the hierarchy's stall cycles extend the
+	// consumer-visible latency.
+	return c.memLat(false)
 }
 
 // recycleGuard grows the completion ring if the slot about to be claimed for
-// c.seq still belongs to an instruction that is pending or completes in the
-// future (value > current cycle; `pending` is a huge constant, so one compare
-// covers both). This is the invariant that makes lookupDone's recycling rule
-// exact rather than approximate: a recycled slot always describes an
-// instruction whose result was available at or before the current cycle, and
-// treating such a producer as retired-with-result-at-0 cannot change any
-// `ready <= cycle` issue decision. In practice the guard never fires — it
-// takes ring-size dispatches to lap a slot, which at 8-wide dispatch leaves
-// ~1000 cycles for the instruction to complete — but it makes the shrunken
-// ring safe against arbitrary RunWithLoads latencies by construction.
+// c.seq still belongs to an instruction that completes after the current
+// cycle. The ring thus holds every in-flight completion, and the claimed
+// slot's old value is at or before the current cycle, so dispatch may read
+// it for an absent (distance-0) source without a branch. In practice the
+// guard never fires — it takes ring-size dispatches to lap a slot, which at
+// 8-wide dispatch leaves ~1000 cycles for the instruction to complete — but
+// it keeps the ring safe against arbitrary RunWithLoads latencies by
+// construction.
 func (c *Core) recycleGuard() {
 	for c.done[c.seq&c.mask] > c.cycle {
 		c.growRing(2 * len(c.done))
 	}
-}
-
-// dispatchScan dispatches n instructions into the scan engine's window.
-func (c *Core) dispatchScan(stream workload.InstrSource, n int) {
-	for i := 0; i < n; i++ {
-		in := stream.Next()
-		c.recycleGuard()
-		seq := c.seq
-		c.seq++
-		c.stats.Instrs++
-		e := entry{seq: seq, src0: -1, src1: -1, lat: c.instrLat(in)}
-		e.src0 = c.producer(seq, in.Src[0])
-		e.src1 = c.producer(seq, in.Src[1])
-		e.ready = -1
-		c.done[seq&c.mask] = pending
-		c.window = append(c.window, e)
-	}
-}
-
-// producer maps a dependence distance to a producer seq, or -1 when the
-// producer is retired (distance 0, beyond the tracked horizon, or before
-// program start).
-func (c *Core) producer(seq int64, dist int32) int64 {
-	if dist <= 0 || int64(dist) >= maxDist {
-		return -1
-	}
-	p := seq - int64(dist)
-	if p < 0 {
-		return -1
-	}
-	return p
-}
-
-// lookupDone returns a producer's completion cycle and whether it is still
-// pending. A producer whose ring slot has been recycled (p+len(done) ≤ seq,
-// i.e. at least a full ring of instructions dispatched after it) is treated
-// as long retired with its result trivially available. recycleGuard makes
-// this exact: a slot is only ever recycled once its instruction's completion
-// cycle is in the past, and a completion at or before the reader's current
-// cycle is behaviorally identical to 0 (readiness is only ever compared via
-// ready <= cycle at cycles from the reader's dispatch onward).
-func (c *Core) lookupDone(p int64) (int64, bool) {
-	if p+int64(len(c.done)) <= c.seq {
-		return 0, false
-	}
-	t := c.done[p&c.mask]
-	if t == pending {
-		return 0, true
-	}
-	return t, false
-}
-
-// issueCycle performs one wakeup+select pass at the current cycle (scan
-// engine): the window is re-scanned oldest first, resolving readiness and
-// issuing up to IssueWidth ready entries in one pass.
-func (c *Core) issueCycle() {
-	issued := 0
-	w := c.window[:0]
-	for i := range c.window {
-		e := c.window[i]
-		if e.ready < 0 {
-			e.ready = c.resolve(&e)
-		}
-		if e.ready >= 0 && e.ready <= c.cycle && issued < c.cfg.IssueWidth {
-			c.done[e.seq&c.mask] = c.cycle + e.lat
-			c.stats.Issued++
-			issued++
-			continue
-		}
-		w = append(w, e)
-	}
-	c.window = w
-}
-
-// resolve attempts to compute the entry's readiness cycle; it returns -1
-// while any producer is still unissued. Because the window is scanned oldest
-// first, a producer issuing this cycle is visible to its consumers in the
-// same pass, enabling back-to-back issue of single-cycle dependent pairs.
-func (c *Core) resolve(e *entry) int64 {
-	ready := int64(0)
-	if e.src0 >= 0 {
-		t, pend := c.lookupDone(e.src0)
-		if pend {
-			return -1
-		}
-		if t > ready {
-			ready = t
-		}
-	}
-	if e.src1 >= 0 {
-		t, pend := c.lookupDone(e.src1)
-		if pend {
-			return -1
-		}
-		if t > ready {
-			ready = t
-		}
-	}
-	return ready
 }
 
 // Drain forces the core to issue (without dispatching) until the window
@@ -461,62 +410,45 @@ func (c *Core) resolve(e *entry) int64 {
 // queue entries when downsizing (paper Sections 4.2 and 5.1). The stall
 // cycles are recorded in DrainStalls. Entries whose operands are not yet
 // ready simply wait; plentiful functional units guarantee forward progress.
+// Draining never dispatches, so stall gaps fast-forward the same way Step's
+// full-window path does.
 func (c *Core) Drain(max int) {
 	if max < 0 {
 		max = 0
 	}
-	for c.Occupancy() > max {
+	for c.occ > max {
 		c.cycle++
-		c.stats.Cycles++
-		c.stats.DrainStalls++
-		if !c.scan {
-			// Draining never dispatches, so stall gaps fast-forward the
-			// same way Step's full-window path does.
-			d := c.idleSkip()
-			c.stats.Cycles += d
-			c.stats.DrainStalls += d
-			c.issueCycleEvent()
-		} else {
-			c.issueCycle()
-		}
+		d := c.idleSkip()
+		c.stats.Cycles += 1 + d
+		c.stats.DrainStalls += 1 + d
+		c.issue()
 	}
 }
 
 // Resize changes the window size, draining first when shrinking. Growing is
 // immediate (newly enabled entries start empty). Returns an error for
-// non-positive or unsupported sizes.
-//
-// All capacity — the scan window's backing slice, the event engine's slab,
-// heaps and free list, and the completion ring — is reserved here, up front,
-// so the per-cycle dispatch and issue paths run allocation-free afterwards.
+// non-positive or unsupported sizes. Dispatched instructions keep their
+// issue cycles: the window size only limits how many instructions dispatch.
 func (c *Core) Resize(newSize int) error {
 	if newSize < 1 || newSize >= maxDist {
 		return fmt.Errorf("ooo: window size %d out of range", newSize)
 	}
 	c.tal.resizes++
-	if newSize < c.Occupancy() {
+	if newSize < c.occ {
 		c.Drain(newSize)
 	}
 	if need := ringSize(newSize); need > len(c.done) {
 		c.growRing(need)
-	}
-	if !c.scan {
-		c.ev.grow(newSize)
-	} else if newSize > cap(c.window) {
-		w := make([]entry, len(c.window), newSize)
-		copy(w, c.window)
-		c.window = w
 	}
 	c.cfg.WindowSize = newSize
 	c.assertCheck()
 	return nil
 }
 
-// growRing rehomes the completion ring (and the event engine's parallel
-// slot-index ring) into a larger power-of-two array, preserving the slots of
-// every sequence number the old ring still covered. Slots older than the old
-// ring's span land zeroed, which lookupDone's recycling rule already treats
-// as retired-with-result-available.
+// growRing rehomes the completion ring into a larger power-of-two array,
+// preserving the slots of every sequence number the old ring still covered.
+// Slots older than the old ring's span land zeroed: retired, result
+// available.
 func (c *Core) growRing(need int) {
 	c.tal.ringGrows++
 	old, oldMask := c.done, c.mask
@@ -529,11 +461,20 @@ func (c *Core) growRing(need int) {
 	for s := lo; s < c.seq; s++ {
 		c.done[s&c.mask] = old[s&oldMask]
 	}
-	if !c.scan {
-		oldSlot := c.ev.slotOf
-		c.ev.slotOf = make([]int32, need)
-		for s := lo; s < c.seq; s++ {
-			c.ev.slotOf[s&c.mask] = oldSlot[s&oldMask]
-		}
+}
+
+// growSlots rehomes the issue-count ring into a power-of-two array of at
+// least span cycles (and at least twice its length), preserving the counts
+// of cycles [cycle, cycle+len(old)).
+func (c *Core) growSlots(span int64) {
+	n := 2 * len(c.slots)
+	for int64(n) < span {
+		n <<= 1
+	}
+	old, oldMask := c.slots, c.slotMask
+	c.slots = make([]int32, n)
+	c.slotMask = int64(n - 1)
+	for t := c.cycle; t < c.cycle+int64(len(old)); t++ {
+		c.slots[t&c.slotMask] = old[t&oldMask]
 	}
 }

@@ -98,7 +98,7 @@ bench-obs-smoke:
 	@echo "bench-obs smoke ok (renders byte-identical with obs/assert/trace/manifest/ledger on; ledger round-trips)"
 
 # bench-shard-smoke (ci-gated, scripts/shard_smoke.sh): a
-# tiny-budget fig10 proves static shards and coordinator mode both merge
+# tiny-budget fig10 proves static shards (-shard 0/2, 1/2) merge
 # byte-identical to an unsharded baseline, and that the merge served its
 # study rows from the shards' persistent cache (memo.persist_hits > 0,
 # zero misses, in the merge's run manifest).
@@ -106,8 +106,8 @@ bench-shard-smoke:
 	@GO="$(GO)" sh scripts/shard_smoke.sh
 
 # bench-zoo-smoke (ci-gated): a tiny-budget zoo run proving
-# the league render is byte-identical at 1 vs 4 workers and under a 2-way
-# shard coordinator merging through a fresh persistent study cache, and
+# the league render is byte-identical at 1 vs 4 workers and when merged from
+# two static shards (-shard 0/2, 1/2) through a fresh persistent study cache, and
 # that `capsim -report` over the ledger the run emits reproduces the league
 # tables byte-for-byte (the experiment header and timing footer are
 # stripped, plus the blank separators the experiment renderer leaves before
@@ -120,8 +120,11 @@ bench-zoo-smoke:
 	@cmp /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_p4.txt || \
 		{ echo "zoo rendered differently at 1 vs 4 workers"; exit 1; }
 	@rm -rf /tmp/capsim_zoo_smoke && mkdir -p /tmp/capsim_zoo_smoke
-	@$(GO) run ./cmd/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
-		-shard-coordinator 2 -study-cache /tmp/capsim_zoo_smoke/cache \
+	@$(GO) build -o /tmp/capsim_zoo_smoke/capsim ./cmd/capsim
+	@for s in 0/2 1/2; do /tmp/capsim_zoo_smoke/capsim -experiment zoo -parallel 1 -queue-instrs 3000 \
+		-shard $$s -study-cache /tmp/capsim_zoo_smoke/cache 2>/dev/null || exit 1; done
+	@/tmp/capsim_zoo_smoke/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
+		-study-cache /tmp/capsim_zoo_smoke/cache \
 		| grep -v '^(zoo in ' > /tmp/capsim_zoo_shard.txt
 	@cmp /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_shard.txt || \
 		{ echo "sharded zoo rendered differently from unsharded"; exit 1; }

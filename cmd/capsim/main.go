@@ -91,9 +91,6 @@ func run() (err error) {
 		studyCache  = flag.String("study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
 		studyBudget = flag.Int64("study-cache-budget", 0, "study-cache byte ceiling: publications past it evict least-recently-used entries, deterministically (0 = unbounded; output is identical at any setting)")
 		shardSpec   = flag.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
-		shardCoord  = flag.Int("shard-coordinator", 0, "spawn N worker processes over the work-claiming protocol, then render the merge (requires -study-cache; output is byte-identical to an unsharded run)")
-		shardBucket = flag.Int("shard-buckets", 0, "shard-coordinator: bucket-space size (default 4N, so fast workers absorb slow workers' tail)")
-		shardClaim  = flag.String("shard-claim", "", "run as dynamic shard worker claiming buckets from this coordinator URL until exhausted (requires -study-cache)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		ledgerOut   = flag.String("ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
 		reportIn    = flag.String("report", "", "offline ledger analysis: read comma-separated ledger/manifest files, print regret, switch-rate and dwell tables, and exit (no simulation)")
@@ -147,9 +144,6 @@ func run() (err error) {
 		if err := experiments.SetStudyCacheDir(*studyCache); err != nil {
 			return fmt.Errorf("-study-cache: %w", err)
 		}
-	}
-	if (*shardSpec != "" && (*shardCoord > 0 || *shardClaim != "")) || (*shardCoord > 0 && *shardClaim != "") {
-		return usageErr("-shard, -shard-coordinator and -shard-claim are mutually exclusive")
 	}
 
 	// Telemetry switches. Counters are free when off; -metrics-out and
@@ -266,38 +260,11 @@ func run() (err error) {
 		ids = experiments.IDs()
 	}
 
-	// Shard modes. Workers (-shard, -shard-claim) publish owned study rows
-	// to the shared study cache and render nothing; the coordinator waits for
-	// its workers and then falls through to the normal render loop below —
-	// which IS the merge: every row hits the warm cache and stdout is
-	// byte-identical to a single-process run.
-	if *shardClaim != "" {
-		return shardClaimMode(*shardClaim, ids, cfg)
-	}
+	// A static shard publishes its owned study rows to the shared study
+	// cache and renders nothing; a later plain run over the same cache is the
+	// merge (see shard.go).
 	if *shardSpec != "" {
 		return shardWorkerMode(*shardSpec, ids, cfg)
-	}
-	if *shardCoord > 0 {
-		workerParallel := *parallel / *shardCoord
-		if workerParallel < 1 {
-			workerParallel = 1
-		}
-		commonArgs := []string{
-			"-experiment", *experiment,
-			"-seed", fmt.Sprint(*seed),
-			"-cache-refs", fmt.Sprint(*cacheRefs),
-			"-cache-warm", fmt.Sprint(*cacheWarm),
-			"-queue-instrs", fmt.Sprint(*queueInstrs),
-			"-interval", fmt.Sprint(*interval),
-			"-switch-penalty", fmt.Sprint(*penalty),
-			"-feature", fmt.Sprint(*feature),
-			"-trace-budget", fmt.Sprint(*traceBudget),
-			"-study-cache", *studyCache,
-			"-study-cache-budget", fmt.Sprint(*studyBudget),
-		}
-		if err := shardCoordinate(*shardCoord, *shardBucket, workerParallel, commonArgs); err != nil {
-			return err
-		}
 	}
 
 	manifest := obs.NewManifest()

@@ -1,36 +1,24 @@
-// Shard modes: distribute the experiment grid across worker processes.
+// Static shards: distribute the experiment grid across worker processes,
+// on one machine or many, with the persistent study cache (-study-cache) as
+// the only channel between them:
 //
-// Three entry points, all sharing the persistent study cache (-study-cache)
-// as the data plane:
+//	capsim -shard 0/2 -study-cache DIR -experiment all   # worker, any host
+//	capsim -shard 1/2 -study-cache DIR -experiment all   # worker, any host
+//	capsim -study-cache DIR -experiment all              # merge: renders
 //
-//	capsim -shard i/N -study-cache DIR -experiment all
-//	    Static worker: compute and publish only the study rows bucket i of N
-//	    owns. Stdout stays empty — the render would be full of stubs; the
-//	    merge run below produces the real one.
-//
-//	capsim -shard-claim URL -study-cache DIR -experiment all
-//	    Dynamic worker: claim buckets from a coordinator until the space is
-//	    exhausted, running each claim as -shard bucket/buckets.
-//
-//	capsim -shard-coordinator N -study-cache DIR -experiment all
-//	    Coordinator: serve a bucket space (default 4N buckets, override with
-//	    -shard-buckets) over the work-claiming HTTP protocol, spawn N dynamic
-//	    workers of this same binary, wait for them, then fall through to the
-//	    normal render loop — which is the merge: every study row hits the
-//	    warm cache and stdout is byte-identical to a single-process run.
-//
-// The merge is self-healing: rows a crashed worker never published are
-// recomputed by the merge run itself.
+// A worker computes and publishes only the study rows bucket i of N owns.
+// Its stdout stays empty — the render would be full of stubs. The merge is
+// a plain run over the shared cache: every published row hits, and stdout is
+// byte-identical to a single-process run. The merge is self-healing: rows a
+// crashed worker never published are recomputed by the merge run itself.
 package main
 
 import (
 	"fmt"
 	"os"
-	"os/exec"
 	"time"
 
 	"capsim/internal/experiments"
-	"capsim/internal/server"
 	"capsim/internal/sweep"
 )
 
@@ -56,106 +44,5 @@ func shardWorkerMode(spec string, ids []string, cfg experiments.Config) error {
 	}
 	fmt.Fprintf(os.Stderr, "capsim: shard %s published %d experiments' rows to %s in %.1fs\n",
 		spec, len(ids), experiments.StudyCacheDir(), time.Since(t0).Seconds())
-	return nil
-}
-
-// shardClaimMode runs ids as a dynamic worker: claim a bucket, run every
-// experiment as that shard, report done, repeat until exhausted. The study
-// memos are reset between buckets — a study assembled under one bucket's
-// ownership (stubs included) must not satisfy the next bucket's runs — while
-// materialized trace stores stay warm (they are ownership-independent).
-func shardClaimMode(baseURL string, ids []string, cfg experiments.Config) error {
-	if experiments.StudyCacheDir() == "" {
-		return usageErr("-shard-claim requires -study-cache DIR: a shard's output lives in the shared study cache")
-	}
-	worker := fmt.Sprintf("pid%d", os.Getpid())
-	defer sweep.ClearShard()
-	claimed := 0
-	t0 := time.Now()
-	for {
-		claim, ok, err := server.ClaimBucket(baseURL, worker)
-		if err != nil {
-			return fmt.Errorf("shard worker %s: %w", worker, err)
-		}
-		if !ok {
-			fmt.Fprintf(os.Stderr, "capsim: shard worker %s finished %d buckets in %.1fs\n",
-				worker, claimed, time.Since(t0).Seconds())
-			return nil
-		}
-		if err := sweep.SetShard(sweep.Shard{Bucket: claim.Bucket, Of: claim.Buckets}); err != nil {
-			return err
-		}
-		experiments.ResetStudies()
-		for _, id := range ids {
-			if _, err := experiments.Run(id, cfg); err != nil {
-				return fmt.Errorf("shard %d/%d: %s: %w", claim.Bucket, claim.Buckets, id, err)
-			}
-		}
-		if err := server.ReportDone(baseURL, worker, claim.Bucket); err != nil {
-			return fmt.Errorf("shard worker %s: %w", worker, err)
-		}
-		claimed++
-	}
-}
-
-// shardCoordinate serves the bucket space, spawns workers of this same
-// binary in -shard-claim mode, and waits for all of them. commonArgs carries
-// every render-determining flag (budgets, experiment selection, study cache)
-// so the children run the exact configuration the merge will render. Worker
-// stdout/stderr both go to our stderr: stdout is reserved for the merge.
-func shardCoordinate(workers, buckets, workerParallel int, commonArgs []string) error {
-	if experiments.StudyCacheDir() == "" {
-		return usageErr("-shard-coordinator requires -study-cache DIR: it is the channel workers publish through")
-	}
-	if buckets <= 0 {
-		buckets = 4 * workers // fast workers absorb slow workers' tail
-	}
-	coord, err := server.NewShardCoordinator(buckets)
-	if err != nil {
-		return err
-	}
-	addr, err := coord.Start("127.0.0.1:0")
-	if err != nil {
-		return fmt.Errorf("shard coordinator: %w", err)
-	}
-	defer coord.Shutdown()
-	exe, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("shard coordinator: resolve own binary: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "capsim: shard coordinator on http://%s (%d buckets, %d workers)\n", addr, buckets, workers)
-
-	args := append([]string{
-		"-shard-claim", "http://" + addr,
-		"-parallel", fmt.Sprint(workerParallel),
-	}, commonArgs...)
-	cmds := make([]*exec.Cmd, workers)
-	for i := range cmds {
-		c := exec.Command(exe, args...)
-		c.Stdout = os.Stderr
-		c.Stderr = os.Stderr
-		if err := c.Start(); err != nil {
-			for _, prev := range cmds[:i] {
-				prev.Process.Kill()
-				prev.Wait()
-			}
-			return fmt.Errorf("shard coordinator: start worker %d: %w", i, err)
-		}
-		cmds[i] = c
-	}
-	var firstErr error
-	for i, c := range cmds {
-		if err := c.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard worker %d: %w", i, err)
-		}
-	}
-	if firstErr != nil {
-		// The merge below would silently recompute a failed worker's rows;
-		// surface the failure instead — a dead worker is a bug or an
-		// interrupt, not a condition to paper over.
-		return firstErr
-	}
-	st := coord.Status()
-	fmt.Fprintf(os.Stderr, "capsim: shard coordinator: %d/%d buckets done; merging\n", st.Done, st.Buckets)
 	return nil
 }

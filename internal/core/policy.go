@@ -13,27 +13,7 @@ import (
 // "switch on any gain"; ExplorePeriod: -1 disables exploration outright.
 // Without the sentinel, an explicitly configured zero was silently coerced
 // back to the default.
-func tunableF(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-func tunableI(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-func tunableI64(v, def int64) int64 {
+func tunable[T int | int64 | float64](v, def T) T {
 	if v == 0 {
 		return def
 	}
@@ -163,7 +143,6 @@ type IntervalPolicy struct {
 	candidate  int
 	intervals  int64
 	exploreIdx int
-	exploring  bool
 	driftRun   int
 	fresh      bool
 	current    int
@@ -177,11 +156,11 @@ func (p *IntervalPolicy) defaults() {
 	if p.est != nil {
 		return
 	}
-	p.MinGain = tunableF(p.MinGain, 0.03)
-	p.ConfidenceMax = tunableI(p.ConfidenceMax, 2)
-	p.ExplorePeriod = tunableI64(p.ExplorePeriod, 64)
-	p.Alpha = tunableF(p.Alpha, 0.5)
-	p.DriftGain = tunableF(p.DriftGain, 0.08)
+	p.MinGain = tunable(p.MinGain, 0.03)
+	p.ConfidenceMax = tunable(p.ConfidenceMax, 2)
+	p.ExplorePeriod = tunable(p.ExplorePeriod, 64)
+	p.Alpha = tunable(p.Alpha, 0.5)
+	p.DriftGain = tunable(p.DriftGain, 0.08)
 	p.est = make(map[int]float64, len(p.Configs))
 	p.seen = make(map[int]bool, len(p.Configs))
 }
@@ -247,7 +226,6 @@ func (p *IntervalPolicy) Next(m *Monitor) int {
 	for _, id := range p.Configs {
 		if !p.seen[id] {
 			p.seen[id] = true
-			p.exploring = true
 			return id
 		}
 	}
@@ -256,8 +234,7 @@ func (p *IntervalPolicy) Next(m *Monitor) int {
 	// updated the estimates, so fall straight through to the prediction
 	// instead of coasting an interval at the incumbent — when the visit
 	// just revealed a regime change, that coasting interval is pure regret.
-	p.exploring = false
-
+	//
 	// Periodic exploration to refresh stale estimates. The rotation skips
 	// over the incumbent (its estimate refreshes every interval for free)
 	// so that EVERY period probes a genuinely stale configuration — a
@@ -267,29 +244,23 @@ func (p *IntervalPolicy) Next(m *Monitor) int {
 		for range p.Configs {
 			p.exploreIdx = (p.exploreIdx + 1) % len(p.Configs)
 			if id := p.Configs[p.exploreIdx]; id != p.current {
-				p.exploring = true
 				return id
 			}
 		}
 	}
 
 	// Prediction: best estimated configuration, confidence-gated.
-	best, bestTPI := p.current, p.est[p.current]
-	for _, id := range p.Configs {
-		if e, ok := p.est[id]; ok && e < bestTPI {
-			best, bestTPI = id, e
-		}
-	}
+	best, bestTPI := bestEstimate(p.est, p.Configs, p.current)
 	cur := p.est[p.current]
 	if best != p.current && cur > 0 && (cur-bestTPI)/cur >= p.MinGain {
 		switch {
 		case p.fresh:
-			// The estimates were just rebuilt from direct regime evidence
-			// (a confirmed drift streak, or a visit contradicting its own
-			// estimate). The confidence counter exists to screen prediction
-			// jitter, which this is not: re-building it here would charge
-			// ConfidenceMax extra wrong-configuration intervals per phase
-			// change.
+			// The estimates were just rebuilt by a confirmed drift streak —
+			// direct regime evidence. (A single probe contradicting its own
+			// estimate does not set fresh; it still builds confidence.) The
+			// confidence counter exists to screen prediction jitter, which
+			// this is not: re-building it here would charge ConfidenceMax
+			// extra wrong-configuration intervals per phase change.
 			p.current = best
 			p.confidence, p.candidate = 0, -1
 		case best == p.candidate:

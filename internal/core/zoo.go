@@ -8,7 +8,7 @@ import "math"
 // calls out — damped reaction (hysteresis), proportional control (PID),
 // optimism-driven exploration (bandit), and explicit phases (profile-then-
 // commit). All four follow two package-wide rules: tunables use the
-// negative-sentinel convention (see tunableF in policy.go), and candidate
+// negative-sentinel convention (see tunable in policy.go), and candidate
 // configurations are marked visited when DISPATCHED, never when their
 // sample returns, so a configuration that never yields a Monitor.Last()
 // sample cannot livelock the bootstrap.
@@ -102,7 +102,6 @@ type HysteresisPolicy struct {
 	dwell      int64
 	intervals  int64
 	exploreIdx int
-	exploring  bool
 	driftRun   int
 	current    int
 	inited     bool
@@ -115,11 +114,11 @@ func (p *HysteresisPolicy) defaults() {
 	if p.est != nil {
 		return
 	}
-	p.SwitchGain = tunableF(p.SwitchGain, 0.08)
-	p.DwellMin = tunableI64(p.DwellMin, 6)
-	p.ExplorePeriod = tunableI64(p.ExplorePeriod, 64)
-	p.Alpha = tunableF(p.Alpha, 0.3)
-	p.DriftGain = tunableF(p.DriftGain, 0.08)
+	p.SwitchGain = tunable(p.SwitchGain, 0.08)
+	p.DwellMin = tunable(p.DwellMin, 6)
+	p.ExplorePeriod = tunable(p.ExplorePeriod, 64)
+	p.Alpha = tunable(p.Alpha, 0.3)
+	p.DriftGain = tunable(p.DriftGain, 0.08)
 	p.est = make(map[int]float64, len(p.Configs))
 	p.seen = make(map[int]bool, len(p.Configs))
 }
@@ -172,19 +171,16 @@ func (p *HysteresisPolicy) Next(m *Monitor) int {
 	for _, id := range p.Configs {
 		if !p.seen[id] {
 			p.seen[id] = true
-			p.exploring = true
 			return id
 		}
 	}
 	// A returning visit's sample is already folded in: fall through and
 	// decide on it now rather than coasting an interval at the incumbent.
-	p.exploring = false
 	// Rotation skips the incumbent so every period probes a stale estimate.
 	if p.ExplorePeriod > 0 && p.intervals%p.ExplorePeriod == 0 && len(p.Configs) > 1 {
 		for range p.Configs {
 			p.exploreIdx = (p.exploreIdx + 1) % len(p.Configs)
 			if id := p.Configs[p.exploreIdx]; id != p.current {
-				p.exploring = true
 				return id
 			}
 		}
@@ -241,7 +237,6 @@ type PIDPolicy struct {
 	havePrev   bool
 	intervals  int64
 	exploreIdx int
-	exploring  bool
 	driftRun   int
 	current    int
 	inited     bool
@@ -254,14 +249,14 @@ func (p *PIDPolicy) defaults() {
 	if p.est != nil {
 		return
 	}
-	p.KP = tunableF(p.KP, 0.6)
-	p.KI = tunableF(p.KI, 0.25)
-	p.KD = tunableF(p.KD, 0.15)
-	p.Deadband = tunableF(p.Deadband, 0.12)
-	p.WindupMax = tunableF(p.WindupMax, 1.5)
-	p.ExplorePeriod = tunableI64(p.ExplorePeriod, 64)
-	p.Alpha = tunableF(p.Alpha, 0.3)
-	p.DriftGain = tunableF(p.DriftGain, 0.08)
+	p.KP = tunable(p.KP, 0.6)
+	p.KI = tunable(p.KI, 0.25)
+	p.KD = tunable(p.KD, 0.15)
+	p.Deadband = tunable(p.Deadband, 0.12)
+	p.WindupMax = tunable(p.WindupMax, 1.5)
+	p.ExplorePeriod = tunable(p.ExplorePeriod, 64)
+	p.Alpha = tunable(p.Alpha, 0.3)
+	p.DriftGain = tunable(p.DriftGain, 0.08)
 	p.est = make(map[int]float64, len(p.Configs))
 	p.seen = make(map[int]bool, len(p.Configs))
 }
@@ -332,19 +327,16 @@ func (p *PIDPolicy) Next(m *Monitor) int {
 	for _, id := range p.Configs {
 		if !p.seen[id] {
 			p.seen[id] = true
-			p.exploring = true
 			return id
 		}
 	}
 	// A returning visit's sample is already folded in: fall through and
 	// decide on it now rather than coasting an interval at the incumbent.
-	p.exploring = false
 	// Rotation skips the incumbent so every period probes a stale estimate.
 	if p.ExplorePeriod > 0 && p.intervals%p.ExplorePeriod == 0 && len(p.Configs) > 1 {
 		for range p.Configs {
 			p.exploreIdx = (p.exploreIdx + 1) % len(p.Configs)
 			if id := p.Configs[p.exploreIdx]; id != p.current {
-				p.exploring = true
 				return id
 			}
 		}
@@ -435,14 +427,14 @@ func (p *SlopeBanditPolicy) defaults() {
 	if p.hist != nil {
 		return
 	}
-	p.Explore = tunableF(p.Explore, 0.35)
-	p.SlopeWeight = tunableF(p.SlopeWeight, 0.5)
-	p.Window = tunableI(p.Window, 8)
+	p.Explore = tunable(p.Explore, 0.35)
+	p.SlopeWeight = tunable(p.SlopeWeight, 0.5)
+	p.Window = tunable(p.Window, 8)
 	if p.Window < 1 {
 		p.Window = 1
 	}
-	p.Staleness = tunableI64(p.Staleness, 32)
-	p.DriftGain = tunableF(p.DriftGain, 0.25)
+	p.Staleness = tunable(p.Staleness, 32)
+	p.DriftGain = tunable(p.DriftGain, 0.25)
 	p.hist = make(map[int][]float64, len(p.Configs))
 	p.pulls = make(map[int]int64, len(p.Configs))
 	p.lastPull = make(map[int]int64, len(p.Configs))
@@ -552,12 +544,8 @@ func (p *SlopeBanditPolicy) Next(m *Monitor) int {
 	var scale float64
 	var arms int
 	for _, id := range p.Configs {
-		if h := p.hist[id]; len(h) > 0 {
-			var s float64
-			for _, v := range h {
-				s += v
-			}
-			scale += s / float64(len(h))
+		if len(p.hist[id]) > 0 {
+			scale += p.windowMean(id)
 			arms++
 		}
 	}
@@ -573,16 +561,11 @@ func (p *SlopeBanditPolicy) Next(m *Monitor) int {
 			continue // dispatched but never sampled: nothing to judge
 		}
 		h := p.hist[id]
-		var mean float64
-		for _, v := range h {
-			mean += v
-		}
-		mean /= float64(len(h))
 		var slope float64
 		if len(h) >= 2 {
 			slope = h[len(h)-1] - h[len(h)-2]
 		}
-		v := mean + p.SlopeWeight*slope - p.Explore*scale*math.Sqrt(math.Log(float64(p.t+1))/float64(n))
+		v := p.windowMean(id) + p.SlopeWeight*slope - p.Explore*scale*math.Sqrt(math.Log(float64(p.t+1))/float64(n))
 		if best < 0 || v < bestV {
 			best, bestV = id, v
 		}
@@ -641,12 +624,12 @@ func (p *ProfileThenCommitPolicy) defaults() {
 	if p.sum != nil {
 		return
 	}
-	p.ProbeIntervals = tunableI64(p.ProbeIntervals, 2)
+	p.ProbeIntervals = tunable(p.ProbeIntervals, 2)
 	if p.ProbeIntervals < 1 {
 		p.ProbeIntervals = 1
 	}
-	p.RecommitPeriod = tunableI64(p.RecommitPeriod, 150)
-	p.DriftGain = tunableF(p.DriftGain, 0.25)
+	p.RecommitPeriod = tunable(p.RecommitPeriod, 150)
+	p.DriftGain = tunable(p.DriftGain, 0.25)
 	p.sum = make(map[int]float64, len(p.Configs))
 	p.cnt = make(map[int]int64, len(p.Configs))
 }

@@ -3,20 +3,20 @@ package core
 import "testing"
 
 func TestTunableSentinels(t *testing.T) {
-	if got := tunableF(0, 0.5); got != 0.5 {
-		t.Errorf("tunableF(0) = %v, want default", got)
+	if got := tunable(0, 0.5); got != 0.5 {
+		t.Errorf("tunable(0, 0.5) = %v, want default", got)
 	}
-	if got := tunableF(-1, 0.5); got != 0 {
-		t.Errorf("tunableF(-1) = %v, want explicit zero", got)
+	if got := tunable(-1, 0.5); got != 0 {
+		t.Errorf("tunable(-1, 0.5) = %v, want explicit zero", got)
 	}
-	if got := tunableF(0.2, 0.5); got != 0.2 {
-		t.Errorf("tunableF(0.2) = %v", got)
+	if got := tunable(0.2, 0.5); got != 0.2 {
+		t.Errorf("tunable(0.2, 0.5) = %v", got)
 	}
-	if got := tunableI(-3, 7); got != 0 {
-		t.Errorf("tunableI(-3) = %v, want 0", got)
+	if got := tunable(-3, 7); got != 0 {
+		t.Errorf("tunable(-3, 7) = %v, want 0", got)
 	}
-	if got := tunableI64(0, 32); got != 32 {
-		t.Errorf("tunableI64(0) = %v, want default", got)
+	if got := tunable[int64](0, 32); got != 32 {
+		t.Errorf("tunable[int64](0, 32) = %v, want default", got)
 	}
 }
 

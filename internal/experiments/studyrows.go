@@ -103,11 +103,12 @@ func StudyCacheDir() string {
 }
 
 // ResetStudies discards the in-memory memoized study passes without touching
-// the materialized trace stores or the persistent disk tier. Shard workers
-// call it between bucket claims: the study-level memo would otherwise serve
-// a study assembled under the previous bucket's ownership (stubs included)
-// instead of computing the newly-owned rows. Trace stores stay warm — they
-// are keyed by (benchmark, seed) and ownership-independent.
+// the materialized trace stores or the persistent disk tier. Its callers
+// are tests that need cold study memos, such as one simulating several shard
+// processes in turn: the study-level memo would otherwise serve a study
+// assembled under the previous shard's ownership (stubs included) instead of
+// computing the newly-owned rows. Trace stores stay warm — they are keyed by
+// (benchmark, seed) and ownership-independent.
 func ResetStudies() {
 	cacheStudies.Reset()
 	queueStudies.Reset()

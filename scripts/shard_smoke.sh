@@ -10,9 +10,6 @@
 #   2. The merge actually reused the shards' work: its run manifest shows
 #      memo.persist_hits > 0 and memo.persist_misses == 0 (every study row
 #      was served from the cache, none recomputed).
-#   3. Coordinator mode: `-shard-coordinator 2` (spawned workers claiming
-#      buckets over the work-claiming HTTP protocol, then merging in-process)
-#      also renders byte-identical to the baseline.
 #
 # The CLI's timing footer is the only line stripped from comparisons (same
 # idiom as bench-obs-smoke). Requires: go, jq. Writes only under /tmp.
@@ -57,15 +54,4 @@ misses=$(jq -r '.final.counters["memo.persist_misses"] // 0' "$TMP/merge.manifes
 [ "$hits" -gt 0 ] || fail "merge took no persistent-cache hits (hits=$hits)"
 [ "$misses" -eq 0 ] || fail "merge recomputed $misses study rows the shards should have published"
 
-# --- 3. coordinator mode ----------------------------------------------------
-"$BIN" -experiment fig10 $B -shard-coordinator 2 -study-cache "$TMP/coord" \
-	2> "$TMP/coord.log" | grep -v '^(fig10 in ' > "$TMP/coord.txt"
-cmp -s "$TMP/base.txt" "$TMP/coord.txt" || {
-	cat "$TMP/coord.log" >&2
-	diff "$TMP/base.txt" "$TMP/coord.txt" >&2 || true
-	fail "coordinator merge differs from unsharded baseline"
-}
-grep -q 'buckets done; merging' "$TMP/coord.log" \
-	|| fail "coordinator log missing completion line"
-
-echo "shard-smoke ok (static + coordinator merges byte-identical; merge served $hits rows from the shard cache)"
+echo "shard-smoke ok (static-shard merge byte-identical; merge served $hits rows from the shard cache)"

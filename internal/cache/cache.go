@@ -154,7 +154,6 @@ type Hierarchy struct {
 	sets     [][]way
 	stamp    uint64
 	stats    Stats
-	pub      Stats // snapshot at the last PublishObs (obs.go)
 }
 
 // Stats accumulates access outcomes. Misses are counted hierarchically: an
@@ -223,7 +222,7 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 
 // ResetStats zeroes the counters without touching cache contents (used when
 // discarding warm-up references).
-func (h *Hierarchy) ResetStats() { h.stats, h.pub = Stats{}, Stats{} }
+func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
 // SetBoundary moves the L1/L2 boundary. Thanks to exclusivity and the
 // constant index mapping this requires no flush: blocks keep their frames
@@ -460,10 +459,7 @@ func TimingFor(p Params, k int) Timing {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return timings.Get(timingKey{p, k}, func() Timing {
-		obsTimings.Inc1()
-		return timingFor(p, k)
-	})
+	return timings.Get(timingKey{p, k}, func() Timing { return timingFor(p, k) })
 }
 
 func timingFor(p Params, k int) Timing {

@@ -112,11 +112,10 @@ type MultiHierarchy struct {
 	pendStamp []uint64
 	pendDirty []bool
 
-	// Telemetry tallies (obs.go). Plain unconditional increments — cheap,
+	// Telemetry tally (obs.go). A plain unconditional increment — cheap,
 	// deterministic, and published only as deltas by PublishObs.
 	fastHits uint64
-	slowAccs uint64
-	pub      [6]uint64 // refs/fast/slow/l1/l2/swaps at the last publish
+	pub      [2]uint64 // refs/fast at the last publish
 }
 
 // NewMulti creates a one-pass evaluator for boundaries 1..maxBoundary.
@@ -215,7 +214,6 @@ func (m *MultiHierarchy) Access(set int, tag uint64, write bool) {
 		return
 	}
 
-	m.slowAccs++
 	m.accessSlow(set, tag, write, nil, nil)
 }
 
@@ -246,7 +244,6 @@ func (m *MultiHierarchy) AccessLevels(set int, tag uint64, write bool, levels []
 		return
 	}
 
-	m.slowAccs++
 	m.accessSlow(set, tag, write, levels, nil)
 }
 
@@ -275,7 +272,6 @@ func (m *MultiHierarchy) AccessClasses(set int, tag uint64, write bool, classes 
 		return
 	}
 
-	m.slowAccs++
 	m.accessSlow(set, tag, write, nil, classes)
 }
 

@@ -2,96 +2,25 @@ package cache
 
 import "capsim/internal/obs"
 
-// Telemetry (internal/obs). The per-reference hot paths (Hierarchy.Access,
-// MultiHierarchy.Access) are never touched: both simulators keep accumulating
-// their local Stats exactly as before, and PublishObs hands the *delta since
-// the last publish* to the global counters at coarse boundaries (end of a
-// profile pass or interval run). The only hot-path addition is two plain
-// (non-atomic, unconditional) int64 increments in MultiHierarchy classifying
-// fast- vs slow-path accesses — deterministic, identical with obs on or off,
-// and far cheaper than the probe loop they annotate.
+// Telemetry (internal/obs). The per-reference hot path (MultiHierarchy.Access)
+// is never touched: the simulator keeps accumulating its local tallies, and
+// PublishObs hands the *delta since the last publish* to the global counters
+// at coarse boundaries (end of a profile pass or interval run). The only
+// hot-path addition is one plain (non-atomic, unconditional) int64 increment
+// counting fast-path hits — deterministic, identical with obs on or off, and
+// far cheaper than the probe loop it annotates.
 var (
-	obsRefs       = obs.NewCounter("cache.refs")       // references simulated (Hierarchy)
-	obsWritesC    = obs.NewCounter("cache.writes")     // write references (Hierarchy)
-	obsL1Misses   = obs.NewCounter("cache.l1_misses")  // L1 misses (Hierarchy)
-	obsL2Misses   = obs.NewCounter("cache.l2_misses")  // structure misses (Hierarchy)
-	obsSwaps      = obs.NewCounter("cache.swaps")      // exclusive L1<->L2 swaps (Hierarchy)
-	obsWritebacks = obs.NewCounter("cache.writebacks") // dirty evictions (Hierarchy)
-
-	obsMultiRefs  = obs.NewCounter("cache.multi.refs")        // references through MultiHierarchy
-	obsMultiFast  = obs.NewCounter("cache.multi.fast_hits")   // stack-distance-zero fast-path hits
-	obsMultiSlow  = obs.NewCounter("cache.multi.slow_accs")   // lockstep slow-path accesses
-	obsMultiL1    = obs.NewCounter("cache.multi.l1_misses")   // L1 misses summed over the boundary family
-	obsMultiL2    = obs.NewCounter("cache.multi.l2_misses")   // structure misses summed over the family
-	obsMultiSwaps = obs.NewCounter("cache.multi.swaps")       // exclusive swaps summed over the family
-	obsTimings    = obs.NewCounter("cache.timing_evals")      // timingFor evaluations (memo misses)
-	obsPublishes  = obs.NewCounter("cache.publishes")         // PublishObs invocations with obs live
-	obsBlocksLive = obs.NewGauge("cache.blocks_current")      // resident blocks at the last publish
-	obsBoundaryG  = obs.NewGauge("cache.boundary_current")    // boundary of the last published Hierarchy
-	obsMultiFastR = obs.NewGauge("cache.multi.fast_permille") // fast-path hits per 1000 refs (last publish)
+	obsMultiRefs = obs.NewCounter("cache.multi.refs")      // references through MultiHierarchy
+	obsMultiFast = obs.NewCounter("cache.multi.fast_hits") // stack-distance-zero fast-path hits
 )
 
-// sub returns the per-field difference cur-prev of two Stats snapshots.
-func sub(cur, prev Stats) Stats {
-	return Stats{
-		Refs:       cur.Refs - prev.Refs,
-		Writes:     cur.Writes - prev.Writes,
-		L1Misses:   cur.L1Misses - prev.L1Misses,
-		L2Misses:   cur.L2Misses - prev.L2Misses,
-		Swaps:      cur.Swaps - prev.Swaps,
-		Writebacks: cur.Writebacks - prev.Writebacks,
-	}
-}
-
-// PublishObs publishes the statistics accumulated since the previous
-// PublishObs (or since construction/ResetStats) to the global obs counters.
-// Call it at coarse boundaries only — never per reference. A no-op while obs
-// is disabled; the delta baseline still advances so enabling obs mid-process
+// PublishObs publishes the one-pass evaluator's shared reference count and
+// fast-path hits accumulated since the previous publish. A no-op while obs is
+// disabled; the delta baseline still advances so enabling obs mid-process
 // never double-counts history.
-func (h *Hierarchy) PublishObs() {
-	d := sub(h.stats, h.pub)
-	h.pub = h.stats
-	if !obs.Enabled() {
-		return
-	}
-	obsPublishes.Inc1()
-	obsRefs.Add1(int64(d.Refs))
-	obsWritesC.Add1(int64(d.Writes))
-	obsL1Misses.Add1(int64(d.L1Misses))
-	obsL2Misses.Add1(int64(d.L2Misses))
-	obsSwaps.Add1(int64(d.Swaps))
-	obsWritebacks.Add1(int64(d.Writebacks))
-	obsBoundaryG.Set(int64(h.boundary))
-	obsBlocksLive.Set(int64(h.BlockCount()))
-}
-
-// PublishObs publishes the one-pass evaluator's statistics accumulated since
-// the previous publish: shared reference counts, the fast/slow path split,
-// and the miss/swap totals summed over the whole boundary family.
 func (m *MultiHierarchy) PublishObs() {
-	refs, fast, slow := m.refs, m.fastHits, m.slowAccs
-	var l1, l2, swaps uint64
-	for k := 1; k <= m.maxB; k++ {
-		l1 += m.stats[k].L1Misses
-		l2 += m.stats[k].L2Misses
-		swaps += m.stats[k].Swaps
-	}
-	d := [6]uint64{
-		refs - m.pub[0], fast - m.pub[1], slow - m.pub[2],
-		l1 - m.pub[3], l2 - m.pub[4], swaps - m.pub[5],
-	}
-	m.pub = [6]uint64{refs, fast, slow, l1, l2, swaps}
-	if !obs.Enabled() {
-		return
-	}
-	obsPublishes.Inc1()
-	obsMultiRefs.Add1(int64(d[0]))
-	obsMultiFast.Add1(int64(d[1]))
-	obsMultiSlow.Add1(int64(d[2]))
-	obsMultiL1.Add1(int64(d[3]))
-	obsMultiL2.Add1(int64(d[4]))
-	obsMultiSwaps.Add1(int64(d[5]))
-	if refs > 0 {
-		obsMultiFastR.Set(int64(fast * 1000 / refs))
-	}
+	refs, fast := m.refs-m.pub[0], m.fastHits-m.pub[1]
+	m.pub = [2]uint64{m.refs, m.fastHits}
+	obsMultiRefs.Add(int64(refs))
+	obsMultiFast.Add(int64(fast))
 }

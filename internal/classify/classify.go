@@ -38,7 +38,6 @@ package classify
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"capsim/internal/cache"
 	"capsim/internal/memo"
@@ -47,15 +46,10 @@ import (
 	"capsim/internal/workload"
 )
 
-// Telemetry: stream generations and replays, plus the tier's resident
-// footprint (encoded bytes across all memoized streams) against the flat
-// one-byte-per-class equivalent. All of them are obs-gated.
+// Telemetry: stream generations and replays, both obs-gated.
 var (
 	obsGens    = obs.NewCounter("classify.gens")    // streams generated (hierarchy passes)
 	obsReplays = obs.NewCounter("classify.replays") // cursors opened over a stream
-	obsGenNS   = obs.NewHistogram("classify.gen_ns")
-	obsBytes   = obs.NewGauge("classify.bytes")     // encoded bytes resident
-	obsRawGag  = obs.NewGauge("classify.raw_bytes") // flat equivalent
 )
 
 // Stream is one materialized classification family: for boundaries
@@ -87,7 +81,7 @@ func (s *Stream) Cursor(k int) *Cursor {
 	if k < 1 || k > s.MaxB {
 		panic(fmt.Sprintf("classify: boundary %d outside [1,%d]", k, s.MaxB))
 	}
-	obsReplays.Inc1()
+	obsReplays.Inc()
 	return &Cursor{row: s.Rows[k-1], limit: s.NRefs}
 }
 
@@ -185,8 +179,6 @@ var streams memo.Memo[string, *Stream]
 // any, is untouched). The determinism tests call it between passes.
 func Reset() {
 	streams.Reset()
-	obsBytes.Set(0)
-	obsRawGag.Set(0)
 }
 
 // Key returns the canonical stream key — exactly the content-determining
@@ -202,15 +194,9 @@ func Key(b workload.Benchmark, seed uint64, p cache.Params, maxB int, nrefs int6
 func StreamFor(b workload.Benchmark, seed uint64, p cache.Params, maxB int, nrefs int64) (*Stream, error) {
 	key := Key(b, seed, p, maxB, nrefs)
 	return streams.Do(key, func() (*Stream, error) {
-		s, err := memo.PersistDo(store.Load(), key, func() (*Stream, error) {
+		return memo.PersistDo(store.Load(), key, func() (*Stream, error) {
 			return generate(b, seed, p, maxB, nrefs)
 		})
-		if err != nil {
-			return nil, err
-		}
-		obsBytes.Add(s.Bytes())
-		obsRawGag.Add(s.RawBytes())
-		return s, nil
 	})
 }
 
@@ -234,7 +220,6 @@ func generate(b workload.Benchmark, seed uint64, p cache.Params, maxB int, nrefs
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
 	dec := trace.DecodedFor(trace.RefsFor(b, seed), trace.Geometry{BlockBytes: p.BlockBytes, Sets: p.Sets()}).Cursor()
 	encs := make([]encoder, maxB)
 	classes := make([]uint8, maxB)
@@ -251,7 +236,6 @@ func generate(b workload.Benchmark, seed uint64, p cache.Params, maxB int, nrefs
 		rows[kb] = encs[kb].buf
 	}
 	mh.PublishObs()
-	obsGens.Inc1()
-	obsGenNS.Observe(time.Since(t0).Nanoseconds())
+	obsGens.Inc()
 	return &Stream{MaxB: maxB, NRefs: nrefs, Rows: rows}, nil
 }

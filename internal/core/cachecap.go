@@ -221,7 +221,6 @@ func RunCache(c *CacheMachine, p Policy, intervals, n int64, keepSamples bool) C
 	res.TPI = c.TotalTPI()
 	res.TPIMiss = c.TotalTPIMiss()
 	res.Switches = c.clk.Switches()
-	c.hier.PublishObs()
 	return res
 }
 

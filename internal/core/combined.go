@@ -260,6 +260,5 @@ func RunCombined(m *CombinedMachine, p Policy, intervals, n int64, keepSamples b
 	res.TPI = m.TotalTPI()
 	res.Switches = m.clk.Switches()
 	m.core.PublishObs()
-	m.hier.PublishObs()
 	return res
 }

@@ -115,7 +115,7 @@ func (f *intervalFamily) extendTo(ctx context.Context, intervals int64) error {
 			f.issued[i] = append(f.issued[i], st.Issued)
 		}
 		f.done++
-		obsPolicyCells.Add1(int64(len(f.cycles)))
+		obsPolicyCells.Add(int64(len(f.cycles)))
 	}
 	return nil
 }
@@ -376,7 +376,7 @@ func (mp *MultiPolicy) Race(ctx context.Context, specs []PolicySpec, intervals i
 			flight.Publish(ctx, meta, evs, flightEnd(intervals, res.Instrs, res.Switches, res.TimeNS, regretNS))
 		}
 	}
-	obsPolicyCells.Add1(int64(len(specs)) * intervals)
+	obsPolicyCells.Add(int64(len(specs)) * intervals)
 	return out, nil
 }
 

@@ -234,7 +234,7 @@ func (f *raceFamily) extendTo(ctx context.Context, intervals int64) error {
 			})
 		}
 		f.done++
-		obsRaceSimCells.Add1(int64(len(f.policies)))
+		obsRaceSimCells.Add(int64(len(f.policies)))
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"capsim/internal/cache"
 	"capsim/internal/classify"
@@ -22,14 +21,6 @@ import (
 	"capsim/internal/obs"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
-)
-
-// Telemetry (internal/obs): one counter bump and one span per experiment —
-// the coarsest boundary in the process.
-var (
-	obsExperiments = obs.NewCounter("experiments.runs")
-	obsExpErrors   = obs.NewCounter("experiments.errors")
-	obsExpNS       = obs.NewHistogram("experiments.wall_ns")
 )
 
 // Config holds the run budgets. The paper uses 100 M references /
@@ -201,13 +192,9 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	obsExperiments.Inc1()
 	sp := obs.StartSpan("experiment:"+id, 0)
-	t0 := time.Now()
 	res, err := e.run(ctx, cfg)
-	obsExpNS.Observe(time.Since(t0).Nanoseconds())
 	if err != nil {
-		obsExpErrors.Inc1()
 		sp.End(obs.Arg{K: "err", V: err.Error()})
 		return res, err
 	}

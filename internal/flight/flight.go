@@ -54,12 +54,9 @@ import (
 // convention as obs.ManifestSchema and server.ResponseSchema).
 const Schema = "capsim/ledger/v1"
 
-// Telemetry (internal/obs): recorder volume and failure visibility.
-var (
-	obsRuns    = obs.NewCounter("flight.runs")         // run columns published
-	obsEvents  = obs.NewCounter("flight.events")       // interval events published
-	obsDropped = obs.NewCounter("flight.dropped_runs") // runs dropped after a sink error
-)
+// Telemetry (internal/obs): failure visibility. A collector that went quiet
+// after a sink error counts every run it drops.
+var obsDropped = obs.NewCounter("flight.dropped_runs")
 
 // Run kinds: how the column was produced.
 const (
@@ -180,17 +177,14 @@ func (c *Collector) PublishRun(meta RunMeta, events []Event, end RunEnd) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
-		obsDropped.Inc1()
+		obsDropped.Inc()
 		return
 	}
 	c.seq++
 	if err := c.sink.WriteRun(c.seq, meta, events, end); err != nil {
 		c.err = err
-		obsDropped.Inc1()
-		return
+		obsDropped.Inc()
 	}
-	obsRuns.Inc1()
-	obsEvents.Add1(int64(len(events)))
 }
 
 // PublishProgress forwards a progress pulse; errors are terminal like

@@ -226,6 +226,11 @@ func TestPublishFanOut(t *testing.T) {
 }
 
 func TestCollectorSinkErrorGoesQuiet(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	dropped0 := obsDropped.Value()
+
 	s := &memSink{err: fmt.Errorf("disk full")}
 	c := NewCollector(s)
 	meta, evs, end := mkRun("p", KindTrace, 3, 0)
@@ -236,6 +241,11 @@ func TestCollectorSinkErrorGoesQuiet(t *testing.T) {
 	}
 	if len(s.runs) != 0 {
 		t.Fatal("runs recorded despite sink error")
+	}
+	// Both runs are dropped: the one whose write failed and the one the
+	// quiet collector refused.
+	if got := obsDropped.Value() - dropped0; got != 2 {
+		t.Fatalf("flight.dropped_runs delta %d, want 2", got)
 	}
 }
 

@@ -83,7 +83,7 @@ func (s *Store) prune() {
 			break
 		}
 		if os.Remove(e.path) == nil {
-			obsPersistEvicts.Inc1()
+			obsPersistEvicts.Inc()
 		}
 		total -= e.size // racing replica's removal counts toward the goal too
 	}

@@ -27,18 +27,15 @@ import (
 )
 
 // Telemetry (internal/obs): cheap global counters over all Memo instances.
-// Hits/misses partition Do calls by whether this call ran fn; waits count the
-// calls that blocked on another goroutine's in-flight computation — the
-// singleflight stalls the trace timeline makes visible. All of it is gated on
-// obs being live, so the plain path pays one predicted branch per Do.
+// Hits/misses partition Do calls by whether this call ran fn; the wait
+// histogram times the calls that blocked on another goroutine's in-flight
+// computation — the singleflight stalls the trace timeline makes visible. All
+// of it is gated on obs being live, so the plain path pays one predicted
+// branch per Do.
 var (
-	obsHits    = obs.NewCounter("memo.hits")         // result already memoized
-	obsMisses  = obs.NewCounter("memo.misses")       // this call computed the entry
-	obsWaits   = obs.NewCounter("memo.waits")        // blocked on an in-flight compute
-	obsEvicts  = obs.NewCounter("memo.evictions")    // entries evicted by a SetCap bound
-	obsForgets = obs.NewCounter("memo.forgets")      // entries dropped by Forget
-	obsWaitNS  = obs.NewHistogram("memo.wait_ns")    // time spent blocked
-	obsCompNS  = obs.NewHistogram("memo.compute_ns") // time inside fn
+	obsHits   = obs.NewCounter("memo.hits")      // result already memoized
+	obsMisses = obs.NewCounter("memo.misses")    // this call computed the entry
+	obsWaitNS = obs.NewHistogram("memo.wait_ns") // time spent blocked
 )
 
 // entry is one key's slot: a Once guarding the computed value. done is
@@ -127,7 +124,6 @@ func (c *Memo[K, V]) evictLocked() {
 			delete(c.m, k)
 		}
 		c.lru.Remove(back)
-		obsEvicts.Inc1()
 	}
 }
 
@@ -148,7 +144,6 @@ func (c *Memo[K, V]) Forget(k K) {
 	if e.elem != nil {
 		c.lru.Remove(e.elem)
 	}
-	obsForgets.Inc1()
 }
 
 // Do returns the memoized result for k, computing it with fn on first use.
@@ -187,15 +182,13 @@ func (c *Memo[K, V]) doObserved(e *entry[V], fn func() (V, error)) (V, error) {
 	ns := time.Since(t0).Nanoseconds()
 	switch {
 	case ran:
-		obsMisses.Inc1()
-		obsCompNS.Observe(ns)
+		obsMisses.Inc()
 	case settled:
-		obsHits.Inc1()
+		obsHits.Inc()
 	default:
 		// Entry existed but was still being computed when we arrived: we
 		// blocked on that key's Once.
-		obsHits.Inc1()
-		obsWaits.Inc1()
+		obsHits.Inc()
 		obsWaitNS.Observe(ns)
 		as.End()
 	}

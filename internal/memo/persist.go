@@ -17,8 +17,8 @@
 //     byte-equivalent entry and the later rename wins.
 //   - Corruption tolerance: any decode problem — truncated file, wrong
 //     magic, wrong schema version, key mismatch, checksum mismatch — counts
-//     as a miss, bumps memo.persist_errors, and best-effort removes the bad
-//     entry so the next write repairs it.
+//     as a miss and best-effort removes the bad entry so the next write
+//     repairs it.
 //   - Versioned schema: entries live under <root>/v1 and carry the schema
 //     string inside the envelope. A future incompatible layout bumps the
 //     directory and the string; old entries are simply never read again.
@@ -47,7 +47,6 @@ var (
 	obsPersistHits   = obs.NewCounter("memo.persist_hits")   // entry served from disk
 	obsPersistMisses = obs.NewCounter("memo.persist_misses") // no usable entry on disk
 	obsPersistWrites = obs.NewCounter("memo.persist_writes") // entries published
-	obsPersistErrors = obs.NewCounter("memo.persist_errors") // corrupt/unreadable entries or failed writes
 )
 
 // storeSchema versions the on-disk entry envelope; storeDir versions the
@@ -109,18 +108,17 @@ func (s *Store) GetBytes(key string) ([]byte, bool) {
 	p := s.path(key)
 	raw, err := os.ReadFile(p)
 	if err != nil {
-		obsPersistMisses.Inc1()
+		obsPersistMisses.Inc()
 		return nil, false
 	}
 	var e storeEntry
 	if derr := gob.NewDecoder(bytes.NewReader(raw)).Decode(&e); derr != nil ||
 		e.Schema != storeSchema || e.Key != key || e.Sum != crc32.ChecksumIEEE(e.Payload) {
-		obsPersistErrors.Inc1()
-		obsPersistMisses.Inc1()
+		obsPersistMisses.Inc()
 		os.Remove(p) // best-effort repair; the next Put rewrites it
 		return nil, false
 	}
-	obsPersistHits.Inc1()
+	obsPersistHits.Inc()
 	s.touch(p) // refresh LRU age explicitly; see budget.go
 	return e.Payload, true
 }
@@ -133,34 +131,28 @@ func (s *Store) PutBytes(key string, payload []byte) error {
 	var buf bytes.Buffer
 	e := storeEntry{Schema: storeSchema, Key: key, Sum: crc32.ChecksumIEEE(payload), Payload: payload}
 	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-		obsPersistErrors.Inc1()
 		return fmt.Errorf("memo: encode %q: %w", key, err)
 	}
 	p := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		obsPersistErrors.Inc1()
 		return err
 	}
 	tmp, err := os.CreateTemp(s.root, "put-*.tmp")
 	if err != nil {
-		obsPersistErrors.Inc1()
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(buf.Bytes()); err != nil {
 		tmp.Close()
-		obsPersistErrors.Inc1()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
-		obsPersistErrors.Inc1()
 		return err
 	}
 	if err := os.Rename(tmp.Name(), p); err != nil {
-		obsPersistErrors.Inc1()
 		return err
 	}
-	obsPersistWrites.Inc1()
+	obsPersistWrites.Inc()
 	s.prune() // enforce the byte budget after every publication
 	return nil
 }
@@ -191,7 +183,6 @@ func PersistDo[V any](s *Store, key string, fn func() (V, error)) (V, error) {
 			return v, nil
 		}
 		// Payload decoded as an envelope but not as V: treat as corruption.
-		obsPersistErrors.Inc1()
 		os.Remove(s.path(key))
 	}
 	v, err := fn()
@@ -203,8 +194,6 @@ func PersistDo[V any](s *Store, key string, fn func() (V, error)) (V, error) {
 		// Publish failures are non-fatal by design: the value is correct,
 		// the disk tier just stays cold for this key.
 		_ = s.PutBytes(key, buf.Bytes())
-	} else {
-		obsPersistErrors.Inc1()
 	}
 	return v, nil
 }

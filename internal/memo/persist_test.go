@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -241,4 +242,67 @@ func TestStoreFanOut(t *testing.T) {
 	if len(dir) != 2 {
 		t.Errorf("fan-out dir %q, want a two-hex-digit prefix", dir)
 	}
+}
+
+// FuzzPersistEnvelope writes arbitrary bytes where an entry belongs and reads
+// them back through GetBytes, which must never panic. It may report a hit
+// only for an envelope whose schema, key echo and payload checksum all
+// match, returning exactly that payload; anything else is a miss that removes
+// the file. The fuzzed bytes, stored as a payload, must then round-trip
+// through PutBytes and GetBytes unchanged.
+func FuzzPersistEnvelope(f *testing.F) {
+	const key = "fuzz key"
+	envelope := func(e storeEntry) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	payload := []byte("payload")
+	sum := crc32.ChecksumIEEE(payload)
+	f.Add([]byte{})
+	f.Add([]byte("not a gob stream"))
+	f.Add(envelope(storeEntry{Schema: storeSchema, Key: key, Sum: sum, Payload: payload}))
+	f.Add(envelope(storeEntry{Schema: storeSchema, Key: key, Sum: sum + 1, Payload: payload}))
+	f.Add(envelope(storeEntry{Schema: storeSchema, Key: "other", Sum: sum, Payload: payload}))
+	f.Add(envelope(storeEntry{Schema: "capsim/study-cache/v0", Key: key, Sum: sum, Payload: payload}))
+	f.Add(envelope(storeEntry{Schema: storeSchema, Key: key}))
+
+	s, err := OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := s.path(key)
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.GetBytes(key)
+		var e storeEntry
+		valid := gob.NewDecoder(bytes.NewReader(raw)).Decode(&e) == nil &&
+			e.Schema == storeSchema && e.Key == key && e.Sum == crc32.ChecksumIEEE(e.Payload)
+		switch {
+		case ok && !valid:
+			t.Fatalf("invalid envelope served as a hit: %q", got)
+		case ok && !bytes.Equal(got, e.Payload):
+			t.Fatalf("hit returned %q, envelope holds %q", got, e.Payload)
+		case !ok && valid:
+			t.Fatal("valid envelope reported as a miss")
+		case !ok:
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Fatalf("rejected entry not removed (stat err %v)", err)
+			}
+		}
+
+		if err := s.PutBytes(key, raw); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.GetBytes(key); !ok || !bytes.Equal(got, raw) {
+			t.Fatalf("payload round trip: got %q ok=%v, want %q", got, ok, raw)
+		}
+	})
 }

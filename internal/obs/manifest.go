@@ -11,7 +11,7 @@ import (
 
 // ManifestSchema versions the -metrics-out document. Bump on breaking shape
 // changes.
-const ManifestSchema = "capsim/run-manifest/v2"
+const ManifestSchema = "capsim/run-manifest/v3"
 
 // BuildInfo is the toolchain and VCS provenance of the running binary,
 // captured from runtime/debug.ReadBuildInfo. Fields are empty when the
@@ -84,7 +84,7 @@ type Manifest struct {
 	Experiments []ExperimentRecord `json:"experiments"`
 	TotalWallNS int64              `json:"total_wall_ns"`
 
-	// Final is the cumulative end-of-run metric snapshot (counters, gauges,
+	// Final is the cumulative end-of-run metric snapshot (counters and
 	// histogram summaries) from the Default registry.
 	Final Snapshot `json:"final,omitempty"`
 }

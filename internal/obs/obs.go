@@ -1,8 +1,8 @@
 // Package obs is capsim's process-wide telemetry subsystem: a registry of
-// sharded, cache-line-padded atomic counters, gauges and log2 histograms
-// cheap enough to sit next to the simulator hot paths, a span tracer that
-// emits Chrome trace-event JSONL (span.go), a run-manifest builder
-// (manifest.go), and a live expvar/metrics HTTP endpoint (serve.go).
+// atomic counters and log2 histograms cheap enough to sit next to the
+// simulator hot paths, a span tracer that emits Chrome trace-event JSONL
+// (span.go), a run-manifest builder (manifest.go), and a live
+// expvar/metrics HTTP endpoint (serve.go).
 //
 // Design rules, in priority order:
 //
@@ -19,10 +19,6 @@
 //     sites run at most once per profile pass or interval, so `capsim`
 //     without any -obs flags pays nothing measurable (the bench harness
 //     reports the on/off difference as obs_overhead_frac).
-//  3. Hot concurrent writers must not false-share. Counters are striped
-//     across cache-line-padded lanes; writers with a natural identity (the
-//     sweep pool passes its worker index) land on distinct lines, everyone
-//     else uses lane 0.
 //
 // cmd/capsim exposes the subsystem as -metrics-out (run manifest),
 // -trace-out (Chrome trace), -serve (live endpoint) and -obs (counters only).
@@ -30,12 +26,11 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// enabled is the process-wide counter/gauge/histogram switch. The default is
+// enabled is the process-wide counter/histogram switch. The default is
 // OFF: plain runs pay nothing.
 var enabled atomic.Bool
 
@@ -47,100 +42,35 @@ func SetEnabled(v bool) { enabled.Store(v) }
 // Enabled reports whether metric recording is active.
 func Enabled() bool { return enabled.Load() }
 
-// NumLanes is the stripe count of a Counter. Power of two so lane selection
-// is a mask; 16 lanes × 64 B = 1 KB per counter, enough to give every sweep
-// worker on a desktop-class part its own line.
-const (
-	NumLanes = 16
-	laneMask = NumLanes - 1
-)
-
-// lane is one cache-line-padded counter cell. 64-byte alignment pads the
-// 8-byte atomic to a full line so adjacent lanes never share one.
-type lane struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing sharded counter. The zero value is
-// NOT usable — counters are created through NewCounter (or
+// Counter is a named atomic total. Most counters only grow; the live-byte
+// counters (trace.bytes) also subtract what evictions free. The zero value
+// is NOT usable — counters are created through NewCounter (or
 // Registry.NewCounter) so they are discoverable by snapshots and the live
 // endpoint.
 type Counter struct {
-	name  string
-	lanes [NumLanes]lane
+	name string
+	v    atomic.Int64
 }
 
 // Name returns the counter's registered name.
 func (c *Counter) Name() string { return c.name }
 
-// Add adds d on the given lane when telemetry is enabled. Callers with a
-// natural worker identity (sweep workers) pass it as the lane so concurrent
-// adds stay on distinct cache lines; lane values are reduced mod NumLanes.
-func (c *Counter) Add(ln int, d int64) {
+// Add adds d when telemetry is enabled.
+func (c *Counter) Add(d int64) {
 	if !enabled.Load() {
 		return
 	}
-	c.lanes[ln&laneMask].v.Add(d)
+	c.v.Add(d)
 }
 
-// Inc is Add(lane, 1).
-func (c *Counter) Inc(ln int) { c.Add(ln, 1) }
+// Inc is Add(1).
+func (c *Counter) Inc() { c.Add(1) }
 
-// Add1 is Add on lane 0, for call sites without a worker identity.
-func (c *Counter) Add1(d int64) { c.Add(0, d) }
-
-// Inc1 is Inc on lane 0.
-func (c *Counter) Inc1() { c.Add(0, 1) }
-
-// Value returns the sum over all lanes. Reads are not gated on Enabled so
+// Value returns the current total. Reads are not gated on Enabled so
 // snapshots taken just after disabling still see the final totals.
-func (c *Counter) Value() int64 {
-	var s int64
-	for i := range c.lanes {
-		s += c.lanes[i].v.Load()
-	}
-	return s
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
-// reset zeroes every lane (Registry.Reset).
-func (c *Counter) reset() {
-	for i := range c.lanes {
-		c.lanes[i].v.Store(0)
-	}
-}
-
-// Gauge is a last-value-wins instantaneous metric (queue depth, store
-// counts). A single atomic cell: gauges are written at coarse boundaries, so
-// striping would only blur the "current" value they exist to report.
-type Gauge struct {
-	name string
-	v    atomic.Int64
-}
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
-
-// Set stores v when telemetry is enabled.
-func (g *Gauge) Set(v int64) {
-	if !enabled.Load() {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by d when telemetry is enabled.
-func (g *Gauge) Add(d int64) {
-	if !enabled.Load() {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) reset() { g.v.Store(0) }
+func (c *Counter) reset() { c.v.Store(0) }
 
 // --- registry -------------------------------------------------------------
 
@@ -151,12 +81,11 @@ type Registry struct {
 	mu     sync.Mutex
 	names  map[string]bool
 	counts []*Counter
-	gauges []*Gauge
 	hists  []*Histogram
 }
 
-// Default is the process-wide registry behind NewCounter/NewGauge/
-// NewHistogram, the run manifest and the live endpoint.
+// Default is the process-wide registry behind NewCounter/NewHistogram, the
+// run manifest and the live endpoint.
 var Default = &Registry{}
 
 func (r *Registry) claim(name string) {
@@ -184,16 +113,6 @@ func (r *Registry) NewCounter(name string) *Counter {
 	return c
 }
 
-// NewGauge registers a new gauge.
-func (r *Registry) NewGauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name)
-	g := &Gauge{name: name}
-	r.gauges = append(r.gauges, g)
-	return g
-}
-
 // NewHistogram registers a new histogram.
 func (r *Registry) NewHistogram(name string) *Histogram {
 	r.mu.Lock()
@@ -207,9 +126,6 @@ func (r *Registry) NewHistogram(name string) *Histogram {
 // NewCounter registers a counter in the Default registry.
 func NewCounter(name string) *Counter { return Default.NewCounter(name) }
 
-// NewGauge registers a gauge in the Default registry.
-func NewGauge(name string) *Gauge { return Default.NewGauge(name) }
-
 // NewHistogram registers a histogram in the Default registry.
 func NewHistogram(name string) *Histogram { return Default.NewHistogram(name) }
 
@@ -221,9 +137,6 @@ func (r *Registry) Reset() {
 	for _, c := range r.counts {
 		c.reset()
 	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
 	for _, h := range r.hists {
 		h.reset()
 	}
@@ -232,7 +145,6 @@ func (r *Registry) Reset() {
 // Snapshot is a point-in-time copy of a registry's metric values.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`
-	Gauges     map[string]int64        `json:"gauges,omitempty"`
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
@@ -244,14 +156,10 @@ func (r *Registry) TakeSnapshot() Snapshot {
 	defer r.mu.Unlock()
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counts)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistSnapshot, len(r.hists)),
 	}
 	for _, c := range r.counts {
 		s.Counters[c.name] = c.Value()
-	}
-	for _, g := range r.gauges {
-		s.Gauges[g.name] = g.Value()
 	}
 	for _, h := range r.hists {
 		s.Histograms[h.name] = h.Snapshot()
@@ -276,14 +184,7 @@ func (s Snapshot) DiffCounters(prev Snapshot) map[string]int64 {
 
 // SortedCounterNames returns the snapshot's counter names in sorted order
 // (stable rendering for the /metrics endpoint and tests).
-func (s Snapshot) SortedCounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (s Snapshot) SortedCounterNames() []string { return sortedKeys(s.Counters) }
 
 // String renders a compact one-metric-per-line view (diagnostics).
 func (s Snapshot) String() string {

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // withEnabled runs fn with metric recording forced on, restoring the prior
 // state afterwards.
@@ -19,57 +16,11 @@ func TestCounterDisabledIsNoop(t *testing.T) {
 	r := &Registry{}
 	c := r.NewCounter("t.counter")
 	SetEnabled(false)
-	c.Inc1()
-	c.Add(3, 41)
+	c.Inc()
+	c.Add(41)
 	if got := c.Value(); got != 0 {
 		t.Fatalf("disabled counter accumulated %d", got)
 	}
-}
-
-func TestCounterLanesSumAndStripe(t *testing.T) {
-	r := &Registry{}
-	c := r.NewCounter("t.lanes")
-	withEnabled(t, func() {
-		var wg sync.WaitGroup
-		const perLane = 1000
-		for w := 0; w < 2*NumLanes; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < perLane; i++ {
-					c.Inc(w)
-				}
-			}(w)
-		}
-		wg.Wait()
-		if got, want := c.Value(), int64(2*NumLanes*perLane); got != want {
-			t.Fatalf("Value = %d, want %d", got, want)
-		}
-		// Lane reduction is mod NumLanes: worker w and w+NumLanes share one
-		// lane, so each lane holds exactly 2*perLane.
-		for i := range c.lanes {
-			if got := c.lanes[i].v.Load(); got != 2*perLane {
-				t.Fatalf("lane %d = %d, want %d", i, got, 2*perLane)
-			}
-		}
-	})
-}
-
-func TestGauge(t *testing.T) {
-	r := &Registry{}
-	g := r.NewGauge("t.gauge")
-	SetEnabled(false)
-	g.Set(7)
-	if g.Value() != 0 {
-		t.Fatal("disabled gauge recorded")
-	}
-	withEnabled(t, func() {
-		g.Set(7)
-		g.Add(-2)
-		if got := g.Value(); got != 5 {
-			t.Fatalf("gauge = %d, want 5", got)
-		}
-	})
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
@@ -80,7 +31,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 			t.Fatal("duplicate name did not panic")
 		}
 	}()
-	r.NewGauge("dup") // duplicate across kinds must still panic
+	r.NewHistogram("dup") // duplicate across kinds must still panic
 }
 
 func TestRegistryEmptyNamePanics(t *testing.T) {
@@ -98,10 +49,10 @@ func TestSnapshotDiffCounters(t *testing.T) {
 	a := r.NewCounter("t.a")
 	b := r.NewCounter("t.b")
 	withEnabled(t, func() {
-		a.Add1(5)
+		a.Add(5)
 		before := r.TakeSnapshot()
-		a.Add1(2)
-		b.Add1(9)
+		a.Add(2)
+		b.Add(9)
 		after := r.TakeSnapshot()
 		d := after.DiffCounters(before)
 		if d["t.a"] != 2 || d["t.b"] != 9 {
@@ -120,15 +71,13 @@ func TestSnapshotDiffCounters(t *testing.T) {
 func TestRegistryReset(t *testing.T) {
 	r := &Registry{}
 	c := r.NewCounter("t.reset")
-	g := r.NewGauge("t.reset.g")
 	h := r.NewHistogram("t.reset.h")
 	withEnabled(t, func() {
-		c.Add1(3)
-		g.Set(4)
+		c.Add(3)
 		h.Observe(100)
 		r.Reset()
-		if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-			t.Fatalf("reset left values: c=%d g=%d h=%d/%d", c.Value(), g.Value(), h.Count(), h.Sum())
+		if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+			t.Fatalf("reset left values: c=%d h=%d/%d", c.Value(), h.Count(), h.Sum())
 		}
 	})
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // This file renders the registry in the Prometheus text exposition format
-// (version 0.0.4) for /metrics, replacing the earlier ad-hoc flat text:
+// (version 0.0.4) for /metrics:
 //
 //   - counters export as `capsim_<name>_total` with `# TYPE ... counter`;
-//   - gauges export as `capsim_<name>` gauges;
 //   - log2 histograms export as native Prometheus histograms — cumulative
 //     `_bucket{le="..."}` series over the non-empty power-of-two bounds plus
 //     the mandatory `le="+Inf"`, `_sum`, and `_count` — with the registry's
@@ -24,7 +23,7 @@ import (
 //
 // Metric names mangle the registry's dotted names (`sweep.busy_ns` →
 // `capsim_sweep_busy_ns_total`); the expvar JSON at /debug/vars keeps the
-// original names, so dashboards can migrate one panel at a time.
+// original names.
 
 // promName mangles a registry metric name into a Prometheus metric name.
 func promName(name string) string {
@@ -68,12 +67,6 @@ func WritePrometheus(w io.Writer, s Snapshot, build BuildInfo) {
 		fmt.Fprintf(w, "# HELP %s capsim counter %s\n", pn, n)
 		fmt.Fprintf(w, "# TYPE %s counter\n", pn)
 		fmt.Fprintf(w, "%s %d\n", pn, s.Counters[n])
-	}
-	for _, n := range sortedKeys(s.Gauges) {
-		pn := promName(n)
-		fmt.Fprintf(w, "# HELP %s capsim gauge %s\n", pn, n)
-		fmt.Fprintf(w, "# TYPE %s gauge\n", pn)
-		fmt.Fprintf(w, "%s %d\n", pn, s.Gauges[n])
 	}
 	for _, n := range sortedKeys(s.Histograms) {
 		h := s.Histograms[n]

@@ -170,7 +170,7 @@ func find(metrics []promMetric, name string, labels map[string]string) (promMetr
 }
 
 // /metrics output parses under the minimal text-format parser, declares
-// types, and exposes registered counters/gauges with mangled names.
+// types, and exposes registered counters with mangled names.
 func TestPrometheusExpositionParses(t *testing.T) {
 	SetEnabled(true)
 	defer SetEnabled(false)

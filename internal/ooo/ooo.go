@@ -139,7 +139,7 @@ type Core struct {
 	stats Stats
 
 	// Telemetry tallies and publish baselines (obs.go): plain unconditional
-	// increments on already-branchy paths, shipped as deltas by PublishObs.
+	// increments on already-branchy paths; PublishObs ships the deltas.
 	tal      tallies
 	pubStats Stats
 	pubTal   tallies
@@ -433,7 +433,6 @@ func (c *Core) Resize(newSize int) error {
 	if newSize < 1 || newSize >= maxDist {
 		return fmt.Errorf("ooo: window size %d out of range", newSize)
 	}
-	c.tal.resizes++
 	if newSize < c.occ {
 		c.Drain(newSize)
 	}

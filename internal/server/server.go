@@ -40,16 +40,12 @@ import (
 	"capsim/internal/sweep"
 )
 
-// Telemetry (internal/obs): request-level counters and the in-flight gauge.
+// Telemetry (internal/obs): run outcomes, exported on /metrics.
 var (
-	obsRequests  = obs.NewCounter("server.requests")
 	obsRunOK     = obs.NewCounter("server.run_ok")
-	obsRunErrors = obs.NewCounter("server.run_errors")
 	obsCacheHits = obs.NewCounter("server.cache_hits")
 	obsBusy      = obs.NewCounter("server.rejected_busy")
 	obsDraining  = obs.NewCounter("server.rejected_draining")
-	obsInFlight  = obs.NewGauge("server.in_flight")
-	obsLatency   = obs.NewHistogram("server.latency_ns")
 )
 
 // maxRequestBody bounds the POST /v1/run body; the schema is a handful of
@@ -235,7 +231,6 @@ func (s *Server) InFlight() int { return s.adm.inUse() }
 
 // handleList serves GET /v1/experiments.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	obsRequests.Inc1()
 	type item struct {
 		ID    string `json:"id"`
 		Title string `json:"title"`
@@ -270,12 +265,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // handleRun serves POST /v1/run: decode, resolve, execute (via cache /
 // singleflight / admission), respond.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	obsRequests.Inc1()
-	t0 := time.Now()
-	defer func() { obsLatency.Observe(time.Since(t0).Nanoseconds()) }()
-
 	if s.draining.Load() {
-		obsDraining.Inc1()
+		obsDraining.Inc()
 		writeError(w, http.StatusServiceUnavailable, "server is draining; retry against another instance")
 		return
 	}
@@ -306,13 +297,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	sp := obs.StartSpan("server.run:"+req.Experiment, 0)
 	resp, err := s.execute(r.Context(), &req, cfg)
 	if err != nil {
-		obsRunErrors.Inc1()
 		status, msg := s.mapErr(err)
 		sp.End(obs.Arg{K: "err", V: msg}, obs.Arg{K: "status", V: status})
 		writeError(w, status, msg)
 		return
 	}
-	obsRunOK.Inc1()
+	obsRunOK.Inc()
 	sp.End(obs.Arg{K: "cached", V: resp.Cached})
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -356,7 +346,7 @@ func (s *Server) execute(reqCtx context.Context, req *RunRequest, cfg experiment
 		case computed:
 			return resp, nil
 		default:
-			obsCacheHits.Inc1()
+			obsCacheHits.Inc()
 			// Cached flag goes on a copy: the memoized response is shared
 			// across requests and must stay immutable.
 			c := *resp
@@ -372,8 +362,6 @@ func (s *Server) compute(ctx context.Context, id string, cfg experiments.Config)
 		return nil, err
 	}
 	defer s.adm.release()
-	obsInFlight.Add(1)
-	defer obsInFlight.Add(-1)
 
 	t0 := time.Now()
 	res, err := s.opt.Runner(ctx, id, cfg)
@@ -409,7 +397,7 @@ func (s *Server) effectiveWorkers(ctx context.Context) int {
 func (s *Server) mapErr(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrBusy):
-		obsBusy.Inc1()
+		obsBusy.Inc()
 		return http.StatusTooManyRequests,
 			fmt.Sprintf("all %d run slots busy and queue-wait budget expired; back off and retry", s.opt.MaxInFlight)
 	case errors.Is(err, context.DeadlineExceeded):

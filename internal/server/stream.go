@@ -40,8 +40,6 @@ import (
 //   - Errors after the 200 header are in-band: a terminal "error" line with
 //     the same status code mapErr would have chosen.
 
-var obsStreams = obs.NewCounter("server.streams") // streamed runs started
-
 // streamSink adapts an http.ResponseWriter into a flight.Sink, flushing
 // after every write so events reach the client as they happen.
 type streamSink struct {
@@ -102,7 +100,6 @@ func (s *streamSink) emitJSON(v any) error {
 // handleStream serves a {"stream": true} run: 200 + event feed + terminal
 // result/error line.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, req *RunRequest, cfg experiments.Config) {
-	obsStreams.Inc1()
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream; charset=utf-8")
@@ -133,7 +130,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, req *RunRe
 	sp := obs.StartSpan("server.stream:"+req.Experiment, 0)
 	resp, err := s.compute(ctx, req.Experiment, cfg)
 	if err != nil {
-		obsRunErrors.Inc1()
 		status, msg := s.mapErr(err)
 		sp.End(obs.Arg{K: "err", V: msg}, obs.Arg{K: "status", V: status})
 		sink.emitJSON(struct {
@@ -143,7 +139,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, req *RunRe
 		}{T: "error", Error: msg, Status: status})
 		return
 	}
-	obsRunOK.Inc1()
+	obsRunOK.Inc()
 	sp.End(obs.Arg{K: "cached", V: false})
 	sink.emitJSON(struct {
 		T        string       `json:"t"`

@@ -46,18 +46,11 @@ import (
 	"capsim/internal/obs"
 )
 
-// Telemetry (internal/obs). Counters/gauges are no-ops unless -obs (or a
-// sink flag) enabled them; spans are no-ops unless -trace-out installed a
-// sink. Busy-ns adds land on the worker's own counter lane, so the pool's
-// telemetry never bounces a cache line between workers.
+// Telemetry (internal/obs). Counters are no-ops unless -obs (or a sink
+// flag) enabled them; spans are no-ops unless -trace-out installed a sink.
 var (
-	obsRuns       = obs.NewCounter("sweep.runs")          // Run/RunN invocations
-	obsJobs       = obs.NewCounter("sweep.jobs")          // jobs executed
-	obsSkipped    = obs.NewCounter("sweep.jobs_skipped")  // jobs skipped after an error or cancellation
-	obsBusyNS     = obs.NewCounter("sweep.busy_ns")       // per-worker time inside fn
-	obsJobNS      = obs.NewHistogram("sweep.job_ns")      // per-job wall time
-	obsQueueDepth = obs.NewGauge("sweep.queue_depth")     // unclaimed jobs of the latest pass
-	obsWorkers    = obs.NewGauge("sweep.workers_current") // workers of the latest parallel pass
+	obsJobs   = obs.NewCounter("sweep.jobs")    // jobs executed
+	obsBusyNS = obs.NewCounter("sweep.busy_ns") // per-worker time inside fn
 )
 
 // observing reports whether per-job timing should be collected: either the
@@ -169,7 +162,6 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	if workers > n {
 		workers = n
 	}
-	obsRuns.Inc1()
 	// Flight-recorder progress: one pulse per completed job so a streaming
 	// client sees movement during long sweeps. Checked once per pass; plain
 	// runs pay one ctx.Value + one atomic load.
@@ -189,9 +181,8 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 				v, err := fn(i)
 				ns := time.Since(t0).Nanoseconds()
 				sp.End(obs.Arg{K: "i", V: i})
-				obsJobs.Inc(0)
-				obsBusyNS.Add(0, ns)
-				obsJobNS.Observe(ns)
+				obsJobs.Inc()
+				obsBusyNS.Add(ns)
 				if err != nil {
 					return nil, err
 				}
@@ -218,7 +209,6 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 		return results, nil
 	}
 
-	obsWorkers.Set(int64(workers))
 	errs := make([]error, n)
 	var next, executed atomic.Int64
 	// minErr is the lowest failing job index observed so far; n means "no
@@ -247,27 +237,16 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 				if int64(i) > minErr.Load() {
 					// A lower-indexed job already failed; this one's result
 					// could never be returned. Skip without running.
-					obsSkipped.Inc(w)
 					continue
 				}
 				if watch {
-					// Depth is approximate by design: it samples the shared
-					// claim counter, which other workers advance concurrently.
-					if left := int64(n) - next.Load(); left > 0 {
-						obsQueueDepth.Set(left)
-					} else {
-						obsQueueDepth.Set(0)
-					}
 					sp := obs.StartSpan("sweep.job", tidBase+int64(w))
 					t0 := time.Now()
 					results[i], errs[i] = fn(i)
 					ns := time.Since(t0).Nanoseconds()
 					sp.End(obs.Arg{K: "i", V: i})
-					// Busy time lands on the worker's own counter lane so
-					// concurrent adds never share a cache line.
-					obsJobs.Inc(w)
-					obsBusyNS.Add(w, ns)
-					obsJobNS.Observe(ns)
+					obsJobs.Inc()
+					obsBusyNS.Add(ns)
 				} else {
 					results[i], errs[i] = fn(i)
 				}

@@ -3,8 +3,6 @@ package trace
 import (
 	"sync"
 	"sync/atomic"
-
-	"capsim/internal/obs"
 )
 
 // Store byte budget. The materialized-trace tier trades memory for wall time;
@@ -27,8 +25,6 @@ import (
 // store lock is held), so enforcement can take the registry lock and then a
 // victim's lock without lock-order cycles: registry -> victim store, always.
 var (
-	obsEvicts = obs.NewCounter("trace.evictions") // budget-driven store evictions
-
 	// budgetBytes <= 0 means unbounded (the default).
 	budgetBytes atomic.Int64
 
@@ -134,6 +130,5 @@ func enforceBudget(self evictable) {
 		}
 		total -= victim.liveBytes()
 		victim.evict()
-		obsEvicts.Inc1()
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
@@ -81,7 +80,6 @@ func DecodedFor(s *RefStore, g Geometry) *DecodedStore {
 		panic(err)
 	}
 	return decStores.Get(decKey{s, g}, func() *DecodedStore {
-		defer publishStoreGauge()
 		d := &DecodedStore{src: s, geo: g}
 		d.blockShift = uint(bits.TrailingZeros(uint(g.BlockBytes)))
 		if g.Sets&(g.Sets-1) == 0 {
@@ -127,7 +125,6 @@ func (d *DecodedStore) ensure(n int64) {
 		cur = *cs
 	}
 	for int64(len(cur))*ChunkLen < n {
-		t0 := time.Now()
 		src := d.src.chunk(int64(len(cur)))
 		c := new(decChunk)
 		enc := d.scratch[:0]
@@ -151,10 +148,9 @@ func (d *DecodedStore) ensure(n int64) {
 		cur = next
 		d.chunks.Store(&next)
 		d.bytes.Add(decChunkBytes(c))
-		obsDecChunks.Inc1()
-		obsBytes.Add1(decChunkBytes(c))
-		obsBytesRaw.Add1(rawDecChunkBytes)
-		obsGenNS.Observe(time.Since(t0).Nanoseconds())
+		obsDecChunks.Inc()
+		obsBytes.Add(decChunkBytes(c))
+		obsBytesRaw.Add(rawDecChunkBytes)
 	}
 }
 
@@ -186,8 +182,8 @@ func (d *DecodedStore) lastUse() uint64     { return d.use.Load() }
 func (d *DecodedStore) evict() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	obsBytes.Add1(-d.bytes.Load())
-	obsBytesRaw.Add1(-d.nominalBytes())
+	obsBytes.Add(-d.bytes.Load())
+	obsBytesRaw.Add(-d.nominalBytes())
 	d.chunks.Store(nil)
 	d.bytes.Store(0)
 }

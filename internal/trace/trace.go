@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"capsim/internal/memo"
@@ -64,25 +63,12 @@ import (
 // far off the replay hot path; cursors themselves are untouched. The byte
 // counters track LIVE bytes: evictions and Reset subtract what they free.
 var (
-	obsRefChunks = obs.NewCounter("trace.ref_chunks")    // reference chunks materialized
-	obsOpChunks  = obs.NewCounter("trace.op_chunks")     // instruction chunks materialized
-	obsDecChunks = obs.NewCounter("trace.dec_chunks")    // decoded chunks materialized
-	obsBytes     = obs.NewCounter("trace.bytes")         // live bytes of store data (compressed)
-	obsBytesRaw  = obs.NewCounter("trace.bytes_raw")     // same data in the flat pre-compression layout
-	obsGenNS     = obs.NewHistogram("trace.gen_ns")      // per-chunk generation wall time
-	obsStores    = obs.NewGauge("trace.stores_current")  // live stores after the last ensure
-	obsResets    = obs.NewCounter("trace.stores_resets") // Reset invocations
+	obsRefChunks = obs.NewCounter("trace.ref_chunks") // reference chunks materialized
+	obsOpChunks  = obs.NewCounter("trace.op_chunks")  // instruction chunks materialized
+	obsDecChunks = obs.NewCounter("trace.dec_chunks") // decoded chunks materialized
+	obsBytes     = obs.NewCounter("trace.bytes")      // live bytes of store data (compressed)
+	obsBytesRaw  = obs.NewCounter("trace.bytes_raw")  // same data in the flat pre-compression layout
 )
-
-// publishStoreGauge refreshes the live-store gauge; called after any store
-// creation or Reset, both of which are rare and off the hot path.
-func publishStoreGauge() {
-	if !obs.Enabled() {
-		return
-	}
-	r, o, d := StoreCounts()
-	obsStores.Set(int64(r + o + d))
-}
 
 // ChunkLen is the number of references (or instructions) per store chunk.
 // Chunks are generated whole before being published, so ChunkLen bounds both
@@ -142,14 +128,12 @@ var (
 // re-materializes from scratch. Safe while cursors are mid-replay (see the
 // lifecycle contract in the package comment).
 func Reset() {
-	obsBytes.Add1(-TotalBytes())
-	obsBytesRaw.Add1(-TotalRawBytes())
+	obsBytes.Add(-TotalBytes())
+	obsBytesRaw.Add(-TotalRawBytes())
 	refStores.Reset()
 	opStores.Reset()
 	decStores.Reset()
 	clearRegistry()
-	obsResets.Inc1()
-	publishStoreGauge()
 }
 
 // StoreCounts reports how many reference, instruction and decoded stores are
@@ -195,7 +179,6 @@ func RefsFor(b workload.Benchmark, seed uint64) *RefStore {
 		panic("trace: " + b.Name + " has no memory profile")
 	}
 	return refStores.Get(refKey{b.Mem, b.Name, seed}, func() *RefStore {
-		defer publishStoreGauge()
 		newGen := func() *workload.AddressTrace { return workload.NewAddressTrace(b, seed) }
 		s := &RefStore{gen: newGen(), newGen: newGen}
 		registerStore(s)
@@ -223,7 +206,6 @@ func (s *RefStore) ensure(n int64) {
 		cur = *cs
 	}
 	for int64(len(cur))*ChunkLen < n {
-		t0 := time.Now()
 		c := new(refChunk)
 		enc := s.scratch[:0]
 		var prev uint64
@@ -243,10 +225,9 @@ func (s *RefStore) ensure(n int64) {
 		cur = next
 		s.chunks.Store(&next)
 		s.bytes.Add(refChunkBytes(c))
-		obsRefChunks.Inc1()
-		obsBytes.Add1(refChunkBytes(c))
-		obsBytesRaw.Add1(rawRefChunkBytes)
-		obsGenNS.Observe(time.Since(t0).Nanoseconds())
+		obsRefChunks.Inc()
+		obsBytes.Add(refChunkBytes(c))
+		obsBytesRaw.Add(rawRefChunkBytes)
 	}
 }
 
@@ -279,8 +260,8 @@ func (s *RefStore) lastUse() uint64     { return s.use.Load() }
 func (s *RefStore) evict() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	obsBytes.Add1(-s.bytes.Load())
-	obsBytesRaw.Add1(-s.nominalBytes())
+	obsBytes.Add(-s.bytes.Load())
+	obsBytesRaw.Add(-s.nominalBytes())
 	s.chunks.Store(nil)
 	s.gen = s.newGen()
 	s.bytes.Store(0)
@@ -352,7 +333,6 @@ type OpStore struct {
 // first use with singleflight semantics.
 func OpsFor(b workload.Benchmark, seed uint64) *OpStore {
 	return opStores.Get(opKey{b.Name, seed, ilpFingerprint(b.ILP)}, func() *OpStore {
-		defer publishStoreGauge()
 		newGen := func() *workload.InstrStream { return workload.NewInstrStream(b, seed) }
 		s := &OpStore{gen: newGen(), newGen: newGen}
 		registerStore(s)
@@ -380,7 +360,6 @@ func (s *OpStore) ensure(n int64) {
 		cur = *cs
 	}
 	for int64(len(cur))*ChunkLen < n {
-		t0 := time.Now()
 		c := new(opChunk)
 		enc := s.scratch[:0]
 		for i := 0; i < ChunkLen; i++ {
@@ -397,10 +376,9 @@ func (s *OpStore) ensure(n int64) {
 		cur = next
 		s.chunks.Store(&next)
 		s.bytes.Add(opChunkBytes(c))
-		obsOpChunks.Inc1()
-		obsBytes.Add1(opChunkBytes(c))
-		obsBytesRaw.Add1(rawOpChunkBytes)
-		obsGenNS.Observe(time.Since(t0).Nanoseconds())
+		obsOpChunks.Inc()
+		obsBytes.Add(opChunkBytes(c))
+		obsBytesRaw.Add(rawOpChunkBytes)
 	}
 }
 
@@ -430,8 +408,8 @@ func (s *OpStore) lastUse() uint64     { return s.use.Load() }
 func (s *OpStore) evict() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	obsBytes.Add1(-s.bytes.Load())
-	obsBytesRaw.Add1(-s.nominalBytes())
+	obsBytes.Add(-s.bytes.Load())
+	obsBytesRaw.Add(-s.nominalBytes())
 	s.chunks.Store(nil)
 	s.gen = s.newGen()
 	s.bytes.Store(0)

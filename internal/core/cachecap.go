@@ -197,31 +197,15 @@ type CacheRunResult struct {
 // under the policy. The paper's process-level scheme only reconfigures on
 // context switches; interval-level policies are the Section 6 extension.
 func RunCache(c *CacheMachine, p Policy, intervals, n int64, keepSamples bool) CacheRunResult {
-	mon := NewMonitor(64)
-	mon.Current = c.cur
-	res := CacheRunResult{Policy: p.Name()}
-	if keepSamples {
-		res.Samples = make([]Sample, 0, intervals)
+	samples := drive(c, p, intervals, n, keepSamples)
+	return CacheRunResult{
+		Policy:   p.Name(),
+		Refs:     int64(c.hier.Stats().Refs),
+		TPI:      c.TotalTPI(),
+		TPIMiss:  c.TotalTPIMiss(),
+		Switches: c.clk.Switches(),
+		Samples:  samples,
 	}
-	for i := int64(0); i < intervals; i++ {
-		want := p.Next(mon)
-		if want != c.cur {
-			if _, err := c.SetConfig(want); err != nil {
-				panic(err)
-			}
-		}
-		s := c.RunInterval(n)
-		s.Interval = i
-		mon.Record(s)
-		if keepSamples {
-			res.Samples = append(res.Samples, s)
-		}
-	}
-	res.Refs = int64(c.hier.Stats().Refs)
-	res.TPI = c.TotalTPI()
-	res.TPIMiss = c.TotalTPIMiss()
-	res.Switches = c.clk.Switches()
-	return res
 }
 
 // ProfileCacheTPI profiles every boundary for one application — the

@@ -231,34 +231,3 @@ func (m *CombinedMachine) Clock() *clock.System { return m.clk }
 
 // Hierarchy exposes the cache (for invariant checks).
 func (m *CombinedMachine) Hierarchy() *cache.Hierarchy { return m.hier }
-
-// RunCombined drives the machine under a policy over the flattened joint
-// configuration space.
-func RunCombined(m *CombinedMachine, p Policy, intervals, n int64, keepSamples bool) RunResult {
-	mon := NewMonitor(64)
-	mon.Current = m.cur
-	res := RunResult{Policy: p.Name()}
-	if keepSamples {
-		res.Samples = make([]Sample, 0, intervals)
-	}
-	for i := int64(0); i < intervals; i++ {
-		want := p.Next(mon)
-		if want != m.cur {
-			if _, err := m.SetConfig(want); err != nil {
-				panic(err)
-			}
-		}
-		s := m.RunInterval(n)
-		s.Interval = i
-		mon.Record(s)
-		if keepSamples {
-			res.Samples = append(res.Samples, s)
-		}
-	}
-	res.Instrs = m.Instrs()
-	res.TimeNS = m.timeNS
-	res.TPI = m.TotalTPI()
-	res.Switches = m.clk.Switches()
-	m.core.PublishObs()
-	return res
-}

@@ -109,26 +109,6 @@ func TestCombinedRejectsGo(t *testing.T) {
 	}
 }
 
-func TestRunCombinedWithPolicy(t *testing.T) {
-	m := combined(t, "swim", CombinedConfig{QueueEntries: 16, Boundary: 1})
-	target, err := m.configID(CombinedConfig{QueueEntries: 64, Boundary: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := RunCombined(m, ProcessLevelPolicy{Best: target}, 10, 2000, true)
-	if res.Switches != 1 {
-		t.Errorf("switches %d", res.Switches)
-	}
-	for _, s := range res.Samples {
-		if s.Config != target {
-			t.Fatalf("interval ran on %d", s.Config)
-		}
-	}
-	if res.TPI <= 0 {
-		t.Error("no TPI")
-	}
-}
-
 func TestCombinedLoadCarryOver(t *testing.T) {
 	// The core's fractional-load accumulator must carry across interval
 	// boundaries: a two-interval run consumes exactly the same reference

@@ -18,8 +18,10 @@
 //     selected by a profiling compiler/runtime and reloaded on context
 //     switches); Section 6 sketches a hardware interval predictor with
 //     confidence, implemented here as IntervalPolicy;
-//   - Manager: glue that runs a workload on a CAS under a policy, charging
-//     reconfiguration and clock-switch overheads.
+//   - the driver loop (drive, behind RunQueue and RunCache): runs a
+//     workload on a CAS under a policy, asking the policy for the next
+//     configuration before every interval and charging reconfiguration and
+//     clock-switch overheads.
 //
 // Two concrete CASes are provided in this package's siblings and adapted
 // here: the complexity-adaptive two-level data-cache hierarchy
@@ -126,6 +128,40 @@ type Policy interface {
 	Name() string
 	// Next returns the configuration to run the next interval under.
 	Next(m *Monitor) int
+}
+
+// intervalMachine is an AdaptiveStructure the driver loop can step.
+type intervalMachine interface {
+	AdaptiveStructure
+	// RunInterval runs n units of work under the current configuration
+	// and returns the interval's sample.
+	RunInterval(n int64) Sample
+}
+
+// drive is the driver loop behind RunQueue and RunCache: before each of
+// `intervals` intervals of n units it asks the policy for the next
+// configuration, reconfigures the machine (a no-op when the configuration
+// is unchanged), runs the interval and records its sample in the policy's
+// monitor. It returns the samples when keepSamples.
+func drive(m intervalMachine, p Policy, intervals, n int64, keepSamples bool) []Sample {
+	mon := NewMonitor(64)
+	mon.Current = m.Current().ID
+	var samples []Sample
+	if keepSamples {
+		samples = make([]Sample, 0, intervals)
+	}
+	for i := int64(0); i < intervals; i++ {
+		if _, err := m.SetConfig(p.Next(mon)); err != nil {
+			panic(err)
+		}
+		s := m.RunInterval(n)
+		s.Interval = i
+		mon.Record(s)
+		if keepSamples {
+			samples = append(samples, s)
+		}
+	}
+	return samples
 }
 
 // validateConfigs checks a configuration table for use by the machines.

@@ -230,15 +230,16 @@ func (mp *MultiPolicy) Traces(ctx context.Context, intervals int64) ([][]float64
 	return out, nil
 }
 
-// RunFixed replays RunQueue(FixedPolicy{cfg}) from the family: the same
-// clock.System performs the same Advance/Select sequence a private
-// QueueMachine would, in the same order, over the memoized raw outcomes.
+// RunFixed replays RunQueue(FixedPolicy{cfg}) from the family: the family's
+// cfg column, as a race column that never leaves cfg, through replayRace.
 //
 // The one reconfiguration a fixed policy performs — interval 0, away from
 // the construction default 0 — happens on an EMPTY core, so its drain is
 // exactly zero stall cycles and the family's column (a core built at the
 // target size) observes the identical instruction stream; the transition
-// differential tests pin this against direct simulation.
+// differential tests pin this against direct simulation. The column's
+// interval times are never below the family oracle, which minimizes over
+// it, so replayRace's regret floor never engages.
 func (mp *MultiPolicy) RunFixed(ctx context.Context, cfg int, intervals int64) (RunResult, error) {
 	if cfg < 0 || cfg >= len(mp.sizes) {
 		return RunResult{}, fmt.Errorf("core: fixed config %d outside [0,%d)", cfg, len(mp.sizes))
@@ -251,74 +252,26 @@ func (mp *MultiPolicy) RunFixed(ctx context.Context, cfg int, intervals int64) (
 	if err != nil {
 		return RunResult{}, err
 	}
-	clk, err := clock.NewSystem(mp.sources, 0, mp.penalty)
-	if err != nil {
-		return RunResult{}, err
+	steps := make([]raceStep, intervals)
+	for iv := range steps {
+		steps[iv] = raceStep{cycles: cycles[cfg][iv], issued: issued[cfg][iv], cfg: cfg}
 	}
 	rec := flight.Active(ctx)
 	var (
-		evs      []flight.Event
-		oCfg     []int
-		oNS      []float64
-		regretNS float64
+		oCfg []int
+		oNS  []float64
 	)
 	if rec {
-		evs = make([]flight.Event, 0, intervals)
 		oCfg, oNS = mp.flightOracle(cycles, intervals)
 	}
-	var timeNS float64
-	var instrs int64
-	var pen0 float64 // interval-0 switch penalty (ledger attribution)
-	if cfg != 0 {
-		// QueueMachine.SetConfig order: drain at the old clock (zero
-		// cycles — the core is empty at interval 0), then the switch
-		// penalty at the old period.
-		timeNS += clk.Advance(0)
-		pen, err := clk.Select(cfg)
-		if err != nil {
-			return RunResult{}, err
-		}
-		timeNS += pen
-		pen0 = pen
+	res, evs, regretNS, err := mp.replayRace(steps, rec, oCfg, oNS)
+	if err != nil {
+		return RunResult{}, err
 	}
-	for iv := int64(0); iv < intervals; iv++ {
-		dt := clk.Advance(cycles[cfg][iv])
-		instrs += issued[cfg][iv]
-		timeNS += dt
-		if rec {
-			var pen float64
-			if iv == 0 {
-				pen = pen0
-			}
-			tot := pen + dt
-			regret := tot - oNS[iv]
-			regretNS += regret
-			evs = append(evs, flight.Event{
-				Interval:    iv,
-				Config:      cfg,
-				Size:        mp.sizes[cfg],
-				Cycles:      cycles[cfg][iv],
-				Issued:      issued[cfg][iv],
-				PeriodNS:    mp.cycs[cfg],
-				PenaltyNS:   pen,
-				AdvNS:       dt,
-				CumTimeNS:   timeNS,
-				TPI:         dt / float64(issued[cfg][iv]),
-				OracleCfg:   oCfg[iv],
-				OracleNS:    oNS[iv],
-				RegretNS:    regret,
-				CumRegretNS: regretNS,
-				Switched:    iv == 0 && cfg != 0,
-			})
-		}
-	}
-	res := RunResult{Policy: FixedPolicy{Config: cfg}.Name(), Instrs: instrs, TimeNS: timeNS, Switches: clk.Switches()}
-	if instrs != 0 {
-		res.TPI = timeNS / float64(instrs)
-	}
+	res.Policy = FixedPolicy{Config: cfg}.Name()
 	if rec {
 		meta := mp.flightMeta(res.Policy, flight.KindFixed)
-		flight.Publish(ctx, meta, evs, flightEnd(intervals, instrs, res.Switches, timeNS, regretNS))
+		flight.Publish(ctx, meta, evs, flightEnd(intervals, res.Instrs, res.Switches, res.TimeNS, regretNS))
 	}
 	return res, nil
 }

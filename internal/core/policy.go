@@ -137,16 +137,10 @@ type IntervalPolicy struct {
 	// Negative means zero: any deviation re-sweeps.
 	DriftGain float64
 
-	est        map[int]float64
-	seen       map[int]bool
+	estimator
 	confidence int
 	candidate  int
-	intervals  int64
-	exploreIdx int
-	driftRun   int
-	fresh      bool
-	current    int
-	inited     bool
+	fresh      bool // the estimates were just rebuilt by a confirmed drift streak
 }
 
 // Name implements Policy.
@@ -161,120 +155,40 @@ func (p *IntervalPolicy) defaults() {
 	p.ExplorePeriod = tunable(p.ExplorePeriod, 64)
 	p.Alpha = tunable(p.Alpha, 0.5)
 	p.DriftGain = tunable(p.DriftGain, 0.08)
-	p.est = make(map[int]float64, len(p.Configs))
-	p.seen = make(map[int]bool, len(p.Configs))
 }
 
 // Next implements Policy.
 func (p *IntervalPolicy) Next(m *Monitor) int {
-	p.defaults()
 	if len(p.Configs) == 0 {
 		return m.Current
 	}
-	if !p.inited {
-		p.inited = true
-		p.current = m.Current
+	p.defaults()
+	if p.observe(m, p.Configs, p.Alpha, p.DriftGain) {
+		// The old regime's half-built confidence is void.
+		p.confidence, p.candidate = 0, -1
+		p.fresh = true
 	}
-	last, ok := m.Last()
-	if ok {
-		switch {
-		case last.Config == p.current && driftTripped(p.est[last.Config], last.TPI, p.DriftGain):
-			p.driftRun++
-			if p.driftRun >= driftConfirm {
-				// Confirmed phase flip seen from inside the incumbent: the
-				// whole estimate table describes the old regime. Restart it
-				// — the fresh sample verbatim, every other configuration
-				// re-swept — and drop any half-built confidence in an
-				// old-regime candidate.
-				p.est = map[int]float64{last.Config: last.TPI}
-				for _, id := range p.Configs {
-					if id != p.current {
-						delete(p.seen, id)
-					}
-				}
-				p.confidence, p.candidate = 0, -1
-				p.driftRun = 0
-				p.fresh = true
-			}
-			// Streak pending: freeze the estimate as the old-regime
-			// reference (see driftConfirm in zoo.go).
-		case last.Config == p.current:
-			p.driftRun = 0
-			ewmaUpdate(p.est, last.Config, last.TPI, p.Alpha)
-		case driftTripped(p.est[last.Config], last.TPI, p.DriftGain):
-			// An exploration visit contradicting its own stale estimate is
-			// phase-flip evidence from the one vantage point incumbent drift
-			// detection cannot cover: a flip that leaves the incumbent's TPI
-			// unchanged while redrawing the rest of the menu. Take the sample
-			// verbatim — EWMA-blending it into the old regime's level would
-			// leave the estimate too stale to ever clear MinGain. Unlike a
-			// confirmed drift streak this is a single sample, so it does NOT
-			// bypass the confidence gate: a one-interval blip on a probe must
-			// still build ConfidenceMax intervals of agreement to switch.
-			p.est[last.Config] = last.TPI
-		default:
-			ewmaUpdate(p.est, last.Config, last.TPI, p.Alpha)
-		}
-	}
-	p.intervals++
-
-	// Bootstrap: visit every configuration once to fill the table. A
-	// configuration is marked seen when DISPATCHED, not when its sample
-	// returns: a visit that never produces a Monitor.Last() sample (a
-	// zero-interval run, or a driver polling Next without recording) must
-	// not be re-explored forever.
-	for _, id := range p.Configs {
-		if !p.seen[id] {
-			p.seen[id] = true
-			return id
-		}
+	if id, ok := p.probe(p.Configs, p.ExplorePeriod); ok {
+		return id
 	}
 
-	// Returning from an exploration visit: the visit's sample has already
-	// updated the estimates, so fall straight through to the prediction
-	// instead of coasting an interval at the incumbent — when the visit
-	// just revealed a regime change, that coasting interval is pure regret.
-	//
-	// Periodic exploration to refresh stale estimates. The rotation skips
-	// over the incumbent (its estimate refreshes every interval for free)
-	// so that EVERY period probes a genuinely stale configuration — a
-	// rotation that silently lands on the incumbent would stretch the
-	// effective revisit time past the phase lengths being tracked.
-	if p.ExplorePeriod > 0 && p.intervals%p.ExplorePeriod == 0 && len(p.Configs) > 1 {
-		for range p.Configs {
-			p.exploreIdx = (p.exploreIdx + 1) % len(p.Configs)
-			if id := p.Configs[p.exploreIdx]; id != p.current {
-				return id
-			}
-		}
-	}
-
-	// Prediction: best estimated configuration, confidence-gated.
-	best, bestTPI := bestEstimate(p.est, p.Configs, p.current)
+	// Prediction: best estimated configuration, confidence-gated. Fresh
+	// estimates are direct regime evidence, not prediction jitter — the
+	// jitter the confidence counter exists to screen — so they switch at
+	// once: rebuilding confidence would charge ConfidenceMax extra
+	// wrong-configuration intervals per phase change. (A single probe
+	// contradicting its own estimate does not set fresh; it still builds
+	// confidence.)
+	best, bestTPI := p.best(p.Configs)
 	cur := p.est[p.current]
 	if best != p.current && cur > 0 && (cur-bestTPI)/cur >= p.MinGain {
-		switch {
-		case p.fresh:
-			// The estimates were just rebuilt by a confirmed drift streak —
-			// direct regime evidence. (A single probe contradicting its own
-			// estimate does not set fresh; it still builds confidence.) The
-			// confidence counter exists to screen prediction jitter, which
-			// this is not: re-building it here would charge ConfidenceMax
-			// extra wrong-configuration intervals per phase change.
+		if best != p.candidate {
+			p.candidate, p.confidence = best, 0
+		}
+		p.confidence++
+		if p.fresh || p.confidence >= p.ConfidenceMax {
 			p.current = best
 			p.confidence, p.candidate = 0, -1
-		case best == p.candidate:
-			p.confidence++
-			if p.confidence >= p.ConfidenceMax {
-				p.current = best
-				p.confidence, p.candidate = 0, -1
-			}
-		default:
-			p.candidate, p.confidence = best, 1
-			if p.confidence >= p.ConfidenceMax {
-				p.current = best
-				p.confidence, p.candidate = 0, -1
-			}
 		}
 	} else {
 		p.confidence = 0

@@ -98,16 +98,7 @@ func TestSelectBestIndexPanicsEmpty(t *testing.T) {
 // feed runs the policy through a synthetic sequence where trueTPI gives each
 // configuration's TPI; it returns the config chosen for each interval.
 func feed(p Policy, trueTPI map[int]float64, intervals int) []int {
-	m := NewMonitor(16)
-	cur := 0
-	m.Current = cur
-	choices := make([]int, 0, intervals)
-	for i := 0; i < intervals; i++ {
-		cur = p.Next(m)
-		choices = append(choices, cur)
-		m.Record(Sample{Interval: int64(i), Config: cur, TPI: trueTPI[cur]})
-	}
-	return choices
+	return feedFunc(p, func(_, cfg int) float64 { return trueTPI[cfg] }, intervals)
 }
 
 func TestIntervalPolicyConvergesToBest(t *testing.T) {

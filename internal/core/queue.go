@@ -170,32 +170,16 @@ type RunResult struct {
 // keepSamples retains per-interval records (Figure 12/13 and the Section 6
 // analyses need them; aggregate runs should not pay the memory).
 func RunQueue(q *QueueMachine, p Policy, intervals, n int64, keepSamples bool) RunResult {
-	mon := NewMonitor(64)
-	mon.Current = q.cur
-	res := RunResult{Policy: p.Name()}
-	if keepSamples {
-		res.Samples = make([]Sample, 0, intervals)
-	}
-	for i := int64(0); i < intervals; i++ {
-		want := p.Next(mon)
-		if want != q.cur {
-			if _, err := q.SetConfig(want); err != nil {
-				panic(err)
-			}
-		}
-		s := q.RunInterval(n)
-		s.Interval = i
-		mon.Record(s)
-		if keepSamples {
-			res.Samples = append(res.Samples, s)
-		}
-	}
-	res.Instrs = q.Instrs()
-	res.TimeNS = q.TimeNS()
-	res.TPI = q.TotalTPI()
-	res.Switches = q.clk.Switches()
+	samples := drive(q, p, intervals, n, keepSamples)
 	q.core.PublishObs()
-	return res
+	return RunResult{
+		Policy:   p.Name(),
+		Instrs:   q.Instrs(),
+		TimeNS:   q.TimeNS(),
+		TPI:      q.TotalTPI(),
+		Switches: q.clk.Switches(),
+		Samples:  samples,
+	}
 }
 
 // ProfileQueueTPI runs each configuration for the given instruction budget

@@ -7,18 +7,21 @@ import "math"
 // one-pass MultiPolicy engine. They bracket the design space the ROADMAP
 // calls out — damped reaction (hysteresis), proportional control (PID),
 // optimism-driven exploration (bandit), and explicit phases (profile-then-
-// commit). All four follow two package-wide rules: tunables use the
-// negative-sentinel convention (see tunable in policy.go), and candidate
-// configurations are marked visited when DISPATCHED, never when their
-// sample returns, so a configuration that never yields a Monitor.Last()
-// sample cannot livelock the bootstrap.
+// commit). It also holds the mechanics every adaptive policy shares: the
+// drift detector and its confirming streak (all five policies), and the
+// per-configuration TPI estimator that IntervalPolicy, HysteresisPolicy and
+// PIDPolicy embed, each keeping only its own decider. All policies follow
+// two package-wide rules: tunables use the negative-sentinel convention (see
+// tunable in policy.go), and candidate configurations are marked visited
+// when DISPATCHED, never when their sample returns, so a configuration that
+// never yields a Monitor.Last() sample cannot livelock the bootstrap.
 
 // driftTripped reports whether a fresh TPI sample deviates from its own
-// smoothed estimate by more than a fractional gain. Every zoo policy uses
-// this as its phase-change detector: a regime flip is visible in the
-// incumbent configuration's OWN samples — which arrive every interval, for
-// free — so re-exploration can trigger immediately instead of waiting out a
-// periodic explore timer whose period may exceed the phase length.
+// smoothed estimate by more than a fractional gain. Every policy uses this
+// as its phase-change detector: a regime flip is visible in the incumbent
+// configuration's OWN samples — which arrive every interval, for free — so
+// re-exploration can trigger immediately instead of waiting out a periodic
+// explore timer whose period may exceed the phase length.
 func driftTripped(est, tpi, gain float64) bool {
 	if est <= 0 {
 		return false
@@ -39,24 +42,127 @@ func driftTripped(est, tpi, gain float64) bool {
 // exactly the thrash the dwell/deadband machinery exists to damp.
 const driftConfirm = 2
 
-// ewmaUpdate folds a new TPI sample into a per-configuration estimate
-// table with weight alpha (first sample is taken verbatim).
-func ewmaUpdate(est map[int]float64, cfg int, tpi, alpha float64) {
-	if old, have := est[cfg]; have {
-		est[cfg] = old*(1-alpha) + tpi*alpha
-	} else {
-		est[cfg] = tpi
+// driftStreak counts consecutive deviating incumbent samples.
+type driftStreak int
+
+// confirm folds one incumbent sample into the streak: a sample inside the
+// gain band resets it, a deviating one extends it. It reports true — and
+// resets the streak — when the streak reaches driftConfirm.
+func (s *driftStreak) confirm(tripped bool) bool {
+	if !tripped {
+		*s = 0
+		return false
 	}
+	*s++
+	if *s < driftConfirm {
+		return false
+	}
+	*s = 0
+	return true
 }
 
-// bestEstimate returns the candidate with the smallest estimated TPI,
-// scanning configs in slice order so ties break toward the earlier
-// (faster-clock) entry. Falls back to cur when nothing is estimated yet.
-func bestEstimate(est map[int]float64, configs []int, cur int) (int, float64) {
-	best, bestTPI := cur, est[cur]
+// estimator is the Section 6 predictor's state: an exponentially weighted
+// TPI estimate per configuration, the bootstrap that fills it, the periodic
+// rotation that refreshes it, and the drift streak that rebuilds it after a
+// phase flip. Policies embed it by value and keep their tunables as their
+// own fields, where composite literals can set them. It must stay plain
+// data: rosterKey renders policies with %#v, and a pointer here would make
+// every race roster private.
+type estimator struct {
+	est        map[int]float64
+	seen       map[int]bool // dispatched since the last restart
+	intervals  int64
+	exploreIdx int
+	drift      driftStreak
+	current    int
+}
+
+// observe folds the monitor's latest sample into the estimates, starting
+// the estimator at the monitor's configuration on first use. An incumbent
+// sample updates its EWMA with weight alpha, or — when it deviates by more
+// than driftGain — extends the drift streak with the estimate frozen as the
+// old-regime reference; a confirmed streak restarts the table (the fresh
+// sample verbatim, every other configuration re-swept) and reports
+// restarted. A probe sample contradicting its own stale estimate is taken
+// verbatim: it is phase-flip evidence from the one vantage point incumbent
+// drift detection cannot cover (a flip that leaves the incumbent unchanged
+// while redrawing the rest of the menu), and EWMA-blending it into the old
+// level would leave the estimate too stale to ever clear a gain threshold.
+// Being a single sample, it does not report restarted.
+func (e *estimator) observe(m *Monitor, configs []int, alpha, driftGain float64) (restarted bool) {
+	if e.est == nil {
+		e.est = make(map[int]float64, len(configs))
+		e.seen = make(map[int]bool, len(configs))
+		e.current = m.Current
+	}
+	last, ok := m.Last()
+	if !ok {
+		return false
+	}
+	tripped := driftTripped(e.est[last.Config], last.TPI, driftGain)
+	// Every incumbent sample reaches confirm, so an in-band one resets the
+	// streak; probe samples never touch it.
+	switch {
+	case last.Config == e.current && e.drift.confirm(tripped):
+		// The whole table describes the old regime.
+		e.est = map[int]float64{last.Config: last.TPI}
+		for _, id := range configs {
+			if id != e.current {
+				delete(e.seen, id)
+			}
+		}
+		return true
+	case last.Config == e.current && tripped:
+		// Streak pending: the estimate stays frozen.
+	case tripped:
+		e.est[last.Config] = last.TPI
+	default:
+		if old, have := e.est[last.Config]; have {
+			e.est[last.Config] = old*(1-alpha) + last.TPI*alpha
+		} else {
+			e.est[last.Config] = last.TPI
+		}
+	}
+	return false
+}
+
+// probe counts the interval and returns the configuration to visit instead
+// of deciding, if any. Bootstrap first: every configuration not dispatched
+// since the last restart, in menu order — marked when dispatched, so a visit
+// that never yields a sample is not retried forever. Then, every
+// explorePeriod intervals (never when it is <= 0), the next configuration of
+// a rotation that skips the incumbent, whose estimate refreshes every
+// interval for free, so every period probes a genuinely stale estimate. A
+// returning visit needs no coasting interval at the incumbent: its sample is
+// folded in before the policy decides.
+func (e *estimator) probe(configs []int, explorePeriod int64) (int, bool) {
+	e.intervals++
 	for _, id := range configs {
-		if e, ok := est[id]; ok && e < bestTPI {
-			best, bestTPI = id, e
+		if !e.seen[id] {
+			e.seen[id] = true
+			return id, true
+		}
+	}
+	if explorePeriod > 0 && e.intervals%explorePeriod == 0 && len(configs) > 1 {
+		for range configs {
+			e.exploreIdx = (e.exploreIdx + 1) % len(configs)
+			if id := configs[e.exploreIdx]; id != e.current {
+				return id, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// best returns the configuration with the smallest estimated TPI and that
+// estimate, scanning configs in slice order so ties break toward the earlier
+// (faster-clock) entry. It falls back to the incumbent when nothing beats
+// its estimate.
+func (e *estimator) best(configs []int) (int, float64) {
+	best, bestTPI := e.current, e.est[e.current]
+	for _, id := range configs {
+		if v, ok := e.est[id]; ok && v < bestTPI {
+			best, bestTPI = id, v
 		}
 	}
 	return best, bestTPI
@@ -97,14 +203,8 @@ type HysteresisPolicy struct {
 	// any deviation re-sweeps).
 	DriftGain float64
 
-	est        map[int]float64
-	seen       map[int]bool
-	dwell      int64
-	intervals  int64
-	exploreIdx int
-	driftRun   int
-	current    int
-	inited     bool
+	estimator
+	dwell int64
 }
 
 // Name implements Policy.
@@ -119,74 +219,20 @@ func (p *HysteresisPolicy) defaults() {
 	p.ExplorePeriod = tunable(p.ExplorePeriod, 64)
 	p.Alpha = tunable(p.Alpha, 0.3)
 	p.DriftGain = tunable(p.DriftGain, 0.08)
-	p.est = make(map[int]float64, len(p.Configs))
-	p.seen = make(map[int]bool, len(p.Configs))
 }
 
 // Next implements Policy.
 func (p *HysteresisPolicy) Next(m *Monitor) int {
-	p.defaults()
 	if len(p.Configs) == 0 {
 		return m.Current
 	}
-	if !p.inited {
-		p.inited = true
-		p.current = m.Current
-	}
-	if last, ok := m.Last(); ok {
-		switch {
-		case last.Config == p.current && driftTripped(p.est[last.Config], last.TPI, p.DriftGain):
-			p.driftRun++
-			if p.driftRun >= driftConfirm {
-				// Confirmed phase flip seen from inside the incumbent: the
-				// whole estimate table describes the old regime. Restart it
-				// — the fresh sample verbatim, every other configuration
-				// re-swept.
-				p.est = map[int]float64{last.Config: last.TPI}
-				for _, id := range p.Configs {
-					if id != p.current {
-						delete(p.seen, id)
-					}
-				}
-				p.driftRun = 0
-			}
-			// Streak pending: freeze the estimate so the old-regime
-			// reference doesn't chase the candidate new level.
-		case last.Config == p.current:
-			p.driftRun = 0
-			ewmaUpdate(p.est, last.Config, last.TPI, p.Alpha)
-		case driftTripped(p.est[last.Config], last.TPI, p.DriftGain):
-			// An exploration visit contradicting its own stale estimate:
-			// phase-flip evidence from outside the incumbent (see
-			// IntervalPolicy.Next). Verbatim, so the deadband comparison
-			// sees the new regime immediately.
-			p.est[last.Config] = last.TPI
-		default:
-			ewmaUpdate(p.est, last.Config, last.TPI, p.Alpha)
-		}
-	}
-	p.intervals++
+	p.defaults()
+	p.observe(m, p.Configs, p.Alpha, p.DriftGain)
 	p.dwell++
-
-	for _, id := range p.Configs {
-		if !p.seen[id] {
-			p.seen[id] = true
-			return id
-		}
+	if id, ok := p.probe(p.Configs, p.ExplorePeriod); ok {
+		return id
 	}
-	// A returning visit's sample is already folded in: fall through and
-	// decide on it now rather than coasting an interval at the incumbent.
-	// Rotation skips the incumbent so every period probes a stale estimate.
-	if p.ExplorePeriod > 0 && p.intervals%p.ExplorePeriod == 0 && len(p.Configs) > 1 {
-		for range p.Configs {
-			p.exploreIdx = (p.exploreIdx + 1) % len(p.Configs)
-			if id := p.Configs[p.exploreIdx]; id != p.current {
-				return id
-			}
-		}
-	}
-
-	best, bestTPI := bestEstimate(p.est, p.Configs, p.current)
+	best, bestTPI := p.best(p.Configs)
 	cur := p.est[p.current]
 	if best != p.current && p.dwell >= p.DwellMin && cur > 0 && (cur-bestTPI)/cur >= p.SwitchGain {
 		p.current = best
@@ -230,16 +276,10 @@ type PIDPolicy struct {
 	// any deviation re-sweeps).
 	DriftGain float64
 
-	est        map[int]float64
-	seen       map[int]bool
-	integral   float64
-	prevErr    float64
-	havePrev   bool
-	intervals  int64
-	exploreIdx int
-	driftRun   int
-	current    int
-	inited     bool
+	estimator
+	integral float64
+	prevErr  float64
+	havePrev bool
 }
 
 // Name implements Policy.
@@ -257,8 +297,6 @@ func (p *PIDPolicy) defaults() {
 	p.ExplorePeriod = tunable(p.ExplorePeriod, 64)
 	p.Alpha = tunable(p.Alpha, 0.3)
 	p.DriftGain = tunable(p.DriftGain, 0.08)
-	p.est = make(map[int]float64, len(p.Configs))
-	p.seen = make(map[int]bool, len(p.Configs))
 }
 
 // stepToward moves cur one position along configs toward best, used as the
@@ -284,65 +322,20 @@ func stepToward(configs []int, cur, best int) int {
 
 // Next implements Policy.
 func (p *PIDPolicy) Next(m *Monitor) int {
-	p.defaults()
 	if len(p.Configs) == 0 {
 		return m.Current
 	}
-	if !p.inited {
-		p.inited = true
-		p.current = m.Current
+	p.defaults()
+	if p.observe(m, p.Configs, p.Alpha, p.DriftGain) {
+		// Confirmed phase flip: discharge the loop — integral and
+		// derivative state accumulated against the old plant would
+		// mis-actuate against the new one.
+		p.integral, p.prevErr, p.havePrev = 0, 0, false
 	}
-	if last, ok := m.Last(); ok {
-		switch {
-		case last.Config == p.current && driftTripped(p.est[last.Config], last.TPI, p.DriftGain):
-			p.driftRun++
-			if p.driftRun >= driftConfirm {
-				// Confirmed phase flip: rebuild the estimate table from the
-				// new regime and discharge the loop — integral and
-				// derivative state accumulated against the old plant would
-				// mis-actuate against the new one.
-				p.est = map[int]float64{last.Config: last.TPI}
-				for _, id := range p.Configs {
-					if id != p.current {
-						delete(p.seen, id)
-					}
-				}
-				p.integral, p.prevErr, p.havePrev = 0, 0, false
-				p.driftRun = 0
-			}
-		case last.Config == p.current:
-			p.driftRun = 0
-			ewmaUpdate(p.est, last.Config, last.TPI, p.Alpha)
-		case driftTripped(p.est[last.Config], last.TPI, p.DriftGain):
-			// Exploration visit contradicting its stale estimate: verbatim,
-			// as in IntervalPolicy.Next — the loop must see the new regime's
-			// error signal immediately, not an EWMA-lagged shadow of it.
-			p.est[last.Config] = last.TPI
-		default:
-			ewmaUpdate(p.est, last.Config, last.TPI, p.Alpha)
-		}
+	if id, ok := p.probe(p.Configs, p.ExplorePeriod); ok {
+		return id
 	}
-	p.intervals++
-
-	for _, id := range p.Configs {
-		if !p.seen[id] {
-			p.seen[id] = true
-			return id
-		}
-	}
-	// A returning visit's sample is already folded in: fall through and
-	// decide on it now rather than coasting an interval at the incumbent.
-	// Rotation skips the incumbent so every period probes a stale estimate.
-	if p.ExplorePeriod > 0 && p.intervals%p.ExplorePeriod == 0 && len(p.Configs) > 1 {
-		for range p.Configs {
-			p.exploreIdx = (p.exploreIdx + 1) % len(p.Configs)
-			if id := p.Configs[p.exploreIdx]; id != p.current {
-				return id
-			}
-		}
-	}
-
-	best, bestTPI := bestEstimate(p.est, p.Configs, p.current)
+	best, bestTPI := p.best(p.Configs)
 	cur := p.est[p.current]
 	if best == p.current || cur <= 0 || bestTPI <= 0 {
 		// On target (or nothing to steer by): bleed the loop state so a
@@ -414,7 +407,7 @@ type SlopeBanditPolicy struct {
 	lastPull   map[int]int64
 	dispatched map[int]bool
 	t          int64
-	driftRun   int
+	drift      driftStreak
 	home       int
 	current    int
 	inited     bool
@@ -466,29 +459,26 @@ func (p *SlopeBanditPolicy) Next(m *Monitor) int {
 		p.home = m.Current
 	}
 	if last, ok := m.Last(); ok {
+		tripped := driftTripped(p.windowMean(last.Config), last.TPI, p.DriftGain)
 		switch {
-		case last.Config == p.home && driftTripped(p.windowMean(last.Config), last.TPI, p.DriftGain):
-			p.driftRun++
-			if p.driftRun >= driftConfirm {
-				// Confirmed phase flip seen from inside the home arm: every
-				// window holds old-regime samples. Restart the home arm on
-				// the fresh sample and mark the other arms undispatched so
-				// the bootstrap loop re-auditions each once under the new
-				// regime.
-				p.hist = map[int][]float64{last.Config: {last.TPI}}
-				p.pulls = map[int]int64{last.Config: 1}
-				p.lastPull = map[int]int64{last.Config: p.t}
-				for _, id := range p.Configs {
-					if id != p.home {
-						delete(p.dispatched, id)
-					}
+		case last.Config == p.home && p.drift.confirm(tripped):
+			// Confirmed phase flip seen from inside the home arm: every
+			// window holds old-regime samples. Restart the home arm on
+			// the fresh sample and mark the other arms undispatched so
+			// the bootstrap loop re-auditions each once under the new
+			// regime.
+			p.hist = map[int][]float64{last.Config: {last.TPI}}
+			p.pulls = map[int]int64{last.Config: 1}
+			p.lastPull = map[int]int64{last.Config: p.t}
+			for _, id := range p.Configs {
+				if id != p.home {
+					delete(p.dispatched, id)
 				}
-				p.driftRun = 0
 			}
+		case last.Config == p.home && tripped:
 			// Streak pending: keep the window frozen as the old-regime
 			// reference.
-			p.t++
-		case last.Config != p.home && driftTripped(p.windowMean(last.Config), last.TPI, p.DriftGain):
+		case tripped:
 			// A re-audition contradicting the arm's stale window: the
 			// window predates a regime change, so it is not evidence —
 			// restart it on the fresh sample (phase-flip coverage for flips
@@ -496,11 +486,7 @@ func (p *SlopeBanditPolicy) Next(m *Monitor) int {
 			p.hist[last.Config] = []float64{last.TPI}
 			p.pulls[last.Config]++
 			p.lastPull[last.Config] = p.t
-			p.t++
 		default:
-			if last.Config == p.home {
-				p.driftRun = 0
-			}
 			h := append(p.hist[last.Config], last.TPI)
 			if len(h) > p.Window {
 				h = h[len(h)-p.Window:]
@@ -508,8 +494,8 @@ func (p *SlopeBanditPolicy) Next(m *Monitor) int {
 			p.hist[last.Config] = h
 			p.pulls[last.Config]++
 			p.lastPull[last.Config] = p.t
-			p.t++
 		}
+		p.t++
 	}
 
 	for _, id := range p.Configs {
@@ -612,7 +598,7 @@ type ProfileThenCommitPolicy struct {
 	commitLeft int64
 	commitEst  float64
 	haveEst    bool
-	driftRun   int
+	drift      driftStreak
 	current    int
 	inited     bool
 }
@@ -639,7 +625,7 @@ func (p *ProfileThenCommitPolicy) reprofile() {
 	p.committed = false
 	p.probed = 0
 	p.haveEst = false
-	p.driftRun = 0
+	p.drift = 0
 	p.sum = make(map[int]float64, len(p.Configs))
 	p.cnt = make(map[int]int64, len(p.Configs))
 }
@@ -659,23 +645,20 @@ func (p *ProfileThenCommitPolicy) Next(m *Monitor) int {
 		case !p.committed:
 			p.sum[last.Config] += last.TPI
 			p.cnt[last.Config]++
+		case last.Config == p.current && !p.haveEst:
+			p.commitEst, p.haveEst = last.TPI, true
 		case last.Config == p.current:
 			// Committed: watch the incumbent for phase drift. The profile
 			// the commitment rests on describes the regime it was taken
 			// in; an incumbent that persistently deviates from it means
-			// that profile is stale.
+			// that profile is stale. A pending streak keeps commitEst
+			// frozen as the reference.
+			tripped := driftTripped(p.commitEst, last.TPI, p.DriftGain)
 			switch {
-			case p.haveEst && driftTripped(p.commitEst, last.TPI, p.DriftGain):
-				p.driftRun++
-				if p.driftRun >= driftConfirm {
-					p.reprofile()
-				}
-				// Streak pending: commitEst frozen as the reference.
-			case p.haveEst:
-				p.driftRun = 0
+			case p.drift.confirm(tripped):
+				p.reprofile()
+			case !tripped:
 				p.commitEst = p.commitEst*0.7 + last.TPI*0.3
-			default:
-				p.commitEst, p.haveEst = last.TPI, true
 			}
 		}
 	}

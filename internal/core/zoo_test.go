@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTunableSentinels(t *testing.T) {
 	if got := tunable(0, 0.5); got != 0.5 {
@@ -285,6 +288,85 @@ func TestZooEmptyConfigs(t *testing.T) {
 		m.Current = 7
 		if got := p.Next(m); got != 7 {
 			t.Errorf("%s: empty-config policy moved to %d", p.Name(), got)
+		}
+	}
+}
+
+// feedFunc is feed with a time-varying workload: tpi(iv, cfg) is the TPI
+// configuration cfg shows in interval iv.
+func feedFunc(p Policy, tpi func(iv, cfg int) float64, intervals int) []int {
+	m := NewMonitor(16)
+	m.Current = 0
+	choices := make([]int, 0, intervals)
+	for i := 0; i < intervals; i++ {
+		c := p.Next(m)
+		choices = append(choices, c)
+		m.Record(Sample{Interval: int64(i), Config: c, TPI: tpi(i, c)})
+	}
+	return choices
+}
+
+// traceTPI is a three-phase schedule over a 3-config menu: at interval 70
+// the best configuration's TPI rises by half (a flip the incumbent sees);
+// at interval 140 configuration 0 keeps its TPI while the other two are
+// redrawn (a flip only a probe sees); intervals 30, 100 and 170 are
+// one-interval blips on every configuration, and interval 120 a blip on
+// configuration 2 alone.
+func traceTPI(iv, cfg int) float64 {
+	phases := [3][3]float64{
+		{0.50, 0.30, 0.70},
+		{0.25, 0.45, 0.60},
+		{0.25, 0.40, 0.15},
+	}
+	v := phases[min(iv/70, 2)][cfg]
+	switch {
+	case iv == 30 || iv == 100 || iv == 170:
+		v *= 1.6
+	case iv == 120 && cfg == 2:
+		v *= 0.5
+	}
+	return v
+}
+
+// TestPolicyDecisionTrace pins every adaptive policy's decision sequence at
+// its defaults over traceTPI, one digit per interval: any change to the
+// shared estimator, drift streak or a decider shows up as a diff here.
+func TestPolicyDecisionTrace(t *testing.T) {
+	want := map[string]string{
+		"interval-adaptive": "0120111111111111111111111111111111111111111111111111111111111112111111" +
+			"1102000000000000000000000000000000000000000000000000000001000000000000" +
+			"0000000000000000000000000000000000000000000000000002022222222222222222",
+		"hysteresis": "0120011111111111111111111111111111111111111111111111111111111112111111" +
+			"1102000000000000000000000000000000000000000000000000000001000000000000" +
+			"0000000000000000000000000000000000000000000000000002222222222222222222",
+		"pid-tpi": "0121111111111111111111111111111111111111111111111111111111111112111111" +
+			"1102000000000000000000000000000000000000000000000000000001000000000000" +
+			"0000000000000000000000000000000000000000000000000002122222222222222222",
+		"slope-bandit": "0121111111111101111111111111111111121111111111101111111111111111111121" +
+			"1102000000010000000000000000000000002000000010000000000000000000000002" +
+			"0000000100000000000000000000000022222222122222222222222222222222022222",
+		"profile-commit": "0011221111111111111111111111111111111111111111111111111111111111111111" +
+			"1100112200000000000000000000000000000000000000000000000000000000000000" +
+			"0000000000000000000000000000000000000000000000000000000000000000000000",
+	}
+	for _, p := range []Policy{
+		&IntervalPolicy{Configs: []int{0, 1, 2}},
+		&HysteresisPolicy{Configs: []int{0, 1, 2}},
+		&PIDPolicy{Configs: []int{0, 1, 2}},
+		&SlopeBanditPolicy{Configs: []int{0, 1, 2}},
+		&ProfileThenCommitPolicy{Configs: []int{0, 1, 2}},
+	} {
+		var sb strings.Builder
+		for _, c := range feedFunc(p, traceTPI, 210) {
+			sb.WriteByte(byte('0' + c))
+		}
+		got := sb.String()
+		if got != want[p.Name()] {
+			i := 0
+			for i < len(got) && i < len(want[p.Name()]) && got[i] == want[p.Name()][i] {
+				i++
+			}
+			t.Errorf("%s: decisions diverge at interval %d\n got %s\nwant %s", p.Name(), i, got, want[p.Name()])
 		}
 	}
 }

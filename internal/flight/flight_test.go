@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -354,4 +355,54 @@ func TestParseLedgerRejectsGarbage(t *testing.T) {
 	if _, err := ParseLedger(strings.NewReader("{\"t\":\"other\"}\n")); err == nil {
 		t.Fatal("want error for missing header")
 	}
+	// Two ledgers concatenated into one file repeat run 1: the second run
+	// line must not replace the first run.
+	one := validLedger(t)
+	_, err := ParseLedger(strings.NewReader(one + one))
+	if err == nil || !strings.Contains(err.Error(), "duplicate run 1") {
+		t.Fatalf("want duplicate-run error, got %v", err)
+	}
+	if want := fmt.Sprintf("line %d:", strings.Count(one, "\n")+2); !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("duplicate-run error %q does not name line %s", err, want)
+	}
+}
+
+// validLedger encodes a header and one complete run.
+func validLedger(t testing.TB) string {
+	var b strings.Builder
+	if err := EncodeHeader(&b, ""); err != nil {
+		t.Fatal(err)
+	}
+	meta, evs, end := mkRun("p", KindFixed, 3, 0)
+	if err := EncodeRun(&b, 1, meta, evs, end); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// FuzzParseLedger feeds arbitrary bytes to the ledger reader: it must never
+// panic, nor must Report over what it returns, and a successful parse holds
+// only distinct, ended runs.
+func FuzzParseLedger(f *testing.F) {
+	one := validLedger(f)
+	f.Add([]byte(one))
+	f.Add([]byte(one + one))
+	f.Add([]byte(one[:len(one)/2]))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := ParseLedger(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		seen := map[int64]bool{}
+		for _, r := range l.Runs {
+			if seen[r.Run] {
+				t.Fatalf("run %d returned twice", r.Run)
+			}
+			seen[r.Run] = true
+			if !r.ended {
+				t.Fatalf("run %d returned without its end line", r.Run)
+			}
+		}
+		_ = Report([]ReportInput{{Path: "fuzz", Ledger: &l}})
+	})
 }

@@ -110,6 +110,12 @@ func ParseLedger(r io.Reader) (Ledger, error) {
 				pendingErr, pendingLine = err, lineNo
 				continue
 			}
+			if runs[rl.Run] != nil {
+				// Two ledgers concatenated into one file (cat, or gzip
+				// members) restart the numbering; merging them would
+				// silently drop the first run.
+				return Ledger{}, fmt.Errorf("line %d: duplicate run %d", lineNo, rl.Run)
+			}
 			lr := &LedgerRun{Run: rl.Run, Meta: rl.RunMeta}
 			runs[rl.Run] = lr
 			order = append(order, rl.Run)

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke clean
+.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-check bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke clean
 
 all: build
 
@@ -67,6 +67,16 @@ serve-smoke:
 # add --trace 1 by hand for the per-layer table).
 bench:
 	sh bench/run.sh --workload all
+
+# bench-check compares two bench record files (bench/README.md):
+# `make bench-check BASE=parent.jsonl NEW=change.jsonl` prints the
+# per-workload table of `bench -compare` and fails if any end-to-end metric
+# reads WORSE.
+bench-check:
+	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make bench-check BASE=<records> NEW=<records>"; exit 2; }
+	@out="$$(cd bench && $(GO) run . -compare $(abspath $(BASE)),$(abspath $(NEW)))" || { printf '%s\n' "$$out"; exit 1; }; \
+	printf '%s\n' "$$out"; \
+	if printf '%s\n' "$$out" | grep -q 'WORSE'; then echo "bench-check: a metric is WORSE than BASE"; exit 1; fi
 
 # bench-obs-smoke (ci-gated) renders a tiny-budget fig10 run with
 # telemetry off and with every sink on (-obs -obs-assert, trace + manifest),

@@ -19,12 +19,11 @@
 // Output is byte-identical at every -parallel setting: simulation jobs derive
 // their random streams from (seed, benchmark, purpose) and results are
 // collected by grid index, so the worker count changes only the wall time.
-// -trace-budget and -study-cache likewise change only wall time and memory.
-// The telemetry flags
-// (-obs, -trace-out, -metrics-out, -serve, -obs-assert) never change stdout
-// either: observability receives statistics, it does not feed them back (all
-// telemetry notices go to stderr; `make ci`'s bench-obs-smoke enforces the
-// byte identity).
+// -study-cache and -study-cache-budget likewise change only wall time and
+// disk use. The telemetry flags (-obs, -trace-out, -metrics-out, -serve,
+// -obs-assert) never change stdout either: observability receives
+// statistics, it does not feed them back (all telemetry notices go to
+// stderr; `make ci`'s bench-obs-smoke enforces the byte identity).
 package main
 
 import (
@@ -45,7 +44,6 @@ import (
 	"capsim/internal/server"
 	"capsim/internal/sweep"
 	"capsim/internal/tech"
-	"capsim/internal/trace"
 )
 
 // main is a thin shell around run: all error paths return through run's
@@ -87,7 +85,6 @@ func run() (err error) {
 		penalty     = flag.Int("switch-penalty", -1, "clock-switch penalty in cycles (-1 = default)")
 		feature     = flag.Float64("feature", 0.18, "feature size in microns (0.25, 0.18, 0.12)")
 		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = serial; output is identical at any setting)")
-		traceBudget = flag.Int64("trace-budget", 0, "materialized-trace byte ceiling; cold stores evict and regenerate on demand (0 = unbounded; output is identical at any setting)")
 		studyCache  = flag.String("study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
 		studyBudget = flag.Int64("study-cache-budget", 0, "study-cache byte ceiling: publications past it evict least-recently-used entries, deterministically (0 = unbounded; output is identical at any setting)")
 		shardSpec   = flag.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
@@ -103,7 +100,7 @@ func run() (err error) {
 		apiInFlight = flag.Int("api-inflight", 2, "serve-api: maximum concurrently executing runs")
 		apiWait     = flag.Duration("api-queue-wait", 2*time.Second, "serve-api: how long an inadmissible request may queue for a run slot before 429")
 		apiTimeout  = flag.Duration("api-timeout", 0, "serve-api: per-run wall-time limit (0 = unbounded; a request's timeout_ms can only tighten it)")
-		apiCache    = flag.Int("api-cache", 64, "serve-api: response-cache entries, LRU (0 disables); also bounds the study-pass memos")
+		apiCache    = flag.Int("api-cache", 64, "serve-api: response-cache entries, LRU (0 disables); also bounds the in-memory study, trace-store and classification memos")
 		drainGrace  = flag.Duration("drain-grace", 15*time.Second, "serve-api: how long in-flight runs may finish after SIGINT/SIGTERM before their sweeps are cancelled")
 	)
 	flag.Parse()
@@ -138,7 +135,6 @@ func run() (err error) {
 	}
 
 	sweep.SetDefaultWorkers(*parallel)
-	trace.SetBudget(*traceBudget)
 	experiments.SetStudyCacheBudget(*studyBudget)
 	if *studyCache != "" {
 		if err := experiments.SetStudyCacheDir(*studyCache); err != nil {

@@ -181,6 +181,15 @@ func Reset() {
 	streams.Reset()
 }
 
+// SetStreamCap bounds the in-process stream memo to at most n entries with
+// deterministic LRU eviction (memo.SetCap); n <= 0 restores the unbounded
+// default. The long-lived API server sets it (experiments.SetStudyCacheCap).
+func SetStreamCap(n int) { streams.SetCap(n) }
+
+// StreamCount reports how many streams are memoized in process (diagnostics
+// and tests).
+func StreamCount() int { return streams.Len() }
+
 // Key returns the canonical stream key — exactly the content-determining
 // inputs, same discipline as the study-row keys.
 func Key(b workload.Benchmark, seed uint64, p cache.Params, maxB int, nrefs int64) string {

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"capsim/internal/classify"
+	"capsim/internal/trace"
 )
 
 // TestConcurrentRunByteIdentical locks the experiment service's core safety
@@ -115,5 +118,50 @@ func TestCancelledRunDoesNotPoisonMemo(t *testing.T) {
 	}
 	if len(res.Figures) == 0 && len(res.Tables) == 0 {
 		t.Error("recovered run produced no output")
+	}
+}
+
+// TestStudyCacheCapBoundsTraceTier locks the API server's memory bound: with
+// SetStudyCacheCap(2), runs at four distinct seeds leave at most two of each
+// kind of trace store and classification stream memoized — a server fed
+// ever-new seeds must not keep every seed's streams for good — and capping
+// changes no render.
+func TestStudyCacheCapBoundsTraceTier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs ablation-combined at four seeds twice")
+	}
+	cfg := fastConfig()
+	cfg.CacheWarmRefs = 5_000
+	cfg.CacheRefs = 20_000
+	cfg.QueueInstrs = 10_000
+	seeds := []uint64{1, 2, 3, 4}
+
+	render := func() []string {
+		ResetCaches()
+		var out []string
+		for _, seed := range seeds {
+			cfg.Seed = seed
+			res, err := Run("ablation-combined", cfg)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			out = append(out, res.Render())
+		}
+		return out
+	}
+	uncapped := render()
+
+	defer func() { SetStudyCacheCap(0); ResetCaches() }()
+	SetStudyCacheCap(2)
+	capped := render()
+	for i := range seeds {
+		if capped[i] != uncapped[i] {
+			t.Errorf("seed %d: capped render differs from the uncapped one", seeds[i])
+		}
+	}
+	refs, ops, dec := trace.StoreCounts()
+	if streams := classify.StreamCount(); refs > 2 || ops > 2 || dec > 2 || streams > 2 {
+		t.Errorf("cap 2 left %d ref, %d op, %d decoded stores and %d classify streams memoized",
+			refs, ops, dec, streams)
 	}
 }

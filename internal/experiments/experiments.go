@@ -64,9 +64,9 @@ func DefaultConfig() Config {
 
 // CanonicalKey canonicalizes the render-determining fields of the
 // configuration into a stable string: everything that changes rendered bytes
-// is in, everything render-neutral (workers, trace budget, shard, study
-// cache) is out. The server's response cache and the shard/persist row
-// keys both build on this discipline; the server prefixes the experiment id.
+// is in, everything render-neutral (workers, shard, study cache) is out.
+// The server's response cache and the shard/persist row keys both build on
+// this discipline; the server prefixes the experiment id.
 func (c Config) CanonicalKey() string {
 	return fmt.Sprintf("seed=%d|warm=%d|refs=%d|qi=%d|iv=%d|pen=%d|f=%g|cp=%+v",
 		c.Seed, c.CacheWarmRefs, c.CacheRefs, c.QueueInstrs,
@@ -202,16 +202,20 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// SetStudyCacheCap bounds the memoized cache- and queue-study passes, and
-// the interval and race families behind the policy studies, to at most n
-// entries each, with deterministic LRU eviction (memo.SetCap). The
-// long-lived API server sets this at startup so a stream of requests with
-// distinct seeds or budgets cannot grow the process without bound; the
-// one-shot CLI never calls it and keeps the unbounded default.
+// SetStudyCacheCap bounds every in-process memo a run fills — the cache-
+// and queue-study passes, the interval and race families behind the policy
+// studies, the materialized trace stores and the classification streams —
+// to at most n entries each, with deterministic LRU eviction (memo.SetCap).
+// The long-lived API server sets this at startup so a stream of requests
+// with distinct seeds or budgets cannot grow the process without bound; the
+// one-shot CLI never calls it and keeps the unbounded default. Eviction
+// never changes a render: an evicted entry is recomputed identically.
 func SetStudyCacheCap(n int) {
 	cacheStudies.SetCap(n)
 	queueStudies.SetCap(n)
 	core.SetPolicyFamilyCap(n)
+	trace.SetStoreCap(n)
+	classify.SetStreamCap(n)
 }
 
 // studyDo wraps a study memo's Do with the cancellation contract: a

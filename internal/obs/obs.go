@@ -42,9 +42,9 @@ func SetEnabled(v bool) { enabled.Store(v) }
 // Enabled reports whether metric recording is active.
 func Enabled() bool { return enabled.Load() }
 
-// Counter is a named atomic total. Most counters only grow; the live-byte
-// counters (trace.bytes) also subtract what evictions free. The zero value
-// is NOT usable — counters are created through NewCounter (or
+// Counter is a named atomic total. Counters only grow (until
+// Registry.Reset), so readers take deltas over the span they measure. The
+// zero value is NOT usable — counters are created through NewCounter (or
 // Registry.NewCounter) so they are discoverable by snapshots and the live
 // endpoint.
 type Counter struct {

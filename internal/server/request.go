@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"capsim/internal/experiments"
@@ -68,6 +70,16 @@ func badRequest(format string, args ...any) *httpError {
 
 func unprocessable(format string, args ...any) *httpError {
 	return &httpError{http.StatusUnprocessableEntity, fmt.Sprintf(format, args...)}
+}
+
+// decodeRunRequest reads a POST /v1/run body the way the handler does: at
+// most maxRequestBody bytes, one JSON object, unknown fields rejected.
+func decodeRunRequest(body io.Reader) (RunRequest, error) {
+	var req RunRequest
+	dec := json.NewDecoder(io.LimitReader(body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
 }
 
 // resolve merges the request over the server's base configuration and

@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -77,8 +76,9 @@ type Options struct {
 	RunTimeout time.Duration
 
 	// CacheEntries bounds the response cache (default 64, <0 disables
-	// caching). The study-pass memos underneath are bounded separately by
-	// the caller (experiments.SetStudyCacheCap).
+	// caching). The in-process memos underneath — study passes, policy
+	// families, trace stores, classification streams — are bounded
+	// separately by the caller (experiments.SetStudyCacheCap).
 	CacheEntries int
 
 	// MaxParallel caps a request's parallel override (default
@@ -271,10 +271,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req RunRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRunRequest(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
 		return
 	}

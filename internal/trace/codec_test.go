@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"capsim/internal/obs"
 	"capsim/internal/rng"
 )
 
@@ -76,17 +77,22 @@ func TestDeltaWraparound(t *testing.T) {
 
 // TestCompressionRatio checks the acceptance-criteria floor on the real
 // workload streams: the standard benchmarks' materialized stores must be at
-// least 30% smaller than the flat layout they replaced.
+// least 30% smaller than the flat layout they replaced. It reads the ratio
+// the way the bench harness does, from the trace.bytes and trace.bytes_raw
+// counters.
 func TestCompressionRatio(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
 	defer Reset()
 	Reset()
+	obs.SetEnabled(true)
+	live0, raw0 := obsBytes.Value(), obsBytesRaw.Value()
 	for _, name := range []string{"gcc", "stereo", "appcg", "compress", "swim"} {
 		b := bench(t, name)
 		RefsFor(b, 1998).Cursor().Next()
 		OpsFor(b, 1998).Cursor().Next()
 		DecodedFor(RefsFor(b, 1998), Geometry{BlockBytes: 32, Sets: 128}).Cursor().NextDecoded()
 	}
-	live, raw := TotalBytes(), TotalRawBytes()
+	live, raw := obsBytes.Value()-live0, obsBytesRaw.Value()-raw0
 	if raw == 0 {
 		t.Fatal("no bytes materialized")
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,12 +10,13 @@ import (
 
 // TestEnabledResetRace exercises the lifecycle contract under the race
 // detector: goroutines replay ref/op/decoded cursors while another thread
-// calls Reset and toggles the byte budget. The contract (see the package
-// doc) says a cursor taken before a Reset keeps replaying its orphaned store
-// consistently — so every replayed value must still be bit-identical to a
-// private generator, no matter how the lifecycle calls interleave.
+// calls Reset and toggles the store cap. The contract (see the package doc)
+// says a cursor taken before a Reset or a cap eviction keeps replaying its
+// orphaned store consistently — so every replayed value must still be
+// bit-identical to a private generator, no matter how the lifecycle calls
+// interleave.
 func TestEnabledResetRace(t *testing.T) {
-	defer func() { SetBudget(0); Reset() }()
+	defer func() { SetStoreCap(0); Reset() }()
 	Reset()
 
 	b := bench(t, "gcc")
@@ -60,7 +62,7 @@ func TestEnabledResetRace(t *testing.T) {
 		}(uint64(100 + w))
 	}
 
-	// Lifecycle churn: Reset and budget squeeze.
+	// Lifecycle churn: Reset and cap squeeze.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -70,12 +72,12 @@ func TestEnabledResetRace(t *testing.T) {
 				Reset()
 			}
 			if i%3 == 0 {
-				SetBudget(int64(1 + i*1024))
+				SetStoreCap(1)
 			} else {
-				SetBudget(0)
+				SetStoreCap(0)
 			}
-			_ = TotalBytes()
-			_ = TotalRawBytes()
+			_, _, _ = StoreCounts()
+			runtime.Gosched()
 		}
 	}()
 

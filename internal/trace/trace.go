@@ -20,31 +20,23 @@
 //     which shares the set mapping by the paper's constant-index rule —
 //     decodes each reference exactly once, stored as zigzag-delta varints.
 //
-// Stores grow lazily: a cursor that runs past the materialized prefix
-// extends the store by whole chunks under the store's lock, then publishes
-// the new chunk list atomically. Published chunks are immutable, so readers
-// never synchronize with each other; replay is bit-identical to running the
-// generator directly, at any worker count. Total live bytes are tracked per
-// store and can be capped with SetBudget (see budget.go): over budget, cold
-// stores are evicted and transparently regenerate on their next touch.
+// All three share one chunk list (chunkList): a cursor that runs past the
+// materialized prefix extends the store by whole chunks under the list's
+// lock, then publishes the new chunk list atomically. Published chunks are
+// immutable, so readers never synchronize with each other; replay is
+// bit-identical to running the generator directly, at any worker count.
 //
 // # Lifecycle contract
 //
-// Reset and SetBudget are coarse process-wide operations and are safe at any
-// time, including while cursors are mid-replay on other goroutines:
-//
-//   - Reset discards the memo tables and the eviction registry, so future
-//     *For calls build fresh stores. Cursors mid-replay keep direct store
-//     pointers and are unaffected: the orphaned store still extends itself
-//     under its own lock and its published chunks are immutable, so the
-//     replayed sequence is unchanged. The orphan is garbage once the last
-//     cursor drops it.
-//   - Budget eviction (budget.go) resets a store's chunk storage in place;
-//     cursors mid-replay regenerate the identical chunks on their next
-//     chunk-boundary load.
-//
-// TestEnabledResetRace exercises both against concurrent replay under the
-// race detector.
+// A store lives as long as its memo entry or any cursor over it. Reset, and
+// the LRU cap SetStoreCap imposes, only drop memo entries, and both are safe
+// at any time, including while cursors are mid-replay on other goroutines:
+// cursors keep direct store pointers, the orphaned store still extends
+// itself under its own lock and its published chunks are immutable, so the
+// replayed sequence is unchanged. The next *For call builds a fresh store
+// that generates the identical stream. The orphan is garbage once the last
+// cursor drops it. TestEnabledResetRace exercises this against concurrent
+// replay under the race detector.
 package trace
 
 import (
@@ -60,13 +52,14 @@ import (
 
 // Telemetry (internal/obs). Materialization happens under each store's lock
 // at chunk granularity, so one counter add per ChunkLen (32768) references is
-// far off the replay hot path; cursors themselves are untouched. The byte
-// counters track LIVE bytes: evictions and Reset subtract what they free.
+// far off the replay hot path; cursors themselves are untouched. Every
+// counter is cumulative: the byte counters total bytes materialized, not
+// bytes held.
 var (
 	obsRefChunks = obs.NewCounter("trace.ref_chunks") // reference chunks materialized
 	obsOpChunks  = obs.NewCounter("trace.op_chunks")  // instruction chunks materialized
 	obsDecChunks = obs.NewCounter("trace.dec_chunks") // decoded chunks materialized
-	obsBytes     = obs.NewCounter("trace.bytes")      // live bytes of store data (compressed)
+	obsBytes     = obs.NewCounter("trace.bytes")      // bytes of store data materialized (compressed)
 	obsBytesRaw  = obs.NewCounter("trace.bytes_raw")  // same data in the flat pre-compression layout
 )
 
@@ -83,6 +76,56 @@ const (
 	rawOpChunkBytes  = ChunkLen * int64(unsafe.Sizeof(workload.Instr{})) // packed Instr array
 	rawDecChunkBytes = ChunkLen*4 + ChunkLen*8                           // sets + tags
 )
+
+// countChunk records one materialized chunk: n counts it, and the byte
+// counters add its compressed footprint and its flat-layout size.
+func countChunk(n *obs.Counter, bytes, raw int64) {
+	n.Inc()
+	obsBytes.Add(bytes)
+	obsBytesRaw.Add(raw)
+}
+
+// --- chunk list -----------------------------------------------------------
+
+// chunkList is the append-only chunk storage every store embeds. fill
+// builds chunk ci, always in index order and under mu, so it may advance
+// generator state guarded by mu; the grown list is then published by
+// swapping the chunks pointer, and a published chunk is never mutated.
+type chunkList[C any] struct {
+	mu     sync.Mutex
+	fill   func(ci int64) *C
+	chunks atomic.Pointer[[]*C]
+}
+
+// Len returns the number of materialized items.
+func (l *chunkList[C]) Len() int64 {
+	if cs := l.chunks.Load(); cs != nil {
+		return int64(len(*cs)) * ChunkLen
+	}
+	return 0
+}
+
+// at returns the ci-th chunk, materializing it and its predecessors if
+// necessary.
+func (l *chunkList[C]) at(ci int64) *C {
+	if cs := l.chunks.Load(); cs != nil && ci < int64(len(*cs)) {
+		return (*cs)[ci]
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var cur []*C
+	if cs := l.chunks.Load(); cs != nil {
+		cur = *cs
+	}
+	for int64(len(cur)) <= ci {
+		// Appending in place is safe: a reader of an older list never
+		// indexes past that list's length.
+		next := append(cur, l.fill(int64(len(cur))))
+		l.chunks.Store(&next)
+		cur = next
+	}
+	return cur[ci]
+}
 
 // --- store keys -----------------------------------------------------------
 
@@ -122,18 +165,25 @@ var (
 	decStores memo.Memo[decKey, *DecodedStore]
 )
 
-// Reset discards every memoized store (reference, instruction and decoded)
-// and the eviction registry. Long-lived processes can call it to bound
-// memory; the determinism tests call it between passes so each pass
-// re-materializes from scratch. Safe while cursors are mid-replay (see the
-// lifecycle contract in the package comment).
+// Reset discards every memoized store (reference, instruction and decoded),
+// so future *For calls build fresh ones; the determinism tests call it
+// between passes so each pass re-materializes from scratch. Safe while
+// cursors are mid-replay (see the lifecycle contract in the package comment).
 func Reset() {
-	obsBytes.Add(-TotalBytes())
-	obsBytesRaw.Add(-TotalRawBytes())
 	refStores.Reset()
 	opStores.Reset()
 	decStores.Reset()
-	clearRegistry()
+}
+
+// SetStoreCap bounds each store memo (reference, instruction, decoded) to at
+// most n entries with deterministic LRU eviction (memo.SetCap); n <= 0
+// restores the unbounded default. An evicted store is orphaned exactly as by
+// Reset. The long-lived API server sets it (experiments.SetStudyCacheCap) so
+// requests at ever-new seeds cannot grow the process without bound.
+func SetStoreCap(n int) {
+	refStores.SetCap(n)
+	opStores.SetCap(n)
+	decStores.SetCap(n)
 }
 
 // StoreCounts reports how many reference, instruction and decoded stores are
@@ -152,24 +202,13 @@ type refChunk struct {
 	enc    []byte
 }
 
-// refChunkBytes is the chunk's live footprint.
-func refChunkBytes(c *refChunk) int64 {
-	return int64(unsafe.Sizeof(*c)) + int64(len(c.enc))
-}
-
 // RefStore is an append-only materialized data-reference stream. One exists
 // per (benchmark, seed); every sweep worker replays it through private
-// cursors. Chunks are generated whole under mu, published by swapping the
-// chunk-list pointer, and never mutated afterwards.
+// cursors.
 type RefStore struct {
-	mu      sync.Mutex
-	gen     *workload.AddressTrace        // guarded by mu
-	newGen  func() *workload.AddressTrace // rebuilds gen after eviction
-	scratch []byte                        // encode buffer, guarded by mu
-	chunks  atomic.Pointer[[]*refChunk]
-
-	bytes atomic.Int64  // live compressed bytes
-	use   atomic.Uint64 // LRU recency stamp (cursor-facing loads)
+	chunkList[refChunk]
+	gen     *workload.AddressTrace // guarded by mu
+	scratch []byte                 // encode buffer, guarded by mu
 }
 
 // RefsFor returns the shared reference store for (b, seed), creating it
@@ -179,92 +218,30 @@ func RefsFor(b workload.Benchmark, seed uint64) *RefStore {
 		panic("trace: " + b.Name + " has no memory profile")
 	}
 	return refStores.Get(refKey{b.Mem, b.Name, seed}, func() *RefStore {
-		newGen := func() *workload.AddressTrace { return workload.NewAddressTrace(b, seed) }
-		s := &RefStore{gen: newGen(), newGen: newGen}
-		registerStore(s)
+		s := &RefStore{gen: workload.NewAddressTrace(b, seed)}
+		s.fill = s.encode
 		return s
 	})
 }
 
-// Len returns the number of materialized references.
-func (s *RefStore) Len() int64 {
-	if cs := s.chunks.Load(); cs != nil {
-		return int64(len(*cs)) * ChunkLen
-	}
-	return 0
-}
-
-// ensure materializes chunks until at least n references exist.
-func (s *RefStore) ensure(n int64) {
-	if s.Len() >= n {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var cur []*refChunk
-	if cs := s.chunks.Load(); cs != nil {
-		cur = *cs
-	}
-	for int64(len(cur))*ChunkLen < n {
-		c := new(refChunk)
-		enc := s.scratch[:0]
-		var prev uint64
-		for i := 0; i < ChunkLen; i++ {
-			r := s.gen.Next()
-			enc = appendUvarint(enc, zigzag(int64(r.Addr-prev)))
-			prev = r.Addr
-			if r.Write {
-				c.writes[i>>6] |= 1 << (uint(i) & 63)
-			}
+// encode generates the next ChunkLen references and compresses them into a
+// chunk (the store's fill).
+func (s *RefStore) encode(int64) *refChunk {
+	c := new(refChunk)
+	enc := s.scratch[:0]
+	var prev uint64
+	for i := 0; i < ChunkLen; i++ {
+		r := s.gen.Next()
+		enc = appendUvarint(enc, zigzag(int64(r.Addr-prev)))
+		prev = r.Addr
+		if r.Write {
+			c.writes[i>>6] |= 1 << (uint(i) & 63)
 		}
-		s.scratch = enc // keep the grown capacity for the next chunk
-		c.enc = append(make([]byte, 0, len(enc)), enc...)
-		next := make([]*refChunk, len(cur)+1)
-		copy(next, cur)
-		next[len(cur)] = c
-		cur = next
-		s.chunks.Store(&next)
-		s.bytes.Add(refChunkBytes(c))
-		obsRefChunks.Inc()
-		obsBytes.Add(refChunkBytes(c))
-		obsBytesRaw.Add(rawRefChunkBytes)
 	}
-}
-
-// chunk returns the ci-th chunk, materializing it (and its predecessors) if
-// necessary. Internal accessor: no budget bookkeeping (DecodedStore.ensure
-// calls it while holding its own lock).
-func (s *RefStore) chunk(ci int64) *refChunk {
-	cs := s.chunks.Load()
-	if cs == nil || ci >= int64(len(*cs)) {
-		s.ensure((ci + 1) * ChunkLen)
-		cs = s.chunks.Load()
-	}
-	return (*cs)[ci]
-}
-
-// cursorChunk is the cursor-facing chunk load: it stamps the store's recency
-// and enforces the byte budget. Callers hold no store lock here.
-func (s *RefStore) cursorChunk(ci int64) *refChunk {
-	c := s.chunk(ci)
-	s.use.Store(touchStamp())
-	enforceBudget(s)
+	s.scratch = enc // keep the grown capacity for the next chunk
+	c.enc = append(make([]byte, 0, len(enc)), enc...)
+	countChunk(obsRefChunks, int64(unsafe.Sizeof(*c))+int64(len(c.enc)), rawRefChunkBytes)
 	return c
-}
-
-// evictable implementation (budget.go). evict drops the chunk storage and
-// rewinds the generator; the store regenerates identically on next use.
-func (s *RefStore) liveBytes() int64    { return s.bytes.Load() }
-func (s *RefStore) nominalBytes() int64 { return s.Len() / ChunkLen * rawRefChunkBytes }
-func (s *RefStore) lastUse() uint64     { return s.use.Load() }
-func (s *RefStore) evict() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obsBytes.Add(-s.bytes.Load())
-	obsBytesRaw.Add(-s.nominalBytes())
-	s.chunks.Store(nil)
-	s.gen = s.newGen()
-	s.bytes.Store(0)
 }
 
 // Cursor returns a replay cursor positioned at the start of the stream. The
@@ -286,7 +263,7 @@ type RefCursor struct {
 // Next returns the next reference in the stream.
 func (c *RefCursor) Next() workload.Ref {
 	if c.idx == ChunkLen {
-		c.c = c.s.cursorChunk(c.ci)
+		c.c = c.s.at(c.ci)
 		c.ci++
 		c.idx = 0
 		c.off = 0
@@ -311,108 +288,39 @@ type opChunk struct {
 	enc []byte
 }
 
-// opChunkBytes is the chunk's live footprint.
-func opChunkBytes(c *opChunk) int64 {
-	return int64(unsafe.Sizeof(*c)) + int64(len(c.enc))
-}
-
 // OpStore is an append-only materialized instruction stream, the queue-side
 // counterpart of RefStore.
 type OpStore struct {
-	mu      sync.Mutex
-	gen     *workload.InstrStream        // guarded by mu
-	newGen  func() *workload.InstrStream // rebuilds gen after eviction
-	scratch []byte                       // encode buffer, guarded by mu
-	chunks  atomic.Pointer[[]*opChunk]
-
-	bytes atomic.Int64
-	use   atomic.Uint64
+	chunkList[opChunk]
+	gen     *workload.InstrStream // guarded by mu
+	scratch []byte                // encode buffer, guarded by mu
 }
 
 // OpsFor returns the shared instruction store for (b, seed), creating it on
 // first use with singleflight semantics.
 func OpsFor(b workload.Benchmark, seed uint64) *OpStore {
 	return opStores.Get(opKey{b.Name, seed, ilpFingerprint(b.ILP)}, func() *OpStore {
-		newGen := func() *workload.InstrStream { return workload.NewInstrStream(b, seed) }
-		s := &OpStore{gen: newGen(), newGen: newGen}
-		registerStore(s)
+		s := &OpStore{gen: workload.NewInstrStream(b, seed)}
+		s.fill = s.encode
 		return s
 	})
 }
 
-// Len returns the number of materialized instructions.
-func (s *OpStore) Len() int64 {
-	if cs := s.chunks.Load(); cs != nil {
-		return int64(len(*cs)) * ChunkLen
+// encode generates the next ChunkLen instructions and packs them into a
+// chunk (the store's fill).
+func (s *OpStore) encode(int64) *opChunk {
+	c := new(opChunk)
+	enc := s.scratch[:0]
+	for i := 0; i < ChunkLen; i++ {
+		in := s.gen.Next()
+		enc = appendUvarint(enc, zigzag(int64(in.Src[0])))
+		enc = appendUvarint(enc, zigzag(int64(in.Src[1])))
+		enc = appendUvarint(enc, zigzag(int64(in.Latency)))
 	}
-	return 0
-}
-
-// ensure materializes chunks until at least n instructions exist.
-func (s *OpStore) ensure(n int64) {
-	if s.Len() >= n {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var cur []*opChunk
-	if cs := s.chunks.Load(); cs != nil {
-		cur = *cs
-	}
-	for int64(len(cur))*ChunkLen < n {
-		c := new(opChunk)
-		enc := s.scratch[:0]
-		for i := 0; i < ChunkLen; i++ {
-			in := s.gen.Next()
-			enc = appendUvarint(enc, zigzag(int64(in.Src[0])))
-			enc = appendUvarint(enc, zigzag(int64(in.Src[1])))
-			enc = appendUvarint(enc, zigzag(int64(in.Latency)))
-		}
-		s.scratch = enc
-		c.enc = append(make([]byte, 0, len(enc)), enc...)
-		next := make([]*opChunk, len(cur)+1)
-		copy(next, cur)
-		next[len(cur)] = c
-		cur = next
-		s.chunks.Store(&next)
-		s.bytes.Add(opChunkBytes(c))
-		obsOpChunks.Inc()
-		obsBytes.Add(opChunkBytes(c))
-		obsBytesRaw.Add(rawOpChunkBytes)
-	}
-}
-
-// chunk returns the ci-th chunk, materializing as needed (internal, no
-// budget bookkeeping).
-func (s *OpStore) chunk(ci int64) *opChunk {
-	cs := s.chunks.Load()
-	if cs == nil || ci >= int64(len(*cs)) {
-		s.ensure((ci + 1) * ChunkLen)
-		cs = s.chunks.Load()
-	}
-	return (*cs)[ci]
-}
-
-// cursorChunk is the cursor-facing chunk load (recency stamp + budget).
-func (s *OpStore) cursorChunk(ci int64) *opChunk {
-	c := s.chunk(ci)
-	s.use.Store(touchStamp())
-	enforceBudget(s)
+	s.scratch = enc
+	c.enc = append(make([]byte, 0, len(enc)), enc...)
+	countChunk(obsOpChunks, int64(unsafe.Sizeof(*c))+int64(len(c.enc)), rawOpChunkBytes)
 	return c
-}
-
-// evictable implementation (budget.go).
-func (s *OpStore) liveBytes() int64    { return s.bytes.Load() }
-func (s *OpStore) nominalBytes() int64 { return s.Len() / ChunkLen * rawOpChunkBytes }
-func (s *OpStore) lastUse() uint64     { return s.use.Load() }
-func (s *OpStore) evict() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obsBytes.Add(-s.bytes.Load())
-	obsBytesRaw.Add(-s.nominalBytes())
-	s.chunks.Store(nil)
-	s.gen = s.newGen()
-	s.bytes.Store(0)
 }
 
 // Cursor returns a replay cursor positioned at the start of the stream.
@@ -431,7 +339,7 @@ type OpCursor struct {
 // Next returns the next instruction in the stream.
 func (c *OpCursor) Next() workload.Instr {
 	if c.idx == ChunkLen {
-		c.c = c.s.cursorChunk(c.ci)
+		c.c = c.s.at(c.ci)
 		c.ci++
 		c.idx = 0
 		c.off = 0
@@ -459,7 +367,7 @@ func (c *OpCursor) CopyNext(dst []workload.Instr) int {
 		return 0
 	}
 	if c.idx == ChunkLen {
-		c.c = c.s.cursorChunk(c.ci)
+		c.c = c.s.at(c.ci)
 		c.ci++
 		c.idx = 0
 		c.off = 0

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-check bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke clean
+.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-check bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke fuzz-smoke clean
 
 all: build
 
@@ -53,7 +53,27 @@ staticcheck:
 		echo "WARNING: staticcheck unavailable and install failed (offline?); static analysis SKIPPED"; \
 	fi
 
-ci: fmt vet staticcheck build ci-race race bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke
+ci: fmt vet staticcheck build ci-race race fuzz-smoke bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke
+
+# fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
+# (which plain `go test` already replays): the ooo engine differential, the
+# classification round trip, the study-cache envelope, the ledger parser, the
+# API request decoder and the rng cut tables. `go test -fuzz` takes one
+# target per run, hence the loop.
+FUZZ_TARGETS = \
+	./internal/ooo:FuzzOooEngines \
+	./internal/classify:FuzzClassifyRoundTrip \
+	./internal/memo:FuzzPersistEnvelope \
+	./internal/flight:FuzzParseLedger \
+	./internal/server:FuzzRunRequest \
+	./internal/rng:FuzzCutTable
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t#*:}; \
+		echo "fuzz $$fn ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 5s $$pkg || exit 1; \
+	done
 
 # serve-smoke boots the experiment API server (-serve-api) on an ephemeral
 # port and proves the service contract end to end: POST /v1/run renders

@@ -6,6 +6,9 @@
 // The core generator is xoshiro256**, seeded via SplitMix64 — small, fast,
 // and high-quality; math/rand is avoided so the stream is stable regardless
 // of Go version.
+//
+// The workload generators draw through precomputed integer-domain samplers
+// (Table, Chance, Geom; see sample.go) rather than float arithmetic per draw.
 package rng
 
 import "fmt"
@@ -101,52 +104,6 @@ func (r *Source) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p: the number of failures before the first success (support
-// {0, 1, 2, ...}, mean (1-p)/p). p is clamped to (0, 1].
-func (r *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p < 1e-9 {
-		p = 1e-9
-	}
-	n := 0
-	for !r.Bool(p) {
-		n++
-		if n > 1<<20 { // safety against pathological p
-			break
-		}
-	}
-	return n
-}
-
-// Weighted selects an index in [0, len(weights)) with probability
-// proportional to the weights. Non-positive weights are treated as zero. It
-// panics if the weights sum to zero or the slice is empty.
-func (r *Source) Weighted(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if len(weights) == 0 || total <= 0 {
-		panic("rng: Weighted requires at least one positive weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if x < w {
-			return i
-		}
-		x -= w
-	}
-	return len(weights) - 1
 }
 
 // Perm fills out with a pseudo-random permutation of [0, len(out)).

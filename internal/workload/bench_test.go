@@ -40,17 +40,24 @@ func BenchmarkAddressTraceGenNilBuf(b *testing.B) {
 // BenchmarkInstrStreamGen is the instruction-side counterpart: the cost of
 // generating the synthetic dynamic instruction stream, amortized by the
 // one-pass queue-profiling path from once-per-queue-size to
-// once-per-application.
+// once-per-application. One sub-benchmark per application whose
+// distance/latency mixtures span the registry (long-distance gcc, phased
+// turb3d and vortex, short-chain compress, streaming appcg); ns/op is ns per
+// instruction, dominated by the geometric distance draws.
 func BenchmarkInstrStreamGen(b *testing.B) {
-	s := NewInstrStream(MustByName("gcc"), 1998)
-	const batch = 1 << 12
-	var buf []Instr
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		buf = s.Fill(buf, batch)
-	}
-	if len(buf) != batch {
-		b.Fatal("short fill")
+	for _, name := range []string{"gcc", "turb3d", "vortex", "compress", "appcg"} {
+		b.Run(name, func(b *testing.B) {
+			s := NewInstrStream(MustByName(name), 1998)
+			const batch = 1 << 12
+			var buf []Instr
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch {
+				buf = s.Fill(buf, batch)
+			}
+			if len(buf) != batch {
+				b.Fatal("short fill")
+			}
+		})
 	}
 }

@@ -25,20 +25,55 @@ type InstrSource interface {
 // deterministic for a given seed.
 type InstrStream struct {
 	prof ILPProfile
-	src  *rng.Source
+	src  rng.Source
 
 	idx int64 // dynamic instruction index
 
-	cur        ILPParams
+	cur        *ilpSampler // base or alt
+	base, alt  *ilpSampler // alt is nil for PhaseStable
 	inAlt      bool
 	phaseLeft  int64
 	superLeft  int64
 	superInReg bool // composite: currently in the regular super-block
 
-	// cached sampling tables for the current params
-	srcW  []float64
-	distW []float64
-	latW  []float64
+	// Phase-run samplers: PhaseIrregular's runs and PhaseComposite's
+	// irregular stretches.
+	runGeom, stretchGeom rng.Geom
+}
+
+// ilpSampler is one ILPParams set compiled to integer-domain samplers. Both
+// of a profile's sets are compiled once, in NewInstrStream, so a phase flip
+// only swaps a pointer.
+type ilpSampler struct {
+	nsrc   *rng.Table
+	dist   *rng.Table
+	geom   []rng.Geom // per distance component: the distance is 1 + a draw
+	lat    *rng.Table
+	cycles []int8 // per latency component
+}
+
+func newILPSampler(p ILPParams) *ilpSampler {
+	distW := make([]float64, len(p.Dists))
+	geom := make([]rng.Geom, len(p.Dists))
+	for i, d := range p.Dists {
+		distW[i] = d.Weight
+		// Distance = 1 + geometric with mean (Mean - 1); Mean == 1 gives
+		// p = 1, which yields 0 without a draw.
+		geom[i] = rng.NewGeom(1 / d.Mean)
+	}
+	latW := make([]float64, len(p.Lats))
+	cycles := make([]int8, len(p.Lats))
+	for i, l := range p.Lats {
+		latW[i] = l.Weight
+		cycles[i] = int8(l.Cycles)
+	}
+	return &ilpSampler{
+		nsrc:   rng.NewTable(p.SrcWeights[:]),
+		dist:   rng.NewTable(distW),
+		geom:   geom,
+		lat:    rng.NewTable(latW),
+		cycles: cycles,
+	}
 }
 
 // NewInstrStream creates the stream generator for benchmark b.
@@ -47,12 +82,18 @@ func NewInstrStream(b Benchmark, seed uint64) *InstrStream {
 		panic(err)
 	}
 	s := &InstrStream{
-		prof: b.ILP,
-		src:  rng.New(rng.DeriveSeed(seed, b.Name+"/ilp")),
+		prof:        b.ILP,
+		src:         *rng.New(rng.DeriveSeed(seed, b.Name+"/ilp")),
+		base:        newILPSampler(b.ILP.Base),
+		runGeom:     phaseRunGeom(float64(b.ILP.PeriodInstrs)),
+		stretchGeom: phaseRunGeom(float64(b.ILP.PeriodInstrs) / 6),
+	}
+	if b.ILP.Kind != PhaseStable {
+		s.alt = newILPSampler(*b.ILP.Alt)
 	}
 	s.superInReg = true
 	s.superLeft = b.ILP.SuperPeriodInstrs
-	s.setParams(b.ILP.Base, false)
+	s.cur = s.base
 	s.phaseLeft = s.firstPhaseLen()
 	return s
 }
@@ -64,40 +105,31 @@ func (s *InstrStream) Index() int64 { return s.idx }
 // (diagnostics and phase-visualization tooling).
 func (s *InstrStream) InAltPhase() bool { return s.inAlt }
 
-func (s *InstrStream) setParams(p ILPParams, alt bool) {
-	s.cur = p
-	s.inAlt = alt
-	s.srcW = append(s.srcW[:0], p.SrcWeights[0], p.SrcWeights[1], p.SrcWeights[2])
-	s.distW = s.distW[:0]
-	for _, d := range p.Dists {
-		s.distW = append(s.distW, d.Weight)
-	}
-	s.latW = s.latW[:0]
-	for _, l := range p.Lats {
-		s.latW = append(s.latW, l.Weight)
-	}
-}
-
 // firstPhaseLen returns the length of the initial phase block.
 func (s *InstrStream) firstPhaseLen() int64 {
 	switch s.prof.Kind {
 	case PhaseStable:
 		return 1 << 62
 	case PhaseIrregular:
-		return s.irregularLen(float64(s.prof.PeriodInstrs))
-	case PhaseComposite:
-		return s.prof.PeriodInstrs
+		return s.irregularLen(s.runGeom)
 	default:
 		return s.prof.PeriodInstrs
 	}
 }
 
-// irregularLen draws a geometric phase run with the given mean length.
-func (s *InstrStream) irregularLen(mean float64) int64 {
+// phaseRunGeom is the sampler behind irregular phase runs of the given mean
+// length: runs are 256-instruction units, geometric with mean mean/256, and
+// the mean is at least 512.
+func phaseRunGeom(mean float64) rng.Geom {
 	if mean < 512 {
 		mean = 512
 	}
-	n := int64(float64(s.src.Geometric(1/(mean/256))) * 256)
+	return rng.NewGeom(1 / (mean / 256))
+}
+
+// irregularLen draws an irregular phase run (at least 512 instructions).
+func (s *InstrStream) irregularLen(g rng.Geom) int64 {
+	n := int64(s.src.Geom(g)) * 256
 	if n < 512 {
 		n = 512
 	}
@@ -115,15 +147,15 @@ func (s *InstrStream) advancePhase() {
 		s.superInReg = !s.superInReg
 		s.superLeft = s.prof.SuperPeriodInstrs
 	}
-	flipTo := !s.inAlt
-	if flipTo {
-		s.setParams(*s.prof.Alt, true)
+	s.inAlt = !s.inAlt
+	if s.inAlt {
+		s.cur = s.alt
 	} else {
-		s.setParams(s.prof.Base, false)
+		s.cur = s.base
 	}
 	switch s.prof.Kind {
 	case PhaseIrregular:
-		s.phaseLeft = s.irregularLen(float64(s.prof.PeriodInstrs))
+		s.phaseLeft = s.irregularLen(s.runGeom)
 	case PhaseComposite:
 		if s.superInReg {
 			s.phaseLeft = s.prof.PeriodInstrs
@@ -131,7 +163,7 @@ func (s *InstrStream) advancePhase() {
 			// Irregular stretches flip much faster than the regular
 			// alternation (Figure 13(b): "varies frequently and
 			// almost randomly").
-			s.phaseLeft = s.irregularLen(float64(s.prof.PeriodInstrs) / 6)
+			s.phaseLeft = s.irregularLen(s.stretchGeom)
 		}
 	default:
 		s.phaseLeft = s.prof.PeriodInstrs
@@ -150,18 +182,12 @@ func (s *InstrStream) Next() Instr {
 	s.idx++
 
 	var in Instr
-	nsrc := s.src.Weighted(s.srcW)
+	p := s.cur
+	nsrc := s.src.Pick(p.nsrc)
 	for i := 0; i < nsrc; i++ {
-		c := s.cur.Dists[s.src.Weighted(s.distW)]
-		// Distance = 1 + geometric with mean (c.Mean - 1).
-		d := int32(1)
-		if c.Mean > 1 {
-			d += int32(s.src.Geometric(1 / c.Mean))
-		}
-		in.Src[i] = d
+		in.Src[i] = 1 + int32(s.src.Geom(p.geom[s.src.Pick(p.dist)]))
 	}
-	lc := s.cur.Lats[s.src.Weighted(s.latW)]
-	in.Latency = int8(lc.Cycles)
+	in.Latency = p.cycles[s.src.Pick(p.lat)]
 	return in
 }
 

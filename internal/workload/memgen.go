@@ -25,9 +25,10 @@ type RefSource interface {
 // where the profiles' miss-rate curves are stationary).
 type AddressTrace struct {
 	prof    MemProfile
-	src     *rng.Source
-	weights []float64
-	bases   []uint64 // region base addresses, spaced apart
+	src     rng.Source
+	regions *rng.Table // region pick per visit
+	write   rng.Chance // per reference: is it a store
+	bases   []uint64   // region base addresses, spaced apart
 
 	// current spatial run state
 	region  int
@@ -53,11 +54,12 @@ func NewAddressTrace(b Benchmark, seed uint64) *AddressTrace {
 	}
 	t := &AddressTrace{
 		prof:      *b.Mem,
-		src:       rng.New(rng.DeriveSeed(seed, b.Name+"/mem")),
-		weights:   make([]float64, len(b.Mem.Regions)),
+		src:       *rng.New(rng.DeriveSeed(seed, b.Name+"/mem")),
+		write:     rng.NewChance(b.Mem.WriteFrac),
 		bases:     make([]uint64, len(b.Mem.Regions)),
 		streamPos: make([]uint64, len(b.Mem.Regions)),
 	}
+	weights := make([]float64, len(b.Mem.Regions))
 	// Lay regions out in a sparse address space so they never alias.
 	var base uint64 = 1 << 20
 	for i, r := range b.Mem.Regions {
@@ -68,12 +70,13 @@ func NewAddressTrace(b Benchmark, seed uint64) *AddressTrace {
 		if r.Kind == RandomRegion {
 			refsPerVisit = float64(r.Run)
 		}
-		t.weights[i] = r.Weight / refsPerVisit
+		weights[i] = r.Weight / refsPerVisit
 		t.bases[i] = base
 		// Round the footprint up and leave a guard gap.
 		base += uint64(r.Bytes) + 1<<20
 		base = (base + (1 << 16) - 1) &^ ((1 << 16) - 1)
 	}
+	t.regions = rng.NewTable(weights)
 	return t
 }
 
@@ -90,7 +93,7 @@ func (t *AddressTrace) Next() Ref {
 	if t.cursor >= t.bases[t.region]+uint64(r.Bytes) {
 		t.runLeft = 0
 	}
-	return Ref{Addr: addr, Write: t.src.Bool(t.prof.WriteFrac)}
+	return Ref{Addr: addr, Write: t.src.Chance(t.write)}
 }
 
 // Fill writes n references into out and returns the slice. It reuses out's
@@ -118,7 +121,7 @@ func (t *AddressTrace) Fill(out []Ref, n int) []Ref {
 
 // startRun picks the next region and positions the cursor.
 func (t *AddressTrace) startRun() {
-	i := t.src.Weighted(t.weights)
+	i := t.src.Pick(t.regions)
 	t.region = i
 	r := t.prof.Regions[i]
 	switch r.Kind {

@@ -20,6 +20,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -107,12 +108,14 @@ type MemProfile struct {
 	Regions []Region
 }
 
-// Validate reports whether the profile is usable.
+// Validate reports whether the profile is usable. Every float must be
+// finite: a NaN fails no ordered comparison, so each check below is written
+// to accept only what it names.
 func (m MemProfile) Validate() error {
-	if m.RefsPerInstr <= 0 || m.RefsPerInstr > 1 {
+	if !(m.RefsPerInstr > 0 && m.RefsPerInstr <= 1) {
 		return fmt.Errorf("workload: refs/instr %v outside (0,1]", m.RefsPerInstr)
 	}
-	if m.WriteFrac < 0 || m.WriteFrac > 1 {
+	if !(m.WriteFrac >= 0 && m.WriteFrac <= 1) {
 		return fmt.Errorf("workload: write fraction %v outside [0,1]", m.WriteFrac)
 	}
 	if len(m.Regions) == 0 {
@@ -123,7 +126,7 @@ func (m MemProfile) Validate() error {
 		if r.Bytes <= 0 {
 			return fmt.Errorf("workload: region %d (%s) has size %d", i, r.Name, r.Bytes)
 		}
-		if r.Weight <= 0 {
+		if !positiveFinite(r.Weight) {
 			return fmt.Errorf("workload: region %d (%s) has weight %v", i, r.Name, r.Weight)
 		}
 		if (r.Kind == StreamRegion || r.Kind == LoopRegion) && r.StrideBytes <= 0 {
@@ -134,11 +137,15 @@ func (m MemProfile) Validate() error {
 		}
 		total += r.Weight
 	}
-	if total <= 0 {
+	if !positiveFinite(total) {
 		return fmt.Errorf("workload: region weights sum to %v", total)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a positive real number (not NaN, not
+// +Inf): the sampling tables' weights and totals must be.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // GeomComponent is one component of a dependence-distance mixture: distances
 // are 1 + Geometric with the given mean.
@@ -147,7 +154,8 @@ type GeomComponent struct {
 	Weight float64
 }
 
-// LatComponent is one component of the operation-latency mixture.
+// LatComponent is one component of the operation-latency mixture. Cycles
+// lies in [1, 127], the range of Instr.Latency.
 type LatComponent struct {
 	Cycles int
 	Weight float64
@@ -166,33 +174,41 @@ type ILPParams struct {
 	Lats []LatComponent
 }
 
-// Validate reports whether the parameters are usable.
+// Validate reports whether the parameters are usable: weights and means
+// are finite, and every latency fits Instr.Latency.
 func (p ILPParams) Validate() error {
 	var s float64
 	for _, w := range p.SrcWeights {
-		if w < 0 {
-			return fmt.Errorf("workload: negative source weight %v", w)
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("workload: source weight %v not finite and non-negative", w)
 		}
 		s += w
 	}
-	if s <= 0 {
+	if !positiveFinite(s) {
 		return fmt.Errorf("workload: source weights sum to %v", s)
 	}
 	if len(p.Dists) == 0 {
 		return fmt.Errorf("workload: no distance components")
 	}
+	var dw float64
 	for i, d := range p.Dists {
-		if d.Mean < 1 || d.Weight <= 0 {
+		if !(d.Mean >= 1) || math.IsInf(d.Mean, 1) || !positiveFinite(d.Weight) {
 			return fmt.Errorf("workload: distance component %d invalid (mean %v weight %v)", i, d.Mean, d.Weight)
 		}
+		dw += d.Weight
 	}
 	if len(p.Lats) == 0 {
 		return fmt.Errorf("workload: no latency components")
 	}
+	var lw float64
 	for i, l := range p.Lats {
-		if l.Cycles < 1 || l.Weight <= 0 {
+		if l.Cycles < 1 || l.Cycles > math.MaxInt8 || !positiveFinite(l.Weight) {
 			return fmt.Errorf("workload: latency component %d invalid (%d cycles weight %v)", i, l.Cycles, l.Weight)
 		}
+		lw += l.Weight
+	}
+	if !positiveFinite(dw) || !positiveFinite(lw) {
+		return fmt.Errorf("workload: component weights sum to %v (distance), %v (latency)", dw, lw)
 	}
 	return nil
 }

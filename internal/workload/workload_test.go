@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 )
 
@@ -129,6 +130,80 @@ func TestILPParamsValidation(t *testing.T) {
 	bad.SrcWeights = [3]float64{0, 0, 0}
 	if err := bad.Validate(); err == nil {
 		t.Error("zero source weights accepted")
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN fails every ordered comparison, so
+// checks written as "reject if x < 0" let it through. Each case below must
+// be rejected; the sampling tables need finite weights, and a latency above
+// 127 would be truncated by Instr.Latency.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ilp := func(mut func(*ILPParams)) ILPParams {
+		p := ILPParams{
+			SrcWeights: [3]float64{0.2, 0.4, 0.4},
+			Dists:      []GeomComponent{{Mean: 3, Weight: 1}},
+			Lats:       []LatComponent{{Cycles: 1, Weight: 1}},
+		}
+		mut(&p)
+		return p
+	}
+	for _, c := range []struct {
+		name string
+		p    ILPParams
+	}{
+		{"NaN source weight", ilp(func(p *ILPParams) { p.SrcWeights[1] = nan })},
+		{"+Inf source weight", ilp(func(p *ILPParams) { p.SrcWeights[0] = inf })},
+		{"-Inf source weight", ilp(func(p *ILPParams) { p.SrcWeights[2] = -inf })},
+		{"overflowing source weights", ilp(func(p *ILPParams) { p.SrcWeights = [3]float64{math.MaxFloat64, math.MaxFloat64, 0} })},
+		{"NaN distance mean", ilp(func(p *ILPParams) { p.Dists[0].Mean = nan })},
+		{"+Inf distance mean", ilp(func(p *ILPParams) { p.Dists[0].Mean = inf })},
+		{"NaN distance weight", ilp(func(p *ILPParams) { p.Dists[0].Weight = nan })},
+		{"+Inf distance weight", ilp(func(p *ILPParams) { p.Dists[0].Weight = inf })},
+		{"overflowing distance weights", ilp(func(p *ILPParams) {
+			p.Dists = []GeomComponent{{Mean: 2, Weight: math.MaxFloat64}, {Mean: 3, Weight: math.MaxFloat64}}
+		})},
+		{"NaN latency weight", ilp(func(p *ILPParams) { p.Lats[0].Weight = nan })},
+		{"+Inf latency weight", ilp(func(p *ILPParams) { p.Lats[0].Weight = inf })},
+		{"overflowing latency weights", ilp(func(p *ILPParams) {
+			p.Lats = []LatComponent{{Cycles: 1, Weight: math.MaxFloat64}, {Cycles: 2, Weight: math.MaxFloat64}}
+		})},
+		{"latency 128 cycles", ilp(func(p *ILPParams) { p.Lats[0].Cycles = 128 })},
+		{"latency 1000 cycles", ilp(func(p *ILPParams) { p.Lats = append(p.Lats, LatComponent{Cycles: 1000, Weight: 1}) })},
+	} {
+		if err := c.p.Validate(); err == nil {
+			t.Errorf("ILPParams with %s accepted", c.name)
+		}
+	}
+	if err := ilp(func(p *ILPParams) { p.Lats[0].Cycles = 127 }).Validate(); err != nil {
+		t.Errorf("127-cycle latency rejected: %v", err)
+	}
+
+	mem := func(mut func(*MemProfile)) MemProfile {
+		m := MemProfile{RefsPerInstr: 0.3, WriteFrac: 0.2, Regions: []Region{{Name: "x", Kind: RandomRegion, Bytes: 1024, Weight: 1, Run: 1}}}
+		mut(&m)
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		m    MemProfile
+	}{
+		{"NaN refs/instr", mem(func(m *MemProfile) { m.RefsPerInstr = nan })},
+		{"NaN write fraction", mem(func(m *MemProfile) { m.WriteFrac = nan })},
+		{"+Inf write fraction", mem(func(m *MemProfile) { m.WriteFrac = inf })},
+		{"-Inf write fraction", mem(func(m *MemProfile) { m.WriteFrac = -inf })},
+		{"NaN region weight", mem(func(m *MemProfile) { m.Regions[0].Weight = nan })},
+		{"+Inf region weight", mem(func(m *MemProfile) { m.Regions[0].Weight = inf })},
+		{"overflowing region weights", mem(func(m *MemProfile) {
+			m.Regions = append(m.Regions, m.Regions[0], m.Regions[0])
+			for i := range m.Regions {
+				m.Regions[i].Weight = math.MaxFloat64
+			}
+		})},
+	} {
+		if err := c.m.Validate(); err == nil {
+			t.Errorf("MemProfile with %s accepted", c.name)
+		}
 	}
 }
 

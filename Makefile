@@ -56,12 +56,13 @@ staticcheck:
 ci: fmt vet staticcheck build ci-race race fuzz-smoke bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke
 
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
-# (which plain `go test` already replays): the ooo engine differential, the
-# classification round trip, the study-cache envelope, the ledger parser, the
-# API request decoder and the rng cut tables. `go test -fuzz` takes one
-# target per run, hence the loop.
+# (which plain `go test` already replays): the ooo engine and MultiCore
+# differentials, the classification round trip, the study-cache envelope,
+# the ledger parser, the API request decoder and the rng cut tables.
+# `go test -fuzz` takes one target per run, hence the loop.
 FUZZ_TARGETS = \
 	./internal/ooo:FuzzOooEngines \
+	./internal/ooo:FuzzMultiCore \
 	./internal/classify:FuzzClassifyRoundTrip \
 	./internal/memo:FuzzPersistEnvelope \
 	./internal/flight:FuzzParseLedger \

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"fmt"
 	"testing"
 
 	"capsim/internal/workload"
@@ -34,6 +35,19 @@ func (l *lcg) next() uint64 {
 }
 
 func (l *lcg) memLat(bool) int64 { return int64(l.next() % 60) }
+
+// stallLat is memLat with a rare 2^15-cycle stall: long enough that a
+// consumer's issue cycle lands far past the issue-count ring, and that
+// dispatch laps the 8192-entry completion ring while the load is still
+// pending even at issue width 1, so both ring growths fire mid-run. (The
+// scan model walks every stalled cycle, so a longer stall only slows the
+// fuzzer.)
+func (l *lcg) stallLat(bool) int64 {
+	if r := l.next(); r%2048 != 0 {
+		return int64(r % 60)
+	}
+	return 1 << 15
+}
 
 // enginePair drives a scan model and a production core through the same
 // schedule, checking Stats and Occupancy equality after every operation.
@@ -129,10 +143,13 @@ func TestEngineDifferentialSchedule(t *testing.T) {
 // workload profile: dependence distances occasionally exceed maxDist (so the
 // retirement horizon is exercised) and latencies include zero. While chain is
 // positive it emits zero-latency instructions that each depend on the
-// previous one — the same-cycle wakeup case, at its densest.
+// previous one — the same-cycle wakeup case, at its densest. While indep is
+// positive it emits single-cycle instructions of which only every seventh
+// has a source, its predecessor: dispatch keeps flowing past a long-stalled
+// load, and the load's rare consumer waits on it alone.
 type fuzzSource struct {
-	l     lcg
-	chain int64
+	l            lcg
+	chain, indep int64
 }
 
 func (f *fuzzSource) Next() workload.Instr {
@@ -142,17 +159,43 @@ func (f *fuzzSource) Next() workload.Instr {
 		in.Src[0] = 1
 		return in
 	}
+	if f.indep > 0 {
+		if f.indep--; f.indep%7 == 0 {
+			in.Src[0] = 1
+		}
+		in.Latency = 1
+		return in
+	}
 	r := f.l.next()
 	switch r % 8 {
 	case 0: // no sources
-	case 1: // one long-distance source, sometimes beyond maxDist
-		in.Src[0] = int32(1 + (r>>8)%(3*maxDist))
+	case 1: // one long-distance source: beyond maxDist, past the ring, or negative
+		k := r >> 22 & 1
+		in.Src[k] = int32(1 + (r>>8)%(8*maxDist))
+		if r>>23&7 == 0 {
+			in.Src[k] = -int32(1 + r>>26)
+		}
 	default:
 		in.Src[0] = int32((r >> 8) % 48)
 		in.Src[1] = int32((r >> 16) % 48)
 	}
 	in.Latency = int8((r >> 24) % 21) // 0..20
 	return in
+}
+
+// ringsAgree checks the production core's completion ring against the scan
+// model's, sequence number by sequence number, over the span both still
+// cover: every instruction the scan has issued must complete at the same
+// cycle in both. It pins per-instruction timing, not just the aggregate
+// Stats, so a ring rehomed with a lost slot shows up even when the lost
+// completion happens not to move a statistic.
+func ringsAgree(c *Core, sc *scanCore) error {
+	for s := max(0, sc.seq-int64(min(len(c.done), len(sc.done)))); s < sc.seq; s++ {
+		if want := sc.done[s&sc.mask]; want != scanPending && c.done[s&c.mask] != want {
+			return fmt.Errorf("seq %d completes at %d, scan model %d", s, c.done[s&c.mask], want)
+		}
+	}
+	return nil
 }
 
 // FuzzOooEngines drives the scan model and the production core through a
@@ -208,6 +251,9 @@ func FuzzOooEngines(f *testing.F) {
 				t.Fatalf("op %d: memLat call sequences diverged", i/2)
 			}
 			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+			if err := ringsAgree(c, sc); err != nil {
 				t.Fatalf("op %d: %v", i/2, err)
 			}
 		}
@@ -311,25 +357,36 @@ func TestMultiCoreRejectsEmpty(t *testing.T) {
 	}
 }
 
-// slowLoadSource emits independent single-cycle instructions; paired with an
-// rpi-1.0 RunWithLoads whose memLat occasionally returns an enormous stall,
-// it laps the completion ring while completions are still in the future and
-// forces the recycleGuard growth path.
-type slowLoadSource struct{}
+// lapSource emits single-cycle instructions of which every seventh reads its
+// predecessor. Paired with an rpi-1.0 RunWithLoads over lapLat, it laps the
+// completion ring while completions are still in the future, forcing the
+// recycle guard's growth, and a stalled load's consumer gets an issue cycle
+// far past the issue-count ring, forcing that ring's growth.
+type lapSource struct{ n int64 }
 
-func (slowLoadSource) Next() workload.Instr { return workload.Instr{Latency: 1} }
+func (s *lapSource) Next() workload.Instr {
+	in := workload.Instr{Latency: 1}
+	if s.n++; s.n%7 == 0 {
+		in.Src[0] = 1
+	}
+	return in
+}
+
+// lapLat returns a fresh load-latency source for lapSource runs: every
+// 5000th load completes 200k cycles late, far past the ring's lap time.
+func lapLat() func(bool) int64 {
+	var calls int64
+	return func(bool) int64 {
+		if calls++; calls%5000 == 0 {
+			return 200_000
+		}
+		return 0
+	}
+}
 
 func TestRingGrowPreservesState(t *testing.T) {
 	runEngine := func(e engine) Stats {
-		var calls int64
-		memLat := func(bool) int64 {
-			calls++
-			if calls%5000 == 0 {
-				return 200_000 // completion far past the ring's lap time
-			}
-			return 0
-		}
-		return e.RunWithLoads(slowLoadSource{}, 60_000, 1.0, memLat)
+		return e.RunWithLoads(&lapSource{}, 60_000, 1.0, lapLat())
 	}
 	sc, err := newScanCore(PaperConfig(128))
 	if err != nil {
@@ -342,10 +399,47 @@ func TestRingGrowPreservesState(t *testing.T) {
 	if sc.Stats() != c.Stats() {
 		t.Fatalf("cumulative stats diverge: %+v vs %+v", sc.Stats(), c.Stats())
 	}
+	if err := ringsAgree(c, sc); err != nil {
+		t.Fatal(err)
+	}
 	base := ringSize(128)
-	if len(sc.done) <= base || len(c.done) <= base {
-		t.Fatalf("ring did not grow (scan %d, engine %d, base %d): recycleGuard untested",
-			len(sc.done), len(c.done), base)
+	if len(sc.done) <= base || len(c.done) <= base || len(c.slots) <= initSlots {
+		t.Fatalf("rings did not grow (completion: scan %d, engine %d, base %d; issue counts %d): growth paths untested",
+			len(sc.done), len(c.done), base, len(c.slots))
+	}
+}
+
+// TestMultiCoreRingGrowPreservesState is TestRingGrowPreservesState through
+// the batched path: with 200k-cycle load stalls, every member's completion
+// ring and issue-count ring grow inside a RunEachWithLoads round, and each
+// member still agrees with a private scan model and a private core.
+func TestMultiCoreRingGrowPreservesState(t *testing.T) {
+	cfgs := []Config{PaperConfig(128), {WindowSize: 16, IssueWidth: 4}, {WindowSize: 61, IssueWidth: 1}}
+	lats := make([]func(bool) int64, len(cfgs))
+	for i := range lats {
+		lats[i] = lapLat()
+	}
+	mc, err := NewMultiCore(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mc.RunEachWithLoads(&lapSource{}, 60_000, 1.0, lats)
+	for i, cfg := range cfgs {
+		c := mc.Cores()[i]
+		for name, ref := range refEngines(t, cfg) {
+			if want := ref.RunWithLoads(&lapSource{}, 60_000, 1.0, lapLat()); got[i] != want {
+				t.Fatalf("W=%d: multicore %+v != %s %+v after ring growth", cfg.WindowSize, got[i], name, want)
+			}
+			if sc, ok := ref.(*scanCore); ok {
+				if err := ringsAgree(c, sc); err != nil {
+					t.Fatalf("W=%d: %v", cfg.WindowSize, err)
+				}
+			}
+		}
+		if len(c.done) <= ringSize(cfg.WindowSize) || len(c.slots) <= initSlots {
+			t.Fatalf("W=%d: rings did not grow (completion %d, issue counts %d): growth paths untested",
+				cfg.WindowSize, len(c.done), len(c.slots))
+		}
 	}
 }
 
@@ -413,4 +507,138 @@ func TestRunEachWithLoadsDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// schedSource is a fuzzSource whose chain and independent-instruction runs
+// start at scheduled stream positions, so every copy of the stream switches
+// mode at the same instruction — however far ahead of its consumers a
+// MultiCore's shared buffer has read it.
+type schedSource struct {
+	fuzzSource
+	pos   int64
+	sched *[]modeSwitch
+	next  int
+}
+
+// modeSwitch applies set to a stream copy when it reaches position at.
+type modeSwitch struct {
+	at  int64
+	set func(*fuzzSource)
+}
+
+func (s *schedSource) Next() workload.Instr {
+	for sw := *s.sched; s.next < len(sw) && sw[s.next].at == s.pos; s.next++ {
+		sw[s.next].set(&s.fuzzSource)
+	}
+	s.pos++
+	return s.fuzzSource.Next()
+}
+
+// FuzzMultiCore drives a MultiCore of 1–4 members through a fuzzed schedule
+// and checks every member, after every operation, against a private scan
+// model fed its own copy of the stream. shape picks the member count and
+// each member's issue width (1–8) and initial window (1–140). Each script
+// byte pair is an operation and its argument: RunEach, RunEachWithLoads, a
+// member's Resize or Drain, a RunEach over a zero-latency dependence chain,
+// or a RunEachWithLoads at one load per instruction over nearly independent
+// instructions whose latencies include rare 2^15-cycle stalls, so both ring
+// growths fire inside the batched kernel. (Stalls stay out of the dependent
+// streams: a window full of a stall's dependents costs the scan model a
+// window walk per stalled cycle.)
+func FuzzMultiCore(f *testing.F) {
+	f.Add(uint64(1), uint64(0x3_1f_5_0f_2_1f_7_4b_3), []byte{0, 10, 1, 40, 2, 30, 3, 9, 4, 20})
+	f.Add(uint64(42), uint64(0x2_40_7_8a_7_10_3_00_1), []byte{5, 255, 5, 255, 2, 7, 0, 200, 3, 3, 1, 90})
+	f.Add(uint64(1998), uint64(0x1_05_0_7f_7_20_7_ff_3), []byte{1, 255, 3, 0, 5, 128, 4, 60, 2, 255, 0, 255})
+	f.Add(uint64(7), uint64(0x0_00_0_00_0_00_7_3f_0), []byte{5, 200, 0, 40, 1, 99, 3, 1, 5, 200, 0, 90})
+	f.Fuzz(func(t *testing.T, seed, shape uint64, script []byte) {
+		if len(script) > 32 {
+			script = script[:32]
+		}
+		m := 1 + int(shape%4)
+		cfgs := make([]Config, m)
+		for j := range cfgs {
+			b := shape >> (2 + 11*j)
+			cfgs[j] = Config{WindowSize: 1 + int(b>>3&0xff)%140, IssueWidth: 1 + int(b&7)}
+		}
+		mc, err := NewMultiCore(cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sched []modeSwitch
+		src := &schedSource{fuzzSource: fuzzSource{l: lcg{x: seed}}, sched: &sched}
+		scans := make([]*scanCore, m)
+		srcs := make([]*schedSource, m)
+		lats := make([][2]*lcg, m) // [0] feeds the member core, [1] its scan model
+		memLat, stallLat := make([]func(bool) int64, m), make([]func(bool) int64, m)
+		for j, cfg := range cfgs {
+			if scans[j], err = newScanCore(cfg); err != nil {
+				t.Fatal(err)
+			}
+			srcs[j] = &schedSource{fuzzSource: fuzzSource{l: lcg{x: seed}}, sched: &sched}
+			lats[j] = [2]*lcg{{x: seed ^ uint64(j+1)}, {x: seed ^ uint64(j+1)}}
+			memLat[j], stallLat[j] = lats[j][0].memLat, lats[j][0].stallLat
+		}
+		run := func(n int64, rpi float64, stalls bool) {
+			switch {
+			case rpi == 0:
+				mc.RunEach(src, n)
+			case stalls:
+				mc.RunEachWithLoads(src, n, rpi, stallLat)
+			default:
+				mc.RunEachWithLoads(src, n, rpi, memLat)
+			}
+			for j, sc := range scans {
+				lat := lats[j][1].memLat
+				if stalls {
+					lat = lats[j][1].stallLat
+				}
+				sc.RunWithLoads(srcs[j], n, rpi, lat)
+			}
+		}
+		for i := 0; i+1 < len(script); i += 2 {
+			op, arg := script[i], int64(script[i+1])
+			j := int(arg) % m
+			switch op % 6 {
+			case 0:
+				run(1+arg*13, 0, false)
+			case 1:
+				run(1+arg*7, float64(arg%100)/100, false)
+			case 2:
+				w := 1 + int(arg*37)%140
+				if err := mc.Cores()[j].Resize(w); err != nil {
+					t.Fatal(err)
+				}
+				if err := scans[j].Resize(w); err != nil {
+					t.Fatal(err)
+				}
+			case 3:
+				level := int(arg) % (scans[j].cfg.WindowSize + 1)
+				mc.Cores()[j].Drain(level)
+				scans[j].Drain(level)
+			case 4:
+				sched = append(sched, modeSwitch{src.pos, func(s *fuzzSource) { s.chain = 1 + arg*9 }})
+				run(1+arg*5, 0, false)
+			default:
+				sched = append(sched, modeSwitch{src.pos, func(s *fuzzSource) { s.indep = 1 + arg*64 }})
+				run(1+arg*64, 1, true)
+			}
+			for k, c := range mc.Cores() {
+				if a, b := scans[k].Stats(), c.Stats(); a != b {
+					t.Fatalf("op %d (%d,%d) member %d %+v: scan %+v != multicore %+v", i/2, op, arg, k, cfgs[k], a, b)
+				}
+				if a, b := scans[k].Occupancy(), c.Occupancy(); a != b {
+					t.Fatalf("op %d member %d: occupancy scan %d != multicore %d", i/2, k, a, b)
+				}
+				if lats[k][0].x != lats[k][1].x {
+					t.Fatalf("op %d member %d: memLat call sequences diverged", i/2, k)
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("op %d member %d: %v", i/2, k, err)
+				}
+				if err := ringsAgree(c, scans[k]); err != nil {
+					t.Fatalf("op %d member %d: %v", i/2, k, err)
+				}
+			}
+		}
+	})
 }

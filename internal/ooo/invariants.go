@@ -58,8 +58,8 @@ func (c *Core) CheckInvariants() error {
 
 // assertCheck runs CheckInvariants when -obs-assert is active, funnelling any
 // violation through obs.Fail (which counts it and panics). Called at coarse
-// boundaries — after a Run and around Resize — so the O(ring) scan never
-// sits on a per-cycle path.
+// boundaries — after a Run, on every member after a RunEach, and after a
+// Resize — so the O(ring) scan never sits on a per-cycle path.
 func (c *Core) assertCheck() {
 	if !obs.AssertEnabled() {
 		return

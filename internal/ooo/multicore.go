@@ -8,11 +8,14 @@ import (
 
 // MultiCore evaluates several queue configurations in one pass over a single
 // instruction stream — the queue analog of cache.MultiHierarchy. Each member
-// core is an ordinary *Core; what MultiCore adds is stream
-// sharing: one underlying InstrSource is materialized once into a bounded
-// lookahead buffer that every core dispatches from directly, through its own
-// position, so an N-configuration profile touches the workload generator (or
-// the shared trace store) exactly once instead of N times.
+// core is an ordinary *Core; what MultiCore adds is stream sharing: one
+// underlying InstrSource is materialized once into a bounded lookahead buffer
+// that every core dispatches from directly, through its own position, so an
+// N-configuration profile touches the workload generator (or the shared
+// trace store) exactly once instead of N times. Each round hands every core
+// its slice of the buffer in one call to the issue kernel (Core.run), the
+// same kernel behind Core.Run, which simulates until the core meets its
+// target or runs out of lookahead.
 //
 // Equivalence: every core observes the instruction sequence starting at
 // stream position 0 and consumes it one instruction per dispatch, exactly as
@@ -94,7 +97,8 @@ func (mc *MultiCore) RunEachWithLoads(src workload.InstrSource, n int64, rpi flo
 	return mc.runEach(src, n)
 }
 
-// runEach is the shared round loop behind RunEach and RunEachWithLoads.
+// runEach is the shared round loop behind RunEach and RunEachWithLoads. It
+// ends with each member's -obs-assert invariant check, as Core.Run does.
 func (mc *MultiCore) runEach(src workload.InstrSource, n int64) []Stats {
 	k := len(mc.cores)
 	before := make([]Stats, k)
@@ -109,24 +113,17 @@ func (mc *MultiCore) runEach(src workload.InstrSource, n int64) []Stats {
 			if c.stats.Issued >= target[i] {
 				continue
 			}
-			// A cycle dispatches at most IssueWidth instructions, straight
-			// from the shared buffer; run until the target is met or the
-			// lookahead cannot cover a full dispatch group. A core whose
-			// window is full consumes nothing, so it may keep stepping
-			// (issuing, or fast-forwarding a stall) regardless of
-			// lookahead — without this, one long-stalled core wedges the
-			// round-robin into refilling for everyone else until its
-			// stall resolves.
-			limit := mc.base + int64(len(mc.buf)) - int64(c.cfg.IssueWidth)
-			for c.stats.Issued < target[i] {
-				if mc.pos[i] > limit && c.occ < c.cfg.WindowSize {
-					break
-				}
-				p := mc.pos[i] - mc.base
-				n := int64(c.beginCycle())
-				c.dispatch(mc.buf[p : p+n])
-				mc.pos[i] += n
-				c.issue()
+			// The kernel dispatches straight from the shared buffer until
+			// the target is met or the lookahead cannot cover a full
+			// dispatch group; it simulates at least one cycle, so enter it
+			// only when that cycle is covered. A core whose window is full
+			// consumes nothing, so it may keep stepping (issuing, or
+			// fast-forwarding a stall) regardless of lookahead — without
+			// this, one long-stalled core wedges the round-robin into
+			// refilling for everyone else until its stall resolves.
+			p := mc.pos[i] - mc.base
+			if int64(len(mc.buf))-p >= int64(c.cfg.IssueWidth) || c.occ == c.cfg.WindowSize {
+				mc.pos[i] += int64(c.run(mc.buf[p:], target[i], c.cfg.WindowSize, &c.stats.WindowFullCy))
 			}
 			// Only a core that is still short after draining its lookahead
 			// forces a refill; marking done=false up front would append a
@@ -144,6 +141,7 @@ func (mc *MultiCore) runEach(src workload.InstrSource, n int64) []Stats {
 	}
 	out := make([]Stats, k)
 	for i, c := range mc.cores {
+		c.assertCheck()
 		out[i] = c.stats.Sub(before[i])
 	}
 	return out

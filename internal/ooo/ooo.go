@@ -24,10 +24,12 @@
 // latest completion cycle among its producers. Every older instruction's
 // issue cycle is already known when an instruction dispatches, so select
 // needs nothing but a ring of per-cycle issue counts — no wakeup lists, no
-// ready queue, no per-cycle walk of the window. See dispatch for the
-// exactness argument. The direct model — every cycle re-scans the window
-// oldest-first, waking and selecting in one pass — is the executable
-// specification the engine is verified against; it lives in scan_test.go.
+// ready queue, no per-cycle walk of the window. One kernel, run, holds the
+// dispatch and issue logic and serves every entry point (Run, Step, Drain,
+// MultiCore); see it for the exactness argument. The direct model — every
+// cycle re-scans the window oldest-first, waking and selecting in one pass —
+// is the executable specification the engine is verified against; it lives
+// in scan_test.go.
 package ooo
 
 import (
@@ -118,7 +120,7 @@ type Core struct {
 	slots    []int32
 	slotMask int64
 
-	// group is Step's dispatch-group buffer (IssueWidth instructions).
+	// group is Run's dispatch-group buffer (IssueWidth instructions).
 	group []workload.Instr
 
 	// Load attachment (RunWithLoads): every 1/loadRPI-th dispatched
@@ -135,6 +137,7 @@ type Core struct {
 	loadRPI float64
 	loadAcc float64
 	memLat  func(write bool) int64
+	extra   []int64 // the dispatch group's load latencies (IssueWidth)
 
 	stats Stats
 
@@ -189,6 +192,7 @@ func New(cfg Config) (*Core, error) {
 		slots:    make([]int32, initSlots),
 		slotMask: initSlots - 1,
 		group:    make([]workload.Instr, cfg.IssueWidth),
+		extra:    make([]int64, cfg.IssueWidth),
 	}, nil
 }
 
@@ -217,12 +221,14 @@ func (c *Core) Occupancy() int { return c.occ }
 // Run simulates until n more instructions have been issued, pulling from the
 // stream as needed, and returns the statistics delta for this run. Issued
 // instructions are the paper's measurement unit (TPI over a fixed
-// instruction count).
+// instruction count). Run reads exactly the instructions it dispatches: one
+// dispatch group at a time, each fed to the kernel, which keeps going
+// through full-window cycles (they read nothing) and returns for the next.
 func (c *Core) Run(stream workload.InstrSource, n int64) Stats {
 	before := c.stats
 	target := c.stats.Issued + n
 	for c.stats.Issued < target {
-		c.Step(stream)
+		c.run(c.fetch(stream), target, c.cfg.WindowSize, &c.stats.WindowFullCy)
 	}
 	c.assertCheck()
 	return c.stats.Sub(before)
@@ -244,19 +250,13 @@ func (c *Core) RunWithLoads(stream workload.InstrSource, n int64, rpi float64, m
 	return c.Run(stream, n)
 }
 
-// attachLoads enables the deterministic load attachment for subsequent Step
-// calls: every 1/rpi-th dispatched instruction draws extra latency from
-// memLat. The fractional accumulator is deliberately left untouched so
+// attachLoads enables the deterministic load attachment for subsequent
+// kernel calls: every 1/rpi-th dispatched instruction draws extra latency
+// from memLat. The fractional accumulator is deliberately left untouched so
 // interval splits preserve load placement (see loadAcc). MultiCore attaches
 // per-core closures around its shared-stream rounds.
 func (c *Core) attachLoads(rpi float64, memLat func(write bool) int64) {
-	if rpi < 0 {
-		rpi = 0
-	}
-	if rpi > 1 {
-		rpi = 1
-	}
-	c.loadRPI, c.memLat = rpi, memLat
+	c.loadRPI, c.memLat = min(max(rpi, 0), 1), memLat
 }
 
 // detachLoads restores the perfect-cache assumption (accumulator preserved).
@@ -264,64 +264,35 @@ func (c *Core) detachLoads() { c.loadRPI, c.memLat = 0, nil }
 
 // Step advances the machine by one cycle: dispatch up to IssueWidth new
 // instructions into free window entries, then issue the instructions whose
-// issue cycle this is.
+// issue cycle this is. A target already met stops the kernel after one cycle.
 func (c *Core) Step(stream workload.InstrSource) {
-	g := c.group[:c.beginCycle()]
+	c.run(c.fetch(stream), 0, c.cfg.WindowSize, &c.stats.WindowFullCy)
+}
+
+// fetch reads the next cycle's dispatch group from the stream into the
+// group buffer: IssueWidth instructions, capped by the free window entries.
+// The front end is perfect, so it always has instructions.
+func (c *Core) fetch(stream workload.InstrSource) []workload.Instr {
+	g := c.group[:min(c.cfg.IssueWidth, c.cfg.WindowSize-c.occ)]
 	for i := range g {
 		g[i] = stream.Next()
 	}
-	c.dispatch(g)
-	c.issue()
+	return g
 }
 
-// beginCycle advances the clock one cycle and returns how many instructions
-// this cycle dispatches: IssueWidth, capped by the free window entries. The
-// front end is perfect, so it always has instructions.
+// run is the issue kernel, the one place the core dispatches and issues.
+// It simulates cycles over buf, the instructions this core dispatches next,
+// and returns how many it dispatched. It simulates at least one cycle — the
+// caller guarantees buf covers that cycle's group — and then continues
+// while fewer than target instructions have issued (in Stats.Issued terms)
+// and buf holds a full IssueWidth group or the window is full (a full-window
+// cycle reads nothing). window caps occupancy; every cycle that dispatches
+// nothing counts in *stalls: WindowFullCy for Run, DrainStalls for Drain.
 //
-// A full window reads nothing from the stream, so when no instruction issues
-// this cycle either, the machine is mid-stall: beginCycle fast-forwards to
-// the next cycle with a non-zero issue count. Every skipped cycle would have
-// been another dispatch-blocked no-op, counted here as one.
-func (c *Core) beginCycle() int {
-	c.cycle++
-	c.stats.Cycles++
-	n := c.cfg.IssueWidth
-	if free := c.cfg.WindowSize - c.occ; free < n {
-		n = free
-		if free == 0 {
-			d := c.idleSkip()
-			c.stats.Cycles += d
-			c.stats.WindowFullCy += 1 + d
-		}
-	}
-	return n
-}
-
-// idleSkip advances the clock to the next cycle with a non-zero issue count
-// and returns how many cycles it skipped (0 when this cycle issues). Callers
-// invoke it only on cycles that dispatch nothing (full window, or draining)
-// and so with a non-empty window, whose instructions all hold issue counts
-// in [cycle, cycle+len(slots)): the search ends inside the ring.
-func (c *Core) idleSkip() int64 {
-	d := int64(0)
-	for c.slots[(c.cycle+d)&c.slotMask] == 0 {
-		d++
-	}
-	c.cycle += d
-	c.tal.idleSkipped += d
-	return d
-}
-
-// issue retires this cycle's issue count from the ring into the statistics.
-func (c *Core) issue() {
-	s := &c.slots[c.cycle&c.slotMask]
-	c.stats.Issued += int64(*s)
-	c.occ -= int(*s)
-	*s = 0
-}
-
-// dispatch enters a group of instructions into the window at the current
-// cycle, fixing each one's issue cycle on the spot.
+// Each cycle advances the clock, dispatches min(IssueWidth, window −
+// occupancy) instructions, fixing each one's issue cycle on the spot, then
+// issues the instructions whose issue cycle this is: it retires the cycle's
+// count from the slot ring.
 //
 // Why a dispatch-time issue cycle is exact. The scan model issues, each
 // cycle, the ready window entries oldest-first up to IssueWidth, and an
@@ -334,94 +305,165 @@ func (c *Core) issue() {
 // younger, and nothing dispatched later, can change either quantity, so
 // issue cycle i is final at dispatch. A zero-latency producer issuing at t
 // completes at t; its consumer then competes for a later slot of the same
-// cycle t, which reproduces the scan's same-pass wakeup.
+// cycle t, which reproduces the scan's same-pass wakeup. The window size
+// enters only through how many instructions dispatch each cycle, which is
+// why Drain and Resize need no per-entry work.
 //
-// The window size enters only through how many instructions dispatch each
-// cycle (Step), which is why Drain and Resize need no per-entry work.
-func (c *Core) dispatch(g []workload.Instr) {
-	width := int32(c.cfg.IssueWidth)
-	for _, in := range g {
-		c.recycleGuard()
-		seq := c.seq
-		lat := int64(in.Latency)
-		if c.loadRPI > 0 {
-			lat += c.loadLat()
-		}
-		t := c.cycle
-		for _, dist := range in.Src {
-			// Beyond the tracked horizon (or negative), or before program
-			// start: the producer is retired, its result available.
-			// Distance 0 (no source) reads this instruction's own slot,
-			// which the recycle guard keeps at or before cycle.
-			if uint32(dist) < maxDist && int64(dist) <= seq {
-				t = max(t, c.done[(seq-int64(dist))&c.mask])
+// A cycle that dispatches nothing with a non-empty window (full, or
+// draining) and issues nothing is a pure stall, as is every cycle up to the
+// next non-zero issue count: the kernel fast-forwards there (idle skip),
+// crediting each skipped cycle as one more stall. The search ends inside
+// the ring, since every unissued instruction holds a count in
+// [cycle, cycle+len(slots)).
+//
+// The machine state — clock, seq, occupancy, both rings with their masks,
+// the load accumulator, the stall and idle-skip tallies — lives in locals
+// and is written back once, at return. The Stats counters are derived from
+// it: Cycles moves with the clock, Instrs with seq, and seq − occupancy
+// counts every instruction ever issued, so the issue target and lookahead
+// limit are plain bounds on locals. The dispatch loop makes no calls, so
+// the register allocator keeps its state out of memory: memLat runs for
+// the whole group before it, and ring growth breaks out of it, writes the
+// clock and seq back, grows, reloads the ring and resumes the group.
+func (c *Core) run(buf []workload.Instr, target int64, window int, stalls *int64) int {
+	width := c.cfg.IssueWidth
+	cycle, seq, occ := c.cycle, c.seq, c.occ
+	cycle0, seq0, issued0 := cycle, seq, seq-int64(occ)
+	goal := issued0 + target - c.stats.Issued
+	lim := seq0 + int64(len(buf)) - int64(width)
+	done, mask := c.done, c.mask
+	slots, slotMask := c.slots, c.slotMask
+	rpi, acc, extra := c.loadRPI, c.loadAcc, c.extra
+	var stalled, skipped int64
+	for {
+		cycle++
+		n := width
+		if free := window - occ; free < n {
+			n = max(free, 0)
+			if n == 0 {
+				from := cycle
+				for slots[cycle&slotMask] == 0 {
+					cycle++
+				}
+				skipped += cycle - from
+				stalled += 1 + cycle - from
 			}
 		}
-		for {
-			if t-c.cycle >= int64(len(c.slots)) {
-				c.growSlots(t - c.cycle + 1)
+		g := buf[seq-seq0:][:n]
+		if rpi > 0 {
+			// Load attachment, once per dispatched instruction in
+			// dispatch order, so the memLat call sequence — and any state
+			// it advances (the combined machine's cache hierarchy) — is
+			// that of the scan model. The calls precede the group's
+			// dispatch, which they cannot observe.
+			for i := range g {
+				extra[i] = 0
+				if acc += rpi; acc >= 1 {
+					acc--
+					extra[i] = c.memLat(false)
+				}
 			}
-			if s := &c.slots[t&c.slotMask]; *s < width {
-				*s++
+		}
+		for i := 0; ; {
+			// need is the span a grown issue-count ring must cover, when
+			// the group stops short for ring growth.
+			var need int64
+		group:
+			for ; i < len(g); i++ {
+				s := seq + int64(i)
+				// Recycle guard: the completion ring grows if the slot
+				// about to be claimed still belongs to an instruction
+				// completing after this cycle. The ring thus holds every
+				// in-flight completion, and the claimed slot's old value
+				// is at or before the current cycle, so a distance-0
+				// (absent) source may read it without a branch. It takes
+				// ring-size dispatches to lap a slot, so in practice only
+				// enormous RunWithLoads latencies trip it.
+				if done[s&mask] > cycle {
+					break
+				}
+				lat := int64(g[i].Latency)
+				if rpi > 0 {
+					lat += extra[i]
+				}
+				// A producer beyond the tracked horizon (or a negative
+				// distance) is retired, its result available. A producer
+				// before program start maps to a slot not yet written
+				// (zero): the ring is longer than maxDist, so while
+				// s < maxDist the slots behind seq 0 lie past s.
+				d0, d1 := g[i].Src[0], g[i].Src[1]
+				r0, r1 := done[(s-int64(d0))&mask], done[(s-int64(d1))&mask]
+				if uint32(d0) >= maxDist {
+					r0 = 0
+				}
+				if uint32(d1) >= maxDist {
+					r1 = 0
+				}
+				t := later(later(cycle, r0), r1)
+				for {
+					if t-cycle >= int64(len(slots)) {
+						need = t - cycle + 1
+						break group
+					}
+					if k := &slots[t&slotMask]; int(*k) < width {
+						*k++
+						break
+					}
+					t++
+				}
+				done[s&mask] = t + lat
+			}
+			if i == len(g) {
 				break
 			}
-			t++
+			// A ring must grow before instruction i can dispatch; the
+			// growth reads the clock and seq back from the core.
+			c.cycle, c.seq = cycle, seq+int64(i)
+			if need > 0 {
+				c.growSlots(need)
+				slots, slotMask = c.slots, c.slotMask
+			} else {
+				c.growRing(2 * len(done))
+				done, mask = c.done, c.mask
+			}
 		}
-		c.done[seq&c.mask] = t + lat
-		c.seq = seq + 1
+		seq += int64(n)
+		occ += n
+		k := &slots[cycle&slotMask]
+		occ -= int(*k)
+		*k = 0
+		if seq-int64(occ) >= goal || seq > lim && occ < window {
+			break
+		}
 	}
-	c.occ += len(g)
-	c.stats.Instrs += int64(len(g))
+	c.stats.Cycles += cycle - cycle0
+	c.stats.Instrs += seq - seq0
+	c.stats.Issued += seq - int64(occ) - issued0
+	*stalls += stalled
+	c.tal.idleSkipped += skipped
+	c.cycle, c.seq, c.occ, c.loadAcc = cycle, seq, occ, acc
+	return int(seq - seq0)
 }
 
-// loadLat applies the deterministic load attachment to one dispatched
-// instruction, returning its extra latency. Called once per dispatched
-// instruction in dispatch order while loads are attached, so the memLat
-// call sequence — and any external state it advances (the combined
-// machine's cache hierarchy) — is that of the scan model.
-func (c *Core) loadLat() int64 {
-	c.loadAcc += c.loadRPI
-	if c.loadAcc < 1 {
-		return 0
-	}
-	c.loadAcc--
-	// Memory operation: the hierarchy's stall cycles extend the
-	// consumer-visible latency.
-	return c.memLat(false)
-}
-
-// recycleGuard grows the completion ring if the slot about to be claimed for
-// c.seq still belongs to an instruction that completes after the current
-// cycle. The ring thus holds every in-flight completion, and the claimed
-// slot's old value is at or before the current cycle, so dispatch may read
-// it for an absent (distance-0) source without a branch. In practice the
-// guard never fires — it takes ring-size dispatches to lap a slot, which at
-// 8-wide dispatch leaves ~1000 cycles for the instruction to complete — but
-// it keeps the ring safe against arbitrary RunWithLoads latencies by
-// construction.
-func (c *Core) recycleGuard() {
-	for c.done[c.seq&c.mask] > c.cycle {
-		c.growRing(2 * len(c.done))
-	}
+// later returns the later of two cycles without a branch: whether a
+// producer completes after the clock is data the branch predictor keeps
+// missing, and the compiler keeps a branch for max inside loops.
+func later(a, b int64) int64 {
+	d := a - b
+	return a - d&(d>>63)
 }
 
 // Drain forces the core to issue (without dispatching) until the window
-// occupancy is at most max, modelling the cleanup required before disabling
-// queue entries when downsizing (paper Sections 4.2 and 5.1). The stall
-// cycles are recorded in DrainStalls. Entries whose operands are not yet
-// ready simply wait; plentiful functional units guarantee forward progress.
-// Draining never dispatches, so stall gaps fast-forward the same way Step's
-// full-window path does.
-func (c *Core) Drain(max int) {
-	if max < 0 {
-		max = 0
-	}
-	for c.occ > max {
-		c.cycle++
-		d := c.idleSkip()
-		c.stats.Cycles += 1 + d
-		c.stats.DrainStalls += 1 + d
-		c.issue()
+// occupancy is at most level, modelling the cleanup required before
+// disabling queue entries when downsizing (paper Sections 4.2 and 5.1). The
+// stall cycles are recorded in DrainStalls. Entries whose operands are not
+// yet ready simply wait; plentiful functional units guarantee forward
+// progress. It is the kernel run over a window of level entries, which
+// dispatches nothing until occupancy falls to level — exactly the issue
+// target — so every cycle is a drain stall and gaps fast-forward as in Run.
+func (c *Core) Drain(level int) {
+	if level = max(level, 0); c.occ > level {
+		c.run(nil, c.stats.Issued+int64(c.occ-level), level, &c.stats.DrainStalls)
 	}
 }
 

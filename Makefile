@@ -58,7 +58,8 @@ ci: fmt vet staticcheck build ci-race race fuzz-smoke bench-obs-smoke bench-shar
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
 # (which plain `go test` already replays): the ooo engine and MultiCore
 # differentials, the classification round trip, the study-cache envelope,
-# the ledger parser, the API request decoder and the rng cut tables.
+# the ledger parser, the API request decoder, the rng cut tables and the
+# capsim command line.
 # `go test -fuzz` takes one target per run, hence the loop.
 FUZZ_TARGETS = \
 	./internal/ooo:FuzzOooEngines \
@@ -67,7 +68,8 @@ FUZZ_TARGETS = \
 	./internal/memo:FuzzPersistEnvelope \
 	./internal/flight:FuzzParseLedger \
 	./internal/server:FuzzRunRequest \
-	./internal/rng:FuzzCutTable
+	./internal/rng:FuzzCutTable \
+	./cmd/capsim:FuzzParseArgs
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -10,7 +10,6 @@
 //	capsim -experiment fig7 -parallel 1 -cpuprofile fig7.pprof
 //	capsim -experiment all -trace-out run.trace.json   # Chrome trace timeline
 //	capsim -experiment all -metrics-out run.json       # run manifest + counters
-//	capsim -experiment all -serve :8417                # live expvar endpoint
 //	capsim -experiment fig10 -obs-assert               # runtime invariant checks
 //	capsim -experiment ablation-interval -ledger-out run.ledger.gz  # flight recorder
 //	capsim -experiment zoo -ledger-out zoo.ledger.gz   # policy league race
@@ -19,17 +18,19 @@
 // Output is byte-identical at every -parallel setting: simulation jobs derive
 // their random streams from (seed, benchmark, purpose) and results are
 // collected by grid index, so the worker count changes only the wall time.
-// -study-cache and -study-cache-budget likewise change only wall time and
-// disk use. The telemetry flags (-obs, -trace-out, -metrics-out, -serve,
-// -obs-assert) never change stdout either: observability receives
-// statistics, it does not feed them back (all telemetry notices go to
-// stderr; `make ci`'s bench-obs-smoke enforces the byte identity).
+// -study-cache likewise changes only wall time and disk use. The telemetry
+// flags (-obs, -trace-out, -metrics-out, -obs-assert) never change stdout
+// either: observability receives statistics, it does not feed them back
+// (all telemetry notices go to stderr; `make ci`'s bench-obs-smoke enforces
+// the byte identity).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -53,7 +54,7 @@ import (
 // os.Exit mid-function, which skipped the deferred StopCPUProfile and
 // silently truncated profiles on any later error.)
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "capsim: %v\n", err)
 		if ec, ok := err.(exitCoder); ok {
 			os.Exit(ec.code)
@@ -62,113 +63,199 @@ func main() {
 	}
 }
 
-// exitCoder carries a specific exit status through run's error return.
+// exitCoder carries a specific exit status through run's error return:
+// usage errors (everything parseArgs rejects) exit 2, the flag package
+// convention.
 type exitCoder struct {
 	error
 	code int
 }
 
-// usageErr wraps a usage problem with exit status 2 (flag package convention).
-func usageErr(format string, args ...any) error {
-	return exitCoder{fmt.Errorf(format, args...), 2}
+// runConfig is one parsed command line: the selected mode, the experiment
+// configuration, and the switches run acts on.
+type runConfig struct {
+	fs *flag.FlagSet // the parsed flags; the run manifest records them all
+
+	list     bool
+	report   []string // -report inputs; non-empty selects report mode
+	serveAPI string
+	serve    serveOptions
+	ids      []string // resolved -experiment ids, in run order
+	shard    *sweep.Shard
+
+	parallel   int
+	studyCache string
+	cpuprofile string
+	ledgerOut  string
+	obs        bool
+	obsAssert  bool
+	traceOut   string
+	metricsOut string
+
+	cfg experiments.Config
 }
 
-func run() (err error) {
+// parseArgs parses and validates a command line without side effects: it
+// writes nothing and touches no process state, so every usage error surfaces
+// before any simulation runs or any output file is created. On flag.ErrHelp
+// the returned config still carries the flag set, for printing the usage.
+func parseArgs(args []string) (runConfig, error) {
+	fs := flag.NewFlagSet("capsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	rc := runConfig{fs: fs}
 	var (
-		list        = flag.Bool("list", false, "list available experiments and exit")
-		experiment  = flag.String("experiment", "", "experiment id, comma-separated list of ids, or 'all'")
-		seed        = flag.Uint64("seed", 1998, "master workload seed")
-		cacheRefs   = flag.Int64("cache-refs", 400_000, "measured references per cache configuration")
-		cacheWarm   = flag.Int64("cache-warm", 100_000, "warm-up references per cache configuration")
-		queueInstrs = flag.Int64("queue-instrs", 150_000, "measured instructions per queue configuration")
-		interval    = flag.Int64("interval", 2_000, "interval length in instructions (Section 6 studies)")
-		penalty     = flag.Int("switch-penalty", -1, "clock-switch penalty in cycles (-1 = default)")
-		feature     = flag.Float64("feature", 0.18, "feature size in microns (0.25, 0.18, 0.12)")
-		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = serial; output is identical at any setting)")
-		studyCache  = flag.String("study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
-		studyBudget = flag.Int64("study-cache-budget", 0, "study-cache byte ceiling: publications past it evict least-recently-used entries, deterministically (0 = unbounded; output is identical at any setting)")
-		shardSpec   = flag.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		ledgerOut   = flag.String("ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
-		reportIn    = flag.String("report", "", "offline ledger analysis: read comma-separated ledger/manifest files, print regret, switch-rate and dwell tables, and exit (no simulation)")
-		obsOn       = flag.Bool("obs", false, "enable telemetry counters (implied by -metrics-out and -serve)")
-		obsAssert   = flag.Bool("obs-assert", false, "enable runtime invariant self-checks in the simulators (panics on violation)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event timeline (chrome://tracing, ui.perfetto.dev) to this file")
-		metricsOut  = flag.String("metrics-out", "", "write a run manifest (build provenance, flags, per-experiment cost, counter snapshot) as JSON to this file")
-		serveAddr   = flag.String("serve", "", "serve live metrics (expvar + /metrics) on this address, e.g. :8417")
-		serveAPI    = flag.String("serve-api", "", "run the experiment API server on this address, e.g. :8418 (instead of a one-shot -experiment run)")
-		apiInFlight = flag.Int("api-inflight", 2, "serve-api: maximum concurrently executing runs")
-		apiWait     = flag.Duration("api-queue-wait", 2*time.Second, "serve-api: how long an inadmissible request may queue for a run slot before 429")
-		apiTimeout  = flag.Duration("api-timeout", 0, "serve-api: per-run wall-time limit (0 = unbounded; a request's timeout_ms can only tighten it)")
-		apiCache    = flag.Int("api-cache", 64, "serve-api: response-cache entries, LRU (0 disables); also bounds the in-memory study, trace-store and classification memos")
-		drainGrace  = flag.Duration("drain-grace", 15*time.Second, "serve-api: how long in-flight runs may finish after SIGINT/SIGTERM before their sweeps are cancelled")
+		experiment  = fs.String("experiment", "", "experiment id, comma-separated list of ids, or 'all'")
+		seed        = fs.Uint64("seed", 1998, "master workload seed")
+		cacheRefs   = fs.Int64("cache-refs", 400_000, "measured references per cache configuration")
+		cacheWarm   = fs.Int64("cache-warm", 100_000, "warm-up references per cache configuration")
+		queueInstrs = fs.Int64("queue-instrs", 150_000, "measured instructions per queue configuration")
+		interval    = fs.Int64("interval", 2_000, "interval length in instructions (Section 6 studies)")
+		penalty     = fs.Int("switch-penalty", -1, "clock-switch penalty in cycles (-1 = default)")
+		feature     = fs.Float64("feature", 0.18, "feature size in microns (0.25, 0.18, 0.12)")
+		shardSpec   = fs.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
+		reportIn    = fs.String("report", "", "offline ledger analysis: read comma-separated ledger/manifest files, print regret, switch-rate and dwell tables, and exit (no simulation)")
 	)
-	flag.Parse()
+	fs.BoolVar(&rc.list, "list", false, "list available experiments and exit")
+	fs.IntVar(&rc.parallel, "parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = serial; output is identical at any setting)")
+	fs.StringVar(&rc.studyCache, "study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
+	fs.StringVar(&rc.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&rc.ledgerOut, "ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
+	fs.BoolVar(&rc.obs, "obs", false, "enable telemetry counters (implied by -metrics-out)")
+	fs.BoolVar(&rc.obsAssert, "obs-assert", false, "enable runtime invariant self-checks in the simulators (panics on violation)")
+	fs.StringVar(&rc.traceOut, "trace-out", "", "write a Chrome trace-event timeline (chrome://tracing, ui.perfetto.dev) to this file")
+	fs.StringVar(&rc.metricsOut, "metrics-out", "", "write a run manifest (build provenance, flags, per-experiment cost, counter snapshot) as JSON to this file")
+	fs.StringVar(&rc.serveAPI, "serve-api", "", "run the experiment API server on this address, e.g. :8418 (instead of a one-shot -experiment run)")
+	fs.IntVar(&rc.serve.inFlight, "api-inflight", 2, "serve-api: maximum concurrently executing runs")
+	fs.DurationVar(&rc.serve.queueWait, "api-queue-wait", 2*time.Second, "serve-api: how long an inadmissible request may queue for a run slot before 429")
+	fs.DurationVar(&rc.serve.runTimeout, "api-timeout", 0, "serve-api: per-run wall-time limit (0 = unbounded; a request's timeout_ms can only tighten it)")
+	fs.IntVar(&rc.serve.cache, "api-cache", 64, "serve-api: response-cache entries, LRU (0 disables); also bounds the in-memory study, trace-store and classification memos")
+	fs.DurationVar(&rc.serve.drainGrace, "drain-grace", 15*time.Second, "serve-api: how long in-flight runs may finish after SIGINT/SIGTERM before their sweeps are cancelled")
+	if err := fs.Parse(args); err != nil {
+		return rc, err
+	}
+	if fs.NArg() > 0 {
+		return rc, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if rc.parallel < 0 {
+		return rc, fmt.Errorf("-parallel must be >= 0, got %d", rc.parallel)
+	}
+	rc.serve.parallel = rc.parallel
 
-	if *list {
+	rc.cfg = experiments.DefaultConfig()
+	rc.cfg.Seed = *seed
+	rc.cfg.CacheRefs = *cacheRefs
+	rc.cfg.CacheWarmRefs = *cacheWarm
+	rc.cfg.QueueInstrs = *queueInstrs
+	rc.cfg.IntervalInstrs = *interval
+	rc.cfg.PenaltyCycles = *penalty
+	rc.cfg.Feature = tech.FeatureSize(*feature)
+	rc.cfg.CacheParams.Feature = rc.cfg.Feature
+	if err := rc.cfg.Validate(); err != nil {
+		return rc, err
+	}
+
+	if rc.list {
+		return rc, nil
+	}
+	if *reportIn != "" {
+		for _, p := range strings.Split(*reportIn, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				rc.report = append(rc.report, p)
+			}
+		}
+		if len(rc.report) == 0 {
+			return rc, errors.New("-report: no input files")
+		}
+		return rc, nil
+	}
+	if *experiment == "" && rc.serveAPI == "" {
+		return rc, errors.New("-experiment required (or -list, -report, or -serve-api); e.g. capsim -experiment fig9")
+	}
+	if *experiment != "" {
+		ids, err := resolveIDs(*experiment)
+		if err != nil {
+			return rc, err
+		}
+		rc.ids = ids
+	}
+	if *shardSpec != "" {
+		sh, err := sweep.ParseShard(*shardSpec)
+		if err != nil {
+			return rc, err
+		}
+		if rc.studyCache == "" {
+			return rc, errors.New("-shard requires -study-cache DIR: a shard's output lives in the shared study cache")
+		}
+		rc.shard = &sh
+	}
+	return rc, nil
+}
+
+// resolveIDs expands an -experiment value: "all", or a comma-separated list
+// of registered ids run in the given order in ONE process, so passes they
+// share — materialized traces, classification streams, interval families —
+// are computed once and reused across them. Every id is checked here, so an
+// unknown one fails the run before the first id simulates.
+func resolveIDs(spec string) ([]string, error) {
+	if spec == "all" {
+		return experiments.IDs(), nil
+	}
+	ids := strings.Split(spec, ",")
+	for _, id := range ids {
+		if _, err := experiments.Title(id); err != nil {
+			return nil, fmt.Errorf("-experiment: unknown experiment %q (have %s)", id, strings.Join(experiments.IDs(), ", "))
+		}
+	}
+	return ids, nil
+}
+
+func run(args []string) (err error) {
+	rc, err := parseArgs(args)
+	if errors.Is(err, flag.ErrHelp) {
+		rc.fs.SetOutput(os.Stderr)
+		rc.fs.Usage()
+		return nil
+	}
+	if err != nil {
+		return exitCoder{err, 2}
+	}
+
+	if rc.list {
 		for _, id := range experiments.IDs() {
 			title, _ := experiments.Title(id)
 			fmt.Printf("%-20s %s\n", id, title)
 		}
 		return nil
 	}
-	if *reportIn != "" {
+	if len(rc.report) > 0 {
 		var inputs []flight.ReportInput
-		for _, p := range strings.Split(*reportIn, ",") {
-			if p = strings.TrimSpace(p); p == "" {
-				continue
-			}
+		for _, p := range rc.report {
 			in, err := flight.ReadReportInput(p)
 			if err != nil {
 				return fmt.Errorf("-report: %w", err)
 			}
 			inputs = append(inputs, in)
 		}
-		if len(inputs) == 0 {
-			return usageErr("-report: no input files")
-		}
 		fmt.Print(flight.Report(inputs))
 		return nil
 	}
-	if *experiment == "" && *serveAPI == "" {
-		return usageErr("-experiment required (or -list, -report, or -serve-api); e.g. capsim -experiment fig9")
-	}
 
-	sweep.SetDefaultWorkers(*parallel)
-	experiments.SetStudyCacheBudget(*studyBudget)
-	if *studyCache != "" {
-		if err := experiments.SetStudyCacheDir(*studyCache); err != nil {
+	sweep.SetDefaultWorkers(rc.parallel)
+	if rc.studyCache != "" {
+		if err := experiments.SetStudyCacheDir(rc.studyCache); err != nil {
 			return fmt.Errorf("-study-cache: %w", err)
 		}
 	}
 
-	// Telemetry switches. Counters are free when off; -metrics-out and
-	// -serve imply them (a manifest or live endpoint full of zeros would
-	// only mislead). All obs notices go to stderr: stdout carries exactly
-	// the rendered experiment output, byte-identical with telemetry on or
-	// off.
-	obs.SetAssert(*obsAssert)
-	obsEnabled := *obsOn || *metricsOut != ""
+	// Telemetry switches. Counters are free when off; -metrics-out implies
+	// them (a manifest full of zeros would only mislead). All obs notices go
+	// to stderr: stdout carries exactly the rendered experiment output,
+	// byte-identical with telemetry on or off.
+	obs.SetAssert(rc.obsAssert)
+	obsEnabled := rc.obs || rc.metricsOut != ""
 	obs.SetEnabled(obsEnabled)
-	if *serveAddr != "" {
-		h, err := obs.Serve(*serveAddr)
-		if err != nil {
-			return fmt.Errorf("-serve: %w", err)
-		}
-		// Drain the endpoint before exit instead of dying mid-write: the
-		// old code leaked the listener and server for the process lifetime.
-		defer func() {
-			sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer scancel()
-			if serr := h.Shutdown(sctx); serr != nil {
-				fmt.Fprintf(os.Stderr, "capsim: -serve shutdown: %v\n", serr)
-			}
-		}()
-		obsEnabled = true
-		fmt.Fprintf(os.Stderr, "capsim: live metrics on http://%s/metrics\n", h.Addr())
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if rc.traceOut != "" {
+		f, err := os.Create(rc.traceOut)
 		if err != nil {
 			return fmt.Errorf("-trace-out: %w", err)
 		}
@@ -190,8 +277,8 @@ func run() (err error) {
 	// in this process (one-shot experiments and API-served runs alike) appends
 	// its per-interval decision ledger to the file. Recording never feeds back
 	// into the simulation — stdout stays byte-identical with or without it.
-	if *ledgerOut != "" {
-		lw, lerr := flight.CreateLedger(*ledgerOut)
+	if rc.ledgerOut != "" {
+		lw, lerr := flight.CreateLedger(rc.ledgerOut)
 		if lerr != nil {
 			return fmt.Errorf("-ledger-out: %w", lerr)
 		}
@@ -208,14 +295,14 @@ func run() (err error) {
 				err = fmt.Errorf("-ledger-out: %w", cerr)
 			}
 		}()
-		if *studyCache != "" {
+		if rc.studyCache != "" {
 			fmt.Fprintln(os.Stderr, "capsim: -ledger-out: warm -study-cache rows skip simulation and record nothing; record from a cold cache for a complete ledger")
 		}
-		fmt.Fprintf(os.Stderr, "capsim: writing flight ledger to %s\n", *ledgerOut)
+		fmt.Fprintf(os.Stderr, "capsim: writing flight ledger to %s\n", rc.ledgerOut)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if rc.cpuprofile != "" {
+		f, err := os.Create(rc.cpuprofile)
 		if err != nil {
 			return err
 		}
@@ -226,45 +313,20 @@ func run() (err error) {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := experiments.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.CacheRefs = *cacheRefs
-	cfg.CacheWarmRefs = *cacheWarm
-	cfg.QueueInstrs = *queueInstrs
-	cfg.IntervalInstrs = *interval
-	cfg.PenaltyCycles = *penalty
-	cfg.Feature = tech.FeatureSize(*feature)
-	cfg.CacheParams.Feature = cfg.Feature
-
-	if *serveAPI != "" {
-		return serveAPIMode(*serveAPI, cfg, serveOptions{
-			inFlight:   *apiInFlight,
-			queueWait:  *apiWait,
-			runTimeout: *apiTimeout,
-			cache:      *apiCache,
-			drainGrace: *drainGrace,
-			parallel:   *parallel,
-		})
-	}
-
-	// -experiment accepts a comma-separated list ("fig12,fig13"): the ids
-	// run in the given order in ONE process, so passes they share —
-	// materialized traces, classification streams, interval families — are
-	// computed once and reused across them.
-	ids := strings.Split(*experiment, ",")
-	if *experiment == "all" {
-		ids = experiments.IDs()
+	cfg := rc.cfg
+	if rc.serveAPI != "" {
+		return serveAPIMode(rc.serveAPI, cfg, rc.serve)
 	}
 
 	// A static shard publishes its owned study rows to the shared study
 	// cache and renders nothing; a later plain run over the same cache is the
 	// merge (see shard.go).
-	if *shardSpec != "" {
-		return shardWorkerMode(*shardSpec, ids, cfg)
+	if rc.shard != nil {
+		return shardWorkerMode(*rc.shard, rc.ids, cfg)
 	}
 
 	manifest := obs.NewManifest()
-	manifest.Flags = flagMap()
+	manifest.Flags = flagMap(rc.fs)
 	manifest.Parallel = sweep.DefaultWorkers()
 	manifest.ObsEnabled = obsEnabled
 	manifest.Seed = cfg.Seed
@@ -272,9 +334,9 @@ func run() (err error) {
 	manifest.QueueInstrs = cfg.QueueInstrs
 
 	var before, after runtime.MemStats
-	for _, id := range ids {
+	for _, id := range rc.ids {
 		var snapBefore obs.Snapshot
-		if *metricsOut != "" {
+		if rc.metricsOut != "" {
 			runtime.ReadMemStats(&before)
 			snapBefore = obs.TakeSnapshot()
 		}
@@ -286,7 +348,7 @@ func run() (err error) {
 		wall := time.Since(start)
 		fmt.Print(res.Render())
 		fmt.Printf("(%s in %.1fs)\n\n", id, wall.Seconds())
-		if *metricsOut != "" {
+		if rc.metricsOut != "" {
 			runtime.ReadMemStats(&after)
 			title, _ := experiments.Title(id)
 			manifest.Experiments = append(manifest.Experiments, obs.ExperimentRecord{
@@ -299,12 +361,12 @@ func run() (err error) {
 		}
 	}
 
-	if *metricsOut != "" {
+	if rc.metricsOut != "" {
 		manifest.Final = obs.TakeSnapshot()
-		if err := manifest.WriteFile(*metricsOut); err != nil {
+		if err := manifest.WriteFile(rc.metricsOut); err != nil {
 			return fmt.Errorf("-metrics-out: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "capsim: wrote run manifest %s (%d experiments)\n", *metricsOut, len(manifest.Experiments))
+		fmt.Fprintf(os.Stderr, "capsim: wrote run manifest %s (%d experiments)\n", rc.metricsOut, len(manifest.Experiments))
 	}
 	return nil
 }
@@ -323,7 +385,7 @@ type serveOptions struct {
 // drains: new runs get 503 immediately, in-flight runs get the drain grace
 // period to finish, after which their sweeps are cancelled. The base
 // configuration (budgets a request's absent fields inherit) is the same one
-// the flag set builds for a one-shot run.
+// parseArgs builds for a one-shot run.
 func serveAPIMode(addr string, cfg experiments.Config, so serveOptions) error {
 	// A long-lived process sweeping arbitrary client configurations must
 	// bound its memoized profiling passes; the one-shot CLI path never does.
@@ -365,8 +427,8 @@ func serveAPIMode(addr string, cfg experiments.Config, so serveOptions) error {
 
 // flagMap captures every flag's effective value (set or default) for the
 // manifest, so a run is reproducible from its manifest alone.
-func flagMap() map[string]string {
+func flagMap(fs *flag.FlagSet) map[string]string {
 	m := make(map[string]string)
-	flag.VisitAll(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
+	fs.VisitAll(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
 	return m
 }

@@ -24,25 +24,19 @@ import (
 
 // shardWorkerMode runs ids as one static shard: only owned study rows are
 // computed (and published to the study cache); renders are discarded.
-func shardWorkerMode(spec string, ids []string, cfg experiments.Config) error {
-	sh, err := sweep.ParseShard(spec)
-	if err != nil {
-		return usageErr("%v", err)
-	}
-	if experiments.StudyCacheDir() == "" {
-		return usageErr("-shard requires -study-cache DIR: a shard's output lives in the shared study cache")
-	}
+// parseArgs has already checked the spec and that -study-cache is set.
+func shardWorkerMode(sh sweep.Shard, ids []string, cfg experiments.Config) error {
 	if err := sweep.SetShard(sh); err != nil {
-		return usageErr("%v", err)
+		return err
 	}
 	defer sweep.ClearShard()
 	t0 := time.Now()
 	for _, id := range ids {
 		if _, err := experiments.Run(id, cfg); err != nil {
-			return fmt.Errorf("shard %s: %s: %w", spec, id, err)
+			return fmt.Errorf("shard %s: %s: %w", sh, id, err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "capsim: shard %s published %d experiments' rows to %s in %.1fs\n",
-		spec, len(ids), experiments.StudyCacheDir(), time.Since(t0).Seconds())
+		sh, len(ids), experiments.StudyCacheDir(), time.Since(t0).Seconds())
 	return nil
 }

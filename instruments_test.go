@@ -25,7 +25,7 @@ var instruments = []string{
 	// Read by tests, smoke scripts and the -obs-assert funnel.
 	"ooo.issued", "memo.persist_writes", "obs.assert_failures",
 	// Named in a documented reading (EXPERIMENTS.md, DESIGN.md).
-	"policy.race_sim_cells", "memo.persist_evictions", "memo.hits", "memo.misses", "sweep.busy_ns",
+	"policy.race_sim_cells", "memo.hits", "memo.misses", "sweep.busy_ns",
 	"flight.dropped_runs",
 }
 

@@ -77,7 +77,7 @@ func BenchmarkMultiHierarchyAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i & (len(addrs) - 1)
-		m.AccessAddr(addrs[j], writes[j])
+		accessAddr(m, addrs[j], writes[j])
 	}
 }
 

@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"capsim/internal/rng"
+	"capsim/internal/tech"
 )
 
 func smallParams() Params {
@@ -30,6 +32,19 @@ func TestParamsValidate(t *testing.T) {
 	bad.IncrementBytes = 1000
 	if err := bad.Validate(); err == nil {
 		t.Error("indivisible increment accepted")
+	}
+}
+
+// TestParamsValidateRejectsNonFiniteFeature: NaN and +Inf compare false
+// against "<= 0"; before the finiteness check `capsim -feature NaN` rendered
+// a table of NaN.
+func TestParamsValidateRejectsNonFiniteFeature(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.18} {
+		p := PaperParams()
+		p.Feature = tech.FeatureSize(f)
+		if err := p.Validate(); err == nil {
+			t.Errorf("feature %v accepted", f)
+		}
 	}
 }
 

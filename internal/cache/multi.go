@@ -164,30 +164,12 @@ func (m *MultiHierarchy) Stats() []Stats {
 	return out
 }
 
-// BoundaryStats returns boundary k's accumulated statistics.
-func (m *MultiHierarchy) BoundaryStats(k int) Stats {
-	if k < 1 || k > m.maxB {
-		panic(fmt.Sprintf("cache: boundary %d outside [1,%d]", k, m.maxB))
-	}
-	st := m.stats[k]
-	st.Refs, st.Writes = m.refs, m.writes
-	return st
-}
-
 // Replay plays n pre-decoded references through every boundary position.
 func (m *MultiHierarchy) Replay(src DecodedSource, n int64) {
 	for i := int64(0); i < n; i++ {
 		set, tag, write := src.NextDecoded()
 		m.Access(int(set), tag, write)
 	}
-}
-
-// AccessAddr decodes one address under the hierarchy's geometry and applies
-// it to every boundary (tests and ad-hoc callers; the profiling path feeds
-// pre-decoded streams through Replay).
-func (m *MultiHierarchy) AccessAddr(addr uint64, write bool) {
-	set, tag := m.ix.index(addr)
-	m.Access(set, tag, write)
 }
 
 // Access applies one pre-decoded reference to every boundary position.
@@ -214,37 +196,7 @@ func (m *MultiHierarchy) Access(set int, tag uint64, write bool) {
 		return
 	}
 
-	m.accessSlow(set, tag, write, nil, nil)
-}
-
-// AccessLevels is Access that also reports where the reference was serviced
-// at every boundary position: levels[k-1] receives exactly what
-// Hierarchy.Access at boundary k would have returned for this reference
-// (L1Hit, L2Hit, or Miss). levels must have at least MaxBoundary elements.
-// The joint cache×queue kernel uses this to derive every configuration's
-// load latency from its own boundary's hierarchy state in the one shared
-// pass; the stack-distance-zero fast path is an L1 hit at every boundary by
-// the MRU argument above, so it fills the slice without probing.
-func (m *MultiHierarchy) AccessLevels(set int, tag uint64, write bool, levels []Level) {
-	m.stamp++
-	m.refs++
-	if write {
-		m.writes++
-	}
-
-	if m.lastValid[set] && m.lastTag[set] == tag {
-		m.pendStamp[set] = m.stamp
-		if write {
-			m.pendDirty[set] = true
-		}
-		m.fastHits++
-		for kb := 0; kb < m.maxB; kb++ {
-			levels[kb] = L1Hit
-		}
-		return
-	}
-
-	m.accessSlow(set, tag, write, levels, nil)
+	m.accessSlow(set, tag, write, nil)
 }
 
 // AccessClasses is Access that records each boundary's full reference
@@ -272,14 +224,13 @@ func (m *MultiHierarchy) AccessClasses(set int, tag uint64, write bool, classes 
 		return
 	}
 
-	m.accessSlow(set, tag, write, nil, classes)
+	m.accessSlow(set, tag, write, classes)
 }
 
 // accessSlow is the lockstep replay path: one exact Hierarchy.Access
-// replication per boundary position. When levels is non-nil it receives the
-// per-boundary service level (AccessLevels); when classes is non-nil it
-// receives the per-boundary outcome class (AccessClasses).
-func (m *MultiHierarchy) accessSlow(set int, tag uint64, write bool, levels []Level, classes []uint8) {
+// replication per boundary position. When classes is non-nil it receives
+// the per-boundary outcome class (AccessClasses).
+func (m *MultiHierarchy) accessSlow(set int, tag uint64, write bool, classes []uint8) {
 	if ps := m.pendStamp[set]; ps != 0 {
 		// Apply the deferred fast-path effects: the last repeat reference
 		// left the resident block with this stamp (and dirty OR) at its
@@ -315,11 +266,9 @@ func (m *MultiHierarchy) accessSlow(set int, tag uint64, write bool, levels []Le
 		}
 
 		var final int
-		lvl := Miss
 		cls := ClassMissLoad
 		switch {
 		case hit >= 0 && hit < l1w: // L1 hit
-			lvl = L1Hit
 			cls = ClassL1Hit
 			stamps[hit] = m.stamp
 			if write {
@@ -328,7 +277,6 @@ func (m *MultiHierarchy) accessSlow(set int, tag uint64, write bool, levels []Le
 			final = hit
 
 		case hit >= 0: // L2 hit: exclusive swap with the L1 victim
-			lvl = L2Hit
 			cls = ClassL2Swap
 			st.L1Misses++
 			st.Swaps++
@@ -365,9 +313,6 @@ func (m *MultiHierarchy) accessSlow(set int, tag uint64, write bool, levels []Le
 				flags[victim] |= mhDirty
 			}
 			final = victim
-		}
-		if levels != nil {
-			levels[kb] = lvl
 		}
 		if classes != nil {
 			classes[kb] = cls

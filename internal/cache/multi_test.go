@@ -41,6 +41,13 @@ func nonPow2Params() Params {
 	return p
 }
 
+// accessAddr decodes one address under m's geometry and applies it to
+// every boundary, the address-level form of Access.
+func accessAddr(m *MultiHierarchy, addr uint64, write bool) {
+	set, tag := m.ix.index(addr)
+	m.Access(set, tag, write)
+}
+
 // runDifferential replays one synthetic stream through a MultiHierarchy and
 // maxB independent Hierarchy oracles in parallel, checking per-interval stats
 // equality, residency agreement and the exclusivity invariant on both sides.
@@ -63,13 +70,14 @@ func runDifferential(t *testing.T, p Params, maxB int, seed, footprint uint64, i
 		for i := 0; i < refsPerInterval; i++ {
 			addr, write := gen.next()
 			lastAddr = addr
-			mh.AccessAddr(addr, write)
+			accessAddr(mh, addr, write)
 			for k := 1; k <= maxB; k++ {
 				oracles[k].Access(addr, write)
 			}
 		}
+		stats := mh.Stats()
 		for k := 1; k <= maxB; k++ {
-			got, want := mh.BoundaryStats(k), oracles[k].Stats()
+			got, want := stats[k], oracles[k].Stats()
 			if got != want {
 				t.Fatalf("interval %d boundary %d: stats diverge\n one-pass: %+v\n oracle:   %+v", iv, k, got, want)
 			}
@@ -139,13 +147,14 @@ func TestMultiHierarchyQuick(t *testing.T) {
 		gen := newSynthStream(seed, 1<<17)
 		for i := 0; i < 2000; i++ {
 			addr, write := gen.next()
-			mh.AccessAddr(addr, write)
+			accessAddr(mh, addr, write)
 			for k := 1; k <= maxB; k++ {
 				oracles[k].Access(addr, write)
 			}
 		}
+		stats := mh.Stats()
 		for k := 1; k <= maxB; k++ {
-			if mh.BoundaryStats(k) != oracles[k].Stats() {
+			if stats[k] != oracles[k].Stats() {
 				return false
 			}
 		}
@@ -175,8 +184,8 @@ func (s *sliceSource) NextDecoded() (int32, uint64, bool) {
 }
 
 // TestMultiReplayMatchesAccessAddr checks that Replay over a pre-decoded
-// stream equals the same references applied through AccessAddr — i.e. the
-// decode split commutes with the update.
+// stream equals the same references applied address by address through
+// accessAddr — i.e. the decode split commutes with the update.
 func TestMultiReplayMatchesAccessAddr(t *testing.T) {
 	p := PaperParams()
 	a, err := NewMulti(p, 4)
@@ -192,16 +201,17 @@ func TestMultiReplayMatchesAccessAddr(t *testing.T) {
 	n := 3000
 	for i := 0; i < n; i++ {
 		addr, write := gen.next()
-		a.AccessAddr(addr, write)
+		accessAddr(a, addr, write)
 		set, tag := a.ix.index(addr)
 		src.sets = append(src.sets, int32(set))
 		src.tags = append(src.tags, tag)
 		src.writes = append(src.writes, write)
 	}
 	b.Replay(src, int64(n))
+	as, bs := a.Stats(), b.Stats()
 	for k := 1; k <= 4; k++ {
-		if a.BoundaryStats(k) != b.BoundaryStats(k) {
-			t.Fatalf("boundary %d: AccessAddr %+v != Replay %+v", k, a.BoundaryStats(k), b.BoundaryStats(k))
+		if as[k] != bs[k] {
+			t.Fatalf("boundary %d: accessAddr %+v != Replay %+v", k, as[k], bs[k])
 		}
 	}
 }
@@ -235,11 +245,12 @@ func TestNewMultiRejects(t *testing.T) {
 	}
 }
 
-// TestAccessLevelsDifferential checks the joint-kernel classification
-// contract: AccessLevels reports, per boundary, exactly the Level that an
-// independent Hierarchy.Access would return for the same reference — through
-// both the fast path (spatial runs) and the slow lockstep path — while
-// keeping the stats bit-identical to plain Access.
+// TestAccessLevelsDifferential checks the classification contract on the
+// path classification uses: AccessClasses reports, per boundary, a class
+// whose service level (ClassLevel) is exactly the Level that an independent
+// Hierarchy.Access returns for the same reference — through both the fast
+// path (spatial runs) and the slow lockstep path — while keeping the stats
+// bit-identical to both the oracles and plain Access.
 func TestAccessLevelsDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -265,7 +276,7 @@ func TestAccessLevelsDifferential(t *testing.T) {
 				oracles[k] = MustNew(tc.p, k)
 			}
 			gen := newSynthStream(42, tc.footprint)
-			levels := make([]Level, tc.maxB)
+			classes := make([]uint8, tc.maxB)
 			n := 20000
 			if testing.Short() {
 				n = 4000
@@ -273,18 +284,19 @@ func TestAccessLevelsDifferential(t *testing.T) {
 			for i := 0; i < n; i++ {
 				addr, write := gen.next()
 				set, tag := mh.ix.index(addr)
-				mh.AccessLevels(set, tag, write, levels)
+				mh.AccessClasses(set, tag, write, classes)
 				plain.Access(set, tag, write)
 				for k := 1; k <= tc.maxB; k++ {
-					if want := oracles[k].Access(addr, write); levels[k-1] != want {
-						t.Fatalf("ref %d boundary %d: level %v, oracle %v", i, k, levels[k-1], want)
+					if got, want := ClassLevel(classes[k-1]), oracles[k].Access(addr, write); got != want {
+						t.Fatalf("ref %d boundary %d: class %d (level %v), oracle %v", i, k, classes[k-1], got, want)
 					}
 				}
 			}
+			got, want := mh.Stats(), plain.Stats()
 			for k := 1; k <= tc.maxB; k++ {
-				if mh.BoundaryStats(k) != plain.BoundaryStats(k) {
-					t.Fatalf("boundary %d: AccessLevels stats %+v != Access stats %+v",
-						k, mh.BoundaryStats(k), plain.BoundaryStats(k))
+				if got[k] != want[k] || got[k] != oracles[k].Stats() {
+					t.Fatalf("boundary %d: AccessClasses stats %+v, Access stats %+v, oracle %+v",
+						k, got[k], want[k], oracles[k].Stats())
 				}
 			}
 		})

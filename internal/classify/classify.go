@@ -75,7 +75,7 @@ func (s *Stream) Bytes() int64 {
 func (s *Stream) RawBytes() int64 { return s.NRefs * int64(s.MaxB) }
 
 // Cursor returns a replay cursor over boundary k's row (1-based, like
-// cache.BoundaryStats). Cursors are independent and cheap; opening one
+// cache.MultiHierarchy.Stats). Cursors are independent and cheap; opening one
 // counts as a replay.
 func (s *Stream) Cursor(k int) *Cursor {
 	if k < 1 || k > s.MaxB {

@@ -170,13 +170,14 @@ func TestStreamForAgainstStats(t *testing.T) {
 		t.Fatalf("NewMulti: %v", err)
 	}
 	mh.Replay(trace.DecodedFor(trace.RefsFor(b, seed), trace.Geometry{BlockBytes: p.BlockBytes, Sets: p.Sets()}).Cursor(), nrefs)
+	stats := mh.Stats()
 	for k := 1; k <= maxB; k++ {
 		var census [4]uint64
 		c := s.Cursor(k)
 		for i := int64(0); i < nrefs; i++ {
 			census[c.Next()]++
 		}
-		st := mh.BoundaryStats(k)
+		st := stats[k]
 		l1Miss := census[cache.ClassL2Swap] + census[cache.ClassMissLoad] + census[cache.ClassMissWB]
 		l2Miss := census[cache.ClassMissLoad] + census[cache.ClassMissWB]
 		if st.Refs != uint64(nrefs) || st.L1Misses != l1Miss || st.L2Misses != l2Miss ||

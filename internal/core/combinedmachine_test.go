@@ -27,6 +27,10 @@ import (
 // machine closes the loop between them: loads issue through the out-of-order
 // window with latencies drawn from the live cache hierarchy instead of a
 // perfect cache.
+//
+// Production evaluates this machine only through the one-pass MultiCombined
+// kernel; CombinedMachine is the straightforward per-configuration
+// simulation it is checked against (TestProfileCombinedOnepass).
 type CombinedMachine struct {
 	sizes   []int // queue sizes
 	maxL1   int   // cache boundaries 1..maxL1
@@ -44,12 +48,6 @@ type CombinedMachine struct {
 
 	instrs int64
 	timeNS float64
-}
-
-// CombinedConfig identifies one point in the joint configuration space.
-type CombinedConfig struct {
-	QueueEntries int
-	Boundary     int // L1 increments
 }
 
 // NewCombinedMachine builds the joint CAP for an application (which must

@@ -110,17 +110,6 @@ func (m *Monitor) Last() (Sample, bool) {
 	return m.Window[len(m.Window)-1], true
 }
 
-// LastFor returns the most recent sample taken under the given
-// configuration, and whether one exists.
-func (m *Monitor) LastFor(config int) (Sample, bool) {
-	for i := len(m.Window) - 1; i >= 0; i-- {
-		if m.Window[i].Config == config {
-			return m.Window[i], true
-		}
-	}
-	return Sample{}, false
-}
-
 // Policy is a configuration-management heuristic: after each interval it
 // chooses the configuration for the next interval.
 type Policy interface {

@@ -14,12 +14,19 @@ import (
 	"capsim/internal/workload"
 )
 
+// CombinedConfig identifies one point in the joint configuration space.
+type CombinedConfig struct {
+	QueueEntries int
+	Boundary     int // L1 increments
+}
+
 // MultiCombined is the joint one-pass engine for the Figure 5 processor: it
 // evaluates EVERY requested (cache boundary × queue size) configuration of
-// CombinedMachine in a single lockstep pass over one shared trace stream,
+// the joint machine in a single lockstep pass over one shared trace stream,
 // composing the two existing one-pass kernels.
 //
-// The decomposition rests on two facts about CombinedMachine:
+// The decomposition rests on two facts about the per-configuration machine
+// (CombinedMachine, the test oracle in combinedmachine_test.go):
 //
 //   - Load PLACEMENT is configuration-independent. Loads are attached to
 //     dispatched instructions by a deterministic fractional accumulator at

@@ -23,13 +23,6 @@ func TestMonitorWindow(t *testing.T) {
 	if m.Current != 0 {
 		t.Errorf("current config %d, want 0 (from sample 4)", m.Current)
 	}
-	s, ok := m.LastFor(1)
-	if !ok || s.Interval != 3 {
-		t.Errorf("LastFor(1) = %+v ok=%v", s, ok)
-	}
-	if _, ok := m.LastFor(9); ok {
-		t.Error("LastFor(9) found a sample")
-	}
 }
 
 func TestFixedPolicy(t *testing.T) {

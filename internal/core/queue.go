@@ -148,12 +148,6 @@ func (q *QueueMachine) TimeNS() float64 { return q.timeNS }
 // Clock exposes the dynamic clock for reporting.
 func (q *QueueMachine) Clock() *clock.System { return q.clk }
 
-// PublishObs ships the core's accumulated telemetry deltas to the global
-// registry. Drivers that step the machine directly (interval traces) should
-// call it once at the end of the run; RunQueue and the profile passes do so
-// themselves.
-func (q *QueueMachine) PublishObs() { q.core.PublishObs() }
-
 // RunResult aggregates a policy-driven run.
 type RunResult struct {
 	Policy   string

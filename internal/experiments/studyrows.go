@@ -50,12 +50,8 @@ import (
 // not own the inner key, and would silently persist a value computed from a
 // stub. Wrap leaf computations only; compose above the row layer.
 
-// studyStore is the process-wide persistent row store, nil when disabled;
-// studyBudget is the byte ceiling applied to it (and to stores opened later).
-var (
-	studyStore  atomic.Pointer[memo.Store]
-	studyBudget atomic.Int64
-)
+// studyStore is the process-wide persistent row store, nil when disabled.
+var studyStore atomic.Pointer[memo.Store]
 
 // SetStudyCacheDir backs the study-row memo tier with a persistent
 // content-addressed store rooted at dir (created if needed); "" disables
@@ -71,26 +67,12 @@ func SetStudyCacheDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	s.SetBudget(studyBudget.Load())
 	studyStore.Store(s)
 	// The classification tier shares the same content-addressed store: its
 	// keys are namespaced ("classify|v1|..."), so study rows and class
-	// streams coexist in one directory and one byte budget.
+	// streams coexist in one directory.
 	classify.SetStore(s)
 	return nil
-}
-
-// SetStudyCacheBudget bounds the persistent study cache's disk footprint to n
-// bytes (0 = unbounded, the default): whenever a row publication pushes the
-// store past the ceiling, its least-recently-used entries are pruned, oldest
-// access first, ties broken by path — deterministic, so replicas sharing one
-// directory agree on what goes. Applies to the active store immediately and
-// to any store SetStudyCacheDir opens later.
-func SetStudyCacheBudget(n int64) {
-	studyBudget.Store(n)
-	if s := studyStore.Load(); s != nil {
-		s.SetBudget(n)
-	}
 }
 
 // StudyCacheDir returns the active persistent store's versioned root, or ""

@@ -296,10 +296,14 @@ func TestLedgerRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		l, err := ReadLedger(path)
+		in, err := ReadReportInput(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if in.Ledger == nil || len(in.Ledger.Warnings) != 0 {
+			t.Fatalf("%s: not read back as a clean ledger: %+v", name, in)
+		}
+		l := *in.Ledger
 		if l.Schema != Schema {
 			t.Fatalf("schema %q", l.Schema)
 		}

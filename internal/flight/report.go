@@ -32,21 +32,6 @@ type LedgerRun struct {
 	ended  bool
 }
 
-// ReadLedger opens and parses the NDJSON ledger at path, transparently
-// ungzipping by content.
-func ReadLedger(path string) (Ledger, error) {
-	r, err := openLedgerReader(path)
-	if err != nil {
-		return Ledger{}, err
-	}
-	defer r.Close()
-	l, err := ParseLedger(r)
-	if err != nil {
-		return Ledger{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return l, nil
-}
-
 // truncationErr reports whether a stream error is the signature of a ledger
 // cut mid-write (killed writer, mid-stream disconnect): an unexpected EOF,
 // or the corrupt-deflate errors a gzip member truncated at an arbitrary

@@ -34,8 +34,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"capsim/internal/obs"
 )
@@ -71,11 +69,6 @@ type storeEntry struct {
 // safe for concurrent use by any number of goroutines and processes.
 type Store struct {
 	root string // <user dir>/v1
-
-	// budget is the optional byte ceiling (0 = unbounded); pruneMu
-	// serializes LRU sweeps. See budget.go.
-	budget  atomic.Int64
-	pruneMu sync.Mutex
 }
 
 // OpenStore opens (creating if needed) a persistent store rooted at dir.
@@ -119,7 +112,6 @@ func (s *Store) GetBytes(key string) ([]byte, bool) {
 		return nil, false
 	}
 	obsPersistHits.Inc()
-	s.touch(p) // refresh LRU age explicitly; see budget.go
 	return e.Payload, true
 }
 
@@ -153,7 +145,6 @@ func (s *Store) PutBytes(key string, payload []byte) error {
 		return err
 	}
 	obsPersistWrites.Inc()
-	s.prune() // enforce the byte budget after every publication
 	return nil
 }
 

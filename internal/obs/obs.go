@@ -2,7 +2,7 @@
 // atomic counters and log2 histograms cheap enough to sit next to the
 // simulator hot paths, a span tracer that emits Chrome trace-event JSONL
 // (span.go), a run-manifest builder (manifest.go), and a live
-// expvar/metrics HTTP endpoint (serve.go).
+// expvar/metrics HTTP handler (serve.go).
 //
 // Design rules, in priority order:
 //
@@ -21,7 +21,8 @@
 //     reports the on/off difference as obs_overhead_frac).
 //
 // cmd/capsim exposes the subsystem as -metrics-out (run manifest),
-// -trace-out (Chrome trace), -serve (live endpoint) and -obs (counters only).
+// -trace-out (Chrome trace) and -obs (counters only); the experiment API
+// server (-serve-api) mounts the live handler at /metrics and /debug/vars.
 package obs
 
 import (

@@ -1,26 +1,22 @@
 package obs
 
 import (
-	"context"
-	"errors"
 	"expvar"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
 )
 
-// This file is the live endpoint behind `capsim -serve :addr`: a tiny HTTP
-// server exposing the standard expvar surface plus the obs registry, for
-// watching a long `-experiment all` run from another terminal:
+// This file is the live telemetry surface that the experiment API server
+// (internal/server, `capsim -serve-api`) mounts: the standard expvar surface
+// plus the obs registry, for watching a long-lived service from outside:
 //
-//	capsim -experiment all -serve :8417 &
-//	curl -s localhost:8417/metrics          # Prometheus text exposition
-//	curl -s localhost:8417/debug/vars | jq .capsim
+//	curl -s localhost:8418/metrics          # Prometheus text exposition
+//	curl -s localhost:8418/debug/vars | jq .capsim
 //
-// The server only reads atomics; it cannot perturb the simulation, and
-// nothing in the run waits on it.
+// The handler only reads atomics; it cannot perturb the simulation, and
+// nothing in a run waits on it.
 
 // publishOnce guards the expvar registration (expvar panics on duplicate
 // names, and tests may build several handlers).
@@ -63,61 +59,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Server is a handle on a live telemetry endpoint started by Serve. It owns
-// the listener and the http.Server, so the endpoint can be drained instead
-// of dying mid-write with the process. (The old Serve returned only the
-// bound address and leaked both — a long-lived capsim process had no way to
-// stop serving.)
-type Server struct {
-	addr     string
-	srv      *http.Server
-	done     chan struct{} // closed when the accept loop exits
-	serveErr error         // set before done closes
-}
-
-// Addr returns the endpoint's bound address (useful with ":0").
-func (s *Server) Addr() string { return s.addr }
-
-// Shutdown gracefully drains the endpoint: the listener closes immediately,
-// in-flight responses finish (until ctx expires), and the accept loop's
-// terminal error — anything other than the expected http.ErrServerClosed —
-// is surfaced instead of being dropped in a goroutine. Safe to call more
-// than once.
-func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.srv.Shutdown(ctx)
-	select {
-	case <-s.done:
-		if err == nil && s.serveErr != nil && !errors.Is(s.serveErr, http.ErrServerClosed) {
-			err = s.serveErr
-		}
-	case <-ctx.Done():
-		if err == nil {
-			err = ctx.Err()
-		}
-	}
-	return err
-}
-
-// Serve starts the live endpoint on addr (e.g. ":8417" or "127.0.0.1:0")
-// in a background goroutine and returns a handle exposing the bound address
-// and a graceful Shutdown. Metric recording is force-enabled — a live
-// endpoint over frozen zeros would only mislead.
-func Serve(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	SetEnabled(true)
-	s := &Server{
-		addr: ln.Addr().String(),
-		srv:  &http.Server{Handler: Handler()},
-		done: make(chan struct{}),
-	}
-	go func() {
-		s.serveErr = s.srv.Serve(ln)
-		close(s.done)
-	}()
-	return s, nil
 }

@@ -32,12 +32,11 @@ import (
 // use; each event is serialized under one mutex (spans are coarse — per job,
 // not per reference — so the lock is uncontended in practice).
 type Tracer struct {
-	mu     sync.Mutex
-	w      io.Writer
-	c      io.Closer
-	start  time.Time
-	events int64
-	err    error
+	mu    sync.Mutex
+	w     io.Writer
+	c     io.Closer
+	start time.Time
+	err   error
 }
 
 // tracer is the installed sink; nil = tracing disabled.
@@ -119,9 +118,7 @@ func (t *Tracer) emit(e event) {
 	}
 	if _, err := t.w.Write(append(buf, ',', '\n')); err != nil {
 		t.err = err
-		return
 	}
-	t.events++
 }
 
 // us converts a time to microseconds since trace start.
@@ -223,7 +220,7 @@ func (s AsyncSpan) End(args ...Arg) {
 }
 
 // WorkerTIDs reserves a block of n thread ids for a worker pool and labels
-// them in the trace. Each RunN invocation gets a fresh block, so nested
+// them in the trace. Each RunNCtx invocation gets a fresh block, so nested
 // sweeps never interleave their jobs on one track. Returns the base tid
 // (worker w uses base+w); with tracing off it returns 0 without reserving.
 func WorkerTIDs(n int, label string) int64 {
@@ -236,11 +233,4 @@ func WorkerTIDs(n int, label string) int64 {
 		t.meta(base+int64(w), fmt.Sprintf("%s %d.%d", label, base, w))
 	}
 	return base
-}
-
-// Events returns the number of events written so far (tests).
-func (t *Tracer) Events() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events
 }

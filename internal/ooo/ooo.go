@@ -25,7 +25,7 @@
 // issue cycle is already known when an instruction dispatches, so select
 // needs nothing but a ring of per-cycle issue counts — no wakeup lists, no
 // ready queue, no per-cycle walk of the window. One kernel, run, holds the
-// dispatch and issue logic and serves every entry point (Run, Step, Drain,
+// dispatch and issue logic and serves every entry point (Run, Drain,
 // MultiCore); see it for the exactness argument. The direct model — every
 // cycle re-scans the window oldest-first, waking and selecting in one pass —
 // is the executable specification the engine is verified against; it lives
@@ -128,7 +128,7 @@ type Core struct {
 	// drawn from memLat. Zero-valued = disabled (perfect caches).
 	//
 	// loadAcc is the fractional-load accumulator. It deliberately
-	// persists across RunWithLoads calls: the CombinedMachine runs in
+	// persists across RunWithLoads calls: the joint machine runs in
 	// intervals, and the deterministic refs-per-instruction spacing must
 	// continue across interval boundaries rather than restart (the
 	// accumulator carrying, say, 0.7 into the next interval makes its
@@ -237,8 +237,10 @@ func (c *Core) Run(stream workload.InstrSource, n int64) Stats {
 // RunWithLoads is Run with the perfect-cache assumption removed: a
 // deterministic rpi fraction of dispatched instructions become memory
 // operations whose extra completion latency is supplied by memLat (cycles
-// beyond a pipelined L1 hit). The CombinedMachine uses this to couple the
-// adaptive queue to the live adaptive cache hierarchy.
+// beyond a pipelined L1 hit), coupling the adaptive queue to a live
+// adaptive cache hierarchy. Production runs its one-pass form,
+// MultiCore.RunEachWithLoads; RunWithLoads is the per-core reference the
+// ooo tests and core's CombinedMachine test oracle use.
 //
 // The fractional-load accumulator carries over between successive calls (see
 // the loadAcc field): splitting a run into intervals yields the identical
@@ -261,13 +263,6 @@ func (c *Core) attachLoads(rpi float64, memLat func(write bool) int64) {
 
 // detachLoads restores the perfect-cache assumption (accumulator preserved).
 func (c *Core) detachLoads() { c.loadRPI, c.memLat = 0, nil }
-
-// Step advances the machine by one cycle: dispatch up to IssueWidth new
-// instructions into free window entries, then issue the instructions whose
-// issue cycle this is. A target already met stops the kernel after one cycle.
-func (c *Core) Step(stream workload.InstrSource) {
-	c.run(c.fetch(stream), 0, c.cfg.WindowSize, &c.stats.WindowFullCy)
-}
 
 // fetch reads the next cycle's dispatch group from the stream into the
 // group buffer: IssueWidth instructions, capped by the free window entries.

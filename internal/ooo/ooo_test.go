@@ -7,6 +7,14 @@ import (
 	"capsim/internal/workload"
 )
 
+// Step advances the machine by one cycle: dispatch up to IssueWidth new
+// instructions into free window entries, then issue the instructions whose
+// issue cycle this is. A target already met stops the kernel after one cycle.
+// Tests use it to leave a core mid-flight at a chosen cycle.
+func (c *Core) Step(stream workload.InstrSource) {
+	c.run(c.fetch(stream), 0, c.cfg.WindowSize, &c.stats.WindowFullCy)
+}
+
 // stream builds a synthetic benchmark stream from raw ILP parameters.
 func stream(t *testing.T, p workload.ILPParams, seed uint64) *workload.InstrStream {
 	t.Helper()

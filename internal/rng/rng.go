@@ -105,14 +105,3 @@ func (r *Source) Bool(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// Perm fills out with a pseudo-random permutation of [0, len(out)).
-func (r *Source) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}

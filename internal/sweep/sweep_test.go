@@ -13,7 +13,7 @@ import (
 
 func TestRunCollectsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 33} {
-		got, err := RunN(workers, 100, func(i int) (int, error) { return i * i, nil })
+		got, err := RunNCtx(context.Background(), workers, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -29,7 +29,7 @@ func TestRunCollectsByIndex(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	got, err := RunN(4, 0, func(int) (int, error) { return 0, nil })
+	got, err := RunNCtx(context.Background(), 4, 0, func(int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("empty run: %v %v", got, err)
 	}
@@ -39,7 +39,7 @@ func TestRunLowestIndexedError(t *testing.T) {
 	// Jobs 7 and 3 fail; the error from job 3 must be reported regardless of
 	// completion order.
 	for trial := 0; trial < 20; trial++ {
-		_, err := RunN(4, 10, func(i int) (int, error) {
+		_, err := RunNCtx(context.Background(), 4, 10, func(i int) (int, error) {
 			if i == 7 || i == 3 {
 				return 0, fmt.Errorf("job %d failed", i)
 			}
@@ -54,7 +54,7 @@ func TestRunLowestIndexedError(t *testing.T) {
 func TestRunBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	_, err := RunN(workers, 64, func(i int) (struct{}, error) {
+	_, err := RunNCtx(context.Background(), workers, 64, func(i int) (struct{}, error) {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -77,8 +77,8 @@ func TestRunBoundsConcurrency(t *testing.T) {
 func TestRunNested(t *testing.T) {
 	// A job may itself fan out; nesting must neither deadlock nor corrupt
 	// result placement.
-	got, err := RunN(4, 6, func(o int) ([]int, error) {
-		return RunN(4, 5, func(i int) (int, error) { return o*10 + i, nil })
+	got, err := RunNCtx(context.Background(), 4, 6, func(o int) ([]int, error) {
+		return RunNCtx(context.Background(), 4, 5, func(i int) (int, error) { return o*10 + i, nil })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestRunNested(t *testing.T) {
 }
 
 func TestGrid(t *testing.T) {
-	m, err := Grid(3, 4, func(o, i int) (int, error) { return o*100 + i, nil })
+	m, err := GridCtx(context.Background(), 3, 4, func(o, i int) (int, error) { return o*100 + i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGrid(t *testing.T) {
 
 func TestGridError(t *testing.T) {
 	want := errors.New("boom")
-	if _, err := Grid(2, 2, func(o, i int) (int, error) {
+	if _, err := GridCtx(context.Background(), 2, 2, func(o, i int) (int, error) {
 		if o == 1 && i == 1 {
 			return 0, want
 		}
@@ -139,19 +139,23 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
+// TestEach checks that RunCtx under a WithWorkers override runs every job
+// index exactly once.
 func TestEach(t *testing.T) {
 	var mu sync.Mutex
-	seen := map[int]bool{}
-	if err := Each(32, func(i int) error {
+	seen := map[int]int{}
+	if _, err := RunCtx(WithWorkers(context.Background(), 4), 32, func(i int) (struct{}, error) {
 		mu.Lock()
-		seen[i] = true
+		seen[i]++
 		mu.Unlock()
-		return nil
+		return struct{}{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 32 {
-		t.Errorf("ran %d jobs, want 32", len(seen))
+	for i := 0; i < 32; i++ {
+		if seen[i] != 1 {
+			t.Fatalf("job %d ran %d times, want once", i, seen[i])
+		}
 	}
 }
 
@@ -163,7 +167,7 @@ func TestEach(t *testing.T) {
 func TestRunAbortsAfterError(t *testing.T) {
 	const n = 1000
 	var ran atomic.Int64
-	_, err := RunN(4, n, func(i int) (int, error) {
+	_, err := RunNCtx(context.Background(), 4, n, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, fmt.Errorf("job 0 failed")
@@ -187,7 +191,7 @@ func TestRunAbortsAfterError(t *testing.T) {
 func TestRunErrorDeterministicUnderAbort(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		for _, workers := range []int{2, 4, 8} {
-			_, err := RunN(workers, 64, func(i int) (int, error) {
+			_, err := RunNCtx(context.Background(), workers, 64, func(i int) (int, error) {
 				switch i {
 				case 3, 7, 40:
 					return 0, fmt.Errorf("job %d failed", i)
@@ -317,7 +321,7 @@ func TestWithWorkers(t *testing.T) {
 // TestRunDeterministicUnderRace hammers the pool with shared-free jobs so the
 // race detector can certify the result-collection path.
 func TestRunDeterministicUnderRace(t *testing.T) {
-	base, err := RunN(1, 257, func(i int) (uint64, error) {
+	base, err := RunNCtx(context.Background(), 1, 257, func(i int) (uint64, error) {
 		x := uint64(i) * 0x9e3779b97f4a7c15
 		x ^= x >> 29
 		return x, nil
@@ -326,7 +330,7 @@ func TestRunDeterministicUnderRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 7, 16} {
-		got, err := RunN(w, 257, func(i int) (uint64, error) {
+		got, err := RunNCtx(context.Background(), w, 257, func(i int) (uint64, error) {
 			x := uint64(i) * 0x9e3779b97f4a7c15
 			x ^= x >> 29
 			return x, nil

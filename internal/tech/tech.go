@@ -11,12 +11,17 @@ package tech
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // FeatureSize identifies a process generation by its drawn feature size in
 // microns. The paper studies 0.25, 0.18 and 0.12 micron technologies.
 type FeatureSize float64
+
+// Valid reports whether f is a finite, positive feature size. NaN and +Inf
+// fail it: neither compares as non-positive, yet both poison every scaled
+// delay.
+func (f FeatureSize) Valid() bool { return f > 0 && !math.IsInf(float64(f), 1) }
 
 // Process generations referenced by the paper.
 const (
@@ -96,11 +101,11 @@ var base = Params{
 // ForFeature returns the process parameters for the given feature size,
 // scaling device quantities linearly from the 0.80 micron anchor. Wire
 // R and C per millimetre are held constant per the paper's first-order
-// assumption. It panics if the feature size is not positive; use Validate
-// for non-panicking checks.
+// assumption. It panics if the feature size is not finite and positive; use
+// Validate for non-panicking checks.
 func ForFeature(f FeatureSize) Params {
-	if f <= 0 {
-		panic(fmt.Sprintf("tech: non-positive feature size %v", float64(f)))
+	if !f.Valid() {
+		panic(fmt.Sprintf("tech: feature size %v must be finite and positive", float64(f)))
 	}
 	s := float64(f) / float64(Micron080)
 	return Params{
@@ -118,8 +123,8 @@ func ForFeature(f FeatureSize) Params {
 // Validate reports whether the parameters are physically sensible.
 func (p Params) Validate() error {
 	switch {
-	case p.Feature <= 0:
-		return fmt.Errorf("tech: feature size %v must be positive", float64(p.Feature))
+	case !p.Feature.Valid():
+		return fmt.Errorf("tech: feature size %v must be finite and positive", float64(p.Feature))
 	case p.BufferDelay <= 0:
 		return fmt.Errorf("tech: buffer delay %v must be positive", p.BufferDelay)
 	case p.BufferR <= 0 || p.BufferC <= 0:
@@ -157,12 +162,4 @@ func PortArea(baseArea float64, ports int) float64 {
 		ports = 1
 	}
 	return baseArea * float64(ports) * float64(ports)
-}
-
-// SortedFeatures returns the given feature sizes sorted descending (largest
-// first), the order figure legends use.
-func SortedFeatures(fs []FeatureSize) []FeatureSize {
-	out := append([]FeatureSize(nil), fs...)
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
-	return out
 }

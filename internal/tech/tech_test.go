@@ -68,6 +68,18 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFiniteFeature: NaN and +Inf compare false against
+// "<= 0", so a sign check alone lets them through into every scaled delay.
+func TestValidateRejectsNonFiniteFeature(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.18} {
+		p := ForFeature(Micron018)
+		p.Feature = FeatureSize(f)
+		if err := p.Validate(); err == nil {
+			t.Errorf("feature %v accepted", f)
+		}
+	}
+}
+
 func TestWireTauPositiveAndConstant(t *testing.T) {
 	var last float64
 	for i, f := range Generations() {
@@ -110,15 +122,12 @@ func TestPortAreaQuadratic(t *testing.T) {
 	}
 }
 
+// TestSortedFeaturesDescending: Generations lists the paper's feature sizes
+// largest first, the order every figure legend uses.
 func TestSortedFeaturesDescending(t *testing.T) {
-	in := []FeatureSize{Micron012, Micron025, Micron018}
-	out := SortedFeatures(in)
-	if len(out) != 3 || out[0] != Micron025 || out[1] != Micron018 || out[2] != Micron012 {
-		t.Errorf("got %v", out)
-	}
-	// Input untouched.
-	if in[0] != Micron012 {
-		t.Error("SortedFeatures mutated its input")
+	gs := Generations()
+	if len(gs) != 3 || gs[0] != Micron025 || gs[1] != Micron018 || gs[2] != Micron012 {
+		t.Errorf("got %v, want [0.25u 0.18u 0.12u]", gs)
 	}
 }
 

@@ -21,7 +21,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Suite identifies the benchmark suite an application belongs to.
@@ -363,21 +362,4 @@ func MustByName(name string) Benchmark {
 		panic(err)
 	}
 	return b
-}
-
-// Names returns all benchmark names in registry order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, b := range registry {
-		out[i] = b.Name
-	}
-	return out
-}
-
-// SortedNames returns all benchmark names alphabetically (for stable
-// diagnostics output).
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
-	return out
 }

@@ -206,15 +206,3 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedNames(t *testing.T) {
-	names := SortedNames()
-	if len(names) != 22 {
-		t.Fatalf("got %d names", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %q >= %q", names[i-1], names[i])
-		}
-	}
-}

@@ -22,10 +22,11 @@ race:
 
 # ci-race is the focused race lane over the concurrency-heavy packages — the
 # flight recorder's publication fan-out, the obs counters, the API server's
-# streaming/admission paths and the sweep pool — cheap enough to run on every
-# iteration (the full `race` target covers the whole module).
+# streaming/admission paths, the sweep pool and the trace stores' concurrent
+# chunk publication — cheap enough to run on every iteration (the full `race`
+# target covers the whole module).
 ci-race:
-	$(GO) test -race -timeout 10m ./internal/flight/ ./internal/obs/ ./internal/server/ ./internal/sweep/
+	$(GO) test -race -timeout 10m ./internal/flight/ ./internal/obs/ ./internal/server/ ./internal/sweep/ ./internal/trace/
 
 vet:
 	$(GO) vet ./...

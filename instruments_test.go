@@ -14,7 +14,7 @@ import (
 // in the same change that gives it a reader.
 var instruments = []string{
 	// Per-layer metrics of the bench harness (bench/layers.go).
-	"trace.ref_chunks", "trace.op_chunks", "trace.dec_chunks", "trace.bytes", "trace.bytes_raw",
+	"trace.ref_chunks", "trace.op_chunks", "trace.bytes", "trace.bytes_raw",
 	"classify.gens", "classify.replays",
 	"cache.multi.refs", "cache.multi.fast_hits",
 	"ooo.instrs", "ooo.cycles", "ooo.idle_skipped",

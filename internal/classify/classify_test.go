@@ -1,11 +1,9 @@
 package classify
 
 import (
-	"fmt"
 	"testing"
 
 	"capsim/internal/cache"
-	"capsim/internal/memo"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
 )
@@ -99,10 +97,10 @@ func FuzzClassifyRoundTrip(f *testing.F) {
 				expected[k-1] = append(expected[k-1], want)
 			}
 		}
-		s := &Stream{MaxB: maxB, NRefs: int64(len(data)), Rows: make([][]byte, maxB)}
+		s := &Stream{maxB: maxB, nrefs: int64(len(data)), rows: make([][]byte, maxB)}
 		for kb := range encs {
 			encs[kb].flush()
-			s.Rows[kb] = encs[kb].buf
+			s.rows[kb] = encs[kb].buf
 		}
 		for k := 1; k <= maxB; k++ {
 			c := s.Cursor(k)
@@ -146,8 +144,6 @@ func TestClassLevel(t *testing.T) {
 // counters of an independent MultiHierarchy replay: hits, swaps, structure
 // misses and writebacks all follow from the four classes.
 func TestStreamForAgainstStats(t *testing.T) {
-	defer Reset()
-	Reset()
 	b, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatalf("workload: %v", err)
@@ -162,8 +158,8 @@ func TestStreamForAgainstStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StreamFor: %v", err)
 	}
-	if s.MaxB != maxB || s.NRefs != nrefs {
-		t.Fatalf("stream shape (%d,%d), want (%d,%d)", s.MaxB, s.NRefs, maxB, nrefs)
+	if s.maxB != maxB || s.nrefs != nrefs {
+		t.Fatalf("stream shape (%d,%d), want (%d,%d)", s.maxB, s.nrefs, maxB, nrefs)
 	}
 	mh, err := cache.NewMulti(p, maxB)
 	if err != nil {
@@ -193,82 +189,9 @@ func TestStreamForAgainstStats(t *testing.T) {
 	}
 }
 
-// TestStreamForMemoized pins the singleflight contract: same key → the same
-// *Stream, and Reset forces a regeneration that is byte-identical.
-func TestStreamForMemoized(t *testing.T) {
-	defer Reset()
-	Reset()
-	b, err := workload.ByName("compress")
-	if err != nil {
-		t.Fatalf("workload: %v", err)
-	}
-	p := cache.PaperParams()
-	s1, err := StreamFor(b, 7, p, 2, 10_000)
-	if err != nil {
-		t.Fatalf("StreamFor: %v", err)
-	}
-	s2, err := StreamFor(b, 7, p, 2, 10_000)
-	if err != nil {
-		t.Fatalf("StreamFor: %v", err)
-	}
-	if s1 != s2 {
-		t.Fatalf("same key returned distinct streams")
-	}
-	Reset()
-	s3, err := StreamFor(b, 7, p, 2, 10_000)
-	if err != nil {
-		t.Fatalf("StreamFor after Reset: %v", err)
-	}
-	if s3 == s1 {
-		t.Fatalf("Reset did not drop the memoized stream")
-	}
-	if fmt.Sprintf("%x", s1.Rows) != fmt.Sprintf("%x", s3.Rows) {
-		t.Fatalf("regenerated stream is not byte-identical")
-	}
-}
-
-// TestStreamForPersistRoundTrip publishes a stream through a persistent
-// store, drops the in-process memo, and requires the reload to be
-// byte-identical to the generated original — the cross-process warm path.
-func TestStreamForPersistRoundTrip(t *testing.T) {
-	defer func() {
-		SetStore(nil)
-		Reset()
-	}()
-	Reset()
-	st, err := memo.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
-	}
-	SetStore(st)
-	b, err := workload.ByName("li")
-	if err != nil {
-		t.Fatalf("workload: %v", err)
-	}
-	p := cache.PaperParams()
-	s1, err := StreamFor(b, 42, p, 2, 8_000)
-	if err != nil {
-		t.Fatalf("StreamFor: %v", err)
-	}
-	if !st.Has(Key(b, 42, p, 2, 8_000)) {
-		t.Fatalf("stream not published to the persistent store")
-	}
-	Reset()
-	s2, err := StreamFor(b, 42, p, 2, 8_000)
-	if err != nil {
-		t.Fatalf("StreamFor (warm): %v", err)
-	}
-	if s2 == s1 {
-		t.Fatalf("expected a fresh load, got the old pointer")
-	}
-	if s2.MaxB != s1.MaxB || s2.NRefs != s1.NRefs || fmt.Sprintf("%x", s2.Rows) != fmt.Sprintf("%x", s1.Rows) {
-		t.Fatalf("persisted stream differs from generated one")
-	}
-}
-
 // TestCursorBounds pins the boundary-range contract of Stream.Cursor.
 func TestCursorBounds(t *testing.T) {
-	s := &Stream{MaxB: 2, NRefs: 1, Rows: [][]byte{{0x04}, {0x05}}}
+	s := &Stream{maxB: 2, nrefs: 1, rows: [][]byte{{0x04}, {0x05}}}
 	for _, k := range []int{0, 3, -1} {
 		k := k
 		func() {

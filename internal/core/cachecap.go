@@ -214,13 +214,13 @@ func RunCache(c *CacheMachine, p Policy, intervals, n int64, keepSamples bool) C
 // never choose it).
 //
 // The whole boundary family is evaluated in ONE replay of the shared
-// pre-decoded reference stream: every boundary position advances in lockstep
-// through cache.MultiHierarchy, so each reference is generated and decoded
-// exactly once instead of once per boundary. The same closed-form timing
-// model as CacheMachine.RunInterval then converts per-boundary miss counts
-// into (TPI, TPImiss); the float expressions replicate RunInterval term for
-// term, in the same order, so results are bit-identical to one independent
-// CacheMachine per boundary (TestProfileCacheTPIOnepass).
+// reference stream, decoded in place: every boundary position advances in
+// lockstep through cache.MultiHierarchy, so each reference is generated and
+// decoded exactly once instead of once per boundary. The same closed-form
+// timing model as CacheMachine.RunInterval then converts per-boundary miss
+// counts into (TPI, TPImiss); the float expressions replicate RunInterval
+// term for term, in the same order, so results are bit-identical to one
+// independent CacheMachine per boundary (TestProfileCacheTPIOnepass).
 func ProfileCacheTPI(b workload.Benchmark, seed uint64, p cache.Params, maxBoundary int, warm, refs int64) (tpi, tpiMiss []float64, err error) {
 	// The async span makes each per-application profile cell its own
 	// timeline row, whatever worker goroutine it runs on.

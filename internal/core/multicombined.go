@@ -42,15 +42,13 @@ type CombinedConfig struct {
 //
 // The kernel therefore replays the classification-stream tier
 // (internal/classify): the per-reference outcome of every boundary is
-// materialized once per (app, seed, geometry, budget) — by one
-// MultiHierarchy pass, memoized in-process and in the persistent study
-// store — and each cell serves its load latencies from its own replay
-// cursor over its boundary's compressed row. Queue columns still advance
-// over one shared instruction buffer (ooo.MultiCore), and the cell's clock
-// remains the joint worst case of its queue and cache timings. Per-cell
-// results are bit-identical to independent CombinedMachines
-// (TestProfileCombinedOnepass): same Stats, same memLat sequence, same
-// float operation order in the TPI arithmetic.
+// materialized once per kernel, by one MultiHierarchy pass, and each cell
+// serves its load latencies from its own replay cursor over its boundary's
+// compressed row. Queue columns still advance over one shared instruction
+// buffer (ooo.MultiCore), and the cell's clock remains the joint worst case
+// of its queue and cache timings. Per-cell results are bit-identical to
+// independent CombinedMachines (TestProfileCombinedOnepass): same Stats, same
+// memLat sequence, same float operation order in the TPI arithmetic.
 type MultiCombined struct {
 	points  []CombinedConfig
 	periods []float64 // per cell: worst case of queue and cache cycle times
@@ -81,8 +79,8 @@ func classifyBudget(intervals, n int64, maxWindow, issueWidth int, rpi float64) 
 // given configuration points. sizes is the machine's queue-size table (the
 // legal values for points' QueueEntries), exactly as passed to
 // NewCombinedMachine; maxBoundary bounds the boundary rows. intervals and n
-// size the classification stream: the kernel materializes (or reuses) the
-// class outcomes for the whole planned run up front, so RunInterval may be
+// size the classification stream: the kernel materializes the class
+// outcomes for the whole planned run up front, so RunInterval may be
 // called at most `intervals` times.
 func NewMultiCombined(b workload.Benchmark, seed uint64, sizes []int, p cache.Params, maxBoundary int, points []CombinedConfig, intervals, n int64, f tech.FeatureSize) (*MultiCombined, error) {
 	if b.Mem == nil {
@@ -134,10 +132,10 @@ func NewMultiCombined(b workload.Benchmark, seed uint64, sizes []int, p cache.Pa
 		return nil, err
 	}
 
-	// One classification stream serves every cell: materialized once per
-	// (app, seed, geometry, boundary range, budget) and replayed through
-	// independent per-cell cursors, so cells sharing a boundary share the
-	// row bytes without any cross-cell extend/trim coordination.
+	// One classification stream serves every cell: materialized once and
+	// replayed through independent per-cell cursors, so cells sharing a
+	// boundary share the row bytes without any cross-cell extend/trim
+	// coordination.
 	nrefs := classifyBudget(intervals, n, maxWindow, cfgs[0].IssueWidth, m.rpi)
 	cs, err := classify.StreamFor(b, seed, p, maxBoundary, nrefs)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"capsim/internal/cache"
-	"capsim/internal/classify"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
@@ -16,14 +15,13 @@ import (
 // each reading private workload generators instead of the shared trace
 // stores, run serially. They share no state with the one-pass engines
 // except the machine models themselves, so exact float64 equality between
-// the two pins every one-pass shortcut — stream sharing, pre-decoding,
+// the two pins every one-pass shortcut — stream sharing, in-place decoding,
 // classification replay, family memoization — to the direct simulation.
 
 // coldTiers discards every memoized tier the one-pass engines build on, so
 // a test never compares a pass against numbers an earlier test left behind.
 func coldTiers() {
 	trace.Reset()
-	classify.Reset()
 	ResetPolicyFamilies()
 }
 
@@ -114,7 +112,7 @@ func oracleCombined(t *testing.T, b workload.Benchmark, seed uint64, sizes []int
 
 // TestProfileCacheTPIOnepass is the acceptance gate of the one-pass engine:
 // ProfileCacheTPI, which evaluates all boundaries in one pass over the
-// shared pre-decoded trace, must return the (TPI, TPImiss) tables of one
+// shared trace, must return the (TPI, TPImiss) tables of one
 // independent machine per boundary. Equality is exact float64 equality, not
 // approximate.
 func TestProfileCacheTPIOnepass(t *testing.T) {

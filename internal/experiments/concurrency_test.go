@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"capsim/internal/classify"
 	"capsim/internal/trace"
 )
 
@@ -123,9 +122,8 @@ func TestCancelledRunDoesNotPoisonMemo(t *testing.T) {
 
 // TestStudyCacheCapBoundsTraceTier locks the API server's memory bound: with
 // SetStudyCacheCap(2), runs at four distinct seeds leave at most two of each
-// kind of trace store and classification stream memoized — a server fed
-// ever-new seeds must not keep every seed's streams for good — and capping
-// changes no render.
+// kind of trace store memoized — a server fed ever-new seeds must not keep
+// every seed's streams for good — and capping changes no render.
 func TestStudyCacheCapBoundsTraceTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ablation-combined at four seeds twice")
@@ -159,9 +157,7 @@ func TestStudyCacheCapBoundsTraceTier(t *testing.T) {
 			t.Errorf("seed %d: capped render differs from the uncapped one", seeds[i])
 		}
 	}
-	refs, ops, dec := trace.StoreCounts()
-	if streams := classify.StreamCount(); refs > 2 || ops > 2 || dec > 2 || streams > 2 {
-		t.Errorf("cap 2 left %d ref, %d op, %d decoded stores and %d classify streams memoized",
-			refs, ops, dec, streams)
+	if refs, ops := trace.StoreCounts(); refs > 2 || ops > 2 {
+		t.Errorf("cap 2 left %d ref and %d op stores memoized", refs, ops)
 	}
 }

@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"capsim/internal/obs"
@@ -133,6 +138,63 @@ func TestPersistentCacheReuseObservable(t *testing.T) {
 		t.Errorf("warm run recomputed and republished rows: %v", warm)
 	}
 	if second != first {
+		t.Error("warm-store render differs from cold render")
+	}
+}
+
+// TestCombinedPersistsOnlyRows pins what a cold ablation-combined run
+// writes to the study cache: one entry per application's combinedRow and
+// nothing else — the classification streams the joint kernel replays live
+// and die inside that row's computation. A warm re-run then renders
+// byte-identically without generating a single classification stream.
+func TestCombinedPersistsOnlyRows(t *testing.T) {
+	cfg := shardTestConfig()
+	dir := t.TempDir()
+	defer SetStudyCacheDir("")
+	if err := SetStudyCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	run := func() string {
+		res, err := Run("ablation-combined", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Render()
+	}
+
+	ResetCaches()
+	cold := run()
+	entries, err := filepath.Glob(filepath.Join(StudyCacheDir(), "*", "*.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 5 { // gcc, stereo, appcg, compress, swim
+		t.Errorf("cold run wrote %d entries, want one per application (5)", len(entries))
+	}
+	for _, path := range entries {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// gob matches fields by name, so this decodes just the envelope's key.
+		var e struct{ Key string }
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(e.Key, "combined|") {
+			t.Errorf("cold run wrote %q, not a combined row", e.Key)
+		}
+	}
+
+	ResetCaches() // process boundary
+	s0 := obs.TakeSnapshot()
+	warm := run()
+	if gens := obs.TakeSnapshot().DiffCounters(s0)["classify.gens"]; gens != 0 {
+		t.Errorf("warm run generated %d classification streams, want 0", gens)
+	}
+	if warm != cold {
 		t.Error("warm-store render differs from cold render")
 	}
 }

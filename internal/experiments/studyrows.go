@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"capsim/internal/cache"
-	"capsim/internal/classify"
 	"capsim/internal/core"
 	"capsim/internal/flight"
 	"capsim/internal/memo"
@@ -60,7 +59,6 @@ var studyStore atomic.Pointer[memo.Store]
 func SetStudyCacheDir(dir string) error {
 	if dir == "" {
 		studyStore.Store(nil)
-		classify.SetStore(nil)
 		return nil
 	}
 	s, err := memo.OpenStore(dir)
@@ -68,10 +66,6 @@ func SetStudyCacheDir(dir string) error {
 		return err
 	}
 	studyStore.Store(s)
-	// The classification tier shares the same content-addressed store: its
-	// keys are namespaced ("classify|v1|..."), so study rows and class
-	// streams coexist in one directory.
-	classify.SetStore(s)
 	return nil
 }
 

@@ -77,8 +77,8 @@ type Options struct {
 
 	// CacheEntries bounds the response cache (default 64, <0 disables
 	// caching). The in-process memos underneath — study passes, policy
-	// families, trace stores, classification streams — are bounded
-	// separately by the caller (experiments.SetStudyCacheCap).
+	// families, trace stores — are bounded separately by the caller
+	// (experiments.SetStudyCacheCap).
 	CacheEntries int
 
 	// MaxParallel caps a request's parallel override (default

@@ -3,9 +3,9 @@ package trace
 // Varint/zigzag codec for the compressed chunk payloads. Every store encodes
 // its chunk contents as a byte stream of LEB128 varints (the encoding
 // encoding/binary uses); signed or wraparound-prone quantities are zigzag
-// folded first so small magnitudes of either sign stay short. Address and
-// (set, tag) streams are additionally delta-encoded against the previous
-// value IN THE SAME CHUNK — each chunk's delta chain starts from zero, so a
+// folded first so small magnitudes of either sign stay short. Address
+// streams are additionally delta-encoded against the previous value IN THE
+// SAME CHUNK — each chunk's delta chain starts from zero, so a
 // chunk is decodable on its own and cursors never need cross-chunk state.
 //
 // Cursors decode incrementally, one value per Next, keeping only (previous

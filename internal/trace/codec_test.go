@@ -90,7 +90,6 @@ func TestCompressionRatio(t *testing.T) {
 		b := bench(t, name)
 		RefsFor(b, 1998).Cursor().Next()
 		OpsFor(b, 1998).Cursor().Next()
-		DecodedFor(RefsFor(b, 1998), Geometry{BlockBytes: 32, Sets: 128}).Cursor().NextDecoded()
 	}
 	live, raw := obsBytes.Value()-live0, obsBytesRaw.Value()-raw0
 	if raw == 0 {

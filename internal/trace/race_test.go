@@ -48,12 +48,12 @@ func TestEnabledResetRace(t *testing.T) {
 				}
 			}
 			s := RefsFor(b, seed)
-			dec := DecodedFor(s, g).Cursor()
-			ref := s.Cursor()
+			d := DecodedFor(s, g)
+			dec, ref := d.Cursor(), s.Cursor()
 			for i := 0; i < perCursor; i++ {
 				r := ref.Next()
 				set, tag, write := dec.NextDecoded()
-				wantSet, wantTag := DecodedFor(s, g).Decode(r.Addr)
+				wantSet, wantTag := d.Decode(r.Addr)
 				if set != wantSet || tag != wantTag || write != r.Write {
 					t.Errorf("decoded ref %d inconsistent with its source", i)
 					return
@@ -76,7 +76,7 @@ func TestEnabledResetRace(t *testing.T) {
 			} else {
 				SetStoreCap(0)
 			}
-			_, _, _ = StoreCounts()
+			_, _ = StoreCounts()
 			runtime.Gosched()
 		}
 	}()

@@ -14,13 +14,15 @@
 //   - RefStore: the data-reference stream as compressed chunks (a raw write
 //     bitset plus zigzag-delta varint addresses; see codec.go);
 //   - OpStore: the dynamic instruction stream as zigzag-varint packed
-//     workload.Instr chunks;
-//   - DecodedStore: the (set, tag) decomposition of a RefStore for one cache
-//     geometry, memoized per (store, geometry) so every boundary position —
-//     which shares the set mapping by the paper's constant-index rule —
-//     decodes each reference exactly once, stored as zigzag-delta varints.
+//     workload.Instr chunks.
 //
-// All three share one chunk list (chunkList): a cursor that runs past the
+// The cache side reads a RefStore through Decoded, its (set, tag) view for
+// one cache geometry. Every boundary position shares the set mapping by the
+// paper's constant-index rule, and the pair is a shift and mask of the
+// address, so the view stores nothing: its cursor decodes each reference in
+// place from the RefStore chunk.
+//
+// Both stores share one chunk list (chunkList): a cursor that runs past the
 // materialized prefix extends the store by whole chunks under the list's
 // lock, then publishes the new chunk list atomically. Published chunks are
 // immutable, so readers never synchronize with each other; replay is
@@ -58,7 +60,6 @@ import (
 var (
 	obsRefChunks = obs.NewCounter("trace.ref_chunks") // reference chunks materialized
 	obsOpChunks  = obs.NewCounter("trace.op_chunks")  // instruction chunks materialized
-	obsDecChunks = obs.NewCounter("trace.dec_chunks") // decoded chunks materialized
 	obsBytes     = obs.NewCounter("trace.bytes")      // bytes of store data materialized (compressed)
 	obsBytesRaw  = obs.NewCounter("trace.bytes_raw")  // same data in the flat pre-compression layout
 )
@@ -74,7 +75,6 @@ const ChunkLen = 1 << 15
 const (
 	rawRefChunkBytes = ChunkLen*8 + ChunkLen/8                           // addrs + write bitset
 	rawOpChunkBytes  = ChunkLen * int64(unsafe.Sizeof(workload.Instr{})) // packed Instr array
-	rawDecChunkBytes = ChunkLen*4 + ChunkLen*8                           // sets + tags
 )
 
 // countChunk records one materialized chunk: n counts it, and the byte
@@ -162,41 +162,38 @@ func ilpFingerprint(p workload.ILPProfile) string {
 var (
 	refStores memo.Memo[refKey, *RefStore]
 	opStores  memo.Memo[opKey, *OpStore]
-	decStores memo.Memo[decKey, *DecodedStore]
 )
 
-// Reset discards every memoized store (reference, instruction and decoded),
-// so future *For calls build fresh ones; the determinism tests call it
+// Reset discards every memoized store (reference and instruction), so
+// future *For calls build fresh ones; the determinism tests call it
 // between passes so each pass re-materializes from scratch. Safe while
 // cursors are mid-replay (see the lifecycle contract in the package comment).
 func Reset() {
 	refStores.Reset()
 	opStores.Reset()
-	decStores.Reset()
 }
 
-// SetStoreCap bounds each store memo (reference, instruction, decoded) to at
-// most n entries with deterministic LRU eviction (memo.SetCap); n <= 0
+// SetStoreCap bounds each store memo (reference, instruction) to at most n
+// entries with deterministic LRU eviction (memo.SetCap); n <= 0
 // restores the unbounded default. An evicted store is orphaned exactly as by
 // Reset. The long-lived API server sets it (experiments.SetStudyCacheCap) so
 // requests at ever-new seeds cannot grow the process without bound.
 func SetStoreCap(n int) {
 	refStores.SetCap(n)
 	opStores.SetCap(n)
-	decStores.SetCap(n)
 }
 
-// StoreCounts reports how many reference, instruction and decoded stores are
+// StoreCounts reports how many reference and instruction stores are
 // currently memoized (diagnostics and tests).
-func StoreCounts() (refs, ops, decoded int) {
-	return refStores.Len(), opStores.Len(), decStores.Len()
+func StoreCounts() (refs, ops int) {
+	return refStores.Len(), opStores.Len()
 }
 
 // --- reference store ------------------------------------------------------
 
 // refChunk is one immutable span of ChunkLen references: a raw write bitset
-// (read directly by DecodedCursor too) plus zigzag-delta varint addresses.
-// The delta chain restarts at zero per chunk, so chunks decode independently.
+// plus zigzag-delta varint addresses. The delta chain restarts at zero per
+// chunk, so chunks decode independently.
 type refChunk struct {
 	writes [ChunkLen / 64]uint64
 	enc    []byte
@@ -246,12 +243,11 @@ func (s *RefStore) encode(int64) *refChunk {
 
 // Cursor returns a replay cursor positioned at the start of the stream. The
 // cursor is not safe for concurrent use; each goroutine takes its own.
-func (s *RefStore) Cursor() *RefCursor { return &RefCursor{s: s, idx: ChunkLen} }
+func (s *RefStore) Cursor() *RefCursor { return &RefCursor{refPos{s: s, idx: ChunkLen}} }
 
-// RefCursor replays a RefStore from the beginning, extending the store on
-// demand. It implements workload.RefSource, so a simulator cannot tell it
-// from the live generator.
-type RefCursor struct {
+// refPos is a read position in a RefStore, shared by RefCursor and
+// DecodedCursor.
+type refPos struct {
 	s    *RefStore
 	ci   int64 // index of the NEXT chunk to load
 	idx  int   // position within the current chunk; ChunkLen forces a load
@@ -260,14 +256,26 @@ type RefCursor struct {
 	c    *refChunk
 }
 
+// load moves to the next chunk, materializing it if necessary.
+func (p *refPos) load() {
+	p.c = p.s.at(p.ci)
+	p.ci++
+	p.idx = 0
+	p.off = 0
+	p.prev = 0
+}
+
+// RefCursor replays a RefStore from the beginning, extending the store on
+// demand. It implements workload.RefSource, so a simulator cannot tell it
+// from the live generator.
+type RefCursor struct {
+	refPos
+}
+
 // Next returns the next reference in the stream.
 func (c *RefCursor) Next() workload.Ref {
 	if c.idx == ChunkLen {
-		c.c = c.s.at(c.ci)
-		c.ci++
-		c.idx = 0
-		c.off = 0
-		c.prev = 0
+		c.load()
 	}
 	i := c.idx
 	c.idx++

@@ -107,7 +107,7 @@ func TestGeometryValidate(t *testing.T) {
 }
 
 // TestMemoization checks the store identity contract: one store per
-// (benchmark, seed) and per (store, geometry), discarded by Reset.
+// (benchmark, seed), discarded by Reset.
 func TestMemoization(t *testing.T) {
 	defer Reset()
 	Reset()
@@ -121,17 +121,13 @@ func TestMemoization(t *testing.T) {
 	if o1, o2 := OpsFor(b, 1), OpsFor(b, 1); o1 != o2 {
 		t.Error("same (benchmark, seed) produced distinct op stores")
 	}
-	g := Geometry{BlockBytes: 32, Sets: 128}
-	if d1, d2 := DecodedFor(RefsFor(b, 1), g), DecodedFor(RefsFor(b, 1), g); d1 != d2 {
-		t.Error("same (store, geometry) produced distinct decoded stores")
-	}
-	refs, ops, dec := StoreCounts()
-	if refs != 2 || ops != 1 || dec != 1 {
-		t.Errorf("StoreCounts = (%d,%d,%d), want (2,1,1)", refs, ops, dec)
+	refs, ops := StoreCounts()
+	if refs != 2 || ops != 1 {
+		t.Errorf("StoreCounts = (%d,%d), want (2,1)", refs, ops)
 	}
 	Reset()
-	if refs, ops, dec = StoreCounts(); refs+ops+dec != 0 {
-		t.Errorf("Reset left (%d,%d,%d) stores", refs, ops, dec)
+	if refs, ops = StoreCounts(); refs+ops != 0 {
+		t.Errorf("Reset left (%d,%d) stores", refs, ops)
 	}
 }
 
@@ -172,3 +168,36 @@ func TestConcurrentCursors(t *testing.T) {
 		t.Errorf("store length %d < %d", s.Len(), n)
 	}
 }
+
+// BenchmarkDecodedReplay drains 2^20 gcc references per operation through a
+// decoded cursor at the paper's cache geometry, the store already
+// materialized, and reports the cost per reference:
+//
+//	go test -run '^$' -bench BenchmarkDecodedReplay -cpu 1 ./internal/trace
+func BenchmarkDecodedReplay(b *testing.B) {
+	defer Reset()
+	const n = 1 << 20
+	s := RefsFor(bench(b, "gcc"), 1998)
+	d := DecodedFor(s, Geometry{BlockBytes: 32, Sets: 128})
+	drain := func() (acc uint64) {
+		c := d.Cursor()
+		for i := 0; i < n; i++ {
+			set, tag, write := c.NextDecoded()
+			acc += uint64(set) ^ tag
+			if write {
+				acc++
+			}
+		}
+		return acc
+	}
+	drain() // materialize the store outside the timed loop
+	b.ResetTimer()
+	var acc uint64
+	for i := 0; i < b.N; i++ {
+		acc += drain()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/ref")
+	sinkU64 = acc
+}
+
+var sinkU64 uint64

@@ -23,10 +23,12 @@ race:
 # ci-race is the focused race lane over the concurrency-heavy packages — the
 # flight recorder's publication fan-out, the obs counters, the API server's
 # streaming/admission paths, the sweep pool and the trace stores' concurrent
-# chunk publication — cheap enough to run on every iteration (the full `race`
-# target covers the whole module).
+# chunk publication, and the policy layer's race families (concurrent
+# extension, cancellation and prefix views) — cheap enough to run on every
+# iteration (the full `race` target covers the whole module).
 ci-race:
 	$(GO) test -race -timeout 10m ./internal/flight/ ./internal/obs/ ./internal/server/ ./internal/sweep/ ./internal/trace/
+	$(GO) test -race -timeout 10m -run 'RaceFamilyConcurrent|RaceFamilyCancelledExtension|IntervalFamilyExtension' ./internal/core/
 
 vet:
 	$(GO) vet ./...

@@ -193,7 +193,7 @@ func parseArgs(args []string) (runConfig, error) {
 
 // resolveIDs expands an -experiment value: "all", or a comma-separated list
 // of registered ids run in the given order in ONE process, so passes they
-// share — materialized traces, interval families — are computed once and
+// share — materialized traces, race families — are computed once and
 // reused across them. Every id is checked here, so an unknown one fails the
 // run before the first id simulates.
 func resolveIDs(spec string) ([]string, error) {

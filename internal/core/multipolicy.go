@@ -3,152 +3,38 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"capsim/internal/clock"
 	"capsim/internal/flight"
-	"capsim/internal/memo"
 	"capsim/internal/obs"
-	"capsim/internal/ooo"
 	"capsim/internal/palacharla"
 	"capsim/internal/tech"
-	"capsim/internal/trace"
 	"capsim/internal/workload"
 )
 
-// obsPolicyCells counts (policy column × interval) cells: those an interval
-// family simulates, plus those every Race call returns, replayed or
-// simulated (policy.race_sim_cells counts the simulated ones).
+// obsPolicyCells counts the (policy column × interval) cells every Race
+// call returns, replayed or simulated; policy.race_sim_cells counts the
+// simulated ones, the fixed columns included.
 var obsPolicyCells = obs.NewCounter("policy.cells")
 
-// intervalKey identifies one interval family: the per-size, per-interval raw
-// core outcomes (cycles, issued) of an application's stream chopped into
-// n-instruction intervals. The key deliberately EXCLUDES the clock-switch
-// penalty and the feature size: interval outcomes are pure core statistics —
-// periods and penalties are applied at replay time — so fig12/fig13, the
-// per-interval oracle, and every ablation penalty point share one family.
-type intervalKey struct {
-	app   string
-	seed  uint64
-	sizes string // fmt.Sprint of the size list (order matters)
-	n     int64  // instructions per interval
-}
+// ResetPolicyFamilies drops all memoized race families (tests and
+// long-lived processes; one-shot CLI runs never need it).
+func ResetPolicyFamilies() { raceFamilies.Reset() }
 
-// intervalFamily is the memoized computation behind the one-pass interval
-// engines: a live MultiCore (one member per queue size) advancing through
-// the shared instruction stream, plus the per-size append-only streams of
-// raw interval outcomes it has produced so far. Consumers extend it to the
-// interval count they need and replay the prefix; a later consumer needing
-// more intervals resumes the same cores — the family is a fresh full-length
-// run paused at its high-water mark, so prefixes are bit-identical at every
-// extension.
-type intervalFamily struct {
-	mu     sync.Mutex
-	mc     *ooo.MultiCore
-	stream workload.InstrSource
-	n      int64
-	done   int64
-	cycles [][]int64 // [size][interval]: core cycles of that interval
-	issued [][]int64 // [size][interval]: instructions issued (>= n)
-}
-
-// families memoizes interval families per key with singleflight semantics;
-// the family itself serializes extension under its own mutex.
-var families memo.Memo[intervalKey, *intervalFamily]
-
-// ResetPolicyFamilies drops all memoized interval and race families (tests
-// and long-lived processes; one-shot CLI runs never need it).
-func ResetPolicyFamilies() {
-	families.Reset()
-	raceFamilies.Reset()
-}
-
-// SetPolicyFamilyCap bounds the interval-family and race-family memos to at
-// most n entries each, with deterministic LRU eviction (memo.SetCap); n <= 0
-// restores the unbounded default. Each family holds a live MultiCore, so a
-// long-lived process racing fresh seeds must cap them.
-func SetPolicyFamilyCap(n int) {
-	families.SetCap(n)
-	raceFamilies.SetCap(n)
-}
-
-// familyFor returns the (possibly already advanced) interval family for the
-// given application and size list.
-func familyFor(b workload.Benchmark, seed uint64, sizes []int, n int64) (*intervalFamily, error) {
-	key := intervalKey{app: b.Name, seed: seed, sizes: fmt.Sprint(sizes), n: n}
-	return families.Do(key, func() (*intervalFamily, error) {
-		if len(sizes) == 0 {
-			return nil, fmt.Errorf("core: no queue sizes")
-		}
-		cfgs := make([]ooo.Config, len(sizes))
-		for i, w := range sizes {
-			if w < 1 {
-				return nil, fmt.Errorf("core: queue size %d invalid", w)
-			}
-			cfgs[i] = ooo.PaperConfig(w)
-		}
-		mc, err := ooo.NewMultiCore(cfgs)
-		if err != nil {
-			return nil, err
-		}
-		return &intervalFamily{
-			mc:     mc,
-			stream: trace.OpsFor(b, seed).Cursor(),
-			n:      n,
-			cycles: make([][]int64, len(sizes)),
-			issued: make([][]int64, len(sizes)),
-		}, nil
-	})
-}
-
-// extendTo advances the family to at least `intervals` materialized
-// intervals, one lockstep RunEach round per interval. Partial progress is
-// kept on cancellation — the family stays consistent at whatever interval
-// count it reached. Callers must hold f.mu.
-func (f *intervalFamily) extendTo(ctx context.Context, intervals int64) error {
-	for f.done < intervals {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i, st := range f.mc.RunEach(f.stream, f.n) {
-			f.cycles[i] = append(f.cycles[i], st.Cycles)
-			f.issued[i] = append(f.issued[i], st.Issued)
-		}
-		f.done++
-		obsPolicyCells.Add(int64(len(f.cycles)))
-	}
-	return nil
-}
-
-// rows extends the family to `intervals` and returns copies of the
-// per-size outcome prefixes. Copies, not views: another goroutine may
-// extend (and so reallocate) the live streams as soon as the lock drops.
-func (f *intervalFamily) rows(ctx context.Context, intervals int64) (cycles, issued [][]int64, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.extendTo(ctx, intervals); err != nil {
-		return nil, nil, err
-	}
-	cycles = make([][]int64, len(f.cycles))
-	issued = make([][]int64, len(f.issued))
-	for i := range f.cycles {
-		cycles[i] = append([]int64(nil), f.cycles[i][:intervals]...)
-		issued[i] = append([]int64(nil), f.issued[i][:intervals]...)
-	}
-	f.mc.PublishObs()
-	return cycles, issued, nil
-}
+// SetPolicyFamilyCap bounds the race-family memo to at most n entries, with
+// deterministic LRU eviction (memo.SetCap); n <= 0 restores the unbounded
+// default. Each family holds a live MultiCore, so a long-lived process
+// racing fresh seeds must cap it.
+func SetPolicyFamilyCap(n int) { raceFamilies.SetCap(n) }
 
 // MultiPolicy races interval policies over one application without
-// re-simulating the core per policy. Fixed-configuration policies (the
-// paper's baselines, and the columns the per-interval oracle minimizes
-// over) replay the memoized interval family — raw (cycles, issued) outcomes
-// with the policy's clock arithmetic applied in replay order, bit-identical
-// to a private QueueMachine. Stateful policies that actually reconfigure
-// run as lockstep columns of one MultiCore over the shared stream, each
-// with its own monitor and resizes — mirroring MultiCombined's row/cell
-// structure with policies as columns — memoized per roster as a race family
-// whose columns every penalty replays through its own clock.
+// re-simulating the core per policy. Every policy runs as a lockstep column
+// of one MultiCore over the shared stream, with its own monitor and resizes
+// — mirroring MultiCombined's row/cell structure with policies as columns —
+// memoized per roster as a race family whose columns every penalty replays
+// through its own clock. The paper's fixed baselines, and the columns the
+// per-interval oracle minimizes over, are one such roster: FixedPolicy{i}
+// for every menu size i (fixedColumns).
 type MultiPolicy struct {
 	b       workload.Benchmark
 	seed    uint64
@@ -204,76 +90,64 @@ func NewMultiPolicy(b workload.Benchmark, seed uint64, sizes []int, n int64, pen
 	}, nil
 }
 
-// Traces returns per-size, per-interval TPI from the memoized family — the
+// fixedColumns returns the first `intervals` steps of the fixed roster's
+// race family: column i is FixedPolicy{Config: i}. Its one resize, at
+// interval 0 on an empty core, drains no cycles, so every step is the raw
+// (cycles, issued) outcome of a core of size i — the rows Traces, RunFixed,
+// RunOracle and the recorder's oracle read.
+func (mp *MultiPolicy) fixedColumns(ctx context.Context, intervals int64) ([][]raceStep, error) {
+	specs := make([]PolicySpec, len(mp.sizes))
+	for i := range specs {
+		specs[i].Policy = FixedPolicy{Config: i}
+	}
+	fam, err := mp.raceFamilyFor(specs)
+	if err != nil {
+		return nil, err
+	}
+	return fam.steps(ctx, intervals)
+}
+
+// Traces returns per-size, per-interval TPI from the fixed columns — the
 // ProfileQueueTraces product. The expression replicates
 // QueueMachine.RunInterval's float operation order (cycles × period, divided
 // by issued), so each trace is bit-identical to a private machine.
 func (mp *MultiPolicy) Traces(ctx context.Context, intervals int64) ([][]float64, error) {
-	fam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
+	cols, err := mp.fixedColumns(ctx, intervals)
 	if err != nil {
 		return nil, err
 	}
-	cycles, issued, err := fam.rows(ctx, intervals)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(mp.sizes))
-	for i := range out {
+	out := make([][]float64, len(cols))
+	for i, col := range cols {
 		out[i] = make([]float64, intervals)
-		for iv := int64(0); iv < intervals; iv++ {
-			out[i][iv] = float64(cycles[i][iv]) * mp.cycs[i] / float64(issued[i][iv])
+		for iv, s := range col {
+			out[i][iv] = float64(s.cycles) * mp.cycs[i] / float64(s.issued)
 		}
 	}
 	if flight.Active(ctx) {
-		mp.publishTraceRuns(ctx, cycles, issued, out, intervals)
+		if err := mp.publishTraceRuns(ctx, cols); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// RunFixed replays RunQueue(FixedPolicy{cfg}) from the family: the family's
-// cfg column, as a race column that never leaves cfg, through replayRace.
-//
-// The one reconfiguration a fixed policy performs — interval 0, away from
-// the construction default 0 — happens on an EMPTY core, so its drain is
-// exactly zero stall cycles and the family's column (a core built at the
-// target size) observes the identical instruction stream; the transition
-// differential tests pin this against direct simulation. The column's
-// interval times are never below the family oracle, which minimizes over
-// it, so replayRace's regret floor never engages.
+// RunFixed replays RunQueue(FixedPolicy{cfg}): the fixed roster's cfg
+// column, replayed from the construction default 0. Its interval times are
+// never below the oracle, which minimizes over it, so replayRace's regret
+// floor never engages.
 func (mp *MultiPolicy) RunFixed(ctx context.Context, cfg int, intervals int64) (RunResult, error) {
 	if cfg < 0 || cfg >= len(mp.sizes) {
 		return RunResult{}, fmt.Errorf("core: fixed config %d outside [0,%d)", cfg, len(mp.sizes))
 	}
-	fam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
+	cols, err := mp.fixedColumns(ctx, intervals)
 	if err != nil {
 		return RunResult{}, err
 	}
-	cycles, issued, err := fam.rows(ctx, intervals)
-	if err != nil {
-		return RunResult{}, err
+	var oracle *oracleRef
+	if flight.Active(ctx) {
+		oracle = mp.flightOracle(cols)
 	}
-	steps := make([]raceStep, intervals)
-	for iv := range steps {
-		steps[iv] = raceStep{cycles: cycles[cfg][iv], issued: issued[cfg][iv], cfg: cfg}
-	}
-	rec := flight.Active(ctx)
-	var (
-		oCfg []int
-		oNS  []float64
-	)
-	if rec {
-		oCfg, oNS = mp.flightOracle(cycles, intervals)
-	}
-	res, evs, regretNS, err := mp.replayRace(steps, rec, oCfg, oNS)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res.Policy = FixedPolicy{Config: cfg}.Name()
-	if rec {
-		meta := mp.flightMeta(res.Policy, flight.KindFixed)
-		flight.Publish(ctx, meta, evs, flightEnd(intervals, res.Instrs, res.Switches, res.TimeNS, regretNS))
-	}
-	return res, nil
+	return mp.replayRace(ctx, cols[cfg], 0, FixedPolicy{Config: cfg}.Name(), flight.KindFixed, oracle)
 }
 
 // Race runs N stateful policies as lockstep columns of ONE MultiCore over
@@ -297,61 +171,44 @@ func (mp *MultiPolicy) Race(ctx context.Context, specs []PolicySpec, intervals i
 	if err != nil {
 		return nil, err
 	}
-	// Flight recording: the oracle reference comes from the memoized interval
-	// family (materialized here if no other consumer has yet — the same pass
-	// Traces replays).
-	rec := flight.Active(ctx)
-	var (
-		oCfg []int
-		oNS  []float64
-	)
-	if rec {
-		ifam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
+	var oracle *oracleRef
+	if flight.Active(ctx) {
+		cols, err := mp.fixedColumns(ctx, intervals)
 		if err != nil {
 			return nil, err
 		}
-		famCycles, _, err := ifam.rows(ctx, intervals)
-		if err != nil {
-			return nil, err
-		}
-		oCfg, oNS = mp.flightOracle(famCycles, intervals)
+		oracle = mp.flightOracle(cols)
 	}
 	out := make([]RunResult, len(specs))
 	for j, spec := range specs {
-		res, evs, regretNS, err := mp.replayRace(steps[j], rec, oCfg, oNS)
-		if err != nil {
+		if out[j], err = mp.replayRace(ctx, steps[j], 0, spec.Policy.Name(), flight.KindRace, oracle); err != nil {
 			return nil, err
-		}
-		res.Policy = spec.Policy.Name()
-		out[j] = res
-		if rec {
-			meta := mp.flightMeta(res.Policy, flight.KindRace)
-			flight.Publish(ctx, meta, evs, flightEnd(intervals, res.Instrs, res.Switches, res.TimeNS, regretNS))
 		}
 	}
 	obsPolicyCells.Add(int64(len(specs)) * intervals)
 	return out, nil
 }
 
-// replayRace replays one race column's log through a fresh clock.System at
-// this engine's penalty. A switch is charged in QueueMachine.SetConfig's
-// order — drain at the old clock, then the switch penalty at the old period
-// — before the interval advances at the new clock. When rec it also builds
-// the column's flight events from the same values, returning them with the
-// column's cumulative regret.
-func (mp *MultiPolicy) replayRace(steps []raceStep, rec bool, oCfg []int, oNS []float64) (RunResult, []flight.Event, float64, error) {
-	clk, err := clock.NewSystem(mp.sources, 0, mp.penalty)
+// replayRace replays one column's log through a fresh clock.System at this
+// engine's penalty, starting at configuration start, and returns the run
+// under name. A switch is charged in QueueMachine.SetConfig's order — drain
+// at the old clock, then the switch penalty at the old period — before the
+// interval advances at the new clock. When oracle is non-nil (the recorder
+// is on) it also builds the column's flight events from the same values and
+// publishes them under kind.
+func (mp *MultiPolicy) replayRace(ctx context.Context, steps []raceStep, start int, name, kind string, oracle *oracleRef) (RunResult, error) {
+	clk, err := clock.NewSystem(mp.sources, start, mp.penalty)
 	if err != nil {
-		return RunResult{}, nil, 0, err
+		return RunResult{}, err
 	}
 	var (
 		evs      []flight.Event
 		timeNS   float64
 		regretNS float64
 		instrs   int64
-		cur      int
+		cur      = start
 	)
-	if rec {
+	if oracle != nil {
 		evs = make([]flight.Event, 0, len(steps))
 	}
 	for iv, s := range steps {
@@ -361,7 +218,7 @@ func (mp *MultiPolicy) replayRace(steps []raceStep, rec bool, oCfg []int, oNS []
 			drainNS = clk.Advance(s.drain)
 			timeNS += drainNS
 			if penNS, err = clk.Select(s.cfg); err != nil {
-				return RunResult{}, nil, 0, err
+				return RunResult{}, err
 			}
 			timeNS += penNS
 			cur = s.cfg
@@ -369,13 +226,13 @@ func (mp *MultiPolicy) replayRace(steps []raceStep, rec bool, oCfg []int, oNS []
 		dt := clk.Advance(s.cycles)
 		instrs += s.issued
 		timeNS += dt
-		if rec {
+		if oracle != nil {
 			tot := drainNS + penNS + dt
-			// Race columns diverge from the family columns after a resize,
-			// so an interval can occasionally beat every family column;
-			// regret vs the family oracle is floored at zero to keep the
-			// ledger's monotonicity invariant meaningful.
-			regret := tot - oNS[iv]
+			// Race columns diverge from the fixed columns after a resize,
+			// so an interval can occasionally beat every fixed column;
+			// regret vs the oracle is floored at zero to keep the ledger's
+			// monotonicity invariant meaningful.
+			regret := tot - oracle.ns[iv]
 			if regret < 0 {
 				regret = 0
 			}
@@ -393,26 +250,29 @@ func (mp *MultiPolicy) replayRace(steps []raceStep, rec bool, oCfg []int, oNS []
 				AdvNS:       dt,
 				CumTimeNS:   timeNS,
 				TPI:         dt / float64(s.issued),
-				OracleCfg:   oCfg[iv],
-				OracleNS:    oNS[iv],
+				OracleCfg:   oracle.cfg[iv],
+				OracleNS:    oracle.ns[iv],
 				RegretNS:    regret,
 				CumRegretNS: regretNS,
 				Switched:    switched,
 			})
 		}
 	}
-	res := RunResult{Instrs: instrs, TimeNS: timeNS, Switches: clk.Switches()}
+	res := RunResult{Policy: name, Instrs: instrs, TimeNS: timeNS, Switches: clk.Switches()}
 	if instrs != 0 {
 		res.TPI = timeNS / float64(instrs)
 	}
-	return res, evs, regretNS, nil
+	if oracle != nil {
+		flight.Publish(ctx, mp.flightMeta(name, kind), evs, flightEnd(int64(len(steps)), res, regretNS))
+	}
+	return res, nil
 }
 
 // RunPolicyStudy is the interval drivers' entry point: one policy-driven run
 // of `intervals` intervals of `n` instructions at initial configuration 0.
-// Fixed policies replay the memoized interval family and stateful policies
-// run through the lockstep Race engine; both are bit-identical to a private
-// QueueMachine driven by RunQueue (TestMultiPolicyTransitionCosts).
+// Fixed policies replay the fixed roster's columns and stateful policies
+// race their own roster; both are bit-identical to a private QueueMachine
+// driven by RunQueue (TestMultiPolicyTransitionCosts).
 func RunPolicyStudy(ctx context.Context, b workload.Benchmark, seed uint64, sizes []int, p Policy, intervals, n int64, penaltyCycles int, f tech.FeatureSize) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err

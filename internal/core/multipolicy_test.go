@@ -22,12 +22,13 @@ var policyCases = []struct {
 
 // TestMultiPolicyTransitionCosts is the transition-cost accounting gate: for
 // every policy × application × switch penalty, the one-pass replay
-// (RunPolicyStudy: family replay for fixed policies, the lockstep Race
-// engine for stateful ones) must charge the exact same reconfiguration
-// costs — drain stalls at the old clock, switch penalty at the old period —
-// as a direct private QueueMachine simulation driven by RunQueue. Equality is exact float64
-// equality on every aggregate, including TimeNS (where a mischarged penalty
-// would surface even when TPI rounds identically).
+// (RunPolicyStudy: the fixed roster's columns for fixed policies, the
+// contenders' own race for stateful ones) must charge the exact same
+// reconfiguration costs — drain stalls at the old clock, switch penalty at
+// the old period — as a direct private QueueMachine simulation driven by
+// RunQueue. Equality is exact float64 equality on every aggregate, including
+// TimeNS (where a mischarged penalty would surface even when TPI rounds
+// identically).
 func TestMultiPolicyTransitionCosts(t *testing.T) {
 	ctx := context.Background()
 	intervals, n := int64(40), int64(2000)
@@ -115,9 +116,10 @@ func TestMultiPolicyRaceLockstep(t *testing.T) {
 	}
 }
 
-// TestIntervalFamilyExtension pins extension equivalence: traces read at a
-// short horizon and then re-read at a longer one must agree on the common
-// prefix, and the extended family must still match a cold full-length pass.
+// TestIntervalFamilyExtension pins extension equivalence of the fixed
+// roster's race family: traces read at a short horizon and then re-read at a
+// longer one must agree on the common prefix, and the extended family must
+// still match a cold full-length pass.
 func TestIntervalFamilyExtension(t *testing.T) {
 	ctx := context.Background()
 	b := workload.MustByName("turb3d")

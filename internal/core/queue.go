@@ -221,10 +221,10 @@ func ProfileQueueTPI(b workload.Benchmark, seed uint64, sizes []int, instrs int6
 // application's stream and returns per-size, per-interval TPI — the raw
 // material of the Figure 12/13 snapshots and the per-interval oracle.
 //
-// The per-size raw interval outcomes come from the memoized interval family
-// (one MultiCore pass over the shared instruction buffer, shared with the
-// fixed-policy replays and every other trace consumer of the same size
-// list), and the per-interval TPI expression replicates
+// The per-size raw interval outcomes are the fixed roster's race-family
+// columns (one MultiCore pass over the shared instruction buffer, shared
+// with the fixed-policy replays, the oracle and every other trace consumer
+// of the same menu), and the per-interval TPI expression replicates
 // QueueMachine.RunInterval's float operation order (cycles × period, divided
 // by issued), so each trace is bit-identical to a private
 // fixed-configuration machine (TestProfileQueueTracesOnepass).

@@ -14,18 +14,16 @@ import (
 	"capsim/internal/workload"
 )
 
-// obsRaceSimCells counts the (policy column × interval) race cells actually
-// simulated by race-family extension. policy.cells counts every cell a Race
-// call returns, replayed or simulated; the difference is what the race memo
-// saved.
+// obsRaceSimCells counts the (policy column × interval) cells actually
+// simulated by race-family extension, the fixed roster's columns included.
+// policy.cells counts every cell a Race call returns, replayed or simulated.
 var obsRaceSimCells = obs.NewCounter("policy.race_sim_cells")
 
 // raceKey identifies one race family: a contender roster raced over an
-// application's stream in n-instruction intervals. Like intervalKey it
-// EXCLUDES the clock-switch penalty — the clock system charges a switch, the
-// core never sees it, and policies observe only (config, TPI, IPC), whose
-// TPI is cycles × period / issued — so every penalty point replays one
-// family. The clock periods are in the key instead of the feature size:
+// application's stream in n-instruction intervals. The key EXCLUDES the
+// clock-switch penalty — the clock system charges a switch, the core never
+// sees it, and policies observe only (config, TPI, IPC), whose TPI is
+// cycles × period / issued — so every penalty point replays one family. The clock periods are in the key instead of the feature size:
 // they are what the monitors' TPI samples, and so the policies' decisions,
 // depend on.
 type raceKey struct {
@@ -49,9 +47,9 @@ type raceStep struct {
 // raceFamily is the memoized computation behind Race: a live lockstep
 // MultiCore (one member core per contender) advancing through the shared
 // instruction stream, the contenders' own policy instances and monitors, and
-// the per-column append-only logs of what each column did. Like an interval
-// family it is a fresh full-length race paused at its high-water mark, so
-// every prefix is bit-identical to a cold race of that length.
+// the per-column append-only logs of what each column did. It is a fresh
+// full-length race paused at its high-water mark, so every prefix is
+// bit-identical to a cold race of that length.
 type raceFamily struct {
 	mu       sync.Mutex
 	mc       *ooo.MultiCore

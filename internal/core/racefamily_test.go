@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"capsim/internal/flight"
+	"capsim/internal/obs"
 	"capsim/internal/tech"
 	"capsim/internal/workload"
 )
@@ -115,8 +116,10 @@ func TestRaceFamilyPenaltyReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			sharedRes[pi], sharedEvs[pi] = recordedRace(t, ctx, mp, zooRoster(), intervals)
-			if got := raceFamilies.Len(); got != 1 {
-				t.Fatalf("%s pen=%d: %d race families, want the one shared family", app, pen, got)
+			// The contenders' family, plus the fixed roster's behind the
+			// recorder's oracle; a per-penalty family would add more.
+			if got := raceFamilies.Len(); got != 2 {
+				t.Fatalf("%s pen=%d: %d race families, want the shared contenders' and fixed roster's", app, pen, got)
 			}
 			for j, spec := range zooRoster() {
 				name := fmt.Sprintf("%s/pen=%d/%s", app, pen, spec.Policy.Name())
@@ -178,6 +181,51 @@ func TestRaceFamilyPrefix(t *testing.T) {
 	}
 	if !reflect.DeepEqual(prefixEvs, coldEvs) {
 		t.Error("prefix replay's flight column differs from a cold race's")
+	}
+}
+
+// TestFixedColumnsSimulatedOnce pins the one memo behind the fixed columns:
+// Traces simulates the fixed roster once; every RunFixed, RunOracle and the
+// recorded race's oracle replay it; and policy.cells counts only the cells
+// Race returns.
+func TestFixedColumnsSimulatedOnce(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	ResetPolicyFamilies()
+	defer ResetPolicyFamilies()
+	ctx := context.Background()
+	const intervals = 40
+	mp, err := NewMultiPolicy(workload.MustByName("flutter"), 1998, zooMenuSizes, 2000, 50, tech.Micron018)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim0, cells0 := obsRaceSimCells.Value(), obsPolicyCells.Value()
+	fixedCells := int64(len(zooMenuSizes)) * intervals
+	if _, err := mp.Traces(ctx, intervals); err != nil {
+		t.Fatal(err)
+	}
+	if d := obsRaceSimCells.Value() - sim0; d != fixedCells {
+		t.Fatalf("Traces simulated %d cells, want %d", d, fixedCells)
+	}
+	for cfg := range zooMenuSizes {
+		if _, err := mp.RunFixed(ctx, cfg, intervals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := mp.RunOracle(ctx, intervals); err != nil {
+		t.Fatal(err)
+	}
+	if d := obsRaceSimCells.Value() - sim0 - fixedCells; d != 0 {
+		t.Fatalf("fixed reads after Traces simulated %d cells, want 0", d)
+	}
+	roster := zooRoster()
+	raceCells := int64(len(roster)) * intervals
+	recordedRace(t, ctx, mp, roster, intervals)
+	if d := obsRaceSimCells.Value() - sim0; d != fixedCells+raceCells {
+		t.Errorf("policy.race_sim_cells rose by %d, want %d fixed + %d race", d, fixedCells, raceCells)
+	}
+	if d := obsPolicyCells.Value() - cells0; d != raceCells {
+		t.Errorf("policy.cells rose by %d, want the race's %d", d, raceCells)
 	}
 }
 
@@ -292,53 +340,63 @@ func TestRaceFamilyCancelledExtension(t *testing.T) {
 }
 
 // TestRaceFamilyConcurrent races one roster from several goroutines at
-// different penalties and prefixes at once; every result must equal the
-// same race run cold and alone. Run with -race to check the family's
-// locking and the lock-free prefix views.
+// different penalties and prefixes at once, while others read the fixed
+// roster's columns through Traces, RunFixed and RunOracle on the same menu;
+// every result must equal the same call run cold and alone. Run with -race
+// to check the family's locking and the lock-free prefix views.
 func TestRaceFamilyConcurrent(t *testing.T) {
 	ctx := context.Background()
 	b := workload.MustByName("vortex")
 	sizes := []int{16, 64}
-	roster := func() []PolicySpec { return []PolicySpec{{Policy: &IntervalPolicy{Configs: []int{0, 1}}}} }
 	pens := []int{0, 10, 20, 50, 100, 200}
-	race := func(i int) (RunResult, error) {
+	const kinds = 4 // Race, Traces, RunFixed, RunOracle
+	// call runs job k: engine k%kinds at penalty and prefix k/kinds.
+	call := func(k int) (any, error) {
+		i := k / kinds
 		mp, err := NewMultiPolicy(b, 1998, sizes, 2000, pens[i], tech.Micron018)
 		if err != nil {
-			return RunResult{}, err
+			return nil, err
 		}
-		res, err := mp.Race(ctx, roster(), int64(40+10*i))
-		if err != nil {
-			return RunResult{}, err
+		intervals := int64(40 + 10*i)
+		switch k % kinds {
+		case 0:
+			return mp.Race(ctx, []PolicySpec{{Policy: &IntervalPolicy{Configs: []int{0, 1}}}}, intervals)
+		case 1:
+			return mp.Traces(ctx, intervals)
+		case 2:
+			return mp.RunFixed(ctx, i%len(sizes), intervals)
+		default:
+			return mp.RunOracle(ctx, intervals)
 		}
-		return res[0], nil
 	}
-	want := make([]RunResult, len(pens))
-	for i := range pens {
+	jobs := kinds * len(pens)
+	want := make([]any, jobs)
+	for k := range want {
 		ResetPolicyFamilies()
 		var err error
-		if want[i], err = race(i); err != nil {
+		if want[k], err = call(k); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ResetPolicyFamilies()
 	defer ResetPolicyFamilies()
-	got := make([]RunResult, len(pens))
-	errs := make([]error, len(pens))
+	got := make([]any, jobs)
+	errs := make([]error, jobs)
 	var wg sync.WaitGroup
-	wg.Add(len(pens))
-	for i := range pens {
-		go func(i int) {
+	wg.Add(jobs)
+	for k := range got {
+		go func(k int) {
 			defer wg.Done()
-			got[i], errs[i] = race(i)
-		}(i)
+			got[k], errs[k] = call(k)
+		}(k)
 	}
 	wg.Wait()
-	for i := range pens {
-		if errs[i] != nil {
-			t.Fatalf("pen=%d: %v", pens[i], errs[i])
+	for k := range got {
+		if errs[k] != nil {
+			t.Fatalf("job %d: %v", k, errs[k])
 		}
-		if !sameRun(got[i], want[i]) {
-			t.Errorf("pen=%d: concurrent race %+v != serial cold race %+v", pens[i], got[i], want[i])
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Errorf("job %d (engine %d, pen=%d): concurrent %+v != serial cold %+v", k, k%kinds, pens[k/kinds], got[k], want[k])
 		}
 	}
 }

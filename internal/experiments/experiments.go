@@ -155,8 +155,8 @@ func Title(id string) (string, error) {
 }
 
 // ResetCaches discards the memoized cache- and queue-study profiling passes,
-// the shared materialized trace stores and the interval and race families
-// layered on them. Long-lived processes that sweep many configurations can
+// the shared materialized trace stores and the race families layered on
+// them (the fixed baselines' columns included). Long-lived processes that sweep many configurations can
 // call it to bound memory; the determinism tests call it between serial and
 // parallel passes so the comparison re-runs the full compute instead of
 // hitting the memo.
@@ -201,13 +201,13 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 }
 
 // SetStudyCacheCap bounds every in-process memo a run fills — the cache-
-// and queue-study passes, the interval and race families behind the policy
-// studies and the materialized trace stores — to at most n entries each,
-// with deterministic LRU eviction (memo.SetCap). The long-lived API server
-// sets this at startup so a stream of requests with distinct seeds or
-// budgets cannot grow the process without bound; the one-shot CLI never
-// calls it and keeps the unbounded default. Eviction never changes a
-// render: an evicted entry is recomputed identically.
+// and queue-study passes, the one race-family memo behind every policy
+// study (fixed baselines included) and the materialized trace stores — to at
+// most n entries each, with deterministic LRU eviction (memo.SetCap). The
+// long-lived API server sets this at startup so a stream of requests with
+// distinct seeds or budgets cannot grow the process without bound; the
+// one-shot CLI never calls it and keeps the unbounded default. Eviction
+// never changes a render: an evicted entry is recomputed identically.
 func SetStudyCacheCap(n int) {
 	cacheStudies.SetCap(n)
 	queueStudies.SetCap(n)

@@ -60,11 +60,12 @@ var obsDropped = obs.NewCounter("flight.dropped_runs")
 
 // Run kinds: how the column was produced.
 const (
-	// KindTrace is a fixed-configuration replay column of an interval family
-	// (core.MultiPolicy.Traces) — the raw material of fig12/fig13.
+	// KindTrace is a fixed-configuration replay column of the fixed roster's
+	// race family (core.MultiPolicy.Traces), replayed from its own
+	// configuration so it never switches — the raw material of fig12/fig13.
 	KindTrace = "trace"
 	// KindOracle is the synthesized per-interval oracle column: the
-	// time-minimal family column at every interval, switching free of charge.
+	// time-minimal fixed column at every interval, switching free of charge.
 	KindOracle = "oracle"
 	// KindFixed is a fixed-policy replay run (core.MultiPolicy.RunFixed),
 	// including its interval-0 transition penalty.
@@ -97,10 +98,10 @@ type RunMeta struct {
 //	CumRegretNS = running ( += RegretNS )
 //
 // OracleNS is the per-interval oracle's time for this interval: the minimum
-// cycles×period over the run's interval-family columns — the time-domain
-// minimum, chosen over the min-TPI oracle the drivers print, because exact
-// non-negative regret needs minima in the same unit the columns accumulate
-// (see DESIGN.md "Flight recorder").
+// cycles×period over the run's fixed columns (one FixedPolicy per menu
+// size) — the time-domain minimum, chosen over the min-TPI oracle the
+// drivers print, because exact non-negative regret needs minima in the same
+// unit the columns accumulate (see DESIGN.md "Flight recorder").
 type Event struct {
 	Interval    int64   `json:"iv"`
 	Config      int     `json:"cfg"`

@@ -47,15 +47,16 @@ func Summarize(meta RunMeta, events []Event, end RunEnd) RunSummary {
 }
 
 // SummaryKey dedups run columns across sources: re-recording the same study
-// appends identical columns, and a report must count each once.
+// appends identical columns, and a report must count each once. Runs of the
+// same study at different seeds are different columns.
 func SummaryKey(s RunSummary) string {
 	m := s.Meta
-	return fmt.Sprintf("%s|%v|%d|%d|%s|%s|%d", m.App, m.Sizes, m.N, m.Penalty, m.Policy, m.Kind, s.End.Intervals)
+	return fmt.Sprintf("%s|%d|%v|%d|%d|%s|%s|%d", m.App, m.Seed, m.Sizes, m.N, m.Penalty, m.Policy, m.Kind, s.End.Intervals)
 }
 
 // SortRunSummaries orders summaries by the league's TOTAL order: app, then
 // total regret (the oracle, at zero, leads by construction), then penalty,
-// kind, policy, and interval count as deterministic tie-breaks. A total
+// kind, policy, interval count and seed as deterministic tie-breaks. A total
 // order is load-bearing: ledger file order depends on sweep scheduling, and
 // byte-identical renders at any worker/shard count require the sort alone
 // to fix the row sequence.
@@ -77,7 +78,10 @@ func SortRunSummaries(rs []RunSummary) {
 		if a.Meta.Policy != b.Meta.Policy {
 			return a.Meta.Policy < b.Meta.Policy
 		}
-		return a.End.Intervals < b.End.Intervals
+		if a.End.Intervals != b.End.Intervals {
+			return a.End.Intervals < b.End.Intervals
+		}
+		return a.Meta.Seed < b.Meta.Seed
 	})
 }
 

@@ -83,6 +83,50 @@ func TestReportDedupAcrossLedgers(t *testing.T) {
 	}
 }
 
+// Ledgers of one study recorded at two seeds hold different runs: the
+// report keeps every run of both, and ranks otherwise-equal runs by seed.
+func TestReportKeepsSeeds(t *testing.T) {
+	var ins []ReportInput
+	for _, seed := range []uint64{2, 1} {
+		path := filepath.Join(t.TempDir(), "l.ndjson")
+		lw, err := CreateLedger(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCollector(lw)
+		for _, p := range []string{"fixed(0)", "fixed(1)"} {
+			m, e, d := mkRun(p, KindFixed, 30, 0)
+			m.Seed = seed
+			c.PublishRun(m, e, d)
+		}
+		if err := lw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		in, err := ReadReportInput(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	out := Report(ins)
+	if n := strings.Count(out, "2 runs (2 new)"); n != 2 {
+		t.Fatalf("%d of 2 ledgers reported all runs new:\n%s", n, out)
+	}
+	runs := make([]RunSummary, 0, 4)
+	for _, in := range ins {
+		for _, r := range in.Ledger.Runs {
+			runs = append(runs, Summarize(r.Meta, r.Events, r.End))
+		}
+	}
+	SortRunSummaries(runs)
+	// Regret ranks fixed(0) above fixed(1); seed breaks the tie within each.
+	for i, want := range []uint64{1, 2, 1, 2} {
+		if runs[i].Meta.Seed != want {
+			t.Fatalf("run %d (%s) has seed %d, want %d", i, runs[i].Meta.Policy, runs[i].Meta.Seed, want)
+		}
+	}
+}
+
 // A run manifest rides along as provenance.
 func TestReportAcceptsManifest(t *testing.T) {
 	dir := t.TempDir()

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-check bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke fuzz-smoke clean
+.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-check bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke fuzz-smoke clean
 
 all: build
 
@@ -28,7 +28,7 @@ race:
 # iteration (the full `race` target covers the whole module).
 ci-race:
 	$(GO) test -race -timeout 10m ./internal/flight/ ./internal/obs/ ./internal/server/ ./internal/sweep/ ./internal/trace/
-	$(GO) test -race -timeout 10m -run 'RaceFamilyConcurrent|RaceFamilyCancelledExtension|IntervalFamilyExtension' ./internal/core/
+	$(GO) test -race -timeout 10m -run 'RaceFamilyConcurrent|RaceFamilyCancelledExtension|FixedRosterExtension' ./internal/core/
 
 vet:
 	$(GO) vet ./...
@@ -56,7 +56,7 @@ staticcheck:
 		echo "WARNING: staticcheck unavailable and install failed (offline?); static analysis SKIPPED"; \
 	fi
 
-ci: fmt vet staticcheck build ci-race race fuzz-smoke bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke
+ci: fmt vet staticcheck build ci-race race fuzz-smoke bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke
 
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
 # (which plain `go test` already replays): the ooo engine and MultiCore
@@ -133,17 +133,17 @@ bench-obs-smoke:
 		{ echo "recorded ledger failed to parse back through -report"; exit 1; }
 	@echo "bench-obs smoke ok (renders byte-identical with obs/assert/trace/manifest/ledger on; ledger round-trips)"
 
-# bench-shard-smoke (ci-gated, scripts/shard_smoke.sh): a
-# tiny-budget fig10 proves static shards (-shard 0/2, 1/2) merge
-# byte-identical to an unsharded baseline, and that the merge served its
-# study rows from the shards' persistent cache (memo.persist_hits > 0,
-# zero misses, in the merge's run manifest).
-bench-shard-smoke:
-	@GO="$(GO)" sh scripts/shard_smoke.sh
+# bench-study-cache-smoke (ci-gated, scripts/study_cache_smoke.sh): two
+# tiny-budget processes run disjoint -experiment subsets against one
+# -study-cache; a run of their union over that cache renders byte-identical
+# to the union with no cache, and served its study rows from the cache
+# (memo.persist_hits > 0, zero misses, in its run manifest).
+bench-study-cache-smoke:
+	@GO="$(GO)" sh scripts/study_cache_smoke.sh
 
 # bench-zoo-smoke (ci-gated): a tiny-budget zoo run proving
-# the league render is byte-identical at 1 vs 4 workers and when merged from
-# two static shards (-shard 0/2, 1/2) through a fresh persistent study cache, and
+# the league render is byte-identical at 1 vs 4 workers and both cold into and
+# warm from a fresh persistent study cache, and
 # that `capsim -report` over the ledger the run emits reproduces the league
 # tables byte-for-byte (the experiment header and timing footer are
 # stripped, plus the blank separators the experiment renderer leaves before
@@ -157,13 +157,10 @@ bench-zoo-smoke:
 		{ echo "zoo rendered differently at 1 vs 4 workers"; exit 1; }
 	@rm -rf /tmp/capsim_zoo_smoke && mkdir -p /tmp/capsim_zoo_smoke
 	@$(GO) build -o /tmp/capsim_zoo_smoke/capsim ./cmd/capsim
-	@for s in 0/2 1/2; do /tmp/capsim_zoo_smoke/capsim -experiment zoo -parallel 1 -queue-instrs 3000 \
-		-shard $$s -study-cache /tmp/capsim_zoo_smoke/cache 2>/dev/null || exit 1; done
-	@/tmp/capsim_zoo_smoke/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
-		-study-cache /tmp/capsim_zoo_smoke/cache \
-		| grep -v '^(zoo in ' > /tmp/capsim_zoo_shard.txt
-	@cmp /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_shard.txt || \
-		{ echo "sharded zoo rendered differently from unsharded"; exit 1; }
+	@for leg in cold warm; do /tmp/capsim_zoo_smoke/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
+		-study-cache /tmp/capsim_zoo_smoke/cache | grep -v '^(zoo in ' > /tmp/capsim_zoo_$$leg.txt; \
+		cmp /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_$$leg.txt || \
+		{ echo "zoo rendered differently $$leg from the study cache"; exit 1; }; done
 	@$(GO) run ./cmd/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
 		-ledger-out /tmp/capsim_zoo_smoke/zoo.ledger.gz 2>/dev/null \
 		> /tmp/capsim_zoo_direct_full.txt
@@ -177,13 +174,13 @@ bench-zoo-smoke:
 		> /tmp/capsim_zoo_report.txt
 	@cmp /tmp/capsim_zoo_direct.txt /tmp/capsim_zoo_report.txt || \
 		{ echo "capsim -report did not reproduce the zoo league tables"; exit 1; }
-	@echo "bench-zoo smoke ok (renders byte-identical at 1 vs 4 workers and sharded vs unsharded; -report reproduces the league)"
+	@echo "bench-zoo smoke ok (renders byte-identical at 1 vs 4 workers and cold/warm study cache; -report reproduces the league)"
 
 clean:
 	rm -f /tmp/capsim_obs_off.txt /tmp/capsim_obs_on.txt \
 	  /tmp/capsim_obs_smoke.trace.json /tmp/capsim_obs_smoke.json \
 	  /tmp/capsim_ledger_off.txt /tmp/capsim_ledger_on.txt /tmp/capsim_obs_smoke.ledger.gz \
-	  /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_p4.txt /tmp/capsim_zoo_shard.txt \
+	  /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_p4.txt /tmp/capsim_zoo_cold.txt /tmp/capsim_zoo_warm.txt \
 	  /tmp/capsim_zoo_direct_full.txt /tmp/capsim_zoo_report_full.txt \
 	  /tmp/capsim_zoo_direct.txt /tmp/capsim_zoo_report.txt
-	rm -rf /tmp/capsim_serve_smoke /tmp/capsim_shard_smoke /tmp/capsim_zoo_smoke
+	rm -rf /tmp/capsim_serve_smoke /tmp/capsim_study_cache_smoke /tmp/capsim_zoo_smoke

@@ -81,7 +81,6 @@ type runConfig struct {
 	serveAPI string
 	serve    serveOptions
 	ids      []string // resolved -experiment ids, in run order
-	shard    *sweep.Shard
 
 	parallel   int
 	studyCache string
@@ -112,12 +111,11 @@ func parseArgs(args []string) (runConfig, error) {
 		interval    = fs.Int64("interval", 2_000, "interval length in instructions (Section 6 studies)")
 		penalty     = fs.Int("switch-penalty", -1, "clock-switch penalty in cycles (-1 = default)")
 		feature     = fs.Float64("feature", 0.18, "feature size in microns (0.25, 0.18, 0.12)")
-		shardSpec   = fs.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
 		reportIn    = fs.String("report", "", "offline ledger analysis: read comma-separated ledger/manifest files, print regret, switch-rate and dwell tables, and exit (no simulation)")
 	)
 	fs.BoolVar(&rc.list, "list", false, "list available experiments and exit")
 	fs.IntVar(&rc.parallel, "parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = serial; output is identical at any setting)")
-	fs.StringVar(&rc.studyCache, "study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
+	fs.StringVar(&rc.studyCache, "study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and processes running disjoint -experiment subsets reuse finished profiling rows instead of recomputing (output is identical with or without)")
 	fs.StringVar(&rc.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&rc.ledgerOut, "ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
 	fs.BoolVar(&rc.obs, "obs", false, "enable telemetry counters (implied by -metrics-out)")
@@ -177,16 +175,6 @@ func parseArgs(args []string) (runConfig, error) {
 			return rc, err
 		}
 		rc.ids = ids
-	}
-	if *shardSpec != "" {
-		sh, err := sweep.ParseShard(*shardSpec)
-		if err != nil {
-			return rc, err
-		}
-		if rc.studyCache == "" {
-			return rc, errors.New("-shard requires -study-cache DIR: a shard's output lives in the shared study cache")
-		}
-		rc.shard = &sh
 	}
 	return rc, nil
 }
@@ -316,13 +304,6 @@ func run(args []string) (err error) {
 	cfg := rc.cfg
 	if rc.serveAPI != "" {
 		return serveAPIMode(rc.serveAPI, cfg, rc.serve)
-	}
-
-	// A static shard publishes its owned study rows to the shared study
-	// cache and renders nothing; a later plain run over the same cache is the
-	// merge (see shard.go).
-	if rc.shard != nil {
-		return shardWorkerMode(*rc.shard, rc.ids, cfg)
 	}
 
 	manifest := obs.NewManifest()

@@ -19,12 +19,12 @@ func benchAddrs(n int, footprint uint64) []uint64 {
 
 // BenchmarkIndexPow2 measures the shift/mask decode (PaperParams: 128 sets).
 func BenchmarkIndexPow2(b *testing.B) {
-	ix := newIndexer(PaperParams())
+	ix := NewIndexer(PaperParams().BlockBytes, PaperParams().Sets())
 	addrs := benchAddrs(1<<12, 1<<20)
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		set, tag := ix.index(addrs[i&(len(addrs)-1)])
+		set, tag := ix.Index(addrs[i&(len(addrs)-1)])
 		sink += uint64(set) + tag
 	}
 	_ = sink
@@ -32,12 +32,12 @@ func BenchmarkIndexPow2(b *testing.B) {
 
 // BenchmarkIndexNonPow2 measures the div/mod fallback (24 sets).
 func BenchmarkIndexNonPow2(b *testing.B) {
-	ix := newIndexer(nonPow2Params())
+	ix := NewIndexer(nonPow2Params().BlockBytes, nonPow2Params().Sets())
 	addrs := benchAddrs(1<<12, 1<<20)
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		set, tag := ix.index(addrs[i&(len(addrs)-1)])
+		set, tag := ix.Index(addrs[i&(len(addrs)-1)])
 		sink += uint64(set) + tag
 	}
 	_ = sink

@@ -107,15 +107,17 @@ type way struct {
 	lru   uint64 // last-use stamp; larger = more recent
 }
 
-// indexer precomputes the address -> (set, tag) decomposition for a
-// geometry. BlockBytes is always a power of two (Validate enforces it), so
-// the block extraction is a shift; when the set count is also a power of two
-// — true of every geometry the paper evaluates — the division and modulus
+// Indexer precomputes the address -> (set, tag) decomposition for a
+// geometry. The block size is a power of two (Validate enforces it), so the
+// block extraction is a shift; when the set count is also a power of two —
+// true of every geometry the paper evaluates — the division and modulus
 // collapse to a shift and a mask, which removes two 64-bit divisions from
-// the per-reference hot path (BenchmarkHierarchyIndex shows the win). The
-// general path remains for non-power-of-two set counts and produces
-// identical values.
-type indexer struct {
+// the per-reference hot path (BenchmarkIndexPow2 vs BenchmarkIndexNonPow2).
+// The general path remains for non-power-of-two set counts and produces
+// identical values. The trace package's decoded reference views use the
+// same Indexer, so a decoded stream and a live Hierarchy agree by
+// construction.
+type Indexer struct {
 	sets       uint64
 	pow2       bool
 	blockShift uint
@@ -123,25 +125,28 @@ type indexer struct {
 	setShift   uint
 }
 
-// newIndexer builds the indexer for p (which must be valid).
-func newIndexer(p Params) indexer {
-	ix := indexer{
-		sets:       uint64(p.Sets()),
-		blockShift: uint(bits.TrailingZeros(uint(p.BlockBytes))),
+// NewIndexer builds the indexer for blockBytes-byte blocks (a positive power
+// of two) over sets sets (positive); callers validate both first.
+func NewIndexer(blockBytes, sets int) Indexer {
+	ix := Indexer{
+		sets:       uint64(sets),
+		blockShift: uint(bits.TrailingZeros(uint(blockBytes))),
 	}
-	if s := p.Sets(); s&(s-1) == 0 {
+	if sets&(sets-1) == 0 {
 		ix.pow2 = true
-		ix.setShift = uint(bits.TrailingZeros(uint(s)))
-		ix.setMask = uint64(s - 1)
+		ix.setShift = uint(bits.TrailingZeros(uint(sets)))
+		ix.setMask = uint64(sets - 1)
 	}
 	return ix
 }
 
-// index extracts the set index and tag for an address.
-func (ix indexer) index(addr uint64) (set int, tag uint64) {
-	block := addr >> ix.blockShift
+// Index extracts the set index and tag for an address.
+func (ix Indexer) Index(addr uint64) (set int, tag uint64) {
+	// The shift counts are below 64 by construction; masking them says so
+	// to the compiler, which then drops its oversized-shift fixups.
+	block := addr >> (ix.blockShift & 63)
 	if ix.pow2 {
-		return int(block & ix.setMask), block >> ix.setShift
+		return int(block & ix.setMask), block >> (ix.setShift & 63)
 	}
 	return int(block % ix.sets), block / ix.sets
 }
@@ -149,7 +154,7 @@ func (ix indexer) index(addr uint64) (set int, tag uint64) {
 // Hierarchy is the runtime state of the adaptive cache structure.
 type Hierarchy struct {
 	p        Params
-	ix       indexer
+	ix       Indexer
 	boundary int // increments assigned to L1
 	sets     [][]way
 	stamp    uint64
@@ -198,7 +203,7 @@ func New(p Params, boundary int) (*Hierarchy, error) {
 	for i := range sets {
 		sets[i], backing = backing[:p.TotalWays():p.TotalWays()], backing[p.TotalWays():]
 	}
-	return &Hierarchy{p: p, ix: newIndexer(p), boundary: boundary, sets: sets}, nil
+	return &Hierarchy{p: p, ix: NewIndexer(p.BlockBytes, p.Sets()), boundary: boundary, sets: sets}, nil
 }
 
 // MustNew is New but panics on error; for tests and tables of known-good
@@ -261,9 +266,9 @@ func (l Level) String() string {
 }
 
 // index extracts the set index and tag for an address via the precomputed
-// shift/mask (or div/mod) indexer.
+// shift/mask (or div/mod) Indexer.
 func (h *Hierarchy) index(addr uint64) (set int, tag uint64) {
-	return h.ix.index(addr)
+	return h.ix.Index(addr)
 }
 
 // Access performs one data reference and returns the level that satisfied

@@ -71,6 +71,29 @@ func TestGeometryHelpers(t *testing.T) {
 	}
 }
 
+// TestIndexerPathsEqualDivMod: the paper geometry (128 sets) takes the
+// shift/mask path, a 24-set geometry the div/mod fallback, and both yield
+// the plain block/set division.
+func TestIndexerPathsEqualDivMod(t *testing.T) {
+	for _, tc := range []struct {
+		p    Params
+		pow2 bool
+	}{{PaperParams(), true}, {nonPow2Params(), false}} {
+		ix := NewIndexer(tc.p.BlockBytes, tc.p.Sets())
+		if ix.pow2 != tc.pow2 {
+			t.Fatalf("%d sets: pow2 = %v, want %v", tc.p.Sets(), ix.pow2, tc.pow2)
+		}
+		sets := uint64(tc.p.Sets())
+		for _, addr := range benchAddrs(1<<12, 1<<24) {
+			set, tag := ix.Index(addr)
+			block := addr / uint64(tc.p.BlockBytes)
+			if uint64(set) != block%sets || tag != block/sets {
+				t.Fatalf("%d sets, addr %#x: (%d,%#x), want (%d,%#x)", sets, addr, set, tag, block%sets, block/sets)
+			}
+		}
+	}
+}
+
 func TestNewRejectsBadBoundary(t *testing.T) {
 	p := PaperParams()
 	if _, err := New(p, 0); err == nil {

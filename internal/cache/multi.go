@@ -77,7 +77,7 @@ func ClassLevel(c uint8) Level {
 // TestMultiHierarchyDifferential verifies per interval.
 type MultiHierarchy struct {
 	p    Params
-	ix   indexer
+	ix   Indexer
 	maxB int
 	ways int // total ways per set (constant across boundaries)
 
@@ -131,7 +131,7 @@ func NewMulti(p Params, maxBoundary int) (*MultiHierarchy, error) {
 	n := sets * maxBoundary * ways
 	return &MultiHierarchy{
 		p:         p,
-		ix:        newIndexer(p),
+		ix:        NewIndexer(p.BlockBytes, p.Sets()),
 		maxB:      maxBoundary,
 		ways:      ways,
 		tags:      make([]uint64, n),
@@ -345,7 +345,7 @@ func mhLRU(tags []uint64, stamps []uint64, flags []uint8, lo, hi int) int {
 // Contains reports whether the block holding addr is resident at boundary k
 // and at which level (invariant tests).
 func (m *MultiHierarchy) Contains(k int, addr uint64) (Level, bool) {
-	set, tag := m.ix.index(addr)
+	set, tag := m.ix.Index(addr)
 	base := (set*m.maxB + (k - 1)) * m.ways
 	l1w := k * m.p.IncrementAssoc
 	for i := 0; i < m.ways; i++ {

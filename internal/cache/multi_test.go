@@ -44,7 +44,7 @@ func nonPow2Params() Params {
 // accessAddr decodes one address under m's geometry and applies it to
 // every boundary, the address-level form of Access.
 func accessAddr(m *MultiHierarchy, addr uint64, write bool) {
-	set, tag := m.ix.index(addr)
+	set, tag := m.ix.Index(addr)
 	m.Access(set, tag, write)
 }
 
@@ -202,7 +202,7 @@ func TestMultiReplayMatchesAccessAddr(t *testing.T) {
 	for i := 0; i < n; i++ {
 		addr, write := gen.next()
 		accessAddr(a, addr, write)
-		set, tag := a.ix.index(addr)
+		set, tag := a.ix.Index(addr)
 		src.sets = append(src.sets, int32(set))
 		src.tags = append(src.tags, tag)
 		src.writes = append(src.writes, write)
@@ -283,7 +283,7 @@ func TestAccessLevelsDifferential(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				addr, write := gen.next()
-				set, tag := mh.ix.index(addr)
+				set, tag := mh.ix.Index(addr)
 				mh.AccessClasses(set, tag, write, classes)
 				plain.Access(set, tag, write)
 				for k := 1; k <= tc.maxB; k++ {

@@ -116,11 +116,11 @@ func TestMultiPolicyRaceLockstep(t *testing.T) {
 	}
 }
 
-// TestIntervalFamilyExtension pins extension equivalence of the fixed
+// TestFixedRosterExtension pins extension equivalence of the fixed
 // roster's race family: traces read at a short horizon and then re-read at a
 // longer one must agree on the common prefix, and the extended family must
 // still match a cold full-length pass.
-func TestIntervalFamilyExtension(t *testing.T) {
+func TestFixedRosterExtension(t *testing.T) {
 	ctx := context.Background()
 	b := workload.MustByName("turb3d")
 	sizes := []int{64, 128}

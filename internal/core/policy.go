@@ -41,7 +41,7 @@ func (p FixedPolicy) Next(*Monitor) int { return p.Config }
 // runtime environment (modeled as an oracle profiling pass), and the
 // configuration registers are reloaded by the operating system on context
 // switches. Within a run it behaves like FixedPolicy; the per-application
-// choice is made by SelectBest.
+// choice is made by SelectBestIndex.
 type ProcessLevelPolicy struct {
 	// Best is the profiled best configuration for the running application.
 	Best int
@@ -52,22 +52,6 @@ func (p ProcessLevelPolicy) Name() string { return fmt.Sprintf("process-level(%d
 
 // Next implements Policy.
 func (p ProcessLevelPolicy) Next(*Monitor) int { return p.Best }
-
-// SelectBest returns the configuration ID with the smallest TPI from a
-// profiling table, breaking ties toward the smaller (faster-clock)
-// configuration. It panics on an empty table.
-func SelectBest(tpiByConfig map[int]float64) int {
-	if len(tpiByConfig) == 0 {
-		panic("core: SelectBest on empty table")
-	}
-	best, bestTPI := math.MaxInt, math.Inf(1)
-	for id, tpi := range tpiByConfig {
-		if tpi < bestTPI || (tpi == bestTPI && id < best) {
-			best, bestTPI = id, tpi
-		}
-	}
-	return best
-}
 
 // SelectBestIndex is SelectBest for the dense profiling tables the parallel
 // sweep produces: it returns the index of the smallest finite TPI, breaking

@@ -44,27 +44,6 @@ func TestProcessLevelPolicy(t *testing.T) {
 	}
 }
 
-func TestSelectBest(t *testing.T) {
-	best := SelectBest(map[int]float64{1: 0.5, 2: 0.3, 3: 0.9})
-	if best != 2 {
-		t.Errorf("best = %d, want 2", best)
-	}
-	// Ties break toward the smaller configuration (faster clock).
-	best = SelectBest(map[int]float64{4: 0.3, 2: 0.3})
-	if best != 2 {
-		t.Errorf("tie best = %d, want 2", best)
-	}
-}
-
-func TestSelectBestPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SelectBest(nil)
-}
-
 func TestSelectBestIndex(t *testing.T) {
 	if got := SelectBestIndex([]float64{0.5, 0.3, 0.9}); got != 1 {
 		t.Errorf("best = %d, want 1", got)

@@ -35,7 +35,7 @@ func intervalCandidates(app string) (sizes []int, err error) {
 // sizes under the given policy and returns the aggregate result. label names
 // the policy canonically ("fixed:0", "interval-adaptive") — it is the
 // policy's identity in the study-row key, so each (app, sizes, penalty,
-// policy) run is one shard-partitionable, persistently reusable row.
+// policy) run is one persistently reusable row.
 func runIntervalPolicy(ctx context.Context, cfg Config, app string, sizes []int, label string, p core.Policy, intervals int64) (core.RunResult, error) {
 	return policyRow(app, cfg.Seed, sizes, label, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature,
 		func() (core.RunResult, error) {

@@ -43,7 +43,7 @@ func cacheStudyKey(cfg Config) string {
 
 // runCacheStudy profiles every application at every boundary. Applications —
 // 21 for the paper's setup — fan out across the sweep pool as study rows
-// (cacheProfileRow: shard-partitionable, persistently reusable); within each
+// (cacheProfileRow: persistently reusable); within each
 // application core.ProfileCacheTPI evaluates the whole boundary family in one
 // pass over the shared materialized trace. Results land at their slice index,
 // so the output is byte-identical at any worker count.

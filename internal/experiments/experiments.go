@@ -63,8 +63,8 @@ func DefaultConfig() Config {
 
 // CanonicalKey canonicalizes the render-determining fields of the
 // configuration into a stable string: everything that changes rendered bytes
-// is in, everything render-neutral (workers, shard, study cache) is out.
-// The server's response cache and the shard/persist row keys both build on
+// is in, everything render-neutral (workers, study cache) is out.
+// The server's response cache and the study-row keys both build on
 // this discipline; the server prefixes the experiment id.
 func (c Config) CanonicalKey() string {
 	return fmt.Sprintf("seed=%d|warm=%d|refs=%d|qi=%d|iv=%d|pen=%d|f=%g|cp=%+v",

@@ -18,7 +18,7 @@ func init() {
 // over the application's stream and returns per-configuration, per-interval
 // TPI for intervals [0, n) — one shared-stream pass for the whole family
 // (see core.ProfileQueueTraces). The whole family pass is one study row
-// (traceRow): shard-partitionable and persistently reusable.
+// (traceRow): persistently reusable.
 func intervalTraces(ctx context.Context, cfg Config, app string, entries []int, n int64) ([][]float64, error) {
 	b, err := workload.ByName(app)
 	if err != nil {

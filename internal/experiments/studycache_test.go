@@ -3,20 +3,18 @@ package experiments
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"capsim/internal/obs"
-	"capsim/internal/sweep"
 )
 
-// shardTestConfig returns the trimmed budgets the shard differential runs
-// under — the full registry is rendered once per shard count plus once per
-// shard, so this must fit the package budget under -race on one core.
-func shardTestConfig() Config {
+// studyCacheTestConfig returns the trimmed budgets the study-cache
+// differentials run under — the full registry is rendered three times, so
+// this must fit the package budget under -race on one core.
+func studyCacheTestConfig() Config {
 	cfg := fastConfig()
 	cfg.CacheWarmRefs = 5_000
 	cfg.CacheRefs = 20_000
@@ -25,72 +23,67 @@ func shardTestConfig() Config {
 	return cfg
 }
 
-// TestShardMergeByteIdentical is the tentpole acceptance differential: for
-// every experiment driver and shard counts {1, 2, 3, 8}, running each shard
-// as its own partition (capsim -shard i/N in miniature: sweep.SetShard +
-// cold study memos, rows published to a shared persistent store) and then
-// merging — a plain unsharded run against the warm store — produces renders
-// byte-identical to a never-sharded baseline. ResetStudies between legs
-// plays the role of the process boundary; the persistent store is the only
-// channel shards share. Run with -race to certify the row layer's memory
-// discipline.
-func TestShardMergeByteIdentical(t *testing.T) {
+// TestStudyCacheByteIdentical: every registered experiment renders
+// byte-identically with no study cache, cold into a fresh one, and warm from
+// it — and the warm pass computes and writes nothing. ResetCaches between
+// passes plays the role of the process boundary, so the persistent store is
+// the only channel the passes share; processes running disjoint -experiment
+// subsets over one directory rely on exactly this. Run with -race to certify
+// the row layer's memory discipline.
+func TestStudyCacheByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders every experiment once per shard plus merges")
+		t.Skip("renders every experiment three times")
 	}
-	cfg := shardTestConfig()
-	defer sweep.ClearShard()
+	cfg := studyCacheTestConfig()
 	defer SetStudyCacheDir("")
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
 
-	renderAll := func(leg string) map[string]string {
+	renderAll := func(pass string) (map[string]string, map[string]int64) {
+		ResetCaches()
+		s0 := obs.TakeSnapshot()
 		out := map[string]string{}
 		for _, id := range IDs() {
 			res, err := Run(id, cfg)
 			if err != nil {
-				t.Fatalf("%s %s: %v", leg, id, err)
+				t.Fatalf("%s %s: %v", pass, id, err)
 			}
 			out[id] = res.Render()
 		}
-		return out
+		return out, obs.TakeSnapshot().DiffCounters(s0)
+	}
+	compare := func(pass string, got, want map[string]string) {
+		for _, id := range IDs() {
+			if got[id] != want[id] {
+				t.Errorf("%s: %s render differs from the render with no study cache", id, pass)
+			}
+		}
 	}
 
-	// Baseline: never sharded, no persistent store.
 	if err := SetStudyCacheDir(""); err != nil {
 		t.Fatal(err)
 	}
-	ResetCaches()
-	want := renderAll("baseline")
+	want, _ := renderAll("no cache")
 
-	for _, n := range []int{1, 2, 3, 8} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			// Fresh store per shard count: the merge must be reconstructible
-			// from this count's own shard runs, not a previous count's.
-			if err := SetStudyCacheDir(t.TempDir()); err != nil {
-				t.Fatal(err)
-			}
-			// Shard legs: each computes and publishes only the rows it owns;
-			// its render (full of stubs) is discarded, as cmd/capsim does.
-			for i := 0; i < n; i++ {
-				if err := sweep.SetShard(sweep.Shard{Bucket: i, Of: n}); err != nil {
-					t.Fatal(err)
-				}
-				ResetStudies() // process boundary: study memos must not leak across shards
-				for _, id := range IDs() {
-					if _, err := Run(id, cfg); err != nil {
-						t.Fatalf("shard %d/%d %s: %v", i, n, id, err)
-					}
-				}
-			}
-			// Merge: a plain unsharded run against the warm store.
-			sweep.ClearShard()
-			ResetStudies()
-			got := renderAll(fmt.Sprintf("merge after %d shards", n))
-			for _, id := range IDs() {
-				if got[id] != want[id] {
-					t.Errorf("%s: merged render of %d shards differs from single-process render", id, n)
-				}
-			}
-		})
+	if err := SetStudyCacheDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	cold, cc := renderAll("cold")
+	compare("cold", cold, want)
+	// Rows several experiments share hit within the pass; every miss must
+	// publish.
+	if w := cc["memo.persist_writes"]; w == 0 || w != cc["memo.persist_misses"] {
+		t.Errorf("cold pass into a fresh store: %d writes for %d misses; want one per miss",
+			w, cc["memo.persist_misses"])
+	}
+
+	warm, wc := renderAll("warm")
+	compare("warm", warm, want)
+	if wc["memo.persist_writes"] != 0 || wc["memo.persist_misses"] != 0 {
+		t.Errorf("warm pass: %d writes, %d misses; want none", wc["memo.persist_writes"], wc["memo.persist_misses"])
+	}
+	if wc["memo.persist_hits"] == 0 {
+		t.Error("warm pass reused nothing from the store")
 	}
 }
 
@@ -99,7 +92,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 // a warm persistent store must reuse the published studies — zero new row
 // computes, memo.persist_hits climbing — and render byte-identically.
 func TestPersistentCacheReuseObservable(t *testing.T) {
-	cfg := shardTestConfig()
+	cfg := studyCacheTestConfig()
 	defer SetStudyCacheDir("")
 	if err := SetStudyCacheDir(t.TempDir()); err != nil {
 		t.Fatal(err)
@@ -148,7 +141,7 @@ func TestPersistentCacheReuseObservable(t *testing.T) {
 // and die inside that row's computation. A warm re-run then renders
 // byte-identically without generating a single classification stream.
 func TestCombinedPersistsOnlyRows(t *testing.T) {
-	cfg := shardTestConfig()
+	cfg := studyCacheTestConfig()
 	dir := t.TempDir()
 	defer SetStudyCacheDir("")
 	if err := SetStudyCacheDir(dir); err != nil {
@@ -166,7 +159,7 @@ func TestCombinedPersistsOnlyRows(t *testing.T) {
 
 	ResetCaches()
 	cold := run()
-	entries, err := filepath.Glob(filepath.Join(StudyCacheDir(), "*", "*.gob"))
+	entries, err := filepath.Glob(filepath.Join(studyStore.Load().Dir(), "*", "*.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,27 +192,30 @@ func TestCombinedPersistsOnlyRows(t *testing.T) {
 	}
 }
 
-// TestStudyCacheDirLifecycle: enabling, querying and disabling the
-// persistent tier; a bad directory is rejected without replacing the store.
+// TestStudyCacheDirLifecycle: enabling and disabling the persistent tier;
+// a bad directory is rejected without replacing the store.
 func TestStudyCacheDirLifecycle(t *testing.T) {
 	defer SetStudyCacheDir("")
-	if StudyCacheDir() != "" {
+	if studyStore.Load() != nil {
 		t.Fatal("store active before SetStudyCacheDir")
 	}
-	dir := t.TempDir()
-	if err := SetStudyCacheDir(dir); err != nil {
+	if err := SetStudyCacheDir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	if StudyCacheDir() == "" {
-		t.Fatal("StudyCacheDir empty after enabling")
+	s := studyStore.Load()
+	if s == nil {
+		t.Fatal("no store after enabling")
 	}
 	if err := SetStudyCacheDir("/dev/null/not-a-dir"); err == nil {
 		t.Error("unusable directory accepted")
 	}
+	if studyStore.Load() != s {
+		t.Error("rejected directory replaced the active store")
+	}
 	if err := SetStudyCacheDir(""); err != nil {
 		t.Fatal(err)
 	}
-	if StudyCacheDir() != "" {
+	if studyStore.Load() != nil {
 		t.Fatal("store still active after disabling")
 	}
 }

@@ -53,7 +53,7 @@ func TestZooPassInvariants(t *testing.T) {
 
 // TestZooExperiment runs the full driver at the smoke budget and pins the
 // rendered shape plus repeated-pass byte-identity (the contract the
-// sharding/report gates build on).
+// study-cache/report gates build on).
 func TestZooExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("zoo race is slow")
@@ -89,7 +89,6 @@ func TestZooExperiment(t *testing.T) {
 
 	first := res.Render()
 	ResetCaches()
-	ResetStudies()
 	res2, err := Run("zoo", cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func SummaryKey(s RunSummary) string {
 // total regret (the oracle, at zero, leads by construction), then penalty,
 // kind, policy, interval count and seed as deterministic tie-breaks. A total
 // order is load-bearing: ledger file order depends on sweep scheduling, and
-// byte-identical renders at any worker/shard count require the sort alone
+// byte-identical renders at any worker count require the sort alone
 // to fix the row sequence.
 func SortRunSummaries(rs []RunSummary) {
 	sort.SliceStable(rs, func(i, j int) bool {

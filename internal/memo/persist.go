@@ -1,8 +1,8 @@
 // Persistent tier: an optional content-addressed study cache on disk.
 //
 // A Store maps canonical key strings to encoded values under a root
-// directory, so independent replicas, repeated CLI runs, shard workers and
-// CI share memoized studies instead of recomputing them. The design follows
+// directory, so independent replicas, repeated CLI runs, processes sharing
+// one directory and CI share memoized studies instead of recomputing them. The design follows
 // the rest of the memo package: correctness never depends on the cache —
 // every read path degrades to a recompute — so the store can be deleted,
 // truncated, or concurrently written at any time.
@@ -146,13 +146,6 @@ func (s *Store) PutBytes(key string, payload []byte) error {
 	}
 	obsPersistWrites.Inc()
 	return nil
-}
-
-// Has reports whether a usable entry exists for key without decoding its
-// payload into a value (it still fully validates the envelope).
-func (s *Store) Has(key string) bool {
-	_, ok := s.GetBytes(key)
-	return ok
 }
 
 // PersistDo is Do against a Store: return the decoded entry for key if one

@@ -41,14 +41,14 @@ func TestStoreRoundtrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("GetBytes: %q ok=%v, want %q", got, ok, want)
 	}
-	if !s.Has("k") || s.Has("other") {
-		t.Errorf("Has: k=%v other=%v", s.Has("k"), s.Has("other"))
+	if _, ok := s.GetBytes("other"); ok {
+		t.Error("GetBytes hit an absent key")
 	}
 }
 
 // TestPersistDoReusesAcrossInstances is the cross-process contract in
 // miniature: a second Store opened on the same directory serves the entry
-// without calling fn — what lets shard workers and repeated CLI runs share
+// without calling fn — what lets concurrent processes and repeated CLI runs share
 // studies.
 func TestPersistDoReusesAcrossInstances(t *testing.T) {
 	dir := t.TempDir()
@@ -133,7 +133,7 @@ func TestPersistDoNeverPersistsErrors(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Errorf("error was persisted: fn called %d times, want 2", calls.Load())
 	}
-	if s.Has("bad") {
+	if _, ok := s.GetBytes("bad"); ok {
 		t.Error("failed computation left an entry on disk")
 	}
 }

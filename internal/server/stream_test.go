@@ -75,7 +75,7 @@ func lineType(t *testing.T, m map[string]json.RawMessage) string {
 func TestStreamRunLedgerAndRender(t *testing.T) {
 	// The in-process study memos elide recomputation (and with it, event
 	// emission); start cold so the stream carries the actual run columns.
-	experiments.ResetStudies()
+	experiments.ResetCaches()
 	ts := httptest.NewServer(New(Options{}).Handler())
 	defer ts.Close()
 

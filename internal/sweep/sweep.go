@@ -23,8 +23,8 @@
 //     exactly the one a full serial pass would report).
 //
 // Consequently RunCtx(ctx, n, fn) returns byte-identical results for any
-// worker count, including 1 (the serial fallback used by `capsim -parallel 1`
-// and the determinism tests).
+// worker count, including 1 (`capsim -parallel 1` and the determinism
+// tests), which runs the same worker loop on the calling goroutine.
 //
 // Cancellation (see DESIGN.md "Experiment service & the cancellation
 // contract"): the *Ctx variants stop claiming new jobs once ctx is done and
@@ -130,8 +130,8 @@ func RunCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 // failing index observed so far, so an early failure does not burn CPU on
 // the rest of the grid. Jobs *below* that index still run — one of them
 // could fail with a lower index — which is what keeps the selected error
-// identical to the serial path's (the serial loop stops at its first error,
-// by construction the lowest-indexed one).
+// identical to a serial pass's (which stops at its first error, by
+// construction the lowest-indexed one).
 //
 // RunNCtx may be nested: a job may itself call RunCtx. Each invocation
 // spawns its own bounded goroutine set and holds no locks while jobs
@@ -155,49 +155,6 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	// client sees movement during long sweeps. Checked once per pass; plain
 	// runs pay one ctx.Value + one atomic load.
 	prog := flight.Active(ctx)
-	if workers == 1 {
-		// Serial fast path: no goroutines, no synchronization. This is the
-		// baseline the determinism tests compare parallel runs against. The
-		// telemetry branch below never influences fn — it only measures it.
-		if observing() {
-			tid := obs.WorkerTIDs(1, "sweep-serial")
-			for i := 0; i < n; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				sp := obs.StartSpan("sweep.job", tid)
-				t0 := time.Now()
-				v, err := fn(i)
-				ns := time.Since(t0).Nanoseconds()
-				sp.End(obs.Arg{K: "i", V: i})
-				obsJobs.Inc()
-				obsBusyNS.Add(ns)
-				if err != nil {
-					return nil, err
-				}
-				results[i] = v
-				if prog {
-					flight.PublishProgress(ctx, flight.Progress{Done: i + 1, Total: n, Label: "sweep"})
-				}
-			}
-			return results, nil
-		}
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = v
-			if prog {
-				flight.PublishProgress(ctx, flight.Progress{Done: i + 1, Total: n, Label: "sweep"})
-			}
-		}
-		return results, nil
-	}
-
 	errs := make([]error, n)
 	var next, executed atomic.Int64
 	// minErr is the lowest failing job index observed so far; n means "no
@@ -205,55 +162,64 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	// claims below it (the determinism guarantee).
 	var minErr atomic.Int64
 	minErr.Store(int64(n))
-	var wg sync.WaitGroup
-	wg.Add(workers)
 	// Reserve a block of fresh trace thread ids for this pass so nested
 	// RunNCtx invocations render on distinct timeline tracks. Zero when no
-	// trace sink is installed.
+	// trace sink is installed. The telemetry branch never influences fn — it
+	// only measures it.
 	tidBase := obs.WorkerTIDs(workers, "sweep")
 	watch := observing()
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if int64(i) > minErr.Load() {
-					// A lower-indexed job already failed; this one's result
-					// could never be returned. Skip without running.
-					continue
-				}
-				if watch {
-					sp := obs.StartSpan("sweep.job", tidBase+int64(w))
-					t0 := time.Now()
-					results[i], errs[i] = fn(i)
-					ns := time.Since(t0).Nanoseconds()
-					sp.End(obs.Arg{K: "i", V: i})
-					obsJobs.Inc()
-					obsBusyNS.Add(ns)
-				} else {
-					results[i], errs[i] = fn(i)
-				}
-				done := executed.Add(1)
-				if prog {
-					flight.PublishProgress(ctx, flight.Progress{Done: int(done), Total: n, Label: "sweep"})
-				}
-				if errs[i] != nil {
-					for {
-						cur := minErr.Load()
-						if int64(i) >= cur || minErr.CompareAndSwap(cur, int64(i)) {
-							break
-						}
+	work := func(w int) {
+		for {
+			if ctx.Err() != nil {
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if int64(i) > minErr.Load() {
+				// A lower-indexed job already failed; this one's result
+				// could never be returned. Skip without running.
+				continue
+			}
+			var sp obs.Span
+			var t0 time.Time
+			if watch {
+				sp = obs.StartSpan("sweep.job", tidBase+int64(w))
+				t0 = time.Now()
+			}
+			results[i], errs[i] = fn(i)
+			if watch {
+				ns := time.Since(t0).Nanoseconds()
+				sp.End(obs.Arg{K: "i", V: i})
+				obsJobs.Inc()
+				obsBusyNS.Add(ns)
+			}
+			done := executed.Add(1)
+			if prog {
+				flight.PublishProgress(ctx, flight.Progress{Done: int(done), Total: n, Label: "sweep"})
+			}
+			if errs[i] != nil {
+				for {
+					cur := minErr.Load()
+					if int64(i) >= cur || minErr.CompareAndSwap(cur, int64(i)) {
+						break
 					}
 				}
 			}
+		}
+	}
+	// Worker 0 is the calling goroutine, so a one-worker pass (the
+	// determinism tests' baseline, capsim -parallel 1) spawns nothing.
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			work(w)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
 	if idx := minErr.Load(); idx < int64(n) {
 		return nil, errs[idx]

@@ -2,7 +2,8 @@ package trace
 
 import (
 	"fmt"
-	"math/bits"
+
+	"capsim/internal/cache"
 )
 
 // Geometry is the part of a cache organization that determines the
@@ -28,19 +29,12 @@ func (g Geometry) Validate() error {
 
 // Decoded is the (set, tag) view of a RefStore under one geometry. It holds
 // no storage: the pair is a shift and mask of the address (div/mod when the
-// set count is not a power of two), so its cursors decode each reference in
-// place from the store's own chunks.
+// set count is not a power of two), computed by the cache package's own
+// Indexer, so its cursors decode each reference in place from the store's
+// own chunks exactly as a live cache.Hierarchy would.
 type Decoded struct {
-	src  *RefStore
-	sets uint64
-
-	// Power-of-two fast decode (blockShift/setMask/setShift) when sets is a
-	// power of two; div/mod fallback otherwise. Both produce identical
-	// values — shift/mask IS div/mod for powers of two.
-	pow2       bool
-	blockShift uint
-	setMask    uint64
-	setShift   uint
+	src *RefStore
+	ix  cache.Indexer
 }
 
 // DecodedFor returns the decoded view of store s under geometry g. It panics
@@ -49,25 +43,14 @@ func DecodedFor(s *RefStore, g Geometry) Decoded {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	d := Decoded{src: s, sets: uint64(g.Sets), blockShift: uint(bits.TrailingZeros(uint(g.BlockBytes)))}
-	if g.Sets&(g.Sets-1) == 0 {
-		d.pow2 = true
-		d.setShift = uint(bits.TrailingZeros(uint(g.Sets)))
-		d.setMask = uint64(g.Sets - 1)
-	}
-	return d
+	return Decoded{src: s, ix: cache.NewIndexer(g.BlockBytes, g.Sets)}
 }
 
 // Decode splits one address into its (set, tag) pair under the view's
 // geometry; exported for tests that cross-check against cache.Hierarchy.
 func (d *Decoded) Decode(addr uint64) (set int32, tag uint64) {
-	// The shift counts are below 64 by construction; masking them says so
-	// to the compiler, which then drops its oversized-shift fixups.
-	block := addr >> (d.blockShift & 63)
-	if d.pow2 {
-		return int32(block & d.setMask), block >> (d.setShift & 63)
-	}
-	return int32(block % d.sets), block / d.sets
+	s, tag := d.ix.Index(addr)
+	return int32(s), tag
 }
 
 // Len returns how many references the view replays without generating: its

@@ -72,16 +72,14 @@ func TestDecodedMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestDecodePow2EqualsDivMod proves the shift/mask decode is the div/mod
-// decode for power-of-two set counts.
+// TestDecodePow2EqualsDivMod proves the decoded view's shift/mask decode is
+// the div/mod decode for power-of-two set counts (cache.Indexer's own test
+// pins that this geometry takes the shift/mask path).
 func TestDecodePow2EqualsDivMod(t *testing.T) {
 	defer Reset()
 	b := bench(t, "gcc")
 	s := RefsFor(b, 3)
 	d := DecodedFor(s, Geometry{BlockBytes: 32, Sets: 128})
-	if !d.pow2 {
-		t.Fatal("128 sets not detected as power of two")
-	}
 	cur := s.Cursor()
 	for i := 0; i < 10000; i++ {
 		addr := cur.Next().Addr

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-check bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke fuzz-smoke clean
+.PHONY: all build test short race ci-race ci-names vet fmt staticcheck ci bench bench-check bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke fuzz-smoke clean
 
 all: build
 
@@ -26,9 +26,28 @@ race:
 # chunk publication, and the policy layer's race families (concurrent
 # extension, cancellation and prefix views) — cheap enough to run on every
 # iteration (the full `race` target covers the whole module).
+RACE_RUN = RaceFamilyConcurrent|RaceFamilyCancelledExtension|FixedRosterExtension
+RACE_RUN_PKG = ./internal/core/
+
 ci-race:
 	$(GO) test -race -timeout 10m ./internal/flight/ ./internal/obs/ ./internal/server/ ./internal/sweep/ ./internal/trace/
-	$(GO) test -race -timeout 10m -run 'RaceFamilyConcurrent|RaceFamilyCancelledExtension|FixedRosterExtension' ./internal/core/
+	$(GO) test -race -timeout 10m -run '$(RACE_RUN)' $(RACE_RUN_PKG)
+
+# ci-names (ci-gated) fails when a name the ci-race lane's -run pattern or
+# FUZZ_TARGETS lists matches no function: `go test` passes silently on a
+# pattern that selects nothing, so a renamed test or fuzzer would otherwise
+# turn its CI step into a no-op. `go test -list` checks each name.
+ci-names:
+	@for n in $$(echo '$(RACE_RUN)' | tr '|' ' '); do \
+		$(GO) test -list "$$n" $(RACE_RUN_PKG) | grep -q '^Test' || \
+			{ echo "ci-race: -run name $$n matches no test in $(RACE_RUN_PKG)"; exit 1; }; \
+	done
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t#*:}; \
+		$(GO) test -list "^$$fn\$$" $$pkg | grep -qx "$$fn" || \
+			{ echo "fuzz-smoke: $$fn matches no fuzz target in $$pkg"; exit 1; }; \
+	done
+	@echo "ci-names ok (every ci-race -run name and FUZZ_TARGETS entry names a function)"
 
 vet:
 	$(GO) vet ./...
@@ -56,7 +75,7 @@ staticcheck:
 		echo "WARNING: staticcheck unavailable and install failed (offline?); static analysis SKIPPED"; \
 	fi
 
-ci: fmt vet staticcheck build ci-race race fuzz-smoke bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke
+ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke
 
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
 # (which plain `go test` already replays): the ooo engine and MultiCore

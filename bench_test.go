@@ -93,42 +93,6 @@ func BenchmarkAblationCombined(b *testing.B) { benchExperiment(b, "ablation-comb
 // Extension: the policy-zoo league race (contenders + baselines + oracle).
 func BenchmarkZoo(b *testing.B) { benchExperiment(b, "zoo") }
 
-// --- Micro-benchmarks of the simulation substrates -----------------------
-
-func BenchmarkCacheAccess(b *testing.B) {
-	bm, err := BenchmarkByName("gcc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := NewCacheMachine(bm, 1, PaperCacheParams(), 2, -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	const chunk = 1 << 12
-	for i := 0; i < b.N; i += chunk {
-		m.RunInterval(chunk)
-	}
-}
-
-func BenchmarkQueueIssue(b *testing.B) {
-	bm, err := BenchmarkByName("gcc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := NewQueueMachine(bm, 1, PaperQueueSizes(), 3, -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	const chunk = 1 << 12
-	for i := 0; i < b.N; i += chunk {
-		m.RunInterval(chunk)
-	}
-}
-
 // --- Cold-path profiling passes -----------------------------------------
 //
 // trace.Reset() inside the loop keeps every iteration cold, so each pass

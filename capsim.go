@@ -38,10 +38,6 @@ import (
 
 // Re-exported core types: the CAP control plane.
 type (
-	// AdaptiveStructure is a complexity-adaptive structure (CAS).
-	AdaptiveStructure = core.AdaptiveStructure
-	// StructureConfig is one selectable configuration of a CAS.
-	StructureConfig = core.Config
 	// Policy is a configuration-management heuristic.
 	Policy = core.Policy
 	// FixedPolicy models a conventional, design-time-frozen processor.
@@ -50,12 +46,8 @@ type (
 	ProcessLevelPolicy = core.ProcessLevelPolicy
 	// IntervalPolicy is the Section 6 confidence-gated interval predictor.
 	IntervalPolicy = core.IntervalPolicy
-	// QueueMachine is the adaptive instruction-queue CAP.
-	QueueMachine = core.QueueMachine
-	// CacheMachine is the adaptive Dcache-hierarchy CAP.
-	CacheMachine = core.CacheMachine
-	// Sample is one interval measurement from the monitoring hardware.
-	Sample = core.Sample
+	// RunResult aggregates a policy-driven run.
+	RunResult = core.RunResult
 	// Benchmark is a synthetic application model.
 	Benchmark = workload.Benchmark
 	// CacheParams is the adaptive hierarchy's physical organization.
@@ -77,36 +69,43 @@ const (
 	Micron012 = tech.Micron012
 )
 
-// NewQueueMachine builds an adaptive instruction-queue CAP for a benchmark.
-// sizes lists the selectable entry counts (PaperQueueSizes for the paper's
-// set), initial indexes into it, and penaltyCycles < 0 selects the default
-// clock-switch penalty.
-func NewQueueMachine(b Benchmark, seed uint64, sizes []int, initial, penaltyCycles int) (*QueueMachine, error) {
-	return core.NewQueueMachine(b, seed, sizes, initial, penaltyCycles, tech.Micron018)
-}
-
-// NewCacheMachine builds an adaptive Dcache-hierarchy CAP for a benchmark
-// with the L1/L2 boundary initially after `initial` increments.
-func NewCacheMachine(b Benchmark, seed uint64, p CacheParams, initial, penaltyCycles int) (*CacheMachine, error) {
-	return core.NewCacheMachine(b, seed, p, core.PaperMaxBoundary, initial, penaltyCycles)
-}
-
 // PaperQueueSizes returns the paper's queue configurations (16-128 entries).
 func PaperQueueSizes() []int { return core.PaperQueueSizes() }
 
 // PaperCacheParams returns the paper's 128 KB / 16x8KB 2-way hierarchy.
 func PaperCacheParams() CacheParams { return cache.PaperParams() }
 
-// RunQueue drives a queue CAP under a policy for `intervals` intervals of
-// `n` instructions.
-func RunQueue(q *QueueMachine, p Policy, intervals, n int64, keepSamples bool) core.RunResult {
-	return core.RunQueue(q, p, intervals, n, keepSamples)
+// QueueCycleNS returns the cycle time (ns) an instruction queue of the given
+// entry count imposes at 0.18 µm: its wakeup+select critical path.
+func QueueCycleNS(entries int) float64 {
+	return core.QueueCycleNS(entries, tech.ForFeature(tech.Micron018))
 }
 
-// RunCache drives a cache CAP under a policy for `intervals` intervals of
-// `n` references.
-func RunCache(c *CacheMachine, p Policy, intervals, n int64, keepSamples bool) core.CacheRunResult {
-	return core.RunCache(c, p, intervals, n, keepSamples)
+// CacheCycleNS returns the cycle time (ns) the L1 imposes with the L1/L2
+// boundary after k increments of p.
+func CacheCycleNS(p CacheParams, k int) float64 { return cache.TimingFor(p, k).CycleNS }
+
+// ProfileQueue runs every queue size for instrs instructions at 0.18 µm and
+// returns TPI (ns) indexed like sizes: the profiling pass of the paper's
+// process-level scheme (Section 5.3).
+func ProfileQueue(b Benchmark, seed uint64, sizes []int, instrs int64) ([]float64, error) {
+	return core.ProfileQueueTPI(b, seed, sizes, instrs, tech.Micron018)
+}
+
+// ProfileCache profiles every L1/L2 boundary k = 1..8 (8-64 KB L1) of the
+// hierarchy: warm references prime it, then refs are measured. tpi and
+// tpiMiss are indexed by k; slot 0 is +Inf.
+func ProfileCache(b Benchmark, seed uint64, p CacheParams, warm, refs int64) (tpi, tpiMiss []float64, err error) {
+	return core.ProfileCacheTPI(b, seed, p, core.PaperMaxBoundary, warm, refs)
+}
+
+// RunQueue runs the adaptive instruction queue at 0.18 µm under a policy
+// for `intervals` intervals of n instructions, starting at sizes[0], and
+// charges every reconfiguration's drain and clock-switch cost.
+// penaltyCycles < 0 selects the default clock-switch penalty. Cancelling
+// ctx stops the run and returns ctx's error.
+func RunQueue(ctx context.Context, b Benchmark, seed uint64, sizes []int, p Policy, intervals, n int64, penaltyCycles int) (RunResult, error) {
+	return core.RunPolicyStudy(ctx, b, seed, sizes, p, intervals, n, penaltyCycles, tech.Micron018)
 }
 
 // Benchmarks returns all 22 application models in the paper's order.

@@ -62,8 +62,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("bpred: history bits %d out of range", p.HistoryBits)
 	case p.MispredictCycles < 1:
 		return fmt.Errorf("bpred: mispredict cycles %d must be >= 1", p.MispredictCycles)
-	case p.Feature <= 0:
-		return fmt.Errorf("bpred: invalid feature size")
+	case !p.Feature.Valid():
+		return fmt.Errorf("bpred: feature size %v must be finite and positive", float64(p.Feature))
 	}
 	return nil
 }

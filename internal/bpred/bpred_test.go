@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"math"
 	"testing"
 
 	"capsim/internal/tech"
@@ -19,6 +20,15 @@ func TestParamsValidate(t *testing.T) {
 	bad.MinEntries = bad.MaxEntries * 2
 	if err := bad.Validate(); err == nil {
 		t.Error("min > max accepted")
+	}
+	// NaN and +Inf compare false against "<= 0", so a sign test alone
+	// accepts them.
+	for _, f := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		bad = DefaultParams()
+		bad.Feature = tech.FeatureSize(f)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("feature size %v accepted", f)
+		}
 	}
 }
 

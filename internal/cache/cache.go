@@ -448,10 +448,10 @@ type timingKey struct {
 	k int
 }
 
-// timings memoizes TimingFor per (Params, boundary). Every CacheMachine and
-// CombinedMachine construction evaluates the whole boundary table, and a
-// parallel sweep constructs one machine per grid cell; the memo collapses
-// that to one cacti+wire evaluation per distinct geometry. Validation (which
+// timings memoizes TimingFor per (Params, boundary). Every profiling pass
+// (core.ProfileCacheTPI, core.ProfileCombined) evaluates the whole boundary
+// table, and a parallel sweep runs one pass per application; the memo
+// collapses that to one cacti+wire evaluation per distinct geometry. Validation (which
 // panics) runs before entering the memo.
 var timings memo.Memo[timingKey, Timing]
 

@@ -6,7 +6,6 @@ import (
 	"capsim/internal/cache"
 	"capsim/internal/clock"
 	"capsim/internal/ooo"
-	"capsim/internal/palacharla"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
@@ -82,7 +81,7 @@ func NewCombinedMachine(b workload.Benchmark, seed uint64, sizes []int, p cache.
 			if w < 1 {
 				return nil, fmt.Errorf("core: queue size %d invalid", w)
 			}
-			qCyc := palacharla.CycleTime(palacharla.Queue{Entries: w, IssueWidth: 8}, tp)
+			qCyc := QueueCycleNS(w, tp)
 			cyc := qCyc
 			if m.timings[k].CycleNS > cyc {
 				cyc = m.timings[k].CycleNS // worst case of the enabled CASes
@@ -139,20 +138,20 @@ func (m *CombinedMachine) Decode(id int) (CombinedConfig, error) {
 	}, nil
 }
 
-// Name implements AdaptiveStructure.
+// Name identifies the structure.
 func (m *CombinedMachine) Name() string { return "cap-processor" }
 
-// Configs implements AdaptiveStructure.
+// Configs enumerates the joint configurations by flattened ID.
 func (m *CombinedMachine) Configs() []Config {
 	out := make([]Config, len(m.configs))
 	copy(out, m.configs)
 	return out
 }
 
-// Current implements AdaptiveStructure.
+// Current returns the active configuration.
 func (m *CombinedMachine) Current() Config { return m.configs[m.cur] }
 
-// SetConfig implements AdaptiveStructure: the queue drains if shrinking, the
+// SetConfig reconfigures the processor: the queue drains if shrinking, the
 // cache boundary relabels, and the clock switches to the joint worst case.
 func (m *CombinedMachine) SetConfig(id int) (int64, error) {
 	cc, err := m.Decode(id)

@@ -7,9 +7,8 @@
 // configuration run at its full clock-rate potential (paper Section 4). The
 // pieces modeled here:
 //
-//   - AdaptiveStructure: the CAS abstraction — an enumerable set of
-//     configurations, each with its own cycle time, plus the reconfiguration
-//     ("cleanup") mechanics;
+//   - Config: one selectable configuration of a CAS, with the cycle time
+//     its worst-case timing imposes;
 //   - Monitor: the on-chip performance-monitoring hardware, which measures
 //     TPI (time per instruction = cycle time / IPC, the paper's metric) over
 //     fixed instruction intervals;
@@ -18,15 +17,17 @@
 //     selected by a profiling compiler/runtime and reloaded on context
 //     switches); Section 6 sketches a hardware interval predictor with
 //     confidence, implemented here as IntervalPolicy;
-//   - the driver loop (drive, behind RunQueue and RunCache): runs a
-//     workload on a CAS under a policy, asking the policy for the next
-//     configuration before every interval and charging reconfiguration and
-//     clock-switch overheads.
+//   - the engines, one per computation: ProfileCacheTPI and ProfileQueueTPI
+//     profile every configuration of the adaptive Dcache hierarchy and
+//     instruction queue in one shared-stream pass (the process-level
+//     scheme, Section 5), ProfileCombined does the same for the joint
+//     Figure 5 processor, and RunPolicyStudy, ProfileQueueTraces and
+//     MultiPolicy run policies over intervals, charging reconfiguration and
+//     clock-switch overheads (Section 6).
 //
-// Two concrete CASes are provided in this package's siblings and adapted
-// here: the complexity-adaptive two-level data-cache hierarchy
-// (CacheMachine) and the complexity-adaptive instruction queue
-// (QueueMachine).
+// The stepwise per-configuration machines those engines replace
+// (QueueMachine, CacheMachine, CombinedMachine and the drive loop) live in
+// this package's _test.go files as differential oracles.
 package core
 
 import "fmt"
@@ -40,22 +41,6 @@ type Config struct {
 	// CycleNS is the processor cycle time this configuration imposes
 	// (worst-case timing analysis of the structure at this size).
 	CycleNS float64
-}
-
-// AdaptiveStructure is a CAS: hardware whose complexity can be changed at
-// runtime among a predetermined set of configurations.
-type AdaptiveStructure interface {
-	// Name identifies the structure ("dcache-hierarchy", "int-queue").
-	Name() string
-	// Configs enumerates the available configurations, ordered by
-	// increasing size.
-	Configs() []Config
-	// Current returns the active configuration.
-	Current() Config
-	// SetConfig reconfigures the structure, performing any cleanup the
-	// transition requires (e.g. draining queue entries about to be
-	// disabled), and returns the number of stall cycles the cleanup cost.
-	SetConfig(id int) (stallCycles int64, err error)
 }
 
 // Sample is one interval measurement from the monitoring hardware.
@@ -82,7 +67,7 @@ type Monitor struct {
 
 // NewMonitor creates a monitor retaining up to n samples. The window is
 // preallocated at its retention capacity so Record never allocates: it is
-// called once per simulated interval by every machine's run loop.
+// called once per simulated interval by every race column.
 func NewMonitor(n int) *Monitor {
 	if n < 1 {
 		n = 1
@@ -119,41 +104,8 @@ type Policy interface {
 	Next(m *Monitor) int
 }
 
-// intervalMachine is an AdaptiveStructure the driver loop can step.
-type intervalMachine interface {
-	AdaptiveStructure
-	// RunInterval runs n units of work under the current configuration
-	// and returns the interval's sample.
-	RunInterval(n int64) Sample
-}
-
-// drive is the driver loop behind RunQueue and RunCache: before each of
-// `intervals` intervals of n units it asks the policy for the next
-// configuration, reconfigures the machine (a no-op when the configuration
-// is unchanged), runs the interval and records its sample in the policy's
-// monitor. It returns the samples when keepSamples.
-func drive(m intervalMachine, p Policy, intervals, n int64, keepSamples bool) []Sample {
-	mon := NewMonitor(64)
-	mon.Current = m.Current().ID
-	var samples []Sample
-	if keepSamples {
-		samples = make([]Sample, 0, intervals)
-	}
-	for i := int64(0); i < intervals; i++ {
-		if _, err := m.SetConfig(p.Next(mon)); err != nil {
-			panic(err)
-		}
-		s := m.RunInterval(n)
-		s.Interval = i
-		mon.Record(s)
-		if keepSamples {
-			samples = append(samples, s)
-		}
-	}
-	return samples
-}
-
-// validateConfigs checks a configuration table for use by the machines.
+// validateConfigs checks a configuration table: positive cycle times and
+// unique IDs.
 func validateConfigs(configs []Config) error {
 	if len(configs) == 0 {
 		return fmt.Errorf("core: empty configuration table")

@@ -99,14 +99,14 @@ func TestQueueMachineReconfigure(t *testing.T) {
 
 func TestRunQueueWithPolicies(t *testing.T) {
 	m := queueMachine(t, "gcc", 0)
-	res := RunQueue(m, FixedPolicy{Config: 3}, 20, 1000, true)
-	if len(res.Samples) != 20 {
-		t.Fatalf("%d samples", len(res.Samples))
+	res, samples := RunQueue(m, FixedPolicy{Config: 3}, 20, 1000)
+	if len(samples) != 20 {
+		t.Fatalf("%d samples", len(samples))
 	}
 	if res.Switches != 1 { // initial move 0 -> 3
 		t.Errorf("switches %d, want 1", res.Switches)
 	}
-	for _, s := range res.Samples {
+	for _, s := range samples {
 		if s.Config != 3 {
 			t.Fatalf("interval %d ran on config %d", s.Interval, s.Config)
 		}
@@ -122,10 +122,7 @@ func TestRunQueueIntervalPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunQueue(m, &IntervalPolicy{Configs: []int{0, 1}}, 200, 2000, false)
-	if res.Samples != nil {
-		t.Error("samples kept despite keepSamples=false")
-	}
+	res, _ := RunQueue(m, &IntervalPolicy{Configs: []int{0, 1}}, 200, 2000)
 	if res.TPI <= 0 {
 		t.Error("no TPI")
 	}
@@ -223,11 +220,11 @@ func TestCacheMachineReconfigureKeepsContents(t *testing.T) {
 
 func TestRunCacheProcessLevel(t *testing.T) {
 	m := cacheMachine(t, "swim", 2)
-	res := RunCache(m, ProcessLevelPolicy{Best: 6}, 10, 5000, true)
+	res, samples := RunCache(m, ProcessLevelPolicy{Best: 6}, 10, 5000)
 	if res.Refs != 50000 {
 		t.Errorf("refs %d", res.Refs)
 	}
-	for _, s := range res.Samples {
+	for _, s := range samples {
 		if s.Config != 6 {
 			t.Fatalf("interval ran on %d", s.Config)
 		}

@@ -8,7 +8,6 @@ import (
 	"capsim/internal/classify"
 	"capsim/internal/obs"
 	"capsim/internal/ooo"
-	"capsim/internal/palacharla"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
@@ -150,7 +149,7 @@ func NewMultiCombined(b workload.Benchmark, seed uint64, sizes []int, p cache.Pa
 	tp := tech.ForFeature(f)
 	for i, cc := range points {
 		t := cache.TimingFor(p, cc.Boundary)
-		cyc := palacharla.CycleTime(palacharla.Queue{Entries: cc.QueueEntries, IssueWidth: 8}, tp)
+		cyc := QueueCycleNS(cc.QueueEntries, tp)
 		if t.CycleNS > cyc {
 			cyc = t.CycleNS
 		}

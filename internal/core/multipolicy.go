@@ -7,7 +7,6 @@ import (
 	"capsim/internal/clock"
 	"capsim/internal/flight"
 	"capsim/internal/obs"
-	"capsim/internal/palacharla"
 	"capsim/internal/tech"
 	"capsim/internal/workload"
 )
@@ -71,7 +70,7 @@ func NewMultiPolicy(b workload.Benchmark, seed uint64, sizes []int, n int64, pen
 		if w < 1 {
 			return nil, fmt.Errorf("core: queue size %d invalid", w)
 		}
-		cyc := palacharla.CycleTime(palacharla.Queue{Entries: w, IssueWidth: 8}, tp)
+		cyc := QueueCycleNS(w, tp)
 		configs[i] = Config{ID: i, Label: fmt.Sprintf("IQ=%d", w), CycleNS: cyc}
 		sources[i] = clock.Source{ID: i, PeriodNS: cyc, Label: configs[i].Label}
 		cycs[i] = cyc

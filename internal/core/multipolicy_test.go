@@ -57,7 +57,7 @@ func TestMultiPolicyTransitionCosts(t *testing.T) {
 					t.Fatalf("%s onepass: %v", name, err)
 				}
 				m := privateQueueMachine(t, b, 1998, tc.sizes, 0, pen, tech.Micron018)
-				orc := RunQueue(m, orcPols[pi], intervals, n, false)
+				orc, _ := RunQueue(m, orcPols[pi], intervals, n)
 				if one.Policy != orc.Policy || one.Instrs != orc.Instrs || one.TimeNS != orc.TimeNS ||
 					one.TPI != orc.TPI || one.Switches != orc.Switches {
 					t.Errorf("%s: replay diverged from direct simulation\n onepass: %+v\n oracle:  %+v", name, one, orc)
@@ -105,7 +105,7 @@ func TestMultiPolicyRaceLockstep(t *testing.T) {
 			&ProfileThenCommitPolicy{Configs: []int{0, 1}},
 		}
 		for j, p := range direct {
-			leg := RunQueue(privateQueueMachine(t, b, 1998, tc.sizes, 0, 50, tech.Micron018), p, intervals, n, false)
+			leg, _ := RunQueue(privateQueueMachine(t, b, 1998, tc.sizes, 0, 50, tech.Micron018), p, intervals, n)
 			r := raced[j]
 			if r.Policy != leg.Policy || r.Instrs != leg.Instrs || r.TimeNS != leg.TimeNS ||
 				r.TPI != leg.TPI || r.Switches != leg.Switches {

@@ -171,7 +171,8 @@ func TestRunCacheOnepass(t *testing.T) {
 			configs[i] = i + 1
 		}
 		pol := &IntervalPolicy{Configs: configs}
-		return RunCache(m, pol, 40, 2000, false)
+		res, _ := RunCache(m, pol, 40, 2000)
+		return res
 	}
 	coldTiers()
 	shared, err := NewCacheMachine(b, 7, p, PaperMaxBoundary, 2, -1)

@@ -31,8 +31,8 @@ func intervalCandidates(app string) (sizes []int, err error) {
 	}
 }
 
-// runIntervalPolicy drives a QueueMachine restricted to the two candidate
-// sizes under the given policy and returns the aggregate result. label names
+// runIntervalPolicy runs one policy over the two candidate sizes
+// (core.RunPolicyStudy) and returns the aggregate result. label names
 // the policy canonically ("fixed:0", "interval-adaptive") — it is the
 // policy's identity in the study-row key, so each (app, sizes, penalty,
 // policy) run is one persistently reusable row.
@@ -193,9 +193,12 @@ func ablationIncrement(ctx context.Context, cfg Config) (Result, error) {
 	// Sweep the (application x design) grid; ProfileCacheTPI additionally
 	// parallelizes its boundaries internally. Column 0 is the paper's 8KB
 	// 2-way design, column 1 the rejected 4KB direct-mapped alternative
-	// (same 64 KB maximum L1: 16 increments of 4 KB). Column 0 shares its
-	// study rows with the fig7-9 cache study — a warm persistent cache pays
-	// across drivers.
+	// (same 64 KB maximum L1: 16 increments of 4 KB). Column 0 has the
+	// same study-row keys as the fig7-9 cache study, so a -study-cache
+	// serves it across experiments and processes. Without one it is
+	// recomputed: -experiment all repeats 7 ProfileCacheTPI passes here
+	// and in ablationPower. Reading runCacheStudy instead would make a
+	// standalone run profile all 21 applications, not these 4.
 	grid, err := sweep.GridCtx(ctx, len(apps), 2, func(a, d int) (float64, error) {
 		b, err := workload.ByName(apps[a])
 		if err != nil {
@@ -245,8 +248,9 @@ func ablationPower(ctx context.Context, cfg Config) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Same row as the fig7-9 cache study (shared key): a warm
-		// persistent cache serves this driver without recomputation.
+		// Same row key as the fig7-9 cache study: a warm -study-cache
+		// serves this experiment without recomputation. Without one, the
+		// pass is recomputed even when fig7 ran in the same process.
 		row, err := cacheProfileRow(b, cfg.Seed, cfg.CacheParams, core.PaperMaxBoundary, cfg.CacheWarmRefs, cfg.CacheRefs)
 		return row.TPI, err
 	})

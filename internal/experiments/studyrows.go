@@ -66,8 +66,10 @@ type cacheRow struct {
 
 // cacheProfileRow is the row behind Figures 7-9, ablation-power, and the
 // paper-design half of ablation-increment: one ProfileCacheTPI pass. The key
-// carries every argument (cache.Params includes the feature size), so the
-// same (app, geometry, budget) pass is shared across those drivers.
+// carries every argument (cache.Params includes the feature size), so a
+// -study-cache serves the same (app, geometry, budget) pass to all of those
+// experiments. Without one, only Figures 7-9 share it in process (through
+// runCacheStudy); ablation-power and ablation-increment recompute it.
 func cacheProfileRow(b workload.Benchmark, seed uint64, p cache.Params, maxB int, warm, refs int64) (cacheRow, error) {
 	key := fmt.Sprintf("cacheprof|seed=%d|warm=%d|refs=%d|maxB=%d|p=%+v|app=%s",
 		seed, warm, refs, maxB, p, b.Name)
@@ -96,7 +98,7 @@ func traceRow(b workload.Benchmark, seed uint64, entries []int, n, iv int64, pen
 }
 
 // policyRow is the row behind ablation-interval and ablation-switch: one
-// policy-driven QueueMachine run. label names the policy ("fixed:0",
+// core.RunPolicyStudy run. label names the policy ("fixed:0",
 // "adaptive") — policies are stateful, so the key carries the caller's
 // canonical name rather than a formatted struct.
 func policyRow(app string, seed uint64, sizes []int, label string, intervals, iv int64, pen int, f tech.FeatureSize, fn func() (core.RunResult, error)) (core.RunResult, error) {

@@ -126,9 +126,10 @@ type cycleKey struct {
 	p tech.Params
 }
 
-// cycleTimes memoizes CycleTime: every QueueMachine and CombinedMachine
-// construction evaluates the full configuration set, and parallel sweeps
-// construct thousands of machines over the same handful of queue shapes.
+// cycleTimes memoizes CycleTime: every queue profiling pass and policy
+// engine (core.ProfileQueueTPI, core.MultiPolicy, core.ProfileCombined)
+// evaluates the full configuration set, and parallel sweeps run many of them
+// over the same handful of queue shapes.
 // Validation (which panics) runs before entering the memo.
 var cycleTimes memo.Memo[cycleKey, float64]
 

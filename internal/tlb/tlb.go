@@ -64,8 +64,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("tlb: page size %d must be a positive power of two", p.PageBytes)
 	case p.WalkCycles < 1:
 		return fmt.Errorf("tlb: walk cycles %d must be >= 1", p.WalkCycles)
-	case p.Feature <= 0:
-		return fmt.Errorf("tlb: invalid feature size")
+	case !p.Feature.Valid():
+		return fmt.Errorf("tlb: feature size %v must be finite and positive", float64(p.Feature))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -26,6 +27,15 @@ func TestParamsValidate(t *testing.T) {
 	bad.WalkCycles = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero walk penalty accepted")
+	}
+	// NaN and +Inf compare false against "<= 0", so a sign test alone
+	// accepts them.
+	for _, f := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		bad = DefaultParams()
+		bad.Feature = tech.FeatureSize(f)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("feature size %v accepted", f)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@
 // their random streams from (seed, benchmark, purpose) and results are
 // collected by grid index, so the worker count changes only the wall time.
 // -study-cache likewise changes only wall time and disk use. The telemetry
-// flags (-obs, -trace-out, -metrics-out, -obs-assert) never change stdout
+// flags (-trace-out, -metrics-out, -obs-assert) never change stdout
 // either: observability receives statistics, it does not feed them back
 // (all telemetry notices go to stderr; `make ci`'s bench-obs-smoke enforces
 // the byte identity).
@@ -86,7 +86,6 @@ type runConfig struct {
 	studyCache string
 	cpuprofile string
 	ledgerOut  string
-	obs        bool
 	obsAssert  bool
 	traceOut   string
 	metricsOut string
@@ -118,7 +117,6 @@ func parseArgs(args []string) (runConfig, error) {
 	fs.StringVar(&rc.studyCache, "study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and processes running disjoint -experiment subsets reuse finished profiling rows instead of recomputing (output is identical with or without)")
 	fs.StringVar(&rc.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&rc.ledgerOut, "ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
-	fs.BoolVar(&rc.obs, "obs", false, "enable telemetry counters (implied by -metrics-out)")
 	fs.BoolVar(&rc.obsAssert, "obs-assert", false, "enable runtime invariant self-checks in the simulators (panics on violation)")
 	fs.StringVar(&rc.traceOut, "trace-out", "", "write a Chrome trace-event timeline (chrome://tracing, ui.perfetto.dev) to this file")
 	fs.StringVar(&rc.metricsOut, "metrics-out", "", "write a run manifest (build provenance, flags, per-experiment cost, counter snapshot) as JSON to this file")
@@ -235,12 +233,12 @@ func run(args []string) (err error) {
 		}
 	}
 
-	// Telemetry switches. Counters are free when off; -metrics-out implies
-	// them (a manifest full of zeros would only mislead). All obs notices go
-	// to stderr: stdout carries exactly the rendered experiment output,
-	// byte-identical with telemetry on or off.
+	// Telemetry switches. Counters are free when off; the manifest is their
+	// only reader in a one-shot run, so -metrics-out turns them on. All obs
+	// notices go to stderr: stdout carries exactly the rendered experiment
+	// output, byte-identical with telemetry on or off.
 	obs.SetAssert(rc.obsAssert)
-	obsEnabled := rc.obs || rc.metricsOut != ""
+	obsEnabled := rc.metricsOut != ""
 	obs.SetEnabled(obsEnabled)
 	if rc.traceOut != "" {
 		f, err := os.Create(rc.traceOut)

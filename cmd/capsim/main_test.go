@@ -36,6 +36,7 @@ var rejected = []struct {
 	{"-report\x00,", "no input files"},
 	{"-seed\x001", "-experiment required"},
 	{"-shard\x000/2\x00-experiment\x00fig7", "flag provided but not defined: -shard"},
+	{"-experiment\x00fig7\x00-obs", "flag provided but not defined: -obs"},
 }
 
 // accepted are command lines parseArgs must take.
@@ -70,8 +71,8 @@ func TestParseArgs(t *testing.T) {
 	if got := strings.Join(rc.ids, ","); got != "fig13,fig12" {
 		t.Errorf("ids %q, want the given order", got)
 	}
-	if got := len(flagMap(rc.fs)); got != 24 {
-		t.Errorf("%d flags, want 24", got)
+	if got := len(flagMap(rc.fs)); got != 23 {
+		t.Errorf("%d flags, want 23", got)
 	}
 }
 

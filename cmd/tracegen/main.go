@@ -37,6 +37,10 @@ func main() {
 		}
 		return
 	}
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "tracegen: -n %d must be at least 1\n", *n)
+		os.Exit(2)
+	}
 	b, err := workload.ByName(*bench)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)

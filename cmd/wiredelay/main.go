@@ -25,15 +25,18 @@ func main() {
 	)
 	flag.Parse()
 
-	if *length <= 0 || *load < 0 {
-		fmt.Fprintln(os.Stderr, "wiredelay: length must be positive and load non-negative")
+	l := wire.Line{LengthMM: *length, LoadC: *load}
+	if err := l.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "wiredelay: %v\n", err)
 		os.Exit(2)
 	}
-	l := wire.Line{LengthMM: *length, LoadC: *load}
-
 	features := tech.Generations()
-	if *feature > 0 {
-		features = []tech.FeatureSize{tech.FeatureSize(*feature)}
+	if f := tech.FeatureSize(*feature); f != 0 {
+		if !f.Valid() {
+			fmt.Fprintf(os.Stderr, "wiredelay: feature size %v must be finite and positive (0 = all paper generations)\n", *feature)
+			os.Exit(2)
+		}
+		features = []tech.FeatureSize{f}
 	}
 	fmt.Printf("line: %.2f mm, %.2f pF element load\n", *length, *load)
 	for _, f := range features {

@@ -1,18 +1,15 @@
 // Package bpred implements a complexity-adaptive branch predictor table,
 // the other structure the CAP paper singles out for future
 // complexity-adaptive treatment (Sections 4.2 and 7). The predictor is a
-// gshare-style table of two-bit saturating counters whose *active* size can
-// be changed at runtime in power-of-two steps: a larger table suffers less
-// aliasing (higher prediction accuracy, higher IPC) but its longer wordlines
-// and decode stretch the cycle, exactly the IPC/clock-rate tradeoff of the
-// paper's cache and queue structures.
+// gshare-style table of two-bit saturating counters whose *active* size is a
+// power of two between the minimum and the built size: a larger table
+// suffers less aliasing (higher prediction accuracy, higher IPC) but its
+// longer wordlines and decode stretch the cycle, exactly the IPC/clock-rate
+// tradeoff of the paper's cache and queue structures.
 //
-// Resizing keeps the table physically built at maximum size and changes only
-// the number of index bits in use, so growing or shrinking needs no flash
-// clear: shrinking folds the large table onto its lower half (counters
-// retrain quickly); growing exposes counters that retain their last values
-// — the paper's "cleanup operations are simple and have low enough
-// overhead" observation holds here too.
+// The table is physically built at maximum size; the active size sets the
+// number of index bits in use. The ablation evaluates each active size with
+// its own predictor.
 package bpred
 
 import (
@@ -83,14 +80,6 @@ type Stats struct {
 	Mispredicts uint64
 }
 
-// MispredictRate returns mispredictions per branch.
-func (s Stats) MispredictRate() float64 {
-	if s.Branches == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.Branches)
-}
-
 // Predictor is the runtime state.
 type Predictor struct {
 	p       Params
@@ -132,24 +121,11 @@ func checkActive(p Params, active int) error {
 	return nil
 }
 
-// Active returns the active table size.
-func (pr *Predictor) Active() int { return pr.active }
-
 // Stats returns accumulated statistics.
 func (pr *Predictor) Stats() Stats { return pr.stats }
 
 // ResetStats zeroes counters, keeping table state.
 func (pr *Predictor) ResetStats() { pr.stats = Stats{} }
-
-// Resize changes the active size; table contents persist (the smaller table
-// is the lower slice of the larger one).
-func (pr *Predictor) Resize(active int) error {
-	if err := checkActive(pr.p, active); err != nil {
-		return err
-	}
-	pr.active = active
-	return nil
-}
 
 // index folds the PC and global history into the active table.
 func (pr *Predictor) index(pc uint64) int {

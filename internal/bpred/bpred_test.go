@@ -43,6 +43,8 @@ func TestSizes(t *testing.T) {
 	}
 }
 
+func mispredictRate(s Stats) float64 { return float64(s.Mispredicts) / float64(s.Branches) }
+
 func TestPredictLearnsBias(t *testing.T) {
 	pr := MustNew(DefaultParams(), 1024)
 	// An always-taken branch must converge to ~0 mispredictions.
@@ -53,7 +55,7 @@ func TestPredictLearnsBias(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		pr.Predict(0x1000, true)
 	}
-	if r := pr.Stats().MispredictRate(); r > 0.01 {
+	if r := mispredictRate(pr.Stats()); r > 0.01 {
 		t.Errorf("always-taken mispredict rate %v", r)
 	}
 }
@@ -71,7 +73,7 @@ func TestPredictLearnsLoopPattern(t *testing.T) {
 	for i := 4000; i < 12000; i++ {
 		pr.Predict(0x2000, seq(i))
 	}
-	if r := pr.Stats().MispredictRate(); r > 0.10 {
+	if r := mispredictRate(pr.Stats()); r > 0.10 {
 		t.Errorf("loop-pattern mispredict rate %v, want < 0.10", r)
 	}
 }
@@ -92,7 +94,7 @@ func TestLargerTableReducesAliasing(t *testing.T) {
 			pc, taken := g.Next()
 			pr.Predict(pc, taken)
 		}
-		return pr.Stats().MispredictRate()
+		return mispredictRate(pr.Stats())
 	}
 	small, large := rate(1024), rate(16*1024)
 	if large >= small {
@@ -100,22 +102,11 @@ func TestLargerTableReducesAliasing(t *testing.T) {
 	}
 }
 
-func TestResizePreservesState(t *testing.T) {
-	pr := MustNew(DefaultParams(), 16*1024)
-	for i := 0; i < 200; i++ {
-		pr.Predict(0x3000, true)
-	}
-	if err := pr.Resize(1024); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Active() != 1024 {
-		t.Errorf("active %d", pr.Active())
-	}
-	if err := pr.Resize(3000); err == nil {
-		t.Error("non-power-of-two resize accepted")
-	}
-	if err := pr.Resize(512); err == nil {
-		t.Error("below-min resize accepted")
+func TestNewRejectsActiveSize(t *testing.T) {
+	for _, active := range []int{3000, 512, 32 * 1024} {
+		if _, err := New(DefaultParams(), active); err == nil {
+			t.Errorf("active size %d accepted", active)
+		}
 	}
 }
 

@@ -83,9 +83,6 @@ func (p Params) Sets() int { return p.IncrementBytes / (p.BlockBytes * p.Increme
 // TotalWays returns the total associativity of the whole structure.
 func (p Params) TotalWays() int { return p.Increments * p.IncrementAssoc }
 
-// TotalBytes returns the combined L1+L2 capacity.
-func (p Params) TotalBytes() int { return p.Increments * p.IncrementBytes }
-
 // L1Bytes returns the L1 capacity for boundary k.
 func (p Params) L1Bytes(k int) int { return k * p.IncrementBytes }
 
@@ -172,22 +169,6 @@ type Stats struct {
 	Writebacks uint64 // dirty blocks evicted from the structure
 }
 
-// L1MissRatio returns L1 misses per reference.
-func (s Stats) L1MissRatio() float64 {
-	if s.Refs == 0 {
-		return 0
-	}
-	return float64(s.L1Misses) / float64(s.Refs)
-}
-
-// L2MissRatio returns structure (memory) misses per reference.
-func (s Stats) L2MissRatio() float64 {
-	if s.Refs == 0 {
-		return 0
-	}
-	return float64(s.L2Misses) / float64(s.Refs)
-}
-
 // New creates a hierarchy with the L1/L2 boundary after `boundary`
 // increments.
 func New(p Params, boundary int) (*Hierarchy, error) {
@@ -215,9 +196,6 @@ func MustNew(p Params, boundary int) *Hierarchy {
 	}
 	return h
 }
-
-// Params returns the physical parameters.
-func (h *Hierarchy) Params() Params { return h.p }
 
 // Boundary returns the current L1/L2 boundary in increments.
 func (h *Hierarchy) Boundary() int { return h.boundary }
@@ -503,48 +481,4 @@ func ceilDiv(x, y float64) int {
 		n++
 	}
 	return n
-}
-
-// --- Performance integration ----------------------------------------------
-
-// baseCPI is the paper's 4-way issue pipeline at 67% efficiency in the
-// absence of L1 Dcache misses: 2.67 IPC.
-const baseCPI = 1.0 / 2.67
-
-// Result summarizes a run of one configuration on one workload using the
-// paper's metric, average time per instruction.
-type Result struct {
-	Boundary  int
-	Timing    Timing
-	Stats     Stats
-	Instrs    uint64
-	TPI       float64 // ns per instruction
-	TPIMiss   float64 // ns per instruction spent in Dcache miss stalls
-	MissCPI   float64 // stall cycles per instruction
-	RefsPerKI float64 // references per 1000 instructions, for reporting
-}
-
-// Evaluate converts raw simulation statistics into the paper's TPI metrics.
-// instrs is the number of instructions the reference stream represents
-// (refs / references-per-instruction); the paper runs a fixed number of
-// references per application and derives time per instruction.
-func Evaluate(t Timing, s Stats, instrs uint64) Result {
-	if instrs == 0 {
-		instrs = 1
-	}
-	l2Hits := s.L1Misses - s.L2Misses
-	stallCycles := float64(l2Hits)*float64(t.L2HitCycles) +
-		float64(s.L2Misses)*float64(t.L2HitCycles+t.MemCycles)
-	missCPI := stallCycles / float64(instrs)
-	cpi := baseCPI + missCPI
-	return Result{
-		Boundary:  t.Boundary,
-		Timing:    t,
-		Stats:     s,
-		Instrs:    instrs,
-		TPI:       t.CycleNS * cpi,
-		TPIMiss:   t.CycleNS * missCPI,
-		MissCPI:   missCPI,
-		RefsPerKI: 1000 * float64(s.Refs) / float64(instrs),
-	}
 }

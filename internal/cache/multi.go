@@ -146,12 +146,6 @@ func NewMulti(p Params, maxBoundary int) (*MultiHierarchy, error) {
 	}, nil
 }
 
-// Params returns the physical parameters.
-func (m *MultiHierarchy) Params() Params { return m.p }
-
-// MaxBoundary returns the largest boundary evaluated.
-func (m *MultiHierarchy) MaxBoundary() int { return m.maxB }
-
 // Stats returns a dense copy of the per-boundary statistics, indexed by
 // boundary k (slot 0 is unused and zero). Refs and Writes are filled from the
 // shared counters (they are identical at every boundary).

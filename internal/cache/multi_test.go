@@ -234,12 +234,6 @@ func TestNewMultiRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.MaxBoundary() != 4 {
-		t.Errorf("MaxBoundary = %d", m.MaxBoundary())
-	}
-	if m.Params() != p {
-		t.Error("Params not preserved")
-	}
 	if got := len(m.Stats()); got != 5 {
 		t.Errorf("Stats length %d, want 5", got)
 	}

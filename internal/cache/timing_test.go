@@ -51,34 +51,6 @@ func TestL2HitCyclesDecreaseWithSlowerClock(t *testing.T) {
 	}
 }
 
-func TestEvaluate(t *testing.T) {
-	tm := Timing{Boundary: 2, CycleNS: 0.5, L2HitCycles: 10, MemCycles: 60}
-	s := Stats{Refs: 1000, L1Misses: 100, L2Misses: 20}
-	res := Evaluate(tm, s, 4000)
-	// stall = 80*10 + 20*70 = 2200 cycles over 4000 instructions.
-	wantMissCPI := 2200.0 / 4000.0
-	if res.MissCPI != wantMissCPI {
-		t.Errorf("miss CPI %v, want %v", res.MissCPI, wantMissCPI)
-	}
-	wantTPI := 0.5 * (1.0/2.67 + wantMissCPI)
-	if diff := res.TPI - wantTPI; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("TPI %v, want %v", res.TPI, wantTPI)
-	}
-	if res.TPIMiss != 0.5*wantMissCPI {
-		t.Errorf("TPImiss %v", res.TPIMiss)
-	}
-	if res.RefsPerKI != 250 {
-		t.Errorf("refs/KI %v, want 250", res.RefsPerKI)
-	}
-}
-
-func TestEvaluateZeroInstrs(t *testing.T) {
-	res := Evaluate(Timing{CycleNS: 0.5, L2HitCycles: 1, MemCycles: 1}, Stats{}, 0)
-	if res.TPI <= 0 {
-		t.Error("zero-instruction Evaluate should still produce base TPI")
-	}
-}
-
 func TestCeilDiv(t *testing.T) {
 	cases := []struct {
 		x, y float64

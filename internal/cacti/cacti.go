@@ -211,9 +211,3 @@ func computeDimensions(c Config, p tech.Params) (width, height float64) {
 	width = 2.0 * height
 	return width, height
 }
-
-// CycleTime returns the minimum cycle time of the bank in ns: access time
-// plus a precharge/recovery overhead fraction, CACTI's convention.
-func CycleTime(c Config, p tech.Params) float64 {
-	return AccessTime(c, p).Total() * 1.15
-}

@@ -118,13 +118,6 @@ func TestDimensionsGrowWithCapacity(t *testing.T) {
 	}
 }
 
-func TestCycleTimeExceedsAccessTime(t *testing.T) {
-	c := cfg(8, 32, 2)
-	if CycleTime(c, p18) <= AccessTime(c, p18).Total() {
-		t.Error("cycle time should include precharge overhead beyond access time")
-	}
-}
-
 func TestAutoSubarrayPartitioning(t *testing.T) {
 	// Large banks auto-partition to keep bitlines short; the automatic
 	// choice must never be slower than the monolithic layout by much.

@@ -48,18 +48,6 @@ type Stream struct {
 	rows  [][]byte // rows[k-1]: boundary k's RLE+varint class stream
 }
 
-// Bytes returns the encoded size of all rows.
-func (s *Stream) Bytes() int64 {
-	var n int64
-	for _, r := range s.rows {
-		n += int64(len(r))
-	}
-	return n
-}
-
-// RawBytes returns the flat one-byte-per-class equivalent.
-func (s *Stream) RawBytes() int64 { return s.nrefs * int64(s.maxB) }
-
 // Cursor returns a replay cursor over boundary k's row (1-based, like
 // cache.MultiHierarchy.Stats). Cursors are independent and cheap; opening one
 // counts as a replay.

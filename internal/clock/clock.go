@@ -6,10 +6,7 @@
 // package accounts for.
 package clock
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Source is one selectable processor clock.
 type Source struct {
@@ -27,17 +24,13 @@ type Source struct {
 const DefaultSwitchPenaltyCycles = 20
 
 // System is the dynamic clock: a source table plus the currently selected
-// source and switch accounting.
+// source and a switch count. Callers sum the nanoseconds Select and Advance
+// return.
 type System struct {
-	sources map[int]Source
-	active  int
-	penalty int
-
-	switches    int64
-	cycles      int64   // cycles accumulated via Advance
-	timeNS      float64 // wall-clock time accumulated via Advance
-	penaltyNS   float64 // portion of timeNS spent in switch penalties
-	penaltyCycl int64
+	sources  map[int]Source
+	active   int
+	penalty  int
+	switches int64
 }
 
 // NewSystem builds a dynamic clock from the given sources, initially running
@@ -65,31 +58,6 @@ func NewSystem(sources []Source, initial int, penaltyCycles int) (*System, error
 	return &System{sources: m, active: initial, penalty: penaltyCycles}, nil
 }
 
-// MustNewSystem is NewSystem but panics on error.
-func MustNewSystem(sources []Source, initial int, penaltyCycles int) *System {
-	s, err := NewSystem(sources, initial, penaltyCycles)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Active returns the currently selected source.
-func (s *System) Active() Source { return s.sources[s.active] }
-
-// Sources returns the source table sorted by ID.
-func (s *System) Sources() []Source {
-	out := make([]Source, 0, len(s.sources))
-	for _, src := range s.sources {
-		out = append(out, src)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// PenaltyCycles returns the per-switch penalty in cycles.
-func (s *System) PenaltyCycles() int { return s.penalty }
-
 // Select switches to the source with the given ID, charging the switch
 // penalty (at the OLD clock's period: the old clock must be reliably stopped
 // before the new one starts). Selecting the active source is free. It
@@ -104,33 +72,17 @@ func (s *System) Select(id int) (float64, error) {
 	pen := float64(s.penalty) * s.sources[s.active].PeriodNS
 	s.active = id
 	s.switches++
-	s.cycles += int64(s.penalty)
-	s.penaltyCycl += int64(s.penalty)
-	s.timeNS += pen
-	s.penaltyNS += pen
 	return pen, nil
 }
 
-// Advance accounts for n cycles of execution at the active clock and returns
-// the elapsed nanoseconds.
+// Advance returns the nanoseconds n cycles of execution take at the active
+// clock.
 func (s *System) Advance(n int64) float64 {
 	if n < 0 {
 		n = 0
 	}
-	dt := float64(n) * s.sources[s.active].PeriodNS
-	s.cycles += n
-	s.timeNS += dt
-	return dt
+	return float64(n) * s.sources[s.active].PeriodNS
 }
 
 // Switches returns how many clock switches have occurred.
 func (s *System) Switches() int64 { return s.switches }
-
-// TimeNS returns total accumulated time.
-func (s *System) TimeNS() float64 { return s.timeNS }
-
-// PenaltyNS returns the accumulated switch-penalty time.
-func (s *System) PenaltyNS() float64 { return s.penaltyNS }
-
-// Cycles returns total accumulated cycles (including penalty cycles).
-func (s *System) Cycles() int64 { return s.cycles }

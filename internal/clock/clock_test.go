@@ -13,6 +13,15 @@ func sources() []Source {
 	}
 }
 
+func mustSystem(t *testing.T, sources []Source, initial, penaltyCycles int) *System {
+	t.Helper()
+	s, err := NewSystem(sources, initial, penaltyCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(nil, 0, -1); err == nil {
 		t.Error("empty source table accepted")
@@ -31,20 +40,21 @@ func TestNewSystemValidation(t *testing.T) {
 }
 
 func TestDefaultPenalty(t *testing.T) {
-	s := MustNewSystem(sources(), 0, -1)
-	if s.PenaltyCycles() != DefaultSwitchPenaltyCycles {
-		t.Errorf("penalty %d, want default %d", s.PenaltyCycles(), DefaultSwitchPenaltyCycles)
+	s := mustSystem(t, sources(), 0, -1)
+	pen, err := s.Select(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := DefaultSwitchPenaltyCycles * 0.45; math.Abs(pen-want) > 1e-9 {
+		t.Errorf("penalty %v ns, want the default %d cycles at 0.45 ns", pen, DefaultSwitchPenaltyCycles)
 	}
 }
 
 func TestAdvanceAccumulatesTime(t *testing.T) {
-	s := MustNewSystem(sources(), 1, 0)
+	s := mustSystem(t, sources(), 1, 0)
 	dt := s.Advance(100)
 	if math.Abs(dt-60) > 1e-9 {
 		t.Errorf("100 cycles at 0.6ns = %v, want 60", dt)
-	}
-	if s.Cycles() != 100 || math.Abs(s.TimeNS()-60) > 1e-9 {
-		t.Errorf("accumulators: %d cycles, %v ns", s.Cycles(), s.TimeNS())
 	}
 	if s.Advance(-5) != 0 {
 		t.Error("negative advance should be a no-op")
@@ -52,7 +62,7 @@ func TestAdvanceAccumulatesTime(t *testing.T) {
 }
 
 func TestSelectChargesPenaltyAtOldClock(t *testing.T) {
-	s := MustNewSystem(sources(), 2, 10) // slow (0.8ns) initially
+	s := mustSystem(t, sources(), 2, 10) // slow (0.8ns) initially
 	pen, err := s.Select(0)
 	if err != nil {
 		t.Fatal(err)
@@ -60,19 +70,16 @@ func TestSelectChargesPenaltyAtOldClock(t *testing.T) {
 	if math.Abs(pen-8.0) > 1e-9 { // 10 cycles * 0.8 ns
 		t.Errorf("penalty %v ns, want 8 (old clock)", pen)
 	}
-	if s.Active().ID != 0 {
-		t.Errorf("active %d after switch", s.Active().ID)
+	if dt := s.Advance(100); math.Abs(dt-45) > 1e-9 {
+		t.Errorf("100 cycles after the switch took %v ns, want 45 (new clock)", dt)
 	}
 	if s.Switches() != 1 {
 		t.Errorf("switch count %d", s.Switches())
 	}
-	if math.Abs(s.PenaltyNS()-8.0) > 1e-9 {
-		t.Errorf("penalty accumulator %v", s.PenaltyNS())
-	}
 }
 
 func TestSelectSameSourceFree(t *testing.T) {
-	s := MustNewSystem(sources(), 1, 10)
+	s := mustSystem(t, sources(), 1, 10)
 	pen, err := s.Select(1)
 	if err != nil || pen != 0 {
 		t.Errorf("same-source select: pen=%v err=%v", pen, err)
@@ -83,34 +90,21 @@ func TestSelectSameSourceFree(t *testing.T) {
 }
 
 func TestSelectUnknown(t *testing.T) {
-	s := MustNewSystem(sources(), 0, 10)
+	s := mustSystem(t, sources(), 0, 10)
 	if _, err := s.Select(9); err == nil {
 		t.Error("unknown source accepted")
 	}
 }
 
-func TestSourcesSorted(t *testing.T) {
-	s := MustNewSystem([]Source{{ID: 2, PeriodNS: 1}, {ID: 0, PeriodNS: 1}, {ID: 1, PeriodNS: 1}}, 0, 0)
-	got := s.Sources()
-	for i, src := range got {
-		if src.ID != i {
-			t.Fatalf("sources not sorted: %v", got)
-		}
-	}
-}
-
 func TestFullScenario(t *testing.T) {
-	s := MustNewSystem(sources(), 0, 20)
-	s.Advance(1000)                        // 450 ns
-	if _, err := s.Select(2); err != nil { // +20*0.45 = 9 ns
+	s := mustSystem(t, sources(), 0, 20)
+	total := s.Advance(1000) // 450 ns
+	pen, err := s.Select(2)  // +20*0.45 = 9 ns
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Advance(1000) // 800 ns
-	want := 450.0 + 9.0 + 800.0
-	if math.Abs(s.TimeNS()-want) > 1e-9 {
-		t.Errorf("total time %v, want %v", s.TimeNS(), want)
-	}
-	if s.Cycles() != 2020 {
-		t.Errorf("cycles %d, want 2020", s.Cycles())
+	total += pen + s.Advance(1000) // 800 ns
+	if want := 450.0 + 9.0 + 800.0; math.Abs(total-want) > 1e-9 {
+		t.Errorf("total time %v, want %v", total, want)
 	}
 }

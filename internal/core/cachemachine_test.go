@@ -23,11 +23,12 @@ type CacheMachine struct {
 	configs []Config
 	timings []cache.Timing
 
-	hier *cache.Hierarchy
-	clk  *clock.System
-	refs workload.RefSource
-	rpi  float64 // references per instruction
-	cur  int
+	hier    *cache.Hierarchy
+	clk     *clock.System
+	penalty int64 // switch penalty in cycles, the default resolved
+	refs    workload.RefSource
+	rpi     float64 // references per instruction
+	cur     int
 
 	instrs float64
 	timeNS float64
@@ -78,6 +79,7 @@ func NewCacheMachine(b workload.Benchmark, seed uint64, p cache.Params, maxBound
 		timings: timings,
 		hier:    h,
 		clk:     clk,
+		penalty: switchPenalty(penaltyCycles),
 		refs:    trace.RefsFor(b, seed).Cursor(),
 		rpi:     b.Mem.RefsPerInstr,
 		cur:     initial,
@@ -116,7 +118,7 @@ func (c *CacheMachine) SetConfig(k int) (int64, error) {
 	}
 	c.timeNS += pen
 	c.cur = k
-	return int64(c.clk.PenaltyCycles()), nil
+	return c.penalty, nil
 }
 
 // RunInterval plays n references through the hierarchy under the current

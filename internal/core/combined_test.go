@@ -203,7 +203,7 @@ func TestCombinedSetConfigTransitions(t *testing.T) {
 				}
 				return
 			}
-			pen := int64(m.Clock().PenaltyCycles())
+			pen := m.penalty
 			if tc.wantDrain {
 				if cost <= pen {
 					t.Errorf("cost %d, want drain stalls beyond the %d-cycle penalty", cost, pen)

@@ -40,6 +40,7 @@ type CombinedMachine struct {
 	hier    *cache.Hierarchy
 	timings []cache.Timing
 	clk     *clock.System
+	penalty int64 // switch penalty in cycles, the default resolved
 	istream workload.InstrSource
 	refs    workload.RefSource
 	rpi     float64
@@ -108,6 +109,7 @@ func NewCombinedMachine(b workload.Benchmark, seed uint64, sizes []int, p cache.
 	if m.clk, err = clock.NewSystem(sources, initID, penaltyCycles); err != nil {
 		return nil, err
 	}
+	m.penalty = switchPenalty(penaltyCycles)
 	m.istream = trace.OpsFor(b, seed).Cursor()
 	m.refs = trace.RefsFor(b, seed).Cursor()
 	m.cur = initID
@@ -176,7 +178,7 @@ func (m *CombinedMachine) SetConfig(id int) (int64, error) {
 	}
 	m.timeNS += pen
 	m.cur = id
-	return drain + int64(m.clk.PenaltyCycles()), nil
+	return drain + m.penalty, nil
 }
 
 // RunInterval issues n instructions with loads served by the live cache

@@ -23,10 +23,11 @@ type QueueMachine struct {
 	sizes   []int
 	configs []Config
 
-	core   *ooo.Core
-	clk    *clock.System
-	stream workload.InstrSource
-	cur    int
+	core    *ooo.Core
+	clk     *clock.System
+	penalty int64 // switch penalty in cycles, the default resolved
+	stream  workload.InstrSource
+	cur     int
 
 	instrs int64
 	timeNS float64
@@ -68,6 +69,7 @@ func NewQueueMachine(b workload.Benchmark, seed uint64, sizes []int, initial int
 		configs: configs,
 		core:    c,
 		clk:     clk,
+		penalty: switchPenalty(penaltyCycles),
 		stream:  trace.OpsFor(b, seed).Cursor(),
 		cur:     initial,
 	}, nil
@@ -109,7 +111,7 @@ func (q *QueueMachine) SetConfig(id int) (int64, error) {
 	}
 	q.timeNS += pen
 	q.cur = id
-	return drain + int64(q.clk.PenaltyCycles()), nil
+	return drain + q.penalty, nil
 }
 
 // RunInterval issues n instructions under the current configuration and
@@ -143,6 +145,15 @@ func (q *QueueMachine) TimeNS() float64 { return q.timeNS }
 
 // Clock exposes the dynamic clock.
 func (q *QueueMachine) Clock() *clock.System { return q.clk }
+
+// switchPenalty resolves an oracle's penaltyCycles argument as
+// clock.NewSystem does: negative selects the default.
+func switchPenalty(penaltyCycles int) int64 {
+	if penaltyCycles < 0 {
+		return clock.DefaultSwitchPenaltyCycles
+	}
+	return int64(penaltyCycles)
+}
 
 // RunQueue drives the machine for `intervals` intervals of `n` instructions
 // under the policy, reconfiguring between intervals as the policy directs,

@@ -15,46 +15,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if got := GeoMean([]float64{1, -1}); got != 0 {
-		t.Errorf("GeoMean with negative = %v", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %v", got)
-	}
-}
-
-func TestGeoMeanEdgeCases(t *testing.T) {
-	// A zero element (not just negative) must also short-circuit to 0:
-	// log(0) would otherwise poison the sum with -Inf.
-	if got := GeoMean([]float64{3, 0, 5}); got != 0 {
-		t.Errorf("GeoMean with zero element = %v", got)
-	}
-	// Single element: the geometric mean is the element itself.
-	if got := GeoMean([]float64{7.25}); math.Abs(got-7.25) > 1e-12 {
-		t.Errorf("GeoMean single = %v", got)
-	}
-	// Identical elements: mean equals the common value exactly (up to
-	// rounding through log/exp).
-	if got := GeoMean([]float64{2.5, 2.5, 2.5}); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("GeoMean constant = %v", got)
-	}
-	// Values whose product overflows float64 still work via the log-sum
-	// form: geomean(1e200, 1e200, 1e-200) = 1e200^(2/3) * 1e-200^(1/3).
-	got := GeoMean([]float64{1e200, 1e200, 1e-200})
-	want := math.Exp((2*math.Log(1e200) + math.Log(1e-200)) / 3)
-	if math.IsInf(got, 0) || math.Abs(got-want) > want*1e-12 {
-		t.Errorf("GeoMean overflow-resistant = %v want %v", got, want)
-	}
-	// Empty (as opposed to nil) slice.
-	if got := GeoMean([]float64{}); got != 0 {
-		t.Errorf("GeoMean(empty) = %v", got)
-	}
-}
-
 func TestReduction(t *testing.T) {
 	if got := Reduction(2, 1); got != 0.5 {
 		t.Errorf("Reduction = %v", got)

@@ -22,9 +22,6 @@ type Histogram struct {
 	sum     atomic.Int64
 }
 
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
 // BucketOf returns the bucket index recording value v: 0 for v <= 0,
 // otherwise bits.Len64(v) (the position of v's highest set bit, 1-based).
 func BucketOf(v int64) int {

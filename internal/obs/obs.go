@@ -17,12 +17,13 @@
 //     process-wide atomic switch (SetEnabled): a disabled Counter.Add is one
 //     atomic bool load and a predicted branch, and the publication call
 //     sites run at most once per profile pass or interval, so `capsim`
-//     without any -obs flags pays nothing measurable (the bench harness
-//     reports the on/off difference as obs_overhead_frac).
+//     without -metrics-out or -trace-out pays nothing measurable (the bench
+//     harness reports the on/off difference as obs_overhead_frac).
 //
-// cmd/capsim exposes the subsystem as -metrics-out (run manifest),
-// -trace-out (Chrome trace) and -obs (counters only); the experiment API
-// server (-serve-api) mounts the live handler at /metrics and /debug/vars.
+// cmd/capsim exposes the subsystem as -metrics-out (run manifest, which
+// turns the counters on) and -trace-out (Chrome trace); the experiment API
+// server (-serve-api) turns the counters on and mounts the live handler at
+// /metrics and /debug/vars.
 package obs
 
 import (
@@ -52,9 +53,6 @@ type Counter struct {
 	name string
 	v    atomic.Int64
 }
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Add adds d when telemetry is enabled.
 func (c *Counter) Add(d int64) {

@@ -87,14 +87,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Range returns a uniform int in [lo, hi]. It panics if hi < lo.
-func (r *Source) Range(lo, hi int) int {
-	if hi < lo {
-		panic(fmt.Sprintf("rng: Range with hi=%d < lo=%d", hi, lo))
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
 // Bool returns true with probability p (clamped to [0,1]).
 func (r *Source) Bool(p float64) bool {
 	if p <= 0 {

@@ -77,26 +77,6 @@ func TestIntnBoundsAndPanic(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestRange(t *testing.T) {
-	r := New(6)
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		v := r.Range(3, 5)
-		if v < 3 || v > 5 {
-			t.Fatalf("Range(3,5) = %d", v)
-		}
-		seen[v] = true
-	}
-	for v := 3; v <= 5; v++ {
-		if !seen[v] {
-			t.Errorf("value %d never produced", v)
-		}
-	}
-	if got := r.Range(4, 4); got != 4 {
-		t.Errorf("Range(4,4) = %d", got)
-	}
-}
-
 func TestBoolEdges(t *testing.T) {
 	r := New(7)
 	if r.Bool(0) {

@@ -102,7 +102,7 @@ var base = Params{
 // scaling device quantities linearly from the 0.80 micron anchor. Wire
 // R and C per millimetre are held constant per the paper's first-order
 // assumption. It panics if the feature size is not finite and positive; use
-// Validate for non-panicking checks.
+// FeatureSize.Valid for non-panicking checks.
 func ForFeature(f FeatureSize) Params {
 	if !f.Valid() {
 		panic(fmt.Sprintf("tech: feature size %v must be finite and positive", float64(f)))
@@ -118,21 +118,6 @@ func ForFeature(f FeatureSize) Params {
 		WireCPerMM:   base.WireCPerMM,
 		GateDelayFO4: base.GateDelayFO4 * s,
 	}
-}
-
-// Validate reports whether the parameters are physically sensible.
-func (p Params) Validate() error {
-	switch {
-	case !p.Feature.Valid():
-		return fmt.Errorf("tech: feature size %v must be finite and positive", float64(p.Feature))
-	case p.BufferDelay <= 0:
-		return fmt.Errorf("tech: buffer delay %v must be positive", p.BufferDelay)
-	case p.BufferR <= 0 || p.BufferC <= 0:
-		return fmt.Errorf("tech: buffer RC (%v, %v) must be positive", p.BufferR, p.BufferC)
-	case p.WireRPerMM <= 0 || p.WireCPerMM <= 0:
-		return fmt.Errorf("tech: wire RC per mm (%v, %v) must be positive", p.WireRPerMM, p.WireCPerMM)
-	}
-	return nil
 }
 
 // WireTauPerMM2 returns the distributed wire RC time constant per square
@@ -152,14 +137,4 @@ func (p Params) WireTauPerMM2() float64 {
 func (p Params) BitCellSide() float64 {
 	const lambdaPerSide = 16.0
 	return lambdaPerSide * float64(p.Feature) / 2.0 / 1000.0 // um -> mm
-}
-
-// PortArea scales a cell's area for a multi-ported cell: both wordlines and
-// bitlines replicate per port, so area grows quadratically with the number
-// of ports (paper Section 2, citing Mulder's area model).
-func PortArea(baseArea float64, ports int) float64 {
-	if ports < 1 {
-		ports = 1
-	}
-	return baseArea * float64(ports) * float64(ports)
 }

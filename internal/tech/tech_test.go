@@ -46,36 +46,17 @@ func TestForFeaturePanicsOnNonPositive(t *testing.T) {
 	ForFeature(0)
 }
 
-func TestValidate(t *testing.T) {
-	good := ForFeature(Micron018)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid params rejected: %v", err)
-	}
-	bad := good
-	bad.BufferDelay = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero buffer delay accepted")
-	}
-	bad = good
-	bad.WireRPerMM = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative wire R accepted")
-	}
-	bad = good
-	bad.Feature = -0.1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative feature accepted")
-	}
-}
-
 // TestValidateRejectsNonFiniteFeature: NaN and +Inf compare false against
 // "<= 0", so a sign check alone lets them through into every scaled delay.
 func TestValidateRejectsNonFiniteFeature(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.18} {
-		p := ForFeature(Micron018)
-		p.Feature = FeatureSize(f)
-		if err := p.Validate(); err == nil {
+		if FeatureSize(f).Valid() {
 			t.Errorf("feature %v accepted", f)
+		}
+	}
+	for _, f := range append(Generations(), Micron080) {
+		if !f.Valid() {
+			t.Errorf("feature %v rejected", f)
 		}
 	}
 }
@@ -105,20 +86,6 @@ func TestBitCellSideShrinksWithFeature(t *testing.T) {
 			t.Errorf("%v: cell side %v not smaller than previous %v", f, side, prev)
 		}
 		prev = side
-	}
-}
-
-func TestPortAreaQuadratic(t *testing.T) {
-	base := 10.0
-	if got := PortArea(base, 1); got != base {
-		t.Errorf("1 port: %v, want %v", got, base)
-	}
-	if got := PortArea(base, 3); got != 9*base {
-		t.Errorf("3 ports: %v, want %v", got, 9*base)
-	}
-	// Non-positive ports clamp to 1.
-	if got := PortArea(base, 0); got != base {
-		t.Errorf("0 ports: %v, want %v", got, base)
 	}
 }
 

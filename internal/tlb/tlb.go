@@ -102,14 +102,6 @@ type Stats struct {
 	Walks       uint64
 }
 
-// MissRatio returns walks per lookup.
-func (s Stats) MissRatio() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Walks) / float64(s.Lookups)
-}
-
 // entry is one translation.
 type entry struct {
 	vpn   uint64
@@ -170,17 +162,6 @@ func (t *TLB) Stats() Stats { return t.stats }
 
 // ResetStats zeroes counters, keeping contents.
 func (t *TLB) ResetStats() { t.stats = Stats{} }
-
-// SetPrimary moves the primary/backup boundary. Entries stay where they are
-// — the boundary is just a relabeling, exactly like the cache hierarchy's
-// movable L1/L2 boundary.
-func (t *TLB) SetPrimary(groups int) error {
-	if groups < 1 || groups > t.p.Groups {
-		return fmt.Errorf("tlb: primary %d outside [1,%d]", groups, t.p.Groups)
-	}
-	t.primary = groups
-	return nil
-}
 
 // primaryEntries returns the entry count of the single-cycle section.
 func (t *TLB) primaryEntries() int { return t.primary * t.p.GroupEntries }

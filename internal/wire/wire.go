@@ -30,13 +30,15 @@ type Line struct {
 	LoadC float64
 }
 
-// Validate reports whether the line is physically sensible.
+// Validate reports whether the line is physically sensible: a finite,
+// positive length and a finite, non-negative load. NaN fails every
+// comparison, so each bound is stated as the condition that must hold.
 func (l Line) Validate() error {
-	if l.LengthMM < 0 {
-		return fmt.Errorf("wire: negative length %v", l.LengthMM)
+	if !(l.LengthMM > 0) || math.IsInf(l.LengthMM, 1) {
+		return fmt.Errorf("wire: length %v mm must be finite and positive", l.LengthMM)
 	}
-	if l.LoadC < 0 {
-		return fmt.Errorf("wire: negative load capacitance %v", l.LoadC)
+	if !(l.LoadC >= 0) || math.IsInf(l.LoadC, 1) {
+		return fmt.Errorf("wire: load capacitance %v pF must be finite and non-negative", l.LoadC)
 	}
 	return nil
 }
@@ -165,27 +167,4 @@ func BestDelay(l Line, p tech.Params) (delay float64, buffered bool) {
 		return b, true
 	}
 	return u, false
-}
-
-// SegmentDelay returns the delay of traversing the first `span` of `total`
-// equal segments of an optimally buffered line. This is the delay hierarchy
-// property of Figure 3 in the paper: repeaters electrically isolate segments,
-// so reaching element i costs a delay proportional to i and independent of
-// how many further elements exist. Adaptive structures exploit it: the clock
-// follows the *enabled* span, not the built span.
-func SegmentDelay(l Line, span, total int, p tech.Params) float64 {
-	if total < 1 {
-		total = 1
-	}
-	if span < 0 {
-		span = 0
-	}
-	if span > total {
-		span = total
-	}
-	full, k := OptimalBufferedDelay(l, p)
-	if k == 0 {
-		return 0
-	}
-	return full * float64(span) / float64(total)
 }

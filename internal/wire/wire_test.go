@@ -97,33 +97,23 @@ func TestBufferedDelayOptimalAtReportedK(t *testing.T) {
 	}
 }
 
-func TestSegmentDelayHierarchy(t *testing.T) {
-	// Repeater isolation: reaching half the elements costs half the
-	// delay, and the enabled span's delay is independent of the total
-	// structure beyond it.
-	l := Line{LengthMM: 4, LoadC: 2}
-	full, _ := OptimalBufferedDelay(l, p18)
-	half := SegmentDelay(l, 8, 16, p18)
-	if math.Abs(half-full/2) > 1e-9 {
-		t.Errorf("half span delay %v, want %v", half, full/2)
-	}
-	if d := SegmentDelay(l, 0, 16, p18); d != 0 {
-		t.Errorf("zero span delay %v, want 0", d)
-	}
-	if d := SegmentDelay(l, 20, 16, p18); math.Abs(d-full) > 1e-9 {
-		t.Errorf("over-span clamps to full: %v vs %v", d, full)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := (Line{LengthMM: 1, LoadC: 0}).Validate(); err != nil {
 		t.Errorf("valid line rejected: %v", err)
 	}
-	if err := (Line{LengthMM: -1}).Validate(); err == nil {
-		t.Error("negative length accepted")
-	}
-	if err := (Line{LengthMM: 1, LoadC: -0.1}).Validate(); err == nil {
-		t.Error("negative load accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, l := range []Line{
+		{LengthMM: -1},
+		{LengthMM: 1, LoadC: -0.1},
+		{LengthMM: 0, LoadC: 1},
+		{LengthMM: nan, LoadC: 1},
+		{LengthMM: inf, LoadC: 1},
+		{LengthMM: 1, LoadC: nan},
+		{LengthMM: 1, LoadC: inf},
+	} {
+		if err := l.Validate(); err == nil {
+			t.Errorf("line %+v accepted", l)
+		}
 	}
 }
 

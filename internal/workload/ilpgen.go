@@ -98,9 +98,6 @@ func NewInstrStream(b Benchmark, seed uint64) *InstrStream {
 	return s
 }
 
-// Index returns the number of instructions generated so far.
-func (s *InstrStream) Index() int64 { return s.idx }
-
 // InAltPhase reports whether the generator is currently in the Alt phase
 // (diagnostics and phase-visualization tooling).
 func (s *InstrStream) InAltPhase() bool { return s.inAlt }

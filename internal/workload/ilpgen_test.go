@@ -231,7 +231,7 @@ func TestFillInstr(t *testing.T) {
 	if len(buf) != 64 {
 		t.Fatalf("Fill returned %d", len(buf))
 	}
-	if s.Index() != 64 {
-		t.Errorf("Index() = %d, want 64", s.Index())
+	if s.idx != 64 {
+		t.Errorf("stream index %d after Fill, want 64", s.idx)
 	}
 }

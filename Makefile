@@ -21,7 +21,8 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # ci-race is the focused race lane over the concurrency-heavy packages — the
-# flight recorder's publication fan-out, the obs counters, the API server's
+# flight recorder's publication fan-out, the memo package's singleflight and
+# LRU eviction (every memo tier rests on it), the obs counters, the API server's
 # streaming/admission paths, the sweep pool and the trace stores' concurrent
 # chunk publication, and the policy layer's race families (concurrent
 # extension, cancellation and prefix views) — cheap enough to run on every
@@ -30,7 +31,7 @@ RACE_RUN = RaceFamilyConcurrent|RaceFamilyCancelledExtension|FixedRosterExtensio
 RACE_RUN_PKG = ./internal/core/
 
 ci-race:
-	$(GO) test -race -timeout 10m ./internal/flight/ ./internal/obs/ ./internal/server/ ./internal/sweep/ ./internal/trace/
+	$(GO) test -race -timeout 10m ./internal/flight/ ./internal/memo/ ./internal/obs/ ./internal/server/ ./internal/sweep/ ./internal/trace/
 	$(GO) test -race -timeout 10m -run '$(RACE_RUN)' $(RACE_RUN_PKG)
 
 # ci-names (ci-gated) fails when a name the ci-race lane's -run pattern or

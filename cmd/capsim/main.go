@@ -124,7 +124,7 @@ func parseArgs(args []string) (runConfig, error) {
 	fs.IntVar(&rc.serve.inFlight, "api-inflight", 2, "serve-api: maximum concurrently executing runs")
 	fs.DurationVar(&rc.serve.queueWait, "api-queue-wait", 2*time.Second, "serve-api: how long an inadmissible request may queue for a run slot before 429")
 	fs.DurationVar(&rc.serve.runTimeout, "api-timeout", 0, "serve-api: per-run wall-time limit (0 = unbounded; a request's timeout_ms can only tighten it)")
-	fs.IntVar(&rc.serve.cache, "api-cache", 64, "serve-api: response-cache entries, LRU (0 disables); also bounds the in-memory study, trace-store and classification memos")
+	fs.IntVar(&rc.serve.cache, "api-cache", 64, "serve-api: response-cache entries, LRU (0 disables); also bounds each in-memory memo a run fills (study rows, trace stores, race families) to this many entries")
 	fs.DurationVar(&rc.serve.drainGrace, "drain-grace", 15*time.Second, "serve-api: how long in-flight runs may finish after SIGINT/SIGTERM before their sweeps are cancelled")
 	if err := fs.Parse(args); err != nil {
 		return rc, err

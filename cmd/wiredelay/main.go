@@ -19,8 +19,8 @@ import (
 
 func main() {
 	var (
-		length  = flag.Float64("length", 2.0, "wire length in mm")
-		load    = flag.Float64("load", 1.0, "distributed element load in pF")
+		length  = flag.Float64("length", 2.0, fmt.Sprintf("wire length in mm, in (0, %v]", wire.MaxLengthMM))
+		load    = flag.Float64("load", 1.0, fmt.Sprintf("distributed element load in pF, in [0, %v]", wire.MaxLoadPF))
 		feature = flag.Float64("feature", 0, "feature size in microns (0 = all paper generations)")
 	)
 	flag.Parse()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 
 	"capsim/internal/memo"
@@ -20,19 +19,22 @@ import (
 var obsRaceSimCells = obs.NewCounter("policy.race_sim_cells")
 
 // raceKey identifies one race family: a contender roster raced over an
-// application's stream in n-instruction intervals. The key EXCLUDES the
+// application's stream in n-instruction intervals. It is the content key
+// (memo.Key) of the application's full profile — not its name, so a
+// same-name copy with one changed field is a different stream — the seed,
+// the size menu, the clock periods and the roster. The key EXCLUDES the
 // clock-switch penalty — the clock system charges a switch, the core never
 // sees it, and policies observe only (config, TPI, IPC), whose TPI is
-// cycles × period / issued — so every penalty point replays one family. The clock periods are in the key instead of the feature size:
-// they are what the monitors' TPI samples, and so the policies' decisions,
-// depend on.
-type raceKey struct {
-	app     string
-	seed    uint64
-	sizes   string // fmt.Sprint of the size list (order matters)
-	periods string // fmt.Sprint of the per-size clock periods
-	n       int64  // instructions per interval
-	roster  string // rosterKey of the contenders
+// cycles × period / issued — so every penalty point replays one family. The
+// clock periods are in the key instead of the feature size: they are what
+// the monitors' TPI samples, and so the policies' decisions, depend on. It
+// reports false when the roster cannot key a shared family (rosterKey).
+func (mp *MultiPolicy) raceKey(specs []PolicySpec) (string, bool) {
+	roster, ok := rosterKey(specs)
+	if !ok {
+		return "", false
+	}
+	return memo.Key(mp.b, mp.seed, mp.sizes, mp.cycs, mp.n, roster)
 }
 
 // raceStep is one column's record of one interval: the configuration it ran
@@ -69,88 +71,41 @@ type raceFamily struct {
 	log [][]raceStep // [column][interval]
 }
 
-// raceFamilies memoizes race families per key. Creation is cheap and runs
-// inside the memo; extension runs under the family's own mutex, so a
+// raceFamilies memoizes race families per raceKey. Creation is cheap and
+// runs inside the memo; extension runs under the family's own mutex, so a
 // cancelled extension never poisons the memo entry.
-var raceFamilies memo.Memo[raceKey, *raceFamily]
+var raceFamilies memo.Memo[string, *raceFamily]
 
-// rosterKey canonicalizes a contender roster for the race-family key: the
-// %#v rendering of each policy, which spells out every field — tunables and
-// internal state alike — so a changed tunable, or an instance that has
-// already run, is a different roster. It reports false when a rendering
-// would not identify the policy's behaviour: nested pointers, funcs and
-// channels print as addresses (a closure prints only its code pointer, and
-// a freed address can be reused), and an instance raced in two columns
-// shares state that two equal instances would not. Such rosters race in a
-// private, unshared family.
+// rosterKey encodes a contender roster by content (memo.Key): every
+// policy's type and fields — tunables and internal state alike — so a
+// changed tunable, or an instance that has already run, is a different
+// roster. It reports false when the content would not identify the race:
+// a nil policy, a policy memo.Key cannot encode (a closure or channel), or
+// one instance raced in two columns, which shares state that two equal
+// instances would not. Such rosters race in a private, unshared family.
 func rosterKey(specs []PolicySpec) (string, bool) {
-	var sb strings.Builder
 	seen := make(map[uintptr]bool, len(specs))
 	for _, s := range specs {
 		if s.Policy == nil {
 			return "", false
 		}
-		v := reflect.ValueOf(s.Policy)
-		if v.Kind() == reflect.Pointer {
+		if v := reflect.ValueOf(s.Policy); v.Kind() == reflect.Pointer {
 			if v.IsNil() || seen[v.Pointer()] {
 				return "", false
 			}
 			seen[v.Pointer()] = true
-			v = v.Elem()
-		}
-		if !plainData(v) {
-			return "", false
-		}
-		fmt.Fprintf(&sb, "%#v\x00", s.Policy)
-	}
-	return sb.String(), true
-}
-
-// plainData reports whether %#v renders v by content alone: no non-nil
-// pointer, func, channel or unsafe pointer is reachable from it.
-func plainData(v reflect.Value) bool {
-	switch v.Kind() {
-	case reflect.Pointer, reflect.Func, reflect.Chan, reflect.UnsafePointer:
-		return v.IsNil()
-	case reflect.Interface:
-		return v.IsNil() || plainData(v.Elem())
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if !plainData(v.Field(i)) {
-				return false
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if !plainData(v.Index(i)) {
-				return false
-			}
-		}
-	case reflect.Map:
-		for it := v.MapRange(); it.Next(); {
-			if !plainData(it.Key()) || !plainData(it.Value()) {
-				return false
-			}
 		}
 	}
-	return true
+	return memo.Key(specs)
 }
 
 // raceFamilyFor returns the (possibly already advanced) race family of the
 // roster on this engine's application and menu. On a miss the new family
 // takes ownership of the specs' policy instances.
 func (mp *MultiPolicy) raceFamilyFor(specs []PolicySpec) (*raceFamily, error) {
-	roster, ok := rosterKey(specs)
+	key, ok := mp.raceKey(specs)
 	if !ok {
 		return mp.newRaceFamily(specs)
-	}
-	key := raceKey{
-		app:     mp.b.Name,
-		seed:    mp.seed,
-		sizes:   fmt.Sprint(mp.sizes),
-		periods: fmt.Sprint(mp.cycs),
-		n:       mp.n,
-		roster:  roster,
 	}
 	return raceFamilies.Do(key, func() (*raceFamily, error) { return mp.newRaceFamily(specs) })
 }

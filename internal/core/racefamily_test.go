@@ -268,7 +268,8 @@ func TestRaceFamilyKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mp.Race(ctx, []PolicySpec{{Policy: &IntervalPolicy{Configs: []int{0, 1}}}}, 20); err != nil {
+	orig, err := mp.Race(ctx, []PolicySpec{{Policy: &IntervalPolicy{Configs: []int{0, 1}}}}, 20)
+	if err != nil {
 		t.Fatal(err)
 	}
 	mine := &IntervalPolicy{Configs: []int{0, 1}}
@@ -280,6 +281,30 @@ func TestRaceFamilyKeys(t *testing.T) {
 	}
 	if raceFamilies.Len() != 1 {
 		t.Errorf("%d race families after two equal rosters, want 1", raceFamilies.Len())
+	}
+
+	// A same-name copy of the profile with one ILP field changed is another
+	// stream: it races in a family of its own, to its own numbers.
+	mod := workload.MustByName("vortex")
+	mod.ILP.Base.SrcWeights[2] += 0.3
+	race := func() []RunResult {
+		mp, err := NewMultiPolicy(mod, 1998, []int{16, 64}, 2000, 20, tech.Micron018)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := mp.Race(ctx, []PolicySpec{{Policy: &IntervalPolicy{Configs: []int{0, 1}}}}, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	got := race()
+	if raceFamilies.Len() != 2 {
+		t.Errorf("%d race families after a changed profile, want 2", raceFamilies.Len())
+	}
+	ResetPolicyFamilies()
+	if want := race(); !reflect.DeepEqual(got, want) || reflect.DeepEqual(got, orig) {
+		t.Errorf("changed profile raced to %+v; a cold race gives %+v, the original %+v", got, want, orig)
 	}
 }
 

@@ -66,8 +66,8 @@ func (s *driftStreak) confirm(tripped bool) bool {
 // rotation that refreshes it, and the drift streak that rebuilds it after a
 // phase flip. Policies embed it by value and keep their tunables as their
 // own fields, where composite literals can set them. It must stay plain
-// data: rosterKey renders policies with %#v, and a pointer here would make
-// every race roster private.
+// data: rosterKey keys policies by content (memo.Key), and a func or channel
+// here would make every race roster private.
 type estimator struct {
 	est        map[int]float64
 	seen       map[int]bool // dispatched since the last restart

@@ -32,19 +32,26 @@ func intervalCandidates(app string) (sizes []int, err error) {
 }
 
 // runIntervalPolicy runs one policy over the two candidate sizes
-// (core.RunPolicyStudy) and returns the aggregate result. label names
-// the policy canonically ("fixed:0", "interval-adaptive") — it is the
-// policy's identity in the study-row key, so each (app, sizes, penalty,
-// policy) run is one persistently reusable row.
-func runIntervalPolicy(ctx context.Context, cfg Config, app string, sizes []int, label string, p core.Policy, intervals int64) (core.RunResult, error) {
-	return policyRow(app, cfg.Seed, sizes, label, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature,
-		func() (core.RunResult, error) {
-			b, err := workload.ByName(app)
-			if err != nil {
-				return core.RunResult{}, err
-			}
-			return core.RunPolicyStudy(ctx, b, cfg.Seed, sizes, p, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
-		})
+// (core.RunPolicyStudy) and returns the aggregate result. Each run is one
+// study row, keyed on the policy's content — its type and every tunable — so
+// a changed policy is a different row.
+func runIntervalPolicy(ctx context.Context, cfg Config, app string, sizes []int, p core.Policy, intervals int64) (core.RunResult, error) {
+	b, err := workload.ByName(app)
+	if err != nil {
+		return core.RunResult{}, err
+	}
+	return studyRow(ctx, "qpolicy", func() (core.RunResult, error) {
+		return core.RunPolicyStudy(ctx, b, cfg.Seed, sizes, p, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
+	}, b, cfg.Seed, sizes, p, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
+}
+
+// benchmarks returns the named applications' profiles.
+func benchmarks(names []string) []workload.Benchmark {
+	out := make([]workload.Benchmark, len(names))
+	for i, n := range names {
+		out[i] = workload.MustByName(n)
+	}
+	return out
 }
 
 // oracleTPI computes the per-interval oracle: the TPI of always running the
@@ -94,7 +101,7 @@ func ablationInterval(ctx context.Context, cfg Config) (Result, error) {
 		// Best fixed: run both configurations to completion, keep the
 		// better (the process-level choice between the two).
 		fixed, err := sweep.RunCtx(ctx, len(sizes), func(i int) (float64, error) {
-			r, err := runIntervalPolicy(ctx, cfg, app, sizes, fmt.Sprintf("fixed:%d", i), core.FixedPolicy{Config: i}, intervals)
+			r, err := runIntervalPolicy(ctx, cfg, app, sizes, core.FixedPolicy{Config: i}, intervals)
 			return r.TPI, err
 		})
 		if err != nil {
@@ -106,8 +113,7 @@ func ablationInterval(ctx context.Context, cfg Config) (Result, error) {
 				fixedBest = v
 			}
 		}
-		adaptive, err := runIntervalPolicy(ctx, cfg, app, sizes, "interval-adaptive",
-			&core.IntervalPolicy{Configs: []int{0, 1}}, intervals)
+		adaptive, err := runIntervalPolicy(ctx, cfg, app, sizes, &core.IntervalPolicy{Configs: []int{0, 1}}, intervals)
 		if err != nil {
 			return row{}, err
 		}
@@ -152,7 +158,7 @@ func ablationSwitch(ctx context.Context, cfg Config) (Result, error) {
 	runs, err := sweep.RunCtx(ctx, len(penalties), func(i int) (core.RunResult, error) {
 		c := cfg
 		c.PenaltyCycles = penalties[i]
-		return runIntervalPolicy(ctx, c, "vortex", sizes, "interval-adaptive", &core.IntervalPolicy{Configs: []int{0, 1}}, intervals)
+		return runIntervalPolicy(ctx, c, "vortex", sizes, &core.IntervalPolicy{Configs: []int{0, 1}}, intervals)
 	})
 	if err != nil {
 		return Result{}, err
@@ -190,39 +196,23 @@ func ablationIncrement(ctx context.Context, cfg Config) (Result, error) {
 		Title:   "Adaptive TPI (ns) by increment design",
 		Columns: []string{"benchmark", "8KB 2-way x16 (paper)", "4KB 1-way x32 (alternative)", "difference"},
 	}
-	// Sweep the (application x design) grid; ProfileCacheTPI additionally
-	// parallelizes its boundaries internally. Column 0 is the paper's 8KB
-	// 2-way design, column 1 the rejected 4KB direct-mapped alternative
-	// (same 64 KB maximum L1: 16 increments of 4 KB). Column 0 has the
-	// same study-row keys as the fig7-9 cache study, so a -study-cache
-	// serves it across experiments and processes. Without one it is
-	// recomputed: -experiment all repeats 7 ProfileCacheTPI passes here
-	// and in ablationPower. Reading runCacheStudy instead would make a
-	// standalone run profile all 21 applications, not these 4.
-	grid, err := sweep.GridCtx(ctx, len(apps), 2, func(a, d int) (float64, error) {
-		b, err := workload.ByName(apps[a])
-		if err != nil {
-			return 0, err
-		}
-		p, maxB := cfg.CacheParams, core.PaperMaxBoundary
-		if d == 1 {
-			p, maxB = alt, 16
-		}
-		row, err := cacheProfileRow(b, cfg.Seed, p, maxB, cfg.CacheWarmRefs, cfg.CacheRefs)
-		if err != nil {
-			return 0, err
-		}
-		return row.TPI[core.SelectBestIndex(row.TPI)], nil
-	})
+	// The paper's 8KB 2-way design — the fig7-9 cache study's rows, reused
+	// after fig7 in process or through a study cache — against the rejected
+	// 4KB direct-mapped alternative (same 64 KB maximum L1: 16 increments
+	// of 4 KB).
+	benches := benchmarks(apps)
+	paper, err := cacheProfiles(ctx, cfg, benches, cfg.CacheParams, core.PaperMaxBoundary)
 	if err != nil {
 		return Result{}, err
 	}
+	other, err := cacheProfiles(ctx, cfg, benches, alt, 16)
+	if err != nil {
+		return Result{}, err
+	}
+	best := func(r cacheRow) float64 { return r.TPI[core.SelectBestIndex(r.TPI)] }
 	for a, app := range apps {
-		paper, altTPI := grid[a][0], grid[a][1]
-		t.Rows = append(t.Rows, []string{
-			app, metrics.F(paper), metrics.F(altTPI),
-			metrics.Pct(metrics.Reduction(altTPI, paper)),
-		})
+		p, o := best(paper[a]), best(other[a])
+		t.Rows = append(t.Rows, []string{app, metrics.F(p), metrics.F(o), metrics.Pct(metrics.Reduction(o, p))})
 	}
 	return Result{
 		ID: "ablation-increment", Title: t.Title, Tables: []metrics.Table{t},
@@ -241,24 +231,13 @@ func ablationPower(ctx context.Context, cfg Config) (Result, error) {
 		Title:   "Low-power mode vs performance mode (cache hierarchy)",
 		Columns: []string{"benchmark", "mode", "boundary", "TPI (ns)", "active L1 fraction", "energy proxy/instr"},
 	}
-	// Per-application profiling passes are independent; sweep them and
-	// assemble rows in app order.
-	tables, err := sweep.RunCtx(ctx, len(apps), func(a int) ([]float64, error) {
-		b, err := workload.ByName(apps[a])
-		if err != nil {
-			return nil, err
-		}
-		// Same row key as the fig7-9 cache study: a warm -study-cache
-		// serves this experiment without recomputation. Without one, the
-		// pass is recomputed even when fig7 ran in the same process.
-		row, err := cacheProfileRow(b, cfg.Seed, cfg.CacheParams, core.PaperMaxBoundary, cfg.CacheWarmRefs, cfg.CacheRefs)
-		return row.TPI, err
-	})
+	// The fig7-9 cache study's rows: a run after fig7 reuses them.
+	rows, err := cacheProfiles(ctx, cfg, benchmarks(apps), cfg.CacheParams, core.PaperMaxBoundary)
 	if err != nil {
 		return Result{}, err
 	}
 	for a, app := range apps {
-		tpi := tables[a]
+		tpi := rows[a].TPI
 		bestK := core.SelectBestIndex(tpi)
 		// Performance mode: the process-level best boundary at its own
 		// (full-rate) clock. Low-power mode: minimum structure (least

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"capsim/internal/cache"
 	"capsim/internal/core"
-	"capsim/internal/memo"
 	"capsim/internal/metrics"
 	"capsim/internal/sweep"
 	"capsim/internal/workload"
@@ -22,64 +22,60 @@ func init() {
 // slices indexed by boundary k (slot 0 is +Inf padding; boundaries are
 // 1-based).
 type cacheStudy struct {
-	apps    []workload.Benchmark
-	tpi     map[string][]float64
-	tpiMiss map[string][]float64
+	apps []workload.Benchmark
+	rows []cacheRow // by application index
 	// convBest is the boundary whose workload-average TPI is smallest —
 	// the paper's "best-performing conventional configuration".
 	convBest int
 }
 
-// cacheStudies memoizes the profiling pass per configuration key with
-// singleflight semantics: Figures 7, 8 and 9 share one pass, and — unlike
-// the old global-mutex pattern — two *distinct* configurations profile
-// concurrently instead of queueing behind each other for the whole
-// multi-second compute.
-var cacheStudies memo.Memo[string, *cacheStudy]
-
-func cacheStudyKey(cfg Config) string {
-	return fmt.Sprintf("%d/%d/%d/%v/%+v", cfg.Seed, cfg.CacheWarmRefs, cfg.CacheRefs, cfg.Feature, cfg.CacheParams)
+// cacheRow is one application's cache-boundary profiling pass (dense by
+// boundary k, slot 0 = +Inf padding). Exported fields for gob.
+type cacheRow struct {
+	TPI  []float64
+	Miss []float64
 }
 
-// runCacheStudy profiles every application at every boundary. Applications —
-// 21 for the paper's setup — fan out across the sweep pool as study rows
-// (cacheProfileRow: persistently reusable); within each
-// application core.ProfileCacheTPI evaluates the whole boundary family in one
-// pass over the shared materialized trace. Results land at their slice index,
-// so the output is byte-identical at any worker count.
-func runCacheStudy(ctx context.Context, cfg Config) (*cacheStudy, error) {
-	return studyDo(ctx, &cacheStudies, cacheStudyKey(cfg), func() (*cacheStudy, error) {
-		s := &cacheStudy{
-			apps:    workload.CacheApps(),
-			tpi:     map[string][]float64{},
-			tpiMiss: map[string][]float64{},
-		}
-		nB := core.PaperMaxBoundary
-		rows, err := sweep.RunCtx(ctx, len(s.apps), func(a int) (cacheRow, error) {
-			return cacheProfileRow(s.apps[a], cfg.Seed, cfg.CacheParams, nB, cfg.CacheWarmRefs, cfg.CacheRefs)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for a, b := range s.apps {
-			s.tpi[b.Name] = rows[a].TPI
-			s.tpiMiss[b.Name] = rows[a].Miss
-		}
-		// Best conventional configuration: smallest workload-average TPI.
-		bestK, bestAvg := 0, 0.0
-		for k := 1; k <= nB; k++ {
-			var sum float64
-			for _, b := range s.apps {
-				sum += s.tpi[b.Name][k]
-			}
-			avg := sum / float64(len(s.apps))
-			if bestK == 0 || avg < bestAvg {
-				bestK, bestAvg = k, avg
-			}
-		}
-		s.convBest = bestK
-		return s, nil
+// cacheProfiles fans the applications' ProfileCacheTPI passes across the
+// sweep pool, one study row each; within each application the pass
+// evaluates the whole boundary family over the shared materialized trace.
+// Figures 7-9, ablation-power and the paper-design half of
+// ablation-increment ask for equal rows, so in one process each pass runs
+// once, and a study cache serves it to later processes. Results land at
+// their slice index, so the output is byte-identical at any worker count.
+func cacheProfiles(ctx context.Context, cfg Config, apps []workload.Benchmark, p cache.Params, maxB int) ([]cacheRow, error) {
+	return sweep.RunCtx(ctx, len(apps), func(a int) (cacheRow, error) {
+		b := apps[a]
+		return studyRow(ctx, "cacheprof", func() (cacheRow, error) {
+			tpi, miss, err := core.ProfileCacheTPI(b, cfg.Seed, p, maxB, cfg.CacheWarmRefs, cfg.CacheRefs)
+			return cacheRow{TPI: tpi, Miss: miss}, err
+		}, b, cfg.Seed, p, maxB, cfg.CacheWarmRefs, cfg.CacheRefs)
 	})
+}
+
+// runCacheStudy profiles every application (21 for the paper's setup) at
+// every boundary and picks the best conventional configuration.
+func runCacheStudy(ctx context.Context, cfg Config) (*cacheStudy, error) {
+	s := &cacheStudy{apps: workload.CacheApps()}
+	nB := core.PaperMaxBoundary
+	var err error
+	if s.rows, err = cacheProfiles(ctx, cfg, s.apps, cfg.CacheParams, nB); err != nil {
+		return nil, err
+	}
+	// Best conventional configuration: smallest workload-average TPI.
+	bestK, bestAvg := 0, 0.0
+	for k := 1; k <= nB; k++ {
+		var sum float64
+		for _, r := range s.rows {
+			sum += r.TPI[k]
+		}
+		avg := sum / float64(len(s.apps))
+		if bestK == 0 || avg < bestAvg {
+			bestK, bestAvg = k, avg
+		}
+	}
+	s.convBest = bestK
+	return s, nil
 }
 
 // fig7 renders the per-application TPI-vs-L1-size curves, split into the
@@ -96,14 +92,14 @@ func fig7(ctx context.Context, cfg Config) (Result, error) {
 			XLabel: "L1 Dcache size (KB)",
 			YLabel: "Avg TPI (ns)",
 		}
-		for _, b := range s.apps {
+		for a, b := range s.apps {
 			if b.FloatingPoint != fp {
 				continue
 			}
 			var xs, ys []float64
 			for k := 1; k <= core.PaperMaxBoundary; k++ {
 				xs = append(xs, float64(cfg.CacheParams.L1Bytes(k))/1024)
-				ys = append(ys, s.tpi[b.Name][k])
+				ys = append(ys, s.rows[a].TPI[k])
 			}
 			fig.Series = append(fig.Series, metrics.Series{Name: b.Name, X: xs, Y: ys})
 		}
@@ -125,17 +121,17 @@ func fig7(ctx context.Context, cfg Config) (Result, error) {
 // cacheCompareTable builds the Figure 8/9-style per-application comparison
 // between the best conventional configuration and the process-level
 // adaptive choice, using the selector to pick TPI or TPImiss.
-func cacheCompareTable(cfg Config, s *cacheStudy, id, title string, pick func(app string, k int) float64) metrics.Table {
+func cacheCompareTable(cfg Config, s *cacheStudy, id, title string, pick func(r cacheRow) []float64) metrics.Table {
 	t := metrics.Table{
 		ID:      id,
 		Title:   title,
 		Columns: []string{"benchmark", "best conventional", "process-level adaptive", "adaptive boundary", "reduction"},
 	}
 	var convSum, adptSum float64
-	for _, b := range s.apps {
-		bestK := core.SelectBestIndex(s.tpi[b.Name]) // adaptivity always optimizes overall TPI
-		conv := pick(b.Name, s.convBest)
-		adpt := pick(b.Name, bestK)
+	for a, b := range s.apps {
+		bestK := core.SelectBestIndex(s.rows[a].TPI) // adaptivity always optimizes overall TPI
+		conv := pick(s.rows[a])[s.convBest]
+		adpt := pick(s.rows[a])[bestK]
 		convSum += conv
 		adptSum += adpt
 		t.Rows = append(t.Rows, []string{
@@ -158,7 +154,7 @@ func fig8(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	t := cacheCompareTable(cfg, s, "fig8", "Average TPImiss (ns): conventional vs process-level adaptive",
-		func(app string, k int) float64 { return s.tpiMiss[app][k] })
+		func(r cacheRow) []float64 { return r.Miss })
 	return Result{
 		ID: "fig8", Title: t.Title, Tables: []metrics.Table{t},
 		Notes: []string{fmt.Sprintf("conventional baseline: boundary k=%d (L1=%dKB %d-way)",
@@ -172,7 +168,7 @@ func fig9(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	t := cacheCompareTable(cfg, s, "fig9", "Average TPI (ns): conventional vs process-level adaptive",
-		func(app string, k int) float64 { return s.tpi[app][k] })
+		func(r cacheRow) []float64 { return r.TPI })
 	return Result{
 		ID: "fig9", Title: t.Title, Tables: []metrics.Table{t},
 		Notes: []string{fmt.Sprintf("conventional baseline: boundary k=%d (L1=%dKB %d-way)",

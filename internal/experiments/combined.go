@@ -66,12 +66,11 @@ func ablationCombined(ctx context.Context, cfg Config) (Result, error) {
 			return nil, err
 		}
 		// One study row per application: the whole joint grid pass is the
-		// unit of persistent reuse.
-		return combinedRow(apps[a], cfg.Seed, points, cfg.CacheParams, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature,
-			func() ([]float64, error) {
-				return core.ProfileCombined(ctx, b, cfg.Seed, qs, cfg.CacheParams, core.PaperMaxBoundary,
-					points, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
-			})
+		// unit of reuse.
+		return studyRow(ctx, "combined", func() ([]float64, error) {
+			return core.ProfileCombined(ctx, b, cfg.Seed, qs, cfg.CacheParams, core.PaperMaxBoundary,
+				points, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
+		}, b, cfg.Seed, qs, cfg.CacheParams, core.PaperMaxBoundary, points, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
 	})
 	if err != nil {
 		return Result{}, err

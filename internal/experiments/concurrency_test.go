@@ -86,10 +86,10 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestCancelledRunDoesNotPoisonMemo locks the studyDo contract: a request
+// TestCancelledRunDoesNotPoisonMemo locks studyRow's contract: a request
 // cancelled mid-profiling must not memoize its context error for the
 // configuration — the next request with a live context re-runs the compute
-// and succeeds. (Before studyDo, the first cancelled request poisoned the
+// and succeeds. (Before that rule, the first cancelled request poisoned the
 // study-cache key forever.)
 func TestCancelledRunDoesNotPoisonMemo(t *testing.T) {
 	if testing.Short() {

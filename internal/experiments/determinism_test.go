@@ -148,10 +148,10 @@ func TestBudgetScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sum float64
-		for _, b := range s.apps {
-			sum += s.tpi[b.Name][s.convBest]
+		for _, r := range s.rows {
+			sum += r.TPI[s.convBest]
 		}
-		return sum / float64(len(s.apps))
+		return sum / float64(len(s.rows))
 	}
 	a, b := avg(small), avg(big)
 	diff := (a - b) / b

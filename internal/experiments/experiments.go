@@ -8,14 +8,12 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"capsim/internal/cache"
 	"capsim/internal/core"
-	"capsim/internal/memo"
 	"capsim/internal/metrics"
 	"capsim/internal/obs"
 	"capsim/internal/tech"
@@ -59,17 +57,6 @@ func DefaultConfig() Config {
 		Feature:        tech.Micron018,
 		CacheParams:    cache.PaperParams(),
 	}
-}
-
-// CanonicalKey canonicalizes the render-determining fields of the
-// configuration into a stable string: everything that changes rendered bytes
-// is in, everything render-neutral (workers, study cache) is out.
-// The server's response cache and the study-row keys both build on
-// this discipline; the server prefixes the experiment id.
-func (c Config) CanonicalKey() string {
-	return fmt.Sprintf("seed=%d|warm=%d|refs=%d|qi=%d|iv=%d|pen=%d|f=%g|cp=%+v",
-		c.Seed, c.CacheWarmRefs, c.CacheRefs, c.QueueInstrs,
-		c.IntervalInstrs, c.PenaltyCycles, float64(c.Feature), c.CacheParams)
 }
 
 // Validate reports whether the configuration is runnable.
@@ -154,15 +141,14 @@ func Title(id string) (string, error) {
 	return e.title, nil
 }
 
-// ResetCaches discards the memoized cache- and queue-study profiling passes,
-// the shared materialized trace stores and the race families layered on
-// them (the fixed baselines' columns included). Long-lived processes that sweep many configurations can
-// call it to bound memory; the determinism tests call it between serial and
-// parallel passes so the comparison re-runs the full compute instead of
-// hitting the memo.
+// ResetCaches discards the in-process study rows, the shared materialized
+// trace stores and the race families layered on them (the fixed baselines'
+// columns included); a persistent study cache is left as it is. Long-lived
+// processes that sweep many configurations can call it to bound memory; the
+// determinism tests call it between serial and parallel passes so the
+// comparison re-runs the full compute instead of hitting the memo.
 func ResetCaches() {
-	cacheStudies.Reset()
-	queueStudies.Reset()
+	studyRows.Reset()
 	trace.Reset()
 	core.ResetPolicyFamilies()
 }
@@ -200,37 +186,16 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// SetStudyCacheCap bounds every in-process memo a run fills — the cache-
-// and queue-study passes, the one race-family memo behind every policy
-// study (fixed baselines included) and the materialized trace stores — to at
-// most n entries each, with deterministic LRU eviction (memo.SetCap). The
-// long-lived API server sets this at startup so a stream of requests with
-// distinct seeds or budgets cannot grow the process without bound; the
-// one-shot CLI never calls it and keeps the unbounded default. Eviction
-// never changes a render: an evicted entry is recomputed identically.
+// SetStudyCacheCap bounds every in-process memo a run fills — the study
+// rows, the one race-family memo behind every policy study (fixed baselines
+// included) and the materialized trace stores — to at most n entries each,
+// with deterministic LRU eviction (memo.SetCap). The long-lived API server
+// sets this at startup so a stream of requests with distinct seeds or
+// budgets cannot grow the process without bound; the one-shot CLI never
+// calls it and keeps the unbounded default. Eviction never changes a render:
+// an evicted entry is recomputed identically.
 func SetStudyCacheCap(n int) {
-	cacheStudies.SetCap(n)
-	queueStudies.SetCap(n)
+	studyRows.SetCap(n)
 	core.SetPolicyFamilyCap(n)
 	trace.SetStoreCap(n)
-}
-
-// studyDo wraps a study memo's Do with the cancellation contract: a
-// profiling pass that failed with a context error is forgotten instead of
-// memoized, because the cancellation belonged to whichever request happened
-// to compute the entry — not to the configuration. Callers whose own ctx is
-// still live retry (and recompute under their ctx); callers whose ctx caused
-// the cancellation return it. Deterministic compute errors stay memoized as
-// before.
-func studyDo[V any](ctx context.Context, m *memo.Memo[string, V], key string, fn func() (V, error)) (V, error) {
-	for {
-		v, err := m.Do(key, fn)
-		if err == nil || (!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)) {
-			return v, err
-		}
-		m.Forget(key)
-		if ctx.Err() != nil {
-			return v, err
-		}
-	}
 }

@@ -46,9 +46,7 @@ func ablationTLB(ctx context.Context, cfg Config) (Result, error) {
 			return 0, err
 		}
 		g, backup := j%p.Groups+1, j >= p.Groups
-		key := fmt.Sprintf("tlb|seed=%d|warm=%d|refs=%d|p=%+v|backup=%v|groups=%d|app=%s",
-			cfg.Seed, cfg.CacheWarmRefs, cfg.CacheRefs, p, backup, g, b.Name)
-		return scalarRow(key, func() (float64, error) {
+		return studyRow(ctx, "tlb", func() (float64, error) {
 			tr := trace.RefsFor(b, cfg.Seed).Cursor()
 			var tb *tlb.TLB
 			var err error
@@ -68,7 +66,7 @@ func ablationTLB(ctx context.Context, cfg Config) (Result, error) {
 				tb.Lookup(tr.Next().Addr)
 			}
 			return tlb.Evaluate(p, g, tb.Stats()), nil
-		})
+		}, b, cfg.Seed, cfg.CacheWarmRefs, cfg.CacheRefs, p, backup, g)
 	})
 	if err != nil {
 		return Result{}, err
@@ -116,9 +114,7 @@ func ablationBpred(ctx context.Context, cfg Config) (Result, error) {
 	// branch generator: sweep the grid and assemble rows by index.
 	statics := []int{200, 800, 1600, 3200}
 	grid, err := sweep.GridCtx(ctx, len(statics), len(sizes), func(s, i int) (float64, error) {
-		key := fmt.Sprintf("bpred|seed=%d|p=%+v|size=%d|static=%d",
-			cfg.Seed, p, sizes[i], statics[s])
-		return scalarRow(key, func() (float64, error) {
+		return studyRow(ctx, "bpred", func() (float64, error) {
 			pr := bpred.MustNew(p, sizes[i])
 			g := bpred.NewBranchGen(cfg.Seed, statics[s], 0.3)
 			const warm, measure = 120_000, 200_000
@@ -132,7 +128,7 @@ func ablationBpred(ctx context.Context, cfg Config) (Result, error) {
 				pr.Predict(pc, taken)
 			}
 			return bpred.Evaluate(p, sizes[i], pr.Stats()), nil
-		})
+		}, cfg.Seed, p, sizes[i], statics[s])
 	})
 	if err != nil {
 		return Result{}, err

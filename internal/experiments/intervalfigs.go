@@ -17,17 +17,15 @@ func init() {
 // intervalTraces runs the fixed queue configurations interval-by-interval
 // over the application's stream and returns per-configuration, per-interval
 // TPI for intervals [0, n) — one shared-stream pass for the whole family
-// (see core.ProfileQueueTraces). The whole family pass is one study row
-// (traceRow): persistently reusable.
+// (see core.ProfileQueueTraces). The whole family pass is one study row.
 func intervalTraces(ctx context.Context, cfg Config, app string, entries []int, n int64) ([][]float64, error) {
 	b, err := workload.ByName(app)
 	if err != nil {
 		return nil, err
 	}
-	return traceRow(b, cfg.Seed, entries, n, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature,
-		func() ([][]float64, error) {
-			return core.ProfileQueueTraces(ctx, b, cfg.Seed, entries, n, cfg.IntervalInstrs, cfg.Feature)
-		})
+	return studyRow(ctx, "qtrace", func() ([][]float64, error) {
+		return core.ProfileQueueTraces(ctx, b, cfg.Seed, entries, n, cfg.IntervalInstrs, cfg.Feature)
+	}, b, cfg.Seed, entries, n, cfg.IntervalInstrs, cfg.Feature)
 }
 
 // snapshotFigure builds one snapshot panel comparing two configurations over

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"capsim/internal/core"
-	"capsim/internal/memo"
 	"capsim/internal/metrics"
 	"capsim/internal/sweep"
 	"capsim/internal/workload"
@@ -20,56 +19,47 @@ func init() {
 type queueStudy struct {
 	apps     []workload.Benchmark
 	sizes    []int
-	tpi      map[string][]float64 // by app, dense by config index
-	convBest int                  // config index with smallest average TPI
+	tpi      [][]float64 // by app index, dense by config index
+	convBest int         // config index with smallest average TPI
 }
 
-// queueStudies memoizes the profiling pass per configuration key
-// (singleflight per key, like cacheStudies): fig10 and fig11 — and the
-// interval/combined studies that reuse the table — share one pass instead of
-// repeating it.
-var queueStudies memo.Memo[string, *queueStudy]
-
-func queueStudyKey(cfg Config) string {
-	return fmt.Sprintf("%d/%d/%v", cfg.Seed, cfg.QueueInstrs, cfg.Feature)
-}
-
-// runQueueStudy profiles every application at every queue size. Applications
-// — 22 for the paper's setup — fan out across the sweep pool; within each,
-// core.ProfileQueueTPI evaluates all 8 window sizes in one ooo.MultiCore
-// pass over the application's shared instruction stream. Results are
-// collected by index, never by completion order, so output is byte-identical
-// at any worker count.
-func runQueueStudy(ctx context.Context, cfg Config) (*queueStudy, error) {
-	return studyDo(ctx, &queueStudies, queueStudyKey(cfg), func() (*queueStudy, error) {
-		s := &queueStudy{
-			apps:  workload.QueueApps(),
-			sizes: core.PaperQueueSizes(),
-			tpi:   map[string][]float64{},
-		}
-		rows, err := sweep.RunCtx(ctx, len(s.apps), func(a int) ([]float64, error) {
-			return queueProfileRow(s.apps[a], cfg.Seed, s.sizes, cfg.QueueInstrs, cfg.Feature)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for a, b := range s.apps {
-			s.tpi[b.Name] = rows[a]
-		}
-		bestI, bestAvg := -1, 0.0
-		for i := range s.sizes {
-			var sum float64
-			for _, b := range s.apps {
-				sum += s.tpi[b.Name][i]
-			}
-			avg := sum / float64(len(s.apps))
-			if bestI < 0 || avg < bestAvg {
-				bestI, bestAvg = i, avg
-			}
-		}
-		s.convBest = bestI
-		return s, nil
+// queueProfiles fans the applications' ProfileQueueTPI passes across the
+// sweep pool, one study row each; within each, core.ProfileQueueTPI
+// evaluates every window size in one ooo.MultiCore pass over the
+// application's shared instruction stream. Results are collected by index,
+// never by completion order, so output is byte-identical at any worker
+// count.
+func queueProfiles(ctx context.Context, cfg Config, apps []workload.Benchmark, sizes []int) ([][]float64, error) {
+	return sweep.RunCtx(ctx, len(apps), func(a int) ([]float64, error) {
+		b := apps[a]
+		return studyRow(ctx, "queueprof", func() ([]float64, error) {
+			return core.ProfileQueueTPI(b, cfg.Seed, sizes, cfg.QueueInstrs, cfg.Feature)
+		}, b, cfg.Seed, sizes, cfg.QueueInstrs, cfg.Feature)
 	})
+}
+
+// runQueueStudy profiles every application (22 for the paper's setup) at
+// every queue size and picks the best conventional configuration; fig10 and
+// fig11 share its rows.
+func runQueueStudy(ctx context.Context, cfg Config) (*queueStudy, error) {
+	s := &queueStudy{apps: workload.QueueApps(), sizes: core.PaperQueueSizes()}
+	var err error
+	if s.tpi, err = queueProfiles(ctx, cfg, s.apps, s.sizes); err != nil {
+		return nil, err
+	}
+	bestI, bestAvg := -1, 0.0
+	for i := range s.sizes {
+		var sum float64
+		for _, t := range s.tpi {
+			sum += t[i]
+		}
+		avg := sum / float64(len(s.apps))
+		if bestI < 0 || avg < bestAvg {
+			bestI, bestAvg = i, avg
+		}
+	}
+	s.convBest = bestI
+	return s, nil
 }
 
 // fig10 renders per-application TPI vs queue size, split into the paper's
@@ -86,14 +76,14 @@ func fig10(ctx context.Context, cfg Config) (Result, error) {
 			XLabel: "instruction queue size (entries)",
 			YLabel: "Avg TPI (ns)",
 		}
-		for _, b := range s.apps {
+		for a, b := range s.apps {
 			if b.FloatingPoint != fp {
 				continue
 			}
 			var xs, ys []float64
 			for i, w := range s.sizes {
 				xs = append(xs, float64(w))
-				ys = append(ys, s.tpi[b.Name][i])
+				ys = append(ys, s.tpi[a][i])
 			}
 			fig.Series = append(fig.Series, metrics.Series{Name: b.Name, X: xs, Y: ys})
 		}
@@ -121,10 +111,10 @@ func fig11(ctx context.Context, cfg Config) (Result, error) {
 		Columns: []string{"benchmark", "best conventional", "process-level adaptive", "adaptive queue", "reduction"},
 	}
 	var convSum, adptSum float64
-	for _, b := range s.apps {
-		bestI := core.SelectBestIndex(s.tpi[b.Name])
-		conv := s.tpi[b.Name][s.convBest]
-		adpt := s.tpi[b.Name][bestI]
+	for a, b := range s.apps {
+		bestI := core.SelectBestIndex(s.tpi[a])
+		conv := s.tpi[a][s.convBest]
+		adpt := s.tpi[a][bestI]
 		convSum += conv
 		adptSum += adpt
 		t.Rows = append(t.Rows, []string{

@@ -136,7 +136,7 @@ func TestPersistentCacheReuseObservable(t *testing.T) {
 }
 
 // TestCombinedPersistsOnlyRows pins what a cold ablation-combined run
-// writes to the study cache: one entry per application's combinedRow and
+// writes to the study cache: one entry per application's combined row and
 // nothing else — the classification streams the joint kernel replays live
 // and die inside that row's computation. A warm re-run then renders
 // byte-identically without generating a single classification stream.

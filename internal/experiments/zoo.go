@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"strings"
 
 	"capsim/internal/core"
 	"capsim/internal/flight"
@@ -57,16 +56,6 @@ func zooContenders() []core.PolicySpec {
 	}
 }
 
-// zooPolicyNames canonicalizes the contender list for the study-row key:
-// a changed roster must miss the persistent cache.
-func zooPolicyNames() string {
-	var names []string
-	for _, s := range zooContenders() {
-		names = append(names, s.Policy.Name())
-	}
-	return strings.Join(names, ",")
-}
-
 // zooIntervals scales the race length with the queue budget so the smoke
 // configurations stay cheap, with a floor long enough for every contender to
 // leave its bootstrap phase.
@@ -83,11 +72,7 @@ func zooIntervals(cfg Config) int64 {
 // MultiPolicy engine. A private Capture collector reduces every published
 // column to its league summary; the fan-out in flight.Publish means a
 // process-wide ledger (-ledger-out) records the identical columns.
-func zooPass(ctx context.Context, cfg Config, app string, pen int, intervals int64) ([]flight.RunSummary, error) {
-	b, err := workload.ByName(app)
-	if err != nil {
-		return nil, err
-	}
+func zooPass(ctx context.Context, cfg Config, b workload.Benchmark, pen int, intervals int64) ([]flight.RunSummary, error) {
 	sink := flight.NewCapture()
 	cctx := flight.WithCollector(ctx, flight.NewCollector(sink))
 	mp, err := core.NewMultiPolicy(b, cfg.Seed, zooSizes, cfg.IntervalInstrs, pen, cfg.Feature)
@@ -113,7 +98,7 @@ func zooPass(ctx context.Context, cfg Config, app string, pen int, intervals int
 // render the three league tables. No notes — the rendered body is exactly
 // the tables, which is what lets `capsim -report` reproduce it.
 func zoo(ctx context.Context, cfg Config) (Result, error) {
-	apps := zooApps()
+	apps := benchmarks(zooApps())
 	intervals := zooIntervals(cfg)
 	// A cell's race is simulated once per application and replayed at the
 	// other penalties (core.MultiPolicy.Race), so a parallel pool claims the
@@ -127,9 +112,12 @@ func zoo(ctx context.Context, cfg Config) (Result, error) {
 	}
 	cells, err := sweep.RunCtx(ctx, na*np, func(i int) ([]flight.RunSummary, error) {
 		a, p := at(i)
-		return zooRow(cfg, apps[a], zooPenalties[p], intervals, func() ([]flight.RunSummary, error) {
-			return zooPass(ctx, cfg, apps[a], zooPenalties[p], intervals)
-		})
+		b, pen := apps[a], zooPenalties[p]
+		// The roster is keyed by content: a changed contender or tunable
+		// is a different row.
+		return studyRow(ctx, "zoo", func() ([]flight.RunSummary, error) {
+			return zooPass(ctx, cfg, b, pen, intervals)
+		}, b, cfg.Seed, zooSizes, cfg.IntervalInstrs, pen, cfg.Feature, intervals, zooContenders())
 	})
 	if err != nil {
 		return Result{}, err

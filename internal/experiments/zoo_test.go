@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"capsim/internal/flight"
+	"capsim/internal/workload"
 )
 
 // zooTestConfig is the smallest budget the zoo runs at: 60 intervals, long
@@ -23,7 +24,7 @@ func zooTestConfig() Config {
 func TestZooPassInvariants(t *testing.T) {
 	cfg := zooTestConfig()
 	intervals := zooIntervals(cfg)
-	runs, err := zooPass(context.Background(), cfg, "flutter", 50, intervals)
+	runs, err := zooPass(context.Background(), cfg, workload.MustByName("flutter"), 50, intervals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func NewMultiCore(cfgs []Config) (*MultiCore, error) {
 }
 
 // Cores returns the member cores (index-parallel to the construction
-// configs). Callers may inspect Stats or ResetStats between passes, and may
+// configs). Callers may inspect Stats between passes, and may
 // Resize a member core between RunEach rounds — each core consumes the shared
 // buffer from its own position, so a resize perturbs only that column
 // (core.MultiPolicy's lockstep policy race is built on this, pinned by

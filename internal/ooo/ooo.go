@@ -211,10 +211,6 @@ func (c *Core) Config() Config { return c.cfg }
 // Stats returns accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
 
-// ResetStats zeroes counters without touching pipeline state (used to
-// discard warm-up and to delimit measurement intervals).
-func (c *Core) ResetStats() { c.stats, c.pubStats = Stats{}, Stats{} }
-
 // Occupancy returns the current number of window entries in use.
 func (c *Core) Occupancy() int { return c.occ }
 

@@ -181,15 +181,6 @@ func TestRunIssuesExactly(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c := MustNew(PaperConfig(32))
-	c.Run(stream(t, independentParams(1), 10), 100)
-	c.ResetStats()
-	if s := c.Stats(); s.Cycles != 0 || s.Issued != 0 {
-		t.Errorf("stats not reset: %+v", s)
-	}
-}
-
 func TestStatsSub(t *testing.T) {
 	a := Stats{Cycles: 10, Instrs: 20, Issued: 15, DrainStalls: 1, WindowFullCy: 2}
 	b := Stats{Cycles: 4, Instrs: 8, Issued: 5, DrainStalls: 1, WindowFullCy: 0}

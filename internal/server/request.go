@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"capsim/internal/experiments"
+	"capsim/internal/memo"
 	"capsim/internal/obs"
 	"capsim/internal/tech"
 )
@@ -130,13 +131,17 @@ func (r *RunRequest) resolve(base experiments.Config) (experiments.Config, error
 	return cfg, nil
 }
 
-// cacheKey canonicalizes the render-determining inputs of a run. Everything
-// that changes the rendered bytes is in the key; everything render-neutral
-// (parallel, timeout — byte-identity is the repo's central contract) is
-// deliberately out, so requests differing only in execution strategy share
-// one cached response.
+// cacheKey is the content key (memo.Key) of a run's render-determining
+// inputs: the experiment id and every Config field, floats exact.
+// Everything render-neutral (parallel, timeout — byte-identity is the
+// repo's central contract) is outside Config, so requests differing only in
+// execution strategy share one cached response.
 func cacheKey(id string, cfg experiments.Config) string {
-	return id + "|" + cfg.CanonicalKey()
+	k, ok := memo.Key(id, cfg)
+	if !ok {
+		panic("server: experiments.Config has no content key")
+	}
+	return k
 }
 
 // ResolvedConfig echoes the effective run budgets in the response, so a

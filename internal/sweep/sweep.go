@@ -46,8 +46,9 @@ import (
 	"capsim/internal/obs"
 )
 
-// Telemetry (internal/obs). Counters are no-ops unless -obs (or a sink
-// flag) enabled them; spans are no-ops unless -trace-out installed a sink.
+// Telemetry (internal/obs). Counters are no-ops unless something reads them
+// (capsim -metrics-out, or -serve-api's /metrics) and enabled them; spans are
+// no-ops unless -trace-out installed a sink.
 var (
 	obsJobs   = obs.NewCounter("sweep.jobs")    // jobs executed
 	obsBusyNS = obs.NewCounter("sweep.busy_ns") // per-worker time inside fn

@@ -148,15 +148,6 @@ func build(p Params, primary int, backup bool) (*TLB, error) {
 	}, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(p Params, primary int) *TLB {
-	t, err := New(p, primary)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Stats returns accumulated statistics.
 func (t *TLB) Stats() Stats { return t.stats }
 

@@ -9,6 +9,16 @@ import (
 	"capsim/internal/tech"
 )
 
+// MustNew is New but panics on error: a constructor for the tests' tables
+// of known-good configurations.
+func MustNew(p Params, primary int) *TLB {
+	t, err := New(p, primary)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func TestParamsValidate(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)

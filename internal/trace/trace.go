@@ -42,7 +42,6 @@
 package trace
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -129,39 +128,22 @@ func (l *chunkList[C]) at(ci int64) *C {
 
 // --- store keys -----------------------------------------------------------
 
-// refKey identifies one materialized reference stream. The memory profile's
-// pointer identity plus the name (which seeds the rng stream) and seed
-// describe the generated stream completely: workload's registry hands out
-// benchmark values sharing one canonical *MemProfile per application, and a
-// test-constructed profile has its own pointer.
-type refKey struct {
-	mem  *workload.MemProfile
-	name string
-	seed uint64
-}
-
-// opKey identifies one materialized instruction stream. ILPProfile contains
-// slices and so cannot key a map directly; fingerprint renders it to a
-// deterministic value string.
-type opKey struct {
-	name        string
-	seed        uint64
-	fingerprint string
-}
-
-// ilpFingerprint renders an ILP profile as a value string (dereferencing Alt
-// so the key never depends on pointer identity).
-func ilpFingerprint(p workload.ILPProfile) string {
-	alt := "-"
-	if p.Alt != nil {
-		alt = fmt.Sprintf("%+v", *p.Alt)
+// storeKey identifies one materialized stream: the content key (memo.Key)
+// of the generator's whole input — the profile it reads, the benchmark's
+// name (which seeds the rng stream) and the seed. A same-name copy with one
+// changed field is a different stream; the profile's pointer identity is
+// never part of the key.
+func storeKey(profile any, name string, seed uint64) string {
+	k, ok := memo.Key(profile, name, seed)
+	if !ok {
+		panic("trace: workload profile has no content key")
 	}
-	return fmt.Sprintf("%+v|%s|%d|%d|%d", p.Base, alt, p.Kind, p.PeriodInstrs, p.SuperPeriodInstrs)
+	return k
 }
 
 var (
-	refStores memo.Memo[refKey, *RefStore]
-	opStores  memo.Memo[opKey, *OpStore]
+	refStores memo.Memo[string, *RefStore]
+	opStores  memo.Memo[string, *OpStore]
 )
 
 // Reset discards every memoized store (reference and instruction), so
@@ -214,7 +196,7 @@ func RefsFor(b workload.Benchmark, seed uint64) *RefStore {
 	if b.Mem == nil {
 		panic("trace: " + b.Name + " has no memory profile")
 	}
-	return refStores.Get(refKey{b.Mem, b.Name, seed}, func() *RefStore {
+	return refStores.Get(storeKey(*b.Mem, b.Name, seed), func() *RefStore {
 		s := &RefStore{gen: workload.NewAddressTrace(b, seed)}
 		s.fill = s.encode
 		return s
@@ -307,7 +289,7 @@ type OpStore struct {
 // OpsFor returns the shared instruction store for (b, seed), creating it on
 // first use with singleflight semantics.
 func OpsFor(b workload.Benchmark, seed uint64) *OpStore {
-	return opStores.Get(opKey{b.Name, seed, ilpFingerprint(b.ILP)}, func() *OpStore {
+	return opStores.Get(storeKey(b.ILP, b.Name, seed), func() *OpStore {
 		s := &OpStore{gen: workload.NewInstrStream(b, seed)}
 		s.fill = s.encode
 		return s

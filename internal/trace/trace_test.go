@@ -119,9 +119,22 @@ func TestMemoization(t *testing.T) {
 	if o1, o2 := OpsFor(b, 1), OpsFor(b, 1); o1 != o2 {
 		t.Error("same (benchmark, seed) produced distinct op stores")
 	}
+	// A same-name copy with one profile field changed generates another
+	// stream; a copy with equal content shares the store.
+	mod := b
+	mod.ILP.Base.SrcWeights[2] += 0.3
+	if o1, o2 := OpsFor(b, 1), OpsFor(mod, 1); o1 == o2 {
+		t.Error("a changed ILP profile shared the original's op store")
+	}
+	mem := *b.Mem
+	same := b
+	same.Mem = &mem
+	if s1, s2 := RefsFor(b, 1), RefsFor(same, 1); s1 != s2 {
+		t.Error("an equal copy of the memory profile got its own ref store")
+	}
 	refs, ops := StoreCounts()
-	if refs != 2 || ops != 1 {
-		t.Errorf("StoreCounts = (%d,%d), want (2,1)", refs, ops)
+	if refs != 2 || ops != 2 {
+		t.Errorf("StoreCounts = (%d,%d), want (2,2)", refs, ops)
 	}
 	Reset()
 	if refs, ops = StoreCounts(); refs+ops != 0 {

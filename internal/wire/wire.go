@@ -30,15 +30,26 @@ type Line struct {
 	LoadC float64
 }
 
-// Validate reports whether the line is physically sensible: a finite,
-// positive length and a finite, non-negative load. NaN fails every
+// The physical range Validate accepts. A die edge is a few tens of
+// millimetres, so MaxLengthMM bounds every on-chip line with margin; MaxLoadPF
+// is at least 10^4 minimum-size repeater inputs, far beyond any bus in the
+// paper's structures. Outside this range the model's answers mean nothing,
+// and the repeater search, which scans up to about sqrt(R·C) stage counts,
+// would take unbounded time or overflow.
+const (
+	MaxLengthMM = 100.0
+	MaxLoadPF   = 1000.0
+)
+
+// Validate reports whether the line is physically sensible: a length in
+// (0, MaxLengthMM] mm and a load in [0, MaxLoadPF] pF. NaN fails every
 // comparison, so each bound is stated as the condition that must hold.
 func (l Line) Validate() error {
-	if !(l.LengthMM > 0) || math.IsInf(l.LengthMM, 1) {
-		return fmt.Errorf("wire: length %v mm must be finite and positive", l.LengthMM)
+	if !(l.LengthMM > 0 && l.LengthMM <= MaxLengthMM) {
+		return fmt.Errorf("wire: length %v mm outside (0, %v]", l.LengthMM, MaxLengthMM)
 	}
-	if !(l.LoadC >= 0) || math.IsInf(l.LoadC, 1) {
-		return fmt.Errorf("wire: load capacitance %v pF must be finite and non-negative", l.LoadC)
+	if !(l.LoadC >= 0 && l.LoadC <= MaxLoadPF) {
+		return fmt.Errorf("wire: load capacitance %v pF outside [0, %v]", l.LoadC, MaxLoadPF)
 	}
 	return nil
 }

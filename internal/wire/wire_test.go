@@ -110,9 +110,27 @@ func TestValidate(t *testing.T) {
 		{LengthMM: inf, LoadC: 1},
 		{LengthMM: 1, LoadC: nan},
 		{LengthMM: 1, LoadC: inf},
+		// Finite but beyond any chip: the repeater search would scan ~10^8
+		// stage counts at 1e9 mm and overflow to +Inf at 1e200 mm.
+		{LengthMM: 1e9, LoadC: 1},
+		{LengthMM: 1e200, LoadC: 1},
+		{LengthMM: 1e6, LoadC: 1e300},
+		{LengthMM: math.Nextafter(MaxLengthMM, inf)},
+		{LengthMM: 1, LoadC: math.Nextafter(MaxLoadPF, inf)},
 	} {
 		if err := l.Validate(); err == nil {
 			t.Errorf("line %+v accepted", l)
+		}
+	}
+	// The largest valid line still gets a finite answer at once.
+	top := Line{LengthMM: MaxLengthMM, LoadC: MaxLoadPF}
+	if err := top.Validate(); err != nil {
+		t.Fatalf("largest valid line rejected: %v", err)
+	}
+	for _, f := range tech.Generations() {
+		d, k := OptimalBufferedDelay(top, tech.ForFeature(f))
+		if math.IsInf(d, 0) || math.IsNaN(d) || k < 1 {
+			t.Errorf("%v: largest valid line buffered to %v ns with %d repeaters", f, d, k)
 		}
 	}
 }

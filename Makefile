@@ -76,13 +76,15 @@ ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-obs-smoke b
 
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
 # (which plain `go test` already replays): the ooo engine and MultiCore
-# differentials, the classification round trip, the study-cache envelope,
-# the ledger parser, the API request decoder, the rng cut tables and the
-# capsim command line.
+# differentials, the MultiHierarchy and TLB differentials, the
+# classification round trip, the study-cache envelope, the ledger parser,
+# the API request decoder, the rng cut tables and the capsim command line.
 # `go test -fuzz` takes one target per run, hence the loop.
 FUZZ_TARGETS = \
 	./internal/ooo:FuzzOooEngines \
 	./internal/ooo:FuzzMultiCore \
+	./internal/cache:FuzzMultiHierarchy \
+	./internal/tlb:FuzzTLB \
 	./internal/classify:FuzzClassifyRoundTrip \
 	./internal/memo:FuzzPersistEnvelope \
 	./internal/flight:FuzzParseLedger \

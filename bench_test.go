@@ -23,12 +23,19 @@ func benchConfig() experiments.Config {
 }
 
 // benchExperiment runs one of the paper's figures/tables per benchmark
-// iteration and reports its aggregate text size (to keep the work observable
-// and defeat dead-code elimination).
+// iteration and fails on an empty result (keeping the work observable).
+// Every iteration starts cold: experiments.ResetCaches, with the timer
+// stopped, drops the memoized study rows, trace stores and race families,
+// so each timed run recomputes the experiment instead of reading the
+// previous iteration's rows back from the memo.
 func benchExperiment(b *testing.B, id string) {
 	cfg := benchConfig()
+	defer experiments.ResetCaches()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		experiments.ResetCaches()
+		b.StartTimer()
 		res, err := experiments.Run(id, cfg)
 		if err != nil {
 			b.Fatal(err)

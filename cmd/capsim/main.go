@@ -109,7 +109,7 @@ func parseArgs(args []string) (runConfig, error) {
 		queueInstrs = fs.Int64("queue-instrs", 150_000, "measured instructions per queue configuration")
 		interval    = fs.Int64("interval", 2_000, "interval length in instructions (Section 6 studies)")
 		penalty     = fs.Int("switch-penalty", -1, "clock-switch penalty in cycles (-1 = default)")
-		feature     = fs.Float64("feature", 0.18, "feature size in microns (0.25, 0.18, 0.12)")
+		feature     = fs.Float64("feature", 0.18, fmt.Sprintf("feature size in microns, in [%v, %v] (the paper's are 0.25, 0.18, 0.12)", float64(tech.MinFeature), float64(tech.MaxFeature)))
 		reportIn    = fs.String("report", "", "offline ledger analysis: read comma-separated ledger/manifest files, print regret, switch-rate and dwell tables, and exit (no simulation)")
 	)
 	fs.BoolVar(&rc.list, "list", false, "list available experiments and exit")

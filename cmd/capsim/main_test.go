@@ -19,10 +19,13 @@ var rejected = []struct {
 	args string
 	want string
 }{
-	{"-experiment\x00fig7\x00-feature\x00NaN", "finite and positive"},
-	{"-experiment\x00fig7\x00-feature\x00+Inf", "finite and positive"},
-	{"-experiment\x00fig7\x00-feature\x00-Inf", "finite and positive"},
-	{"-experiment\x00fig7\x00-feature\x000", "finite and positive"},
+	{"-experiment\x00fig7\x00-feature\x00NaN", "feature size NaN outside [0.01, 2] microns"},
+	{"-experiment\x00fig7\x00-feature\x00+Inf", "outside [0.01, 2] microns"},
+	{"-experiment\x00fig7\x00-feature\x00-Inf", "outside [0.01, 2] microns"},
+	{"-experiment\x00fig7\x00-feature\x000", "outside [0.01, 2] microns"},
+	{"-experiment\x00ablation-tlb\x00-feature\x001e-300", "feature size 1e-300 outside"},
+	{"-experiment\x00fig7\x00-feature\x000.0099", "feature size 0.0099 outside"},
+	{"-experiment\x00fig7\x00-feature\x002.01", "feature size 2.01 outside"},
 	{"-experiment\x00fig7,bogus", `unknown experiment "bogus"`},
 	{"-experiment\x00fig7,", `unknown experiment ""`},
 	{"-experiment\x00all,fig7", `unknown experiment "all"`},
@@ -46,6 +49,8 @@ var accepted = []string{
 	"-experiment\x00all\x00-parallel\x002\x00-seed\x001",
 	"-experiment\x00fig12,fig13\x00-parallel\x000",
 	"-experiment\x00fig7\x00-feature\x000.12\x00-cache-refs\x002000",
+	"-experiment\x00fig7\x00-feature\x000.01",
+	"-experiment\x00fig7\x00-feature\x002",
 	"-report\x00a.ledger,b.json",
 	"-serve-api\x00127.0.0.1:0\x00-api-cache\x002\x00-api-timeout\x005s",
 	"-experiment\x00fig7,fig8,fig9\x00-study-cache\x00d",

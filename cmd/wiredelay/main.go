@@ -21,7 +21,7 @@ func main() {
 	var (
 		length  = flag.Float64("length", 2.0, fmt.Sprintf("wire length in mm, in (0, %v]", wire.MaxLengthMM))
 		load    = flag.Float64("load", 1.0, fmt.Sprintf("distributed element load in pF, in [0, %v]", wire.MaxLoadPF))
-		feature = flag.Float64("feature", 0, "feature size in microns (0 = all paper generations)")
+		feature = flag.Float64("feature", 0, fmt.Sprintf("feature size in microns, in [%v, %v] (0 = all paper generations)", float64(tech.MinFeature), float64(tech.MaxFeature)))
 	)
 	flag.Parse()
 
@@ -32,8 +32,8 @@ func main() {
 	}
 	features := tech.Generations()
 	if f := tech.FeatureSize(*feature); f != 0 {
-		if !f.Valid() {
-			fmt.Fprintf(os.Stderr, "wiredelay: feature size %v must be finite and positive (0 = all paper generations)\n", *feature)
+		if err := tech.CheckFeature("wiredelay", f); err != nil {
+			fmt.Fprintf(os.Stderr, "%v (0 = all paper generations)\n", err)
 			os.Exit(2)
 		}
 		features = []tech.FeatureSize{f}

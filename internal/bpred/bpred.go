@@ -8,8 +8,8 @@
 // tradeoff of the paper's cache and queue structures.
 //
 // The table is physically built at maximum size; the active size sets the
-// number of index bits in use. The ablation evaluates each active size with
-// its own predictor.
+// number of index bits in use. The ablation evaluates every active size in
+// one pass over the branch stream (Multi).
 package bpred
 
 import (
@@ -59,10 +59,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("bpred: history bits %d out of range", p.HistoryBits)
 	case p.MispredictCycles < 1:
 		return fmt.Errorf("bpred: mispredict cycles %d must be >= 1", p.MispredictCycles)
-	case !p.Feature.Valid():
-		return fmt.Errorf("bpred: feature size %v must be finite and positive", float64(p.Feature))
 	}
-	return nil
+	return tech.CheckFeature("bpred", p.Feature)
 }
 
 // Sizes enumerates the selectable active sizes, smallest first.
@@ -80,37 +78,39 @@ type Stats struct {
 	Mispredicts uint64
 }
 
-// Predictor is the runtime state.
-type Predictor struct {
-	p       Params
-	table   []uint8 // 2-bit counters, initialized weakly taken
-	active  int     // active entries (power of two)
-	history uint64
-	stats   Stats
+// Multi evaluates several active sizes of the adaptive predictor over one
+// branch stream. The global history depends only on branch outcomes, so it
+// is the same at every size and Multi keeps one; each size keeps its own
+// table, indexed under its own mask. Stepping a Multi is therefore exactly
+// stepping one independent predictor per size over the same stream, without
+// regenerating the stream per size.
+type Multi struct {
+	p           Params
+	tables      [][]uint8 // per size: 2-bit counters, initialized weakly taken
+	masks       []uint64  // per size: active entries - 1
+	history     uint64
+	branches    uint64
+	mispredicts []uint64
 }
 
-// New builds the predictor with the given active size.
-func New(p Params, active int) (*Predictor, error) {
+// NewMulti builds a predictor for each of the given active sizes.
+func NewMulti(p Params, sizes []int) (*Multi, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkActive(p, active); err != nil {
-		return nil, err
+	m := &Multi{p: p, mispredicts: make([]uint64, len(sizes))}
+	for _, active := range sizes {
+		if err := checkActive(p, active); err != nil {
+			return nil, err
+		}
+		t := make([]uint8, active)
+		for i := range t {
+			t[i] = 2 // weakly taken
+		}
+		m.tables = append(m.tables, t)
+		m.masks = append(m.masks, uint64(active-1))
 	}
-	t := make([]uint8, p.MaxEntries)
-	for i := range t {
-		t[i] = 2 // weakly taken
-	}
-	return &Predictor{p: p, table: t, active: active}, nil
-}
-
-// MustNew is New but panics on error.
-func MustNew(p Params, active int) *Predictor {
-	pr, err := New(p, active)
-	if err != nil {
-		panic(err)
-	}
-	return pr
+	return m, nil
 }
 
 func checkActive(p Params, active int) error {
@@ -121,36 +121,42 @@ func checkActive(p Params, active int) error {
 	return nil
 }
 
-// Stats returns accumulated statistics.
-func (pr *Predictor) Stats() Stats { return pr.stats }
-
-// ResetStats zeroes counters, keeping table state.
-func (pr *Predictor) ResetStats() { pr.stats = Stats{} }
-
-// index folds the PC and global history into the active table.
-func (pr *Predictor) index(pc uint64) int {
-	h := pr.history & ((1 << uint(pr.p.HistoryBits)) - 1)
-	return int((pc>>2 ^ h) & uint64(pr.active-1))
+// Stats returns each size's accumulated statistics, in NewMulti's order.
+func (m *Multi) Stats() []Stats {
+	out := make([]Stats, len(m.mispredicts))
+	for i, n := range m.mispredicts {
+		out[i] = Stats{Branches: m.branches, Mispredicts: n}
+	}
+	return out
 }
 
-// Predict returns the predicted direction for the branch at pc and records
-// the actual outcome, updating the counter and global history.
-func (pr *Predictor) Predict(pc uint64, taken bool) bool {
-	i := pr.index(pc)
-	pred := pr.table[i] >= 2
-	pr.stats.Branches++
-	if pred != taken {
-		pr.stats.Mispredicts++
+// ResetStats zeroes counters, keeping table state and history.
+func (m *Multi) ResetStats() {
+	m.branches = 0
+	clear(m.mispredicts)
+}
+
+// counterNext is the 2-bit saturating counter's transition, indexed
+// counter<<1 | taken: a taken branch counts up to 3, a not-taken one down
+// to 0.
+var counterNext = [8]uint8{0, 1, 0, 2, 1, 3, 2, 3}
+
+// Predict predicts the branch at pc at every size, records the actual
+// outcome, and updates each size's counter and the shared global history.
+// The gshare index folds the PC and the history into each active table. A
+// counter predicts taken when its high bit is set; the update is a table
+// lookup, so no step depends on a hard-to-predict branch.
+func (m *Multi) Predict(pc uint64, taken bool) {
+	h := m.history & ((1 << uint(m.p.HistoryBits)) - 1)
+	x := pc>>2 ^ h
+	t := b2u(taken)
+	m.branches++
+	for s, tbl := range m.tables {
+		c := &tbl[x&m.masks[s]]
+		m.mispredicts[s] += uint64(*c>>1) ^ t
+		*c = counterNext[*c<<1|uint8(t)]
 	}
-	if taken {
-		if pr.table[i] < 3 {
-			pr.table[i]++
-		}
-	} else if pr.table[i] > 0 {
-		pr.table[i]--
-	}
-	pr.history = pr.history<<1 | b2u(taken)
-	return pred
+	m.history = m.history<<1 | t
 }
 
 func b2u(b bool) uint64 {

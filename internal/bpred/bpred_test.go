@@ -104,9 +104,12 @@ func TestLargerTableReducesAliasing(t *testing.T) {
 
 func TestNewRejectsActiveSize(t *testing.T) {
 	for _, active := range []int{3000, 512, 32 * 1024} {
-		if _, err := New(DefaultParams(), active); err == nil {
+		if _, err := NewMulti(DefaultParams(), []int{1024, active}); err == nil {
 			t.Errorf("active size %d accepted", active)
 		}
+	}
+	if _, err := NewMulti(DefaultParams(), DefaultParams().Sizes()); err != nil {
+		t.Errorf("every selectable size: %v", err)
 	}
 }
 

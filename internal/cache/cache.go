@@ -70,10 +70,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("cache: block size %d must be a positive power of two", p.BlockBytes)
 	case p.IncrementBytes%(p.BlockBytes*p.IncrementAssoc) != 0:
 		return fmt.Errorf("cache: increment %dB not divisible by block*assoc", p.IncrementBytes)
-	case !p.Feature.Valid():
-		return fmt.Errorf("cache: feature size %v must be finite and positive", float64(p.Feature))
 	}
-	return nil
+	return tech.CheckFeature("cache", p.Feature)
 }
 
 // Sets returns the number of sets — constant regardless of the boundary,

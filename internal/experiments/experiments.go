@@ -71,6 +71,9 @@ func (c Config) Validate() error {
 	case c.CacheWarmRefs < 0:
 		return fmt.Errorf("experiments: negative warm-up")
 	}
+	if err := tech.CheckFeature("experiments", c.Feature); err != nil {
+		return err
+	}
 	return c.CacheParams.Validate()
 }
 

@@ -33,60 +33,35 @@ func ablationTLB(ctx context.Context, cfg Config) (Result, error) {
 			"backup best", "backup config", "backup advantage"},
 	}
 	apps := []string{"gcc", "vortex", "stereo", "applu", "appcg"}
-	// Every (application, mode, group count) cell replays the application's
-	// reference stream from the master seed through a private cursor over the
-	// shared materialized store (trace.RefsFor) and shares no mutable
-	// state with its neighbours: fan the whole application x (2 modes x
-	// Groups) grid across the sweep pool and reduce each row to its per-mode
-	// best serially (the reduction scans groups in ascending order, so the
-	// first-strictly-smaller tie-break matches the old serial loop).
-	grid, err := sweep.GridCtx(ctx, len(apps), 2*p.Groups, func(a, j int) (float64, error) {
+	// One row per (application, mode), every primary size in lockstep
+	// (tlbModeRow). The rows share no mutable state, so the application x
+	// mode grid fans across the sweep pool; each row is reduced to its best
+	// primary serially (ascending groups, first strictly smaller wins).
+	grid, err := sweep.GridCtx(ctx, len(apps), 2, func(a, mode int) ([]float64, error) {
 		b, err := workload.ByName(apps[a])
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		g, backup := j%p.Groups+1, j >= p.Groups
-		return studyRow(ctx, "tlb", func() (float64, error) {
-			tr := trace.RefsFor(b, cfg.Seed).Cursor()
-			var tb *tlb.TLB
-			var err error
-			if backup {
-				tb, err = tlb.New(p, g)
-			} else {
-				tb, err = tlb.NewWithoutBackup(p, g)
-			}
-			if err != nil {
-				return 0, err
-			}
-			for i := int64(0); i < cfg.CacheWarmRefs; i++ {
-				tb.Lookup(tr.Next().Addr)
-			}
-			tb.ResetStats()
-			for i := int64(0); i < cfg.CacheRefs; i++ {
-				tb.Lookup(tr.Next().Addr)
-			}
-			return tlb.Evaluate(p, g, tb.Stats()), nil
-		}, b, cfg.Seed, cfg.CacheWarmRefs, cfg.CacheRefs, p, backup, g)
+		backup := mode == 1
+		return studyRow(ctx, "tlb-mode", func() ([]float64, error) {
+			return tlbModeRow(p, b, cfg.Seed, cfg.CacheWarmRefs, cfg.CacheRefs, backup)
+		}, b, cfg.Seed, cfg.CacheWarmRefs, cfg.CacheRefs, p, backup)
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	for a, name := range apps {
-		best := func(backup bool) (int, float64) {
-			off := 0
-			if backup {
-				off = p.Groups
-			}
+		best := func(mode int) (int, float64) {
 			bg, bt := 0, 0.0
-			for g := 1; g <= p.Groups; g++ {
-				if v := grid[a][off+g-1]; bg == 0 || v < bt {
-					bg, bt = g, v
+			for g, v := range grid[a][mode] {
+				if bg == 0 || v < bt {
+					bg, bt = g+1, v
 				}
 			}
 			return bg, bt
 		}
-		ng, nt := best(false)
-		bg, bt := best(true)
+		ng, nt := best(0)
+		bg, bt := best(1)
 		t.Rows = append(t.Rows, []string{
 			name, metrics.F(nt), fmt.Sprintf("%d entries", ng*p.GroupEntries),
 			metrics.F(bt), fmt.Sprintf("%d+%d entries", bg*p.GroupEntries, (p.Groups-bg)*p.GroupEntries),
@@ -110,25 +85,14 @@ func ablationBpred(ctx context.Context, cfg Config) (Result, error) {
 		Title:   "Average per-branch time (ns) by active table size",
 		Columns: append([]string{"static branches"}, append(sizeLabels(sizes), "best")...),
 	}
-	// Each (static population, table size) cell owns its predictor and
-	// branch generator: sweep the grid and assemble rows by index.
+	// One row per static population, every table size in one pass
+	// (bpredPopRow). The rows are independent: sweep them and assemble by
+	// index.
 	statics := []int{200, 800, 1600, 3200}
-	grid, err := sweep.GridCtx(ctx, len(statics), len(sizes), func(s, i int) (float64, error) {
-		return studyRow(ctx, "bpred", func() (float64, error) {
-			pr := bpred.MustNew(p, sizes[i])
-			g := bpred.NewBranchGen(cfg.Seed, statics[s], 0.3)
-			const warm, measure = 120_000, 200_000
-			for j := 0; j < warm; j++ {
-				pc, taken := g.Next()
-				pr.Predict(pc, taken)
-			}
-			pr.ResetStats()
-			for j := 0; j < measure; j++ {
-				pc, taken := g.Next()
-				pr.Predict(pc, taken)
-			}
-			return bpred.Evaluate(p, sizes[i], pr.Stats()), nil
-		}, cfg.Seed, p, sizes[i], statics[s])
+	rows, err := sweep.RunCtx(ctx, len(statics), func(s int) ([]float64, error) {
+		return studyRow(ctx, "bpred-pop", func() ([]float64, error) {
+			return bpredPopRow(p, cfg.Seed, statics[s])
+		}, cfg.Seed, p, statics[s])
 	})
 	if err != nil {
 		return Result{}, err
@@ -137,7 +101,7 @@ func ablationBpred(ctx context.Context, cfg Config) (Result, error) {
 		row := []string{fmt.Sprintf("%d", static)}
 		best, bestT := 0, 0.0
 		for i, n := range sizes {
-			v := grid[s][i]
+			v := rows[s][i]
 			row = append(row, metrics.F(v))
 			if i == 0 || v < bestT {
 				best, bestT = n, v
@@ -150,6 +114,73 @@ func ablationBpred(ctx context.Context, cfg Config) (Result, error) {
 		ID: "ablation-bpred", Title: t.Title, Tables: []metrics.Table{t},
 		Notes: []string{"moderate aliasing pays for a larger, slower table; tiny programs and hopelessly aliased ones both favour the fast small table"},
 	}, nil
+}
+
+// tlbModeRow returns the average translation time of every primary size,
+// indexed by groups-1, for one application and mode. The sizes step in
+// lockstep over one cursor on the application's shared materialized
+// reference stream (trace.RefsFor), each TLB exactly as if it ran alone.
+func tlbModeRow(p tlb.Params, b workload.Benchmark, seed uint64, warm, refs int64, backup bool) ([]float64, error) {
+	tbs := make([]*tlb.TLB, p.Groups)
+	for g := 1; g <= p.Groups; g++ {
+		var err error
+		if backup {
+			tbs[g-1], err = tlb.New(p, g)
+		} else {
+			tbs[g-1], err = tlb.NewWithoutBackup(p, g)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	tr := trace.RefsFor(b, seed).Cursor()
+	lookup := func(n int64) {
+		for i := int64(0); i < n; i++ {
+			addr := tr.Next().Addr
+			for _, tb := range tbs {
+				tb.Lookup(addr)
+			}
+		}
+	}
+	lookup(warm)
+	for _, tb := range tbs {
+		tb.ResetStats()
+	}
+	lookup(refs)
+	out := make([]float64, p.Groups)
+	for g, tb := range tbs {
+		out[g] = tlb.Evaluate(p, g+1, tb.Stats())
+	}
+	return out, nil
+}
+
+// bpredWarm and bpredMeasure are the branches each ablation-bpred row warms
+// its tables with and then measures.
+const bpredWarm, bpredMeasure = 120_000, 200_000
+
+// bpredPopRow returns the average per-branch time of every active size, in
+// p.Sizes() order, for one static population. Its branch stream is
+// generated once and drives every size (bpred.Multi), each exactly as if it
+// ran alone.
+func bpredPopRow(p bpred.Params, seed uint64, static int) ([]float64, error) {
+	sizes := p.Sizes()
+	m, err := bpred.NewMulti(p, sizes)
+	if err != nil {
+		return nil, err
+	}
+	g := bpred.NewBranchGen(seed, static, 0.3)
+	for j := 0; j < bpredWarm; j++ {
+		m.Predict(g.Next())
+	}
+	m.ResetStats()
+	for j := 0; j < bpredMeasure; j++ {
+		m.Predict(g.Next())
+	}
+	out := make([]float64, len(sizes))
+	for i, st := range m.Stats() {
+		out[i] = bpred.Evaluate(p, sizes[i], st)
+	}
+	return out, nil
 }
 
 func sizeLabels(sizes []int) []string {

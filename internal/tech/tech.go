@@ -9,19 +9,35 @@
 // ohms, and lengths in millimetres unless noted otherwise.
 package tech
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // FeatureSize identifies a process generation by its drawn feature size in
 // microns. The paper studies 0.25, 0.18 and 0.12 micron technologies.
 type FeatureSize float64
 
-// Valid reports whether f is a finite, positive feature size. NaN and +Inf
-// fail it: neither compares as non-positive, yet both poison every scaled
-// delay.
-func (f FeatureSize) Valid() bool { return f > 0 && !math.IsInf(float64(f), 1) }
+// MinFeature and MaxFeature bound the feature sizes the first-order scaling
+// model accepts: from 10 nm up to 2 microns, which covers the 0.80 micron
+// CACTI base and the paper's three generations with room on both sides. Far
+// outside it the model means nothing: at 1e-300 microns the optimal
+// repeater is sized 1e150x, and at 1e-12 the repeater search does not
+// finish in seconds.
+const (
+	MinFeature FeatureSize = 0.01
+	MaxFeature FeatureSize = 2
+)
+
+// Valid reports whether f lies in [MinFeature, MaxFeature]. NaN fails every
+// comparison, so it is invalid too.
+func (f FeatureSize) Valid() bool { return f >= MinFeature && f <= MaxFeature }
+
+// CheckFeature returns an error naming the accepted range when f is not
+// Valid; what prefixes it, as in "cache: feature size ...".
+func CheckFeature(what string, f FeatureSize) error {
+	if f.Valid() {
+		return nil
+	}
+	return fmt.Errorf("%s: feature size %v outside [%v, %v] microns", what, float64(f), float64(MinFeature), float64(MaxFeature))
+}
 
 // Process generations referenced by the paper.
 const (
@@ -101,11 +117,11 @@ var base = Params{
 // ForFeature returns the process parameters for the given feature size,
 // scaling device quantities linearly from the 0.80 micron anchor. Wire
 // R and C per millimetre are held constant per the paper's first-order
-// assumption. It panics if the feature size is not finite and positive; use
-// FeatureSize.Valid for non-panicking checks.
+// assumption. It panics if the feature size is not Valid; use CheckFeature
+// for non-panicking checks.
 func ForFeature(f FeatureSize) Params {
-	if !f.Valid() {
-		panic(fmt.Sprintf("tech: feature size %v must be finite and positive", float64(f)))
+	if err := CheckFeature("tech", f); err != nil {
+		panic(err.Error())
 	}
 	s := float64(f) / float64(Micron080)
 	return Params{

@@ -2,6 +2,7 @@ package tech
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +58,45 @@ func TestValidateRejectsNonFiniteFeature(t *testing.T) {
 	for _, f := range append(Generations(), Micron080) {
 		if !f.Valid() {
 			t.Errorf("feature %v rejected", f)
+		}
+	}
+}
+
+// TestFeatureSizeRange: Valid accepts exactly [MinFeature, MaxFeature].
+// Outside it the scaling model runs away: at 1e-300 microns wiredelay sized
+// a repeater 1e150x, and at 1e-12 its repeater scan did not finish.
+func TestFeatureSizeRange(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		want bool
+	}{
+		{0.01, true},
+		{0.05, true},
+		{0.12, true},
+		{0.80, true},
+		{1.55, true},
+		{2, true},
+		{0.0099, false},
+		{2.0001, false},
+		{1e-12, false},
+		{1e-300, false},
+		{1e300, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{0, false},
+		{-0.18, false},
+	} {
+		f := FeatureSize(tc.f)
+		if got := f.Valid(); got != tc.want {
+			t.Errorf("Valid(%v) = %v, want %v", tc.f, got, tc.want)
+		}
+		err := CheckFeature("x", f)
+		if (err == nil) != tc.want {
+			t.Errorf("CheckFeature(%v) = %v, want valid=%v", tc.f, err, tc.want)
+		}
+		if err != nil && !strings.Contains(err.Error(), "outside [0.01, 2] microns") {
+			t.Errorf("CheckFeature(%v) = %q, want the accepted range named", tc.f, err)
 		}
 	}
 }

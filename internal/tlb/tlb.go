@@ -21,6 +21,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"capsim/internal/palacharla"
 	"capsim/internal/tech"
@@ -64,10 +65,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("tlb: page size %d must be a positive power of two", p.PageBytes)
 	case p.WalkCycles < 1:
 		return fmt.Errorf("tlb: walk cycles %d must be >= 1", p.WalkCycles)
-	case !p.Feature.Valid():
-		return fmt.Errorf("tlb: feature size %v must be finite and positive", float64(p.Feature))
 	}
-	return nil
+	return tech.CheckFeature("tlb", p.Feature)
 }
 
 // TotalEntries returns the built capacity.
@@ -115,6 +114,8 @@ type TLB struct {
 	primary int  // groups in the single-cycle section
 	backup  bool // whether non-primary groups serve as a backup section
 	entries []entry
+	shift   uint // log2(PageBytes): vpn = addr >> shift
+	mru     int  // index of the last-touched translation (always primary)
 	stamp   uint64
 	stats   Stats
 }
@@ -145,6 +146,7 @@ func build(p Params, primary int, backup bool) (*TLB, error) {
 		primary: primary,
 		backup:  backup,
 		entries: make([]entry, p.TotalEntries()),
+		shift:   uint(bits.TrailingZeros(uint(p.PageBytes))),
 	}, nil
 }
 
@@ -158,10 +160,21 @@ func (t *TLB) ResetStats() { t.stats = Stats{} }
 func (t *TLB) primaryEntries() int { return t.primary * t.p.GroupEntries }
 
 // Lookup translates the address, updating contents and statistics.
+//
+// The last-touched translation always sits in the primary section at
+// t.mru: a primary hit leaves it in place, and a backup-hit swap or a walk
+// puts it in the primary victim slot. Entries are unique (CheckUnique), so a
+// match there is exactly the entry the full CAM scan would find, and the
+// common same-page repeat skips the scan.
 func (t *TLB) Lookup(addr uint64) Outcome {
 	t.stamp++
 	t.stats.Lookups++
-	vpn := addr / uint64(t.p.PageBytes)
+	vpn := addr >> (t.shift & 63)
+	if e := &t.entries[t.mru]; e.valid && e.vpn == vpn {
+		t.stats.PrimaryHits++
+		e.lru = t.stamp
+		return PrimaryHit
+	}
 	pe := t.primaryEntries()
 
 	limit := len(t.entries)
@@ -179,6 +192,7 @@ func (t *TLB) Lookup(addr uint64) Outcome {
 	case hit >= 0 && hit < pe:
 		t.stats.PrimaryHits++
 		t.entries[hit].lru = t.stamp
+		t.mru = hit
 		return PrimaryHit
 	case hit >= 0:
 		// Backup hit: promote into the primary section by swapping with
@@ -188,6 +202,7 @@ func (t *TLB) Lookup(addr uint64) Outcome {
 		t.entries[victim], t.entries[hit] = t.entries[hit], t.entries[victim]
 		t.entries[victim].lru = t.stamp
 		t.entries[hit].lru = t.stamp
+		t.mru = victim
 		return BackupHit
 	default:
 		t.stats.Walks++
@@ -199,6 +214,7 @@ func (t *TLB) Lookup(addr uint64) Outcome {
 			t.entries[bv] = t.entries[victim]
 		}
 		t.entries[victim] = entry{vpn: vpn, valid: true, lru: t.stamp}
+		t.mru = victim
 		return Walk
 	}
 }

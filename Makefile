@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race ci-race ci-names vet fmt staticcheck ci bench bench-check bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke fuzz-smoke clean
+.PHONY: all build test short race ci-race ci-names vet fmt staticcheck ci bench bench-check render-diff bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke fuzz-smoke clean
 
 all: build
 
@@ -121,6 +121,15 @@ bench-check:
 	@out="$$(cd bench && $(GO) run . -compare $(abspath $(BASE)),$(abspath $(NEW)))" || { printf '%s\n' "$$out"; exit 1; }; \
 	printf '%s\n' "$$out"; \
 	if printf '%s\n' "$$out" | grep -q 'WORSE'; then echo "bench-check: a metric is WORSE than BASE"; exit 1; fi
+
+# render-diff is the byte-identity check for refactors:
+# `make render-diff BASE=<rev>` builds capsim at BASE (from `git archive`) and
+# from the working tree and compares footer-stripped `-experiment all` renders
+# with cmp at -parallel 1, -parallel 2 and -seed 1 (scripts/render_diff.sh).
+# It writes nothing in the checkout. Not in ci: it needs a base revision.
+render-diff:
+	@test -n "$(BASE)" || { echo "usage: make render-diff BASE=<rev>"; exit 2; }
+	@GO="$(GO)" sh scripts/render_diff.sh "$(BASE)"
 
 # bench-obs-smoke (ci-gated) renders a tiny-budget fig10 run with
 # telemetry off and with every sink on (-obs-assert, trace + manifest),

@@ -27,6 +27,7 @@ package capsim
 
 import (
 	"context"
+	"fmt"
 
 	"capsim/internal/cache"
 	"capsim/internal/core"
@@ -76,14 +77,27 @@ func PaperQueueSizes() []int { return core.PaperQueueSizes() }
 func PaperCacheParams() CacheParams { return cache.PaperParams() }
 
 // QueueCycleNS returns the cycle time (ns) an instruction queue of the given
-// entry count imposes at 0.18 µm: its wakeup+select critical path.
-func QueueCycleNS(entries int) float64 {
-	return core.QueueCycleNS(entries, tech.ForFeature(tech.Micron018))
+// entry count (at least 1) imposes at 0.18 µm: its wakeup+select critical
+// path.
+func QueueCycleNS(entries int) (float64, error) {
+	if entries < 1 {
+		return 0, fmt.Errorf("capsim: queue entries %d must be >= 1", entries)
+	}
+	return core.QueueCycleNS(entries, tech.ForFeature(tech.Micron018)), nil
 }
 
 // CacheCycleNS returns the cycle time (ns) the L1 imposes with the L1/L2
-// boundary after k increments of p.
-func CacheCycleNS(p CacheParams, k int) float64 { return cache.TimingFor(p, k).CycleNS }
+// boundary after k increments of p. p must be valid and k one of its
+// Boundaries.
+func CacheCycleNS(p CacheParams, k int) (float64, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	if lo, hi := p.Boundaries(); k < lo || k > hi {
+		return 0, fmt.Errorf("capsim: boundary %d outside [%d,%d]", k, lo, hi)
+	}
+	return cache.TimingFor(p, k).CycleNS, nil
+}
 
 // ProfileQueue runs every queue size for instrs instructions at 0.18 µm and
 // returns TPI (ns) indexed like sizes: the profiling pass of the paper's

@@ -35,8 +35,12 @@ func TestFacadeProfileQueue(t *testing.T) {
 	}
 	for i, v := range tpi {
 		// IPC = cycle / TPI can never exceed the 8-wide issue width.
-		if v <= 0 || QueueCycleNS(sizes[i])/v > 8 {
-			t.Errorf("IQ=%d: TPI %v at cycle %v", sizes[i], v, QueueCycleNS(sizes[i]))
+		cycle, err := QueueCycleNS(sizes[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v <= 0 || cycle/v > 8 {
+			t.Errorf("IQ=%d: TPI %v at cycle %v", sizes[i], v, cycle)
 		}
 	}
 	if _, err := ProfileQueue(b, 1, nil, 5000); err == nil {
@@ -60,13 +64,19 @@ func TestFacadeProfileCache(t *testing.T) {
 	if len(tpi) != 9 || len(miss) != 9 {
 		t.Fatalf("tables of %d and %d slots, want 9 (boundaries 1-8 plus slot 0)", len(tpi), len(miss))
 	}
+	prev := 0.0
 	for k := 1; k <= 8; k++ {
 		if miss[k] < 0 || tpi[k] <= miss[k] {
 			t.Errorf("k=%d: TPI %v, TPImiss %v", k, tpi[k], miss[k])
 		}
-		if k > 1 && CacheCycleNS(p, k) <= CacheCycleNS(p, k-1) {
-			t.Errorf("k=%d: cycle %v not above k=%d's", k, CacheCycleNS(p, k), k-1)
+		cycle, err := CacheCycleNS(p, k)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if cycle <= prev {
+			t.Errorf("k=%d: cycle %v not above k=%d's %v", k, cycle, k-1, prev)
+		}
+		prev = cycle
 	}
 	noMem, err := BenchmarkByName("go")
 	if err != nil {
@@ -126,5 +136,42 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 	if _, err := RunExperiment("nope", cfg); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestFacadeCycleTimesRejectBadInput: the cycle-time wrappers return an
+// error for caller input the models do not cover instead of panicking, and
+// never time a boundary the structure does not have.
+func TestFacadeCycleTimesRejectBadInput(t *testing.T) {
+	p := PaperCacheParams()
+	lo, hi := p.Boundaries()
+	for _, k := range []int{lo, hi} {
+		if v, err := CacheCycleNS(p, k); err != nil || v <= 0 {
+			t.Errorf("CacheCycleNS(k=%d) = %v, %v", k, v, err)
+		}
+	}
+	for _, k := range []int{-1, 0, hi + 1, 99} {
+		if v, err := CacheCycleNS(p, k); err == nil {
+			t.Errorf("CacheCycleNS(k=%d) = %v, want an error", k, v)
+		}
+	}
+	bad := p
+	bad.Feature = 5
+	if v, err := CacheCycleNS(bad, 1); err == nil {
+		t.Errorf("CacheCycleNS at feature size 5 = %v, want an error", v)
+	}
+	bad = p
+	bad.Increments = 1
+	if v, err := CacheCycleNS(bad, 1); err == nil {
+		t.Errorf("CacheCycleNS with one increment = %v, want an error", v)
+	}
+
+	if v, err := QueueCycleNS(1); err != nil || v <= 0 {
+		t.Errorf("QueueCycleNS(1) = %v, %v", v, err)
+	}
+	for _, n := range []int{0, -16} {
+		if v, err := QueueCycleNS(n); err == nil {
+			t.Errorf("QueueCycleNS(%d) = %v, want an error", n, v)
+		}
 	}
 }

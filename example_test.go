@@ -33,8 +33,11 @@ func Example_quickstart() {
 		}
 		best := 0
 		for i, w := range sizes {
-			fmt.Printf("  IQ=%3d entries @ %.3f ns/cycle -> TPI %.4f ns\n",
-				w, capsim.QueueCycleNS(w), tpi[i])
+			cycle, err := capsim.QueueCycleNS(w)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("  IQ=%3d entries @ %.3f ns/cycle -> TPI %.4f ns\n", w, cycle, tpi[i])
 			if tpi[i] < tpi[best] {
 				best = i
 			}
@@ -82,8 +85,14 @@ func Example_adaptiveQueue() {
 	fmt.Println("Adaptive instruction queue: wakeup+select sets the clock")
 	fmt.Println()
 	fmt.Println("  entries  cycle(ns)")
-	for _, w := range sizes {
-		fmt.Printf("  %7d  %.3f\n", w, capsim.QueueCycleNS(w))
+	cycles := make([]float64, len(sizes))
+	for i, w := range sizes {
+		cycle, err := capsim.QueueCycleNS(w)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cycles[i] = cycle
+		fmt.Printf("  %7d  %.3f\n", w, cycle)
 	}
 	fmt.Println()
 
@@ -102,7 +111,7 @@ func Example_adaptiveQueue() {
 			if tpi[i] < tpi[best] {
 				best = i
 			}
-			fmt.Printf("  IQ=%3d: IPC %.2f  TPI %.4f ns\n", w, capsim.QueueCycleNS(w)/tpi[i], tpi[i])
+			fmt.Printf("  IQ=%3d: IPC %.2f  TPI %.4f ns\n", w, cycles[i]/tpi[i], tpi[i])
 		}
 		fmt.Printf("  -> best configuration: %d entries (%.4f ns)\n\n", sizes[best], tpi[best])
 	}
@@ -188,8 +197,12 @@ func Example_adaptiveCache() {
 		}
 		fmt.Printf("%s (refs/instr %.2f):\n", name, b.Mem.RefsPerInstr)
 		for k := 1; k <= 8; k++ {
+			cycle, err := capsim.CacheCycleNS(p, k)
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("  L1=%2dKB %2d-way: cycle %.3f ns, TPI %.4f (miss %.4f)\n",
-				p.L1Bytes(k)/1024, p.L1Assoc(k), capsim.CacheCycleNS(p, k), tpi[k], tpiMiss[k])
+				p.L1Bytes(k)/1024, p.L1Assoc(k), cycle, tpi[k], tpiMiss[k])
 		}
 		results = append(results, appResult{name, tpi})
 		fmt.Println()
@@ -332,7 +345,9 @@ func Example_powerModes() {
 	cycleNS := make([]float64, maxK+1)
 	best := 1
 	for k := 1; k <= maxK; k++ {
-		cycleNS[k] = capsim.CacheCycleNS(p, k)
+		if cycleNS[k], err = capsim.CacheCycleNS(p, k); err != nil {
+			log.Fatal(err)
+		}
 		if tpi[k] < tpi[best] {
 			best = k
 		}

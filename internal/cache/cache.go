@@ -22,7 +22,6 @@ import (
 	"math/bits"
 
 	"capsim/internal/cacti"
-	"capsim/internal/memo"
 	"capsim/internal/tech"
 	"capsim/internal/wire"
 )
@@ -417,33 +416,15 @@ const l2FixedNS = 2.0
 // doubling the hang-off relative to a monolithic bank).
 const busLoadPerIncrement = 18.0
 
-// timingKey keys the TimingFor memo; Params is a flat scalar struct, so
-// (Params, k) describes the computation completely.
-type timingKey struct {
-	p Params
-	k int
-}
-
-// timings memoizes TimingFor per (Params, boundary). Every profiling pass
-// (core.ProfileCacheTPI, core.ProfileCombined) evaluates the whole boundary
-// table, and a parallel sweep runs one pass per application; the memo
-// collapses that to one cacti+wire evaluation per distinct geometry. Validation (which
-// panics) runs before entering the memo.
-var timings memo.Memo[timingKey, Timing]
-
 // TimingFor computes the Timing of boundary position k under params p.
 // The global bus is buffered whenever buffering is faster (the paper applies
 // the same rule to its conventional baselines), and the delay-hierarchy
 // property of repeaters means the L1 sees only the bus segments it spans.
-// Results are memoized: the model is pure in (Params, k).
+// It panics on invalid params.
 func TimingFor(p Params, k int) Timing {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return timings.Get(timingKey{p, k}, func() Timing { return timingFor(p, k) })
-}
-
-func timingFor(p Params, k int) Timing {
 	tp := tech.ForFeature(p.Feature)
 	inc := cacti.Config{SizeBytes: p.IncrementBytes, BlockBytes: p.BlockBytes, Assoc: p.IncrementAssoc}
 	bank := cacti.AccessTime(inc, tp).Total()

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"capsim/internal/memo"
 	"capsim/internal/tech"
 )
 
@@ -105,39 +104,16 @@ func (b Breakdown) Total() float64 {
 	return b.Decoder + b.Wordline + b.Bitline + b.SenseAmp + b.TagCompare + b.OutputDriver
 }
 
-// modelKey memoizes the pure analytic functions of this package: both Config
-// and tech.Params are flat scalar structs, so the pair is a comparable map
-// key describing the computation completely.
-type modelKey struct {
-	c Config
-	p tech.Params
-}
-
-// accessTimes and dimensions cache the model outputs. Machine constructors
-// call these functions once per simulated configuration, and a parallel sweep
-// constructs thousands of machines over a handful of distinct geometries; the
-// memo collapses that to one evaluation per geometry. Validation panics
-// happen in the callers *before* entering the memo (a panic inside the memo
-// would poison the entry).
-var (
-	accessTimes memo.Memo[modelKey, Breakdown]
-	dimensions  memo.Memo[modelKey, [2]float64]
-)
-
 // AccessTime computes the bank access-time breakdown for the given process.
 // Device-limited stages scale linearly with feature size; wire-limited
 // stages (word and bit lines) combine a device term with a constant wire-RC
 // term derived from the physical array dimensions, so large banks stop
-// improving with scaling — the effect that motivates the paper. Results are
-// memoized: the model is pure in (Config, Params).
+// improving with scaling — the effect that motivates the paper. It panics
+// on an invalid Config.
 func AccessTime(c Config, p tech.Params) Breakdown {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	return accessTimes.Get(modelKey{c, p}, func() Breakdown { return accessTime(c, p) })
-}
-
-func accessTime(c Config, p tech.Params) Breakdown {
 	n := c.subarrays()
 	rowsPerSub := float64(c.Sets()) / float64(n)
 	if rowsPerSub < 1 {
@@ -194,14 +170,6 @@ func Dimensions(c Config, p tech.Params) (width, height float64) {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	wh := dimensions.Get(modelKey{c, p}, func() [2]float64 {
-		w, h := computeDimensions(c, p)
-		return [2]float64{w, h}
-	})
-	return wh[0], wh[1]
-}
-
-func computeDimensions(c Config, p tech.Params) (width, height float64) {
 	bits := float64(c.SizeBytes * 8)
 	tagBits := float64(c.tagBits()+2) * float64(c.Sets()*c.Assoc) // +valid,+dirty
 	cell := p.BitCellSide()

@@ -107,12 +107,7 @@ func ablationInterval(ctx context.Context, cfg Config) (Result, error) {
 		if err != nil {
 			return row{}, err
 		}
-		fixedBest := fixed[0]
-		for _, v := range fixed[1:] {
-			if v < fixedBest {
-				fixedBest = v
-			}
-		}
+		fixedBest := fixed[core.SelectBestIndex(fixed)]
 		adaptive, err := runIntervalPolicy(ctx, cfg, app, sizes, &core.IntervalPolicy{Configs: []int{0, 1}}, intervals)
 		if err != nil {
 			return row{}, err

@@ -7,7 +7,6 @@ import (
 	"capsim/internal/core"
 	"capsim/internal/metrics"
 	"capsim/internal/sweep"
-	"capsim/internal/workload"
 )
 
 func init() {
@@ -35,36 +34,25 @@ func combinedBoundaries() []int { return []int{1, 2, 6, 8} }
 //     clock is applied — cross-structure coupling can void the choice;
 //   - joint oracle: the best configuration of the joint space.
 func ablationCombined(ctx context.Context, cfg Config) (Result, error) {
-	apps := []string{"gcc", "stereo", "appcg", "compress", "swim"}
+	apps := benchmarks([]string{"gcc", "stereo", "appcg", "compress", "swim"})
 	qs := combinedQueueSizes()
 	bs := combinedBoundaries()
-
-	type profiled struct {
-		name  string
-		tpi   map[core.CombinedConfig]float64
-		joint core.CombinedConfig
-	}
-	intervals := cfg.QueueInstrs / cfg.IntervalInstrs
-	if intervals < 10 {
-		intervals = 10
-	}
+	intervals := max(cfg.QueueInstrs/cfg.IntervalInstrs, 10)
 
 	// One ProfileCombined call per application covers its whole (boundary x
 	// queue-size) grid in a single joint-kernel pass (stream decoded once,
-	// hierarchy rows shared across queue columns). Joint-space point j maps to (bs[j/len(qs)], qs[j%len(qs)]), preserving
-	// the original scan order, so the joint-best tie-break (first
-	// strictly-smaller wins) is unchanged.
-	points := make([]core.CombinedConfig, 0, len(bs)*len(qs))
+	// hierarchy rows shared across queue columns). Joint configuration j is
+	// (bs[j/len(qs)], qs[j%len(qs)]); of equally good ones the lowest j wins.
+	var points []core.CombinedConfig
+	var labels []string
 	for _, k := range bs {
 		for _, w := range qs {
 			points = append(points, core.CombinedConfig{QueueEntries: w, Boundary: k})
+			labels = append(labels, fmt.Sprintf("IQ=%d/L1=%dKB", w, k*8))
 		}
 	}
 	grid, err := sweep.RunCtx(ctx, len(apps), func(a int) ([]float64, error) {
-		b, err := workload.ByName(apps[a])
-		if err != nil {
-			return nil, err
-		}
+		b := apps[a]
 		// One study row per application: the whole joint grid pass is the
 		// unit of reuse.
 		return studyRow(ctx, "combined", func() ([]float64, error) {
@@ -75,82 +63,42 @@ func ablationCombined(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	profiles := make([]profiled, 0, len(apps))
-	for a, app := range apps {
-		p := profiled{name: app, tpi: map[core.CombinedConfig]float64{}}
-		for j, cc := range points {
-			v := grid[a][j]
-			p.tpi[cc] = v
-			if j == 0 || v < p.tpi[p.joint] {
-				p.joint = cc
-			}
+	s := newStudy(apps, grid)
+	nq := len(qs)
+	cb, cq := s.conv/nq, s.conv%nq
+	rows := make([]compareRow, len(apps))
+	for a, b := range apps {
+		tpi := grid[a]
+		// Per-structure: the best queue at the conventional boundary and
+		// the best boundary at the conventional queue, composed
+		// independently.
+		byQueue, byBoundary := make([]float64, nq), make([]float64, len(bs))
+		for q := range byQueue {
+			byQueue[q] = tpi[cb*nq+q]
 		}
-		profiles = append(profiles, p)
-	}
-
-	// Conventional: the single joint configuration with the smallest
-	// workload-mean TPI.
-	var conv core.CombinedConfig
-	bestMean := 0.0
-	for _, k := range bs {
-		for _, w := range qs {
-			cc := core.CombinedConfig{QueueEntries: w, Boundary: k}
-			var sum float64
-			for _, p := range profiles {
-				sum += p.tpi[cc]
-			}
-			if bestMean == 0 || sum < bestMean {
-				conv, bestMean = cc, sum
-			}
+		for k := range byBoundary {
+			byBoundary[k] = tpi[k*nq+cq]
 		}
+		per := tpi[keepUnlessBeaten(byBoundary, cb)*nq+keepUnlessBeaten(byQueue, cq)]
+		joint := s.best(a)
+		rows[a] = compareRow{b.Name, []float64{tpi[s.conv], per, tpi[joint]}, labels[joint]}
 	}
-
-	t := metrics.Table{
-		ID:    "ablation-combined",
-		Title: "Joint CAP TPI (ns): conventional vs per-structure vs joint adaptation",
-		Columns: []string{"benchmark", "conventional", "per-structure", "joint adaptive",
-			"joint config", "joint vs conventional"},
-	}
-	var convSum, perSum, jointSum float64
-	for _, p := range profiles {
-		// Per-structure: best queue at the conventional boundary, best
-		// boundary at the conventional queue — composed independently.
-		bestQ := conv.QueueEntries
-		for _, w := range qs {
-			if p.tpi[core.CombinedConfig{QueueEntries: w, Boundary: conv.Boundary}] <
-				p.tpi[core.CombinedConfig{QueueEntries: bestQ, Boundary: conv.Boundary}] {
-				bestQ = w
-			}
-		}
-		bestK := conv.Boundary
-		for _, k := range bs {
-			if p.tpi[core.CombinedConfig{QueueEntries: conv.QueueEntries, Boundary: k}] <
-				p.tpi[core.CombinedConfig{QueueEntries: conv.QueueEntries, Boundary: bestK}] {
-				bestK = k
-			}
-		}
-		per := p.tpi[core.CombinedConfig{QueueEntries: bestQ, Boundary: bestK}]
-		convV := p.tpi[conv]
-		jointV := p.tpi[p.joint]
-		convSum += convV
-		perSum += per
-		jointSum += jointV
-		t.Rows = append(t.Rows, []string{
-			p.name, metrics.F(convV), metrics.F(per), metrics.F(jointV),
-			fmt.Sprintf("IQ=%d/L1=%dKB", p.joint.QueueEntries, p.joint.Boundary*8),
-			metrics.Pct(metrics.Reduction(convV, jointV)),
-		})
-	}
-	n := float64(len(profiles))
-	t.Rows = append(t.Rows, []string{
-		"average", metrics.F(convSum / n), metrics.F(perSum / n), metrics.F(jointSum / n), "",
-		metrics.Pct(metrics.Reduction(convSum/n, jointSum/n)),
-	})
+	t := compareTable("ablation-combined", "Joint CAP TPI (ns): conventional vs per-structure vs joint adaptation",
+		[]string{"benchmark", "conventional", "per-structure", "joint adaptive", "joint config", "joint vs conventional"}, rows)
 	return Result{
 		ID: "ablation-combined", Title: t.Title, Tables: []metrics.Table{t},
 		Notes: []string{
-			fmt.Sprintf("conventional baseline: IQ=%d/L1=%dKB (workload-mean best)", conv.QueueEntries, conv.Boundary*8),
+			"conventional baseline: " + labels[s.conv] + " (workload-mean best)",
 			"the joint clock is the worst case of both structures, so per-structure choices can interact",
 		},
 	}, nil
+}
+
+// keepUnlessBeaten is ablation-combined's per-structure pick: the
+// conventional configuration conv stands unless another is strictly better.
+func keepUnlessBeaten(tpi []float64, conv int) int {
+	if i := core.SelectBestIndex(tpi); tpi[i] < tpi[conv] {
+		return i
+	}
+	return conv
 }

@@ -12,6 +12,31 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current renders")
 
+// goldenConfig is the configuration testdata/golden is rendered at: the
+// test budgets, trimmed further because TestParallelDeterminism runs the
+// complete registry twice and must fit the per-package budget under -race
+// on one core. IntervalInstrs drives the Section 6 studies (fixed interval
+// counts x interval length), which dominate the registry's wall time.
+func goldenConfig() Config {
+	cfg := fastConfig()
+	cfg.CacheWarmRefs = 5_000
+	cfg.CacheRefs = 20_000
+	cfg.QueueInstrs = 10_000
+	cfg.IntervalInstrs = 400
+	return cfg
+}
+
+// golden returns experiment id's pinned render.
+func golden(t *testing.T, id string) string {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", id+".txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run TestParallelDeterminism with -update to create it)", id, err)
+	}
+	return string(want)
+}
+
 // TestParallelDeterminism locks the sweep engine's contract and pins every
 // experiment's render: the registry renders byte-identically whether the
 // sweeps run serially (workers=1) or fanned out (workers=8), and the serial
@@ -25,16 +50,7 @@ func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders every experiment twice")
 	}
-	cfg := fastConfig()
-	// Trim budgets further: this test runs the complete registry twice, and
-	// must fit the per-package budget under -race on one core.
-	// IntervalInstrs drives the Section 6 studies (fixed interval counts x
-	// interval length), which dominate the registry's wall time.
-	cfg.CacheWarmRefs = 5_000
-	cfg.CacheRefs = 20_000
-	cfg.QueueInstrs = 10_000
-	cfg.IntervalInstrs = 400
-
+	cfg := goldenConfig()
 	old := sweep.DefaultWorkers()
 	defer sweep.SetDefaultWorkers(old)
 
@@ -53,8 +69,8 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	serial := render(1)
 	for _, id := range IDs() {
-		path := filepath.Join("testdata", "golden", id+".txt")
 		if *update {
+			path := filepath.Join("testdata", "golden", id+".txt")
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -63,18 +79,57 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 			continue
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run with -update to create it)", id, err)
-		}
-		if serial[id] != string(want) {
-			t.Errorf("%s: render differs from %s", id, path)
+		if serial[id] != golden(t, id) {
+			t.Errorf("%s: render differs from its golden", id)
 		}
 	}
 	parallel := render(8)
 	for _, id := range IDs() {
 		if serial[id] != parallel[id] {
 			t.Errorf("%s: render differs between workers=1 and workers=8", id)
+		}
+	}
+}
+
+// TestResultsOwnTheirNumbers: a Result shares no slice with a memoized
+// study row. Overwriting every series point of fig7 and fig10 and every
+// table cell of fig8 and fig11, then running all four again in the same
+// process (from the same memoized rows), still renders the goldens.
+func TestResultsOwnTheirNumbers(t *testing.T) {
+	cfg := goldenConfig()
+	ids := []string{"fig7", "fig8", "fig10", "fig11"}
+	ResetCaches()
+	defer ResetCaches()
+	for _, id := range ids {
+		res, err := Run(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Figures)+len(res.Tables) == 0 {
+			t.Fatalf("%s: nothing to overwrite", id)
+		}
+		for _, f := range res.Figures {
+			for _, s := range f.Series {
+				for i := range s.X {
+					s.X[i], s.Y[i] = -1, -1
+				}
+			}
+		}
+		for _, tab := range res.Tables {
+			for _, row := range tab.Rows {
+				for i := range row {
+					row[i] = "overwritten"
+				}
+			}
+		}
+	}
+	for _, id := range ids {
+		res, err := Run(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Render() != golden(t, id) {
+			t.Errorf("%s: render after overwriting an earlier Result differs from its golden", id)
 		}
 	}
 }
@@ -148,10 +203,10 @@ func TestBudgetScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sum float64
-		for _, r := range s.rows {
-			sum += r.TPI[s.convBest]
+		for _, tpi := range s.tpi {
+			sum += tpi[s.conv]
 		}
-		return sum / float64(len(s.rows))
+		return sum / float64(len(s.tpi))
 	}
 	a, b := avg(small), avg(big)
 	diff := (a - b) / b

@@ -41,7 +41,9 @@ type Config struct {
 	PenaltyCycles int
 	// Feature is the process generation for the performance studies.
 	Feature tech.FeatureSize
-	// CacheParams is the adaptive-hierarchy geometry.
+	// CacheParams is the adaptive-hierarchy geometry. Its Feature must
+	// equal Feature: the cache studies read the one, the queue and policy
+	// studies the other.
 	CacheParams cache.Params
 }
 
@@ -73,6 +75,10 @@ func (c Config) Validate() error {
 	}
 	if err := tech.CheckFeature("experiments", c.Feature); err != nil {
 		return err
+	}
+	if c.CacheParams.Feature != c.Feature {
+		return fmt.Errorf("experiments: CacheParams.Feature %g differs from Feature %g microns",
+			float64(c.CacheParams.Feature), float64(c.Feature))
 	}
 	return c.CacheParams.Validate()
 }

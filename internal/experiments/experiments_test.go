@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"capsim/internal/metrics"
+	"capsim/internal/tech"
 )
 
 // fastConfig returns a reduced-budget configuration for tests.
@@ -54,6 +56,17 @@ func TestConfigValidation(t *testing.T) {
 	cfg.CacheRefs = 10
 	if _, err := Run("fig1a", cfg); err == nil {
 		t.Error("tiny cache budget accepted")
+	}
+	// The queue studies read Feature and the cache studies
+	// CacheParams.Feature: one study at two generations is rejected.
+	cfg = fastConfig()
+	cfg.Feature = tech.Micron012
+	if err := cfg.Validate(); err == nil {
+		t.Errorf("Feature %v with CacheParams.Feature %v accepted", cfg.Feature, cfg.CacheParams.Feature)
+	}
+	cfg.CacheParams.Feature = cfg.Feature
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("matching feature sizes rejected: %v", err)
 	}
 }
 
@@ -169,26 +182,32 @@ func TestCacheFigures(t *testing.T) {
 	}
 }
 
+// reductions returns each application's TPI reduction from the
+// conventional configuration to its own best, by name.
+func reductions(s *study) map[string]float64 {
+	out := map[string]float64{}
+	for a, b := range s.apps {
+		out[b.Name] = metrics.Reduction(s.tpi[a][s.conv], s.tpi[a][s.best(a)])
+	}
+	return out
+}
+
 func TestCacheHeadlineShape(t *testing.T) {
 	// The adaptive scheme must never lose to the conventional baseline
-	// (it can always pick the baseline), and the workload-average gain
-	// must be positive with stereo among the big winners.
-	res, err := Run("fig9", fastConfig())
+	// (it can always pick the baseline), and stereo must be among the big
+	// winners (paper: 46%).
+	s, err := runCacheStudy(context.Background(), fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := res.Tables[0]
-	var stereoGain string
-	for _, row := range tab.Rows {
-		if strings.HasPrefix(row[4], "-") {
-			t.Errorf("%s: adaptive lost to conventional (%s)", row[0], row[4])
-		}
-		if row[0] == "stereo" {
-			stereoGain = row[4]
+	red := reductions(s)
+	for app, r := range red {
+		if r < 0 {
+			t.Errorf("%s: adaptive lost to conventional (reduction %.4f)", app, r)
 		}
 	}
-	if !strings.HasPrefix(stereoGain, "+4") && !strings.HasPrefix(stereoGain, "+5") && !strings.HasPrefix(stereoGain, "+6") {
-		t.Errorf("stereo gain %s, want ~+40-60%% (paper: 46%%)", stereoGain)
+	if r := red["stereo"]; r < 0.40 || r >= 0.70 {
+		t.Errorf("stereo TPI reduction %.4f, want [0.40, 0.70) (paper: 0.46)", r)
 	}
 }
 
@@ -216,19 +235,20 @@ func TestQueueFigures(t *testing.T) {
 	if len(tab.Rows) != 23 { // 22 apps + average
 		t.Fatalf("fig11 rows: %d", len(tab.Rows))
 	}
-	gainers := map[string]bool{}
-	for _, row := range tab.Rows {
-		if strings.HasPrefix(row[4], "-") {
-			t.Errorf("%s: adaptive lost to conventional", row[0])
-		}
-		if strings.HasPrefix(row[4], "+") && row[4] != "+0.0%" {
-			gainers[row[0]] = true
+	s, err := runQueueStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	red := reductions(s)
+	for app, r := range red {
+		if r < 0 {
+			t.Errorf("%s: adaptive lost to conventional (reduction %.4f)", app, r)
 		}
 	}
-	// The paper's biggest queue winners.
+	// The paper's biggest queue winners (appcg 28%, fpppp 21%, radar 10%).
 	for _, app := range []string{"appcg", "fpppp", "radar"} {
-		if !gainers[app] {
-			t.Errorf("%s shows no adaptive gain", app)
+		if r := red[app]; r < 0.05 {
+			t.Errorf("%s shows no adaptive gain (reduction %.4f)", app, r)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"capsim/internal/bpred"
+	"capsim/internal/core"
 	"capsim/internal/metrics"
 	"capsim/internal/sweep"
 	"capsim/internal/tlb"
@@ -52,13 +53,8 @@ func ablationTLB(ctx context.Context, cfg Config) (Result, error) {
 	}
 	for a, name := range apps {
 		best := func(mode int) (int, float64) {
-			bg, bt := 0, 0.0
-			for g, v := range grid[a][mode] {
-				if bg == 0 || v < bt {
-					bg, bt = g+1, v
-				}
-			}
-			return bg, bt
+			g := core.SelectBestIndex(grid[a][mode])
+			return g + 1, grid[a][mode][g]
 		}
 		ng, nt := best(0)
 		bg, bt := best(1)
@@ -99,15 +95,10 @@ func ablationBpred(ctx context.Context, cfg Config) (Result, error) {
 	}
 	for s, static := range statics {
 		row := []string{fmt.Sprintf("%d", static)}
-		best, bestT := 0, 0.0
-		for i, n := range sizes {
-			v := rows[s][i]
+		for _, v := range rows[s] {
 			row = append(row, metrics.F(v))
-			if i == 0 || v < bestT {
-				best, bestT = n, v
-			}
 		}
-		row = append(row, fmt.Sprintf("%d", best))
+		row = append(row, fmt.Sprintf("%d", sizes[core.SelectBestIndex(rows[s])]))
 		t.Rows = append(t.Rows, row)
 	}
 	return Result{

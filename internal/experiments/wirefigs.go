@@ -13,9 +13,9 @@ import (
 
 func init() {
 	register("fig1a", "Cache wire delay vs number of 2KB subarrays (Figure 1a)",
-		func(_ context.Context, cfg Config) (Result, error) { return wireCacheFig("fig1a", 2048, cfg) })
+		func(context.Context, Config) (Result, error) { return cacheWireFig("fig1a", 2048), nil })
 	register("fig1b", "Cache wire delay vs number of 4KB subarrays (Figure 1b)",
-		func(_ context.Context, cfg Config) (Result, error) { return wireCacheFig("fig1b", 4096, cfg) })
+		func(context.Context, Config) (Result, error) { return cacheWireFig("fig1b", 4096), nil })
 	register("fig2", "Integer queue wire delay vs number of entries (Figure 2)", fig2)
 }
 
@@ -29,25 +29,23 @@ const refFeature = tech.Micron025
 // capacitances.
 const arrayBusLoad = 8.0
 
-// wireCacheFig regenerates Figure 1(a) or 1(b): unbuffered vs optimally
-// buffered address-bus delay over a stack of cache subarrays.
-func wireCacheFig(id string, subarrayBytes int, _ Config) (Result, error) {
+// wireFig renders one Section 2 wire-delay figure over the structure sizes
+// ns: the unbuffered bus at the reference generation against the optimally
+// buffered bus at each generation. line(n, p) is the bus spanning n
+// elements, its wires from the reference layout and its loads from
+// generation p's devices.
+func wireFig(id, title, xLabel string, ns []int, line func(n int, p tech.Params) wire.Line) Result {
 	ref := tech.ForFeature(refFeature)
-	bank := cacti.Config{SizeBytes: subarrayBytes, BlockBytes: 32, Assoc: 2}
-	_, pitch := cacti.Dimensions(bank, ref)
-
-	ns := []int{4, 6, 8, 10, 12, 14, 16}
 	xs := make([]float64, len(ns))
 	unbuf := make([]float64, len(ns))
 	for i, n := range ns {
 		xs[i] = float64(n)
-		l := wire.Line{LengthMM: float64(n) * pitch, LoadC: float64(n) * arrayBusLoad * ref.BufferC}
-		unbuf[i] = wire.UnbufferedDelay(l, ref)
+		unbuf[i] = wire.UnbufferedDelay(line(n, ref), ref)
 	}
 	fig := metrics.Figure{
 		ID:     id,
-		Title:  fmt.Sprintf("Address-bus wire delay, %dKB subarrays", subarrayBytes/1024),
-		XLabel: "number of cache arrays",
+		Title:  title,
+		XLabel: xLabel,
 		YLabel: "wire delay (ns)",
 		Series: []metrics.Series{{Name: "Unbuffered", X: xs, Y: unbuf}},
 	}
@@ -55,61 +53,32 @@ func wireCacheFig(id string, subarrayBytes int, _ Config) (Result, error) {
 		p := tech.ForFeature(f)
 		ys := make([]float64, len(ns))
 		for i, n := range ns {
-			// Frozen geometry, scaled devices: wire length from the
-			// reference layout, loads and buffers from generation f.
-			l := wire.Line{LengthMM: float64(n) * pitch, LoadC: float64(n) * arrayBusLoad * p.BufferC}
-			ys[i], _ = wire.OptimalBufferedDelay(l, p)
+			ys[i], _ = wire.OptimalBufferedDelay(line(n, p), p)
 		}
 		fig.Series = append(fig.Series, metrics.Series{Name: "Buffers, " + f.String(), X: xs, Y: ys})
 	}
-	return Result{
-		ID:      id,
-		Title:   fig.Title,
-		Figures: []metrics.Figure{fig},
-		Notes:   crossoverNotes(fig),
-	}, nil
+	return Result{ID: id, Title: title, Figures: []metrics.Figure{fig}, Notes: crossoverNotes(fig)}
 }
 
-// fig2 regenerates Figure 2: integer-queue bus delay vs entry count, with
-// each R10000-style entry equivalent to ~60 bytes of single-ported RAM.
-func fig2(_ context.Context, _ Config) (Result, error) {
+// cacheWireFig regenerates Figure 1(a) or 1(b): the address bus over a
+// stack of cache subarrays.
+func cacheWireFig(id string, subarrayBytes int) Result {
+	bank := cacti.Config{SizeBytes: subarrayBytes, BlockBytes: 32, Assoc: 2}
+	_, pitch := cacti.Dimensions(bank, tech.ForFeature(refFeature))
+	return wireFig(id, fmt.Sprintf("Address-bus wire delay, %dKB subarrays", subarrayBytes/1024), "number of cache arrays",
+		[]int{4, 6, 8, 10, 12, 14, 16}, func(n int, p tech.Params) wire.Line {
+			return wire.Line{LengthMM: float64(n) * pitch, LoadC: float64(n) * arrayBusLoad * p.BufferC}
+		})
+}
+
+// fig2 regenerates Figure 2: the integer queue's bus over its entries, each
+// R10000-style entry equivalent to ~60 bytes of single-ported RAM.
+func fig2(context.Context, Config) (Result, error) {
 	ref := tech.ForFeature(refFeature)
-	ns := []int{16, 24, 32, 40, 48, 56, 64}
-	xs := make([]float64, len(ns))
-	unbuf := make([]float64, len(ns))
-	for i, n := range ns {
-		xs[i] = float64(n)
-		l := wire.Line{
-			LengthMM: palacharla.BusLengthMM(n, ref),
-			LoadC:    float64(n) * palacharla.EntryLoadPF(ref),
-		}
-		unbuf[i] = wire.UnbufferedDelay(l, ref)
-	}
-	fig := metrics.Figure{
-		ID:     "fig2",
-		Title:  "Integer queue wire delay vs entries",
-		XLabel: "instruction queue entries",
-		YLabel: "wire delay (ns)",
-		Series: []metrics.Series{{Name: "Unbuffered", X: xs, Y: unbuf}},
-	}
-	for _, f := range tech.Generations() {
-		p := tech.ForFeature(f)
-		ys := make([]float64, len(ns))
-		for i, n := range ns {
-			l := wire.Line{
-				LengthMM: palacharla.BusLengthMM(n, ref),
-				LoadC:    float64(n) * palacharla.EntryLoadPF(p),
-			}
-			ys[i], _ = wire.OptimalBufferedDelay(l, p)
-		}
-		fig.Series = append(fig.Series, metrics.Series{Name: "Buffers, " + f.String(), X: xs, Y: ys})
-	}
-	return Result{
-		ID:      "fig2",
-		Title:   fig.Title,
-		Figures: []metrics.Figure{fig},
-		Notes:   crossoverNotes(fig),
-	}, nil
+	return wireFig("fig2", "Integer queue wire delay vs entries", "instruction queue entries",
+		[]int{16, 24, 32, 40, 48, 56, 64}, func(n int, p tech.Params) wire.Line {
+			return wire.Line{LengthMM: palacharla.BusLengthMM(n, ref), LoadC: float64(n) * palacharla.EntryLoadPF(p)}
+		}), nil
 }
 
 // crossoverNotes reports, per buffered series, the first X at which

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 
-	"capsim/internal/memo"
 	"capsim/internal/tech"
 )
 
@@ -119,32 +118,12 @@ func SelectDelay(q Queue, p tech.Params) float64 {
 	return (selectRootGrant + 2.0*selectPerLevel*float64(h)) * scale(p)
 }
 
-// cycleKey keys the CycleTime memo; Queue and tech.Params are flat scalar
-// structs, so the pair describes the computation completely.
-type cycleKey struct {
-	q Queue
-	p tech.Params
-}
-
-// cycleTimes memoizes CycleTime: every queue profiling pass and policy
-// engine (core.ProfileQueueTPI, core.MultiPolicy, core.ProfileCombined)
-// evaluates the full configuration set, and parallel sweeps run many of them
-// over the same handful of queue shapes.
-// Validation (which panics) runs before entering the memo.
-var cycleTimes memo.Memo[cycleKey, float64]
-
 // CycleTime returns the atomic wakeup+select delay in ns — the processor
 // cycle time for this queue configuration in the CAP paper's experiment
 // ("the instruction queue wakeup and selection logic is on the critical
-// timing path for all configurations"). Results are memoized per
-// (Queue, Params).
+// timing path for all configurations"). It panics on an invalid Queue.
 func CycleTime(q Queue, p tech.Params) float64 {
-	if err := q.Validate(); err != nil {
-		panic(err)
-	}
-	return cycleTimes.Get(cycleKey{q, p}, func() float64 {
-		return WakeupDelay(q, p) + SelectDelay(q, p)
-	})
+	return WakeupDelay(q, p) + SelectDelay(q, p)
 }
 
 // --- Physical geometry for the Figure 2 wire-delay study -----------------

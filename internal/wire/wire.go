@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"capsim/internal/memo"
 	"capsim/internal/tech"
 )
 
@@ -137,33 +136,11 @@ func BufferedDelay(l Line, k int, p tech.Params) float64 {
 	return float64(k) * (perStage*1e-3 + p.BufferDelay)
 }
 
-// lineKey keys the repeater-optimization memo: Line and tech.Params are flat
-// scalar structs, so the pair describes the computation completely.
-type lineKey struct {
-	l Line
-	p tech.Params
-}
-
-// bufferedResult is a memoized (delay, repeater count) pair.
-type bufferedResult struct {
-	d float64
-	k int
-}
-
-// buffered memoizes the repeater-count optimization, the only non-constant-
-// time computation in this package. The model is pure, so the memo is sound.
-// Every cache.TimingFor and queue timing evaluation lands here, often
-// thousands of times per sweep over a handful of distinct lines.
-var buffered memo.Memo[lineKey, bufferedResult]
-
 // OptimalBufferedDelay returns the buffered delay using the optimal repeater
-// count, together with that count. Results are memoized per (Line, Params).
+// count, together with that count.
 func OptimalBufferedDelay(l Line, p tech.Params) (delay float64, repeaters int) {
-	r := buffered.Get(lineKey{l, p}, func() bufferedResult {
-		k := OptimalRepeaterCount(l, p)
-		return bufferedResult{BufferedDelay(l, k, p), k}
-	})
-	return r.d, r.k
+	k := OptimalRepeaterCount(l, p)
+	return BufferedDelay(l, k, p), k
 }
 
 // BestDelay returns the smaller of the unbuffered and optimally buffered

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race ci-race ci-names vet fmt staticcheck ci bench bench-check render-diff bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke fuzz-smoke clean
+.PHONY: all build test short race ci-race ci-names vet fmt staticcheck ci bench bench-smoke bench-check render-diff bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke fuzz-smoke clean
 
 all: build
 
@@ -72,7 +72,7 @@ staticcheck:
 		echo "WARNING: staticcheck not installed; static analysis SKIPPED"; \
 	fi
 
-ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke
+ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-smoke bench-obs-smoke bench-study-cache-smoke bench-zoo-smoke serve-smoke
 
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
 # (which plain `go test` already replays): the ooo engine and MultiCore
@@ -98,6 +98,15 @@ fuzz-smoke:
 		echo "fuzz $$fn ($$pkg)"; \
 		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 5s $$pkg || exit 1; \
 	done
+
+# bench-smoke (ci-gated) runs every benchmark of the generator layers —
+# workload, rng and trace — once (-benchtime 1x). A benchmark that fails at
+# run time (its "short fill" check, a panic) then breaks CI instead of the
+# next measurement.
+BENCH_SMOKE_PKGS = ./internal/workload/ ./internal/rng/ ./internal/trace/
+
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_SMOKE_PKGS)
 
 # serve-smoke boots the experiment API server (-serve-api) on an ephemeral
 # port and proves the service contract end to end: POST /v1/run renders

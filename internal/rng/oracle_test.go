@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -62,7 +63,7 @@ func (r *Source) Geometric(p float64) int {
 }
 
 // TestTableMatchesWeighted runs Pick and the float walk in lockstep on two
-// identically seeded sources: every index and every draw must agree.
+// identically seeded generators: every index and every draw must agree.
 func TestTableMatchesWeighted(t *testing.T) {
 	cases := [][]float64{
 		{1},
@@ -77,14 +78,16 @@ func TestTableMatchesWeighted(t *testing.T) {
 	}
 	for _, ws := range cases {
 		tab := NewTable(ws)
-		a, b := New(77), New(77)
+		x, b := NewState(77), New(77)
 		for i := 0; i < 200000; i++ {
-			if got, want := a.Pick(tab), b.Weighted(ws); got != want {
+			got, y := x.Pick(tab)
+			x = y
+			if want := b.Weighted(ws); got != want {
 				t.Fatalf("%v draw %d: Pick %d, Weighted %d", ws, i, got, want)
 			}
 		}
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("%v: sources out of step", ws)
+		if x != b.x {
+			t.Fatalf("%v: generators out of step", ws)
 		}
 	}
 }
@@ -107,35 +110,39 @@ func TestNewTablePanics(t *testing.T) {
 func TestChanceMatchesBool(t *testing.T) {
 	for _, p := range []float64{-1, 0, 1e-300, 1e-12, 1e-9, 0.3, 0.5, 1 - 1.0/(1<<53), 1, 2, math.NaN()} {
 		c := NewChance(p)
-		a, b := New(5), New(5)
+		x, b := NewState(5), New(5)
 		for i := 0; i < 100000; i++ {
-			if got, want := a.Chance(c), b.Bool(p); got != want {
+			got, y := x.Chance(c)
+			x = y
+			if want := b.Bool(p); got != want {
 				t.Fatalf("p=%v draw %d: Chance %v, Bool %v", p, i, got, want)
 			}
 		}
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("p=%v: sources out of step", p)
+		if x != b.x {
+			t.Fatalf("p=%v: generators out of step", p)
 		}
 	}
 }
 
-// TestGeomMatchesGeometric checks the locals-held geometric loop, its clamps
+// TestGeomMatchesGeometric checks the held-state geometric loop, its clamps
 // and its safety cap against the Bool-driven reference.
 func TestGeomMatchesGeometric(t *testing.T) {
 	for _, p := range []float64{-1, 0, 1e-12, 1e-9, 1e-4, 0.01, 1.0 / 7, 0.5, 0.9, 1 - 1.0/(1<<53), 1, 3} {
 		g := NewGeom(p)
-		a, b := New(9), New(9)
+		x, b := NewState(9), New(9)
 		n := 2000
 		if p < 1e-3 {
 			n = 4 // each sample runs about 1/p trials, up to the 2²⁰ cap
 		}
 		for i := 0; i < n; i++ {
-			if got, want := a.Geom(g), b.Geometric(p); got != want {
+			got, y := x.Geom(g)
+			x = y
+			if want := b.Geometric(p); got != want {
 				t.Fatalf("p=%v draw %d: Geom %d, Geometric %d", p, i, got, want)
 			}
 		}
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("p=%v: sources out of step", p)
+		if x != b.x {
+			t.Fatalf("p=%v: generators out of step", p)
 		}
 	}
 }
@@ -172,22 +179,23 @@ func inverse(a uint64) uint64 {
 	return x
 }
 
-// sourceAt returns a source whose next draw has Uint64()>>11 == k, the rest
-// of its state coming from seed: xoshiro256** outputs rotl(s1·5, 7)·9, which
-// is invertible in s1. It lets a test hit a sampler's exact boundaries,
-// which random draws reach with probability 2⁻⁵³.
-func sourceAt(k, seed uint64) *Source {
-	r := New(seed)
-	out := k<<11 | r.s[1]&(1<<11-1)
-	r.s[1] = rotl(out*inverse(9), 64-7) * inverse(5)
-	return r
+// stateAt returns a state whose next draw has Uint64()>>11 == k, the rest
+// of it coming from seed: xoshiro256** outputs rotl(s1·5, 7)·9, which is
+// invertible in s1. It lets a test hit a sampler's exact boundaries, which
+// random draws reach with probability 2⁻⁵³.
+func stateAt(k, seed uint64) State {
+	x := NewState(seed)
+	out := k<<11 | x.s1&(1<<11-1)
+	x.s1 = bits.RotateLeft64(out*inverse(9), -7) * inverse(5)
+	return x
 }
 
-// FuzzCutTable drives Pick, Chance and Geom from sources crafted to draw an
-// exact k, against the float walks on an identical copy: Pick at and around
-// every cut (k = c−1, c, c+1) and at random k, and Chance and Geom at their
+// FuzzCutTable drives the held-state samplers the generators run — Pick,
+// Chance and Geom on a State crafted to draw an exact k — against the float
+// walks on a Source holding a copy of that state: Pick at both ends of the
+// draw range, at and around every cut (k = c−1, c, c+1) and at random k, and Chance and Geom at their
 // threshold (k = T−1, T) for p drawn from [1e-9, 1). Each comparison also
-// requires both sources to be in step afterwards.
+// requires the two to be in step afterwards.
 func FuzzCutTable(f *testing.F) {
 	f.Add([]byte{3, 0, 12}, uint64(1))
 	f.Add([]byte{3, 0, 12, 3, 128, 12, 0, 0, 0, 3, 255, 12}, uint64(2))
@@ -201,9 +209,9 @@ func FuzzCutTable(f *testing.F) {
 	f.Add(many, uint64(6))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		r := New(seed)
-		inStep := func(what string, k uint64, a, b *Source) {
-			if a.s != b.s {
-				t.Fatalf("%s k=%d: sources out of step", what, k)
+		inStep := func(what string, k uint64, x State, b *Source) {
+			if x != b.x {
+				t.Fatalf("%s k=%d: generators out of step", what, k)
 			}
 		}
 		ws := fuzzWeights(data)
@@ -217,13 +225,15 @@ func FuzzCutTable(f *testing.F) {
 				if k >= unitScale {
 					return
 				}
-				a := sourceAt(k, seed)
-				b := *a
-				if got, want := a.Pick(tab), b.Weighted(ws); got != want {
+				b := &Source{stateAt(k, seed)}
+				got, x := b.x.Pick(tab)
+				if want := b.Weighted(ws); got != want {
 					t.Fatalf("weights %v k=%d: Pick %d, walk %d (cuts %v)", ws, k, got, want, tab.cuts)
 				}
-				inStep("Pick", k, a, &b)
+				inStep("Pick", k, x, b)
 			}
+			check(0)
+			check(unitScale - 1) // above every cut but 2⁵³: the last index
 			for _, c := range tab.cuts {
 				check(c - 1)
 				check(c)
@@ -243,18 +253,18 @@ func FuzzCutTable(f *testing.F) {
 			t.Fatalf("p=%v: geometric trial %+v, chance %+v", p, g, c)
 		}
 		for _, k := range []uint64{c.t - 1, c.t} {
-			a := sourceAt(k, seed)
-			b := *a
-			if got, want := a.Chance(c), b.Bool(p); got != want || got != (k < c.t) {
-				t.Fatalf("p=%v k=%d (T=%d): Chance %v, Bool %v", p, k, c.t, got, want)
+			b := &Source{stateAt(k, seed)}
+			hit, x := b.x.Chance(c)
+			if want := b.Bool(p); hit != want || hit != (k < c.t) {
+				t.Fatalf("p=%v k=%d (T=%d): Chance %v, Bool %v", p, k, c.t, hit, want)
 			}
-			inStep("Chance", k, a, &b)
-			a = sourceAt(k, seed)
-			b = *a
-			if got, want := a.Geom(g), b.Geometric(p); got != want || (got == 0) != (k < c.t) {
-				t.Fatalf("p=%v k=%d (T=%d): Geom %d, Geometric %d", p, k, c.t, got, want)
+			inStep("Chance", k, x, b)
+			b = &Source{stateAt(k, seed)}
+			n, x := b.x.Geom(g)
+			if want := b.Geometric(p); n != want || (n == 0) != (k < c.t) {
+				t.Fatalf("p=%v k=%d (T=%d): Geom %d, Geometric %d", p, k, c.t, n, want)
 			}
-			inStep("Geom", k, a, &b)
+			inStep("Geom", k, x, b)
 		}
 	})
 }

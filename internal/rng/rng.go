@@ -8,10 +8,14 @@
 // of Go version.
 //
 // The workload generators draw through precomputed integer-domain samplers
-// (Table, Chance, Geom; see sample.go) rather than float arithmetic per draw.
+// (Table, Chance, Geom; see sample.go) rather than float arithmetic per draw,
+// on a State they hold by value, so a batch of draws runs in registers.
 package rng
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // SplitMix64 advances the given state and returns the next 64-bit output.
 // It is used to expand a single seed into the generator's state vector and
@@ -37,41 +41,90 @@ func DeriveSeed(base uint64, label string) uint64 {
 	return x
 }
 
-// Source is a xoshiro256** generator. The zero value is NOT usable; create
-// one with New.
-type Source struct {
-	s [4]uint64
+// State is a xoshiro256** state by value: four scalar words, so a caller
+// can hold it in locals (registers) across a batch of draws and store it
+// back once. Every draw method takes the state by value and returns the
+// advanced state alongside its result; the workload generators draw through
+// State alone. The zero value is NOT usable; take one from NewState.
+type State struct {
+	s0, s1, s2, s3 uint64
 }
 
-// New returns a Source seeded from the given seed.
-func New(seed uint64) *Source {
-	var src Source
+// NewState returns the generator state seeded from the given seed.
+func NewState(seed uint64) State {
+	var s [4]uint64
 	sm := seed
-	for i := range src.s {
-		src.s[i] = SplitMix64(&sm)
+	for i := range s {
+		s[i] = SplitMix64(&sm)
 	}
 	// A state of all zeros is invalid for xoshiro; SplitMix64 cannot
 	// produce four consecutive zeros from any seed, but guard anyway.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9e3779b97f4a7c15
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
+	return State{s[0], s[1], s[2], s[3]}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// Uint64 returns the next 64 random bits and the advanced state.
+func (x State) Uint64() (uint64, State) {
+	return out(x.s1), x.next()
+}
+
+// Intn returns a uniform int in [0, n) and the advanced state. It panics if
+// n <= 0.
+func (x State) Intn(n int) (int, State) {
+	if n <= 0 {
+		panic(fmt.Sprintf("rng: Intn with non-positive n=%d", n))
+	}
+	v, x := x.Uint64()
+	return int(v % uint64(n)), x
+}
+
+// out is the output Uint64 returns for a state whose second word is s1,
+// taken without stepping it. The integer-domain samplers read the draw
+// k = out>>11 (the Float64 of the same step is k·2⁻⁵³).
+func out(s1 uint64) uint64 { return bits.RotateLeft64(s1*5, 7) * 9 }
+
+// step is one xoshiro256** step on the four state words. A loop that draws
+// many times (Geom's trials) carries the words in locals through it.
+func step(s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64) {
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return s0, s1, s2, bits.RotateLeft64(s3, 45)
+}
+
+// next is step on a State, written as one expression per word (s2^s0 and
+// s3^s1 shared) so that each single-draw sampler built on it stays within
+// the inliner's budget. TestNextIsStep holds the two forms equal.
+func (x State) next() State {
+	return State{
+		x.s0 ^ (x.s3 ^ x.s1),
+		x.s1 ^ (x.s2 ^ x.s0),
+		(x.s2 ^ x.s0) ^ x.s1<<17,
+		bits.RotateLeft64(x.s3^x.s1, 45),
+	}
+}
+
+// Source is a xoshiro256** generator behind a pointer, for callers that draw
+// one value at a time. Its methods are thin wrappers over State's. The zero
+// value is NOT usable; create one with New.
+type Source struct {
+	x State
+}
+
+// New returns a Source seeded from the given seed; its state is
+// NewState(seed).
+func New(seed uint64) *Source { return &Source{NewState(seed)} }
 
 // Uint64 returns the next 64 random bits.
 func (r *Source) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	v, x := r.x.Uint64()
+	r.x = x
+	return v
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -81,10 +134,9 @@ func (r *Source) Float64() float64 {
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Source) Intn(n int) int {
-	if n <= 0 {
-		panic(fmt.Sprintf("rng: Intn with non-positive n=%d", n))
-	}
-	return int(r.Uint64() % uint64(n))
+	v, x := r.x.Intn(n)
+	r.x = x
+	return v
 }
 
 // Bool returns true with probability p (clamped to [0,1]).

@@ -170,3 +170,55 @@ func TestUniformityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNextIsStep holds State.next, the expression form single draws use, to
+// step, the word form Geom's trial loop uses, on states from many seeds.
+func TestNextIsStep(t *testing.T) {
+	for seed := uint64(0); seed < 1000; seed++ {
+		x := NewState(seed)
+		for i := 0; i < 10; i++ {
+			s0, s1, s2, s3 := step(x.s0, x.s1, x.s2, x.s3)
+			if y := x.next(); y != (State{s0, s1, s2, s3}) {
+				t.Fatalf("seed %d step %d: next %+v, step %+v", seed, i, y, State{s0, s1, s2, s3})
+			}
+			x = x.next()
+		}
+	}
+}
+
+// BenchmarkSamplers times the held-state samplers alone, in ns per draw: a
+// pick from a four-way table, a Bernoulli trial and a geometric draw of mean
+// 9 (whose ns/draw covers about ten trials).
+func BenchmarkSamplers(b *testing.B) {
+	tab, c, g := NewTable([]float64{0.45, 0.3, 0.2, 0.05}), NewChance(0.3), NewGeom(0.1)
+	b.Run("pick", func(b *testing.B) {
+		x, sum := NewState(1), 0
+		for i := 0; i < b.N; i++ {
+			v, y := x.Pick(tab)
+			x, sum = y, sum+v
+		}
+		sink = sum
+	})
+	b.Run("chance", func(b *testing.B) {
+		x, sum := NewState(1), 0
+		for i := 0; i < b.N; i++ {
+			v, y := x.Chance(c)
+			x = y
+			if v {
+				sum++
+			}
+		}
+		sink = sum
+	})
+	b.Run("geom", func(b *testing.B) {
+		x, sum := NewState(1), 0
+		for i := 0; i < b.N; i++ {
+			v, y := x.Geom(g)
+			x, sum = y, sum+v
+		}
+		sink = sum
+	})
+}
+
+// sink keeps the benchmarks' results live.
+var sink int

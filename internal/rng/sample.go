@@ -32,10 +32,11 @@ const unitScale = 1 << 53
 // "x < w" test fail earlier in the walk, never later. A monotone step
 // function is fully described by its cut points — cuts[i] is the smallest k
 // whose walk returns an index greater than i (2⁵³ when none does) — and a
-// draw returns the first i with k < cuts[i]. NewTable finds each cut by
-// binary search over [0, 2⁵³] with the float walk itself as the oracle, so
-// rounding at the boundaries, zero weights and the walk's fall-through to
-// the last index are all reproduced exactly.
+// draw returns the first i with k < cuts[i], or the last index when k is at
+// or above every cut (the last index needs no cut of its own). NewTable
+// finds each cut by binary search over [0, 2⁵³] with the float walk itself
+// as the oracle, so rounding at the boundaries, zero weights and the walk's
+// fall-through to the last index are all reproduced exactly.
 type Table struct {
 	cuts []uint64
 }
@@ -61,9 +62,9 @@ func NewTable(weights []float64) *Table {
 	if math.IsInf(total, 0) {
 		panic("rng: table weights overflow")
 	}
-	cuts := make([]uint64, len(weights))
+	cuts := make([]uint64, len(weights)-1)
 	lo := uint64(0)
-	for i := range cuts[:len(cuts)-1] {
+	for i := range cuts {
 		// The walk is monotone, so cuts[i] >= cuts[i-1]: search [lo, 2⁵³]
 		// for the first k whose walk passes index i.
 		hi := uint64(unitScale)
@@ -77,7 +78,6 @@ func NewTable(weights []float64) *Table {
 		}
 		cuts[i] = lo
 	}
-	cuts[len(cuts)-1] = unitScale
 	return &Table{cuts: cuts}
 }
 
@@ -96,20 +96,22 @@ func walk(weights []float64, total float64, k uint64) int {
 	return len(weights) - 1
 }
 
-// index returns the table's answer for the draw k.
-func (t *Table) index(k uint64) int {
-	last := len(t.cuts) - 1
-	for i, c := range t.cuts[:last] {
-		if k < c {
-			return i
-		}
+// index returns the table's answer for the draw k = v>>11 of the output v:
+// the first i with k < cuts[i], else the last index. The cuts are
+// non-decreasing, so that is the number of cuts at or below k, which the
+// loop counts without a branch: c−k−1 wraps to a value with its top bit set
+// exactly when c <= k (both are at most 2⁵³).
+func (t *Table) index(v uint64) (n int) {
+	v >>= 11 // the draw k
+	for _, c := range t.cuts {
+		n += int((c - v - 1) >> 63)
 	}
-	return last
+	return n
 }
 
-// Pick draws an index from t.
-func (r *Source) Pick(t *Table) int {
-	return t.index(r.Uint64() >> 11)
+// Pick draws an index from t and returns the advanced state.
+func (x State) Pick(t *Table) (int, State) {
+	return t.index(out(x.s1)), x.next()
 }
 
 // Chance is a Bernoulli trial with success probability p, defined as
@@ -135,12 +137,13 @@ func NewChance(p float64) Chance {
 	return Chance{t: uint64(math.Ceil(p * unitScale)), draw: true}
 }
 
-// Chance runs the trial c, drawing exactly when Bool would.
-func (r *Source) Chance(c Chance) bool {
+// Chance runs the trial c, drawing exactly when Bool would, and returns
+// the advanced state.
+func (x State) Chance(c Chance) (bool, State) {
 	if !c.draw {
-		return c.t != 0
+		return c.t != 0, x
 	}
-	return r.Uint64()>>11 < c.t
+	return out(x.s1)>>11 < c.t, x.next()
 }
 
 // Geom samples the number of failed trials before the first success of a
@@ -160,25 +163,22 @@ func NewGeom(p float64) Geom {
 	return Geom(NewChance(p))
 }
 
-// Geom draws from g. The trial loop runs on the generator state held in
-// locals — one xoshiro step and one compare per trial — and stores it back
-// once, so a long run of failures costs no memory traffic.
-func (r *Source) Geom(g Geom) int {
+// Geom draws from g and returns the advanced state. The trial loop runs on
+// the state words in locals, one xoshiro step and one compare per trial. It
+// compares the whole 64-bit output with the threshold shifted up by 11, which
+// is the same test as k < t: a drawing trial has t < 2⁵³, so the shift
+// cannot overflow.
+func (x State) Geom(g Geom) (int, State) {
 	if !g.draw {
-		return 0
+		return 0, x
 	}
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s0, s1, s2, s3 := x.s0, x.s1, x.s2, x.s3
+	t := g.t << 11
 	n := 0
 	for {
-		k := rotl(s1*5, 7) * 9 >> 11
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-		if k < g.t {
+		v := out(s1)
+		s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		if v < t {
 			break
 		}
 		n++
@@ -186,6 +186,5 @@ func (r *Source) Geom(g Geom) int {
 			break
 		}
 	}
-	r.s = [4]uint64{s0, s1, s2, s3}
-	return n
+	return n, State{s0, s1, s2, s3}
 }

@@ -203,18 +203,27 @@ func RefsFor(b workload.Benchmark, seed uint64) *RefStore {
 	})
 }
 
+// genBlock is the number of items encode draws from its generator per
+// Fill. The generator holds its state in registers across a Fill, so one
+// state load and store per block is noise; a block on the stack keeps each
+// store from holding a chunk-sized item buffer besides its encode scratch.
+const genBlock = 1 << 10
+
 // encode generates the next ChunkLen references and compresses them into a
 // chunk (the store's fill).
 func (s *RefStore) encode(int64) *refChunk {
 	c := new(refChunk)
 	enc := s.scratch[:0]
 	var prev uint64
-	for i := 0; i < ChunkLen; i++ {
-		r := s.gen.Next()
-		enc = appendUvarint(enc, zigzag(int64(r.Addr-prev)))
-		prev = r.Addr
-		if r.Write {
-			c.writes[i>>6] |= 1 << (uint(i) & 63)
+	var blk [genBlock]workload.Ref
+	for base := 0; base < ChunkLen; base += genBlock {
+		for j, r := range s.gen.Fill(blk[:0], genBlock) {
+			enc = appendUvarint(enc, zigzag(int64(r.Addr-prev)))
+			prev = r.Addr
+			if r.Write {
+				i := base + j
+				c.writes[i>>6] |= 1 << (uint(i) & 63)
+			}
 		}
 	}
 	s.scratch = enc // keep the grown capacity for the next chunk
@@ -301,11 +310,13 @@ func OpsFor(b workload.Benchmark, seed uint64) *OpStore {
 func (s *OpStore) encode(int64) *opChunk {
 	c := new(opChunk)
 	enc := s.scratch[:0]
-	for i := 0; i < ChunkLen; i++ {
-		in := s.gen.Next()
-		enc = appendUvarint(enc, zigzag(int64(in.Src[0])))
-		enc = appendUvarint(enc, zigzag(int64(in.Src[1])))
-		enc = appendUvarint(enc, zigzag(int64(in.Latency)))
+	var blk [genBlock]workload.Instr
+	for base := 0; base < ChunkLen; base += genBlock {
+		for _, in := range s.gen.Fill(blk[:0], genBlock) {
+			enc = appendUvarint(enc, zigzag(int64(in.Src[0])))
+			enc = appendUvarint(enc, zigzag(int64(in.Src[1])))
+			enc = appendUvarint(enc, zigzag(int64(in.Latency)))
+		}
 	}
 	s.scratch = enc
 	c.enc = append(make([]byte, 0, len(enc)), enc...)

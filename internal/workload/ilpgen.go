@@ -25,9 +25,7 @@ type InstrSource interface {
 // deterministic for a given seed.
 type InstrStream struct {
 	prof ILPProfile
-	src  rng.Source
-
-	idx int64 // dynamic instruction index
+	x    rng.State
 
 	cur        *ilpSampler // base or alt
 	base, alt  *ilpSampler // alt is nil for PhaseStable
@@ -83,7 +81,7 @@ func NewInstrStream(b Benchmark, seed uint64) *InstrStream {
 	}
 	s := &InstrStream{
 		prof:        b.ILP,
-		src:         *rng.New(rng.DeriveSeed(seed, b.Name+"/ilp")),
+		x:           rng.NewState(rng.DeriveSeed(seed, b.Name+"/ilp")),
 		base:        newILPSampler(b.ILP.Base),
 		runGeom:     phaseRunGeom(float64(b.ILP.PeriodInstrs)),
 		stretchGeom: phaseRunGeom(float64(b.ILP.PeriodInstrs) / 6),
@@ -126,7 +124,9 @@ func phaseRunGeom(mean float64) rng.Geom {
 
 // irregularLen draws an irregular phase run (at least 512 instructions).
 func (s *InstrStream) irregularLen(g rng.Geom) int64 {
-	n := int64(s.src.Geom(g)) * 256
+	var k int
+	k, s.x = s.x.Geom(g)
+	n := int64(k) * 256
 	if n < 512 {
 		n = 512
 	}
@@ -167,25 +167,11 @@ func (s *InstrStream) advancePhase() {
 	}
 }
 
-// Next returns the next instruction.
+// Next returns the next instruction: a batch of one.
 func (s *InstrStream) Next() Instr {
-	if s.phaseLeft <= 0 {
-		s.advancePhase()
-	}
-	s.phaseLeft--
-	if s.prof.Kind == PhaseComposite {
-		s.superLeft--
-	}
-	s.idx++
-
-	var in Instr
-	p := s.cur
-	nsrc := s.src.Pick(p.nsrc)
-	for i := 0; i < nsrc; i++ {
-		in.Src[i] = 1 + int32(s.src.Geom(p.geom[s.src.Pick(p.dist)]))
-	}
-	in.Latency = p.cycles[s.src.Pick(p.lat)]
-	return in
+	var in [1]Instr
+	s.fill(in[:])
+	return in[0]
 }
 
 // Fill writes n instructions into out (allocating if needed) and returns the
@@ -195,8 +181,48 @@ func (s *InstrStream) Fill(out []Instr, n int) []Instr {
 		out = make([]Instr, n)
 	}
 	out = out[:n]
-	for i := range out {
-		out[i] = s.Next()
-	}
+	s.fill(out)
 	return out
+}
+
+// fill is the batch step behind Next and Fill. The phase schedule is
+// bookkept per run, not per instruction: the instructions up to the next
+// phase boundary all draw from one parameter set, so they are one
+// ilpSampler.fill call with the generator state held in locals. phaseLeft is
+// positive after the boundary check (every phase length is), and a phase
+// still flips lazily, before the instruction that needs it, exactly as an
+// instruction-at-a-time walk would.
+func (s *InstrStream) fill(out []Instr) {
+	for len(out) > 0 {
+		if s.phaseLeft <= 0 {
+			s.advancePhase()
+		}
+		m := min(int64(len(out)), s.phaseLeft)
+		s.phaseLeft -= m
+		if s.prof.Kind == PhaseComposite {
+			s.superLeft -= m
+		}
+		s.x = s.cur.fill(out[:m], s.x)
+		out = out[m:]
+	}
+}
+
+// fill draws len(out) instructions from p's mixtures, starting from state x,
+// and returns the advanced state. It is the generator's one per-instruction
+// body; the state stays in registers across the whole run.
+func (p *ilpSampler) fill(out []Instr, x rng.State) rng.State {
+	for i := range out {
+		var in Instr
+		var nsrc, c, d, l int
+		nsrc, x = x.Pick(p.nsrc)
+		for j := 0; j < nsrc; j++ {
+			c, x = x.Pick(p.dist)
+			d, x = x.Geom(p.geom[c])
+			in.Src[j] = 1 + int32(d)
+		}
+		l, x = x.Pick(p.lat)
+		in.Latency = p.cycles[l]
+		out[i] = in
+	}
+	return x
 }

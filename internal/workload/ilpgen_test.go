@@ -225,13 +225,19 @@ func TestCompositeHasBothRegimes(t *testing.T) {
 	}
 }
 
+// TestFillInstr checks Fill's length and its position in the stream: the
+// instruction after a 64-instruction Fill is a fresh stream's 65th.
 func TestFillInstr(t *testing.T) {
 	s := NewInstrStream(MustByName("li"), 13)
 	buf := s.Fill(nil, 64)
 	if len(buf) != 64 {
 		t.Fatalf("Fill returned %d", len(buf))
 	}
-	if s.idx != 64 {
-		t.Errorf("stream index %d after Fill, want 64", s.idx)
+	fresh := NewInstrStream(MustByName("li"), 13)
+	for i := 0; i < 64; i++ {
+		fresh.Next()
+	}
+	if got, want := s.Next(), fresh.Next(); got != want {
+		t.Errorf("instruction after Fill is %+v, want the stream's 65th, %+v", got, want)
 	}
 }

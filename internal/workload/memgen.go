@@ -24,19 +24,24 @@ type RefSource interface {
 // application; this reproduction defaults to 1 M, which is past the point
 // where the profiles' miss-rate curves are stationary).
 type AddressTrace struct {
-	prof    MemProfile
-	src     rng.Source
-	regions *rng.Table // region pick per visit
-	write   rng.Chance // per reference: is it a store
-	bases   []uint64   // region base addresses, spaced apart
+	x       rng.State
+	regions *rng.Table  // region pick per visit
+	write   rng.Chance  // per reference: is it a store
+	regs    []memRegion // the profile's regions, laid out in the address space
 
 	// current spatial run state
-	region  int
 	runLeft int
 	cursor  uint64 // next address within the run
+	end     uint64 // end of the run's region: the run stops there
+}
 
-	// streaming state per region
-	streamPos []uint64
+// memRegion is one of the profile's Regions as the generator walks it.
+type memRegion struct {
+	base, bytes uint64 // placement: [base, base+bytes)
+	stride      uint64 // per-visit advance of a streaming region; 0 for a random one
+	pos         uint64 // streaming position within the region
+	words       int    // random region: the number of words a run may start at
+	run         int    // random region: references per run
 }
 
 // wordBytes is the reference granularity (a 4-byte word, matching the
@@ -53,11 +58,9 @@ func NewAddressTrace(b Benchmark, seed uint64) *AddressTrace {
 		panic(err)
 	}
 	t := &AddressTrace{
-		prof:      *b.Mem,
-		src:       *rng.New(rng.DeriveSeed(seed, b.Name+"/mem")),
-		write:     rng.NewChance(b.Mem.WriteFrac),
-		bases:     make([]uint64, len(b.Mem.Regions)),
-		streamPos: make([]uint64, len(b.Mem.Regions)),
+		x:     rng.NewState(rng.DeriveSeed(seed, b.Name+"/mem")),
+		write: rng.NewChance(b.Mem.WriteFrac),
+		regs:  make([]memRegion, len(b.Mem.Regions)),
 	}
 	weights := make([]float64, len(b.Mem.Regions))
 	// Lay regions out in a sparse address space so they never alias.
@@ -67,11 +70,16 @@ func NewAddressTrace(b Benchmark, seed uint64) *AddressTrace {
 		// regions per *visit* and a random-region visit issues Run
 		// references; divide so the realized reference mix matches.
 		refsPerVisit := 1.0
+		g := memRegion{base: base, bytes: uint64(r.Bytes)}
 		if r.Kind == RandomRegion {
 			refsPerVisit = float64(r.Run)
+			g.words = int(max(r.Bytes/wordBytes, 1))
+			g.run = r.Run
+		} else {
+			g.stride = uint64(r.StrideBytes) // positive: Validate checked it
 		}
 		weights[i] = r.Weight / refsPerVisit
-		t.bases[i] = base
+		t.regs[i] = g
 		// Round the footprint up and leave a guard gap.
 		base += uint64(r.Bytes) + 1<<20
 		base = (base + (1 << 16) - 1) &^ ((1 << 16) - 1)
@@ -80,20 +88,11 @@ func NewAddressTrace(b Benchmark, seed uint64) *AddressTrace {
 	return t
 }
 
-// Next returns the next reference in the stream.
+// Next returns the next reference in the stream: a batch of one.
 func (t *AddressTrace) Next() Ref {
-	if t.runLeft == 0 {
-		t.startRun()
-	}
-	addr := t.cursor
-	t.cursor += wordBytes
-	t.runLeft--
-	// Keep runs inside their region.
-	r := t.prof.Regions[t.region]
-	if t.cursor >= t.bases[t.region]+uint64(r.Bytes) {
-		t.runLeft = 0
-	}
-	return Ref{Addr: addr, Write: t.src.Chance(t.write)}
+	var r [1]Ref
+	t.fill(r[:])
+	return r[0]
 }
 
 // Fill writes n references into out and returns the slice. It reuses out's
@@ -113,36 +112,51 @@ func (t *AddressTrace) Fill(out []Ref, n int) []Ref {
 		out = make([]Ref, n)
 	}
 	out = out[:n]
-	for i := range out {
-		out[i] = t.Next()
-	}
+	t.fill(out)
 	return out
 }
 
-// startRun picks the next region and positions the cursor.
-func (t *AddressTrace) startRun() {
-	i := t.src.Pick(t.regions)
-	t.region = i
-	r := t.prof.Regions[i]
-	switch r.Kind {
-	case StreamRegion, LoopRegion:
-		// Advance the stream by its stride; one reference per visit
-		// keeps the stream's share of references equal to its weight.
-		pos := t.streamPos[i]
-		t.cursor = t.bases[i] + pos
-		t.runLeft = 1
-		pos += uint64(r.StrideBytes)
-		if pos >= uint64(r.Bytes) {
-			pos = 0
+// fill is the batch step behind Next and Fill, and the generator's one
+// per-reference body. The xoshiro state and the run state (cursor, length
+// left, region end) are loaded into locals once and stored back once.
+//
+// A run starts with a region pick. A streaming region (StreamRegion,
+// LoopRegion) yields one reference per visit, at its position, which then
+// advances by the stride and wraps to the region start; keeping each visit
+// to one reference keeps the stream's share of references equal to its
+// weight. A random region yields a run of Run consecutive words from a
+// uniformly drawn word. A run also ends at its region's end.
+func (t *AddressTrace) fill(out []Ref) {
+	x, left, cursor, end := t.x, t.runLeft, t.cursor, t.end
+	for i := range out {
+		if left == 0 {
+			var r int
+			r, x = x.Pick(t.regions)
+			g := &t.regs[r]
+			end = g.base + g.bytes
+			if g.stride != 0 {
+				cursor = g.base + g.pos
+				left = 1
+				g.pos += g.stride
+				if g.pos >= g.bytes {
+					g.pos = 0
+				}
+			} else {
+				var w int
+				w, x = x.Intn(g.words)
+				cursor = g.base + uint64(w)*wordBytes
+				left = g.run
+			}
 		}
-		t.streamPos[i] = pos
-	default: // RandomRegion
-		words := r.Bytes / wordBytes
-		if words < 1 {
-			words = 1
+		addr := cursor
+		cursor += wordBytes
+		left--
+		if cursor >= end {
+			left = 0
 		}
-		start := uint64(t.src.Intn(int(words))) * wordBytes
-		t.cursor = t.bases[i] + start
-		t.runLeft = r.Run
+		var w bool
+		w, x = x.Chance(t.write)
+		out[i] = Ref{Addr: addr, Write: w}
 	}
+	t.x, t.runLeft, t.cursor, t.end = x, left, cursor, end
 }

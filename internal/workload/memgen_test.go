@@ -53,9 +53,9 @@ func TestReferenceSharesMatchWeights(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := tr.Next()
 		switch {
-		case r.Addr < tr.bases[1]:
+		case r.Addr < tr.regs[1].base:
 			counts[0]++
-		case r.Addr < tr.bases[2]:
+		case r.Addr < tr.regs[2].base:
 			counts[1]++
 		default:
 			counts[2]++
@@ -74,7 +74,7 @@ func TestAddressesStayInsideRegions(t *testing.T) {
 		tr := NewAddressTrace(b, 5)
 		var limits []struct{ lo, hi uint64 }
 		for i, r := range b.Mem.Regions {
-			limits = append(limits, struct{ lo, hi uint64 }{tr.bases[i], tr.bases[i] + uint64(r.Bytes)})
+			limits = append(limits, struct{ lo, hi uint64 }{tr.regs[i].base, tr.regs[i].base + uint64(r.Bytes)})
 		}
 		for i := 0; i < 20000; i++ {
 			r := tr.Next()

@@ -279,3 +279,79 @@ func TestAddressTraceOracle(t *testing.T) {
 		}
 	}
 }
+
+// fillSplits are the piece sizes the batch-path tests cycle through: a
+// single item, a piece shorter than any phase run and one longer than many.
+var fillSplits = []int{1, 255, 4097}
+
+// TestInstrFillMatchesNext checks the batch path against item-by-item Next:
+// Fill in pieces of 1, 255 and 4097 instructions must yield, item for item,
+// both what a second generator's Next yields and what the float-walk
+// reference yields, and end each piece in the reference's phase. Every
+// phase kind runs with short periods, so flips fall inside pieces and on
+// their edges, and each phased kind must actually flip.
+func TestInstrFillMatchesNext(t *testing.T) {
+	gcc := MustByName("gcc").ILP
+	profiles := []ILPProfile{
+		{Base: gcc.Base, Kind: PhaseStable},
+		{Base: gcc.Base, Alt: gcc.Alt, Kind: PhaseLongBlocks, PeriodInstrs: 9000},
+		{Base: gcc.Base, Alt: gcc.Alt, Kind: PhaseRegular, PeriodInstrs: 1000},
+		{Base: gcc.Base, Alt: gcc.Alt, Kind: PhaseIrregular, PeriodInstrs: 3000},
+		{Base: gcc.Base, Alt: gcc.Alt, Kind: PhaseComposite, PeriodInstrs: 700, SuperPeriodInstrs: 20000},
+	}
+	const n = 60000
+	for _, prof := range profiles {
+		b := Benchmark{Name: "fill", ILP: prof}
+		for _, seed := range oracleSeeds {
+			s, next, ref := NewInstrStream(b, seed), NewInstrStream(b, seed), newRefInstrStream(b, seed)
+			var buf []Instr
+			flips, irregular, alt := 0, false, false
+			for done, piece := 0, 0; done < n; piece++ {
+				buf = s.Fill(buf, fillSplits[piece%len(fillSplits)])
+				for i, got := range buf {
+					if a, w := next.Next(), ref.Next(); got != a || got != w {
+						t.Fatalf("kind %d seed %d: instruction %d is %+v from Fill, %+v from Next, %+v from the reference",
+							prof.Kind, seed, done+i, got, a, w)
+					}
+					if ref.inAlt != alt {
+						flips, alt = flips+1, ref.inAlt
+					}
+					irregular = irregular || !ref.superInReg
+				}
+				done += len(buf)
+				if s.InAltPhase() != ref.inAlt || s.InAltPhase() != next.InAltPhase() {
+					t.Fatalf("kind %d seed %d: phase differs after %d instructions", prof.Kind, seed, done)
+				}
+			}
+			if prof.Kind != PhaseStable && flips < 5 {
+				t.Errorf("kind %d seed %d: only %d phase flips in %d instructions", prof.Kind, seed, flips, n)
+			}
+			if prof.Kind == PhaseComposite && !irregular {
+				t.Errorf("kind %d seed %d: never reached an irregular stretch", prof.Kind, seed)
+			}
+		}
+	}
+}
+
+// TestRefFillMatchesNext is the address-trace counterpart over every cache
+// application: Fill in pieces of 1, 255 and 4097 references against a second
+// generator's Next and the float-walk reference.
+func TestRefFillMatchesNext(t *testing.T) {
+	const n = 40000
+	for _, b := range CacheApps() {
+		for _, seed := range oracleSeeds {
+			tr, next, ref := NewAddressTrace(b, seed), NewAddressTrace(b, seed), newRefAddressTrace(b, seed)
+			var buf []Ref
+			for done, piece := 0, 0; done < n; piece++ {
+				buf = tr.Fill(buf, fillSplits[piece%len(fillSplits)])
+				for i, got := range buf {
+					if a, w := next.Next(), ref.Next(); got != a || got != w {
+						t.Fatalf("%s seed %d: reference %d is %+v from Fill, %+v from Next, %+v from the reference",
+							b.Name, seed, done+i, got, a, w)
+					}
+				}
+				done += len(buf)
+			}
+		}
+	}
+}

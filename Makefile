@@ -77,8 +77,9 @@ ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-smoke bench
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
 # (which plain `go test` already replays): the ooo engine and MultiCore
 # differentials, the MultiHierarchy and TLB differentials, the
-# classification round trip, the study-cache envelope, the ledger parser,
-# the API request decoder, the rng cut tables and the capsim command line.
+# classification round trip, the study-cache envelope, the ledger parser
+# and encoder, the API request decoder, the rng cut tables and the capsim
+# command line.
 # `go test -fuzz` takes one target per run, hence the loop.
 FUZZ_TARGETS = \
 	./internal/ooo:FuzzOooEngines \
@@ -88,6 +89,7 @@ FUZZ_TARGETS = \
 	./internal/classify:FuzzClassifyRoundTrip \
 	./internal/memo:FuzzPersistEnvelope \
 	./internal/flight:FuzzParseLedger \
+	./internal/flight:FuzzLedgerEncode \
 	./internal/server:FuzzRunRequest \
 	./internal/rng:FuzzCutTable \
 	./cmd/capsim:FuzzParseArgs
@@ -100,10 +102,11 @@ fuzz-smoke:
 	done
 
 # bench-smoke (ci-gated) runs every benchmark of the generator layers —
-# workload, rng and trace — once (-benchtime 1x). A benchmark that fails at
+# workload, rng and trace — and of the flight ledger encoder once
+# (-benchtime 1x). A benchmark that fails at
 # run time (its "short fill" check, a panic) then breaks CI instead of the
 # next measurement.
-BENCH_SMOKE_PKGS = ./internal/workload/ ./internal/rng/ ./internal/trace/
+BENCH_SMOKE_PKGS = ./internal/workload/ ./internal/rng/ ./internal/trace/ ./internal/flight/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_SMOKE_PKGS)
@@ -134,7 +137,9 @@ bench-check:
 # render-diff is the byte-identity check for refactors:
 # `make render-diff BASE=<rev>` builds capsim at BASE (from `git archive`) and
 # from the working tree and compares footer-stripped `-experiment all` renders
-# with cmp at -parallel 1, -parallel 2 and -seed 1 (scripts/render_diff.sh).
+# with cmp at -parallel 1, -parallel 2 and -seed 1, and the decompressed
+# flight ledgers of the -parallel 1 run without their time-stamped header
+# line (scripts/render_diff.sh).
 # It writes nothing in the checkout. Not in ci: it needs a base revision.
 render-diff:
 	@test -n "$(BASE)" || { echo "usage: make render-diff BASE=<rev>"; exit 2; }

@@ -38,7 +38,6 @@ import (
 	"bufio"
 	"compress/gzip"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -274,6 +273,9 @@ const (
 	LineProgress = "progress"
 )
 
+// The line structs below are the shapes ParseLedger decodes; encode.go
+// writes the same lines by hand, field for field in their tag order.
+
 type headerLine struct {
 	T         string `json:"t"`
 	Schema    string `json:"schema"`
@@ -298,47 +300,19 @@ type endLine struct {
 	RunEnd
 }
 
-type progressLine struct {
-	T string `json:"t"`
-	Progress
-}
-
-// EncodeRun writes one run column in ledger line format to w: the "run"
-// metadata line, one "iv" line per event, and the "end" summary. Shared by
-// the file sink and the server's streaming sink so both emit identical
-// bytes.
-func EncodeRun(w io.Writer, run int64, meta RunMeta, events []Event, end RunEnd) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(runLine{T: LineRun, Run: run, RunMeta: meta}); err != nil {
-		return err
-	}
-	for _, ev := range events {
-		if err := enc.Encode(eventLine{T: LineEvent, Run: run, Event: ev}); err != nil {
-			return err
-		}
-	}
-	return enc.Encode(endLine{T: LineEnd, Run: run, RunEnd: end})
-}
-
-// EncodeProgress writes one progress pulse in ledger line format.
-func EncodeProgress(w io.Writer, p Progress) error {
-	return json.NewEncoder(w).Encode(progressLine{T: LineProgress, Progress: p})
-}
-
-// EncodeHeader writes the versioned header line.
-func EncodeHeader(w io.Writer, generated string) error {
-	return json.NewEncoder(w).Encode(headerLine{T: LineHeader, Schema: Schema, Generated: generated})
-}
-
 // --- file sink -------------------------------------------------------------
 
 // LedgerWriter is the persistent NDJSON sink behind `capsim -ledger-out`:
 // buffered, optionally gzipped (path ends ".gz"), header-first. WriteRun
-// only enqueues; a single background goroutine does the JSON encoding and
-// compression, so recording adds queue-handoff cost — not encode+gzip cost —
-// to the simulated run's wall time. Run columns are written in publication
-// order (one channel, one consumer), which keeps the on-disk ledger
-// byte-identical to what a synchronous writer would produce.
+// only enqueues; a single background goroutine encodes each run column into
+// one reused buffer and hands it to the gzip stream in one Write. The
+// simulation's goroutines pay only the queue handoff, but the encode and
+// the compression still take CPU from the run: on the zoo league at
+// -parallel 2 on a 2-CPU host the ledger adds about a quarter to wall time
+// (about 40% when encoding/json wrote it; DESIGN.md, "Measured overhead").
+// Run columns are written in publication order (one channel, one
+// consumer), which keeps the on-disk ledger byte-identical to what a
+// synchronous writer would produce.
 type LedgerWriter struct {
 	f    *os.File
 	gz   *gzip.Writer
@@ -369,8 +343,8 @@ func CreateLedger(path string) (*LedgerWriter, error) {
 	l.dst = l.bw
 	if strings.HasSuffix(path, ".gz") {
 		// BestSpeed: the ledger is NDJSON with heavily repeated keys, so even
-		// the fastest level compresses ~10x; deeper levels only add CPU to
-		// the recording run's wall time.
+		// the fastest level compresses the zoo ledger 5.7x; deeper levels
+		// only add CPU to the recording run's wall time.
 		l.gz, _ = gzip.NewWriterLevel(l.bw, gzip.BestSpeed)
 		l.dst = l.gz
 	}
@@ -389,11 +363,16 @@ func CreateLedger(path string) (*LedgerWriter, error) {
 // but stops writing; the error surfaces through WriteRun and Close.
 func (l *LedgerWriter) writeLoop() {
 	defer close(l.done)
+	var buf []byte
 	for rec := range l.ch {
 		if l.werr.Load() != nil {
 			continue
 		}
-		if err := EncodeRun(l.dst, rec.run, rec.meta, rec.events, rec.end); err != nil {
+		var err error
+		if buf, err = appendRun(buf[:0], rec.run, &rec.meta, rec.events, &rec.end); err == nil {
+			_, err = l.dst.Write(buf)
+		}
+		if err != nil {
 			l.werr.Store(&err)
 		}
 	}

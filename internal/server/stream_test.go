@@ -2,10 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -293,5 +296,50 @@ func TestStreamBypassesCache(t *testing.T) {
 	}
 	if got := runs.Load(); got != 3 {
 		t.Fatalf("total runs %d, want 3", got)
+	}
+}
+
+// A NaN or ±Inf in any float of a run column fails the stream sink loudly,
+// in NDJSON and in SSE framing: WriteRun returns an error naming the field,
+// which the collector keeps, and no byte of the column reaches the client.
+func TestStreamSinkRejectsNonFinite(t *testing.T) {
+	column := func() (flight.RunMeta, []flight.Event, flight.RunEnd) {
+		meta := flight.RunMeta{App: "gcc", Seed: 1, Sizes: []int{16, 64}, N: 100, Policy: "fixed(0)", Kind: flight.KindFixed}
+		evs := []flight.Event{{Cycles: 100, Issued: 100, Size: 16, PeriodNS: 0.5, AdvNS: 50, CumTimeNS: 50, TPI: 0.5, OracleNS: 50}}
+		return meta, evs, flight.RunEnd{Intervals: 1, Instrs: 100, TimeNS: 50, TPI: 0.5}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, inEnd := range []bool{false, true} {
+			for _, sse := range []bool{false, true} {
+				meta, evs, end := column()
+				target := reflect.ValueOf(&evs[0]).Elem()
+				if inEnd {
+					target = reflect.ValueOf(&end).Elem()
+				}
+				for j := 0; j < target.NumField(); j++ {
+					if target.Field(j).Kind() != reflect.Float64 {
+						continue
+					}
+					key, _, _ := strings.Cut(target.Type().Field(j).Tag.Get("json"), ",")
+					saved := target.Field(j).Float()
+					target.Field(j).SetFloat(v)
+					var buf bytes.Buffer
+					sink := &streamSink{w: &buf, sse: sse}
+					err := sink.WriteRun(1, meta, evs, end)
+					if err == nil || !strings.Contains(err.Error(), key) {
+						t.Fatalf("%s = %v (sse %v): WriteRun returned %v, want an error naming the field", key, v, sse, err)
+					}
+					c := flight.NewCollector(sink)
+					c.PublishRun(meta, evs, end)
+					if c.Err() == nil {
+						t.Fatalf("%s = %v (sse %v): collector kept no error", key, v, sse)
+					}
+					if buf.Len() != 0 {
+						t.Fatalf("%s = %v (sse %v): %q reached the client", key, v, sse, buf.String())
+					}
+					target.Field(j).SetFloat(saved)
+				}
+			}
+		}
 	}
 }

@@ -114,8 +114,9 @@ bench-smoke:
 # serve-smoke boots the experiment API server (-serve-api) on an ephemeral
 # port and proves the service contract end to end: POST /v1/run renders
 # byte-identical to the CLI, a repeat request hits the response cache, a
-# request against a busy run slot gets 429, a disconnected client's sweep
-# stops claiming jobs, and SIGTERM drains the process to a zero exit.
+# request against a busy run slot gets 429, a streamed zoo carries all 108
+# run columns on a first and a repeated request, a disconnected client's
+# sweep stops claiming jobs, and SIGTERM drains the process to a zero exit.
 serve-smoke:
 	@GO="$(GO)" sh scripts/serve_smoke.sh
 

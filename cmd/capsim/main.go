@@ -259,21 +259,20 @@ func run(args []string) (err error) {
 		}()
 	}
 
-	// The flight recorder's process-wide collector: every adaptive-policy run
-	// in this process (one-shot experiments and API-served runs alike) appends
-	// its per-interval decision ledger to the file. Recording never feeds back
-	// into the simulation — stdout stays byte-identical with or without it.
+	// The flight recorder: a collector on the context of every run (one-shot
+	// and API-served alike) appends its per-interval decision ledger to the
+	// file. Recording never feeds back into the simulation — stdout stays
+	// byte-identical with or without it.
+	var col *flight.Collector
 	if rc.ledgerOut != "" {
 		lw, lerr := flight.CreateLedger(rc.ledgerOut)
 		if lerr != nil {
 			return fmt.Errorf("-ledger-out: %w", lerr)
 		}
-		col := flight.NewCollector(lw)
-		flight.SetCollector(col)
+		col = flight.NewCollector(lw)
 		// Close flushes the gzip/bufio layers; a truncated or failed ledger
 		// must fail the run, not ship silently.
 		defer func() {
-			flight.SetCollector(nil)
 			if serr := col.Err(); serr != nil && err == nil {
 				err = fmt.Errorf("-ledger-out: %w", serr)
 			}
@@ -281,9 +280,6 @@ func run(args []string) (err error) {
 				err = fmt.Errorf("-ledger-out: %w", cerr)
 			}
 		}()
-		if rc.studyCache != "" {
-			fmt.Fprintln(os.Stderr, "capsim: -ledger-out: warm -study-cache rows skip simulation and record nothing; record from a cold cache for a complete ledger")
-		}
 		fmt.Fprintf(os.Stderr, "capsim: writing flight ledger to %s\n", rc.ledgerOut)
 	}
 
@@ -301,7 +297,7 @@ func run(args []string) (err error) {
 
 	cfg := rc.cfg
 	if rc.serveAPI != "" {
-		return serveAPIMode(rc.serveAPI, cfg, rc.serve)
+		return serveAPIMode(rc.serveAPI, cfg, rc.serve, col)
 	}
 
 	manifest := obs.NewManifest()
@@ -312,6 +308,7 @@ func run(args []string) (err error) {
 	manifest.CacheRefs = cfg.CacheRefs
 	manifest.QueueInstrs = cfg.QueueInstrs
 
+	ctx := flight.WithCollector(context.Background(), col)
 	var before, after runtime.MemStats
 	for _, id := range rc.ids {
 		var snapBefore obs.Snapshot
@@ -320,7 +317,7 @@ func run(args []string) (err error) {
 			snapBefore = obs.TakeSnapshot()
 		}
 		start := time.Now()
-		res, err := experiments.Run(id, cfg)
+		res, err := experiments.RunCtx(ctx, id, cfg)
 		if err != nil {
 			return err
 		}
@@ -362,10 +359,9 @@ type serveOptions struct {
 
 // serveAPIMode runs the experiment API server until SIGINT/SIGTERM, then
 // drains: new runs get 503 immediately, in-flight runs get the drain grace
-// period to finish, after which their sweeps are cancelled. The base
-// configuration (budgets a request's absent fields inherit) is the same one
-// parseArgs builds for a one-shot run.
-func serveAPIMode(addr string, cfg experiments.Config, so serveOptions) error {
+// period to finish, after which their sweeps are cancelled. Requests inherit
+// the budgets of cfg, and col (-ledger-out, or nil) records every run.
+func serveAPIMode(addr string, cfg experiments.Config, so serveOptions, col *flight.Collector) error {
 	// A long-lived process sweeping arbitrary client configurations must
 	// bound its memoized profiling passes; the one-shot CLI path never does.
 	if so.cache > 0 {
@@ -382,6 +378,9 @@ func serveAPIMode(addr string, cfg experiments.Config, so serveOptions) error {
 		RunTimeout:   so.runTimeout,
 		CacheEntries: so.cache,
 		MaxParallel:  so.parallel,
+		Runner: func(ctx context.Context, id string, cfg experiments.Config) (experiments.Result, error) {
+			return experiments.RunCtx(flight.WithCollector(ctx, col), id, cfg)
+		},
 	})
 	bound, err := srv.Start(addr)
 	if err != nil {

@@ -106,6 +106,46 @@ func TestRunRejectsBeforeSimulating(t *testing.T) {
 	}
 }
 
+// TestLedgerOutWarmStudyCache: -ledger-out over a warm -study-cache records
+// the ledger a cold run records, header line aside. The rows whose compute
+// publishes flight columns (qtrace, qpolicy, zoo) run fresh under a
+// recorder, so a row the store serves never leaves a hole in the ledger.
+func TestLedgerOutWarmStudyCache(t *testing.T) {
+	dir := t.TempDir()
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = devnull // the renders; the ledgers are what is compared
+	defer func() { os.Stdout = stdout; devnull.Close() }()
+	defer experiments.SetStudyCacheDir("")
+	defer experiments.ResetCaches()
+	var bodies []string
+	for _, pass := range []string{"cold", "warm"} {
+		experiments.ResetCaches() // process boundary: only the store carries rows
+		ledger := filepath.Join(dir, pass+".ledger")
+		err := run([]string{"-experiment", "ablation-interval,zoo", "-parallel", "1", "-interval", "400",
+			"-queue-instrs", "15000", "-study-cache", filepath.Join(dir, "store"), "-ledger-out", ledger})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(ledger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body, _ := strings.Cut(string(raw), "\n")
+		bodies = append(bodies, body)
+	}
+	if runs := strings.Count(bodies[0], `"t":"run"`); runs != 12+108 {
+		t.Errorf("cold ledger records %d run columns, want 120", runs)
+	}
+	if bodies[1] != bodies[0] {
+		t.Errorf("warm ledger records %d run columns in %d bytes, cold %d in %d",
+			strings.Count(bodies[1], `"t":"run"`), len(bodies[1]), strings.Count(bodies[0], `"t":"run"`), len(bodies[0]))
+	}
+}
+
 // FuzzParseArgs: parseArgs never panics, and every command line it accepts
 // yields a runnable configuration — the budgets validate, the worker count
 // is not negative, and every experiment id is registered.

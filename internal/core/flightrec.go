@@ -21,12 +21,6 @@ import (
 // accumulate is what makes trace/fixed regret exactly non-negative and the
 // oracle column's regret exactly zero; the two minima pick the same column
 // except on sub-ulp ties, so policy orderings agree.
-//
-// Note on coverage: the study-row tier (internal/experiments) memoizes
-// trace/policy passes persistently, and a warm -study-cache elides the
-// compute entirely — along with its ledger events. Record complete ledgers
-// from a fresh process without -study-cache (EXPERIMENTS.md, "Reading the
-// flight ledger").
 
 // oracleRef is the per-interval oracle reference a recorded column's regret
 // is measured against: the minimizing configuration and its time.

@@ -165,9 +165,6 @@ func TestFlightRecorderEnginesExact(t *testing.T) {
 // TestFlightRecorderInactive pins the zero-overhead contract's correctness
 // side: with no collector installed, the engines publish nothing.
 func TestFlightRecorderInactive(t *testing.T) {
-	if flight.Active(context.Background()) {
-		t.Skip("a process-wide collector is installed")
-	}
 	ResetPolicyFamilies()
 	b := workload.MustByName("turb3d")
 	mp, err := NewMultiPolicy(b, 1998, []int{16, 64}, 2000, 40, tech.Micron018)

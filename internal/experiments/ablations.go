@@ -40,7 +40,7 @@ func runIntervalPolicy(ctx context.Context, cfg Config, app string, sizes []int,
 	if err != nil {
 		return core.RunResult{}, err
 	}
-	return studyRow(ctx, "qpolicy", func() (core.RunResult, error) {
+	return recordedRow(ctx, "qpolicy", func() (core.RunResult, error) {
 		return core.RunPolicyStudy(ctx, b, cfg.Seed, sizes, p, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
 	}, b, cfg.Seed, sizes, p, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
 }

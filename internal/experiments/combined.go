@@ -53,12 +53,12 @@ func ablationCombined(ctx context.Context, cfg Config) (Result, error) {
 	}
 	grid, err := sweep.RunCtx(ctx, len(apps), func(a int) ([]float64, error) {
 		b := apps[a]
-		// One study row per application: the whole joint grid pass is the
-		// unit of reuse.
+		// One study row per application: the whole joint grid pass. Its
+		// points never switch clocks, so the penalty is not an input.
 		return studyRow(ctx, "combined", func() ([]float64, error) {
 			return core.ProfileCombined(ctx, b, cfg.Seed, qs, cfg.CacheParams, core.PaperMaxBoundary,
 				points, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
-		}, b, cfg.Seed, qs, cfg.CacheParams, core.PaperMaxBoundary, points, intervals, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
+		}, b, cfg.Seed, qs, cfg.CacheParams, core.PaperMaxBoundary, points, intervals, cfg.IntervalInstrs, cfg.Feature)
 	})
 	if err != nil {
 		return Result{}, err

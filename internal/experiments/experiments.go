@@ -163,7 +163,7 @@ func ResetCaches() {
 }
 
 // Run executes the experiment with the given configuration. It is RunCtx
-// under context.Background() — the one-shot CLI path, which nothing cancels.
+// under context.Background(): nothing cancels it and nothing records it.
 func Run(id string, cfg Config) (Result, error) {
 	return RunCtx(context.Background(), id, cfg)
 }

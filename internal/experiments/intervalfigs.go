@@ -23,7 +23,7 @@ func intervalTraces(ctx context.Context, cfg Config, app string, entries []int, 
 	if err != nil {
 		return nil, err
 	}
-	return studyRow(ctx, "qtrace", func() ([][]float64, error) {
+	return recordedRow(ctx, "qtrace", func() ([][]float64, error) {
 		return core.ProfileQueueTraces(ctx, b, cfg.Seed, entries, n, cfg.IntervalInstrs, cfg.Feature)
 	}, b, cfg.Seed, entries, n, cfg.IntervalInstrs, cfg.Feature)
 }

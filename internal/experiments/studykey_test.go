@@ -159,3 +159,29 @@ func TestCacheRowsSharedAcrossDrivers(t *testing.T) {
 			refs, float64(refs)/float64(perPass), perPass)
 	}
 }
+
+// TestCombinedRowIgnoresPenalty: the joint grid's points hold one
+// configuration for the whole run and never switch clocks, so two requests
+// that differ only in the switch penalty share one combined row per
+// application and render alike.
+func TestCombinedRowIgnoresPenalty(t *testing.T) {
+	cfg := keyTestConfig()
+	defer ResetCaches()
+	ResetCaches()
+	var renders []string
+	for _, pen := range []int{-1, 200} {
+		c := cfg
+		c.PenaltyCycles = pen
+		res, err := Run("ablation-combined", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renders = append(renders, res.Render())
+		if n := studyRows.Len(); n != 5 {
+			t.Errorf("after penalty %d: %d study rows, want 5 (one per application)", pen, n)
+		}
+	}
+	if renders[0] != renders[1] {
+		t.Error("the switch penalty moved the ablation-combined render")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 
+	"capsim/internal/flight"
 	"capsim/internal/memo"
 )
 
@@ -90,4 +91,14 @@ func studyRow[V any](ctx context.Context, kind string, fn func() (V, error), inp
 			return v.(V), err
 		}
 	}
+}
+
+// recordedRow is studyRow for the kinds whose compute publishes flight
+// columns (qtrace, qpolicy, zoo): under a recorder it runs fn fresh, past
+// the memo and the store, so a recorded run records every column.
+func recordedRow[V any](ctx context.Context, kind string, fn func() (V, error), inputs ...any) (V, error) {
+	if flight.Active(ctx) {
+		return fn()
+	}
+	return studyRow(ctx, kind, fn, inputs...)
 }

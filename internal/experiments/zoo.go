@@ -70,8 +70,8 @@ func zooIntervals(cfg Config) int64 {
 // zooPass runs one (application, penalty) cell: the oracle column, the three
 // fixed baselines, and a single Race of all contenders, all through one
 // MultiPolicy engine. A private Capture collector reduces every published
-// column to its league summary; the fan-out in flight.Publish means a
-// process-wide ledger (-ledger-out) records the identical columns.
+// column to its league summary; nested in ctx, it adds to ctx's collectors
+// (-ledger-out, a stream), which record the identical columns.
 func zooPass(ctx context.Context, cfg Config, b workload.Benchmark, pen int, intervals int64) ([]flight.RunSummary, error) {
 	sink := flight.NewCapture()
 	cctx := flight.WithCollector(ctx, flight.NewCollector(sink))
@@ -115,7 +115,7 @@ func zoo(ctx context.Context, cfg Config) (Result, error) {
 		b, pen := apps[a], zooPenalties[p]
 		// The roster is keyed by content: a changed contender or tunable
 		// is a different row.
-		return studyRow(ctx, "zoo", func() ([]flight.RunSummary, error) {
+		return recordedRow(ctx, "zoo", func() ([]flight.RunSummary, error) {
 			return zooPass(ctx, cfg, b, pen, intervals)
 		}, b, cfg.Seed, zooSizes, cfg.IntervalInstrs, pen, cfg.Feature, intervals, zooContenders())
 	})

@@ -9,12 +9,12 @@
 // The recorder follows the internal/obs publication contract (DESIGN.md,
 // "Observability"):
 //
-//   - Zero overhead when disabled. The whole package sits behind collector
-//     pointers (one process-wide atomic, one context key). The engines check
-//     Active(ctx) ONCE per run — never per interval — and only assemble
-//     events when a collector is installed. A run without -ledger-out and
-//     without a streaming request pays one atomic load and one ctx.Value per
-//     policy run.
+//   - Zero overhead when disabled. The whole package sits behind one
+//     context key: a run's collectors ride its context (WithCollector), and
+//     nothing is process-wide. The engines check Active(ctx) ONCE per run —
+//     never per interval — and only assemble events when a collector is
+//     installed. A run without -ledger-out and without a streaming request
+//     pays one ctx.Value per policy run.
 //   - Plain tallies on hot paths, publication at coarse boundaries. Engines
 //     append events to a private slice while simulating and publish the whole
 //     run column in one PublishRun call at the end, so concurrent sweep
@@ -150,10 +150,9 @@ type Sink interface {
 	WriteProgress(p Progress) error
 }
 
-// Collector assigns run ids and serializes publication into a Sink. A
-// collector is installed process-wide (SetCollector, the CLI's -ledger-out)
-// or per-context (WithCollector, the server's streaming requests); engines
-// publish through the package-level Publish*, which fans out to both.
+// Collector assigns run ids and serializes publication into a Sink. It is
+// installed on a run's context (WithCollector); engines publish through the
+// package-level Publish*, which reach every collector the context carries.
 type Collector struct {
 	mu   sync.Mutex
 	sink Sink
@@ -209,55 +208,45 @@ func (c *Collector) Err() error {
 
 // --- installation ----------------------------------------------------------
 
-// proc is the process-wide collector (-ledger-out), nil when disabled.
-var proc atomic.Pointer[Collector]
-
-// SetCollector installs (or, with nil, removes) the process-wide collector.
-func SetCollector(c *Collector) { proc.Store(c) }
-
-// ctxKey carries a per-context collector (streaming requests).
+// ctxKey carries the context's collectors, outermost first.
 type ctxKey struct{}
 
-// WithCollector returns a context whose Publish* calls also reach c. The
-// experiment API server installs one per streaming request, so concurrent
-// requests record into their own streams without racing a process global.
+// WithCollector returns a context whose Publish* calls reach c as well as
+// every collector ctx already carries: an inner collector adds to the outer
+// ones and never shadows them, and a sibling context never sees it. A nil c
+// returns ctx.
 func WithCollector(ctx context.Context, c *Collector) context.Context {
-	return context.WithValue(ctx, ctxKey{}, c)
+	if c == nil {
+		return ctx
+	}
+	outer := collectors(ctx)
+	return context.WithValue(ctx, ctxKey{}, append(outer[:len(outer):len(outer)], c))
 }
 
-// fromCtx returns the context-scoped collector, or nil.
-func fromCtx(ctx context.Context) *Collector {
-	c, _ := ctx.Value(ctxKey{}).(*Collector)
-	return c
+// collectors returns the context's collectors, or nil.
+func collectors(ctx context.Context) []*Collector {
+	cs, _ := ctx.Value(ctxKey{}).([]*Collector)
+	return cs
 }
 
 // Active reports whether any collector would receive a publication under
 // ctx. Engines call it once per run and skip all event assembly when false —
 // this check IS the zero-overhead-when-disabled gate.
-func Active(ctx context.Context) bool {
-	return proc.Load() != nil || fromCtx(ctx) != nil
-}
+func Active(ctx context.Context) bool { return len(collectors(ctx)) > 0 }
 
-// Publish fans one complete run column out to the process-wide and
-// context-scoped collectors (each assigns its own run id). The events slice
-// is handed off to the sinks (which may retain it for deferred encoding) and
-// must never be mutated afterward; engines satisfy this for free by
-// publishing a freshly built private slice and dropping their reference.
+// Publish hands one complete run column to every collector of ctx (each
+// assigns its own run id). The sinks may retain events for deferred
+// encoding, so it must never be mutated afterward; engines publish a
+// freshly built private slice and drop their reference.
 func Publish(ctx context.Context, meta RunMeta, events []Event, end RunEnd) {
-	if c := proc.Load(); c != nil {
-		c.PublishRun(meta, events, end)
-	}
-	if c := fromCtx(ctx); c != nil {
+	for _, c := range collectors(ctx) {
 		c.PublishRun(meta, events, end)
 	}
 }
 
-// PublishProgress fans a sweep-progress pulse out to the active collectors.
+// PublishProgress hands a sweep-progress pulse to every collector of ctx.
 func PublishProgress(ctx context.Context, p Progress) {
-	if c := proc.Load(); c != nil {
-		c.PublishProgress(p)
-	}
-	if c := fromCtx(ctx); c != nil {
+	for _, c := range collectors(ctx) {
 		c.PublishProgress(p)
 	}
 }
@@ -307,9 +296,8 @@ type endLine struct {
 // only enqueues; a single background goroutine encodes each run column into
 // one reused buffer and hands it to the gzip stream in one Write. The
 // simulation's goroutines pay only the queue handoff, but the encode and
-// the compression still take CPU from the run: on the zoo league at
-// -parallel 2 on a 2-CPU host the ledger adds about a quarter to wall time
-// (about 40% when encoding/json wrote it; DESIGN.md, "Measured overhead").
+// the compression still take CPU from the run (DESIGN.md, "Measured
+// overhead").
 // Run columns are written in publication order (one channel, one
 // consumer), which keeps the on-disk ledger byte-identical to what a
 // synchronous writer would produce.

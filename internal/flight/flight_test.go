@@ -201,28 +201,44 @@ func (s *memSink) WriteProgress(p Progress) error {
 	return nil
 }
 
-func TestPublishFanOut(t *testing.T) {
-	procSink, ctxSink := &memSink{}, &memSink{}
-	SetCollector(NewCollector(procSink))
-	defer SetCollector(nil)
-	ctx := WithCollector(context.Background(), NewCollector(ctxSink))
-
-	if !Active(ctx) || !Active(context.Background()) {
+// An inner collector adds to the outer ones and never shadows them: every
+// collector on the chain receives every run and progress pulse, numbered by
+// its own run ids, and a sibling context never sees the inner collector.
+func TestNestedCollectors(t *testing.T) {
+	if Active(context.Background()) || Active(WithCollector(context.Background(), nil)) {
+		t.Fatal("Active true on a bare context")
+	}
+	outerSink, innerSink := &memSink{}, &memSink{}
+	outer := WithCollector(context.Background(), NewCollector(outerSink))
+	inner := WithCollector(outer, NewCollector(innerSink))
+	if !Active(outer) || !Active(inner) {
 		t.Fatal("collectors installed but Active is false")
 	}
+
 	meta, evs, end := mkRun("p", KindTrace, 5, 0)
-	Publish(ctx, meta, evs, end)
-	PublishProgress(ctx, Progress{Done: 1, Total: 2})
-	if len(procSink.runs) != 1 || len(ctxSink.runs) != 1 {
-		t.Fatalf("fan-out missed: proc=%d ctx=%d", len(procSink.runs), len(ctxSink.runs))
+	Publish(outer, meta, evs, end) // outer only: run 1 there
+	Publish(inner, meta, evs, end) // both: run 2 outer, run 1 inner
+	Publish(inner, meta, evs, end) // both: run 3 outer, run 2 inner
+	PublishProgress(inner, Progress{Done: 1, Total: 2})
+	if !reflect.DeepEqual(outerSink.runs, []int64{1, 2, 3}) {
+		t.Fatalf("outer run ids %v, want [1 2 3]", outerSink.runs)
 	}
-	if len(procSink.progs) != 1 || len(ctxSink.progs) != 1 {
-		t.Fatal("progress fan-out missed")
+	if !reflect.DeepEqual(innerSink.runs, []int64{1, 2}) {
+		t.Fatalf("inner run ids %v, want [1 2]", innerSink.runs)
+	}
+	if len(outerSink.progs) != 1 || len(innerSink.progs) != 1 {
+		t.Fatalf("progress missed: outer=%d inner=%d", len(outerSink.progs), len(innerSink.progs))
 	}
 
-	SetCollector(nil)
-	if Active(context.Background()) {
-		t.Fatal("Active true with no collectors")
+	// Two children of one parent each extend the parent's chain alone, also
+	// when the parent's chain has room to grow in place.
+	third := WithCollector(inner, NewCollector(&memSink{}))
+	aSink, bSink := &memSink{}, &memSink{}
+	a := WithCollector(third, NewCollector(aSink))
+	WithCollector(third, NewCollector(bSink))
+	Publish(a, meta, evs, end)
+	if len(aSink.runs) != 1 || len(bSink.runs) != 0 {
+		t.Fatalf("sibling publication leaked: a=%d b=%d", len(aSink.runs), len(bSink.runs))
 	}
 }
 

@@ -53,7 +53,8 @@ type RunRequest struct {
 	// columns and sweep progress as they happen, terminated by a "result"
 	// line carrying the ordinary RunResponse (or an in-band "error" line).
 	// Streamed runs always execute fresh — events are the product, so the
-	// response cache and request coalescing are bypassed like NoCache.
+	// response cache, request coalescing and publishing study rows are
+	// bypassed.
 	Stream bool `json:"stream,omitempty"`
 }
 

@@ -51,8 +51,8 @@ var (
 // scalars, so anything larger is a client bug, not a bigger experiment.
 const maxRequestBody = 1 << 16
 
-// Runner executes one experiment; it exists so tests can inject slow,
-// failing, or cancellation-observing stand-ins for experiments.RunCtx.
+// Runner executes one experiment: experiments.RunCtx, the CLI's wrapper that
+// adds its -ledger-out collector, or a test's slow or failing stand-in.
 type Runner func(ctx context.Context, id string, cfg experiments.Config) (experiments.Result, error)
 
 // Options configures a Server. The zero value is usable: defaults are

@@ -27,8 +27,9 @@ import (
 // Contract notes:
 //
 //   - The recorder is installed per-request via flight.WithCollector, so
-//     concurrent streamed runs never interleave events; the process-wide
-//     -ledger-out collector (if any) still sees every run.
+//     concurrent streamed runs never interleave events; collectors nested
+//     beneath it (-ledger-out's, the zoo's) add to it and never shadow it,
+//     and publishing study rows compute fresh, so a repeat streams alike.
 //   - Streamed runs bypass the response cache AND singleflight: the events
 //     are the product, and a coalesced run would deliver them to whichever
 //     request computed first. Admission control still applies — a streamed
@@ -124,8 +125,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, req *RunRe
 
 	ctx, cleanup := s.runCtx(r.Context(), req)
 	defer cleanup()
-	collector := flight.NewCollector(sink)
-	ctx = flight.WithCollector(ctx, collector)
+	ctx = flight.WithCollector(ctx, flight.NewCollector(sink))
 
 	sp := obs.StartSpan("server.stream:"+req.Experiment, 0)
 	resp, err := s.compute(ctx, req.Experiment, cfg)

@@ -5,10 +5,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +21,7 @@ import (
 
 	"capsim/internal/experiments"
 	"capsim/internal/flight"
+	"capsim/internal/sweep"
 )
 
 // streamLines POSTs a streamed run and returns the status, Content-Type, raw
@@ -71,14 +77,34 @@ func lineType(t *testing.T, m map[string]json.RawMessage) string {
 	return s
 }
 
+// ledgerColumns returns the run columns of an NDJSON ledger or stream as a
+// sorted set: each column's lines encoded under run id 0, so two recordings
+// compare regardless of the order and numbering of their columns.
+func ledgerColumns(t *testing.T, r io.Reader) []string {
+	t.Helper()
+	l, err := flight.ParseLedger(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(l.Runs))
+	for i, run := range l.Runs {
+		var b bytes.Buffer
+		if err := flight.EncodeRun(&b, 0, run.Meta, run.Events, run.End); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
 // A streamed run over the adaptive-policy study produces a parseable ledger
 // feed — header, run columns with per-interval events and end summaries, all
 // satisfying the ledger invariants — terminated by a result line whose render
-// is byte-identical to the buffered response for the same configuration.
+// is byte-identical to the buffered response for the same configuration. A
+// repeat of the request executes fresh and streams the same columns, though
+// the study rows behind them are memoized by then.
 func TestStreamRunLedgerAndRender(t *testing.T) {
-	// The in-process study memos elide recomputation (and with it, event
-	// emission); start cold so the stream carries the actual run columns.
-	experiments.ResetCaches()
 	ts := httptest.NewServer(New(Options{}).Handler())
 	defer ts.Close()
 
@@ -152,6 +178,65 @@ func TestStreamRunLedgerAndRender(t *testing.T) {
 	}
 	if want := decodeRun(t, buffered); got.Render != want.Render {
 		t.Errorf("streamed render differs from buffered:\n--- stream ---\n%s\n--- buffered ---\n%s", got.Render, want.Render)
+	}
+
+	first := ledgerColumns(t, strings.NewReader(raw))
+	_, _, raw2, _ := streamLines(t, ts, `{"experiment":"ablation-interval","stream":true}`, "")
+	if again := ledgerColumns(t, strings.NewReader(raw2)); !reflect.DeepEqual(again, first) {
+		t.Errorf("repeated stream carried %d run columns, the first %d, or different ones", len(again), len(first))
+	}
+}
+
+// A streamed zoo carries every run column: the zoo's per-cell collector adds
+// to the stream's instead of shadowing it, so each (application, penalty)
+// cell streams its oracle, its three fixed baselines and its five
+// contenders. As a set they are the columns a -ledger-out file records for
+// the same configuration at one worker.
+func TestStreamZooCarriesEveryColumn(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}).Handler())
+	defer ts.Close()
+	code, _, raw, _ := streamLines(t, ts, `{"experiment":"zoo","stream":true,"queue_instrs":15000}`, "")
+	if code != http.StatusOK {
+		t.Fatalf("streamed zoo: status %d", code)
+	}
+	l, err := flight.ParseLedger(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]int{}
+	for _, r := range l.Runs {
+		cells[fmt.Sprintf("%s/%d", r.Meta.App, r.Meta.Penalty)]++
+	}
+	if len(l.Runs) != 108 || len(cells) != 12 {
+		t.Fatalf("stream carried %d run columns in %d cells, want 108 in 12", len(l.Runs), len(cells))
+	}
+	for cell, n := range cells {
+		if n != 9 {
+			t.Errorf("cell %s: %d run columns, want 9", cell, n)
+		}
+	}
+
+	cfg := experiments.DefaultConfig()
+	cfg.QueueInstrs = 15000
+	path := filepath.Join(t.TempDir(), "zoo.ledger")
+	lw, err := flight.CreateLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := flight.WithCollector(sweep.WithWorkers(context.Background(), 1), flight.NewCollector(lw))
+	if _, err := experiments.RunCtx(ctx, "zoo", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if want := ledgerColumns(t, f); !reflect.DeepEqual(ledgerColumns(t, strings.NewReader(raw)), want) {
+		t.Errorf("streamed columns differ from the one-worker ledger's %d", len(want))
 	}
 }
 

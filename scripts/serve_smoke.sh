@@ -16,6 +16,8 @@
 #   5. A `stream: true` POST yields valid NDJSON — a ledger header line
 #      first, a terminal "result" line last — and the result's render is
 #      byte-identical to the CLI's.
+#   5b. A streamed zoo carries all 108 of its run columns, and a repeat of
+#      the request streams as many again.
 #   6. Disconnecting a streamed run mid-feed cancels it: in_flight returns
 #      to zero, same contract as the buffered path.
 #   7. SIGTERM drains gracefully: the process exits 0 and confirms the
@@ -145,6 +147,24 @@ cmp -s "$TMP/cli.txt" "$TMP/stream_render.txt" || {
 [ "$(tail -n1 "$TMP/stream.ndjson" | jq -r '.response.cached')" = "false" ] \
     || fail "streamed run claims cached (streams must bypass the response cache)"
 
+# --- 5b. streamed zoo: every run column, on every request -------------------
+# The zoo's per-cell collector nests in the stream's, so each of its 12
+# (application, penalty) cells streams 9 run columns: the oracle, three fixed
+# baselines and five contenders. A repeat of the request executes fresh
+# though its study rows are memoized by then, and streams the same columns.
+for i in 1 2; do
+    code=$(curl -s -N -o "$TMP/zoo$i.ndjson" -w '%{http_code}' \
+        -X POST "$BASE/v1/run" -H 'Content-Type: application/json' \
+        -d '{"experiment":"zoo","parallel":2,"queue_instrs":3000,"stream":true}')
+    [ "$code" = "200" ] || fail "streamed zoo POST returned $code: $(cat "$TMP/zoo$i.ndjson")"
+    [ "$(tail -n1 "$TMP/zoo$i.ndjson" | jq -r '.t')" = "result" ] \
+        || fail "streamed zoo $i does not end with a result line: $(tail -n1 "$TMP/zoo$i.ndjson")"
+done
+runs1=$(grep -c '"t":"run"' "$TMP/zoo1.ndjson" || true)
+runs2=$(grep -c '"t":"run"' "$TMP/zoo2.ndjson" || true)
+[ "$runs1" -eq 108 ] || fail "streamed zoo carried $runs1 run columns, want 108 (9 per application and penalty)"
+[ "$runs2" -eq "$runs1" ] || fail "repeated streamed zoo carried $runs2 run columns, the first $runs1"
+
 # --- 6. mid-stream disconnect frees the run slot ----------------------------
 curl -s -N -o "$TMP/stream_slow.ndjson" -X POST "$BASE/v1/run" \
     -H 'Content-Type: application/json' \
@@ -161,4 +181,4 @@ if wait "$SRV_PID"; then :; else fail "server exited non-zero after SIGTERM"; fi
 SRV_PID=""
 grep -q 'drained' "$LOG" || fail "server log missing drain confirmation"
 
-echo "serve-smoke ok (render byte-identical to CLI; cache, 429, streaming and drain exercised)"
+echo "serve-smoke ok (render byte-identical to CLI; cache, 429, streaming, streamed run columns and drain exercised)"

@@ -147,22 +147,21 @@ render-diff:
 	@GO="$(GO)" sh scripts/render_diff.sh "$(BASE)"
 
 # bench-obs-smoke (ci-gated) renders a tiny-budget fig10 run with
-# telemetry off and with every sink on (-obs-assert, trace + manifest),
-# asserting byte-identical stdout renders (the timing footer is stripped; it
-# is the only line allowed to differ) and that the trace and manifest files
-# are produced; then a fig12 run with the flight recorder on (-ledger-out
-# under -obs-assert, so the ledger invariants are live), asserting the
-# render is byte-identical to recorder-off and that the recorded ledger
-# parses back through `capsim -report`.
+# telemetry off and with every sink on (-obs-assert, manifest), asserting
+# byte-identical stdout renders (the timing footer is stripped; it is the
+# only line allowed to differ) and that the manifest is produced; then a
+# fig12 run with the flight recorder on (-ledger-out under -obs-assert, so
+# the ledger invariants are live), asserting the render is byte-identical to
+# recorder-off and that the recorded ledger parses back through
+# `capsim -report`.
 bench-obs-smoke:
 	@$(GO) run ./cmd/capsim -experiment fig10 -parallel 2 -queue-instrs 3000 \
 		| grep -v '^(fig10 in ' > /tmp/capsim_obs_off.txt
 	@$(GO) run ./cmd/capsim -experiment fig10 -parallel 2 -queue-instrs 3000 \
-		-obs-assert -trace-out /tmp/capsim_obs_smoke.trace.json -metrics-out /tmp/capsim_obs_smoke.json \
+		-obs-assert -metrics-out /tmp/capsim_obs_smoke.json \
 		2>/dev/null | grep -v '^(fig10 in ' > /tmp/capsim_obs_on.txt
 	@cmp /tmp/capsim_obs_off.txt /tmp/capsim_obs_on.txt || \
 		{ echo "obs-enabled run rendered differently"; exit 1; }
-	@test -s /tmp/capsim_obs_smoke.trace.json || { echo "trace file missing"; exit 1; }
 	@test -s /tmp/capsim_obs_smoke.json || { echo "manifest missing"; exit 1; }
 	@$(GO) run ./cmd/capsim -experiment fig12 -parallel 2 \
 		| grep -v '^(fig12 in ' > /tmp/capsim_ledger_off.txt
@@ -173,7 +172,7 @@ bench-obs-smoke:
 		{ echo "ledger-enabled run rendered differently"; exit 1; }
 	@$(GO) run ./cmd/capsim -report /tmp/capsim_obs_smoke.ledger.gz | grep -q '^league:' || \
 		{ echo "recorded ledger failed to parse back through -report"; exit 1; }
-	@echo "bench-obs smoke ok (renders byte-identical with obs/assert/trace/manifest/ledger on; ledger round-trips)"
+	@echo "bench-obs smoke ok (renders byte-identical with obs/assert/manifest/ledger on; ledger round-trips)"
 
 # bench-study-cache-smoke (ci-gated, scripts/study_cache_smoke.sh): two
 # tiny-budget processes run disjoint -experiment subsets against one
@@ -220,7 +219,7 @@ bench-zoo-smoke:
 
 clean:
 	rm -f /tmp/capsim_obs_off.txt /tmp/capsim_obs_on.txt \
-	  /tmp/capsim_obs_smoke.trace.json /tmp/capsim_obs_smoke.json \
+	  /tmp/capsim_obs_smoke.json \
 	  /tmp/capsim_ledger_off.txt /tmp/capsim_ledger_on.txt /tmp/capsim_obs_smoke.ledger.gz \
 	  /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_p4.txt /tmp/capsim_zoo_cold.txt /tmp/capsim_zoo_warm.txt \
 	  /tmp/capsim_zoo_direct_full.txt /tmp/capsim_zoo_report_full.txt \

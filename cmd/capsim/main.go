@@ -8,7 +8,6 @@
 //	capsim -experiment all -cache-refs 2000000 -queue-instrs 1000000
 //	capsim -experiment all -parallel 8
 //	capsim -experiment fig7 -parallel 1 -cpuprofile fig7.pprof
-//	capsim -experiment all -trace-out run.trace.json   # Chrome trace timeline
 //	capsim -experiment all -metrics-out run.json       # run manifest + counters
 //	capsim -experiment fig10 -obs-assert               # runtime invariant checks
 //	capsim -experiment ablation-interval -ledger-out run.ledger.gz  # flight recorder
@@ -19,10 +18,10 @@
 // their random streams from (seed, benchmark, purpose) and results are
 // collected by grid index, so the worker count changes only the wall time.
 // -study-cache likewise changes only wall time and disk use. The telemetry
-// flags (-trace-out, -metrics-out, -obs-assert) never change stdout
-// either: observability receives statistics, it does not feed them back
-// (all telemetry notices go to stderr; `make ci`'s bench-obs-smoke enforces
-// the byte identity).
+// flags (-metrics-out, -obs-assert) never change stdout either:
+// observability receives statistics, it does not feed them back (all
+// telemetry notices go to stderr; `make ci`'s bench-obs-smoke enforces the
+// byte identity).
 package main
 
 import (
@@ -49,10 +48,9 @@ import (
 
 // main is a thin shell around run: all error paths return through run's
 // single exit point so every deferred cleanup — pprof.StopCPUProfile, the
-// profile file's Close, obs.StopTrace flushing the Chrome trace array —
-// executes before the process decides its exit status. (The old main called
-// os.Exit mid-function, which skipped the deferred StopCPUProfile and
-// silently truncated profiles on any later error.)
+// profile file's Close, the flight ledger's flush — executes before the
+// process decides its exit status; os.Exit would skip them and truncate the
+// files.
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "capsim: %v\n", err)
@@ -87,7 +85,6 @@ type runConfig struct {
 	cpuprofile string
 	ledgerOut  string
 	obsAssert  bool
-	traceOut   string
 	metricsOut string
 
 	cfg experiments.Config
@@ -118,7 +115,6 @@ func parseArgs(args []string) (runConfig, error) {
 	fs.StringVar(&rc.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&rc.ledgerOut, "ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
 	fs.BoolVar(&rc.obsAssert, "obs-assert", false, "enable runtime invariant self-checks in the simulators (panics on violation)")
-	fs.StringVar(&rc.traceOut, "trace-out", "", "write a Chrome trace-event timeline (chrome://tracing, ui.perfetto.dev) to this file")
 	fs.StringVar(&rc.metricsOut, "metrics-out", "", "write a run manifest (build provenance, flags, per-experiment cost, counter snapshot) as JSON to this file")
 	fs.StringVar(&rc.serveAPI, "serve-api", "", "run the experiment API server on this address, e.g. :8418 (instead of a one-shot -experiment run)")
 	fs.IntVar(&rc.serve.inFlight, "api-inflight", 2, "serve-api: maximum concurrently executing runs")
@@ -240,24 +236,6 @@ func run(args []string) (err error) {
 	obs.SetAssert(rc.obsAssert)
 	obsEnabled := rc.metricsOut != ""
 	obs.SetEnabled(obsEnabled)
-	if rc.traceOut != "" {
-		f, err := os.Create(rc.traceOut)
-		if err != nil {
-			return fmt.Errorf("-trace-out: %w", err)
-		}
-		if err := obs.StartTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		// StopTrace terminates the JSON array and closes f; report its
-		// error so a truncated trace is visible instead of shipping
-		// silently.
-		defer func() {
-			if terr := obs.StopTrace(); terr != nil {
-				fmt.Fprintf(os.Stderr, "capsim: trace: %v\n", terr)
-			}
-		}()
-	}
 
 	// The flight recorder: a collector on the context of every run (one-shot
 	// and API-served alike) appends its per-interval decision ledger to the

@@ -40,6 +40,7 @@ var rejected = []struct {
 	{"-seed\x001", "-experiment required"},
 	{"-shard\x000/2\x00-experiment\x00fig7", "flag provided but not defined: -shard"},
 	{"-experiment\x00fig7\x00-obs", "flag provided but not defined: -obs"},
+	{"-experiment\x00fig10\x00-trace-out\x00x", "flag provided but not defined: -trace-out"},
 }
 
 // accepted are command lines parseArgs must take.
@@ -76,8 +77,8 @@ func TestParseArgs(t *testing.T) {
 	if got := strings.Join(rc.ids, ","); got != "fig13,fig12" {
 		t.Errorf("ids %q, want the given order", got)
 	}
-	if got := len(flagMap(rc.fs)); got != 23 {
-		t.Errorf("%d flags, want 23", got)
+	if got := len(flagMap(rc.fs)); got != 22 {
+		t.Errorf("%d flags, want 22", got)
 	}
 }
 

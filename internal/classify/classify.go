@@ -117,8 +117,6 @@ func (e *encoder) flush() {
 // tier and classifies at every boundary in lockstep (cache.AccessClasses),
 // appending to the per-boundary RLE encoders.
 func StreamFor(b workload.Benchmark, seed uint64, p cache.Params, maxB int, nrefs int64) (*Stream, error) {
-	as := obs.StartAsync("classify", "gen:"+b.Name)
-	defer as.End(obs.Arg{K: "maxB", V: maxB}, obs.Arg{K: "nrefs", V: nrefs})
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

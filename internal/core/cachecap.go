@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"capsim/internal/cache"
-	"capsim/internal/obs"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
 )
@@ -32,10 +31,6 @@ const baseCPI = 1.0 / 2.67
 // term for term, in the same order, so results are bit-identical to one
 // independent CacheMachine per boundary (TestProfileCacheTPIOnepass).
 func ProfileCacheTPI(b workload.Benchmark, seed uint64, p cache.Params, maxBoundary int, warm, refs int64) (tpi, tpiMiss []float64, err error) {
-	// The async span makes each per-application profile cell its own
-	// timeline row, whatever worker goroutine it runs on.
-	as := obs.StartAsync("profile", "cache:"+b.Name)
-	defer as.End(obs.Arg{K: "boundaries", V: maxBoundary})
 	if b.Mem == nil {
 		return nil, nil, fmt.Errorf("core: %s has no memory profile", b.Name)
 	}

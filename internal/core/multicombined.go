@@ -6,7 +6,6 @@ import (
 
 	"capsim/internal/cache"
 	"capsim/internal/classify"
-	"capsim/internal/obs"
 	"capsim/internal/ooo"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
@@ -216,8 +215,6 @@ func (m *MultiCombined) PublishObs() {
 // penaltyCycles never enters the result; it is kept for signature
 // compatibility with existing callers.
 func ProfileCombined(ctx context.Context, b workload.Benchmark, seed uint64, sizes []int, p cache.Params, maxBoundary int, points []CombinedConfig, intervals, n int64, penaltyCycles int, f tech.FeatureSize) ([]float64, error) {
-	as := obs.StartAsync("profile", "combined:"+b.Name)
-	defer as.End(obs.Arg{K: "points", V: len(points)})
 	m, err := NewMultiCombined(b, seed, sizes, p, maxBoundary, points, intervals, n, f)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"capsim/internal/obs"
 	"capsim/internal/ooo"
 	"capsim/internal/palacharla"
 	"capsim/internal/tech"
@@ -47,8 +46,6 @@ type RunResult struct {
 // is bit-identical to one private machine per configuration
 // (TestProfileQueueTPIOnepass), not merely close.
 func ProfileQueueTPI(b workload.Benchmark, seed uint64, sizes []int, instrs int64, f tech.FeatureSize) ([]float64, error) {
-	as := obs.StartAsync("profile", "queue:"+b.Name)
-	defer as.End(obs.Arg{K: "configs", V: len(sizes)})
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("core: no queue sizes")
 	}
@@ -86,8 +83,6 @@ func ProfileQueueTPI(b workload.Benchmark, seed uint64, sizes []int, instrs int6
 // by issued), so each trace is bit-identical to a private
 // fixed-configuration machine (TestProfileQueueTracesOnepass).
 func ProfileQueueTraces(ctx context.Context, b workload.Benchmark, seed uint64, sizes []int, intervals, n int64, f tech.FeatureSize) ([][]float64, error) {
-	as := obs.StartAsync("profile", "queue-trace:"+b.Name)
-	defer as.End(obs.Arg{K: "configs", V: len(sizes)}, obs.Arg{K: "intervals", V: intervals})
 	mp, err := NewMultiPolicy(b, seed, sizes, n, -1, f)
 	if err != nil {
 		return nil, err

@@ -15,7 +15,6 @@ import (
 	"capsim/internal/cache"
 	"capsim/internal/core"
 	"capsim/internal/metrics"
-	"capsim/internal/obs"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 )
@@ -185,14 +184,7 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	sp := obs.StartSpan("experiment:"+id, 0)
-	res, err := e.run(ctx, cfg)
-	if err != nil {
-		sp.End(obs.Arg{K: "err", V: err.Error()})
-		return res, err
-	}
-	sp.End(obs.Arg{K: "figures", V: len(res.Figures)}, obs.Arg{K: "tables", V: len(res.Tables)})
-	return res, nil
+	return e.run(ctx, cfg)
 }
 
 // SetStudyCacheCap bounds every in-process memo a run fills — the study

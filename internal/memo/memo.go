@@ -1,14 +1,13 @@
 // Package memo provides a small concurrency-safe, singleflight-style
-// memoization primitive used by the experiment drivers and the analytic
-// timing models (cacti, wire, palacharla, cache.TimingFor).
+// memoization primitive used by the experiment study rows, the policy race
+// families, the trace stores and the API server's response cache, plus the
+// on-disk study cache (Store, PersistDo, persist.go).
 //
 // Unlike a plain mutex-guarded map, Memo never holds its lock while the
 // memoized function runs: each key owns a sync.Once, so two goroutines asking
 // for *different* keys compute concurrently, while two goroutines asking for
 // the *same* key share one computation (the second blocks only on that key's
-// Once). This is the fix for the old cacheStudyMu pattern, which serialized
-// unrelated configurations behind one global lock for the entire multi-second
-// profiling pass.
+// Once).
 //
 // Memoized functions must be deterministic in their key: the first caller's
 // result is returned to everyone, forever (until Reset). Functions that can
@@ -29,9 +28,8 @@ import (
 // Telemetry (internal/obs): cheap global counters over all Memo instances.
 // Hits/misses partition Do calls by whether this call ran fn; the wait
 // histogram times the calls that blocked on another goroutine's in-flight
-// computation — the singleflight stalls the trace timeline makes visible. All
-// of it is gated on obs being live, so the plain path pays one predicted
-// branch per Do.
+// computation (singleflight stalls). All of it is gated on obs being live,
+// so the plain path pays one predicted branch per Do.
 var (
 	obsHits   = obs.NewCounter("memo.hits")      // result already memoized
 	obsMisses = obs.NewCounter("memo.misses")    // this call computed the entry
@@ -152,7 +150,7 @@ func (c *Memo[K, V]) Forget(k K) {
 // computations here are deterministic, so retrying cannot help).
 func (c *Memo[K, V]) Do(k K, fn func() (V, error)) (V, error) {
 	e := c.slot(k)
-	if !obs.Enabled() && !obs.Tracing() {
+	if !obs.Enabled() {
 		e.once.Do(func() {
 			e.val, e.err = fn()
 			e.done.Store(true)
@@ -162,17 +160,11 @@ func (c *Memo[K, V]) Do(k K, fn func() (V, error)) (V, error) {
 	return c.doObserved(e, fn)
 }
 
-// doObserved is Do's telemetry path: identical semantics, plus counters and —
-// when a trace sink is installed — an async span over any singleflight wait.
+// doObserved is Do's telemetry path: identical semantics, plus the hit/miss
+// counters and the wait histogram.
 func (c *Memo[K, V]) doObserved(e *entry[V], fn func() (V, error)) (V, error) {
 	settled := e.done.Load()
 	ran := false
-	var as obs.AsyncSpan
-	if !settled {
-		// Either we are about to compute or we are about to block on the
-		// goroutine that is; the span is dropped below if we computed.
-		as = obs.StartAsync("memo", "wait")
-	}
 	t0 := time.Now()
 	e.once.Do(func() {
 		ran = true
@@ -190,7 +182,6 @@ func (c *Memo[K, V]) doObserved(e *entry[V], fn func() (V, error)) (V, error) {
 		// blocked on that key's Once.
 		obsHits.Inc()
 		obsWaitNS.Observe(ns)
-		as.End()
 	}
 	return e.val, e.err
 }

@@ -1,8 +1,7 @@
 // Package obs is capsim's process-wide telemetry subsystem: a registry of
 // atomic counters and log2 histograms cheap enough to sit next to the
-// simulator hot paths, a span tracer that emits Chrome trace-event JSONL
-// (span.go), a run-manifest builder (manifest.go), and a live
-// expvar/metrics HTTP handler (serve.go).
+// simulator hot paths, a run-manifest builder (manifest.go), and the live
+// Prometheus /metrics handler (prom.go).
 //
 // Design rules, in priority order:
 //
@@ -17,17 +16,17 @@
 //     process-wide atomic switch (SetEnabled): a disabled Counter.Add is one
 //     atomic bool load and a predicted branch, and the publication call
 //     sites run at most once per profile pass or interval, so `capsim`
-//     without -metrics-out or -trace-out pays nothing measurable (the bench
-//     harness reports the on/off difference as obs_overhead_frac).
+//     without -metrics-out pays nothing measurable (the bench harness
+//     reports the on/off difference as obs_overhead_frac).
 //
 // cmd/capsim exposes the subsystem as -metrics-out (run manifest, which
-// turns the counters on) and -trace-out (Chrome trace); the experiment API
-// server (-serve-api) turns the counters on and mounts the live handler at
-// /metrics and /debug/vars.
+// turns the counters on); the experiment API server (-serve-api) turns the
+// counters on and mounts the live handler at /metrics.
 package obs
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -36,9 +35,7 @@ import (
 // OFF: plain runs pay nothing.
 var enabled atomic.Bool
 
-// SetEnabled turns metric recording on or off process-wide. The tracer
-// (span.go) has its own independent switch — installing a trace sink enables
-// spans without requiring counters, and vice versa.
+// SetEnabled turns metric recording on or off process-wide.
 func SetEnabled(v bool) { enabled.Store(v) }
 
 // Enabled reports whether metric recording is active.
@@ -192,4 +189,14 @@ func (s Snapshot) String() string {
 		b = fmt.Appendf(b, "%s %d\n", n, s.Counters[n])
 	}
 	return string(b)
+}
+
+// sortedKeys yields deterministic render order (maps iterate randomly).
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+)
 
 // withEnabled runs fn with metric recording forced on, restoring the prior
 // state afterwards.
@@ -115,3 +119,26 @@ var errTest = errFixed("boom")
 type errFixed string
 
 func (e errFixed) Error() string { return string(e) }
+
+func TestManifestRoundTrip(t *testing.T) {
+	m := NewManifest()
+	if m.Schema != ManifestSchema || m.Build.GoVersion == "" || m.Command == "" {
+		t.Fatalf("manifest header incomplete: %+v", m)
+	}
+	m.Experiments = append(m.Experiments, ExperimentRecord{ID: "fig7", WallNS: 42})
+	m.Final = TakeSnapshot()
+	var sb strings.Builder
+	if err := m.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var back Manifest
+	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
+		t.Fatalf("manifest JSON invalid: %v", err)
+	}
+	if back.Schema != ManifestSchema || len(back.Experiments) != 1 || back.Experiments[0].ID != "fig7" {
+		t.Fatalf("round trip lost data: %+v", back)
+	}
+	if !strings.HasSuffix(sb.String(), "\n") {
+		t.Fatal("manifest must end with newline")
+	}
+}

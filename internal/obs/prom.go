@@ -22,7 +22,7 @@ import (
 //     `"` and newline).
 //
 // Metric names mangle the registry's dotted names (`sweep.busy_ns` →
-// `capsim_sweep_busy_ns_total`); the expvar JSON at /debug/vars keeps the
+// `capsim_sweep_busy_ns_total`); the run manifest (manifest.go) keeps the
 // original names.
 
 // promName mangles a registry metric name into a Prometheus metric name.
@@ -103,9 +103,11 @@ func WritePrometheus(w io.Writer, s Snapshot, build BuildInfo) {
 		promEscape(build.GoVersion), promEscape(build.GOOS), promEscape(build.GOARCH), promEscape(build.VCSRevision))
 }
 
-// metricsProm is the /metrics handler: the Default registry in Prometheus
-// text exposition format.
-func metricsProm(w http.ResponseWriter, _ *http.Request) {
+// Metrics is the live /metrics handler that the experiment API server
+// (internal/server, `capsim -serve-api`) mounts: the Default registry in
+// Prometheus text exposition format. It only reads atomics, so it cannot
+// perturb a run, and nothing in a run waits on it.
+func Metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	WritePrometheus(w, TakeSnapshot(), ReadBuildInfo())
 }

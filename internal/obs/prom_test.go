@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -177,7 +178,7 @@ func TestPrometheusExpositionParses(t *testing.T) {
 	defer Default.Reset()
 	// Render the Default registry through the live handler to cover the
 	// real serving path end to end.
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(http.HandlerFunc(Metrics))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {

@@ -6,7 +6,7 @@
 //	GET  /v1/experiments   registered experiment ids and titles
 //	POST /v1/run           execute one experiment (RunRequest -> RunResponse)
 //	GET  /healthz          liveness + admission/drain state
-//	/metrics, /debug/vars  the obs live-telemetry surface (obs.Handler)
+//	GET  /metrics          the obs registry in Prometheus text (obs.Metrics)
 //
 // The service exists because an experiment run is heavy — a single POST can
 // occupy every core for seconds — so the server's job is mostly to say "not
@@ -149,9 +149,7 @@ func New(opt Options) *Server {
 	mux.HandleFunc("GET /v1/experiments", s.handleList)
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	obsMux := obs.Handler()
-	mux.Handle("/metrics", obsMux)
-	mux.Handle("/debug/vars", obsMux)
+	mux.HandleFunc("GET /metrics", obs.Metrics)
 	s.mux = mux
 	return s
 }
@@ -292,16 +290,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sp := obs.StartSpan("server.run:"+req.Experiment, 0)
 	resp, err := s.execute(r.Context(), &req, cfg)
 	if err != nil {
 		status, msg := s.mapErr(err)
-		sp.End(obs.Arg{K: "err", V: msg}, obs.Arg{K: "status", V: status})
 		writeError(w, status, msg)
 		return
 	}
 	obsRunOK.Inc()
-	sp.End(obs.Arg{K: "cached", V: resp.Cached})
 	writeJSON(w, http.StatusOK, resp)
 }
 

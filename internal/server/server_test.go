@@ -459,3 +459,48 @@ func TestResponseImmutable(t *testing.T) {
 		t.Error("cached render differs")
 	}
 }
+
+// TestTelemetryRoutes: /metrics serves the Prometheus exposition with the
+// server counters the bench's api-mixed workload scrapes, and no other
+// telemetry route exists (the expvar mirror at /debug/vars is gone).
+func TestTelemetryRoutes(t *testing.T) {
+	s := New(Options{Runner: func(ctx context.Context, id string, cfg experiments.Config) (experiments.Result, error) {
+		return fakeResult(id)
+	}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, b := post(t, ts, `{"experiment":"fig10"}`); code != http.StatusOK {
+		t.Fatalf("run: %d %s", code, b)
+	}
+	get := func(path string) (int, string, string) {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), string(b)
+	}
+	code, ct, body := get("/metrics")
+	if code != http.StatusOK || !strings.Contains(ct, "version=0.0.4") {
+		t.Fatalf("/metrics: %d %q", code, ct)
+	}
+	for _, name := range []string{
+		"capsim_server_run_ok_total",
+		"capsim_server_cache_hits_total",
+		"capsim_server_rejected_busy_total",
+		"capsim_server_rejected_draining_total",
+	} {
+		if !strings.Contains(body, "\n"+name+" ") {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+	for _, path := range []string{"/debug/vars", "/"} {
+		if code, _, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, code)
+		}
+	}
+}

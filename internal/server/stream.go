@@ -13,7 +13,6 @@ import (
 
 	"capsim/internal/experiments"
 	"capsim/internal/flight"
-	"capsim/internal/obs"
 	"capsim/internal/sweep"
 )
 
@@ -127,11 +126,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, req *RunRe
 	defer cleanup()
 	ctx = flight.WithCollector(ctx, flight.NewCollector(sink))
 
-	sp := obs.StartSpan("server.stream:"+req.Experiment, 0)
 	resp, err := s.compute(ctx, req.Experiment, cfg)
 	if err != nil {
 		status, msg := s.mapErr(err)
-		sp.End(obs.Arg{K: "err", V: msg}, obs.Arg{K: "status", V: status})
 		sink.emitJSON(struct {
 			T      string `json:"t"`
 			Error  string `json:"error"`
@@ -140,7 +137,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, req *RunRe
 		return
 	}
 	obsRunOK.Inc()
-	sp.End(obs.Arg{K: "cached", V: false})
 	sink.emitJSON(struct {
 		T        string       `json:"t"`
 		Response *RunResponse `json:"response"`

@@ -47,16 +47,11 @@ import (
 )
 
 // Telemetry (internal/obs). Counters are no-ops unless something reads them
-// (capsim -metrics-out, or -serve-api's /metrics) and enabled them; spans are
-// no-ops unless -trace-out installed a sink.
+// (capsim -metrics-out, or -serve-api's /metrics) and enabled them.
 var (
 	obsJobs   = obs.NewCounter("sweep.jobs")    // jobs executed
 	obsBusyNS = obs.NewCounter("sweep.busy_ns") // per-worker time inside fn
 )
-
-// observing reports whether per-job timing should be collected: either the
-// metric registry is live or a span sink is installed. One branch per job.
-func observing() bool { return obs.Enabled() || obs.Tracing() }
 
 // defaultWorkers holds the process-wide worker count used by Run when the
 // caller does not specify one. Zero (the initial value) means "use
@@ -163,13 +158,10 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	// claims below it (the determinism guarantee).
 	var minErr atomic.Int64
 	minErr.Store(int64(n))
-	// Reserve a block of fresh trace thread ids for this pass so nested
-	// RunNCtx invocations render on distinct timeline tracks. Zero when no
-	// trace sink is installed. The telemetry branch never influences fn — it
-	// only measures it.
-	tidBase := obs.WorkerTIDs(workers, "sweep")
-	watch := observing()
-	work := func(w int) {
+	// Per-job timing only when the registry is live: one branch per job. The
+	// telemetry branch never influences fn — it only measures it.
+	watch := obs.Enabled()
+	work := func() {
 		for {
 			if ctx.Err() != nil {
 				return
@@ -183,18 +175,14 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 				// could never be returned. Skip without running.
 				continue
 			}
-			var sp obs.Span
 			var t0 time.Time
 			if watch {
-				sp = obs.StartSpan("sweep.job", tidBase+int64(w))
 				t0 = time.Now()
 			}
 			results[i], errs[i] = fn(i)
 			if watch {
-				ns := time.Since(t0).Nanoseconds()
-				sp.End(obs.Arg{K: "i", V: i})
 				obsJobs.Inc()
-				obsBusyNS.Add(ns)
+				obsBusyNS.Add(time.Since(t0).Nanoseconds())
 			}
 			done := executed.Add(1)
 			if prog {
@@ -215,12 +203,12 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			work(w)
-		}(w)
+			work()
+		}()
 	}
-	work(0)
+	work()
 	wg.Wait()
 	if idx := minErr.Load(); idx < int64(n) {
 		return nil, errs[idx]

@@ -23,10 +23,10 @@ race:
 # ci-race is the focused race lane over the concurrency-heavy packages — the
 # flight recorder's publication fan-out, the memo package's singleflight and
 # LRU eviction (every memo tier rests on it), the obs counters, the API server's
-# streaming/admission paths, the sweep pool and the trace stores' concurrent
-# chunk publication, and the policy layer's race families (concurrent
-# extension, cancellation and prefix views) — cheap enough to run on every
-# iteration (the full `race` target covers the whole module).
+# streaming/admission paths, the sweep pool and the instruction store's
+# concurrent chunk publication, and the policy layer's race families
+# (concurrent extension, cancellation and prefix views) — cheap enough to run
+# on every iteration (the full `race` target covers the whole module).
 RACE_RUN = RaceFamilyConcurrent|RaceFamilyCancelledExtension|FixedRosterExtension
 RACE_RUN_PKG = ./internal/core/
 

@@ -102,19 +102,18 @@ func BenchmarkZoo(b *testing.B) { benchExperiment(b, "zoo") }
 
 // --- Cold-path profiling passes -----------------------------------------
 //
-// trace.Reset() inside the loop keeps every iteration cold, so each pass
-// pays its trace materialization cost honestly.
+// Each pass pays its stream generation: references are generated where they
+// are read, and trace.Reset() inside the queue loop drops the instruction
+// store so every iteration re-materializes it.
 
 // BenchmarkCacheProfile profiles all 8 paper boundaries for one application
 // in one MultiHierarchy pass.
 func BenchmarkCacheProfile(b *testing.B) {
 	bm := workload.MustByName("gcc")
-	defer trace.Reset()
 	p := cache.PaperParams()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trace.Reset()
 		tpi, _, err := core.ProfileCacheTPI(bm, 1998, p, core.PaperMaxBoundary, 20_000, 100_000)
 		if err != nil {
 			b.Fatal(err)

@@ -13,8 +13,10 @@ import (
 // instrument stays only while something reads it; a new one joins this list
 // in the same change that gives it a reader.
 var instruments = []string{
-	// Per-layer metrics of the bench harness (bench/layers.go).
-	"trace.ref_chunks", "trace.op_chunks", "trace.bytes", "trace.bytes_raw",
+	// Per-layer metrics of the bench harness (bench/layers.go). The trace
+	// counters cover instruction chunks only: references are generated
+	// where they are read, never stored.
+	"trace.op_chunks", "trace.bytes", "trace.bytes_raw",
 	"classify.gens", "classify.replays",
 	"cache.multi.refs", "cache.multi.fast_hits",
 	"ooo.instrs", "ooo.cycles", "ooo.idle_skipped",

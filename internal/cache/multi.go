@@ -4,7 +4,8 @@ import "fmt"
 
 // DecodedSource yields pre-decoded references: the set index and tag under
 // the hierarchy's geometry plus the write flag. internal/trace's
-// DecodedCursor implements it; tests feed synthetic streams.
+// DecodedCursor implements it, decoding each reference as it generates it;
+// tests feed synthetic streams.
 type DecodedSource interface {
 	NextDecoded() (set int32, tag uint64, write bool)
 }

@@ -5,11 +5,12 @@
 // writeback on a miss) — and lets any number of consumers replay those
 // outcomes without touching a hierarchy again.
 //
-// The stream sits between the trace tier (raw references, internal/trace)
-// and the joint cache×queue kernel (core.MultiCombined): where MultiHierarchy
-// made the reference stream decode once per *family pass*, classify makes the
-// hierarchy itself run once per joint pass, and each of the kernel's cells
-// replays its boundary's row through its own cursor.
+// The stream sits between the reference stream (generated and decoded in
+// place by internal/trace) and the joint cache×queue kernel
+// (core.MultiCombined): where MultiHierarchy made the reference stream
+// decode once per *family pass*, classify makes the hierarchy itself run
+// once per joint pass, and each of the kernel's cells replays its
+// boundary's row through its own cursor.
 //
 // Encoding. Each boundary row is an RLE + varint byte stream over the 4-class
 // alphabet of cache.AccessClasses: runs of one class encode as a single
@@ -113,9 +114,9 @@ func (e *encoder) flush() {
 
 // StreamFor returns the classification stream for the first nrefs references
 // of (b, seed) under geometry p, boundaries 1..maxB, generated by one
-// MultiHierarchy pass: every reference decodes once from the shared trace
-// tier and classifies at every boundary in lockstep (cache.AccessClasses),
-// appending to the per-boundary RLE encoders.
+// MultiHierarchy pass: every reference is generated and decoded once, in
+// place (trace.DecodedFor), and classifies at every boundary in lockstep
+// (cache.AccessClasses), appending to the per-boundary RLE encoders.
 func StreamFor(b workload.Benchmark, seed uint64, p cache.Params, maxB int, nrefs int64) (*Stream, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

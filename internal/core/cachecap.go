@@ -22,10 +22,10 @@ const baseCPI = 1.0 / 2.67
 // maxBoundary+1 indexed by boundary k (slot 0 is +Inf so SelectBestIndex can
 // never choose it).
 //
-// The whole boundary family is evaluated in ONE replay of the shared
-// reference stream, decoded in place: every boundary position advances in
-// lockstep through cache.MultiHierarchy, so each reference is generated and
-// decoded exactly once instead of once per boundary. The same closed-form
+// The whole boundary family is evaluated in ONE pass over the reference
+// stream, generated and decoded in place: every boundary position advances
+// in lockstep through cache.MultiHierarchy, so each reference is generated
+// and decoded exactly once instead of once per boundary. The same closed-form
 // timing model as CacheMachine.RunInterval then converts per-boundary miss
 // counts into (TPI, TPImiss); the float expressions replicate RunInterval
 // term for term, in the same order, so results are bit-identical to one
@@ -38,9 +38,7 @@ func ProfileCacheTPI(b workload.Benchmark, seed uint64, p cache.Params, maxBound
 	if err != nil {
 		return nil, nil, err
 	}
-	store := trace.RefsFor(b, seed)
-	dec := trace.DecodedFor(store, trace.Geometry{BlockBytes: p.BlockBytes, Sets: p.Sets()})
-	cur := dec.Cursor()
+	cur := trace.DecodedFor(trace.RefsFor(b, seed), trace.Geometry{BlockBytes: p.BlockBytes, Sets: p.Sets()}).Cursor()
 	if warm > 0 {
 		mh.Replay(cur, warm)
 	}

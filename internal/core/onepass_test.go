@@ -12,11 +12,12 @@ import (
 
 // The oracles in this file are the per-configuration fan-outs the one-pass
 // entry points replace: one private single-configuration machine per cell,
-// each reading private workload generators instead of the shared trace
-// stores, run serially. They share no state with the one-pass engines
-// except the machine models themselves, so exact float64 equality between
-// the two pins every one-pass shortcut — stream sharing, in-place decoding,
-// classification replay, family memoization — to the direct simulation.
+// each reading private workload generators instead of the shared
+// instruction store and the trace cursors, run serially. They share no
+// state with the one-pass engines except the machine models themselves, so
+// exact float64 equality between the two pins every one-pass shortcut —
+// stream sharing, in-place decoding, classification replay, family
+// memoization — to the direct simulation.
 
 // coldTiers discards every memoized tier the one-pass engines build on, so
 // a test never compares a pass against numbers an earlier test left behind.
@@ -112,7 +113,7 @@ func oracleCombined(t *testing.T, b workload.Benchmark, seed uint64, sizes []int
 
 // TestProfileCacheTPIOnepass is the acceptance gate of the one-pass engine:
 // ProfileCacheTPI, which evaluates all boundaries in one pass over the
-// shared trace, must return the (TPI, TPImiss) tables of one
+// reference stream, must return the (TPI, TPImiss) tables of one
 // independent machine per boundary. Equality is exact float64 equality, not
 // approximate.
 func TestProfileCacheTPIOnepass(t *testing.T) {

@@ -121,8 +121,8 @@ func TestCancelledRunDoesNotPoisonMemo(t *testing.T) {
 }
 
 // TestStudyCacheCapBoundsTraceTier locks the API server's memory bound: with
-// SetStudyCacheCap(2), runs at four distinct seeds leave at most two of each
-// kind of trace store memoized — a server fed ever-new seeds must not keep
+// SetStudyCacheCap(2), runs at four distinct seeds leave at most two
+// instruction stores memoized — a server fed ever-new seeds must not keep
 // every seed's streams for good — and capping changes no render.
 func TestStudyCacheCapBoundsTraceTier(t *testing.T) {
 	if testing.Short() {
@@ -157,7 +157,7 @@ func TestStudyCacheCapBoundsTraceTier(t *testing.T) {
 			t.Errorf("seed %d: capped render differs from the uncapped one", seeds[i])
 		}
 	}
-	if refs, ops := trace.StoreCounts(); refs > 2 || ops > 2 {
-		t.Errorf("cap 2 left %d ref and %d op stores memoized", refs, ops)
+	if ops := trace.StoreCounts(); ops > 2 {
+		t.Errorf("cap 2 left %d instruction stores memoized", ops)
 	}
 }

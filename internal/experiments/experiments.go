@@ -150,11 +150,11 @@ func Title(id string) (string, error) {
 }
 
 // ResetCaches discards the in-process study rows, the shared materialized
-// trace stores and the race families layered on them (the fixed baselines'
-// columns included); a persistent study cache is left as it is. Long-lived
-// processes that sweep many configurations can call it to bound memory; the
-// determinism tests call it between serial and parallel passes so the
-// comparison re-runs the full compute instead of hitting the memo.
+// instruction stores and the race families layered on them (the fixed
+// baselines' columns included); a persistent study cache is left as it is.
+// Long-lived processes that sweep many configurations can call it to bound
+// memory; the determinism tests call it between serial and parallel passes
+// so the comparison re-runs the full compute instead of hitting the memo.
 func ResetCaches() {
 	studyRows.Reset()
 	trace.Reset()
@@ -189,12 +189,12 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 
 // SetStudyCacheCap bounds every in-process memo a run fills — the study
 // rows, the one race-family memo behind every policy study (fixed baselines
-// included) and the materialized trace stores — to at most n entries each,
-// with deterministic LRU eviction (memo.SetCap). The long-lived API server
-// sets this at startup so a stream of requests with distinct seeds or
-// budgets cannot grow the process without bound; the one-shot CLI never
-// calls it and keeps the unbounded default. Eviction never changes a render:
-// an evicted entry is recomputed identically.
+// included) and the materialized instruction stores — to at most n entries
+// each, with deterministic LRU eviction (memo.SetCap). The long-lived API
+// server sets this at startup so a stream of requests with distinct seeds
+// or budgets cannot grow the process without bound; the one-shot CLI never
+// calls it and keeps the unbounded default. Eviction never changes a
+// render: an evicted entry is recomputed identically.
 func SetStudyCacheCap(n int) {
 	studyRows.SetCap(n)
 	core.SetPolicyFamilyCap(n)

@@ -109,8 +109,8 @@ func ablationBpred(ctx context.Context, cfg Config) (Result, error) {
 
 // tlbModeRow returns the average translation time of every primary size,
 // indexed by groups-1, for one application and mode. The sizes step in
-// lockstep over one cursor on the application's shared materialized
-// reference stream (trace.RefsFor), each TLB exactly as if it ran alone.
+// lockstep over one cursor on the application's reference stream
+// (trace.RefsFor), each TLB exactly as if it ran alone.
 func tlbModeRow(p tlb.Params, b workload.Benchmark, seed uint64, warm, refs int64, backup bool) ([]float64, error) {
 	tbs := make([]*tlb.TLB, p.Groups)
 	for g := 1; g <= p.Groups; g++ {

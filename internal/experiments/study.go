@@ -139,7 +139,7 @@ type cacheRow struct {
 
 // cacheProfiles fans the applications' ProfileCacheTPI passes across the
 // sweep pool, one study row each; within each application the pass
-// evaluates the whole boundary family over the shared materialized trace.
+// evaluates the whole boundary family in one pass over the reference stream.
 // Figures 7-9, ablation-power and the paper-design half of
 // ablation-increment ask for equal rows, so in one process each pass runs
 // once, and a study cache serves it to later processes. Results land at

@@ -12,9 +12,9 @@ import (
 // underlying InstrSource is materialized once into a bounded lookahead buffer
 // that every core dispatches from directly, through its own position, so an
 // N-configuration profile touches the workload generator (or the shared
-// trace store) exactly once instead of N times. Each round hands every core
-// its slice of the buffer in one call to the issue kernel (Core.run), the
-// same kernel behind Core.Run, which simulates until the core meets its
+// instruction store) exactly once instead of N times. Each round hands every
+// core its slice of the buffer in one call to the issue kernel (Core.run),
+// the same kernel behind Core.Run, which simulates until the core meets its
 // target or runs out of lookahead.
 //
 // Equivalence: every core observes the instruction sequence starting at
@@ -148,7 +148,8 @@ func (mc *MultiCore) runEach(src workload.InstrSource, n int64) []Stats {
 }
 
 // bulkInstrSource is the optional batched-read fast path a source may offer
-// (trace.OpCursor does): fill a prefix of dst, return the count written.
+// (trace.OpCursor, the instruction store's cursor, does): fill a prefix of
+// dst, return the count written.
 type bulkInstrSource interface {
 	CopyNext(dst []workload.Instr) int
 }

@@ -14,10 +14,11 @@ var ErrBusy = errors.New("server: too many runs in flight")
 // semaphore over experiment executions plus a queue-wait budget. An
 // experiment run can occupy every core for seconds, so unbounded concurrency
 // would not make requests finish sooner — it would thrash the sweep pools
-// and grow memory with materialized traces. Instead, at most `inFlight` runs
-// execute at once; a request that cannot be admitted within `maxWait` is
-// rejected with ErrBusy so the client can back off and retry (HTTP 429),
-// which is cheaper for everyone than queueing unboundedly.
+// and grow memory with materialized instruction stores and study rows.
+// Instead, at most `inFlight` runs execute at once; a request that cannot
+// be admitted within `maxWait` is rejected with ErrBusy so the client can
+// back off and retry (HTTP 429), which is cheaper for everyone than
+// queueing unboundedly.
 type admission struct {
 	slots   chan struct{}
 	maxWait time.Duration

@@ -77,7 +77,7 @@ type Options struct {
 
 	// CacheEntries bounds the response cache (default 64, <0 disables
 	// caching). The in-process memos underneath — study passes, policy
-	// families, trace stores — are bounded separately by the caller
+	// families, instruction stores — are bounded separately by the caller
 	// (experiments.SetStudyCacheCap).
 	CacheEntries int
 

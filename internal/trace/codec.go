@@ -1,23 +1,17 @@
 package trace
 
-// Varint/zigzag codec for the compressed chunk payloads. Every store encodes
-// its chunk contents as a byte stream of LEB128 varints (the encoding
-// encoding/binary uses); signed or wraparound-prone quantities are zigzag
-// folded first so small magnitudes of either sign stay short. Address
-// streams are additionally delta-encoded against the previous value IN THE
-// SAME CHUNK — each chunk's delta chain starts from zero, so a
-// chunk is decodable on its own and cursors never need cross-chunk state.
+// Varint/zigzag codec for the instruction store's chunk payloads. Chunk
+// contents are a byte stream of LEB128 varints (the encoding
+// encoding/binary uses); signed quantities are zigzag folded first so small
+// magnitudes of either sign stay short. Every value is encoded on its own,
+// so a chunk is decodable without any state from its predecessors.
 //
-// Cursors decode incrementally, one value per Next, keeping only (previous
-// value, byte offset) — no per-cursor decode buffer — so a dozen concurrent
-// replay cursors cost a few words each, not a chunk's worth of scratch.
+// Cursors decode incrementally, keeping only a byte offset — no per-cursor
+// decode buffer — so a dozen concurrent replay cursors cost a few words
+// each, not a chunk's worth of scratch.
 
 // zigzag folds a signed value into an unsigned code with the magnitude in
 // the high bits and the sign in bit 0: 0,-1,1,-2,2... -> 0,1,2,3,4...
-// Deltas of uint64 addresses are folded through int64 first, which makes the
-// encoding wraparound-safe: the delta arithmetic is exact mod 2^64 on both
-// sides, so decode(prev + unzigzag(code)) recovers the address even when the
-// subtraction wrapped.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // unzigzag is the inverse of zigzag.
@@ -39,8 +33,8 @@ func appendUvarint(b []byte, v uint64) []byte {
 // the stream can never be truncated mid-value and the loop needs no bounds
 // checks beyond the slice's own.
 func uvarintAt(b []byte, off int) (uint64, int) {
-	// Fast path: single-byte values dominate every stream this package
-	// encodes (small deltas, small dependence distances, small latencies).
+	// Fast path: single-byte values dominate the instruction stream (small
+	// dependence distances, small latencies).
 	c := b[off]
 	if c < 0x80 {
 		return uint64(c), off + 1

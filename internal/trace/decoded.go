@@ -30,8 +30,8 @@ func (g Geometry) Validate() error {
 // Decoded is the (set, tag) view of a RefStore under one geometry. It holds
 // no storage: the pair is a shift and mask of the address (div/mod when the
 // set count is not a power of two), computed by the cache package's own
-// Indexer, so its cursors decode each reference in place from the store's
-// own chunks exactly as a live cache.Hierarchy would.
+// Indexer, so its cursors decode each reference as they generate it, exactly
+// as a live cache.Hierarchy would.
 type Decoded struct {
 	src *RefStore
 	ix  cache.Indexer
@@ -54,35 +54,29 @@ func (d *Decoded) Decode(addr uint64) (set int32, tag uint64) {
 }
 
 // Len returns how many references the view replays without generating: its
-// source store's materialized length.
+// source store's materialized length, always 0.
 func (d Decoded) Len() int64 { return d.src.Len() }
 
-// Cursor returns a replay cursor over the decoded stream. Not safe for
-// concurrent use; each goroutine takes its own.
+// Cursor returns a cursor over the decoded stream, with its own generator.
+// Not safe for concurrent use; each goroutine takes its own.
 func (d Decoded) Cursor() *DecodedCursor {
-	return &DecodedCursor{refPos: refPos{s: d.src, idx: ChunkLen}, d: d}
+	return &DecodedCursor{refPos: d.src.pos(), d: d}
 }
 
-// DecodedCursor replays (set, tag, write) references in stream order,
-// decoding each from the source chunk as it goes. It implements
-// cache.DecodedSource.
+// DecodedCursor yields (set, tag, write) references in stream order,
+// decoding each as it is generated. It implements cache.DecodedSource.
 type DecodedCursor struct {
 	refPos
 	d Decoded
 }
 
 // NextDecoded returns the next reference's set index, tag and write flag.
-// It repeats RefCursor.Next's body rather than calling it: Next is too big
-// to inline, and a call per reference costs measurably on the replay path.
 func (c *DecodedCursor) NextDecoded() (set int32, tag uint64, write bool) {
-	if c.idx == ChunkLen {
-		c.load()
+	if c.i == genBlock {
+		c.refill()
 	}
-	i := c.idx
-	c.idx++
-	u, off := uvarintAt(c.c.enc, c.off)
-	c.off = off
-	c.prev += uint64(unzigzag(u))
-	set, tag = c.d.Decode(c.prev)
-	return set, tag, c.c.writes[i>>6]>>(uint(i)&63)&1 == 1
+	r := c.buf[c.i]
+	c.i++
+	set, tag = c.d.Decode(r.Addr)
+	return set, tag, r.Write
 }

@@ -16,20 +16,19 @@ func bench(t testing.TB, name string) workload.Benchmark {
 	return b
 }
 
-// TestRefCursorMatchesGenerator locks the replay contract: a cursor over the
-// materialized store yields exactly the sequence the live generator produces,
-// across multiple chunk boundaries.
+// TestRefCursorMatchesGenerator locks the cursor contract: a cursor yields
+// exactly the sequence the live generator's Next produces, across several
+// block refills and into a partial block.
 func TestRefCursorMatchesGenerator(t *testing.T) {
-	defer Reset()
 	b := bench(t, "gcc")
-	const n = ChunkLen*2 + 1234 // spans three chunks
+	const n = 3*genBlock + 17
 	gen := workload.NewAddressTrace(b, 42)
 	cur := RefsFor(b, 42).Cursor()
 	for i := 0; i < n; i++ {
 		want := gen.Next()
 		got := cur.Next()
 		if got != want {
-			t.Fatalf("ref %d: store %+v != generator %+v", i, got, want)
+			t.Fatalf("ref %d: cursor %+v != generator %+v", i, got, want)
 		}
 	}
 }
@@ -51,17 +50,16 @@ func TestOpCursorMatchesGenerator(t *testing.T) {
 }
 
 // TestDecodedMatchesDecode checks that the decoded stream is exactly the
-// per-address Decode of the source stream, for pow2 and non-pow2 set counts.
+// per-address Decode of the generated stream, across several block refills
+// and into a partial block, for pow2 and non-pow2 set counts.
 func TestDecodedMatchesDecode(t *testing.T) {
-	defer Reset()
 	b := bench(t, "compress")
 	for _, g := range []Geometry{{BlockBytes: 32, Sets: 128}, {BlockBytes: 32, Sets: 24}} {
-		s := RefsFor(b, 7)
-		d := DecodedFor(s, g)
-		ref := s.Cursor()
+		d := DecodedFor(RefsFor(b, 7), g)
+		gen := workload.NewAddressTrace(b, 7)
 		dec := d.Cursor()
-		for i := 0; i < ChunkLen+100; i++ {
-			r := ref.Next()
+		for i := 0; i < 3*genBlock+17; i++ {
+			r := gen.Next()
 			wantSet, wantTag := d.Decode(r.Addr)
 			set, tag, write := dec.NextDecoded()
 			if set != wantSet || tag != wantTag || write != r.Write {
@@ -76,7 +74,6 @@ func TestDecodedMatchesDecode(t *testing.T) {
 // the div/mod decode for power-of-two set counts (cache.Indexer's own test
 // pins that this geometry takes the shift/mask path).
 func TestDecodePow2EqualsDivMod(t *testing.T) {
-	defer Reset()
 	b := bench(t, "gcc")
 	s := RefsFor(b, 3)
 	d := DecodedFor(s, Geometry{BlockBytes: 32, Sets: 128})
@@ -104,57 +101,47 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
-// TestMemoization checks the store identity contract: one store per
-// (benchmark, seed), discarded by Reset.
+// TestMemoization checks the instruction-store identity contract: one store
+// per (benchmark, seed), discarded by Reset.
 func TestMemoization(t *testing.T) {
 	defer Reset()
 	Reset()
 	b := bench(t, "gcc")
-	if s1, s2 := RefsFor(b, 1), RefsFor(b, 1); s1 != s2 {
-		t.Error("same (benchmark, seed) produced distinct ref stores")
-	}
-	if s1, s2 := RefsFor(b, 1), RefsFor(b, 2); s1 == s2 {
-		t.Error("distinct seeds shared a ref store")
-	}
 	if o1, o2 := OpsFor(b, 1), OpsFor(b, 1); o1 != o2 {
 		t.Error("same (benchmark, seed) produced distinct op stores")
 	}
+	if o1, o2 := OpsFor(b, 1), OpsFor(b, 2); o1 == o2 {
+		t.Error("distinct seeds shared an op store")
+	}
 	// A same-name copy with one profile field changed generates another
-	// stream; a copy with equal content shares the store.
+	// stream.
 	mod := b
 	mod.ILP.Base.SrcWeights[2] += 0.3
 	if o1, o2 := OpsFor(b, 1), OpsFor(mod, 1); o1 == o2 {
 		t.Error("a changed ILP profile shared the original's op store")
 	}
-	mem := *b.Mem
-	same := b
-	same.Mem = &mem
-	if s1, s2 := RefsFor(b, 1), RefsFor(same, 1); s1 != s2 {
-		t.Error("an equal copy of the memory profile got its own ref store")
-	}
-	refs, ops := StoreCounts()
-	if refs != 2 || ops != 2 {
-		t.Errorf("StoreCounts = (%d,%d), want (2,2)", refs, ops)
+	if ops := StoreCounts(); ops != 3 {
+		t.Errorf("StoreCounts = %d, want 3", ops)
 	}
 	Reset()
-	if refs, ops = StoreCounts(); refs+ops != 0 {
-		t.Errorf("Reset left (%d,%d) stores", refs, ops)
+	if ops := StoreCounts(); ops != 0 {
+		t.Errorf("Reset left %d stores", ops)
 	}
 }
 
 // TestConcurrentCursors certifies the lock-free read path: many goroutines
-// replay one store concurrently (racing to extend it) and every one observes
-// the identical sequence. Run with -race.
+// replay one instruction store concurrently (racing to extend it) and every
+// one observes the identical sequence. Run with -race.
 func TestConcurrentCursors(t *testing.T) {
 	defer Reset()
 	b := bench(t, "swim")
 	const n = ChunkLen + 500
-	want := make([]workload.Ref, n)
-	gen := workload.NewAddressTrace(b, 9)
+	want := make([]workload.Instr, n)
+	gen := workload.NewInstrStream(b, 9)
 	for i := range want {
 		want[i] = gen.Next()
 	}
-	s := RefsFor(b, 9)
+	s := OpsFor(b, 9)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -181,31 +168,24 @@ func TestConcurrentCursors(t *testing.T) {
 }
 
 // BenchmarkDecodedReplay drains 2^20 gcc references per operation through a
-// decoded cursor at the paper's cache geometry, the store already
-// materialized, and reports the cost per reference:
+// decoded cursor at the paper's cache geometry and reports the cost per
+// reference: each cursor generates its references and decodes them in
+// place, so this is generation plus decode.
 //
 //	go test -run '^$' -bench BenchmarkDecodedReplay -cpu 1 ./internal/trace
 func BenchmarkDecodedReplay(b *testing.B) {
-	defer Reset()
 	const n = 1 << 20
-	s := RefsFor(bench(b, "gcc"), 1998)
-	d := DecodedFor(s, Geometry{BlockBytes: 32, Sets: 128})
-	drain := func() (acc uint64) {
+	d := DecodedFor(RefsFor(bench(b, "gcc"), 1998), Geometry{BlockBytes: 32, Sets: 128})
+	var acc uint64
+	for i := 0; i < b.N; i++ {
 		c := d.Cursor()
-		for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			set, tag, write := c.NextDecoded()
 			acc += uint64(set) ^ tag
 			if write {
 				acc++
 			}
 		}
-		return acc
-	}
-	drain() // materialize the store outside the timed loop
-	b.ResetTimer()
-	var acc uint64
-	for i := 0; i < b.N; i++ {
-		acc += drain()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/ref")
 	sinkU64 = acc

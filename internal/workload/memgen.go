@@ -11,9 +11,8 @@ type Ref struct {
 }
 
 // RefSource is anything that yields an infinite stream of data references.
-// *AddressTrace (the generator) and internal/trace's replay cursors both
-// implement it, so simulators can run indistinguishably from a live generator
-// or from a shared materialized trace store.
+// *AddressTrace (the generator) and internal/trace's RefCursor, which
+// draws it in blocks, both implement it.
 type RefSource interface {
 	Next() Ref
 }

@@ -147,18 +147,18 @@ render-diff:
 	@GO="$(GO)" sh scripts/render_diff.sh "$(BASE)"
 
 # bench-obs-smoke (ci-gated) renders a tiny-budget fig10 run with
-# telemetry off and with every sink on (-obs-assert, manifest), asserting
-# byte-identical stdout renders (the timing footer is stripped; it is the
-# only line allowed to differ) and that the manifest is produced; then a
-# fig12 run with the flight recorder on (-ledger-out under -obs-assert, so
-# the ledger invariants are live), asserting the render is byte-identical to
+# telemetry off and on (-metrics-out), asserting byte-identical stdout
+# renders (the timing footer is stripped; it is the only line allowed to
+# differ) and that the manifest is produced; then a fig12 run with the
+# flight recorder on (-ledger-out), asserting the render is byte-identical to
 # recorder-off and that the recorded ledger parses back through
-# `capsim -report`.
+# `capsim -report`. The engines' invariants (ooo.Core.CheckInvariants,
+# flight.CheckRun) are checked by the core and experiments tests.
 bench-obs-smoke:
 	@$(GO) run ./cmd/capsim -experiment fig10 -parallel 2 -queue-instrs 3000 \
 		| grep -v '^(fig10 in ' > /tmp/capsim_obs_off.txt
 	@$(GO) run ./cmd/capsim -experiment fig10 -parallel 2 -queue-instrs 3000 \
-		-obs-assert -metrics-out /tmp/capsim_obs_smoke.json \
+		-metrics-out /tmp/capsim_obs_smoke.json \
 		2>/dev/null | grep -v '^(fig10 in ' > /tmp/capsim_obs_on.txt
 	@cmp /tmp/capsim_obs_off.txt /tmp/capsim_obs_on.txt || \
 		{ echo "obs-enabled run rendered differently"; exit 1; }
@@ -166,13 +166,13 @@ bench-obs-smoke:
 	@$(GO) run ./cmd/capsim -experiment fig12 -parallel 2 \
 		| grep -v '^(fig12 in ' > /tmp/capsim_ledger_off.txt
 	@$(GO) run ./cmd/capsim -experiment fig12 -parallel 2 \
-		-obs-assert -ledger-out /tmp/capsim_obs_smoke.ledger.gz \
+		-ledger-out /tmp/capsim_obs_smoke.ledger.gz \
 		2>/dev/null | grep -v '^(fig12 in ' > /tmp/capsim_ledger_on.txt
 	@cmp /tmp/capsim_ledger_off.txt /tmp/capsim_ledger_on.txt || \
 		{ echo "ledger-enabled run rendered differently"; exit 1; }
 	@$(GO) run ./cmd/capsim -report /tmp/capsim_obs_smoke.ledger.gz | grep -q '^league:' || \
 		{ echo "recorded ledger failed to parse back through -report"; exit 1; }
-	@echo "bench-obs smoke ok (renders byte-identical with obs/assert/manifest/ledger on; ledger round-trips)"
+	@echo "bench-obs smoke ok (renders byte-identical with manifest/ledger on; ledger round-trips)"
 
 # bench-study-cache-smoke (ci-gated, scripts/study_cache_smoke.sh): two
 # tiny-budget processes run disjoint -experiment subsets against one

@@ -9,7 +9,6 @@
 //	capsim -experiment all -parallel 8
 //	capsim -experiment fig7 -parallel 1 -cpuprofile fig7.pprof
 //	capsim -experiment all -metrics-out run.json       # run manifest + counters
-//	capsim -experiment fig10 -obs-assert               # runtime invariant checks
 //	capsim -experiment ablation-interval -ledger-out run.ledger.gz  # flight recorder
 //	capsim -experiment zoo -ledger-out zoo.ledger.gz   # policy league race
 //	capsim -report run.ledger.gz,run.json              # offline regret analysis
@@ -18,7 +17,7 @@
 // their random streams from (seed, benchmark, purpose) and results are
 // collected by grid index, so the worker count changes only the wall time.
 // -study-cache likewise changes only wall time and disk use. The telemetry
-// flags (-metrics-out, -obs-assert) never change stdout either:
+// flags (-metrics-out, -ledger-out) never change stdout either:
 // observability receives statistics, it does not feed them back (all
 // telemetry notices go to stderr; `make ci`'s bench-obs-smoke enforces the
 // byte identity).
@@ -84,7 +83,6 @@ type runConfig struct {
 	studyCache string
 	cpuprofile string
 	ledgerOut  string
-	obsAssert  bool
 	metricsOut string
 
 	cfg experiments.Config
@@ -114,7 +112,6 @@ func parseArgs(args []string) (runConfig, error) {
 	fs.StringVar(&rc.studyCache, "study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and processes running disjoint -experiment subsets reuse finished profiling rows instead of recomputing (output is identical with or without)")
 	fs.StringVar(&rc.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&rc.ledgerOut, "ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
-	fs.BoolVar(&rc.obsAssert, "obs-assert", false, "enable runtime invariant self-checks in the simulators (panics on violation)")
 	fs.StringVar(&rc.metricsOut, "metrics-out", "", "write a run manifest (build provenance, flags, per-experiment cost, counter snapshot) as JSON to this file")
 	fs.StringVar(&rc.serveAPI, "serve-api", "", "run the experiment API server on this address, e.g. :8418 (instead of a one-shot -experiment run)")
 	fs.IntVar(&rc.serve.inFlight, "api-inflight", 2, "serve-api: maximum concurrently executing runs")
@@ -229,11 +226,10 @@ func run(args []string) (err error) {
 		}
 	}
 
-	// Telemetry switches. Counters are free when off; the manifest is their
+	// Telemetry switch. Counters are free when off; the manifest is their
 	// only reader in a one-shot run, so -metrics-out turns them on. All obs
 	// notices go to stderr: stdout carries exactly the rendered experiment
 	// output, byte-identical with telemetry on or off.
-	obs.SetAssert(rc.obsAssert)
 	obsEnabled := rc.metricsOut != ""
 	obs.SetEnabled(obsEnabled)
 

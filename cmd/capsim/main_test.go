@@ -41,6 +41,7 @@ var rejected = []struct {
 	{"-shard\x000/2\x00-experiment\x00fig7", "flag provided but not defined: -shard"},
 	{"-experiment\x00fig7\x00-obs", "flag provided but not defined: -obs"},
 	{"-experiment\x00fig10\x00-trace-out\x00x", "flag provided but not defined: -trace-out"},
+	{"-experiment\x00fig10\x00-obs-assert", "flag provided but not defined: -obs-assert"},
 }
 
 // accepted are command lines parseArgs must take.
@@ -77,8 +78,8 @@ func TestParseArgs(t *testing.T) {
 	if got := strings.Join(rc.ids, ","); got != "fig13,fig12" {
 		t.Errorf("ids %q, want the given order", got)
 	}
-	if got := len(flagMap(rc.fs)); got != 22 {
-		t.Errorf("%d flags, want 22", got)
+	if got := len(flagMap(rc.fs)); got != 21 {
+		t.Errorf("%d flags, want 21", got)
 	}
 }
 

@@ -24,10 +24,10 @@ var instruments = []string{
 	"memo.wait_ns", // histogram: the harness reads its sum
 	// Scraped from /metrics by the bench's api-mixed workload.
 	"server.cache_hits", "server.run_ok", "server.rejected_busy", "server.rejected_draining",
-	// Read by tests, smoke scripts and the -obs-assert funnel.
-	"ooo.issued", "memo.persist_writes", "obs.assert_failures",
+	// Read by tests and smoke scripts.
+	"ooo.issued", "memo.persist_writes",
 	// Named in a documented reading (EXPERIMENTS.md, DESIGN.md).
-	"policy.race_sim_cells", "memo.hits", "memo.misses", "sweep.busy_ns",
+	"policy.race_sim_cells", "memo.hits", "memo.misses",
 	"flight.dropped_runs",
 }
 

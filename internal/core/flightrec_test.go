@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"capsim/internal/flight"
-	"capsim/internal/obs"
 	"capsim/internal/tech"
 	"capsim/internal/workload"
 )
@@ -45,10 +44,10 @@ func (s *captureSink) byKind(kind string) []capturedRun {
 }
 
 // TestFlightRecorderEnginesExact drives all three interval engines with the
-// recorder active and -obs-assert on: every published column must satisfy
-// flight.CheckRun's exact-float invariants (any violation panics through
-// obs.Fail), results must be bit-identical to a recorder-off run, and the
-// oracle column must lower-bound every fixed/trace column's time.
+// recorder active: every published column must satisfy flight.CheckRun's
+// exact-float invariants, results must be bit-identical to a recorder-off
+// run, and the oracle column must lower-bound every fixed/trace column's
+// time.
 func TestFlightRecorderEnginesExact(t *testing.T) {
 	b := workload.MustByName("vortex")
 	sizes := []int{16, 64}
@@ -79,9 +78,7 @@ func TestFlightRecorderEnginesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recorder-on pass under assertions.
-	obs.SetAssert(true)
-	defer obs.SetAssert(false)
+	// Recorder-on pass.
 	sink := &captureSink{}
 	rctx := flight.WithCollector(ctx, flight.NewCollector(sink))
 	ResetPolicyFamilies()
@@ -147,8 +144,7 @@ func TestFlightRecorderEnginesExact(t *testing.T) {
 	}
 
 	// Oracle lower-bounds every replay column's total time and carries zero
-	// regret; every column replays CheckRun cleanly (also exercised by the
-	// collector's assert hook above — this re-check documents intent).
+	// regret; every column replays CheckRun cleanly.
 	oracleTime := oracles[0].end.TimeNS
 	for _, r := range sink.runs {
 		if err := flight.CheckRun(r.meta, r.events, r.end); err != nil {

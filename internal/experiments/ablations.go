@@ -89,9 +89,8 @@ func ablationInterval(ctx context.Context, cfg Config) (Result, error) {
 		adaptive  core.RunResult
 		oracle    float64
 	}
-	// The per-application studies are independent; within one, the fixed
-	// baselines, the adaptive run and the oracle are independent too. Fan
-	// all of it out (nested sweeps are safe) and assemble rows in app order.
+	// The per-application studies are independent: fan them out and
+	// assemble rows in app order.
 	rows, err := sweep.RunCtx(ctx, len(apps), func(ai int) (row, error) {
 		app := apps[ai]
 		sizes, err := intervalCandidates(app)
@@ -99,13 +98,15 @@ func ablationInterval(ctx context.Context, cfg Config) (Result, error) {
 			return row{}, err
 		}
 		// Best fixed: run both configurations to completion, keep the
-		// better (the process-level choice between the two).
-		fixed, err := sweep.RunCtx(ctx, len(sizes), func(i int) (float64, error) {
+		// better (the process-level choice between the two). Both resolve
+		// to one fixed-roster race family, so they run in index order.
+		fixed := make([]float64, len(sizes))
+		for i := range sizes {
 			r, err := runIntervalPolicy(ctx, cfg, app, sizes, core.FixedPolicy{Config: i}, intervals)
-			return r.TPI, err
-		})
-		if err != nil {
-			return row{}, err
+			if err != nil {
+				return row{}, err
+			}
+			fixed[i] = r.TPI
 		}
 		fixedBest := fixed[core.SelectBestIndex(fixed)]
 		adaptive, err := runIntervalPolicy(ctx, cfg, app, sizes, &core.IntervalPolicy{Configs: []int{0, 1}}, intervals)

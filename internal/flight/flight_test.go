@@ -152,21 +152,6 @@ func TestCheckRunTripsSequenceAndTotals(t *testing.T) {
 	}
 }
 
-// PublishRun under -obs-assert funnels a corrupt run into obs.Fail (panic).
-func TestCollectorAssertTrips(t *testing.T) {
-	obs.SetAssert(true)
-	defer obs.SetAssert(false)
-	meta, evs, end := mkRun("p", KindFixed, 5, 0)
-	end.TimeNS++
-	c := NewCollector(&memSink{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want obs.Fail panic")
-		}
-	}()
-	c.PublishRun(meta, evs, end)
-}
-
 // memSink accumulates runs in memory.
 type memSink struct {
 	mu    sync.Mutex

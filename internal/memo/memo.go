@@ -66,8 +66,7 @@ type Memo[K comparable, V any] struct {
 //
 // Recency is tracked from the memo's first insert, so applying a cap to an
 // already-populated memo evicts down to the bound immediately, in
-// least-recently-used order over the accesses that actually happened (it
-// used to be a documented caveat that pre-cap entries were uncollectable).
+// least-recently-used order over the accesses that actually happened.
 // Evicting an entry whose computation is still in flight is safe — in-flight
 // callers complete against the orphaned entry; later callers recompute.
 func (c *Memo[K, V]) SetCap(n int) {
@@ -150,28 +149,20 @@ func (c *Memo[K, V]) Forget(k K) {
 // computations here are deterministic, so retrying cannot help).
 func (c *Memo[K, V]) Do(k K, fn func() (V, error)) (V, error) {
 	e := c.slot(k)
-	if !obs.Enabled() {
-		e.once.Do(func() {
-			e.val, e.err = fn()
-			e.done.Store(true)
-		})
-		return e.val, e.err
-	}
-	return c.doObserved(e, fn)
-}
-
-// doObserved is Do's telemetry path: identical semantics, plus the hit/miss
-// counters and the wait histogram.
-func (c *Memo[K, V]) doObserved(e *entry[V], fn func() (V, error)) (V, error) {
 	settled := e.done.Load()
+	// The wait histogram is the only instrument that reads the clock, and
+	// only a caller that may block on another's computation can wait.
+	var t0 time.Time
+	timed := !settled && obs.Enabled()
+	if timed {
+		t0 = time.Now()
+	}
 	ran := false
-	t0 := time.Now()
 	e.once.Do(func() {
 		ran = true
 		e.val, e.err = fn()
 		e.done.Store(true)
 	})
-	ns := time.Since(t0).Nanoseconds()
 	switch {
 	case ran:
 		obsMisses.Inc()
@@ -181,7 +172,9 @@ func (c *Memo[K, V]) doObserved(e *entry[V], fn func() (V, error)) (V, error) {
 		// Entry existed but was still being computed when we arrived: we
 		// blocked on that key's Once.
 		obsHits.Inc()
-		obsWaitNS.Observe(ns)
+		if timed {
+			obsWaitNS.Observe(time.Since(t0).Nanoseconds())
+		}
 	}
 	return e.val, e.err
 }

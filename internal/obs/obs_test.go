@@ -86,40 +86,6 @@ func TestRegistryReset(t *testing.T) {
 	})
 }
 
-func TestAssertSwitch(t *testing.T) {
-	prev := AssertEnabled()
-	defer SetAssert(prev)
-	SetAssert(true)
-	if !AssertEnabled() {
-		t.Fatal("SetAssert(true) not visible")
-	}
-	SetAssert(false)
-	if AssertEnabled() {
-		t.Fatal("SetAssert(false) not visible")
-	}
-}
-
-func TestFailPanicsAndCounts(t *testing.T) {
-	before := AssertFailures()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Fail did not panic")
-			}
-		}()
-		Fail(errTest)
-	}()
-	if got := AssertFailures(); got != before+1 {
-		t.Fatalf("assert failure counter %d, want %d", got, before+1)
-	}
-}
-
-var errTest = errFixed("boom")
-
-type errFixed string
-
-func (e errFixed) Error() string { return string(e) }
-
 func TestManifestRoundTrip(t *testing.T) {
 	m := NewManifest()
 	if m.Schema != ManifestSchema || m.Build.GoVersion == "" || m.Command == "" {

@@ -21,8 +21,8 @@ import (
 //     standard info-metric idiom (label values escaped per the format: `\`,
 //     `"` and newline).
 //
-// Metric names mangle the registry's dotted names (`sweep.busy_ns` →
-// `capsim_sweep_busy_ns_total`); the run manifest (manifest.go) keeps the
+// Metric names mangle the registry's dotted names (`sweep.jobs` →
+// `capsim_sweep_jobs_total`); the run manifest (manifest.go) keeps the
 // original names.
 
 // promName mangles a registry metric name into a Prometheus metric name.

@@ -170,12 +170,16 @@ func find(metrics []promMetric, name string, labels map[string]string) (promMetr
 	return promMetric{}, false
 }
 
+// promExposed is a counter in the Default registry for the exposition test.
+var promExposed = NewCounter("t.prom.exposed")
+
 // /metrics output parses under the minimal text-format parser, declares
 // types, and exposes registered counters with mangled names.
 func TestPrometheusExpositionParses(t *testing.T) {
 	SetEnabled(true)
 	defer SetEnabled(false)
 	defer Default.Reset()
+	promExposed.Add(3)
 	// Render the Default registry through the live handler to cover the
 	// real serving path end to end.
 	srv := httptest.NewServer(http.HandlerFunc(Metrics))
@@ -198,12 +202,11 @@ func TestPrometheusExpositionParses(t *testing.T) {
 	if len(metrics) == 0 {
 		t.Fatal("no samples")
 	}
-	// The obs package's own assert counter is always registered.
-	if _, ok := find(metrics, "capsim_obs_assert_failures_total", nil); !ok {
-		t.Fatalf("capsim_obs_assert_failures_total missing:\n%s", text)
+	if m, ok := find(metrics, "capsim_t_prom_exposed_total", nil); !ok || m.value != 3 {
+		t.Fatalf("capsim_t_prom_exposed_total missing or not 3:\n%s", text)
 	}
-	if types["capsim_obs_assert_failures_total"] != "counter" {
-		t.Fatal("assert-failures TYPE not counter")
+	if types["capsim_t_prom_exposed_total"] != "counter" {
+		t.Fatal("registered counter's TYPE not counter")
 	}
 	if m, ok := find(metrics, "capsim_build_info", nil); !ok || m.value != 1 || m.labels["go_version"] == "" {
 		t.Fatalf("capsim_build_info malformed: %+v", m)
@@ -281,7 +284,7 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 // promName mangles dotted registry names deterministically.
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
-		"sweep.busy_ns":  "capsim_sweep_busy_ns",
+		"sweep.jobs":     "capsim_sweep_jobs",
 		"server.req-err": "capsim_server_req_err",
 		"a.b.c":          "capsim_a_b_c",
 	}

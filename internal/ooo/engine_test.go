@@ -23,6 +23,9 @@ type engine interface {
 	Occupancy() int
 }
 
+// Occupancy returns the current number of window entries in use.
+func (c *Core) Occupancy() int { return c.occ }
+
 // lcg is a deterministic latency generator for RunWithLoads differential
 // runs: both engines get an independent copy seeded identically, so the
 // sequences match exactly as long as the call counts do (which is itself

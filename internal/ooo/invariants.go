@@ -1,10 +1,6 @@
 package ooo
 
-import (
-	"fmt"
-
-	"capsim/internal/obs"
-)
+import "fmt"
 
 // CheckInvariants verifies the core's structural invariants and returns the
 // first violation found, or nil. It is pure read-only.
@@ -27,7 +23,7 @@ func (c *Core) CheckInvariants() error {
 	if s.DrainStalls > s.Cycles {
 		return fmt.Errorf("ooo: drain stalls %d exceed cycles %d", s.DrainStalls, s.Cycles)
 	}
-	if occ := c.Occupancy(); occ < 0 || occ > c.cfg.WindowSize {
+	if occ := c.occ; occ < 0 || occ > c.cfg.WindowSize {
 		return fmt.Errorf("ooo: occupancy %d outside [0,%d]", occ, c.cfg.WindowSize)
 	}
 	n := len(c.done)
@@ -54,17 +50,4 @@ func (c *Core) CheckInvariants() error {
 		return fmt.Errorf("ooo: issue-count population %d != occupancy %d", pop, c.occ)
 	}
 	return nil
-}
-
-// assertCheck runs CheckInvariants when -obs-assert is active, funnelling any
-// violation through obs.Fail (which counts it and panics). Called at coarse
-// boundaries — after a Run, on every member after a RunEach, and after a
-// Resize — so the O(ring) scan never sits on a per-cycle path.
-func (c *Core) assertCheck() {
-	if !obs.AssertEnabled() {
-		return
-	}
-	if err := c.CheckInvariants(); err != nil {
-		obs.Fail(err)
-	}
 }

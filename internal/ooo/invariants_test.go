@@ -118,73 +118,6 @@ func TestCheckInvariantsTripsSlotOverWidth(t *testing.T) {
 	mustTrip(t, c, "outside [0,8]")
 }
 
-// TestAssertCheckFailsThroughObs verifies the -obs-assert funnel: with the
-// switch on, a corrupted core panics via obs.Fail and bumps the failure
-// counter; with it off, assertCheck is a no-op.
-func TestAssertCheckFailsThroughObs(t *testing.T) {
-	c := runSome(t)
-	c.stats.Issued = c.stats.Instrs + 1
-
-	prev := obs.AssertEnabled()
-	defer obs.SetAssert(prev)
-
-	obs.SetAssert(false)
-	c.assertCheck() // must not panic
-
-	obs.SetAssert(true)
-	before := obs.AssertFailures()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("assertCheck did not panic with -obs-assert on")
-			}
-		}()
-		c.assertCheck()
-	}()
-	if got := obs.AssertFailures(); got != before+1 {
-		t.Fatalf("assert failure counter %d, want %d", got, before+1)
-	}
-}
-
-// TestAssertCheckFailsThroughMultiCore is TestAssertCheckFailsThroughObs for
-// the batched path: a RunEach ends with every member's invariant check, so a
-// corrupted member panics through obs.Fail with -obs-assert on, and runs
-// clean with it off.
-func TestAssertCheckFailsThroughMultiCore(t *testing.T) {
-	b, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := NewMultiCore([]Config{PaperConfig(16), PaperConfig(32)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := workload.NewInstrStream(b, 1)
-	mc.RunEach(src, 500)
-	c := mc.Cores()[1]
-	c.stats.Issued = c.stats.Instrs + 1000 // survives a round: occupancy moves by at most the window
-
-	prev := obs.AssertEnabled()
-	defer obs.SetAssert(prev)
-
-	obs.SetAssert(false)
-	mc.RunEach(src, 100) // must not panic
-
-	obs.SetAssert(true)
-	before := obs.AssertFailures()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("RunEach did not panic on a corrupted member with -obs-assert on")
-			}
-		}()
-		mc.RunEach(src, 100)
-	}()
-	if got := obs.AssertFailures(); got != before+1 {
-		t.Fatalf("assert failure counter %d, want %d", got, before+1)
-	}
-}
-
 // TestPublishObsDeltas verifies PublishObs ships deltas, not totals: two
 // consecutive publishes after one run must add the run's stats exactly once.
 func TestPublishObsDeltas(t *testing.T) {

@@ -97,8 +97,7 @@ func (mc *MultiCore) RunEachWithLoads(src workload.InstrSource, n int64, rpi flo
 	return mc.runEach(src, n)
 }
 
-// runEach is the shared round loop behind RunEach and RunEachWithLoads. It
-// ends with each member's -obs-assert invariant check, as Core.Run does.
+// runEach is the shared round loop behind RunEach and RunEachWithLoads.
 func (mc *MultiCore) runEach(src workload.InstrSource, n int64) []Stats {
 	k := len(mc.cores)
 	before := make([]Stats, k)
@@ -141,7 +140,6 @@ func (mc *MultiCore) runEach(src workload.InstrSource, n int64) []Stats {
 	}
 	out := make([]Stats, k)
 	for i, c := range mc.cores {
-		c.assertCheck()
 		out[i] = c.stats.Sub(before[i])
 	}
 	return out

@@ -40,18 +40,14 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"capsim/internal/flight"
 	"capsim/internal/obs"
 )
 
-// Telemetry (internal/obs). Counters are no-ops unless something reads them
-// (capsim -metrics-out, or -serve-api's /metrics) and enabled them.
-var (
-	obsJobs   = obs.NewCounter("sweep.jobs")    // jobs executed
-	obsBusyNS = obs.NewCounter("sweep.busy_ns") // per-worker time inside fn
-)
+// Telemetry (internal/obs). The counter is a no-op unless something reads it
+// (capsim -metrics-out, or -serve-api's /metrics) and enabled it.
+var obsJobs = obs.NewCounter("sweep.jobs") // jobs executed
 
 // defaultWorkers holds the process-wide worker count used by Run when the
 // caller does not specify one. Zero (the initial value) means "use
@@ -158,9 +154,6 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	// claims below it (the determinism guarantee).
 	var minErr atomic.Int64
 	minErr.Store(int64(n))
-	// Per-job timing only when the registry is live: one branch per job. The
-	// telemetry branch never influences fn — it only measures it.
-	watch := obs.Enabled()
 	work := func() {
 		for {
 			if ctx.Err() != nil {
@@ -175,15 +168,8 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 				// could never be returned. Skip without running.
 				continue
 			}
-			var t0 time.Time
-			if watch {
-				t0 = time.Now()
-			}
 			results[i], errs[i] = fn(i)
-			if watch {
-				obsJobs.Inc()
-				obsBusyNS.Add(time.Since(t0).Nanoseconds())
-			}
+			obsJobs.Inc()
 			done := executed.Add(1)
 			if prog {
 				flight.PublishProgress(ctx, flight.Progress{Done: int(done), Total: n, Label: "sweep"})

@@ -77,9 +77,9 @@ ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-smoke bench
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
 # (which plain `go test` already replays): the ooo engine and MultiCore
 # differentials, the MultiHierarchy and TLB differentials, the
-# classification round trip, the study-cache envelope, the ledger parser
-# and encoder, the API request decoder, the rng cut tables and the capsim
-# command line.
+# classification round trip, the study-cache envelope and row codec, the
+# ledger parser and encoder, the API request decoder, the rng cut tables
+# and the capsim command line.
 # `go test -fuzz` takes one target per run, hence the loop.
 FUZZ_TARGETS = \
 	./internal/ooo:FuzzOooEngines \
@@ -88,6 +88,7 @@ FUZZ_TARGETS = \
 	./internal/tlb:FuzzTLB \
 	./internal/classify:FuzzClassifyRoundTrip \
 	./internal/memo:FuzzPersistEnvelope \
+	./internal/memo:FuzzRowCodec \
 	./internal/flight:FuzzParseLedger \
 	./internal/flight:FuzzLedgerEncode \
 	./internal/server:FuzzRunRequest \

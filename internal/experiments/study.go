@@ -131,7 +131,8 @@ func compareTable(id, title string, columns []string, rows []compareRow) metrics
 }
 
 // cacheRow is one application's cache-boundary profiling pass (dense by
-// boundary k, slot 0 = +Inf padding). Exported fields for gob.
+// boundary k, slot 0 = +Inf padding). Its fields are exported because the
+// study cache's row codec encodes only exported fields.
 type cacheRow struct {
 	TPI  []float64
 	Miss []float64

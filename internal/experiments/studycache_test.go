@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"capsim/internal/obs"
 )
@@ -159,7 +160,7 @@ func TestCombinedPersistsOnlyRows(t *testing.T) {
 
 	ResetCaches()
 	cold := run()
-	entries, err := filepath.Glob(filepath.Join(studyStore.Load().Dir(), "*", "*.gob"))
+	entries, err := filepath.Glob(filepath.Join(studyStore.Load().Dir(), "*", "*.row"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +172,14 @@ func TestCombinedPersistsOnlyRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// gob matches fields by name, so this decodes just the envelope's key.
-		var e struct{ Key string }
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&e); err != nil {
-			t.Fatal(err)
+		// An entry starts with the schema line, then the varint-prefixed key.
+		_, rest, _ := bytes.Cut(raw, []byte("\n"))
+		n, k := binary.Uvarint(rest)
+		if k <= 0 || uint64(len(rest)-k) < n {
+			t.Fatalf("%s: no key after the schema line", path)
 		}
-		if !strings.HasPrefix(e.Key, "combined|") {
-			t.Errorf("cold run wrote %q, not a combined row", e.Key)
+		if key := string(rest[k : k+int(n)]); !strings.HasPrefix(key, "combined|") {
+			t.Errorf("cold run wrote %q, not a combined row", key)
 		}
 	}
 
@@ -218,4 +220,46 @@ func TestStudyCacheDirLifecycle(t *testing.T) {
 	if studyStore.Load() != nil {
 		t.Fatal("store still active after disabling")
 	}
+}
+
+// BenchmarkStudyCacheRead times warm study-cache reads: a store primed by
+// one small-budget registry run, then each iteration composes the registry
+// twice, first after ResetCaches (the process boundary, so every row is read
+// and decoded from the store), then again from the in-process memo. The
+// difference between the two passes, over the entries the first one read,
+// is reported as ns/entry; rendering is not timed.
+func BenchmarkStudyCacheRead(b *testing.B) {
+	cfg := studyCacheTestConfig()
+	defer SetStudyCacheDir("")
+	if err := SetStudyCacheDir(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	registry := func() time.Duration {
+		start := time.Now()
+		for _, id := range IDs() {
+			if _, err := Run(id, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	ResetCaches()
+	registry() // prime the store
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	s0 := obs.TakeSnapshot()
+	var read time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ResetCaches()
+		disk := registry()
+		read += disk - registry()
+	}
+	b.StopTimer()
+	entries := obs.TakeSnapshot().DiffCounters(s0)["memo.persist_hits"]
+	if entries == 0 {
+		b.Fatal("the warm passes read no entries")
+	}
+	b.ReportMetric(float64(read.Nanoseconds())/float64(entries), "ns/entry")
+	b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
 }

@@ -22,9 +22,10 @@ import (
 // their ProfileCacheTPI passes without any store — and, with a study cache
 // directory set (capsim -study-cache, SetStudyCacheDir), the row is also
 // published to a content-addressed store (internal/memo.Store) from which
-// later processes load it instead of recomputing. Values are gob-encoded, so
-// float64 round-trips bit-exactly and the byte-identical-render contract
-// survives the disk hop.
+// later processes load it instead of recomputing. Values go through memo's
+// positional row codec, which writes float64s as their bits, so ±Inf, NaN
+// and −0 round-trip exactly and the byte-identical-render contract survives
+// the disk hop; an entry written for another layout of a row type is a miss.
 //
 // A key names what the row was computed from, never what code computed it:
 // modelEpoch stands in for the code. It joins every key, and

@@ -16,18 +16,25 @@
 //     complete entry or none; two writers racing on one key both publish a
 //     byte-equivalent entry and the later rename wins.
 //   - Corruption tolerance: any decode problem — truncated file, wrong
-//     magic, wrong schema version, key mismatch, checksum mismatch — counts
-//     as a miss and best-effort removes the bad entry so the next write
-//     repairs it.
-//   - Versioned schema: entries live under <root>/v1 and carry the schema
-//     string inside the envelope. A future incompatible layout bumps the
-//     directory and the string; old entries are simply never read again.
+//     schema line, key mismatch, checksum mismatch, a value written for
+//     another layout of its type — counts as a miss and best-effort removes
+//     the bad entry so the next write repairs it.
+//   - Versioned schema: entries live under <root>/v2 and start with the
+//     schema line. A future incompatible layout bumps the directory and the
+//     line; old entries are simply never read again (the gob-encoded v1
+//     entries of earlier builds are such).
+//
+// An entry file is the schema line "capsim/study-cache/v2\n", the key's
+// length as a varint, the key, the CRC-32 (IEEE, little-endian) of the
+// payload, and the payload, which runs to the end of the file. PersistDo's
+// payloads are row-codec encodings (codec.go): the value's layout
+// fingerprint, then the value.
 package memo
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -47,28 +54,18 @@ var (
 	obsPersistWrites = obs.NewCounter("memo.persist_writes") // entries published
 )
 
-// storeSchema versions the on-disk entry envelope; storeDir versions the
-// layout. Bump both together on incompatible changes.
+// storeSchema versions the entry layout and storeDir the directory layout;
+// bump both together on incompatible changes.
 const (
-	storeSchema = "capsim/study-cache/v1"
-	storeDir    = "v1"
+	storeSchema = "capsim/study-cache/v2"
+	storeDir    = "v2"
 )
-
-// storeEntry is the on-disk envelope. Payload is the caller's encoded value;
-// Sum is its CRC-32 (IEEE), the cheap end-to-end check that catches
-// truncation and bit rot without re-hashing the whole key space.
-type storeEntry struct {
-	Schema  string
-	Key     string
-	Sum     uint32
-	Payload []byte
-}
 
 // Store is a persistent content-addressed blob cache rooted at a directory.
 // The zero value is not usable; create one with OpenStore. All methods are
 // safe for concurrent use by any number of goroutines and processes.
 type Store struct {
-	root string // <user dir>/v1
+	root string // <user dir>/v2
 }
 
 // OpenStore opens (creating if needed) a persistent store rooted at dir.
@@ -91,40 +88,71 @@ func (s *Store) Dir() string { return s.root }
 func (s *Store) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	name := hex.EncodeToString(sum[:])
-	return filepath.Join(s.root, name[:2], name+".gob")
+	return filepath.Join(s.root, name[:2], name+".row")
+}
+
+// entryHeader returns the bytes every entry for key starts with: the schema
+// line and the length-prefixed key.
+func entryHeader(key string) []byte {
+	b := append([]byte(storeSchema), '\n')
+	return append(binary.AppendUvarint(b, uint64(len(key))), key...)
+}
+
+// encodeEntry returns the entry file for payload under key.
+func encodeEntry(key string, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(entryHeader(key), crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// decodeEntry returns the payload of entry file raw if it is an intact
+// entry for key.
+func decodeEntry(key string, raw []byte) ([]byte, bool) {
+	h := entryHeader(key)
+	if len(raw) < len(h)+4 || !bytes.Equal(raw[:len(h)], h) {
+		return nil, false
+	}
+	payload := raw[len(h)+4:]
+	return payload, binary.LittleEndian.Uint32(raw[len(h):]) == crc32.ChecksumIEEE(payload)
+}
+
+// read returns the payload stored for key, removing an unusable entry
+// best-effort so a later write repairs it.
+func (s *Store) read(key string) ([]byte, bool) {
+	p := s.path(key)
+	raw, err := os.ReadFile(p)
+	if err != nil {
+		return nil, false
+	}
+	payload, ok := decodeEntry(key, raw)
+	if !ok {
+		os.Remove(p)
+	}
+	return payload, ok
+}
+
+// countRead records one persistent lookup's outcome.
+func countRead(hit bool) {
+	if hit {
+		obsPersistHits.Inc()
+	} else {
+		obsPersistMisses.Inc()
+	}
 }
 
 // GetBytes returns the payload stored for key, or ok=false when the entry is
 // absent or unusable. Unusable entries (truncated, wrong schema, key or
 // checksum mismatch) are removed best-effort so a later write repairs them.
 func (s *Store) GetBytes(key string) ([]byte, bool) {
-	p := s.path(key)
-	raw, err := os.ReadFile(p)
-	if err != nil {
-		obsPersistMisses.Inc()
-		return nil, false
-	}
-	var e storeEntry
-	if derr := gob.NewDecoder(bytes.NewReader(raw)).Decode(&e); derr != nil ||
-		e.Schema != storeSchema || e.Key != key || e.Sum != crc32.ChecksumIEEE(e.Payload) {
-		obsPersistMisses.Inc()
-		os.Remove(p) // best-effort repair; the next Put rewrites it
-		return nil, false
-	}
-	obsPersistHits.Inc()
-	return e.Payload, true
+	payload, ok := s.read(key)
+	countRead(ok)
+	return payload, ok
 }
 
-// PutBytes publishes payload under key: encode to a unique temp file in the
+// PutBytes publishes payload under key: write to a unique temp file in the
 // store root, then rename into place. Concurrent writers for the same key
 // are both deterministic producers of the same bytes, so whichever rename
 // lands last is equivalent.
 func (s *Store) PutBytes(key string, payload []byte) error {
-	var buf bytes.Buffer
-	e := storeEntry{Schema: storeSchema, Key: key, Sum: crc32.ChecksumIEEE(payload), Payload: payload}
-	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-		return fmt.Errorf("memo: encode %q: %w", key, err)
-	}
 	p := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
@@ -134,7 +162,7 @@ func (s *Store) PutBytes(key string, payload []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(encodeEntry(key, payload)); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -152,32 +180,32 @@ func (s *Store) PutBytes(key string, payload []byte) error {
 // is usable, otherwise compute with fn and publish the result. A nil store
 // degrades to a plain fn() call, so callers thread one optional pointer.
 //
-// Values are encoded with encoding/gob, which round-trips float64 bit-exactly
-// (including ±Inf and NaN) — the byte-identical-render contract therefore
-// survives the disk hop. V must be a gob-encodable type with exported fields.
-// Errors from fn are never persisted (the disk tier memoizes results, not
-// failures), and a failed publish degrades to returning the computed value.
+// Values go through the row codec (codec.go), which round-trips float64
+// bit-exactly (including ±Inf, NaN and −0), so the byte-identical-render
+// contract survives the disk hop. V may be built from bools, integers,
+// float64s, strings, slices, arrays, integer-keyed maps and structs of
+// exported fields; any other type panics. An entry written for another
+// layout of V is a miss and is removed. Errors from fn are never persisted
+// (the disk tier memoizes results, not failures), and a failed publish
+// degrades to returning the computed value.
 func PersistDo[V any](s *Store, key string, fn func() (V, error)) (V, error) {
 	if s == nil {
 		return fn()
 	}
-	if raw, ok := s.GetBytes(key); ok {
-		var v V
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&v); err == nil {
+	if raw, ok := s.read(key); ok {
+		if v, ok := unmarshalRow[V](raw); ok {
+			countRead(true)
 			return v, nil
 		}
-		// Payload decoded as an envelope but not as V: treat as corruption.
 		os.Remove(s.path(key))
 	}
+	countRead(false)
 	v, err := fn()
 	if err != nil {
 		return v, err
 	}
-	var buf bytes.Buffer
-	if encErr := gob.NewEncoder(&buf).Encode(&v); encErr == nil {
-		// Publish failures are non-fatal by design: the value is correct,
-		// the disk tier just stays cold for this key.
-		_ = s.PutBytes(key, buf.Bytes())
-	}
+	// Publish failures are non-fatal by design: the value is correct, the
+	// disk tier just stays cold for this key.
+	_ = s.PutBytes(key, marshalRow(v))
 	return v, nil
 }

@@ -2,9 +2,7 @@ package memo
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -92,7 +90,7 @@ func TestPersistDoNilStoreDegrades(t *testing.T) {
 	}
 }
 
-// TestPersistDoRoundTripsInf locks the reason the codec is gob, not JSON:
+// TestPersistDoRoundTripsInf locks one reason the row codec is not JSON:
 // study rows carry ±Inf padding (ProfileCacheTPI's tpi[0]) and the
 // byte-identical-render contract needs float64 round-tripped bit-exactly.
 func TestPersistDoRoundTripsInf(t *testing.T) {
@@ -148,27 +146,20 @@ func TestCorruptEntryIsMissAndRepaired(t *testing.T) {
 			os.WriteFile(p, raw[:len(raw)/2], 0o644)
 		},
 		"garbage": func(s *Store, p string) {
-			os.WriteFile(p, []byte("not a gob stream"), 0o644)
+			os.WriteFile(p, []byte("not an entry"), 0o644)
 		},
 		"wrong-key": func(s *Store, p string) {
-			var buf bytes.Buffer
-			e := storeEntry{Schema: storeSchema, Key: "other", Sum: 0, Payload: nil}
-			gob.NewEncoder(&buf).Encode(&e)
-			os.WriteFile(p, buf.Bytes(), 0o644)
+			os.WriteFile(p, encodeEntry("other", []byte("good")), 0o644)
 		},
 		"wrong-schema": func(s *Store, p string) {
-			var buf bytes.Buffer
-			e := storeEntry{Schema: "capsim/study-cache/v0", Key: "k",
-				Sum: 0, Payload: nil}
-			gob.NewEncoder(&buf).Encode(&e)
-			os.WriteFile(p, buf.Bytes(), 0o644)
+			raw := encodeEntry("k", []byte("good"))
+			copy(raw, "capsim/study-cache/v0")
+			os.WriteFile(p, raw, 0o644)
 		},
 		"bad-checksum": func(s *Store, p string) {
-			var buf bytes.Buffer
-			e := storeEntry{Schema: storeSchema, Key: "k", Sum: 12345,
-				Payload: []byte("payload")}
-			gob.NewEncoder(&buf).Encode(&e)
-			os.WriteFile(p, buf.Bytes(), 0o644)
+			raw := encodeEntry("k", []byte("good"))
+			raw[len(raw)-1] ^= 1
+			os.WriteFile(p, raw, 0o644)
 		},
 	}
 	for name, corrupt := range corruptions {
@@ -198,31 +189,54 @@ func TestCorruptEntryIsMissAndRepaired(t *testing.T) {
 
 // TestConcurrentPutSameKey: racing writers (the cross-process publish race,
 // squeezed into goroutines) must each leave the entry readable and valid —
-// atomic temp+rename means readers never observe a torn file.
+// atomic temp+rename means readers never observe a torn file — and writers
+// of one value publish byte-identical files even when it holds maps, whose
+// entries the codec writes in key order, not Go's random iteration order.
 func TestConcurrentPutSameKey(t *testing.T) {
+	type summary struct {
+		Residency map[int]int64
+		SizeOf    map[int]int
+	}
+	v := summary{Residency: map[int]int64{}, SizeOf: map[int]int{}}
+	for i := 0; i < 64; i++ {
+		v.Residency[i*7-100] = int64(i * i)
+		v.SizeOf[i] = 16 << (i % 4)
+	}
 	s := testStore(t)
-	payload := bytes.Repeat([]byte("deterministic"), 1024)
+	private := make([]*Store, 8)
+	for w := range private {
+		private[w] = testStore(t)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := range private {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
+				payload := marshalRow(v) // each encode ranges over the maps afresh
 				if err := s.PutBytes("hot", payload); err != nil {
 					t.Errorf("PutBytes: %v", err)
 					return
 				}
 				if got, ok := s.GetBytes("hot"); ok && !bytes.Equal(got, payload) {
-					t.Error("read a torn entry")
+					t.Error("read a torn or differently encoded entry")
 					return
 				}
 			}
-		}()
+			if _, err := PersistDo(private[w], "hot", func() (summary, error) { return v, nil }); err != nil {
+				t.Errorf("PersistDo: %v", err)
+			}
+		}(w)
 	}
 	wg.Wait()
-	got, ok := s.GetBytes("hot")
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatal("entry unreadable after concurrent writes")
+	want, err := os.ReadFile(s.path("hot"))
+	if err != nil {
+		t.Fatalf("entry unreadable after concurrent writes: %v", err)
+	}
+	for w, ps := range private {
+		if got, err := os.ReadFile(ps.path("hot")); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("writer %d published a different file (err %v)", w, err)
+		}
 	}
 	// No temp files left behind: every writer either renamed or removed.
 	leftovers, _ := filepath.Glob(filepath.Join(s.Dir(), "put-*.tmp"))
@@ -246,28 +260,23 @@ func TestStoreFanOut(t *testing.T) {
 
 // FuzzPersistEnvelope writes arbitrary bytes where an entry belongs and reads
 // them back through GetBytes, which must never panic. It may report a hit
-// only for an envelope whose schema, key echo and payload checksum all
-// match, returning exactly that payload; anything else is a miss that removes
-// the file. The fuzzed bytes, stored as a payload, must then round-trip
-// through PutBytes and GetBytes unchanged.
+// only for exactly the bytes encodeEntry writes for the key and some payload,
+// returning that payload; anything else is a miss that removes the file. The
+// fuzzed bytes, stored as a payload, must then round-trip through PutBytes
+// and GetBytes unchanged.
 func FuzzPersistEnvelope(f *testing.F) {
 	const key = "fuzz key"
-	envelope := func(e storeEntry) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	payload := []byte("payload")
-	sum := crc32.ChecksumIEEE(payload)
+	good := encodeEntry(key, []byte("payload"))
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 1
 	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
-	f.Add(envelope(storeEntry{Schema: storeSchema, Key: key, Sum: sum, Payload: payload}))
-	f.Add(envelope(storeEntry{Schema: storeSchema, Key: key, Sum: sum + 1, Payload: payload}))
-	f.Add(envelope(storeEntry{Schema: storeSchema, Key: "other", Sum: sum, Payload: payload}))
-	f.Add(envelope(storeEntry{Schema: "capsim/study-cache/v0", Key: key, Sum: sum, Payload: payload}))
-	f.Add(envelope(storeEntry{Schema: storeSchema, Key: key}))
+	f.Add([]byte("not an entry"))
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(flipped)
+	f.Add(encodeEntry("other", []byte("payload")))
+	f.Add(append([]byte("capsim/study-cache/v1"), good[len(storeSchema):]...))
+	f.Add(encodeEntry(key, nil))
 
 	s, err := OpenStore(f.TempDir())
 	if err != nil {
@@ -277,21 +286,20 @@ func FuzzPersistEnvelope(f *testing.F) {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		f.Fatal(err)
 	}
+	hdr := len(entryHeader(key)) + 4 // header, then the checksum
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if err := os.WriteFile(p, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got, ok := s.GetBytes(key)
-		var e storeEntry
-		valid := gob.NewDecoder(bytes.NewReader(raw)).Decode(&e) == nil &&
-			e.Schema == storeSchema && e.Key == key && e.Sum == crc32.ChecksumIEEE(e.Payload)
+		valid := len(raw) >= hdr && bytes.Equal(raw, encodeEntry(key, raw[hdr:]))
 		switch {
 		case ok && !valid:
-			t.Fatalf("invalid envelope served as a hit: %q", got)
-		case ok && !bytes.Equal(got, e.Payload):
-			t.Fatalf("hit returned %q, envelope holds %q", got, e.Payload)
+			t.Fatalf("invalid entry served as a hit: %q", got)
+		case ok && !bytes.Equal(got, raw[hdr:]):
+			t.Fatalf("hit returned %q, entry holds %q", got, raw[hdr:])
 		case !ok && valid:
-			t.Fatal("valid envelope reported as a miss")
+			t.Fatal("valid entry reported as a miss")
 		case !ok:
 			if _, err := os.Stat(p); !os.IsNotExist(err) {
 				t.Fatalf("rejected entry not removed (stat err %v)", err)

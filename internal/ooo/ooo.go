@@ -83,8 +83,8 @@ const ringSlack = 1 << 11
 
 // ringSize returns the completion-ring capacity for a window: the smallest
 // power of two covering the window, the tracked dependence horizon and the
-// in-flight slack. For the paper's 16–128-entry windows this is 8192 slots
-// (64 KB) — 8× smaller than the fixed 512 KB ring it replaces, which matters
+// in-flight slack. For every legal window (1 to maxDist-1) this is 8192
+// slots (64 KB) — 8× smaller than the fixed 512 KB ring it replaces, which matters
 // when profiling fans dozens of cores out across sweep workers.
 func ringSize(window int) int {
 	need := window + maxDist + ringSlack
@@ -109,8 +109,9 @@ type Core struct {
 
 	// done[seq & mask] is the cycle the instruction's result is available:
 	// its issue cycle plus its latency, known from dispatch on. The ring is
-	// a power of two sized by ringSize for the configured window (it grows,
-	// never shrinks, across Resize).
+	// a power of two, sized by ringSize at New; ringSize is the same for
+	// every legal window, so Resize keeps it. Only run's recycle guard grows
+	// it, and it never shrinks.
 	done []int64
 	mask int64
 
@@ -464,9 +465,6 @@ func (c *Core) Resize(newSize int) error {
 	}
 	if newSize < c.occ {
 		c.Drain(newSize)
-	}
-	if need := ringSize(newSize); need > len(c.done) {
-		c.growRing(need)
 	}
 	c.cfg.WindowSize = newSize
 	return nil

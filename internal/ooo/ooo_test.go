@@ -170,6 +170,18 @@ func TestResize(t *testing.T) {
 	}
 }
 
+// TestRingSizeIsWindowFree pins why Resize never grows the completion ring:
+// the window is small against the dependence horizon and slack, so every
+// legal window needs the ring New already allocates. Only the recycle guard
+// in run grows it.
+func TestRingSizeIsWindowFree(t *testing.T) {
+	for w := 1; w < maxDist; w++ {
+		if ringSize(w) != ringSize(1) {
+			t.Fatalf("ringSize(%d) = %d, ringSize(1) = %d", w, ringSize(w), ringSize(1))
+		}
+	}
+}
+
 func TestRunIssuesExactly(t *testing.T) {
 	c := MustNew(PaperConfig(32))
 	st := c.Run(stream(t, independentParams(1), 9), 12345)

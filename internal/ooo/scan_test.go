@@ -215,9 +215,6 @@ func (c *scanCore) Resize(newSize int) error {
 	if newSize < len(c.window) {
 		c.Drain(newSize)
 	}
-	if need := ringSize(newSize); need > len(c.done) {
-		c.growRing(need)
-	}
 	c.cfg.WindowSize = newSize
 	return nil
 }

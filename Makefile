@@ -78,7 +78,8 @@ ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-smoke bench
 # (which plain `go test` already replays): the ooo engine and MultiCore
 # differentials, the MultiHierarchy and TLB differentials, the
 # classification round trip, the study-cache envelope and row codec, the
-# ledger parser and encoder, the API request decoder, the rng cut tables
+# ledger parser and encoder, the API request decoder, the rng cut tables,
+# the fixed-point formatter and table renderers against strconv and fmt,
 # and the capsim command line.
 # `go test -fuzz` takes one target per run, hence the loop.
 FUZZ_TARGETS = \
@@ -93,6 +94,8 @@ FUZZ_TARGETS = \
 	./internal/flight:FuzzLedgerEncode \
 	./internal/server:FuzzRunRequest \
 	./internal/rng:FuzzCutTable \
+	./internal/metrics:FuzzAppendFixed \
+	./internal/metrics:FuzzRender \
 	./cmd/capsim:FuzzParseArgs
 
 fuzz-smoke:

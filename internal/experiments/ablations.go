@@ -245,14 +245,14 @@ func ablationPower(ctx context.Context, cfg Config) (Result, error) {
 		perfFrac := float64(bestK) / float64(core.PaperMaxBoundary)
 		t.Rows = append(t.Rows, []string{
 			app, "performance", fmt.Sprintf("k=%d", bestK),
-			metrics.F(tpi[bestK]), fmt.Sprintf("%.2f", perfFrac), metrics.F(perfFrac * perfCPI),
+			metrics.F(tpi[bestK]), string(metrics.AppendFixed(nil, perfFrac, 2)), metrics.F(perfFrac * perfCPI),
 		})
 		slow := cache.TimingFor(cfg.CacheParams, core.PaperMaxBoundary)
 		lpCPI := tpi[1] / cache.TimingFor(cfg.CacheParams, 1).CycleNS
 		lpFrac := 1.0 / float64(core.PaperMaxBoundary)
 		t.Rows = append(t.Rows, []string{
 			app, "low-power", "k=1 @ slow clk",
-			metrics.F(lpCPI * slow.CycleNS), fmt.Sprintf("%.2f", lpFrac), metrics.F(lpFrac * lpCPI),
+			metrics.F(lpCPI * slow.CycleNS), string(metrics.AppendFixed(nil, lpFrac, 2)), metrics.F(lpFrac * lpCPI),
 		})
 	}
 	return Result{

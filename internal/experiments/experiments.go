@@ -93,20 +93,17 @@ type Result struct {
 
 // Render returns the complete text form of the result.
 func (r Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== %s: %s ===\n", r.ID, r.Title)
+	b := []byte("=== " + r.ID + ": " + r.Title + " ===\n")
 	for _, f := range r.Figures {
-		b.WriteString(f.Render())
-		b.WriteByte('\n')
+		b = append(f.Append(b), '\n')
 	}
 	for _, t := range r.Tables {
-		b.WriteString(t.Render())
-		b.WriteByte('\n')
+		b = append(t.Append(b), '\n')
 	}
 	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
+		b = append(b, "note: "+n+"\n"...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Runner is an experiment driver. Drivers observe ctx at sweep-job

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 
 	"capsim/internal/core"
 	"capsim/internal/metrics"
@@ -73,8 +73,14 @@ func snapshotNote(label, nameA, nameB string, lo, hi int64, a, b []float64) stri
 	if avgB < avgA {
 		winner, margin = nameB, metrics.Reduction(avgA, avgB)
 	}
-	return fmt.Sprintf("%s: %s wins by %.1f%% on average (%s=%.4f %s=%.4f ns); best-config flips %d times",
-		label, winner, 100*margin, nameA, avgA, nameB, avgB, flips)
+	s := append([]byte(label), ": "+winner+" wins by "...)
+	s = metrics.AppendFixed(s, 100*margin, 1)
+	s = append(s, "% on average ("+nameA+"="...)
+	s = metrics.AppendFixed(s, avgA, 4)
+	s = append(s, " "+nameB+"="...)
+	s = metrics.AppendFixed(s, avgB, 4)
+	s = append(s, " ns); best-config flips "...)
+	return string(append(strconv.AppendInt(s, int64(flips), 10), " times"...))
 }
 
 func fig12(ctx context.Context, cfg Config) (Result, error) {

@@ -58,15 +58,15 @@ func TestMeanSingle(t *testing.T) {
 
 func TestFigureRenderEmpty(t *testing.T) {
 	// A figure with no series renders its header without panicking.
-	out := Figure{ID: "fig0", Title: "empty", XLabel: "x", YLabel: "y"}.Render()
+	out := render(Figure{ID: "fig0", Title: "empty", XLabel: "x", YLabel: "y"})
 	if !strings.Contains(out, "fig0") || !strings.Contains(out, "empty") {
 		t.Errorf("empty figure render:\n%s", out)
 	}
 	// A series with no points likewise.
-	out = Figure{
+	out = render(Figure{
 		ID: "fig0", Title: "empty series", XLabel: "x", YLabel: "y",
 		Series: []Series{{Name: "a"}},
-	}.Render()
+	})
 	if !strings.Contains(out, "a") {
 		t.Errorf("empty-series figure render:\n%s", out)
 	}
@@ -74,20 +74,24 @@ func TestFigureRenderEmpty(t *testing.T) {
 
 func TestTableRenderRagged(t *testing.T) {
 	// Rows wider than the column header list must not panic or corrupt
-	// alignment of the declared columns.
+	// alignment of the declared columns: cells beyond them print
+	// unpadded, and a short row stops after its last cell.
 	tb := Table{
 		ID: "t2", Title: "ragged",
-		Columns: []string{"name"},
-		Rows:    [][]string{{"alpha"}, {"beta"}},
+		Columns: []string{"name", "v"},
+		Rows:    [][]string{{"alpha", "1", "extra", "x"}, {"b"}, {"beta", "22", "more"}},
 	}
-	out := tb.Render()
-	for _, want := range []string{"t2", "ragged", "alpha", "beta"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
+	want := "t2: ragged\n" +
+		"name   v \n" +
+		"-----  --\n" +
+		"alpha  1   extra  x\n" +
+		"b    \n" +
+		"beta   22  more\n"
+	if got := tb.Render(); got != want {
+		t.Errorf("ragged render:\n%q\nwant\n%q", got, want)
 	}
 	// Empty table: header + separator only.
-	out = Table{ID: "t3", Title: "empty", Columns: []string{"c"}}.Render()
+	out := Table{ID: "t3", Title: "empty", Columns: []string{"c"}}.Render()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3 {
 		t.Errorf("empty table line count %d:\n%s", len(lines), out)
@@ -102,7 +106,7 @@ func TestFigureRender(t *testing.T) {
 			{Name: "b", X: []float64{2, 3}, Y: []float64{0.3, 0.4}},
 		},
 	}
-	out := f.Render()
+	out := render(f)
 	for _, want := range []string{"figX", "demo", "a", "b", "0.1000", "0.4000"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

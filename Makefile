@@ -77,8 +77,8 @@ ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-smoke bench
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
 # (which plain `go test` already replays): the ooo engine and MultiCore
 # differentials, the MultiHierarchy and TLB differentials, the
-# classification round trip, the study-cache envelope and row codec, the
-# ledger parser and encoder, the API request decoder, the rng cut tables,
+# classification round trip, the study-cache envelope, the row codec and
+# the keys that share its encoding, the ledger parser and encoder, the API request decoder, the rng cut tables,
 # the fixed-point formatter and table renderers against strconv and fmt,
 # and the capsim command line.
 # `go test -fuzz` takes one target per run, hence the loop.

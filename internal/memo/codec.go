@@ -1,34 +1,56 @@
-// Row codec: how PersistDo writes a value into a study-cache entry.
+// The content encoding: how memo turns a value into bytes by what it holds.
+// Key (key.go) writes it for every part of a memo key, behind a header that
+// names the part's type; PersistDo writes it for a study row, behind the
+// row's layout fingerprint. One encoder writes both, so a key and a row
+// encode one value the same way.
 //
 // A value is written positionally, field by field in declaration order,
-// with no names or type descriptors. Instead the payload starts with an
-// 8-byte fingerprint of the value's layout (kinds, array lengths and field
-// names, not type names), so a reader compares 8 bytes and otherwise knows
-// the layout from its own V. Each kind has one encoding:
+// with no names or type descriptors: its type alone tells where it ends, so
+// the encoding is prefix-free and no two values of one type share bytes.
+// Each kind has one encoding:
 //
 //   - bool: one byte, 0 or 1
 //   - signed integers: zig-zag varint; unsigned integers: varint
 //   - float64: its IEEE-754 bits, 8 bytes little-endian, so ±Inf, NaN
-//     payloads and −0 round-trip exactly
+//     payloads and −0 round-trip exactly and no digit is rounded away
 //   - string: varint length, then the bytes
-//   - slice: varint 0 for nil, else length+1, then the elements; a map
-//     likewise, its entries in increasing key order (integer keys only)
-//   - array: the elements; struct: its fields, all of which must be exported
+//   - slice: 0 for nil, else varint length+1, then the elements; a map
+//     likewise, its entries (key, then value) in increasing order of their
+//     key encodings' bytes, whatever the key type
+//   - array: the elements; struct: its fields
+//   - pointer: 0 for nil, else 1, then what it points to (never an address)
+//   - interface: 0 for nil, else 1, the dynamic type's package path and
+//     name as strings, then the value, so two values with equal fields but
+//     different types differ
 //
-// The encoding is canonical: the decoder accepts only minimal varints, 0/1
-// bools, strictly increasing map keys and no trailing bytes, so any input it
+// Pointers, interfaces, uintptrs and unexported fields reach the encoder
+// only through keys; it never calls String or GoString, whose display forms
+// (tech.FeatureSize's two decimals) would merge inputs the model tells
+// apart. A func, channel or unsafe pointer is encoded only when nil, since
+// only an address identifies one; float32 and complex values are not
+// encoded at all; and a pointer, slice or map that reaches itself is a
+// cycle. The encoder reports false for all three.
+//
+// A study row is the 8-byte fingerprint of its type's layout (kinds, array
+// lengths and field names, not type names), then its encoding, so a reader
+// compares 8 bytes and otherwise knows the layout from its own V. Row types
+// are built from bools, integers, float64s, strings, slices, arrays,
+// integer-keyed maps and structs of exported fields (describe). The row
+// decoder is canonical: it accepts only minimal varints, 0/1 bools,
+// strictly increasing map key bytes and no trailing bytes, so any input it
 // accepts re-encodes to the same bytes, and two writers of one value publish
 // one file. It checks every length against the bytes left before it
 // allocates, so a corrupt length cannot make it allocate more than its input
 // describes.
 //
-// Neither gob nor JSON: every entry file would be its own gob stream, so
-// each read would rebuild gob's type descriptors and decode engine, which
-// cost more than the rest of the read; JSON cannot carry the ±Inf and NaN
-// the rows contain.
+// Neither gob nor JSON for rows: every entry file would be its own gob
+// stream, so each read would rebuild gob's type descriptors and decode
+// engine, which cost more than the rest of the read; JSON cannot carry the
+// ±Inf and NaN the rows contain.
 package memo
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -38,12 +60,159 @@ import (
 	"sync"
 )
 
-// fingerprints caches each value type's layout fingerprint
+// float64s is the type most row bytes are: its slices skip per-element
+// reflection, which saves about a quarter of a warm read
+// (BenchmarkStudyCacheRead in internal/experiments).
+var float64s = reflect.TypeOf([]float64(nil))
+
+// visit is a reference value on the path from a part's root: the same
+// address reached again with the same type is a cycle. (The type tells an
+// interior pointer, such as one to a struct's first field, from the
+// struct's own.)
+type visit struct {
+	t   reflect.Type
+	ptr uintptr
+}
+
+// encoder appends the content encoding to buf; path is the stack of
+// reference values being encoded (a slice, not a map: values nest a few
+// levels deep).
+type encoder struct {
+	buf  []byte
+	path []visit
+}
+
+// value appends v's encoding and reports whether v has one.
+func (e *encoder) value(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		e.flag(v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		e.buf = binary.AppendVarint(e.buf, v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		e.buf = binary.AppendUvarint(e.buf, v.Uint())
+	case reflect.Float64:
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v.Float()))
+	case reflect.String:
+		e.str(v.String())
+	case reflect.Array:
+		return e.elems(v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !e.value(v.Field(i)) {
+				return false
+			}
+		}
+	case reflect.Interface:
+		return e.iface(v.Elem())
+	case reflect.Pointer, reflect.Slice, reflect.Map:
+		return e.ref(v)
+	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		e.flag(false)
+		return v.IsNil()
+	default: // float32, complex
+		return false
+	}
+	return true
+}
+
+func (e *encoder) flag(b bool) {
+	if b {
+		e.buf = append(e.buf, 1)
+	} else {
+		e.buf = append(e.buf, 0)
+	}
+}
+
+func (e *encoder) str(s string) {
+	e.buf = append(binary.AppendUvarint(e.buf, uint64(len(s))), s...)
+}
+
+// iface encodes an interface's dynamic value x with its type; an invalid x
+// is a nil interface.
+func (e *encoder) iface(x reflect.Value) bool {
+	e.flag(x.IsValid())
+	if !x.IsValid() {
+		return true
+	}
+	e.str(x.Type().PkgPath())
+	e.str(x.Type().String())
+	return e.value(x)
+}
+
+// ref encodes a pointer, slice or map by what it refers to, a nil one as 0.
+// A reference already on the path is a cycle, which has no encoding.
+func (e *encoder) ref(v reflect.Value) bool {
+	if v.IsNil() {
+		e.flag(false)
+		return true
+	}
+	at := visit{v.Type(), v.Pointer()}
+	for _, p := range e.path {
+		if p == at {
+			return false
+		}
+	}
+	e.path = append(e.path, at)
+	var ok bool
+	switch v.Kind() {
+	case reflect.Pointer:
+		e.flag(true)
+		ok = e.value(v.Elem())
+	case reflect.Slice:
+		e.buf = binary.AppendUvarint(e.buf, uint64(v.Len())+1)
+		ok = e.elems(v)
+	case reflect.Map:
+		e.buf = binary.AppendUvarint(e.buf, uint64(v.Len())+1)
+		ok = e.mapEntries(v)
+	}
+	e.path = e.path[:len(e.path)-1]
+	return ok
+}
+
+// elems encodes a slice's or array's elements in order.
+func (e *encoder) elems(v reflect.Value) bool {
+	if v.Type() == float64s && v.CanInterface() {
+		for _, f := range v.Interface().([]float64) {
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
+		}
+		return true
+	}
+	for i := 0; i < v.Len(); i++ {
+		if !e.value(v.Index(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// mapEntries encodes a map's entries sorted by their bytes, so iteration
+// order never reaches the encoding. No key's encoding is a prefix of
+// another's, so that is the order of the key encodings; only keys with
+// equal encodings (two NaNs, two pointers to equal values) are ordered by
+// their values.
+func (e *encoder) mapEntries(v reflect.Value) bool {
+	entries := make([]string, 0, v.Len())
+	for it := v.MapRange(); it.Next(); {
+		sub := encoder{path: e.path}
+		if !sub.value(it.Key()) || !sub.value(it.Value()) {
+			return false
+		}
+		entries = append(entries, string(sub.buf))
+	}
+	sort.Strings(entries)
+	for _, s := range entries {
+		e.buf = append(e.buf, s...)
+	}
+	return true
+}
+
+// fingerprints caches each row type's layout fingerprint
 // (reflect.Type -> [8]byte).
 var fingerprints sync.Map
 
 // fingerprint returns t's layout fingerprint: the first 8 bytes of the
-// SHA-256 of describe(t). It panics on a type the codec does not cover,
+// SHA-256 of describe(t). It panics on a type the row codec does not cover,
 // which only a new row type can bring about.
 func fingerprint(t reflect.Type) [8]byte {
 	if fp, ok := fingerprints.Load(t); ok {
@@ -114,7 +283,11 @@ func minSize(t reflect.Type) int {
 func marshalRow[V any](v V) []byte {
 	rv := reflect.ValueOf(&v).Elem()
 	fp := fingerprint(rv.Type())
-	return appendValue(fp[:], rv)
+	e := encoder{buf: fp[:]}
+	// A type that passed describe holds no func, channel, pointer or
+	// interface, so its values always encode.
+	e.value(rv)
+	return e.buf
 }
 
 // unmarshalRow decodes what marshalRow wrote for a V. ok is false when the
@@ -127,71 +300,6 @@ func unmarshalRow[V any](b []byte) (v V, ok bool) {
 		return zero, false
 	}
 	return v, true
-}
-
-// float64s is the type most row bytes are: its slices skip per-element
-// reflection, which saves about a quarter of a warm read
-// (BenchmarkStudyCacheRead in internal/experiments).
-var float64s = reflect.TypeOf([]float64(nil))
-
-// appendValue appends v's encoding to b. v's type has passed describe.
-func appendValue(b []byte, v reflect.Value) []byte {
-	switch v.Kind() {
-	case reflect.Bool:
-		if v.Bool() {
-			return append(b, 1)
-		}
-		return append(b, 0)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return binary.AppendVarint(b, v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return binary.AppendUvarint(b, v.Uint())
-	case reflect.Float64:
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
-	case reflect.String:
-		return append(binary.AppendUvarint(b, uint64(v.Len())), v.String()...)
-	case reflect.Slice:
-		if v.IsNil() {
-			return append(b, 0)
-		}
-		b = binary.AppendUvarint(b, uint64(v.Len())+1)
-		if v.Type() == float64s {
-			for _, f := range v.Interface().([]float64) {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-			}
-			return b
-		}
-		fallthrough
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			b = appendValue(b, v.Index(i))
-		}
-		return b
-	case reflect.Map:
-		if v.IsNil() {
-			return append(b, 0)
-		}
-		b = binary.AppendUvarint(b, uint64(v.Len())+1)
-		keys := v.MapKeys()
-		sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-		for _, k := range keys {
-			b = appendValue(appendValue(b, k), v.MapIndex(k))
-		}
-		return b
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			b = appendValue(b, v.Field(i))
-		}
-		return b
-	}
-	panic(fmt.Sprintf("memo: row codec does not cover %v", v.Type()))
-}
-
-func keyLess(a, b reflect.Value) bool {
-	if a.CanInt() {
-		return a.Int() < b.Int()
-	}
-	return a.Uint() < b.Uint()
 }
 
 // decodeValue decodes b into v, which holds its zero value and whose type
@@ -312,17 +420,19 @@ func (d *decoder) value(v reflect.Value) {
 			return
 		}
 		m := reflect.MakeMapWithSize(t, n)
-		var prev reflect.Value
+		var prev []byte
 		for i := 0; i < n && !d.bad; i++ {
 			k, e := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
+			rest := d.b
 			d.value(k)
-			if i > 0 && !keyLess(prev, k) {
+			kb := rest[:len(rest)-len(d.b)]
+			if i > 0 && bytes.Compare(prev, kb) >= 0 {
 				d.fail()
 				return
 			}
 			d.value(e)
 			m.SetMapIndex(k, e)
-			prev = k
+			prev = kb
 		}
 		v.Set(m)
 	case reflect.Struct:

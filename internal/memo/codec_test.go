@@ -58,9 +58,9 @@ func TestRowLayoutChangeIsMiss(t *testing.T) {
 }
 
 // TestRowCodecRejectsNonCanonical: every input the decoder accepts is the
-// one encoding of its value, so a longer varint, a bool other than 0/1,
-// unordered or repeated map keys, an out-of-range integer, a length past the
-// input and trailing bytes are all rejected.
+// one encoding of its value, so a longer varint, a bool other than 0/1, map
+// keys repeated or out of the order of their bytes, an out-of-range integer,
+// a length past the input and trailing bytes are all rejected.
 func TestRowCodecRejectsNonCanonical(t *testing.T) {
 	type row struct {
 		On   bool
@@ -72,12 +72,17 @@ func TestRowCodecRejectsNonCanonical(t *testing.T) {
 	if v, ok := DecodeValue[row](good); !ok || v.N != 1 || v.Keys[2] != 10 || v.S != "x" {
 		t.Fatalf("canonical input rejected or misread: %+v ok=%v", v, ok)
 	}
+	// Map entries go in the order of their key bytes: 0 ([0]) before -1 ([1]).
+	if v, ok := DecodeValue[row]([]byte{1, 2, 3, 0, 20, 1, 10, 1, 'x'}); !ok || v.Keys[-1] != 5 || v.Keys[0] != 10 {
+		t.Fatalf("canonical input with a negative key rejected or misread: %+v ok=%v", v, ok)
+	}
 	bad := map[string][]byte{
 		"bool 2":           {2, 2, 3, 2, 10, 4, 20, 1, 'x'},
 		"long varint":      {1, 0x82, 0x00, 3, 2, 10, 4, 20, 1, 'x'},
 		"int8 overflow":    {1, 0x80, 0x02, 3, 2, 10, 4, 20, 1, 'x'},
 		"keys unordered":   {1, 2, 3, 4, 20, 2, 10, 1, 'x'},
 		"keys repeated":    {1, 2, 3, 2, 10, 2, 20, 1, 'x'},
+		"keys by value":    {1, 2, 3, 1, 10, 0, 20, 1, 'x'}, // -1 then 0: numeric order, not byte order
 		"map past input":   {1, 2, 0x80, 0x01, 2, 10, 4, 20, 1, 'x'},
 		"string too long":  {1, 2, 3, 2, 10, 4, 20, 2, 'x'},
 		"trailing byte":    append(append([]byte(nil), good...), 0),

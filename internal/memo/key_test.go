@@ -26,8 +26,8 @@ type keyA struct{ N int }
 type keyB struct{ N int }
 
 // TestKey pins the content-key encoding: equal data keys equal, any change
-// in the data changes the key, and values only an address identifies have
-// no key.
+// in the data changes the key, and values only an address identifies, or of
+// a kind no keyed input holds (float32, complex), have no key.
 func TestKey(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	n := 3
@@ -59,6 +59,9 @@ func TestKey(t *testing.T) {
 		{"map order", []any{map[string]int{"a": 1, "b": 2, "c": 3}}, []any{map[string]int{"c": 3, "a": 1, "b": 2}}, true},
 		{"map value", []any{map[string]int{"a": 1}}, []any{map[string]int{"a": 2}}, false},
 		{"nil and empty slice", []any{[]int(nil)}, []any{[]int{}}, false},
+		{"nil and empty map", []any{map[int]int(nil)}, []any{map[int]int{}}, false},
+		{"int map order", []any{intMap(-1, 0, 64, 128)}, []any{intMap(128, 64, 0, -1)}, true},
+		{"int map insertion order", []any{intMap(0, 128, -1, 64)}, []any{intMap(64, -1, 128, 0)}, true},
 		{"slice order", []any{[]int{1, 2}}, []any{[]int{2, 1}}, false},
 		{"same fields, other type", []any{keyA{1}}, []any{keyB{1}}, false},
 		{"int widths", []any{int32(1)}, []any{int64(1)}, false},
@@ -82,6 +85,8 @@ func TestKey(t *testing.T) {
 	}
 
 	for name, part := range map[string]any{
+		"float32":       float32(1),
+		"complex":       complex(1, 2),
 		"func":          func() {},
 		"func field":    struct{ F func() }{func() {}},
 		"chan":          make(chan int),
@@ -95,4 +100,14 @@ func TestKey(t *testing.T) {
 	if _, ok := Key(struct{ F func() }{}); !ok {
 		t.Error("nil func field: no key, want the nil encoded")
 	}
+}
+
+// intMap returns a map from each key to itself, inserting in the order
+// given.
+func intMap(keys ...int) map[int]int {
+	m := make(map[int]int, len(keys))
+	for _, k := range keys {
+		m[k] = k
+	}
+	return m
 }

@@ -1,7 +1,9 @@
 // Package memo provides a small concurrency-safe, singleflight-style
 // memoization primitive used by the experiment study rows, the policy race
 // families, the trace stores and the API server's response cache, plus the
-// on-disk study cache (Store, PersistDo, persist.go).
+// on-disk study cache (Store, PersistDo, persist.go). One content encoding
+// (codec.go) turns values into bytes for both: Key writes it for the parts
+// of a memo key, and PersistDo for the rows it stores.
 //
 // Unlike a plain mutex-guarded map, Memo never holds its lock while the
 // memoized function runs: each key owns a sync.Once, so two goroutines asking

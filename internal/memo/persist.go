@@ -27,8 +27,8 @@
 // An entry file is the schema line "capsim/study-cache/v2\n", the key's
 // length as a varint, the key, the CRC-32 (IEEE, little-endian) of the
 // payload, and the payload, which runs to the end of the file. PersistDo's
-// payloads are row-codec encodings (codec.go): the value's layout
-// fingerprint, then the value.
+// payloads are the value's layout fingerprint, then its content encoding
+// (codec.go), the one Key writes for its parts.
 package memo
 
 import (
@@ -180,14 +180,14 @@ func (s *Store) PutBytes(key string, payload []byte) error {
 // is usable, otherwise compute with fn and publish the result. A nil store
 // degrades to a plain fn() call, so callers thread one optional pointer.
 //
-// Values go through the row codec (codec.go), which round-trips float64
-// bit-exactly (including ±Inf, NaN and −0), so the byte-identical-render
-// contract survives the disk hop. V may be built from bools, integers,
-// float64s, strings, slices, arrays, integer-keyed maps and structs of
-// exported fields; any other type panics. An entry written for another
-// layout of V is a miss and is removed. Errors from fn are never persisted
-// (the disk tier memoizes results, not failures), and a failed publish
-// degrades to returning the computed value.
+// Values are stored in the content encoding that keys use (codec.go), which
+// round-trips float64 bit-exactly (including ±Inf, NaN and −0), so the
+// byte-identical-render contract survives the disk hop. V may be built from
+// bools, integers, float64s, strings, slices, arrays, integer-keyed maps and
+// structs of exported fields; any other type panics. An entry written for
+// another layout of V is a miss and is removed. Errors from fn are never
+// persisted (the disk tier memoizes results, not failures), and a failed
+// publish degrades to returning the computed value.
 func PersistDo[V any](s *Store, key string, fn func() (V, error)) (V, error) {
 	if s == nil {
 		return fn()

@@ -2,6 +2,7 @@ package memo_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -93,10 +94,28 @@ func bitsEqual(a, b reflect.Value) bool {
 	return a.Interface() == b.Interface()
 }
 
+// checkKey: Key(v) is v's interface header (the non-nil flag, then the
+// type's package path and name as length-prefixed strings) followed by the
+// bytes a row of v carries, since one encoder writes both.
+func checkKey[V any](t *testing.T, v V) {
+	t.Helper()
+	typ := reflect.TypeOf(v)
+	want := []byte{1}
+	for _, s := range []string{typ.PkgPath(), typ.String()} {
+		want = append(binary.AppendUvarint(want, uint64(len(s))), s...)
+	}
+	want = append(want, memo.EncodeValue(v)...)
+	if k, ok := memo.Key(v); !ok || k != string(want) {
+		t.Fatalf("%T: Key is %x (ok=%v), want header and row encoding %x", v, k, ok, want)
+	}
+}
+
 // roundTrip publishes v through PersistDo and reads it back from a second
-// handle on the store, whose compute must not run.
+// handle on the store, whose compute must not run. v's key must be its row
+// encoding behind the interface header.
 func roundTrip[V any](t *testing.T, v V) V {
 	t.Helper()
+	checkKey(t, v)
 	dir := t.TempDir()
 	w, err := memo.OpenStore(dir)
 	if err != nil {
@@ -118,7 +137,7 @@ func roundTrip[V any](t *testing.T, v V) V {
 
 // TestRowTypesRoundTrip: every study-row value type comes back from the
 // store bit for bit — ±Inf, NaN payloads, −0, nil versus empty slices and
-// maps, and map entries.
+// maps, and map entries — and keys as its row encoding.
 func TestRowTypesRoundTrip(t *testing.T) {
 	if bitsEqual(reflect.ValueOf([]float64{}), reflect.ValueOf([]float64(nil))) ||
 		bitsEqual(reflect.ValueOf(nanBits), reflect.ValueOf(math.NaN())) ||
@@ -153,7 +172,7 @@ func TestRowTypesRoundTrip(t *testing.T) {
 // never panic, must allocate no more than a fixed multiple of the input's
 // length (a corrupt length is checked against the bytes left before
 // anything is allocated), and any value it accepts must re-encode to the
-// input's bytes exactly.
+// input's bytes exactly and key as those bytes behind its interface header.
 func FuzzRowCodec(f *testing.F) {
 	for _, v := range sampleRows() {
 		switch v := v.(type) {
@@ -192,7 +211,11 @@ func checkDecode[V any](t *testing.T, raw []byte) {
 	if n := after.TotalAlloc - before.TotalAlloc; n > uint64(allocPerByte*len(raw)+allocSlack) {
 		t.Fatalf("%T: decoding %d bytes allocated %d bytes", v, len(raw), n)
 	}
-	if ok && !bytes.Equal(memo.EncodeValue(v), raw) {
+	if !ok {
+		return
+	}
+	if !bytes.Equal(memo.EncodeValue(v), raw) {
 		t.Fatalf("%T: accepted %x, which re-encodes as %x", v, raw, memo.EncodeValue(v))
 	}
+	checkKey(t, v)
 }

@@ -1,32 +1,20 @@
 package trace
 
 // Varint/zigzag codec for the instruction store's chunk payloads. Chunk
-// contents are a byte stream of LEB128 varints (the encoding
-// encoding/binary uses); signed quantities are zigzag folded first so small
-// magnitudes of either sign stay short. Every value is encoded on its own,
-// so a chunk is decodable without any state from its predecessors.
+// contents are a byte stream of LEB128 varints; signed quantities are
+// zigzag folded so small magnitudes of either sign stay short. The encoder
+// is encoding/binary's AppendVarint (the compiler inlines it whole); the
+// decoder below is hand-written for the replay fast path. Every value is
+// encoded on its own, so a chunk is decodable without any state from its
+// predecessors.
 //
 // Cursors decode incrementally, keeping only a byte offset — no per-cursor
 // decode buffer — so a dozen concurrent replay cursors cost a few words
 // each, not a chunk's worth of scratch.
 
-// zigzag folds a signed value into an unsigned code with the magnitude in
+// unzigzag undoes binary.AppendVarint's fold, which puts the magnitude in
 // the high bits and the sign in bit 0: 0,-1,1,-2,2... -> 0,1,2,3,4...
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag is the inverse of zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// appendUvarint appends v in LEB128 form (identical output to
-// binary.AppendUvarint, inlined here so the encoder and decoder sit side by
-// side).
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
 
 // uvarintAt decodes the LEB128 value starting at b[off] and returns it with
 // the first offset past it. Chunks are encoded whole before publication, so

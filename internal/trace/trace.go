@@ -46,6 +46,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -236,9 +237,9 @@ func (s *OpStore) encode() *opChunk {
 	var blk [genBlock]workload.Instr
 	for base := 0; base < ChunkLen; base += genBlock {
 		for _, in := range s.gen.Fill(blk[:0], genBlock) {
-			enc = appendUvarint(enc, zigzag(int64(in.Src[0])))
-			enc = appendUvarint(enc, zigzag(int64(in.Src[1])))
-			enc = appendUvarint(enc, zigzag(int64(in.Latency)))
+			enc = binary.AppendVarint(enc, int64(in.Src[0]))
+			enc = binary.AppendVarint(enc, int64(in.Src[1]))
+			enc = binary.AppendVarint(enc, int64(in.Latency))
 		}
 	}
 	s.scratch = enc // keep the grown capacity for the next chunk

@@ -25,11 +25,11 @@ import (
 // repeater).
 //
 // A tie is B/A = ⌊k*⌋·⌈k*⌉, where T(⌊k*⌋) and T(⌈k*⌉) agree in real
-// arithmetic; on float inputs they agree to within rounding, and the
-// engine's scan (which keeps the first strictly smaller delay) picks
-// whichever rounding favours. The oracle requires the closed-form count
-// wherever the two delays differ by more than tieRel, and reports with
-// t.Log each tie the engine breaks towards the larger count.
+// arithmetic; on float inputs they agree to within rounding. The engine's
+// scan moves to a larger count only when its delay is smaller by more than
+// a relative 1e-12, so rounding cannot break a tie. The oracle requires the
+// closed-form count wherever the two delays differ by more than tieRel, and
+// the smaller count on every tie.
 
 // tieRel is the relative delay gap below which two candidate counts tie:
 // T is a sum of a few products of float64 inputs, so rounding moves it by a
@@ -75,8 +75,8 @@ func TestRepeaterClosedForm(t *testing.T) {
 		switch {
 		case tie && gotK == hi:
 			largerOnTie++
-			t.Logf("tie at f=%v µm L=%v mm Cl=%v pF: T(%d) = T(%d), engine picks %d",
-				float64(f), lengthMM, loadPF, lo, hi, gotK)
+			t.Errorf("tie at f=%v µm L=%v mm Cl=%v pF: T(%d) = T(%d), engine picks the larger count",
+				float64(f), lengthMM, loadPF, lo, hi)
 		case gotK != wantK || math.Abs(gotH-wantH) > 4e-16*wantH:
 			mismatches++
 			if mismatches <= 10 {

@@ -82,6 +82,8 @@ func UnbufferedDelay(l Line, p tech.Params) float64 {
 // k = sqrt(0.4*Rw*Cw / (0.7*R0*C0)) — exact for a pure distributed wire —
 // and refines it by direct minimization of BufferedDelay, which matters when
 // lumped element loads or the repeater intrinsic delay are significant.
+// Counts whose delays agree to within a relative 1e-12 tie, and a tie keeps
+// the smaller count: float rounding of an exact tie must not buy a stage.
 func OptimalRepeaterCount(l Line, p tech.Params) int {
 	r, c := l.totalRC(p)
 	k0 := int(math.Round(math.Sqrt((0.4 * r * c) / (0.7 * p.BufferR * p.BufferC))))
@@ -90,7 +92,7 @@ func OptimalRepeaterCount(l Line, p tech.Params) int {
 	}
 	best, bestD := 1, BufferedDelay(l, 1, p)
 	for k := 2; k <= 2*k0+4; k++ {
-		if d := BufferedDelay(l, k, p); d < bestD {
+		if d := BufferedDelay(l, k, p); bestD-d > 1e-12*bestD {
 			best, bestD = k, d
 		}
 	}

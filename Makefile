@@ -77,6 +77,7 @@ ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-smoke bench
 # fuzz-smoke (ci-gated) runs every fuzzer for 5 s beyond its seed corpus
 # (which plain `go test` already replays): the ooo engine and MultiCore
 # differentials, the MultiHierarchy and TLB differentials, the
+# adaptive policies' menu membership and determinism, the
 # classification round trip, the study-cache envelope, the row codec and
 # the keys that share its encoding, the ledger parser and encoder, the API request decoder, the rng cut tables,
 # the fixed-point formatter and table renderers against strconv and fmt,
@@ -87,6 +88,7 @@ FUZZ_TARGETS = \
 	./internal/ooo:FuzzMultiCore \
 	./internal/cache:FuzzMultiHierarchy \
 	./internal/tlb:FuzzTLB \
+	./internal/core:FuzzPolicyMenu \
 	./internal/classify:FuzzClassifyRoundTrip \
 	./internal/memo:FuzzPersistEnvelope \
 	./internal/memo:FuzzRowCodec \

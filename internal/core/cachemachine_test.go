@@ -142,11 +142,7 @@ func (c *CacheMachine) RunInterval(n int64) Sample {
 	c.instrs += instrs
 	c.timeNS += dt
 	c.missNS += stall * t.CycleNS
-	return Sample{
-		Config: c.cur,
-		TPI:    dt / instrs,
-		IPC:    instrs / cycles,
-	}
+	return Sample{Config: c.cur, TPI: dt / instrs}
 }
 
 // TotalTPI returns cumulative ns per instruction including reconfiguration

@@ -211,7 +211,7 @@ func (m *CombinedMachine) RunInterval(n int64) Sample {
 	dt := m.clk.Advance(st.Cycles)
 	m.instrs += st.Issued
 	m.timeNS += dt
-	return Sample{Config: m.cur, TPI: dt / float64(st.Issued), IPC: st.IPC()}
+	return Sample{Config: m.cur, TPI: dt / float64(st.Issued)}
 }
 
 // TotalTPI returns cumulative ns per instruction including overheads.

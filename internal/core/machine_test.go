@@ -56,7 +56,7 @@ func TestQueueMachineValidation(t *testing.T) {
 func TestQueueMachineRunAccumulatesTPI(t *testing.T) {
 	m := queueMachine(t, "gcc", 3)
 	s := m.RunInterval(20000)
-	if s.TPI <= 0 || s.IPC <= 0 {
+	if s.TPI <= 0 {
 		t.Fatalf("bad sample %+v", s)
 	}
 	if m.Instrs() < 20000 {
@@ -106,9 +106,9 @@ func TestRunQueueWithPolicies(t *testing.T) {
 	if res.Switches != 1 { // initial move 0 -> 3
 		t.Errorf("switches %d, want 1", res.Switches)
 	}
-	for _, s := range samples {
+	for i, s := range samples {
 		if s.Config != 3 {
-			t.Fatalf("interval %d ran on config %d", s.Interval, s.Config)
+			t.Fatalf("interval %d ran on config %d", i, s.Config)
 		}
 	}
 	if res.TPI <= 0 || res.Instrs < 20000 {
@@ -183,7 +183,7 @@ func TestCacheMachineRejectsGo(t *testing.T) {
 func TestCacheMachineRunAndMetrics(t *testing.T) {
 	m := cacheMachine(t, "stereo", 2)
 	s := m.RunInterval(50000)
-	if s.TPI <= 0 || s.IPC <= 0 {
+	if s.TPI <= 0 {
 		t.Fatalf("bad sample %+v", s)
 	}
 	if m.TotalTPIMiss() <= 0 {
@@ -271,4 +271,19 @@ func TestQueueFigureShapeAnchors(t *testing.T) {
 	check("radar", func(b int) bool { return b == 16 }, "16")
 	check("m88ksim", func(b int) bool { return b >= 48 && b <= 80 }, "~64")
 	check("compress", func(b int) bool { return b >= 96 }, ">=96")
+}
+
+func TestValidateConfigs(t *testing.T) {
+	if err := validateConfigs(nil); err == nil {
+		t.Error("empty table accepted")
+	}
+	if err := validateConfigs([]Config{{ID: 0, CycleNS: 0}}); err == nil {
+		t.Error("zero cycle accepted")
+	}
+	if err := validateConfigs([]Config{{ID: 0, CycleNS: 1}, {ID: 0, CycleNS: 2}}); err == nil {
+		t.Error("duplicate id accepted")
+	}
+	if err := validateConfigs([]Config{{ID: 0, CycleNS: 1}, {ID: 1, CycleNS: 2}}); err != nil {
+		t.Errorf("valid table rejected: %v", err)
+	}
 }

@@ -63,20 +63,14 @@ func NewMultiPolicy(b workload.Benchmark, seed uint64, sizes []int, n int64, pen
 		return nil, fmt.Errorf("core: no queue sizes")
 	}
 	tp := tech.ForFeature(f)
-	configs := make([]Config, len(sizes))
 	sources := make([]clock.Source, len(sizes))
 	cycs := make([]float64, len(sizes))
 	for i, w := range sizes {
 		if w < 1 {
 			return nil, fmt.Errorf("core: queue size %d invalid", w)
 		}
-		cyc := QueueCycleNS(w, tp)
-		configs[i] = Config{ID: i, Label: fmt.Sprintf("IQ=%d", w), CycleNS: cyc}
-		sources[i] = clock.Source{ID: i, PeriodNS: cyc, Label: configs[i].Label}
-		cycs[i] = cyc
-	}
-	if err := validateConfigs(configs); err != nil {
-		return nil, err
+		cycs[i] = QueueCycleNS(w, tp)
+		sources[i] = clock.Source{ID: i, PeriodNS: cycs[i], Label: fmt.Sprintf("IQ=%d", w)}
 	}
 	return &MultiPolicy{
 		b:       b,

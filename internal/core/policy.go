@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// Tunable-defaulting convention, shared by every adaptive policy in this
-// package (IntervalPolicy and the zoo contenders in zoo.go): the Go zero
+// Tunable-defaulting convention of IntervalPolicy, the one policy with
+// settable values (the zoo contenders run on package constants): the Go zero
 // value of a tunable selects its documented default, so short struct
 // literals keep working, and a NEGATIVE value selects an explicit zero —
 // which the zero value cannot express. &IntervalPolicy{MinGain: -1} demands

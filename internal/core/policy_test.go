@@ -5,29 +5,32 @@ import (
 	"testing"
 )
 
-func TestMonitorWindow(t *testing.T) {
-	m := NewMonitor(3)
+// TestMonitorLast pins the one-sample monitor: no sample until the first
+// Record, then exactly the last recorded one, whose configuration becomes
+// current.
+func TestMonitorLast(t *testing.T) {
+	m := &Monitor{Current: 2}
 	if _, ok := m.Last(); ok {
 		t.Error("empty monitor returned a sample")
 	}
+	if m.Current != 2 {
+		t.Errorf("current config %d before any sample, want 2", m.Current)
+	}
 	for i := 0; i < 5; i++ {
-		m.Record(Sample{Interval: int64(i), Config: i % 2, TPI: float64(i)})
-	}
-	if len(m.Window) != 3 {
-		t.Fatalf("window length %d, want 3", len(m.Window))
-	}
-	last, ok := m.Last()
-	if !ok || last.Interval != 4 {
-		t.Errorf("last sample %+v", last)
-	}
-	if m.Current != 0 {
-		t.Errorf("current config %d, want 0 (from sample 4)", m.Current)
+		s := Sample{Config: i % 2, TPI: float64(i + 1)}
+		m.Record(s)
+		if last, ok := m.Last(); !ok || last != s {
+			t.Errorf("after record %d: Last() = %+v, %v; want %+v", i, last, ok, s)
+		}
+		if m.Current != s.Config {
+			t.Errorf("after record %d: current config %d, want %d", i, m.Current, s.Config)
+		}
 	}
 }
 
 func TestFixedPolicy(t *testing.T) {
 	p := FixedPolicy{Config: 3}
-	m := NewMonitor(4)
+	m := &Monitor{}
 	m.Record(Sample{Config: 1, TPI: 0.5})
 	if got := p.Next(m); got != 3 {
 		t.Errorf("Next = %d", got)
@@ -39,7 +42,7 @@ func TestFixedPolicy(t *testing.T) {
 
 func TestProcessLevelPolicy(t *testing.T) {
 	p := ProcessLevelPolicy{Best: 5}
-	if got := p.Next(NewMonitor(1)); got != 5 {
+	if got := p.Next(&Monitor{}); got != 5 {
 		t.Errorf("Next = %d", got)
 	}
 }
@@ -98,8 +101,7 @@ func TestIntervalPolicyConfidenceGating(t *testing.T) {
 	// With a high confidence threshold, a one-interval blip must not
 	// trigger a switch.
 	p := &IntervalPolicy{Configs: []int{0, 1}, ConfidenceMax: 3, ExplorePeriod: 1 << 40, MinGain: 0.05}
-	m := NewMonitor(16)
-	m.Current = 0
+	m := &Monitor{}
 	// Bootstrap both configs: 0 is better.
 	m.Record(Sample{Config: 0, TPI: 0.30})
 	p.Next(m) // will explore 1
@@ -133,8 +135,7 @@ func TestIntervalPolicyIgnoresSmallGains(t *testing.T) {
 func TestIntervalPolicyTracksPhaseChange(t *testing.T) {
 	// The best configuration flips mid-run; the policy must follow.
 	p := &IntervalPolicy{Configs: []int{0, 1}, ExplorePeriod: 8}
-	m := NewMonitor(16)
-	m.Current = 0
+	m := &Monitor{}
 	phase1 := map[int]float64{0: 0.2, 1: 0.4}
 	phase2 := map[int]float64{0: 0.4, 1: 0.2}
 	var tail []int
@@ -144,7 +145,7 @@ func TestIntervalPolicyTracksPhaseChange(t *testing.T) {
 			tpi = phase2
 		}
 		c := p.Next(m)
-		m.Record(Sample{Interval: int64(i), Config: c, TPI: tpi[c]})
+		m.Record(Sample{Config: c, TPI: tpi[c]})
 		if i >= 100 {
 			tail = append(tail, c)
 		}
@@ -162,24 +163,8 @@ func TestIntervalPolicyTracksPhaseChange(t *testing.T) {
 
 func TestIntervalPolicyEmptyConfigs(t *testing.T) {
 	p := &IntervalPolicy{}
-	m := NewMonitor(4)
-	m.Current = 7
+	m := &Monitor{Current: 7}
 	if got := p.Next(m); got != 7 {
 		t.Errorf("empty-config policy moved to %d", got)
-	}
-}
-
-func TestValidateConfigs(t *testing.T) {
-	if err := validateConfigs(nil); err == nil {
-		t.Error("empty table accepted")
-	}
-	if err := validateConfigs([]Config{{ID: 0, CycleNS: 0}}); err == nil {
-		t.Error("zero cycle accepted")
-	}
-	if err := validateConfigs([]Config{{ID: 0, CycleNS: 1}, {ID: 0, CycleNS: 2}}); err == nil {
-		t.Error("duplicate id accepted")
-	}
-	if err := validateConfigs([]Config{{ID: 0, CycleNS: 1}, {ID: 1, CycleNS: 2}}); err != nil {
-		t.Errorf("valid table rejected: %v", err)
 	}
 }

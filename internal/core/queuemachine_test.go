@@ -121,11 +121,7 @@ func (q *QueueMachine) RunInterval(n int64) Sample {
 	dt := q.clk.Advance(st.Cycles)
 	q.instrs += st.Issued
 	q.timeNS += dt
-	return Sample{
-		Config: q.cur,
-		TPI:    dt / float64(st.Issued),
-		IPC:    st.IPC(),
-	}
+	return Sample{Config: q.cur, TPI: dt / float64(st.Issued)}
 }
 
 // TotalTPI returns the cumulative time per instruction so far, including all
@@ -169,6 +165,37 @@ func RunQueue(q *QueueMachine, p Policy, intervals, n int64) (RunResult, []Sampl
 	}, samples
 }
 
+// Config is one selectable configuration of a machine oracle's adaptive
+// structure.
+type Config struct {
+	// ID indexes the configuration within its structure.
+	ID int
+	// Label is human-readable ("L1=16KB 4-way", "IQ=64").
+	Label string
+	// CycleNS is the processor cycle time this configuration imposes
+	// (worst-case timing analysis of the structure at this size).
+	CycleNS float64
+}
+
+// validateConfigs checks a configuration table: positive cycle times and
+// unique IDs.
+func validateConfigs(configs []Config) error {
+	if len(configs) == 0 {
+		return fmt.Errorf("core: empty configuration table")
+	}
+	seen := make(map[int]bool, len(configs))
+	for _, c := range configs {
+		if c.CycleNS <= 0 {
+			return fmt.Errorf("core: config %d (%s) has cycle %v", c.ID, c.Label, c.CycleNS)
+		}
+		if seen[c.ID] {
+			return fmt.Errorf("core: duplicate config id %d", c.ID)
+		}
+		seen[c.ID] = true
+	}
+	return nil
+}
+
 // intervalMachine is an adaptive structure drive can step.
 type intervalMachine interface {
 	// Current returns the active configuration.
@@ -187,15 +214,13 @@ type intervalMachine interface {
 // is unchanged), runs the interval and records its sample in the policy's
 // monitor. It returns every interval's sample.
 func drive(m intervalMachine, p Policy, intervals, n int64) []Sample {
-	mon := NewMonitor(64)
-	mon.Current = m.Current().ID
+	mon := &Monitor{Current: m.Current().ID}
 	samples := make([]Sample, 0, intervals)
 	for i := int64(0); i < intervals; i++ {
 		if _, err := m.SetConfig(p.Next(mon)); err != nil {
 			panic(err)
 		}
 		s := m.RunInterval(n)
-		s.Interval = i
 		mon.Record(s)
 		samples = append(samples, s)
 	}

@@ -24,7 +24,7 @@ var obsRaceSimCells = obs.NewCounter("policy.race_sim_cells")
 // same-name copy with one changed field is a different stream — the seed,
 // the size menu, the clock periods and the roster. The key EXCLUDES the
 // clock-switch penalty — the clock system charges a switch, the core never
-// sees it, and policies observe only (config, TPI, IPC), whose TPI is
+// sees it, and policies observe only (config, TPI), whose TPI is
 // cycles × period / issued — so every penalty point replays one family. The
 // clock periods are in the key instead of the feature size: they are what
 // the monitors' TPI samples, and so the policies' decisions, depend on. It
@@ -57,7 +57,7 @@ type raceFamily struct {
 	mc       *ooo.MultiCore
 	stream   workload.InstrSource
 	policies []Policy
-	mons     []*Monitor
+	mons     []Monitor
 	cur      []int
 	drain    []int64 // scratch: this interval's drain cycles per column
 	sizes    []int
@@ -118,7 +118,7 @@ func (mp *MultiPolicy) newRaceFamily(specs []PolicySpec) (*raceFamily, error) {
 	f := &raceFamily{
 		stream:   trace.OpsFor(mp.b, mp.seed).Cursor(),
 		policies: make([]Policy, len(specs)),
-		mons:     make([]*Monitor, len(specs)),
+		mons:     make([]Monitor, len(specs)),
 		cur:      make([]int, len(specs)),
 		drain:    make([]int64, len(specs)),
 		sizes:    mp.sizes,
@@ -129,7 +129,6 @@ func (mp *MultiPolicy) newRaceFamily(specs []PolicySpec) (*raceFamily, error) {
 	for j, s := range specs {
 		cfgs[j] = ooo.PaperConfig(mp.sizes[0])
 		f.policies[j] = s.Policy
-		f.mons[j] = NewMonitor(64)
 	}
 	mc, err := ooo.NewMultiCore(cfgs)
 	if err != nil {
@@ -160,7 +159,7 @@ func (f *raceFamily) extendTo(ctx context.Context, intervals int64) error {
 		}
 		for j, p := range f.policies {
 			f.drain[j] = 0
-			want := p.Next(f.mons[j])
+			want := p.Next(&f.mons[j])
 			if want == f.cur[j] {
 				continue
 			}
@@ -179,12 +178,7 @@ func (f *raceFamily) extendTo(ctx context.Context, intervals int64) error {
 		for j, st := range f.mc.RunEach(f.stream, f.n) {
 			c := f.cur[j]
 			f.log[j] = append(f.log[j], raceStep{cycles: st.Cycles, issued: st.Issued, drain: f.drain[j], cfg: c})
-			f.mons[j].Record(Sample{
-				Interval: f.done,
-				Config:   c,
-				TPI:      float64(st.Cycles) * f.cycs[c] / float64(st.Issued),
-				IPC:      st.IPC(),
-			})
+			f.mons[j].Record(Sample{Config: c, TPI: float64(st.Cycles) * f.cycs[c] / float64(st.Issued)})
 		}
 		f.done++
 		obsRaceSimCells.Add(int64(len(f.policies)))

@@ -59,8 +59,7 @@ func privateRun(t *testing.T, b workload.Benchmark, sizes []int, pen int, p Poli
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := NewMonitor(64)
-	mon.Current = q.cur
+	mon := &Monitor{Current: q.cur}
 	evs := make([]flight.Event, 0, intervals)
 	for iv := int64(0); iv < intervals; iv++ {
 		want := p.Next(mon)
@@ -73,7 +72,6 @@ func privateRun(t *testing.T, b workload.Benchmark, sizes []int, pen int, p Poli
 		st0 := q.core.Stats()
 		s := q.RunInterval(n)
 		d := q.core.Stats().Sub(st0)
-		s.Interval = iv
 		mon.Record(s)
 		evs = append(evs, flight.Event{
 			Interval:    iv,
@@ -237,7 +235,7 @@ func (p funcPolicy) Name() string        { return "func" }
 func (p funcPolicy) Next(m *Monitor) int { return p.next(m) }
 
 // TestRaceFamilyKeys pins roster canonicalization: equal fresh rosters
-// share a key, a changed tunable does not, rosters %#v cannot identify race
+// share a key, a changed IntervalPolicy tunable does not, rosters %#v cannot identify race
 // privately, and a memo hit leaves the caller's instances untouched.
 func TestRaceFamilyKeys(t *testing.T) {
 	a, okA := rosterKey(zooRoster())
@@ -246,7 +244,7 @@ func TestRaceFamilyKeys(t *testing.T) {
 		t.Fatalf("two fresh zoo rosters: keys %q (%v) and %q (%v), want equal", a, okA, b, okB)
 	}
 	tuned := zooRoster()
-	tuned[1].Policy.(*HysteresisPolicy).DwellMin = 9
+	tuned[0].Policy.(*IntervalPolicy).MinGain = 0.05
 	if c, ok := rosterKey(tuned); !ok || c == a {
 		t.Errorf("changed tunable kept the roster key")
 	}

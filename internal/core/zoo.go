@@ -10,11 +10,14 @@ import "math"
 // commit). It also holds the mechanics every adaptive policy shares: the
 // drift detector and its confirming streak (all five policies), and the
 // per-configuration TPI estimator that IntervalPolicy, HysteresisPolicy and
-// PIDPolicy embed, each keeping only its own decider. All policies follow
-// two package-wide rules: tunables use the negative-sentinel convention (see
-// tunable in policy.go), and candidate configurations are marked visited
-// when DISPATCHED, never when their sample returns, so a configuration that
-// never yields a Monitor.Last() sample cannot livelock the bootstrap.
+// PIDPolicy embed, each keeping only its own decider. The contenders have no
+// tunables: each family is represented by its decider, not by its gains, so
+// every gain, period and window below is a package constant (IntervalPolicy,
+// the paper's predictor, keeps its settable fields; see tunable in
+// policy.go). All policies follow one package-wide rule: candidate
+// configurations are marked visited when DISPATCHED, never when their sample
+// returns, so a configuration that never yields a Monitor.Last() sample
+// cannot livelock the bootstrap.
 
 // driftTripped reports whether a fresh TPI sample deviates from its own
 // smoothed estimate by more than a fractional gain. Every policy uses this
@@ -64,10 +67,10 @@ func (s *driftStreak) confirm(tripped bool) bool {
 // estimator is the Section 6 predictor's state: an exponentially weighted
 // TPI estimate per configuration, the bootstrap that fills it, the periodic
 // rotation that refreshes it, and the drift streak that rebuilds it after a
-// phase flip. Policies embed it by value and keep their tunables as their
-// own fields, where composite literals can set them. It must stay plain
-// data: rosterKey keys policies by content (memo.Key), and a func or channel
-// here would make every race roster private.
+// phase flip. Policies embed it by value and pass it their own EWMA weight,
+// drift gain and exploration period. It must stay plain data: rosterKey
+// keys policies by content (memo.Key), and a func or channel here would make
+// every race roster private.
 type estimator struct {
 	est        map[int]float64
 	seen       map[int]bool // dispatched since the last restart
@@ -168,11 +171,38 @@ func (e *estimator) best(configs []int) (int, float64) {
 	return best, bestTPI
 }
 
+// The estimator settings HysteresisPolicy and PIDPolicy share.
+const (
+	// estExplorePeriod is how many intervals pass between
+	// estimate-refreshing visits. Drift detection is the primary
+	// phase-change trigger; exploration is the staleness backstop for
+	// shifts too small to see from the incumbent, so it can afford a
+	// sparse cadence.
+	estExplorePeriod = 64
+	// estAlpha is the EWMA weight of a new sample.
+	estAlpha = 0.3
+	// estDriftGain is the fractional deviation of a fresh incumbent sample
+	// from its smoothed estimate that signals a phase change and forces an
+	// immediate re-exploration sweep: tight enough to see a flip a
+	// saturated incumbent shows only faintly (see IntervalPolicy.DriftGain).
+	estDriftGain = 0.08
+)
+
+// HysteresisPolicy's damping.
+const (
+	// hystSwitchGain is the fractional TPI improvement required before the
+	// deadband opens.
+	hystSwitchGain = 0.08
+	// hystDwellMin is the minimum number of intervals between voluntary
+	// moves.
+	hystDwellMin = 6
+)
+
 // HysteresisPolicy reconfigures through a deadband: it tracks the same
 // per-configuration TPI estimates as IntervalPolicy but replaces the
 // confidence counter with two damping mechanisms — a minimum fractional
 // gain (the deadband, entered only when the estimated improvement clears
-// SwitchGain) and a minimum dwell time after every move. The combination
+// hystSwitchGain) and a minimum dwell time after every move. The combination
 // is classic hysteresis: small oscillations around the switching threshold
 // produce no reconfigurations at all, while the dwell floor bounds the
 // worst-case switch rate even when the workload alternates faster than the
@@ -180,28 +210,6 @@ func (e *estimator) best(configs []int) (int, float64) {
 type HysteresisPolicy struct {
 	// Configs are the candidate configuration IDs.
 	Configs []int
-	// SwitchGain is the fractional TPI improvement required before the
-	// deadband opens (default 0.08; negative means zero: any gain moves).
-	SwitchGain float64
-	// DwellMin is the minimum number of intervals between voluntary
-	// moves (default 6; negative means zero: no dwell floor).
-	DwellMin int64
-	// ExplorePeriod is how many intervals between estimate-refreshing
-	// visits (default 64; negative disables exploration). Drift detection
-	// is the primary phase-change trigger; exploration is the staleness
-	// backstop for shifts too small to see from the incumbent, so it can
-	// afford a sparse cadence.
-	ExplorePeriod int64
-	// Alpha is the EWMA weight of a new sample (default 0.3; negative
-	// means zero: estimates freeze at their first sample).
-	Alpha float64
-	// DriftGain is the fractional deviation of a fresh incumbent sample
-	// from its smoothed estimate that signals a phase change and forces an
-	// immediate re-exploration sweep (default 0.08, tight enough to see a
-	// flip a saturated incumbent shows only faintly — see
-	// IntervalPolicy.DriftGain; negative means zero:
-	// any deviation re-sweeps).
-	DriftGain float64
 
 	estimator
 	dwell int64
@@ -210,31 +218,19 @@ type HysteresisPolicy struct {
 // Name implements Policy.
 func (p *HysteresisPolicy) Name() string { return "hysteresis" }
 
-func (p *HysteresisPolicy) defaults() {
-	if p.est != nil {
-		return
-	}
-	p.SwitchGain = tunable(p.SwitchGain, 0.08)
-	p.DwellMin = tunable(p.DwellMin, 6)
-	p.ExplorePeriod = tunable(p.ExplorePeriod, 64)
-	p.Alpha = tunable(p.Alpha, 0.3)
-	p.DriftGain = tunable(p.DriftGain, 0.08)
-}
-
 // Next implements Policy.
 func (p *HysteresisPolicy) Next(m *Monitor) int {
 	if len(p.Configs) == 0 {
 		return m.Current
 	}
-	p.defaults()
-	p.observe(m, p.Configs, p.Alpha, p.DriftGain)
+	p.observe(m, p.Configs, estAlpha, estDriftGain)
 	p.dwell++
-	if id, ok := p.probe(p.Configs, p.ExplorePeriod); ok {
+	if id, ok := p.probe(p.Configs, estExplorePeriod); ok {
 		return id
 	}
 	best, bestTPI := p.best(p.Configs)
 	cur := p.est[p.current]
-	if best != p.current && p.dwell >= p.DwellMin && cur > 0 && (cur-bestTPI)/cur >= p.SwitchGain {
+	if best != p.current && p.dwell >= hystDwellMin && cur > 0 && (cur-bestTPI)/cur >= hystSwitchGain {
 		p.current = best
 		p.dwell = 0
 	}
@@ -248,33 +244,11 @@ func (p *HysteresisPolicy) Next(m *Monitor) int {
 // and derivative terms combine into a control output; when it exceeds the
 // actuation deadband the policy slews ONE menu position toward the best
 // estimate — a control loop moves its plant incrementally rather than
-// jumping across the actuator range — and discharges the integrator.
+// jumping across the actuator range — and discharges the integrator. The
+// loop shares HysteresisPolicy's estimator settings.
 type PIDPolicy struct {
 	// Configs are the candidate configuration IDs.
 	Configs []int
-	// KP, KI, KD are the PID gains on the fractional TPI error
-	// (defaults 0.6, 0.25, 0.15; negative means zero: term disabled).
-	KP, KI, KD float64
-	// Deadband is the control-output magnitude required to actuate
-	// (default 0.12; negative means zero: every error actuates).
-	Deadband float64
-	// WindupMax clamps the integral term (default 1.5; negative means
-	// zero: pure PD control).
-	WindupMax float64
-	// ExplorePeriod is how many intervals between estimate-refreshing
-	// visits (default 64; negative disables exploration); as with
-	// HysteresisPolicy, a staleness backstop behind drift detection.
-	ExplorePeriod int64
-	// Alpha is the EWMA weight of a new sample (default 0.3; negative
-	// means zero: estimates freeze at their first sample).
-	Alpha float64
-	// DriftGain is the fractional deviation of a fresh incumbent sample
-	// from its smoothed estimate that signals a phase change and forces an
-	// immediate re-exploration sweep (default 0.08, tight enough to see a
-	// flip a saturated incumbent shows only faintly — see
-	// IntervalPolicy.DriftGain; negative means zero:
-	// any deviation re-sweeps).
-	DriftGain float64
 
 	estimator
 	integral float64
@@ -285,19 +259,14 @@ type PIDPolicy struct {
 // Name implements Policy.
 func (p *PIDPolicy) Name() string { return "pid-tpi" }
 
-func (p *PIDPolicy) defaults() {
-	if p.est != nil {
-		return
-	}
-	p.KP = tunable(p.KP, 0.6)
-	p.KI = tunable(p.KI, 0.25)
-	p.KD = tunable(p.KD, 0.15)
-	p.Deadband = tunable(p.Deadband, 0.12)
-	p.WindupMax = tunable(p.WindupMax, 1.5)
-	p.ExplorePeriod = tunable(p.ExplorePeriod, 64)
-	p.Alpha = tunable(p.Alpha, 0.3)
-	p.DriftGain = tunable(p.DriftGain, 0.08)
-}
+// PIDPolicy's loop: the gains on the fractional TPI error, the
+// control-output magnitude required to actuate, and the clamp on the
+// integral term.
+const (
+	pidKP, pidKI, pidKD = 0.6, 0.25, 0.15
+	pidDeadband         = 0.12
+	pidWindupMax        = 1.5
+)
 
 // stepToward moves cur one position along configs toward best, used as the
 // PID actuator. Unknown positions jump straight to best.
@@ -325,14 +294,13 @@ func (p *PIDPolicy) Next(m *Monitor) int {
 	if len(p.Configs) == 0 {
 		return m.Current
 	}
-	p.defaults()
-	if p.observe(m, p.Configs, p.Alpha, p.DriftGain) {
+	if p.observe(m, p.Configs, estAlpha, estDriftGain) {
 		// Confirmed phase flip: discharge the loop — integral and
 		// derivative state accumulated against the old plant would
 		// mis-actuate against the new one.
 		p.integral, p.prevErr, p.havePrev = 0, 0, false
 	}
-	if id, ok := p.probe(p.Configs, p.ExplorePeriod); ok {
+	if id, ok := p.probe(p.Configs, estExplorePeriod); ok {
 		return id
 	}
 	best, bestTPI := p.best(p.Configs)
@@ -345,16 +313,16 @@ func (p *PIDPolicy) Next(m *Monitor) int {
 	}
 	e := (cur - bestTPI) / cur // fractional slowdown vs the best known
 	p.integral += e
-	if p.integral > p.WindupMax {
-		p.integral = p.WindupMax
+	if p.integral > pidWindupMax {
+		p.integral = pidWindupMax
 	}
 	var d float64
 	if p.havePrev {
 		d = e - p.prevErr
 	}
 	p.prevErr, p.havePrev = e, true
-	u := p.KP*e + p.KI*p.integral + p.KD*d
-	if u > p.Deadband {
+	u := pidKP*e + pidKI*p.integral + pidKD*d
+	if u > pidDeadband {
 		p.current = stepToward(p.Configs, p.current, best)
 		p.integral, p.prevErr, p.havePrev = 0, 0, false
 	}
@@ -369,40 +337,15 @@ func (p *PIDPolicy) Next(m *Monitor) int {
 // bandit track phase changes: stale history ages out instead of anchoring
 // the mean. Because the UCB bonus grows only logarithmically — far too
 // slowly to re-audition a clearly-losing arm within a phase — a staleness
-// horizon forces a pull of any arm idle longer than Staleness intervals
-// (the sliding-window bandit discipline: statistics older than the horizon
-// are not evidence), and a forced pull that contradicts the arm's stale
-// window restarts that window on the fresh sample.
+// horizon forces a pull of any arm idle longer than banditStaleness
+// intervals (the sliding-window bandit discipline: statistics older than the
+// horizon are not evidence), and a forced pull that contradicts the arm's
+// stale window restarts that window on the fresh sample.
 type SlopeBanditPolicy struct {
 	// Configs are the candidate configuration IDs.
 	Configs []int
-	// Explore weights the exploration bonus, in units of the mean TPI
-	// scale (default 0.35; negative means zero: pure exploitation).
-	Explore float64
-	// SlopeWeight weights the one-step trend projection
-	// (default 0.5; negative means zero: plain windowed mean).
-	SlopeWeight float64
-	// Window is the per-arm sample memory (default 8; negative is
-	// clamped to 1: last-value only).
-	Window int
-	// Staleness is the age, in pulls of any arm, past which an idle arm
-	// is forcibly re-auditioned (default 32; negative disables forced
-	// re-audition). It bounds how long a phase flip invisible from the
-	// home arm can go unnoticed; the bandit keeps a denser cadence than
-	// the est-based policies because forced pulls are its only source of
-	// off-home freshness.
-	Staleness int64
-	// DriftGain is the fractional deviation of a fresh incumbent sample
-	// from its windowed mean that signals a phase change and restarts
-	// every other arm's statistics (default 0.25; negative means zero:
-	// any deviation restarts). Deliberately wider than
-	// IntervalPolicy.DriftGain: a restart collapses an arm's window to a
-	// single sample, and single-sample windows make the value+slope score
-	// flappy — the bandit's sliding windows already track gradual regime
-	// shifts, so drift restarts are reserved for unambiguous cliffs.
-	DriftGain float64
 
-	hist       map[int][]float64
+	hist       map[int][]float64 // nil until the first decision
 	pulls      map[int]int64
 	lastPull   map[int]int64
 	dispatched map[int]bool
@@ -410,29 +353,35 @@ type SlopeBanditPolicy struct {
 	drift      driftStreak
 	home       int
 	current    int
-	inited     bool
 }
+
+// SlopeBanditPolicy's index and horizons.
+const (
+	// banditExplore weights the exploration bonus, in units of the mean
+	// TPI scale.
+	banditExplore = 0.35
+	// banditSlopeWeight weights the one-step trend projection.
+	banditSlopeWeight = 0.5
+	// banditWindow is the per-arm sample memory.
+	banditWindow = 8
+	// banditStaleness is the age, in pulls of any arm, past which an idle
+	// arm is forcibly re-auditioned. It bounds how long a phase flip
+	// invisible from the home arm can go unnoticed; the bandit keeps a
+	// denser cadence than the est-based policies because forced pulls are
+	// its only source of off-home freshness.
+	banditStaleness = 32
+	// banditDriftGain is the fractional deviation of a fresh incumbent
+	// sample from its windowed mean that signals a phase change and
+	// restarts every other arm's statistics. Deliberately wider than
+	// IntervalPolicy.DriftGain: a restart collapses an arm's window to a
+	// single sample, and single-sample windows make the value+slope score
+	// flappy — the bandit's sliding windows already track gradual regime
+	// shifts, so drift restarts are reserved for unambiguous cliffs.
+	banditDriftGain = 0.25
+)
 
 // Name implements Policy.
 func (p *SlopeBanditPolicy) Name() string { return "slope-bandit" }
-
-func (p *SlopeBanditPolicy) defaults() {
-	if p.hist != nil {
-		return
-	}
-	p.Explore = tunable(p.Explore, 0.35)
-	p.SlopeWeight = tunable(p.SlopeWeight, 0.5)
-	p.Window = tunable(p.Window, 8)
-	if p.Window < 1 {
-		p.Window = 1
-	}
-	p.Staleness = tunable(p.Staleness, 32)
-	p.DriftGain = tunable(p.DriftGain, 0.25)
-	p.hist = make(map[int][]float64, len(p.Configs))
-	p.pulls = make(map[int]int64, len(p.Configs))
-	p.lastPull = make(map[int]int64, len(p.Configs))
-	p.dispatched = make(map[int]bool, len(p.Configs))
-}
 
 // windowMean returns the arm's windowed mean TPI, or 0 with no samples.
 func (p *SlopeBanditPolicy) windowMean(id int) float64 {
@@ -449,17 +398,19 @@ func (p *SlopeBanditPolicy) windowMean(id int) float64 {
 
 // Next implements Policy.
 func (p *SlopeBanditPolicy) Next(m *Monitor) int {
-	p.defaults()
 	if len(p.Configs) == 0 {
 		return m.Current
 	}
-	if !p.inited {
-		p.inited = true
+	if p.hist == nil {
+		p.hist = make(map[int][]float64, len(p.Configs))
+		p.pulls = make(map[int]int64, len(p.Configs))
+		p.lastPull = make(map[int]int64, len(p.Configs))
+		p.dispatched = make(map[int]bool, len(p.Configs))
 		p.current = m.Current
 		p.home = m.Current
 	}
 	if last, ok := m.Last(); ok {
-		tripped := driftTripped(p.windowMean(last.Config), last.TPI, p.DriftGain)
+		tripped := driftTripped(p.windowMean(last.Config), last.TPI, banditDriftGain)
 		switch {
 		case last.Config == p.home && p.drift.confirm(tripped):
 			// Confirmed phase flip seen from inside the home arm: every
@@ -488,8 +439,8 @@ func (p *SlopeBanditPolicy) Next(m *Monitor) int {
 			p.lastPull[last.Config] = p.t
 		default:
 			h := append(p.hist[last.Config], last.TPI)
-			if len(h) > p.Window {
-				h = h[len(h)-p.Window:]
+			if len(h) > banditWindow {
+				h = h[len(h)-banditWindow:]
 			}
 			p.hist[last.Config] = h
 			p.pulls[last.Config]++
@@ -509,20 +460,18 @@ func (p *SlopeBanditPolicy) Next(m *Monitor) int {
 	// Forced re-audition: any non-home arm idle past the staleness horizon
 	// gets pulled (stalest first, menu order breaking ties). This, not the
 	// log-growth UCB bonus, is what bounds phase-flip discovery time.
-	if p.Staleness > 0 {
-		stalest, age := -1, p.Staleness
-		for _, id := range p.Configs {
-			if id == p.home {
-				continue
-			}
-			if a := p.t - p.lastPull[id]; a > age {
-				stalest, age = id, a
-			}
+	stalest, age := -1, int64(banditStaleness)
+	for _, id := range p.Configs {
+		if id == p.home {
+			continue
 		}
-		if stalest >= 0 {
-			p.current = stalest
-			return stalest
+		if a := p.t - p.lastPull[id]; a > age {
+			stalest, age = id, a
 		}
+	}
+	if stalest >= 0 {
+		p.current = stalest
+		return stalest
 	}
 
 	// TPI scale for the exploration bonus: mean of the arm means, so the
@@ -551,7 +500,7 @@ func (p *SlopeBanditPolicy) Next(m *Monitor) int {
 		if len(h) >= 2 {
 			slope = h[len(h)-1] - h[len(h)-2]
 		}
-		v := p.windowMean(id) + p.SlopeWeight*slope - p.Explore*scale*math.Sqrt(math.Log(float64(p.t+1))/float64(n))
+		v := p.windowMean(id) + banditSlopeWeight*slope - banditExplore*scale*math.Sqrt(math.Log(float64(p.t+1))/float64(n))
 		if best < 0 || v < bestV {
 			best, bestV = id, v
 		}
@@ -564,34 +513,17 @@ func (p *SlopeBanditPolicy) Next(m *Monitor) int {
 }
 
 // ProfileThenCommitPolicy is the software-managed scheme: dedicate a short
-// profiling round to each candidate (ProbeIntervals dispatches apiece),
-// commit to the configuration with the best mean TPI, and hold it. With a
-// positive RecommitPeriod the commitment expires and profiling restarts
-// from scratch — the explore/exploit boundary is explicit and scheduled,
-// the opposite end of the design space from the bandit's continuous
-// hedging.
+// profiling round to each candidate (ptcProbeIntervals dispatches apiece),
+// commit to the configuration with the best mean TPI, and hold it until the
+// commitment expires after ptcRecommitPeriod intervals and profiling
+// restarts from scratch — the explore/exploit boundary is explicit and
+// scheduled, the opposite end of the design space from the bandit's
+// continuous hedging.
 type ProfileThenCommitPolicy struct {
 	// Configs are the candidate configuration IDs.
 	Configs []int
-	// ProbeIntervals is how many intervals each candidate is profiled
-	// per round (default 2; negative is clamped to 1).
-	ProbeIntervals int64
-	// RecommitPeriod is how many committed intervals pass before
-	// re-profiling regardless of drift (default 150; negative means zero:
-	// commit until drift). Drift detection is the primary recommit
-	// trigger; the period is a staleness backstop.
-	RecommitPeriod int64
-	// DriftGain is the fractional deviation of a committed incumbent's
-	// sample from its smoothed estimate that expires the commitment and
-	// restarts profiling immediately (default 0.25; negative means zero:
-	// any deviation recommits). Deliberately wider than
-	// IntervalPolicy.DriftGain: every expiry pays a full profiling sweep
-	// (ProbeIntervals visits to each configuration), so on irregular
-	// phase structure a tight gain turns jittery-but-committed regions
-	// into permanent profiling churn.
-	DriftGain float64
 
-	sum        map[int]float64
+	sum        map[int]float64 // nil until the first decision
 	cnt        map[int]int64
 	probed     int64
 	committed  bool
@@ -600,25 +532,29 @@ type ProfileThenCommitPolicy struct {
 	haveEst    bool
 	drift      driftStreak
 	current    int
-	inited     bool
 }
+
+// ProfileThenCommitPolicy's schedule.
+const (
+	// ptcProbeIntervals is how many intervals each candidate is profiled
+	// per round.
+	ptcProbeIntervals = 2
+	// ptcRecommitPeriod is how many committed intervals pass before
+	// re-profiling regardless of drift. Drift detection is the primary
+	// recommit trigger; the period is a staleness backstop.
+	ptcRecommitPeriod = 150
+	// ptcDriftGain is the fractional deviation of a committed incumbent's
+	// sample from its smoothed estimate that expires the commitment and
+	// restarts profiling immediately. Deliberately wider than
+	// IntervalPolicy.DriftGain: every expiry pays a full profiling sweep
+	// (ptcProbeIntervals visits to each configuration), so on irregular
+	// phase structure a tight gain turns jittery-but-committed regions
+	// into permanent profiling churn.
+	ptcDriftGain = 0.25
+)
 
 // Name implements Policy.
 func (p *ProfileThenCommitPolicy) Name() string { return "profile-commit" }
-
-func (p *ProfileThenCommitPolicy) defaults() {
-	if p.sum != nil {
-		return
-	}
-	p.ProbeIntervals = tunable(p.ProbeIntervals, 2)
-	if p.ProbeIntervals < 1 {
-		p.ProbeIntervals = 1
-	}
-	p.RecommitPeriod = tunable(p.RecommitPeriod, 150)
-	p.DriftGain = tunable(p.DriftGain, 0.25)
-	p.sum = make(map[int]float64, len(p.Configs))
-	p.cnt = make(map[int]int64, len(p.Configs))
-}
 
 // reprofile discards the committed state and restarts the probe round.
 func (p *ProfileThenCommitPolicy) reprofile() {
@@ -632,12 +568,12 @@ func (p *ProfileThenCommitPolicy) reprofile() {
 
 // Next implements Policy.
 func (p *ProfileThenCommitPolicy) Next(m *Monitor) int {
-	p.defaults()
 	if len(p.Configs) == 0 {
 		return m.Current
 	}
-	if !p.inited {
-		p.inited = true
+	if p.sum == nil {
+		p.sum = make(map[int]float64, len(p.Configs))
+		p.cnt = make(map[int]int64, len(p.Configs))
 		p.current = m.Current
 	}
 	if last, ok := m.Last(); ok {
@@ -653,7 +589,7 @@ func (p *ProfileThenCommitPolicy) Next(m *Monitor) int {
 			// in; an incumbent that persistently deviates from it means
 			// that profile is stale. A pending streak keeps commitEst
 			// frozen as the reference.
-			tripped := driftTripped(p.commitEst, last.TPI, p.DriftGain)
+			tripped := driftTripped(p.commitEst, last.TPI, ptcDriftGain)
 			switch {
 			case p.drift.confirm(tripped):
 				p.reprofile()
@@ -667,8 +603,8 @@ func (p *ProfileThenCommitPolicy) Next(m *Monitor) int {
 		// Profiling advances by DISPATCH count, so a candidate that
 		// never returns a sample still consumes its probe slots instead
 		// of stalling the round.
-		if p.probed < p.ProbeIntervals*int64(len(p.Configs)) {
-			id := p.Configs[p.probed/p.ProbeIntervals]
+		if p.probed < ptcProbeIntervals*int64(len(p.Configs)) {
+			id := p.Configs[p.probed/ptcProbeIntervals]
 			p.probed++
 			p.current = id
 			return id
@@ -687,16 +623,14 @@ func (p *ProfileThenCommitPolicy) Next(m *Monitor) int {
 			p.current = best
 		}
 		p.committed = true
-		p.commitLeft = p.RecommitPeriod
+		p.commitLeft = ptcRecommitPeriod
 		p.haveEst = false
 	}
-	if p.committed && p.RecommitPeriod > 0 {
-		p.commitLeft--
-		if p.commitLeft <= 0 {
-			// Commitment expired: restart profiling from scratch on the
-			// next decision, with fresh statistics for the new phase.
-			p.reprofile()
-		}
+	p.commitLeft--
+	if p.commitLeft <= 0 {
+		// Commitment expired: restart profiling from scratch on the next
+		// decision, with fresh statistics for the new phase.
+		p.reprofile()
 	}
 	return p.current
 }

@@ -63,8 +63,7 @@ func TestBootstrapNoSampleSettles(t *testing.T) {
 		}
 	}
 	for _, p := range mk() {
-		m := NewMonitor(8) // never recorded into: Last() always fails
-		m.Current = 0
+		m := &Monitor{} // never recorded into: Last() always fails
 		visits := map[int]int{}
 		for i := 0; i < 200; i++ {
 			visits[p.Next(m)]++
@@ -99,9 +98,14 @@ func TestHysteresisConvergesToBest(t *testing.T) {
 }
 
 func TestHysteresisDeadbandHolds(t *testing.T) {
-	// A 3% gain sits inside the default 8% deadband: no switch.
-	p := &HysteresisPolicy{Configs: []int{0, 1}, ExplorePeriod: 1 << 40}
-	choices := feed(p, map[int]float64{0: 0.300, 1: 0.291}, 40)
+	// A 3% gain sits inside the deadband: no switch. 40 intervals end
+	// before the first exploration visit.
+	tpi := map[int]float64{0: 0.300, 1: 0.291}
+	if gain := (tpi[0] - tpi[1]) / tpi[0]; gain >= hystSwitchGain {
+		t.Fatalf("a %.3f gain is not inside the %.2f deadband", gain, hystSwitchGain)
+	}
+	p := &HysteresisPolicy{Configs: []int{0, 1}}
+	choices := feed(p, tpi, 40)
 	on1 := 0
 	for _, c := range choices[5:] {
 		if c == 1 {
@@ -114,31 +118,40 @@ func TestHysteresisDeadbandHolds(t *testing.T) {
 }
 
 func TestHysteresisDwellFloor(t *testing.T) {
-	// Alternate the best config every interval; the dwell floor must keep
-	// the switch count well under the flip count.
-	p := &HysteresisPolicy{Configs: []int{0, 1}, DwellMin: 10, ExplorePeriod: 1 << 40, Alpha: 1}
-	m := NewMonitor(16)
-	m.Current = 0
-	switches, prev := 0, -1
+	// The best config flips every 4 intervals, faster than the dwell floor
+	// lets the decider follow: its voluntary moves (changes of its
+	// incumbent; probe dispatches are not moves) must stay at least
+	// hystDwellMin intervals apart, and some must sit exactly on the floor.
+	p := &HysteresisPolicy{Configs: []int{0, 1}}
+	m := &Monitor{}
+	var moves []int
 	for i := 0; i < 100; i++ {
 		tpi := map[int]float64{0: 0.2, 1: 0.4}
-		if i%2 == 1 {
+		if (i/4)%2 == 1 {
 			tpi = map[int]float64{0: 0.4, 1: 0.2}
 		}
+		inc := p.current
 		c := p.Next(m)
-		if prev >= 0 && c != prev {
-			switches++
+		if i > 0 && p.current != inc {
+			moves = append(moves, i)
 		}
-		prev = c
-		m.Record(Sample{Interval: int64(i), Config: c, TPI: tpi[c]})
+		m.Record(Sample{Config: c, TPI: tpi[c]})
 	}
-	if switches > 12 {
-		t.Errorf("dwell floor 10 allowed %d switches in 100 flapping intervals", switches)
+	onFloor := false
+	for k := 1; k < len(moves); k++ {
+		gap := moves[k] - moves[k-1]
+		if gap < hystDwellMin {
+			t.Errorf("moves at intervals %d and %d: %d apart, dwell floor %d", moves[k-1], moves[k], gap, hystDwellMin)
+		}
+		onFloor = onFloor || gap == hystDwellMin
+	}
+	if !onFloor {
+		t.Errorf("no two moves exactly %d intervals apart: the floor never bound (moves %v)", hystDwellMin, moves)
 	}
 }
 
 func TestPIDConvergesAndSlews(t *testing.T) {
-	p := &PIDPolicy{Configs: []int{0, 1, 2}, ExplorePeriod: 1 << 40}
+	p := &PIDPolicy{Configs: []int{0, 1, 2}}
 	choices := feed(p, map[int]float64{0: 0.5, 1: 0.3, 2: 0.1}, 60)
 	// The actuator slews one menu position per actuation: on the way from
 	// 0 to 2 the policy must pass through 1 after its bootstrap visits.
@@ -172,17 +185,37 @@ func TestPIDConvergesAndSlews(t *testing.T) {
 }
 
 func TestPIDDeadbandHolds(t *testing.T) {
-	// A tiny error never charges the loop past the actuation deadband.
-	p := &PIDPolicy{Configs: []int{0, 1}, ExplorePeriod: 1 << 40, WindupMax: 0.05}
-	choices := feed(p, map[int]float64{0: 0.300, 1: 0.297}, 60)
-	on1 := 0
-	for _, c := range choices[5:] {
-		if c == 1 {
-			on1++
+	// A persistent 1% error charges the loop one integral step per
+	// decision: it actuates exactly when the gains first push the control
+	// output past the deadband, and holds the incumbent until then.
+	tpi := map[int]float64{0: 0.300, 1: 0.297}
+	e := (tpi[0] - tpi[1]) / tpi[0]
+	var integral float64
+	steps := 0
+	for u := 0.0; u <= pidDeadband; {
+		steps++
+		integral = min(integral+e, pidWindupMax)
+		u = pidKP*e + pidKI*integral
+	}
+	// Decisions 0 and 1 are the bootstrap visits; the loop first sees the
+	// error at decision 2. The deadband is meant to hold a 1% error for
+	// dozens of intervals, and the hold must end before the first
+	// exploration visit (decision estExplorePeriod-1) would interrupt it.
+	want := 1 + steps
+	if want < 20 {
+		t.Fatalf("gains predict actuation on a 1%% error already at decision %d", want)
+	}
+	if want >= estExplorePeriod-1 {
+		t.Fatalf("predicted actuation at decision %d is past the first exploration visit", want)
+	}
+	choices := feed(&PIDPolicy{Configs: []int{0, 1}}, tpi, want+5)
+	for i, c := range choices[2:want] {
+		if c != 0 {
+			t.Fatalf("decision %d: PID left the incumbent before the deadband opened (%v)", i+2, choices)
 		}
 	}
-	if on1 > 0 {
-		t.Errorf("PID actuated on a 1%% error: %d intervals on config 1", on1)
+	if choices[want] != 1 {
+		t.Errorf("decision %d: PID did not actuate when its gains predict (%v)", want, choices)
 	}
 }
 
@@ -204,8 +237,7 @@ func TestSlopeBanditConvergesToBest(t *testing.T) {
 
 func TestSlopeBanditTracksPhaseChange(t *testing.T) {
 	p := &SlopeBanditPolicy{Configs: []int{0, 1}}
-	m := NewMonitor(16)
-	m.Current = 0
+	m := &Monitor{}
 	var tail []int
 	for i := 0; i < 160; i++ {
 		tpi := map[int]float64{0: 0.2, 1: 0.4}
@@ -213,7 +245,7 @@ func TestSlopeBanditTracksPhaseChange(t *testing.T) {
 			tpi = map[int]float64{0: 0.4, 1: 0.2}
 		}
 		c := p.Next(m)
-		m.Record(Sample{Interval: int64(i), Config: c, TPI: tpi[c]})
+		m.Record(Sample{Config: c, TPI: tpi[c]})
 		if i >= 130 {
 			tail = append(tail, c)
 		}
@@ -230,24 +262,29 @@ func TestSlopeBanditTracksPhaseChange(t *testing.T) {
 }
 
 func TestProfileThenCommitCycle(t *testing.T) {
-	p := &ProfileThenCommitPolicy{Configs: []int{0, 1, 2}, ProbeIntervals: 2, RecommitPeriod: 20}
-	choices := feed(p, map[int]float64{0: 0.5, 1: 0.3, 2: 0.7}, 60)
-	// Probe round: each candidate dispatched twice, in menu order.
-	want := []int{0, 0, 1, 1, 2, 2}
-	for i, w := range want {
-		if choices[i] != w {
-			t.Fatalf("probe dispatch %d = %d, want %d (%v)", i, choices[i], w, choices[:6])
+	p := &ProfileThenCommitPolicy{Configs: []int{0, 1, 2}}
+	const probe = 3 * ptcProbeIntervals
+	choices := feed(p, map[int]float64{0: 0.5, 1: 0.3, 2: 0.7}, 2*probe+ptcRecommitPeriod)
+	// Probe round: each candidate dispatched ptcProbeIntervals times, in
+	// menu order.
+	for i := 0; i < probe; i++ {
+		if w := i / ptcProbeIntervals; choices[i] != w {
+			t.Fatalf("probe dispatch %d = %d, want %d (%v)", i, choices[i], w, choices[:probe])
 		}
 	}
-	// Commit phase: locked on the best profiled candidate.
-	for i := 6; i < 26; i++ {
+	// Commit phase: locked on the best profiled candidate for exactly
+	// ptcRecommitPeriod intervals.
+	for i := probe; i < probe+ptcRecommitPeriod; i++ {
 		if choices[i] != 1 {
 			t.Errorf("interval %d: committed policy on %d, want 1", i, choices[i])
 		}
 	}
-	// Re-profile round starts after the commitment expires.
-	if choices[26] != 0 || choices[27] != 0 {
-		t.Errorf("recommit did not restart profiling: %v", choices[26:32])
+	// Then the commitment expires and a fresh probe round starts.
+	for i := probe + ptcRecommitPeriod; i < len(choices); i++ {
+		if w := (i - probe - ptcRecommitPeriod) / ptcProbeIntervals; choices[i] != w {
+			t.Errorf("recommit did not restart profiling: %v", choices[probe+ptcRecommitPeriod:])
+			break
+		}
 	}
 }
 
@@ -284,8 +321,7 @@ func TestZooEmptyConfigs(t *testing.T) {
 	for _, p := range []Policy{
 		&HysteresisPolicy{}, &PIDPolicy{}, &SlopeBanditPolicy{}, &ProfileThenCommitPolicy{},
 	} {
-		m := NewMonitor(4)
-		m.Current = 7
+		m := &Monitor{Current: 7}
 		if got := p.Next(m); got != 7 {
 			t.Errorf("%s: empty-config policy moved to %d", p.Name(), got)
 		}
@@ -295,13 +331,12 @@ func TestZooEmptyConfigs(t *testing.T) {
 // feedFunc is feed with a time-varying workload: tpi(iv, cfg) is the TPI
 // configuration cfg shows in interval iv.
 func feedFunc(p Policy, tpi func(iv, cfg int) float64, intervals int) []int {
-	m := NewMonitor(16)
-	m.Current = 0
+	m := &Monitor{}
 	choices := make([]int, 0, intervals)
 	for i := 0; i < intervals; i++ {
 		c := p.Next(m)
 		choices = append(choices, c)
-		m.Record(Sample{Interval: int64(i), Config: c, TPI: tpi(i, c)})
+		m.Record(Sample{Config: c, TPI: tpi(i, c)})
 	}
 	return choices
 }
@@ -369,4 +404,66 @@ func TestPolicyDecisionTrace(t *testing.T) {
 			t.Errorf("%s: decisions diverge at interval %d\n got %s\nwant %s", p.Name(), i, got, want[p.Name()])
 		}
 	}
+}
+
+// FuzzPolicyMenu feeds every adaptive policy a byte-coded schedule of
+// positive finite TPIs over a menu of 1–4 configurations. data[0] picks the
+// menu length and the starting configuration, data[1] the menu's IDs; the
+// rest, read cyclically, is one TPI byte per (interval, menu position). Each
+// decision must be a member of Configs, and two fresh instances fed the same
+// schedule must decide identically — the race-family memo serves one
+// family's columns to every equal roster.
+func FuzzPolicyMenu(f *testing.F) {
+	f.Add([]byte{0, 0, 10})
+	f.Add([]byte{3, 5, 40, 20, 60, 80, 20, 40, 90, 10})
+	f.Add([]byte{7, 2, 255, 0, 128, 1})
+	f.Add([]byte{2, 7, 50, 30, 70, 25, 45, 60, 25, 40, 15})
+	fresh := []func(menu []int) Policy{
+		func(menu []int) Policy { return &IntervalPolicy{Configs: menu} },
+		func(menu []int) Policy { return &HysteresisPolicy{Configs: menu} },
+		func(menu []int) Policy { return &PIDPolicy{Configs: menu} },
+		func(menu []int) Policy { return &SlopeBanditPolicy{Configs: menu} },
+		func(menu []int) Policy { return &ProfileThenCommitPolicy{Configs: menu} },
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		k := 1 + int(data[0]%4)
+		menu := make([]int, k)
+		member := map[int]bool{}
+		for i := range menu {
+			menu[i] = (int(data[1]) + 3*i) % 8 // distinct for i < 4
+			member[menu[i]] = true
+		}
+		start := menu[int(data[0]/4)%k]
+		sched := data[2:]
+		const intervals = 320 // past profile-commit's first recommit
+		run := func(p Policy) []int {
+			m := &Monitor{Current: start}
+			choices := make([]int, intervals)
+			for i := range choices {
+				c := p.Next(m)
+				if !member[c] {
+					t.Fatalf("%s: decision %d is config %d, not on the menu %v", p.Name(), i, c, menu)
+				}
+				pos := 0
+				for menu[pos] != c {
+					pos++
+				}
+				b := sched[(i*k+pos)%len(sched)]
+				m.Record(Sample{Config: c, TPI: float64(1+int(b)) / 64})
+				choices[i] = c
+			}
+			return choices
+		}
+		for _, mk := range fresh {
+			a, b := run(mk(menu)), run(mk(menu))
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%s: two fresh instances diverge at decision %d: %d vs %d", mk(menu).Name(), i, a[i], b[i])
+				}
+			}
+		}
+	})
 }

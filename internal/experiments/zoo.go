@@ -35,10 +35,10 @@ var zooSizes = []int{16, 64, 128}
 // the axis that separates eager switchers from dwellers.
 var zooPenalties = []int{0, 50, 200}
 
-// zooContenders builds one fresh stateful instance of every adaptive policy.
-// All tunables are zero — the documented defaults (internal/core's
-// negative-sentinel convention), so the league measures the out-of-the-box
-// controllers. Deliberately NOT penalty-tuned: stretching dwell floors and
+// zooContenders builds one fresh stateful instance of every adaptive policy:
+// the interval predictor at its documented defaults and the four contenders
+// on their package constants (they have no tunables), so the league measures
+// the out-of-the-box controllers. Deliberately NOT penalty-tuned: stretching dwell floors and
 // exploration cadences with the switch cost was tried and is fragile — it
 // trades the punitive-penalty switch tax for response lag whose regret cost
 // varies per policy and per workload (it regressed more cells than it

@@ -158,14 +158,6 @@ type Stats struct {
 	WindowFullCy int64 // cycles in which dispatch was blocked by a full window
 }
 
-// IPC returns issued instructions per cycle.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Issued) / float64(s.Cycles)
-}
-
 // Sub returns s - o, the statistics delta between two snapshots.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{

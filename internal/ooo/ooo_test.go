@@ -53,6 +53,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// ipc returns a run's issued instructions per cycle.
+func ipc(st Stats) float64 { return float64(st.Issued) / float64(st.Cycles) }
+
 func TestSerialChainIPC(t *testing.T) {
 	// A pure dependence chain with latency L issues one instruction every
 	// L cycles regardless of window size.
@@ -61,7 +64,7 @@ func TestSerialChainIPC(t *testing.T) {
 			c := MustNew(PaperConfig(w))
 			st := c.Run(stream(t, chainParams(lat), 1), 5000)
 			want := 1.0 / float64(lat)
-			if got := st.IPC(); got < want*0.98 || got > want*1.02 {
+			if got := ipc(st); got < want*0.98 || got > want*1.02 {
 				t.Errorf("chain lat=%d W=%d: IPC %v, want %v", lat, w, got, want)
 			}
 		}
@@ -71,7 +74,7 @@ func TestSerialChainIPC(t *testing.T) {
 func TestIndependentStreamSaturatesIssueWidth(t *testing.T) {
 	c := MustNew(PaperConfig(64))
 	st := c.Run(stream(t, independentParams(1), 2), 20000)
-	if got := st.IPC(); got < 7.9 {
+	if got := ipc(st); got < 7.9 {
 		t.Errorf("independent stream IPC %v, want ~8 (issue width)", got)
 	}
 }
@@ -79,10 +82,10 @@ func TestIndependentStreamSaturatesIssueWidth(t *testing.T) {
 func TestIssueWidthRespected(t *testing.T) {
 	c := MustNew(Config{WindowSize: 64, IssueWidth: 4})
 	st := c.Run(stream(t, independentParams(1), 3), 20000)
-	if got := st.IPC(); got > 4.001 {
+	if got := ipc(st); got > 4.001 {
 		t.Errorf("IPC %v exceeds issue width 4", got)
 	}
-	if got := st.IPC(); got < 3.9 {
+	if got := ipc(st); got < 3.9 {
 		t.Errorf("IPC %v far below achievable 4", got)
 	}
 }
@@ -92,7 +95,7 @@ func TestBackToBackDependentIssue(t *testing.T) {
 	// cycles (IPC 1.0), the property the atomic wakeup+select protects.
 	c := MustNew(PaperConfig(32))
 	st := c.Run(stream(t, chainParams(1), 4), 5000)
-	if got := st.IPC(); got < 0.99 {
+	if got := ipc(st); got < 0.99 {
 		t.Errorf("back-to-back chain IPC %v, want 1.0", got)
 	}
 }
@@ -107,11 +110,11 @@ func TestLargerWindowNeverHurtsIPC(t *testing.T) {
 	for _, w := range []int{16, 32, 64, 128} {
 		c := MustNew(PaperConfig(w))
 		s := workload.NewInstrStream(b, 5)
-		ipc := c.Run(s, 100000).IPC()
-		if ipc < prev*0.995 { // tolerate sub-percent noise
-			t.Errorf("W=%d IPC %v below smaller window's %v", w, ipc, prev)
+		got := ipc(c.Run(s, 100000))
+		if got < prev*0.995 { // tolerate sub-percent noise
+			t.Errorf("W=%d IPC %v below smaller window's %v", w, got, prev)
 		}
-		prev = ipc
+		prev = got
 	}
 }
 
@@ -210,7 +213,7 @@ func TestIPCNeverExceedsWidthProperty(t *testing.T) {
 		b, _ := workload.ByName("perl")
 		s := workload.NewInstrStream(b, seed)
 		st := c.Run(s, 20000)
-		return st.IPC() > 0 && st.IPC() <= float64(width)+1e-9
+		return ipc(st) > 0 && ipc(st) <= float64(width)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -78,7 +78,7 @@ ci: fmt vet staticcheck build ci-names ci-race race fuzz-smoke bench-smoke bench
 # (which plain `go test` already replays): the ooo engine and MultiCore
 # differentials, the MultiHierarchy and TLB differentials, the
 # adaptive policies' menu membership and determinism, the
-# classification round trip, the study-cache envelope, the row codec and
+# classification round trip, the study-cache segment parser, the row codec and
 # the keys that share its encoding, the ledger parser and encoder, the API request decoder, the rng cut tables,
 # the fixed-point formatter and table renderers against strconv and fmt,
 # and the capsim command line.

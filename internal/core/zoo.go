@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file is the dynamic-policy zoo: four adaptation schemes beyond the
 // paper's interval predictor, each a drop-in Policy raced through the
@@ -81,7 +84,8 @@ type estimator struct {
 }
 
 // observe folds the monitor's latest sample into the estimates, starting
-// the estimator at the monitor's configuration on first use. An incumbent
+// the estimator at the monitor's configuration on first use, or at the
+// menu's first when the monitor's is not on the menu. An incumbent
 // sample updates its EWMA with weight alpha, or — when it deviates by more
 // than driftGain — extends the drift streak with the estimate frozen as the
 // old-regime reference; a confirmed streak restarts the table (the fresh
@@ -97,6 +101,9 @@ func (e *estimator) observe(m *Monitor, configs []int, alpha, driftGain float64)
 		e.est = make(map[int]float64, len(configs))
 		e.seen = make(map[int]bool, len(configs))
 		e.current = m.Current
+		if !slices.Contains(configs, e.current) {
+			e.current = configs[0] // best and probe start from the incumbent
+		}
 	}
 	last, ok := m.Last()
 	if !ok {

@@ -408,7 +408,8 @@ func TestPolicyDecisionTrace(t *testing.T) {
 
 // FuzzPolicyMenu feeds every adaptive policy a byte-coded schedule of
 // positive finite TPIs over a menu of 1–4 configurations. data[0] picks the
-// menu length and the starting configuration, data[1] the menu's IDs; the
+// menu length and the starting configuration, which need not be on the
+// menu, data[1] the menu's IDs; the
 // rest, read cyclically, is one TPI byte per (interval, menu position). Each
 // decision must be a member of Configs, and two fresh instances fed the same
 // schedule must decide identically — the race-family memo serves one
@@ -418,6 +419,7 @@ func FuzzPolicyMenu(f *testing.F) {
 	f.Add([]byte{3, 5, 40, 20, 60, 80, 20, 40, 90, 10})
 	f.Add([]byte{7, 2, 255, 0, 128, 1})
 	f.Add([]byte{2, 7, 50, 30, 70, 25, 45, 60, 25, 40, 15})
+	f.Add([]byte{1, 1, 40, 20, 60, 80, 20, 40}) // menu {1, 4}, starting on 0
 	fresh := []func(menu []int) Policy{
 		func(menu []int) Policy { return &IntervalPolicy{Configs: menu} },
 		func(menu []int) Policy { return &HysteresisPolicy{Configs: menu} },
@@ -436,7 +438,7 @@ func FuzzPolicyMenu(f *testing.F) {
 			menu[i] = (int(data[1]) + 3*i) % 8 // distinct for i < 4
 			member[menu[i]] = true
 		}
-		start := menu[int(data[0]/4)%k]
+		start := int(data[0]/4) % 8
 		sched := data[2:]
 		const intervals = 320 // past profile-commit's first recommit
 		run := func(p Policy) []int {

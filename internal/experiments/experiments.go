@@ -148,11 +148,14 @@ func Title(id string) (string, error) {
 
 // ResetCaches discards the in-process study rows, the shared materialized
 // instruction stores and the race families layered on them (the fixed
-// baselines' columns included); a persistent study cache is left as it is.
-// Long-lived processes that sweep many configurations can call it to bound
-// memory; the determinism tests call it between serial and parallel passes
-// so the comparison re-runs the full compute instead of hitting the memo.
+// baselines' columns included). A persistent study cache publishes its
+// pending rows and forgets what it has read, so the next lookup reads the
+// directory afresh; its files are left as they are. Long-lived processes
+// that sweep many configurations can call it to bound memory; the tests
+// call it as a process boundary, and between serial and parallel passes so
+// the comparison re-runs the full compute instead of hitting the memo.
 func ResetCaches() {
+	studyStore.Load().Reset()
 	studyRows.Reset()
 	trace.Reset()
 	core.ResetPolicyFamilies()
@@ -169,7 +172,9 @@ func Run(id string, cfg Config) (Result, error) {
 // jobs and returns ctx's error; partial results are never returned. RunCtx
 // is safe for concurrent use — the experiment API server invokes it from one
 // goroutine per request — and concurrent invocations with equal
-// configurations share the memoized profiling passes (singleflight).
+// configurations share the memoized profiling passes (singleflight). With a
+// study cache set, the rows a run computed are published as one segment
+// when its driver returns.
 func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 	e, ok := registry[id]
 	if !ok {
@@ -181,6 +186,7 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
+	defer studyStore.Load().Flush() // a failed publish leaves the rows to a later run
 	return e.run(ctx, cfg)
 }
 

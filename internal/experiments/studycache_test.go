@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -91,7 +92,8 @@ func TestStudyCacheByteIdentical(t *testing.T) {
 // TestPersistentCacheReuseObservable is the warm-cache acceptance check: a
 // second cold process (simulated by resetting every in-memory tier) against
 // a warm persistent store must reuse the published studies — zero new row
-// computes, memo.persist_hits climbing — and render byte-identically.
+// computes, memo.persist_hits climbing, no file written — and render
+// byte-identically.
 func TestPersistentCacheReuseObservable(t *testing.T) {
 	cfg := studyCacheTestConfig()
 	defer SetStudyCacheDir("")
@@ -122,8 +124,19 @@ func TestPersistentCacheReuseObservable(t *testing.T) {
 	}
 
 	ResetCaches() // process boundary: in-memory memos and trace stores gone
+	listing := func() []string {
+		names, err := filepath.Glob(filepath.Join(studyStore.Load().Dir(), "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	files := listing()
 	second := run()
 	s2 := obs.TakeSnapshot()
+	if after := listing(); !slices.Equal(after, files) {
+		t.Errorf("warm run changed the store: %v, then %v", files, after)
+	}
 	warm := s2.DiffCounters(s1)
 	if warm["memo.persist_hits"] == 0 {
 		t.Fatalf("warm run reused nothing: %v", warm)
@@ -137,10 +150,11 @@ func TestPersistentCacheReuseObservable(t *testing.T) {
 }
 
 // TestCombinedPersistsOnlyRows pins what a cold ablation-combined run
-// writes to the study cache: one entry per application's combined row and
-// nothing else — the classification streams the joint kernel replays live
-// and die inside that row's computation. A warm re-run then renders
-// byte-identically without generating a single classification stream.
+// writes to the study cache: one segment, the run's, holding one entry per
+// application's combined row and nothing else — the classification streams
+// the joint kernel replays live and die inside that row's computation. A
+// warm re-run then renders byte-identically without generating a single
+// classification stream.
 func TestCombinedPersistsOnlyRows(t *testing.T) {
 	cfg := studyCacheTestConfig()
 	dir := t.TempDir()
@@ -160,27 +174,40 @@ func TestCombinedPersistsOnlyRows(t *testing.T) {
 
 	ResetCaches()
 	cold := run()
-	entries, err := filepath.Glob(filepath.Join(studyStore.Load().Dir(), "*", "*.row"))
+	segs, err := filepath.Glob(filepath.Join(studyStore.Load().Dir(), "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 5 { // gcc, stereo, appcg, compress, swim
-		t.Errorf("cold run wrote %d entries, want one per application (5)", len(entries))
+	if len(segs) != 1 {
+		t.Fatalf("cold run wrote %d segments, want 1", len(segs))
 	}
-	for _, path := range entries {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// An entry starts with the schema line, then the varint-prefixed key.
-		_, rest, _ := bytes.Cut(raw, []byte("\n"))
+	raw, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A segment is the schema line, the entry count, then per entry the
+	// varint-prefixed key, a 4-byte checksum and the varint-prefixed payload.
+	_, rest, _ := bytes.Cut(raw, []byte("\n"))
+	field := func() []byte {
 		n, k := binary.Uvarint(rest)
 		if k <= 0 || uint64(len(rest)-k) < n {
-			t.Fatalf("%s: no key after the schema line", path)
+			t.Fatalf("%s: malformed segment", segs[0])
 		}
-		if key := string(rest[k : k+int(n)]); !strings.HasPrefix(key, "combined|") {
+		f := rest[k : k+int(n)]
+		rest = rest[k+int(n):]
+		return f
+	}
+	count, k := binary.Uvarint(rest)
+	rest = rest[k:]
+	if count != 5 { // gcc, stereo, appcg, compress, swim
+		t.Errorf("cold run wrote %d entries, want one per application (5)", count)
+	}
+	for i := uint64(0); i < count; i++ {
+		if key := string(field()); !strings.HasPrefix(key, "combined|") {
 			t.Errorf("cold run wrote %q, not a combined row", key)
 		}
+		rest = rest[4:]
+		field()
 	}
 
 	ResetCaches() // process boundary

@@ -21,11 +21,12 @@ import (
 // 7-9, ablation-power and the paper-design half of ablation-increment share
 // their ProfileCacheTPI passes without any store — and, with a study cache
 // directory set (capsim -study-cache, SetStudyCacheDir), the row is also
-// published to a content-addressed store (internal/memo.Store) from which
-// later processes load it instead of recomputing. Values go through memo's
-// positional row codec, which writes float64s as their bits, so ±Inf, NaN
-// and −0 round-trip exactly and the byte-identical-render contract survives
-// the disk hop; an entry written for another layout of a row type is a miss.
+// published to a persistent store (internal/memo.Store), one segment file
+// per run, from which later processes load it instead of recomputing.
+// Values go through memo's positional row codec, which writes float64s as
+// their bits, so ±Inf, NaN and −0 round-trip exactly and the
+// byte-identical-render contract survives the disk hop; an entry written
+// for another layout of a row type is a miss.
 //
 // A key names what the row was computed from, never what code computed it:
 // modelEpoch stands in for the code. It joins every key, and
@@ -46,20 +47,20 @@ var studyStore atomic.Pointer[memo.Store]
 // bounds it and ResetCaches clears it.
 var studyRows memo.Memo[string, any]
 
-// SetStudyCacheDir backs the study-row memo tier with a persistent
-// content-addressed store rooted at dir (created if needed); "" disables
-// persistence. Safe to call concurrently with runs: rows started before the
-// switch finish against the store they began with.
+// SetStudyCacheDir backs the study-row memo tier with a persistent store
+// rooted at dir (created if needed); "" disables persistence. The store it
+// replaces publishes its pending rows. Safe to call concurrently with runs:
+// rows started before the switch finish against the store they began with,
+// which their run flushes.
 func SetStudyCacheDir(dir string) error {
-	if dir == "" {
-		studyStore.Store(nil)
-		return nil
+	var s *memo.Store
+	if dir != "" {
+		var err error
+		if s, err = memo.OpenStore(dir); err != nil {
+			return err
+		}
 	}
-	s, err := memo.OpenStore(dir)
-	if err != nil {
-		return err
-	}
-	studyStore.Store(s)
+	studyStore.Swap(s).Flush() // a failed publish leaves the rows to a later run
 	return nil
 }
 

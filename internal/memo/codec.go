@@ -39,11 +39,11 @@
 // decoder is canonical: it accepts only minimal varints, 0/1 bools,
 // strictly increasing map key bytes and no trailing bytes, so any input it
 // accepts re-encodes to the same bytes, and two writers of one value publish
-// one file. It checks every length against the bytes left before it
+// the same bytes. It checks every length against the bytes left before it
 // allocates, so a corrupt length cannot make it allocate more than its input
 // describes.
 //
-// Neither gob nor JSON for rows: every entry file would be its own gob
+// Neither gob nor JSON for rows: every stored row would be its own gob
 // stream, so each read would rebuild gob's type descriptors and decode
 // engine, which cost more than the rest of the read; JSON cannot carry the
 // ±Inf and NaN the rows contain.
@@ -334,6 +334,18 @@ func (d *decoder) uvarint() uint64 {
 	return x
 }
 
+// chunk reads a length-prefixed run of bytes, which aliases the input.
+func (d *decoder) chunk() []byte {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail()
+		return nil
+	}
+	s := d.b[:n:n]
+	d.b = d.b[n:]
+	return s
+}
+
 // count reads a slice or map prefix: -1 for nil, else a length whose
 // elements, of at least min bytes each, fit in what is left.
 func (d *decoder) count(min int) int {
@@ -383,13 +395,9 @@ func (d *decoder) value(v reflect.Value) {
 		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(d.b)))
 		d.b = d.b[8:]
 	case reflect.String:
-		n := d.uvarint()
-		if n > uint64(len(d.b)) {
-			d.fail()
-			return
+		if s := d.chunk(); !d.bad {
+			v.SetString(string(s))
 		}
-		v.SetString(string(d.b[:n]))
-		d.b = d.b[n:]
 	case reflect.Slice:
 		n := d.count(minSize(v.Type().Elem()))
 		if n < 0 {

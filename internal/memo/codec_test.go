@@ -2,7 +2,6 @@ package memo
 
 import (
 	"errors"
-	"os"
 	"testing"
 )
 
@@ -21,7 +20,7 @@ func probe[V any](s *Store, key string) bool {
 // TestRowLayoutChangeIsMiss: the positional encoding names no fields, so
 // the layout fingerprint is what keeps an entry written for one struct
 // layout from being read under another. A changed layout reads as a miss
-// and removes the entry; an equal layout under another type name hits.
+// and removes its segment; an equal layout under another type name hits.
 func TestRowLayoutChangeIsMiss(t *testing.T) {
 	type row struct{ TPI, Miss []float64 }
 	cases := map[string]struct {
@@ -46,12 +45,14 @@ func TestRowLayoutChangeIsMiss(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if got := c.read(s, "k"); got != c.hit {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.read(reopen(t, s), "k"); got != c.hit {
 				t.Fatalf("served=%v, want %v", got, c.hit)
 			}
-			_, err := os.Stat(s.path("k"))
-			if c.hit != (err == nil) {
-				t.Errorf("entry present=%v after a read that served=%v", err == nil, c.hit)
+			if n := len(segments(t, s)); c.hit != (n == 1) {
+				t.Errorf("segment present=%v after a read that served=%v", n == 1, c.hit)
 			}
 		})
 	}

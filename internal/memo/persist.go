@@ -1,4 +1,4 @@
-// Persistent tier: an optional content-addressed study cache on disk.
+// Persistent tier: an optional study cache on disk.
 //
 // A Store maps canonical key strings to encoded values under a root
 // directory, so independent replicas, repeated CLI runs, processes sharing
@@ -7,28 +7,40 @@
 // every read path degrades to a recompute — so the store can be deleted,
 // truncated, or concurrently written at any time.
 //
-//   - Content addressing: the file name is the SHA-256 of the key, fanned
-//     out over 256 subdirectories; the full key is stored inside the entry
-//     and verified on read, so a hash collision degrades to a miss, never to
-//     a wrong value.
-//   - Atomic publication: writers encode into a unique temp file in the
-//     store root and rename(2) it into place. Readers therefore see either a
-//     complete entry or none; two writers racing on one key both publish a
-//     byte-equivalent entry and the later rename wins.
-//   - Corruption tolerance: any decode problem — truncated file, wrong
-//     schema line, key mismatch, checksum mismatch, a value written for
-//     another layout of its type — counts as a miss and best-effort removes
-//     the bad entry so the next write repairs it.
-//   - Versioned schema: entries live under <root>/v2 and start with the
+//   - Segments: rows are published in batches, one segment file per Flush
+//     (experiments.RunCtx flushes once per run), each holding many entries
+//     under their full keys. A process lists the directory and reads each
+//     segment once, on its first lookup; a later miss lists it again and
+//     reads only the segments it has not seen, so processes sharing a
+//     directory see each other's rows. A process that dies before its flush
+//     loses only that batch's rows, which are misses for the next run.
+//   - Atomic publication: a segment is written to a unique temp file in the
+//     store root and rename(2)d to a name drawn from the SHA-256 of its
+//     bytes. Readers therefore see either a complete segment or none; two
+//     writers that publish the same rows publish the same file.
+//   - Corruption tolerance: a segment that is not exactly what Flush writes
+//     — truncated, wrong schema line, checksum mismatch, trailing bytes —
+//     is a miss for all its rows and is removed best-effort, so the next
+//     flush republishes them. A row written for another layout of its type
+//     is a miss that removes its segment too.
+//   - Bounded memory: a Store holds the rows put since its last Flush and
+//     the rows it has read but not yet served. A row is released once
+//     served (the memo above a PersistDo holds the decoded value), pending
+//     rows are released at Flush, and a Store never reads back the
+//     segments it wrote, so a long-lived process does not grow with the
+//     rows it computes or serves.
+//   - Versioned schema: segments live under <root>/v3 and start with the
 //     schema line. A future incompatible layout bumps the directory and the
-//     line; old entries are simply never read again (the gob-encoded v1
-//     entries of earlier builds are such).
+//     line; old entries are simply never read again (the per-row files of
+//     v1 and v2 are such).
 //
-// An entry file is the schema line "capsim/study-cache/v2\n", the key's
-// length as a varint, the key, the CRC-32 (IEEE, little-endian) of the
-// payload, and the payload, which runs to the end of the file. PersistDo's
-// payloads are the value's layout fingerprint, then its content encoding
-// (codec.go), the one Key writes for its parts.
+// A segment file is the schema line "capsim/study-cache/v3\n", the entry
+// count as a varint, then the entries in strictly increasing key order,
+// each the key's length as a varint, the key, the CRC-32 (IEEE,
+// little-endian) of the key and payload, the payload's length as a varint
+// and the payload; varints are minimal and nothing follows the last entry.
+// PersistDo's payloads are the value's layout fingerprint, then its content
+// encoding (codec.go), the one Key writes for its parts.
 package memo
 
 import (
@@ -41,6 +53,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 
 	"capsim/internal/obs"
 )
@@ -54,18 +69,30 @@ var (
 	obsPersistWrites = obs.NewCounter("memo.persist_writes") // entries published
 )
 
-// storeSchema versions the entry layout and storeDir the directory layout;
-// bump both together on incompatible changes.
+// storeSchema versions the segment layout and storeDir the directory
+// layout; bump both together on incompatible changes.
 const (
-	storeSchema = "capsim/study-cache/v2"
-	storeDir    = "v2"
+	storeSchema = "capsim/study-cache/v3"
+	storeDir    = "v3"
 )
 
-// Store is a persistent content-addressed blob cache rooted at a directory.
-// The zero value is not usable; create one with OpenStore. All methods are
-// safe for concurrent use by any number of goroutines and processes.
+// Store is a persistent study cache rooted at a directory. The zero value
+// is not usable; create one with OpenStore. All methods are safe for
+// concurrent use by any number of goroutines and processes.
 type Store struct {
-	root string // <user dir>/v2
+	root string // <user dir>/v3
+
+	mu      sync.Mutex
+	pending map[string][]byte    // put since the last Flush
+	rows    map[string]storedRow // read from segments, not yet served
+	seen    map[string]bool      // segment files read or written here
+}
+
+// storedRow is a row read from a segment: its payload, which aliases the
+// segment's bytes, and the segment's file name.
+type storedRow struct {
+	payload []byte
+	seg     string
 }
 
 // OpenStore opens (creating if needed) a persistent store rooted at dir.
@@ -77,57 +104,119 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("memo: open store: %w", err)
 	}
-	return &Store{root: root}, nil
+	return &Store{root: root, rows: map[string]storedRow{}, seen: map[string]bool{}}, nil
 }
 
 // Dir returns the store's versioned root directory.
 func (s *Store) Dir() string { return s.root }
 
-// path returns the entry file for key: two-hex-digit fan-out over the
-// SHA-256 of the key, so no single directory grows unboundedly.
-func (s *Store) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	name := hex.EncodeToString(sum[:])
-	return filepath.Join(s.root, name[:2], name+".row")
+// segEntry is one entry of a segment file.
+type segEntry struct {
+	key     string
+	payload []byte
 }
 
-// entryHeader returns the bytes every entry for key starts with: the schema
-// line and the length-prefixed key.
-func entryHeader(key string) []byte {
-	b := append([]byte(storeSchema), '\n')
-	return append(binary.AppendUvarint(b, uint64(len(key))), key...)
+// minEntry is the fewest bytes a segment entry takes: two one-byte
+// lengths and the checksum.
+const minEntry = 6
+
+// entrySum is the checksum an entry carries.
+func entrySum(key, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(key), crc32.IEEETable, payload)
 }
 
-// encodeEntry returns the entry file for payload under key.
-func encodeEntry(key string, payload []byte) []byte {
-	b := binary.LittleEndian.AppendUint32(entryHeader(key), crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
-}
-
-// decodeEntry returns the payload of entry file raw if it is an intact
-// entry for key.
-func decodeEntry(key string, raw []byte) ([]byte, bool) {
-	h := entryHeader(key)
-	if len(raw) < len(h)+4 || !bytes.Equal(raw[:len(h)], h) {
-		return nil, false
+// encodeSegment returns the segment file holding entries, which must be in
+// strictly increasing key order.
+func encodeSegment(entries []segEntry) []byte {
+	b := binary.AppendUvarint([]byte(storeSchema+"\n"), uint64(len(entries)))
+	for _, e := range entries {
+		b = binary.AppendUvarint(b, uint64(len(e.key)))
+		k := len(b)
+		b = append(b, e.key...)
+		b = binary.LittleEndian.AppendUint32(b, entrySum(b[k:], e.payload))
+		b = append(binary.AppendUvarint(b, uint64(len(e.payload))), e.payload...)
 	}
-	payload := raw[len(h)+4:]
-	return payload, binary.LittleEndian.Uint32(raw[len(h):]) == crc32.ChecksumIEEE(payload)
+	return b
 }
 
-// read returns the payload stored for key, removing an unusable entry
-// best-effort so a later write repairs it.
-func (s *Store) read(key string) ([]byte, bool) {
-	p := s.path(key)
-	raw, err := os.ReadFile(p)
-	if err != nil {
-		return nil, false
-	}
-	payload, ok := decodeEntry(key, raw)
+// parseSegment returns the entries of segment file raw, or ok=false unless
+// raw is exactly what encodeSegment writes for them. Payloads alias raw;
+// besides the keys' bytes it allocates one entry per minEntry input bytes
+// at most.
+func parseSegment(raw []byte) ([]segEntry, bool) {
+	body, ok := bytes.CutPrefix(raw, []byte(storeSchema+"\n"))
 	if !ok {
-		os.Remove(p)
+		return nil, false
 	}
-	return payload, ok
+	d := decoder{b: body}
+	n := d.uvarint()
+	if n > uint64(len(d.b)/minEntry) {
+		return nil, false
+	}
+	entries := make([]segEntry, 0, n)
+	for ; n > 0; n-- {
+		key := d.chunk()
+		if len(d.b) < 4 {
+			return nil, false
+		}
+		sum := binary.LittleEndian.Uint32(d.b)
+		d.b = d.b[4:]
+		payload := d.chunk()
+		if d.bad || entrySum(key, payload) != sum ||
+			len(entries) > 0 && entries[len(entries)-1].key >= string(key) {
+			return nil, false
+		}
+		entries = append(entries, segEntry{string(key), payload})
+	}
+	return entries, !d.bad && len(d.b) == 0
+}
+
+// lookup returns the row stored for key: one put since the last Flush, else
+// one read from a segment, listing the directory for segments this Store
+// has not seen when the key is not among the rows already read. A row read
+// from a segment is released as it is returned.
+func (s *Store) lookup(key string) (storedRow, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p, ok := s.pending[key]; ok {
+		return storedRow{payload: p}, true
+	}
+	r, ok := s.rows[key]
+	if !ok {
+		s.scan()
+		r, ok = s.rows[key]
+	}
+	delete(s.rows, key)
+	return r, ok
+}
+
+// scan reads every segment in the directory this Store has not seen. A
+// segment that does not parse is removed best-effort.
+func (s *Store) scan() {
+	des, err := os.ReadDir(s.root)
+	if err != nil {
+		return
+	}
+	for _, de := range des {
+		name := de.Name()
+		if s.seen[name] || !strings.HasSuffix(name, ".seg") {
+			continue
+		}
+		s.seen[name] = true
+		p := filepath.Join(s.root, name)
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			continue
+		}
+		entries, ok := parseSegment(raw)
+		if !ok {
+			os.Remove(p)
+			continue
+		}
+		for _, e := range entries {
+			s.rows[e.key] = storedRow{e.payload, name}
+		}
+	}
 }
 
 // countRead records one persistent lookup's outcome.
@@ -139,73 +228,123 @@ func countRead(hit bool) {
 	}
 }
 
-// GetBytes returns the payload stored for key, or ok=false when the entry is
-// absent or unusable. Unusable entries (truncated, wrong schema, key or
-// checksum mismatch) are removed best-effort so a later write repairs them.
+// GetBytes returns the payload stored for key, or ok=false when no usable
+// entry is on disk or pending. A payload read from disk is served once:
+// the Store releases it, so a second GetBytes of the key misses unless
+// another segment holding it appears. The caller must not modify it.
 func (s *Store) GetBytes(key string) ([]byte, bool) {
-	payload, ok := s.read(key)
+	r, ok := s.lookup(key)
 	countRead(ok)
-	return payload, ok
+	return r.payload, ok
 }
 
-// PutBytes publishes payload under key: write to a unique temp file in the
-// store root, then rename into place. Concurrent writers for the same key
-// are both deterministic producers of the same bytes, so whichever rename
-// lands last is equivalent.
+// PutBytes queues a copy of payload under key for the next Flush, which
+// publishes it; until then GetBytes serves it from memory. The error is
+// always nil: publication, and its failures, belong to Flush.
 func (s *Store) PutBytes(key string, payload []byte) error {
-	p := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return err
+	s.put(key, bytes.Clone(payload))
+	return nil
+}
+
+func (s *Store) put(key string, payload []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pending == nil {
+		s.pending = map[string][]byte{}
 	}
+	s.pending[key] = payload
+}
+
+// Flush publishes the rows put since the last Flush as one segment file and
+// releases them: written to a unique temp file in the store root, then
+// renamed into place. With nothing pending, or on a nil Store, it writes
+// nothing.
+func (s *Store) Flush() error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	pending := s.pending
+	s.pending = nil
+	s.mu.Unlock()
+	if len(pending) == 0 {
+		return nil
+	}
+	entries := make([]segEntry, 0, len(pending))
+	for k, p := range pending {
+		entries = append(entries, segEntry{k, p})
+	}
+	slices.SortFunc(entries, func(a, b segEntry) int { return strings.Compare(a.key, b.key) })
+	seg := encodeSegment(entries)
+	sum := sha256.Sum256(seg)
+	name := hex.EncodeToString(sum[:16]) + ".seg"
+	s.mu.Lock()
+	s.seen[name] = true // never read back: whoever put the rows holds them
+	s.mu.Unlock()
+
 	tmp, err := os.CreateTemp(s.root, "put-*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(encodeEntry(key, payload)); err != nil {
+	if _, err := tmp.Write(seg); err != nil {
 		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(s.root, name)); err != nil {
 		return err
 	}
-	obsPersistWrites.Inc()
+	obsPersistWrites.Add(int64(len(entries)))
 	return nil
 }
 
+// Reset flushes the pending rows, then forgets every row and segment read,
+// so the next lookup reads the directory afresh, as a new process would. On
+// a nil Store it does nothing.
+func (s *Store) Reset() error {
+	if s == nil {
+		return nil
+	}
+	err := s.Flush()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rows, s.seen = map[string]storedRow{}, map[string]bool{}
+	return err
+}
+
 // PersistDo is Do against a Store: return the decoded entry for key if one
-// is usable, otherwise compute with fn and publish the result. A nil store
-// degrades to a plain fn() call, so callers thread one optional pointer.
+// is usable, otherwise compute with fn and queue the result for the store's
+// next Flush. A nil store degrades to a plain fn() call, so callers thread
+// one optional pointer.
 //
 // Values are stored in the content encoding that keys use (codec.go), which
 // round-trips float64 bit-exactly (including ±Inf, NaN and −0), so the
 // byte-identical-render contract survives the disk hop. V may be built from
 // bools, integers, float64s, strings, slices, arrays, integer-keyed maps and
 // structs of exported fields; any other type panics. An entry written for
-// another layout of V is a miss and is removed. Errors from fn are never
-// persisted (the disk tier memoizes results, not failures), and a failed
-// publish degrades to returning the computed value.
+// another layout of V is a miss and removes its segment. Errors from fn are
+// never persisted (the disk tier memoizes results, not failures).
 func PersistDo[V any](s *Store, key string, fn func() (V, error)) (V, error) {
 	if s == nil {
 		return fn()
 	}
-	if raw, ok := s.read(key); ok {
-		if v, ok := unmarshalRow[V](raw); ok {
+	if r, ok := s.lookup(key); ok {
+		if v, ok := unmarshalRow[V](r.payload); ok {
 			countRead(true)
 			return v, nil
 		}
-		os.Remove(s.path(key))
+		if r.seg != "" {
+			os.Remove(filepath.Join(s.root, r.seg))
+		}
 	}
 	countRead(false)
 	v, err := fn()
 	if err != nil {
 		return v, err
 	}
-	// Publish failures are non-fatal by design: the value is correct, the
-	// disk tier just stays cold for this key.
-	_ = s.PutBytes(key, marshalRow(v))
+	s.put(key, marshalRow(v))
 	return v, nil
 }

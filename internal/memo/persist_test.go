@@ -3,9 +3,13 @@ package memo
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,12 +24,49 @@ func testStore(t *testing.T) *Store {
 	return s
 }
 
+// reopen returns a fresh handle on s's directory: a new process's view.
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	r, err := OpenStore(filepath.Dir(s.Dir()))
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	return r
+}
+
+// listing returns the names in s's directory.
+func listing(t *testing.T, s *Store) []string {
+	t.Helper()
+	des, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	return names
+}
+
+// segments returns the segment files in s's directory.
+func segments(t *testing.T, s *Store) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(s.Dir(), "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
 func TestOpenStoreRequiresDir(t *testing.T) {
 	if _, err := OpenStore(""); err == nil {
 		t.Fatal("OpenStore(\"\") should fail")
 	}
 }
 
+// TestStoreRoundtrip: a put is served from memory until Flush publishes it
+// as one segment, which a new handle reads; a row read from disk is served
+// once.
 func TestStoreRoundtrip(t *testing.T) {
 	s := testStore(t)
 	if _, ok := s.GetBytes("k"); ok {
@@ -37,35 +78,43 @@ func TestStoreRoundtrip(t *testing.T) {
 	}
 	got, ok := s.GetBytes("k")
 	if !ok || !bytes.Equal(got, want) {
-		t.Fatalf("GetBytes: %q ok=%v, want %q", got, ok, want)
+		t.Fatalf("GetBytes before Flush: %q ok=%v, want %q", got, ok, want)
 	}
-	if _, ok := s.GetBytes("other"); ok {
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(segments(t, s)); n != 1 {
+		t.Fatalf("Flush wrote %d segments, want 1", n)
+	}
+	r := reopen(t, s)
+	if got, ok := r.GetBytes("k"); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("GetBytes from disk: %q ok=%v, want %q", got, ok, want)
+	}
+	if _, ok := r.GetBytes("k"); ok {
+		t.Error("a row read from disk was served twice")
+	}
+	if _, ok := r.GetBytes("other"); ok {
 		t.Error("GetBytes hit an absent key")
 	}
 }
 
 // TestPersistDoReusesAcrossInstances is the cross-process contract in
 // miniature: a second Store opened on the same directory serves the entry
-// without calling fn — what lets concurrent processes and repeated CLI runs share
-// studies.
+// the first flushed without calling fn — what lets concurrent processes and
+// repeated CLI runs share studies.
 func TestPersistDoReusesAcrossInstances(t *testing.T) {
-	dir := t.TempDir()
 	var calls atomic.Int32
 	fn := func() ([]float64, error) { calls.Add(1); return []float64{1, 2, 3}, nil }
 
-	s1, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := testStore(t)
 	v1, err := PersistDo(s1, "study|a", fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStore(dir) // fresh handle = "new process"
-	if err != nil {
+	if err := s1.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := PersistDo(s2, "study|a", fn)
+	v2, err := PersistDo(reopen(t, s1), "study|a", fn) // fresh handle = "new process"
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +137,13 @@ func TestPersistDoNilStoreDegrades(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Errorf("nil store must compute every time (calls=%d)", calls.Load())
 	}
+	var s *Store
+	if err := s.Flush(); err != nil {
+		t.Errorf("nil-store Flush: %v", err)
+	}
+	if err := s.Reset(); err != nil {
+		t.Errorf("nil-store Reset: %v", err)
+	}
 }
 
 // TestPersistDoRoundTripsInf locks one reason the row codec is not JSON:
@@ -100,7 +156,10 @@ func TestPersistDoRoundTripsInf(t *testing.T) {
 	if _, err := PersistDo(s, "inf", fn); err != nil {
 		t.Fatal(err)
 	}
-	got, err := PersistDo(s, "inf", func() ([]float64, error) {
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := PersistDo(reopen(t, s), "inf", func() ([]float64, error) {
 		t.Error("fn called despite a persisted entry")
 		return nil, nil
 	})
@@ -131,186 +190,281 @@ func TestPersistDoNeverPersistsErrors(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Errorf("error was persisted: fn called %d times, want 2", calls.Load())
 	}
-	if _, ok := s.GetBytes("bad"); ok {
-		t.Error("failed computation left an entry on disk")
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if names := listing(t, s); len(names) != 0 {
+		t.Errorf("failed computations left files on disk: %v", names)
 	}
 }
 
-// TestCorruptEntryIsMissAndRepaired: truncation, garbage, wrong key and
-// wrong schema all degrade to a miss, remove the bad file, and the next
-// compute republishes a good entry.
-func TestCorruptEntryIsMissAndRepaired(t *testing.T) {
-	corruptions := map[string]func(s *Store, p string){
-		"truncated": func(s *Store, p string) {
-			raw, _ := os.ReadFile(p)
-			os.WriteFile(p, raw[:len(raw)/2], 0o644)
-		},
-		"garbage": func(s *Store, p string) {
-			os.WriteFile(p, []byte("not an entry"), 0o644)
-		},
-		"wrong-key": func(s *Store, p string) {
-			os.WriteFile(p, encodeEntry("other", []byte("good")), 0o644)
-		},
-		"wrong-schema": func(s *Store, p string) {
-			raw := encodeEntry("k", []byte("good"))
-			copy(raw, "capsim/study-cache/v0")
-			os.WriteFile(p, raw, 0o644)
-		},
-		"bad-checksum": func(s *Store, p string) {
-			raw := encodeEntry("k", []byte("good"))
-			raw[len(raw)-1] ^= 1
-			os.WriteFile(p, raw, 0o644)
-		},
+// TestWarmRunWritesNothing: a run whose every lookup hits publishes no
+// segment, so repeating a warm run never grows the store.
+func TestWarmRunWritesNothing(t *testing.T) {
+	s := testStore(t)
+	for i := 0; i < 3; i++ {
+		PersistDo(s, fmt.Sprint("row-", i), func() (int, error) { return i, nil })
 	}
-	for name, corrupt := range corruptions {
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := listing(t, s)
+	r := reopen(t, s)
+	for i := 0; i < 3; i++ {
+		v, err := PersistDo(r, fmt.Sprint("row-", i), func() (int, error) { return 0, errors.New("computed") })
+		if err != nil || v != i {
+			t.Fatalf("row-%d: %d, %v; want a hit of %d", i, v, err, i)
+		}
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if after := listing(t, s); !slices.Equal(after, before) {
+		t.Errorf("a run of hits changed the store: %v, then %v", before, after)
+	}
+}
+
+// TestStoreReleasesRows: what a Store holds in memory does not grow with
+// the rows it writes or serves. Flush releases the pending rows and never
+// reads its own segment back; a row read from disk is released once served;
+// Reset forgets every segment read, as a process boundary does.
+func TestStoreReleasesRows(t *testing.T) {
+	s := testStore(t)
+	for i := 0; i < 3; i++ {
+		PersistDo(s, fmt.Sprint("row-", i), func() (int, error) { return i, nil })
+	}
+	if len(s.pending) != 3 {
+		t.Fatalf("%d rows pending, want 3", len(s.pending))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetBytes("row-0"); ok || len(s.pending) != 0 || len(s.rows) != 0 {
+		t.Fatalf("after Flush: served its own row %v, %d pending, %d read; want a miss and none",
+			ok, len(s.pending), len(s.rows))
+	}
+
+	r := reopen(t, s)
+	for i := 0; i < 3; i++ {
+		if _, ok := r.GetBytes(fmt.Sprint("row-", i)); !ok {
+			t.Fatalf("row-%d unreadable", i)
+		}
+		if len(r.rows) != 2-i {
+			t.Errorf("after serving %d rows, %d held; want %d", i+1, len(r.rows), 2-i)
+		}
+	}
+	if err := r.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.GetBytes("row-1"); !ok {
+		t.Error("after Reset, the segment was not read afresh")
+	}
+}
+
+// TestCorruptEntryIsMissAndRepaired: a truncated, garbage, wrong-schema,
+// bad-checksum, padded or out-of-key-order segment, or one whose key bytes
+// changed after it was written, is a miss for all its rows, never a
+// misread; the bad file is removed and the next run's flush republishes the
+// rows.
+func TestCorruptEntryIsMissAndRepaired(t *testing.T) {
+	good := encodeSegment([]segEntry{{"j", []byte("other")}, {"k", []byte("good")}})
+	corruptions := map[string][]byte{
+		"truncated":    good[:len(good)/2],
+		"garbage":      []byte("not a segment"),
+		"wrong-key":    bytes.Replace(good, []byte("k"), []byte("K"), 1),
+		"wrong-schema": append([]byte("capsim/study-cache/v2"), good[len(storeSchema):]...),
+		"bad-checksum": append(bytes.Clone(good[:len(good)-1]), good[len(good)-1]^1),
+		"trailing":     append(bytes.Clone(good), 0),
+		"unordered":    encodeSegment([]segEntry{{"k", []byte("good")}, {"j", []byte("other")}}),
+	}
+	for name, raw := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			s := testStore(t)
-			if err := s.PutBytes("k", []byte("good")); err != nil {
+			p := filepath.Join(s.Dir(), "bad.seg")
+			if err := os.WriteFile(p, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			p := s.path("k")
-			corrupt(s, p)
-			if _, ok := s.GetBytes("k"); ok {
-				t.Fatal("corrupt entry served as a hit")
+			for _, key := range []string{"j", "k", "K"} {
+				if got, ok := s.GetBytes(key); ok {
+					t.Fatalf("corrupt segment served %q as %q", key, got)
+				}
 			}
 			if _, err := os.Stat(p); !os.IsNotExist(err) {
-				t.Errorf("corrupt entry not removed (stat err %v)", err)
+				t.Errorf("corrupt segment not removed (stat err %v)", err)
 			}
-			// The next write repairs the slot.
-			if err := s.PutBytes("k", []byte("good")); err != nil {
+			// The next run computes the rows again and repairs the store.
+			v, err := PersistDo(s, "k", func() (string, error) { return "good", nil })
+			if err != nil || v != "good" {
+				t.Fatalf("recompute: %q, %v", v, err)
+			}
+			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := s.GetBytes("k"); !ok || string(got) != "good" {
-				t.Errorf("repaired entry unreadable: %q ok=%v", got, ok)
+			got, err := PersistDo(reopen(t, s), "k", func() (string, error) { return "", errors.New("computed") })
+			if err != nil || got != "good" {
+				t.Errorf("repaired row unreadable: %q, %v", got, err)
 			}
 		})
 	}
 }
 
-// TestConcurrentPutSameKey: racing writers (the cross-process publish race,
-// squeezed into goroutines) must each leave the entry readable and valid —
-// atomic temp+rename means readers never observe a torn file — and writers
-// of one value publish byte-identical files even when it holds maps, whose
-// entries the codec writes in key order, not Go's random iteration order.
+// TestConcurrentPutSameKey: two Stores on one directory (two processes,
+// squeezed into goroutines) run and flush concurrently, each computing rows
+// of its own and rows both compute. Every hit decodes to the value computed
+// for its key; after a miss, each finds every row the other published;
+// writers of one value publish the same bytes even when it holds maps,
+// whose entries the codec writes in key order, not Go's random iteration
+// order; and no temp file is left behind.
 func TestConcurrentPutSameKey(t *testing.T) {
 	type summary struct {
 		Residency map[int]int64
 		SizeOf    map[int]int
 	}
-	v := summary{Residency: map[int]int64{}, SizeOf: map[int]int{}}
-	for i := 0; i < 64; i++ {
-		v.Residency[i*7-100] = int64(i * i)
-		v.SizeOf[i] = 16 << (i % 4)
+	value := func(key string) summary {
+		v := summary{Residency: map[int]int64{}, SizeOf: map[int]int{}}
+		for i := 0; i < 64; i++ {
+			v.Residency[i*7-100] = int64(i*i + len(key))
+			v.SizeOf[i] = 16 << (i % 4)
+		}
+		return v
 	}
-	s := testStore(t)
-	private := make([]*Store, 8)
-	for w := range private {
-		private[w] = testStore(t)
+	dir := t.TempDir()
+	stores := make([]*Store, 2)
+	for w := range stores {
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[w] = s
 	}
+	const runs = 20
 	var wg sync.WaitGroup
-	for w := range private {
+	for w, s := range stores {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				payload := marshalRow(v) // each encode ranges over the maps afresh
-				if err := s.PutBytes("hot", payload); err != nil {
-					t.Errorf("PutBytes: %v", err)
-					return
+			for i := 0; i < runs; i++ {
+				for _, key := range []string{fmt.Sprint("shared-", i), fmt.Sprint("own-", w, "-", i)} {
+					got, err := PersistDo(s, key, func() (summary, error) { return value(key), nil })
+					if err != nil || !reflect.DeepEqual(got, value(key)) {
+						t.Errorf("store %d, %s: a misread or an error (%v)", w, key, err)
+					}
 				}
-				if got, ok := s.GetBytes("hot"); ok && !bytes.Equal(got, payload) {
-					t.Error("read a torn or differently encoded entry")
-					return
+				if err := s.Flush(); err != nil {
+					t.Errorf("store %d: Flush: %v", w, err)
 				}
 			}
-			if _, err := PersistDo(private[w], "hot", func() (summary, error) { return v, nil }); err != nil {
-				t.Errorf("PersistDo: %v", err)
-			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	want, err := os.ReadFile(s.path("hot"))
-	if err != nil {
-		t.Fatalf("entry unreadable after concurrent writes: %v", err)
-	}
-	for w, ps := range private {
-		if got, err := os.ReadFile(ps.path("hot")); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("writer %d published a different file (err %v)", w, err)
+	for w, s := range stores {
+		other := 1 - w
+		for i := 0; i < runs; i++ {
+			key := fmt.Sprint("own-", other, "-", i)
+			got, err := PersistDo(s, key, func() (summary, error) { return summary{}, errors.New("computed") })
+			if err != nil || !reflect.DeepEqual(got, value(key)) {
+				t.Errorf("store %d does not find %s, which store %d published (%v)", w, key, other, err)
+			}
 		}
 	}
-	// No temp files left behind: every writer either renamed or removed.
-	leftovers, _ := filepath.Glob(filepath.Join(s.Dir(), "put-*.tmp"))
+	// Every shared row, wherever it was published, is one encoding.
+	want := map[string][]byte{}
+	for _, p := range segments(t, stores[0]) {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, ok := parseSegment(raw)
+		if !ok {
+			t.Fatalf("%s: not a segment", p)
+		}
+		for _, e := range entries {
+			if prev, ok := want[e.key]; ok && !bytes.Equal(prev, e.payload) {
+				t.Errorf("%s published in two encodings", e.key)
+			}
+			want[e.key] = e.payload
+		}
+	}
+	if len(want) != 3*runs {
+		t.Errorf("the segments hold %d distinct rows, want %d", len(want), 3*runs)
+	}
+	leftovers, _ := filepath.Glob(filepath.Join(dir, storeDir, "put-*.tmp"))
 	if len(leftovers) != 0 {
 		t.Errorf("stray temp files: %v", leftovers)
 	}
 }
 
-func TestStoreFanOut(t *testing.T) {
-	s := testStore(t)
-	p := s.path("some key")
-	rel, err := filepath.Rel(s.Dir(), p)
-	if err != nil {
-		t.Fatal(err)
+// allocated returns the fewest bytes any of three parses of raw allocated:
+// the fuzzing worker allocates on goroutines of its own meanwhile.
+func allocated(raw []byte) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		parseSegment(raw)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	dir := filepath.Dir(rel)
-	if len(dir) != 2 {
-		t.Errorf("fan-out dir %q, want a two-hex-digit prefix", dir)
-	}
+	return least
 }
 
-// FuzzPersistEnvelope writes arbitrary bytes where an entry belongs and reads
-// them back through GetBytes, which must never panic. It may report a hit
-// only for exactly the bytes encodeEntry writes for the key and some payload,
-// returning that payload; anything else is a miss that removes the file. The
-// fuzzed bytes, stored as a payload, must then round-trip through PutBytes
-// and GetBytes unchanged.
+// FuzzPersistEnvelope parses arbitrary bytes as a segment, directly and as
+// a file in a store, which must never panic. The parser accepts exactly
+// the bytes encodeSegment writes for the entries it returns, and allocates
+// no more than a small multiple of the input; a store lookup hits only for
+// a key of an accepted segment and returns the payload written under that
+// key, and a rejected segment is removed.
 func FuzzPersistEnvelope(f *testing.F) {
 	const key = "fuzz key"
-	good := encodeEntry(key, []byte("payload"))
+	good := encodeSegment([]segEntry{{key, []byte("payload")}, {"other", nil}})
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)-1] ^= 1
 	f.Add([]byte{})
-	f.Add([]byte("not an entry"))
+	f.Add([]byte("not a segment"))
 	f.Add(good)
 	f.Add(good[:len(good)-1])
 	f.Add(flipped)
-	f.Add(encodeEntry("other", []byte("payload")))
-	f.Add(append([]byte("capsim/study-cache/v1"), good[len(storeSchema):]...))
-	f.Add(encodeEntry(key, nil))
+	f.Add(encodeSegment([]segEntry{{"other", []byte("payload")}}))
+	f.Add(append([]byte("capsim/study-cache/v2"), good[len(storeSchema):]...))
+	f.Add(encodeSegment(nil))
 
-	s, err := OpenStore(f.TempDir())
-	if err != nil {
-		f.Fatal(err)
-	}
-	p := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		f.Fatal(err)
-	}
-	hdr := len(entryHeader(key)) + 4 // header, then the checksum
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		entries, ok := parseSegment(raw)
+		if a := allocated(raw); a > 16*uint64(len(raw))+1024 {
+			t.Fatalf("parsing %d bytes allocated %d", len(raw), a)
+		}
+		if ok && !bytes.Equal(encodeSegment(entries), raw) {
+			t.Fatalf("accepted bytes that are not the segment of %q", entries)
+		}
+
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(s.Dir(), "fuzz.seg")
 		if err := os.WriteFile(p, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := s.GetBytes(key)
-		valid := len(raw) >= hdr && bytes.Equal(raw, encodeEntry(key, raw[hdr:]))
-		switch {
-		case ok && !valid:
-			t.Fatalf("invalid entry served as a hit: %q", got)
-		case ok && !bytes.Equal(got, raw[hdr:]):
-			t.Fatalf("hit returned %q, entry holds %q", got, raw[hdr:])
-		case !ok && valid:
-			t.Fatal("valid entry reported as a miss")
-		case !ok:
-			if _, err := os.Stat(p); !os.IsNotExist(err) {
-				t.Fatalf("rejected entry not removed (stat err %v)", err)
+		keys := []string{key}
+		if len(entries) > 0 && entries[0].key != key {
+			keys = append(keys, entries[0].key) // a row is served once
+		}
+		for _, k := range keys {
+			got, hit := s.GetBytes(k)
+			i := slices.IndexFunc(entries, func(e segEntry) bool { return e.key == k })
+			switch {
+			case hit && (!ok || i < 0):
+				t.Fatalf("%q served %q from a segment that does not hold it", k, got)
+			case hit && !bytes.Equal(got, entries[i].payload):
+				t.Fatalf("%q served %q, the segment holds %q", k, got, entries[i].payload)
+			case !hit && ok && i >= 0:
+				t.Fatalf("%q missed in a valid segment", k)
 			}
 		}
-
-		if err := s.PutBytes(key, raw); err != nil {
-			t.Fatal(err)
+		if _, err := os.Stat(p); ok == os.IsNotExist(err) {
+			t.Fatalf("valid=%v but file present=%v", ok, err == nil)
 		}
-		if got, ok := s.GetBytes(key); !ok || !bytes.Equal(got, raw) {
-			t.Fatalf("payload round trip: got %q ok=%v, want %q", got, ok, raw)
-		}
+		os.Remove(p)
 	})
 }

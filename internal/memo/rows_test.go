@@ -124,6 +124,9 @@ func roundTrip[V any](t *testing.T, v V) V {
 	if _, err := memo.PersistDo(w, "row", func() (V, error) { return v, nil }); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	r, err := memo.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)

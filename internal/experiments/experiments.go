@@ -9,6 +9,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -148,14 +149,17 @@ func Title(id string) (string, error) {
 
 // ResetCaches discards the in-process study rows, the shared materialized
 // instruction stores and the race families layered on them (the fixed
-// baselines' columns included). A persistent study cache publishes its
-// pending rows and forgets what it has read, so the next lookup reads the
-// directory afresh; its files are left as they are. Long-lived processes
+// baselines' columns included). A persistent study cache is reopened on its
+// directory (SetStudyCacheDir), so the old store publishes its pending rows
+// and the next lookup reads the directory afresh; its files are left as they
+// are. Long-lived processes
 // that sweep many configurations can call it to bound memory; the tests
 // call it as a process boundary, and between serial and parallel passes so
 // the comparison re-runs the full compute instead of hitting the memo.
 func ResetCaches() {
-	studyStore.Load().Reset()
+	if s := studyStore.Load(); s != nil {
+		SetStudyCacheDir(filepath.Dir(s.Dir())) // on failure the old store stays
+	}
 	studyRows.Reset()
 	trace.Reset()
 	core.ResetPolicyFamilies()

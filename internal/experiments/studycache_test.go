@@ -221,8 +221,62 @@ func TestCombinedPersistsOnlyRows(t *testing.T) {
 	}
 }
 
+// TestCappedMemoRereadsStore: with the row memo capped far below a run's
+// rows, as the API server's -api-cache caps it, a row the memo evicted is
+// read from the store again, not recomputed: over a warm store, repeated
+// runs in one process miss nothing, publish no segment and render alike.
+func TestCappedMemoRereadsStore(t *testing.T) {
+	cfg := studyCacheTestConfig()
+	defer SetStudyCacheDir("")
+	defer func() { SetStudyCacheCap(0); ResetCaches() }()
+	if err := SetStudyCacheDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	run := func() string {
+		res, err := Run("fig10", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Render()
+	}
+	segments := func() []string {
+		segs, err := filepath.Glob(filepath.Join(studyStore.Load().Dir(), "*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
+	ResetCaches()
+	cold := run()
+	want := segments()
+	if len(want) != 1 {
+		t.Fatalf("cold run wrote %d segments, want 1", len(want))
+	}
+
+	ResetCaches() // process boundary: a warm store
+	SetStudyCacheCap(2)
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	for i := 1; i <= 3; i++ {
+		s0 := obs.TakeSnapshot()
+		got := run()
+		c := obs.TakeSnapshot().DiffCounters(s0)
+		if c["memo.persist_misses"] != 0 || c["memo.persist_writes"] != 0 || c["memo.persist_hits"] == 0 {
+			t.Errorf("warm run %d: %d hits, %d misses, %d writes; want hits only",
+				i, c["memo.persist_hits"], c["memo.persist_misses"], c["memo.persist_writes"])
+		}
+		if got != cold {
+			t.Errorf("warm run %d renders differently from the cold run", i)
+		}
+		if segs := segments(); !slices.Equal(segs, want) {
+			t.Errorf("warm run %d left segments %v, want %v", i, segs, want)
+		}
+	}
+}
+
 // TestStudyCacheDirLifecycle: enabling and disabling the persistent tier;
-// a bad directory is rejected without replacing the store.
+// a bad directory is rejected without replacing the store, and ResetCaches
+// reopens the store on its directory.
 func TestStudyCacheDirLifecycle(t *testing.T) {
 	defer SetStudyCacheDir("")
 	if studyStore.Load() != nil {
@@ -240,6 +294,10 @@ func TestStudyCacheDirLifecycle(t *testing.T) {
 	}
 	if studyStore.Load() != s {
 		t.Error("rejected directory replaced the active store")
+	}
+	ResetCaches() // a process boundary: a new store on the same directory
+	if r := studyStore.Load(); r == s || r == nil || r.Dir() != s.Dir() {
+		t.Errorf("after ResetCaches the store is %p on %q; want a new one on %q", r, r.Dir(), s.Dir())
 	}
 	if err := SetStudyCacheDir(""); err != nil {
 		t.Fatal(err)

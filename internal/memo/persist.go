@@ -9,36 +9,46 @@
 //
 //   - Segments: rows are published in batches, one segment file per Flush
 //     (experiments.RunCtx flushes once per run), each holding many entries
-//     under their full keys. A process lists the directory and reads each
-//     segment once, on its first lookup; a later miss lists it again and
-//     reads only the segments it has not seen, so processes sharing a
-//     directory see each other's rows. A process that dies before its flush
-//     loses only that batch's rows, which are misses for the next run.
+//     under their full keys. A segment's name carries a Bloom filter of its
+//     keys, so a lookup lists the directory and reads, once, only the
+//     segments that may hold its key; a later miss lists it again for new
+//     segments, so processes sharing a directory see each other's rows. A
+//     run that needs a small part of a large store reads that part. A
+//     process that dies before its flush loses only that batch's rows,
+//     which are misses for the next run.
 //   - Atomic publication: a segment is written to a unique temp file in the
-//     store root and rename(2)d to a name drawn from the SHA-256 of its
-//     bytes. Readers therefore see either a complete segment or none; two
-//     writers that publish the same rows publish the same file.
+//     store root and rename(2)d to a name drawn from its bytes (SHA-256)
+//     and keys (the filter). Readers therefore see either a complete
+//     segment or none; two writers that publish the same rows publish the
+//     same file.
 //   - Corruption tolerance: a segment that is not exactly what Flush writes
 //     — truncated, wrong schema line, checksum mismatch, trailing bytes —
 //     is a miss for all its rows and is removed best-effort, so the next
 //     flush republishes them. A row written for another layout of its type
-//     is a miss that removes its segment too.
-//   - Bounded memory: a Store holds the rows put since its last Flush and
-//     the rows it has read but not yet served. A row is released once
-//     served (the memo above a PersistDo holds the decoded value), pending
-//     rows are released at Flush, and a Store never reads back the
-//     segments it wrote, so a long-lived process does not grow with the
-//     rows it computes or serves.
+//     is a miss that removes its whole segment: its other rows are
+//     recomputed by the next run that asks for them, and republished.
+//   - Bounded memory: a Store holds the rows put since its last Flush, the
+//     rows it has read but not yet served, an index from the hash of each
+//     key it has read or written to a segment holding it, and the filters
+//     of the segments it has listed but not read. A row is released once
+//     served (the memo above a PersistDo holds the decoded value) and
+//     pending rows at Flush; a row asked for again — one the memo above
+//     evicted — is re-read from the segment the index names, the Store's
+//     own included. So a long-lived process grows by tens of bytes a key
+//     and a segment, not with the rows it computes or serves.
 //   - Versioned schema: segments live under <root>/v3 and start with the
 //     schema line. A future incompatible layout bumps the directory and the
 //     line; old entries are simply never read again (the per-row files of
 //     v1 and v2 are such).
 //
-// A segment file is the schema line "capsim/study-cache/v3\n", the entry
-// count as a varint, then the entries in strictly increasing key order,
-// each the key's length as a varint, the key, the CRC-32 (IEEE,
-// little-endian) of the key and payload, the payload's length as a varint
-// and the payload; varints are minimal and nothing follows the last entry.
+// A segment file is named with 32 hex digits of its SHA-256, "-", the
+// 512-bit filter of its keys as 128 hex digits (bit i is 1<<(i%8) of byte
+// i/8) and ".seg"; a name without a filter may hold any key. It
+// holds the schema line "capsim/study-cache/v3\n", the entry count as a
+// varint, then the entries in strictly increasing key order, each the key's
+// length as a varint, the key, the CRC-32 (IEEE, little-endian) of the key
+// and payload, the payload's length as a varint and the payload; varints
+// are minimal and nothing follows the last entry.
 // PersistDo's payloads are the value's layout fingerprint, then its content
 // encoding (codec.go), the one Key writes for its parts.
 package memo
@@ -82,10 +92,15 @@ const (
 type Store struct {
 	root string // <user dir>/v3
 
+	scanMu  sync.Mutex // held by the one reader of segments at a time
+	flushMu sync.Mutex // held by the one Flush at a time
+
 	mu      sync.Mutex
 	pending map[string][]byte    // put since the last Flush
 	rows    map[string]storedRow // read from segments, not yet served
-	seen    map[string]bool      // segment files read or written here
+	index   map[uint64]string    // key's hash -> a segment holding the key
+	unread  map[string]*filter   // segments listed, not yet read: their key filters
+	seen    map[string]bool      // segments read or written here
 }
 
 // storedRow is a row read from a segment: its payload, which aliases the
@@ -104,11 +119,89 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("memo: open store: %w", err)
 	}
-	return &Store{root: root, rows: map[string]storedRow{}, seen: map[string]bool{}}, nil
+	return &Store{
+		root: root, rows: map[string]storedRow{}, index: map[uint64]string{},
+		unread: map[string]*filter{}, seen: map[string]bool{},
+	}, nil
 }
 
 // Dir returns the store's versioned root directory.
 func (s *Store) Dir() string { return s.root }
+
+// castagnoli is the table of keyHash's second half.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// keyHash is the hash a key is indexed and filtered by, the same in every
+// process: its CRC-32C, then its CRC-32 (IEEE).
+func keyHash(key string) uint64 {
+	b := []byte(key)
+	return uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(b))
+}
+
+// A filter is the Bloom filter of a segment's keys that its file name
+// carries, so a lookup reads only the segments that may hold its key. With
+// filterProbes bits set per key, a run's segment of 20 rows answers "maybe"
+// for another key about once in 2,300 lookups, one of 94 rows once in 14.
+type filter [filterBits / 8]byte
+
+const (
+	filterBits   = 512
+	filterProbes = 4
+)
+
+// probes returns the filter bits of a key of hash h.
+func probes(h uint64) (bits [filterProbes]uint32) {
+	h1, h2 := uint32(h), uint32(h>>32)|1
+	for i := range bits {
+		bits[i] = (h1 + uint32(i)*h2) % filterBits
+	}
+	return bits
+}
+
+func (f *filter) add(h uint64) {
+	for _, b := range probes(h) {
+		f[b/8] |= 1 << (b % 8)
+	}
+}
+
+// mayHold reports whether a key of hash h may be in f's segment; a nil
+// filter, of a name that carries none, may hold any key.
+func (f *filter) mayHold(h uint64) bool {
+	if f == nil {
+		return true
+	}
+	for _, b := range probes(h) {
+		if f[b/8]&(1<<(b%8)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// segmentName names the segment file seg holding entries: 32 hex digits
+// of seg's SHA-256, "-", the filter of its keys in hex, ".seg".
+func segmentName(seg []byte, entries []segEntry) string {
+	var f filter
+	for _, e := range entries {
+		f.add(keyHash(e.key))
+	}
+	sum := sha256.Sum256(seg)
+	return hex.EncodeToString(sum[:16]) + "-" + hex.EncodeToString(f[:]) + ".seg"
+}
+
+// nameFilter returns the key filter segment file name carries, or nil when
+// it carries none.
+func nameFilter(name string) *filter {
+	_, fh, _ := strings.Cut(strings.TrimSuffix(name, ".seg"), "-")
+	var f filter
+	if len(fh) != 2*len(f) {
+		return nil
+	}
+	if _, err := hex.Decode(f[:], []byte(fh)); err != nil {
+		return nil
+	}
+	return &f
+}
 
 // segEntry is one entry of a segment file.
 type segEntry struct {
@@ -171,51 +264,127 @@ func parseSegment(raw []byte) ([]segEntry, bool) {
 	return entries, !d.bad && len(d.b) == 0
 }
 
-// lookup returns the row stored for key: one put since the last Flush, else
-// one read from a segment, listing the directory for segments this Store
-// has not seen when the key is not among the rows already read. A row read
-// from a segment is released as it is returned.
+// lookup returns the row stored for key: one put since the last Flush, one
+// read from a segment and not yet served, or one the index places in a
+// segment, which it reads again. Failing those, it reads the segments
+// listed earlier whose filters may hold the key, then lists the directory
+// for new segments and reads those whose filters may. One reader runs at a
+// time, and no file is read under the lock a hit takes.
 func (s *Store) lookup(key string) (storedRow, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p, ok := s.pending[key]; ok {
-		return storedRow{payload: p}, true
+	if r, ok := s.take(key); ok {
+		return r, true
 	}
-	r, ok := s.rows[key]
-	if !ok {
-		s.scan()
-		r, ok = s.rows[key]
+	s.scanMu.Lock()
+	defer s.scanMu.Unlock()
+	h := keyHash(key)
+	s.readMatching(h) // or another reader already read the key's segment
+	if r, ok := s.take(key); ok {
+		return r, true
 	}
-	delete(s.rows, key)
-	return r, ok
+	if s.list() {
+		s.readMatching(h)
+	}
+	return s.take(key)
 }
 
-// scan reads every segment in the directory this Store has not seen. A
-// segment that does not parse is removed best-effort.
-func (s *Store) scan() {
+// take returns key's pending row, or its row read and not yet served
+// (releasing it), or the row re-read from the segment the index names.
+func (s *Store) take(key string) (storedRow, bool) {
+	s.mu.Lock()
+	if p, ok := s.pending[key]; ok {
+		s.mu.Unlock()
+		return storedRow{payload: p}, true
+	}
+	if r, ok := s.rows[key]; ok {
+		delete(s.rows, key)
+		s.mu.Unlock()
+		return r, true
+	}
+	h := keyHash(key)
+	seg, ok := s.index[h]
+	s.mu.Unlock()
+	if !ok {
+		return storedRow{}, false
+	}
+	if entries, ok := s.readSegment(seg); ok {
+		i, found := slices.BinarySearchFunc(entries, key, func(e segEntry, k string) int { return strings.Compare(e.key, k) })
+		if found {
+			return storedRow{entries[i].payload, seg}, true
+		}
+	}
+	s.mu.Lock() // gone, corrupt, or a hash collision: forget the place
+	if s.index[h] == seg {
+		delete(s.index, h)
+	}
+	s.mu.Unlock()
+	return storedRow{}, false
+}
+
+// readSegment returns the entries of segment file name. A segment that does
+// not parse is removed best-effort.
+func (s *Store) readSegment(name string) ([]segEntry, bool) {
+	p := filepath.Join(s.root, name)
+	raw, err := os.ReadFile(p)
+	if err != nil {
+		return nil, false
+	}
+	entries, ok := parseSegment(raw)
+	if !ok {
+		os.Remove(p)
+	}
+	return entries, ok
+}
+
+// list adds the directory's segments this Store has not listed, read or
+// written to the unread ones, and reports whether there were any. The
+// caller holds scanMu.
+func (s *Store) list() bool {
 	des, err := os.ReadDir(s.root)
 	if err != nil {
-		return
+		return false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	added := false
 	for _, de := range des {
 		name := de.Name()
-		if s.seen[name] || !strings.HasSuffix(name, ".seg") {
-			continue
+		if _, listed := s.unread[name]; !listed && !s.seen[name] && strings.HasSuffix(name, ".seg") {
+			s.unread[name] = nameFilter(name)
+			added = true
 		}
-		s.seen[name] = true
-		p := filepath.Join(s.root, name)
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			continue
+	}
+	return added
+}
+
+// readMatching reads the unread segments whose filters may hold a key of
+// hash h and indexes their rows, holding the payloads of keys it did not
+// know until they are served. The caller holds scanMu.
+func (s *Store) readMatching(h uint64) {
+	var names []string
+	s.mu.Lock()
+	for name, f := range s.unread {
+		if f.mayHold(h) {
+			delete(s.unread, name)
+			s.seen[name] = true
+			names = append(names, name)
 		}
-		entries, ok := parseSegment(raw)
+	}
+	s.mu.Unlock()
+	for _, name := range names {
+		entries, ok := s.readSegment(name)
 		if !ok {
-			os.Remove(p)
 			continue
 		}
+		s.mu.Lock()
 		for _, e := range entries {
+			h := keyHash(e.key)
+			if _, known := s.index[h]; known || s.pending[e.key] != nil {
+				continue // served or held already, or published soon
+			}
+			s.index[h] = name
 			s.rows[e.key] = storedRow{e.payload, name}
 		}
+		s.mu.Unlock()
 	}
 }
 
@@ -229,9 +398,7 @@ func countRead(hit bool) {
 }
 
 // GetBytes returns the payload stored for key, or ok=false when no usable
-// entry is on disk or pending. A payload read from disk is served once:
-// the Store releases it, so a second GetBytes of the key misses unless
-// another segment holding it appears. The caller must not modify it.
+// entry is on disk or pending. The caller must not modify it.
 func (s *Store) GetBytes(key string) ([]byte, bool) {
 	r, ok := s.lookup(key)
 	countRead(ok)
@@ -256,32 +423,50 @@ func (s *Store) put(key string, payload []byte) {
 }
 
 // Flush publishes the rows put since the last Flush as one segment file and
-// releases them: written to a unique temp file in the store root, then
-// renamed into place. With nothing pending, or on a nil Store, it writes
-// nothing.
+// releases them, indexing their keys to it: written to a unique temp file in
+// the store root, then renamed into place. Rows that fail to publish are
+// released too; a later lookup misses them. With nothing pending, or on a
+// nil Store, it writes nothing.
 func (s *Store) Flush() error {
 	if s == nil {
 		return nil
 	}
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
 	s.mu.Lock()
-	pending := s.pending
-	s.pending = nil
-	s.mu.Unlock()
-	if len(pending) == 0 {
-		return nil
-	}
-	entries := make([]segEntry, 0, len(pending))
-	for k, p := range pending {
+	entries := make([]segEntry, 0, len(s.pending))
+	for k, p := range s.pending {
 		entries = append(entries, segEntry{k, p})
+	}
+	s.mu.Unlock()
+	if len(entries) == 0 {
+		return nil
 	}
 	slices.SortFunc(entries, func(a, b segEntry) int { return strings.Compare(a.key, b.key) })
 	seg := encodeSegment(entries)
-	sum := sha256.Sum256(seg)
-	name := hex.EncodeToString(sum[:16]) + ".seg"
-	s.mu.Lock()
-	s.seen[name] = true // never read back: whoever put the rows holds them
-	s.mu.Unlock()
+	name := segmentName(seg, entries)
+	err := s.publish(seg, name)
 
+	// The rows leave pending only now, so a lookup meanwhile still hits.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range entries {
+		delete(s.pending, e.key)
+		if err == nil {
+			s.index[keyHash(e.key)] = name
+		}
+	}
+	if err != nil {
+		return err
+	}
+	s.seen[name] = true
+	obsPersistWrites.Add(int64(len(entries)))
+	return nil
+}
+
+// publish writes seg to a temp file in the store root and renames it to
+// name.
+func (s *Store) publish(seg []byte, name string) error {
 	tmp, err := os.CreateTemp(s.root, "put-*.tmp")
 	if err != nil {
 		return err
@@ -294,25 +479,7 @@ func (s *Store) Flush() error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.root, name)); err != nil {
-		return err
-	}
-	obsPersistWrites.Add(int64(len(entries)))
-	return nil
-}
-
-// Reset flushes the pending rows, then forgets every row and segment read,
-// so the next lookup reads the directory afresh, as a new process would. On
-// a nil Store it does nothing.
-func (s *Store) Reset() error {
-	if s == nil {
-		return nil
-	}
-	err := s.Flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rows, s.seen = map[string]storedRow{}, map[string]bool{}
-	return err
+	return os.Rename(tmp.Name(), filepath.Join(s.root, name))
 }
 
 // PersistDo is Do against a Store: return the decoded entry for key if one
@@ -325,7 +492,8 @@ func (s *Store) Reset() error {
 // byte-identical-render contract survives the disk hop. V may be built from
 // bools, integers, float64s, strings, slices, arrays, integer-keyed maps and
 // structs of exported fields; any other type panics. An entry written for
-// another layout of V is a miss and removes its segment. Errors from fn are
+// another layout of V is a miss and removes its whole segment (the other
+// rows in it are recomputed when next asked for). Errors from fn are
 // never persisted (the disk tier memoizes results, not failures).
 func PersistDo[V any](s *Store, key string, fn func() (V, error)) (V, error) {
 	if s == nil {

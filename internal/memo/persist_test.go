@@ -65,8 +65,8 @@ func TestOpenStoreRequiresDir(t *testing.T) {
 }
 
 // TestStoreRoundtrip: a put is served from memory until Flush publishes it
-// as one segment, which a new handle reads; a row read from disk is served
-// once.
+// as one segment, which a new handle reads; a row asked for again, by the
+// reader or the writer, is read from that segment again.
 func TestStoreRoundtrip(t *testing.T) {
 	s := testStore(t)
 	if _, ok := s.GetBytes("k"); ok {
@@ -90,8 +90,10 @@ func TestStoreRoundtrip(t *testing.T) {
 	if got, ok := r.GetBytes("k"); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("GetBytes from disk: %q ok=%v, want %q", got, ok, want)
 	}
-	if _, ok := r.GetBytes("k"); ok {
-		t.Error("a row read from disk was served twice")
+	for _, h := range []*Store{r, s} {
+		if got, ok := h.GetBytes("k"); !ok || !bytes.Equal(got, want) {
+			t.Errorf("GetBytes again: %q ok=%v, want a re-read of %q", got, ok, want)
+		}
 	}
 	if _, ok := r.GetBytes("other"); ok {
 		t.Error("GetBytes hit an absent key")
@@ -140,9 +142,6 @@ func TestPersistDoNilStoreDegrades(t *testing.T) {
 	var s *Store
 	if err := s.Flush(); err != nil {
 		t.Errorf("nil-store Flush: %v", err)
-	}
-	if err := s.Reset(); err != nil {
-		t.Errorf("nil-store Reset: %v", err)
 	}
 }
 
@@ -225,9 +224,10 @@ func TestWarmRunWritesNothing(t *testing.T) {
 }
 
 // TestStoreReleasesRows: what a Store holds in memory does not grow with
-// the rows it writes or serves. Flush releases the pending rows and never
-// reads its own segment back; a row read from disk is released once served;
-// Reset forgets every segment read, as a process boundary does.
+// the rows it writes or serves. Flush releases the pending rows; a row read
+// from disk is released once served; a row asked for again, its own
+// included, is re-read from the segment the index names, not held or
+// recomputed; and reading a segment holds no rows of keys already indexed.
 func TestStoreReleasesRows(t *testing.T) {
 	s := testStore(t)
 	for i := 0; i < 3; i++ {
@@ -239,9 +239,14 @@ func TestStoreReleasesRows(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetBytes("row-0"); ok || len(s.pending) != 0 || len(s.rows) != 0 {
-		t.Fatalf("after Flush: served its own row %v, %d pending, %d read; want a miss and none",
-			ok, len(s.pending), len(s.rows))
+	if len(s.pending) != 0 || len(s.rows) != 0 {
+		t.Fatalf("after Flush: %d pending, %d read; want none", len(s.pending), len(s.rows))
+	}
+	for i := 0; i < 2; i++ {
+		v, err := PersistDo(s, "row-0", func() (int, error) { return 0, errors.New("computed") })
+		if err != nil || v != 0 || len(s.rows) != 0 {
+			t.Fatalf("own row, read %d: %d, %v, %d held; want a re-read of 0 and none held", i, v, err, len(s.rows))
+		}
 	}
 
 	r := reopen(t, s)
@@ -253,11 +258,112 @@ func TestStoreReleasesRows(t *testing.T) {
 			t.Errorf("after serving %d rows, %d held; want %d", i+1, len(r.rows), 2-i)
 		}
 	}
-	if err := r.Reset(); err != nil {
+	if p, ok := r.GetBytes("row-1"); !ok || len(r.rows) != 0 {
+		t.Errorf("served row asked for again: %q ok=%v, %d held; want a re-read and none held", p, ok, len(r.rows))
+	}
+
+	// Another process republishes row-0 beside a new row: reading that
+	// segment for the new row holds no copy of row-0.
+	w := reopen(t, s)
+	w.PutBytes("row-0", []byte("again"))
+	w.PutBytes("row-9", []byte("new"))
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.GetBytes("row-1"); !ok {
-		t.Error("after Reset, the segment was not read afresh")
+	if p, ok := r.GetBytes("row-9"); !ok || string(p) != "new" || len(r.rows) != 0 {
+		t.Errorf("row-9: %q ok=%v, %d rows held; want a hit and none held", p, ok, len(r.rows))
+	}
+}
+
+// TestLookupReadsMatchingSegments: a segment's name carries the filter of
+// its keys, so a lookup reads only the segments that may hold its key; a
+// name without a filter may hold any key.
+func TestLookupReadsMatchingSegments(t *testing.T) {
+	s := testStore(t)
+	for _, run := range []string{"a", "b", "c"} {
+		for i := 0; i < 20; i++ {
+			s.PutBytes(fmt.Sprint(run, "-", i), []byte(run))
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, seg := range segments(t, s) {
+		if nameFilter(filepath.Base(seg)) == nil {
+			t.Fatalf("%s carries no filter", seg)
+		}
+	}
+	r := reopen(t, s)
+	if p, ok := r.GetBytes("b-7"); !ok || string(p) != "b" {
+		t.Fatalf("b-7: %q ok=%v", p, ok)
+	}
+	if len(r.seen) != 1 || len(r.unread) != 2 {
+		t.Errorf("a lookup read %d segments and left %d unread; want 1 and 2", len(r.seen), len(r.unread))
+	}
+	plain := encodeSegment([]segEntry{{"z", []byte("z")}})
+	if err := os.WriteFile(filepath.Join(s.Dir(), "plain.seg"), plain, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := r.GetBytes("z"); !ok || string(p) != "z" {
+		t.Errorf("z, in a segment named without a filter: %q ok=%v", p, ok)
+	}
+}
+
+// TestConcurrentLookupsHit: lookups racing on a new handle, some of them
+// waiting on the scan another one started, all hit; a lookup that misses
+// never returns before the scan that may hold its row has finished.
+func TestConcurrentLookupsHit(t *testing.T) {
+	s := testStore(t)
+	const rows = 64
+	for i := 0; i < rows; i++ {
+		s.PutBytes(fmt.Sprint("row-", i), []byte(fmt.Sprint(i)))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		r := reopen(t, s)
+		var wg sync.WaitGroup
+		for i := 0; i < rows; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if p, ok := r.GetBytes(fmt.Sprint("row-", i)); !ok || string(p) != fmt.Sprint(i) {
+					t.Errorf("round %d, row-%d: %q ok=%v", round, i, p, ok)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestLookupDuringFlushHits: a row stays servable while Flush publishes it:
+// it leaves the pending rows only once its segment is in place and indexed.
+func TestLookupDuringFlushHits(t *testing.T) {
+	s := testStore(t)
+	for round := 0; round < 50; round++ {
+		keys := make([]string, 8)
+		for i := range keys {
+			keys[i] = fmt.Sprint("round-", round, "-", i)
+			s.PutBytes(keys[i], []byte(keys[i]))
+		}
+		done := make(chan error)
+		go func() { done <- s.Flush() }()
+		for flushing := true; flushing; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				flushing = false
+			default:
+			}
+			for _, k := range keys {
+				if p, ok := s.GetBytes(k); !ok || string(p) != k {
+					t.Fatalf("%s during a flush: %q ok=%v", k, p, ok)
+				}
+			}
+		}
 	}
 }
 
@@ -413,7 +519,8 @@ func allocated(raw []byte) uint64 {
 // the bytes encodeSegment writes for the entries it returns, and allocates
 // no more than a small multiple of the input; a store lookup hits only for
 // a key of an accepted segment and returns the payload written under that
-// key, and a rejected segment is removed.
+// key, an accepted segment under its filtered name serves every key it
+// holds, and a rejected segment is removed.
 func FuzzPersistEnvelope(f *testing.F) {
 	const key = "fuzz key"
 	good := encodeSegment([]segEntry{{key, []byte("payload")}, {"other", nil}})
@@ -442,13 +549,20 @@ func FuzzPersistEnvelope(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := filepath.Join(s.Dir(), "fuzz.seg")
+		nameFilter(string(raw)) // any name parses or carries no filter
+		name := "fuzz.seg"      // no filter: read by any lookup
+		if ok {
+			name = segmentName(raw, entries) // a filter with no false negative
+		}
+		p := filepath.Join(s.Dir(), name)
 		if err := os.WriteFile(p, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		keys := []string{key}
-		if len(entries) > 0 && entries[0].key != key {
-			keys = append(keys, entries[0].key) // a row is served once
+		for _, e := range entries {
+			if e.key != key {
+				keys = append(keys, e.key)
+			}
 		}
 		for _, k := range keys {
 			got, hit := s.GetBytes(k)

@@ -16,6 +16,8 @@
 // Output is byte-identical at every -parallel setting: simulation jobs derive
 // their random streams from (seed, benchmark, purpose) and results are
 // collected by grid index, so the worker count changes only the wall time.
+// A multi-experiment run keeps up to -parallel experiments in flight and
+// prints each, in the given order, once it and those before it are done.
 // -study-cache likewise changes only wall time and disk use. The telemetry
 // flags (-metrics-out, -ledger-out) never change stdout either:
 // observability receives statistics, it does not feed them back (all
@@ -108,7 +110,7 @@ func parseArgs(args []string) (runConfig, error) {
 		reportIn    = fs.String("report", "", "offline ledger analysis: read comma-separated ledger/manifest files, print regret, switch-rate and dwell tables, and exit (no simulation)")
 	)
 	fs.BoolVar(&rc.list, "list", false, "list available experiments and exit")
-	fs.IntVar(&rc.parallel, "parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = serial; output is identical at any setting)")
+	fs.IntVar(&rc.parallel, "parallel", runtime.GOMAXPROCS(0), "bound on sweep workers and on experiments in flight at once (1 = serial; output is identical at any setting)")
 	fs.StringVar(&rc.studyCache, "study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and processes running disjoint -experiment subsets reuse finished profiling rows instead of recomputing (output is identical with or without)")
 	fs.StringVar(&rc.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&rc.ledgerOut, "ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
@@ -282,33 +284,13 @@ func run(args []string) (err error) {
 	manifest.CacheRefs = cfg.CacheRefs
 	manifest.QueueInstrs = cfg.QueueInstrs
 
+	var man *obs.Manifest // set when -metrics-out takes per-experiment records
+	if rc.metricsOut != "" {
+		man = &manifest
+	}
 	ctx := flight.WithCollector(context.Background(), col)
-	var before, after runtime.MemStats
-	for _, id := range rc.ids {
-		var snapBefore obs.Snapshot
-		if rc.metricsOut != "" {
-			runtime.ReadMemStats(&before)
-			snapBefore = obs.TakeSnapshot()
-		}
-		start := time.Now()
-		res, err := experiments.RunCtx(ctx, id, cfg)
-		if err != nil {
-			return err
-		}
-		wall := time.Since(start)
-		fmt.Print(res.Render())
-		fmt.Printf("(%s in %.1fs)\n\n", id, wall.Seconds())
-		if rc.metricsOut != "" {
-			runtime.ReadMemStats(&after)
-			title, _ := experiments.Title(id)
-			manifest.Experiments = append(manifest.Experiments, obs.ExperimentRecord{
-				ID: id, Title: title, WallNS: wall.Nanoseconds(),
-				Allocs:     after.Mallocs - before.Mallocs,
-				AllocBytes: after.TotalAlloc - before.TotalAlloc,
-				Counters:   obs.TakeSnapshot().DiffCounters(snapBefore),
-			})
-			manifest.TotalWallNS += wall.Nanoseconds()
-		}
+	if err := runExperiments(ctx, os.Stdout, rc.ids, cfg, sweep.DefaultWorkers(), man, experiments.RunCtx); err != nil {
+		return err
 	}
 
 	if rc.metricsOut != "" {
@@ -318,6 +300,71 @@ func run(args []string) (err error) {
 		}
 		fmt.Fprintf(os.Stderr, "capsim: wrote run manifest %s (%d experiments)\n", rc.metricsOut, len(manifest.Experiments))
 	}
+	return nil
+}
+
+// runExperiments runs ids as the jobs of one sweep pool, at most workers of
+// them in flight, and writes each render with its "(<id> in 1.2s)" footer to
+// w in the order of ids, as soon as it and every experiment before it are
+// done. Each experiment renders on the goroutine that ran it. An
+// experiment's error is returned once every experiment before it has been
+// written, and cancels the ones still in flight. With man non-nil, each
+// experiment's record is appended to it in the order of ids, and the run's
+// span sets its TotalWallNS. run is the experiment runner,
+// experiments.RunCtx.
+func runExperiments(ctx context.Context, w io.Writer, ids []string, cfg experiments.Config, workers int, man *obs.Manifest,
+	run func(context.Context, string, experiments.Config) (experiments.Result, error)) error {
+	outs := make([]string, len(ids))
+	recs := make([]obs.ExperimentRecord, len(ids))
+	spans := make([][2]time.Time, len(ids))
+	err := sweep.OrderedCtx(ctx, workers, len(ids), func(ctx context.Context, i int) error {
+		id := ids[i]
+		var before, after runtime.MemStats
+		var snapBefore obs.Snapshot
+		if man != nil {
+			runtime.ReadMemStats(&before)
+			snapBefore = obs.TakeSnapshot()
+		}
+		start := time.Now()
+		res, err := run(ctx, id, cfg)
+		if err != nil {
+			return err
+		}
+		end := time.Now()
+		wall := end.Sub(start)
+		outs[i] = fmt.Sprintf("%s(%s in %.1fs)\n\n", res.Render(), id, wall.Seconds())
+		if man != nil {
+			runtime.ReadMemStats(&after)
+			title, _ := experiments.Title(id)
+			recs[i] = obs.ExperimentRecord{
+				ID: id, Title: title, WallNS: wall.Nanoseconds(),
+				Allocs:     after.Mallocs - before.Mallocs,
+				AllocBytes: after.TotalAlloc - before.TotalAlloc,
+				Counters:   obs.TakeSnapshot().DiffCounters(snapBefore),
+			}
+			spans[i] = [2]time.Time{start, end}
+		}
+		return nil
+	}, func(i int) {
+		io.WriteString(w, outs[i])
+		outs[i] = ""
+		if man != nil {
+			man.Experiments = append(man.Experiments, recs[i])
+		}
+	})
+	if err != nil || man == nil || len(ids) == 0 {
+		return err
+	}
+	first, last := spans[0][0], spans[0][1]
+	for _, sp := range spans[1:] {
+		if sp[0].Before(first) {
+			first = sp[0]
+		}
+		if sp[1].After(last) {
+			last = sp[1]
+		}
+	}
+	man.TotalWallNS = last.Sub(first).Nanoseconds()
 	return nil
 }
 

@@ -1,12 +1,21 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"capsim/internal/experiments"
+	"capsim/internal/obs"
+	"capsim/internal/sweep"
 )
 
 // argSep separates arguments in FuzzParseArgs inputs, so one string encodes
@@ -145,6 +154,166 @@ func TestLedgerOutWarmStudyCache(t *testing.T) {
 	if bodies[1] != bodies[0] {
 		t.Errorf("warm ledger records %d run columns in %d bytes, cold %d in %d",
 			strings.Count(bodies[1], `"t":"run"`), len(bodies[1]), strings.Count(bodies[0], `"t":"run"`), len(bodies[0]))
+	}
+}
+
+// footer matches the timing line printed after each render, the only
+// stdout bytes allowed to differ between runs.
+var footer = regexp.MustCompile(`(?m)^\(([a-z0-9-]+) in [0-9]+\.[0-9]s\)$`)
+
+// smallBudgets are the flags of a whole registry run in about a second.
+var smallBudgets = []string{"-cache-refs", "20000", "-cache-warm", "5000", "-queue-instrs", "10000", "-interval", "400"}
+
+// stdoutOf runs capsim with args, as a fresh process would (empty in-memory
+// caches), and returns what it printed on stdout.
+func stdoutOf(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = stdout }()
+	experiments.ResetCaches()
+	if err := run(args); err != nil {
+		t.Fatalf("capsim %s: %v", strings.Join(args, " "), err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestParallelRunsPrintInRegistryOrder: -experiment all prints the same
+// bytes at -parallel 1 and 2, footers aside, cold and against a warm
+// -study-cache, with one footer per experiment in registry order. The
+// cold -parallel 2 run's manifest lists its records in registry order, and
+// its total wall, from the first start to the last end, is no more than the
+// sum of the experiments' overlapping walls.
+func TestParallelRunsPrintInRegistryOrder(t *testing.T) {
+	dir := t.TempDir()
+	defer experiments.SetStudyCacheDir("")
+	defer experiments.ResetCaches()
+	defer sweep.SetDefaultWorkers(0)
+	defer obs.SetEnabled(obs.Enabled())
+	manifest := filepath.Join(dir, "run.json")
+	var ref string
+	for _, pass := range []struct {
+		parallel, store string
+		metrics         bool
+	}{
+		{"1", "cold1", false}, {"2", "cold2", true}, // cold: a fresh store each
+		{"1", "cold2", false}, {"2", "cold1", false}, // warm: the other's store
+	} {
+		args := append([]string{"-experiment", "all", "-parallel", pass.parallel, "-study-cache", filepath.Join(dir, pass.store)}, smallBudgets...)
+		if pass.metrics {
+			args = append(args, "-metrics-out", manifest)
+		}
+		out := stdoutOf(t, args...)
+		var ids []string
+		for _, m := range footer.FindAllStringSubmatch(out, -1) {
+			ids = append(ids, m[1])
+		}
+		if !slices.Equal(ids, experiments.IDs()) {
+			t.Fatalf("-parallel %s: footers for %v, want the registry %v", pass.parallel, ids, experiments.IDs())
+		}
+		out = footer.ReplaceAllString(out, "")
+		if ref == "" {
+			ref = out
+		} else if out != ref {
+			t.Errorf("-parallel %s over store %s printed %d bytes, unlike the first run's %d", pass.parallel, pass.store, len(out), len(ref))
+		}
+	}
+
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man obs.Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	var sum int64
+	for _, r := range man.Experiments {
+		ids = append(ids, r.ID)
+		sum += r.WallNS
+	}
+	if !slices.Equal(ids, experiments.IDs()) {
+		t.Errorf("manifest records %v, want the registry %v", ids, experiments.IDs())
+	}
+	if man.TotalWallNS <= 0 || man.TotalWallNS > sum {
+		t.Errorf("total_wall_ns %d, want in (0, %d], the sum of the records' walls", man.TotalWallNS, sum)
+	}
+}
+
+// TestSerialRunsOneExperimentAtATime: at one worker no two experiments are
+// ever in flight together, at two no more than two, and the output is the
+// same.
+func TestSerialRunsOneExperimentAtATime(t *testing.T) {
+	defer experiments.ResetCaches()
+	rc, err := parseArgs(append([]string{"-experiment", "fig1a,fig7,fig8,fig10,fig11,fig12"}, smallBudgets...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs []string
+	for _, workers := range []int{1, 2} {
+		experiments.ResetCaches()
+		var cur, peak atomic.Int32
+		counting := func(ctx context.Context, id string, cfg experiments.Config) (experiments.Result, error) {
+			n := cur.Add(1)
+			defer cur.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			return experiments.RunCtx(ctx, id, cfg)
+		}
+		var buf bytes.Buffer
+		if err := runExperiments(context.Background(), &buf, rc.ids, rc.cfg, workers, nil, counting); err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p > int32(workers) || workers == 1 && p != 1 {
+			t.Errorf("%d workers: %d experiments in flight at once", workers, p)
+		}
+		outs = append(outs, footer.ReplaceAllString(buf.String(), ""))
+	}
+	if outs[1] != outs[0] {
+		t.Errorf("two workers printed %d bytes, one worker %d", len(outs[1]), len(outs[0]))
+	}
+}
+
+// TestRunExperimentsStopsAtFirstError: an experiment's error is returned
+// after every experiment before it has printed, nothing after it prints,
+// and the experiments still in flight are cancelled.
+func TestRunExperimentsStopsAtFirstError(t *testing.T) {
+	boom := errors.New("boom")
+	var cancelled atomic.Int32
+	cRuns := make(chan struct{})
+	fake := func(ctx context.Context, id string, _ experiments.Config) (experiments.Result, error) {
+		switch id {
+		case "b":
+			<-cRuns // fail while c is in flight
+			return experiments.Result{}, boom
+		case "c":
+			close(cRuns)
+			<-ctx.Done()
+			cancelled.Add(1)
+			return experiments.Result{}, ctx.Err()
+		}
+		return experiments.Result{ID: id, Title: id}, nil
+	}
+	var buf bytes.Buffer
+	err := runExperiments(context.Background(), &buf, []string{"a", "b", "c", "d"}, experiments.DefaultConfig(), 3, nil, fake)
+	if !errors.Is(err, boom) {
+		t.Fatalf("error %v, want b's", err)
+	}
+	if got := footer.ReplaceAllString(buf.String(), ""); got != "=== a: a ===\n\n\n" {
+		t.Errorf("printed %q, want a's render alone", got)
+	}
+	if cancelled.Load() != 1 {
+		t.Errorf("c, in flight, was not cancelled")
 	}
 }
 

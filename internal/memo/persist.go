@@ -128,14 +128,16 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the store's versioned root directory.
 func (s *Store) Dir() string { return s.root }
 
-// castagnoli is the table of keyHash's second half.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli returns the table of keyHash's first half, built on first use
+// so that a process that hashes no key (capsim -list, -report, a run
+// without a study cache) does not build it at start-up.
+var castagnoli = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
 // keyHash is the hash a key is indexed and filtered by, the same in every
 // process: its CRC-32C, then its CRC-32 (IEEE).
 func keyHash(key string) uint64 {
 	b := []byte(key)
-	return uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(b))
+	return uint64(crc32.Checksum(b, castagnoli()))<<32 | uint64(crc32.ChecksumIEEE(b))
 }
 
 // A filter is the Bloom filter of a segment's keys that its file name

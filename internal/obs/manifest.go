@@ -51,7 +51,12 @@ func ReadBuildInfo() BuildInfo {
 
 // ExperimentRecord is one experiment's measured cost inside a manifest: wall
 // time, process-wide allocation deltas, and — when metric recording was on —
-// the non-zero counter deltas attributable to the experiment.
+// the non-zero counter deltas over the experiment's run. Every field covers
+// the experiment's own span, from its start to its end. At -parallel 1
+// experiments run one at a time, so the spans are disjoint and each record is
+// the experiment's alone; at -parallel > 1 up to that many experiments are in
+// flight at once, and a record's allocation and counter deltas also take in
+// whatever its overlapping neighbours did during its span.
 type ExperimentRecord struct {
 	ID     string `json:"id"`
 	Title  string `json:"title"`
@@ -81,6 +86,10 @@ type Manifest struct {
 	CacheRefs   int64             `json:"cache_refs"`
 	QueueInstrs int64             `json:"queue_instrs"`
 
+	// Experiments are in run order (the registry's, for -experiment all),
+	// whatever order they finished in. TotalWallNS is the wall time from the
+	// first experiment's start to the last one's end: with experiments in
+	// flight together it is less than the sum of their walls.
 	Experiments []ExperimentRecord `json:"experiments"`
 	TotalWallNS int64              `json:"total_wall_ns"`
 

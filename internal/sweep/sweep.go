@@ -26,6 +26,11 @@
 // worker count, including 1 (`capsim -parallel 1` and the determinism
 // tests), which runs the same worker loop on the calling goroutine.
 //
+// OrderedCtx is the one scheduler underneath: besides running the jobs, it
+// emits them in index order as each finishes after its predecessors.
+// RunNCtx collects results through it; capsim runs the experiments of one
+// invocation as its jobs and prints each in registry order from its emit.
+//
 // Cancellation (see DESIGN.md "Experiment service & the cancellation
 // contract"): the *Ctx variants stop claiming new jobs once ctx is done and
 // return ctx.Err(). Cancellation is inherently racy — which jobs had already
@@ -47,7 +52,7 @@ import (
 
 // Telemetry (internal/obs). The counter is a no-op unless something reads it
 // (capsim -metrics-out, or -serve-api's /metrics) and enabled it.
-var obsJobs = obs.NewCounter("sweep.jobs") // jobs executed
+var obsJobs = obs.NewCounter("sweep.jobs") // RunNCtx jobs executed: simulation grid cells
 
 // defaultWorkers holds the process-wide worker count used by Run when the
 // caller does not specify one. Zero (the initial value) means "use
@@ -116,14 +121,8 @@ func RunCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 // RunNCtx executes jobs 0..n-1 on at most `workers` concurrent goroutines.
 // results[i] always holds job i's value. The returned error is the
 // lowest-indexed job error, or ctx.Err() if the run was cancelled before
-// every job completed, or nil.
-//
-// Error abort: the pool stops claiming jobs whose index is above the lowest
-// failing index observed so far, so an early failure does not burn CPU on
-// the rest of the grid. Jobs *below* that index still run — one of them
-// could fail with a lower index — which is what keeps the selected error
-// identical to a serial pass's (which stops at its first error, by
-// construction the lowest-indexed one).
+// every job completed, or nil. It is OrderedCtx with the results collected
+// by index and nothing emitted.
 //
 // RunNCtx may be nested: a job may itself call RunCtx. Each invocation
 // spawns its own bounded goroutine set and holds no locks while jobs
@@ -133,32 +132,67 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	if n <= 0 {
 		return nil, nil
 	}
-	if err := ctx.Err(); err != nil {
+	results := make([]T, n)
+	err := OrderedCtx(ctx, workers, n, func(_ context.Context, i int) (err error) {
+		results[i], err = fn(i)
+		obsJobs.Inc()
+		return err
+	}, nil)
+	if err != nil {
 		return nil, err
 	}
-	results := make([]T, n)
-	if workers < 1 {
-		workers = 1
+	return results, nil
+}
+
+// OrderedCtx executes jobs 0..n-1 on at most `workers` concurrent
+// goroutines and calls emit(i) in index order: as soon as job i and every
+// job before it have finished, on the goroutine that finished the last of
+// them. Emits never overlap each other, and a job's writes before it
+// returns are visible to its emit. A nil emit emits nothing. With one
+// worker everything runs on the calling goroutine, strictly in turn: job 0,
+// emit 0, job 1, emit 1, and so on.
+//
+// The returned error is the lowest-indexed job error, or ctx.Err() if the
+// run was cancelled before every job completed, or nil. A failing job's
+// error is final once every job before it has been emitted; its emit is not
+// called, nor any later one, and the context passed to the jobs still in
+// flight is cancelled. A cancelled run stops emitting at the first job it
+// did not finish; what it emitted before stays emitted.
+//
+// Error abort: the pool stops claiming jobs whose index is above the lowest
+// failing index observed so far, so an early failure does not burn CPU on
+// the rest of the grid. Jobs *below* that index still run — one of them
+// could fail with a lower index — which is what keeps the selected error
+// identical to a serial pass's (which stops at its first error, by
+// construction the lowest-indexed one).
+func OrderedCtx(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error, emit func(i int)) error {
+	if n <= 0 {
+		return nil
 	}
-	if workers > n {
-		workers = n
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	workers = min(max(workers, 1), n)
+	jobCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	// Flight-recorder progress: one pulse per completed job so a streaming
 	// client sees movement during long sweeps. Checked once per pass; plain
 	// runs pay one ctx.Value + one atomic load.
 	prog := flight.Active(ctx)
-	errs := make([]error, n)
 	var next, executed atomic.Int64
 	// minErr is the lowest failing job index observed so far; n means "no
 	// error yet". Workers skip any claim above it (the abort), but still run
 	// claims below it (the determinism guarantee).
 	var minErr atomic.Int64
 	minErr.Store(int64(n))
+	var (
+		mu       sync.Mutex // guards the fields below and serializes emit
+		errs     = make([]error, n)
+		finished = make([]bool, n)
+		emitted  int // jobs below emitted have been emitted
+	)
 	work := func() {
-		for {
-			if ctx.Err() != nil {
-				return
-			}
+		for jobCtx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
@@ -168,20 +202,31 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 				// could never be returned. Skip without running.
 				continue
 			}
-			results[i], errs[i] = fn(i)
-			obsJobs.Inc()
-			done := executed.Add(1)
-			if prog {
+			err := fn(jobCtx, i)
+			if done := executed.Add(1); prog {
 				flight.PublishProgress(ctx, flight.Progress{Done: int(done), Total: n, Label: "sweep"})
 			}
-			if errs[i] != nil {
-				for {
-					cur := minErr.Load()
-					if int64(i) >= cur || minErr.CompareAndSwap(cur, int64(i)) {
-						break
-					}
+			for err != nil {
+				cur := minErr.Load()
+				if int64(i) >= cur || minErr.CompareAndSwap(cur, int64(i)) {
+					break
 				}
 			}
+			mu.Lock()
+			errs[i], finished[i] = err, true
+			for emitted < n && finished[emitted] {
+				if errs[emitted] != nil {
+					// The run's error is final: no job in flight can be
+					// returned or emitted any more.
+					cancel()
+					break
+				}
+				if emit != nil {
+					emit(emitted)
+				}
+				emitted++
+			}
+			mu.Unlock()
 		}
 	}
 	// Worker 0 is the calling goroutine, so a one-worker pass (the
@@ -197,15 +242,13 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	work()
 	wg.Wait()
 	if idx := minErr.Load(); idx < int64(n) {
-		return nil, errs[idx]
+		return errs[idx]
 	}
-	if executed.Load() < int64(n) {
+	if emitted < n {
 		// Gaps without a recorded job error can only come from cancellation.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		return ctx.Err()
 	}
-	return results, nil
+	return nil
 }
 
 // GridCtx is RunCtx for two-dimensional sweeps over an (outer x inner)
